@@ -9,6 +9,14 @@ A layer owns name-keyed parameter and gradient dicts. The contract:
   the backward pass needs.
 - ``backward(dy)`` consumes the upstream gradient, fills ``self.grads``
   for each parameter, and returns the gradient w.r.t. the input.
+- A layer that owns parameters also accepts ``backward(dy,
+  input_grad=False)``: fill ``self.grads`` exactly as above, skip the
+  input gradient, return ``None``. The caller decides, never the layer:
+  ``Sequential._backward`` passes it to ``layers[0]`` only, whose input
+  is the data batch and whose gradient nobody reads; a direct
+  ``layer.backward(dy)`` (gradcheck, the tests) always gets dx back.
+  Parameterless layers have nothing but dx to compute and keep the
+  one-argument form.
 
 Shapes follow Keras convention: batch first, channels last.
 """

@@ -2,11 +2,24 @@
 
 NT3 is "a 1D convolutional network … multiple 1D convolutional layers
 interleaved with pooling layers followed by final dense layers"; P1B3
-uses "convolution-like" (locally connected) layers. All forward passes
-are vectorized with ``sliding_window_view`` + ``tensordot`` — no Python
-loops over the batch or the sequence (see the HPC guide's vectorization
-rules); only ``LocallyConnected1D``'s input-gradient scatter loops over
-kernel taps (a ``kernel_size``-length loop).
+uses "convolution-like" (locally connected) layers. No pass loops over
+the batch or the sequence (see the HPC guide's vectorization rules);
+the only Python loops are over kernel or pooling taps
+(``LocallyConnected1D``'s input-gradient scatter, ``MaxPooling1D``'s
+running maximum).
+
+``Conv1D`` is three GEMMs, each one ``np.dot`` of a window matrix with
+a reshaped kernel or gradient — the very call, on the very operand
+layouts, that ``np.tensordot`` over a ``sliding_window_view`` ends in,
+so every result is bit for bit what that formulation gives
+(``tests/nn/test_conv_reference.py`` keeps it as the oracle). What this
+module owns is how the window matrix is gathered: in contiguous runs
+(:func:`_im2col`, :func:`_im2col_t`), not by ``tensordot``'s generic
+copy of a strided 4-D view. No window matrix outlives the call that
+built it: forward and dW want different layouts (``cols.T @ dy`` on a
+kept forward matrix is a transposed-operand GEMM, which BLAS does not
+sum in the same order), and kept through ``predict`` it would be the
+largest live array in the process.
 
 Layout is Keras channels-last: ``(batch, steps, channels)``.
 """
@@ -39,6 +52,42 @@ def _pad_same(x: np.ndarray, kernel_size: int) -> tuple[np.ndarray, int, int]:
     if total == 0:
         return x, 0, 0
     return np.pad(x, ((0, 0), (left, right), (0, 0))), left, right
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """``(N, Lp, C)`` → C-contiguous ``(N·L, k·C)``, ``L = Lp - k + 1``.
+
+    Row ``(n, l)`` is the window ``xp[n, l : l + k, :]`` flattened in
+    (tap, channel) order — already ``k·C`` consecutive scalars of a
+    contiguous ``xp``, so the gather is one run per row.
+    """
+    n, lp, c = xp.shape
+    out_steps = lp - k + 1
+    # windows of k·C scalars over the flattened (steps, channels) axis,
+    # one every C scalars
+    win = sliding_window_view(xp.reshape(n, lp * c), k * c, axis=1)[:, ::c]
+    return np.ascontiguousarray(win).reshape(n * out_steps, k * c)
+
+
+def _im2col_t(xp: np.ndarray, k: int) -> np.ndarray:
+    """``(N, Lp, C)`` → C-contiguous ``(C·k, N·L)``: :func:`_im2col`
+    transposed, rows in (channel, tap) order.
+
+    Row ``(c, tap)`` is channel ``c`` shifted by ``tap`` steps. The input
+    goes channel-first before the gather so that each row is copied in
+    runs of ``L`` instead of one scalar every ``C``.
+    """
+    n, lp, c = xp.shape
+    out_steps = lp - k + 1
+    if k == 1 or out_steps == 1:
+        # Nothing overlaps, so there is nothing to gather: numpy reshapes
+        # the window view in place where it can, and the GEMM then reads
+        # xp transposed — a different (equally valid) order of summation
+        # from a gathered copy, and the one the oracle has.
+        return sliding_window_view(xp, k, axis=1).transpose(2, 3, 0, 1).reshape(c * k, -1)
+    xt = np.ascontiguousarray(xp.transpose(2, 0, 1))  # (C, N, Lp)
+    win = sliding_window_view(xt, k, axis=2)  # (C, N, L, k)
+    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).reshape(c * k, n * out_steps)
 
 
 class Conv1D(Layer):
@@ -101,40 +150,44 @@ class Conv1D(Layer):
             xp, self._pad_l, self._pad_r = _pad_same(x, self.kernel_size)
         else:
             xp, self._pad_l, self._pad_r = x, 0, 0
-        # windows: (N, out_steps, channels, kernel_size)
-        win = sliding_window_view(xp, self.kernel_size, axis=1)
-        z = np.tensordot(win, self.params["kernel"], axes=([3, 2], [0, 1]))
+        k, co = self.kernel_size, self.filters
+        # z[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
+        z = np.dot(_im2col(xp, k), self.params["kernel"].reshape(-1, co))
+        z = z.reshape(xp.shape[0], xp.shape[1] - k + 1, co)
         if self.use_bias:
-            z += self.params["bias"]  # z is fresh from the tensordot
+            z += self.params["bias"]  # z is fresh from the dot
+        # cached: the (padded) input by reference, not its window matrix
         if self._act_fn is None:
-            self._cache = (win, None, None)
+            self._cache = (xp, None, None)
             return z
         y = self._act_fn(z)
-        self._cache = (win, z, y)
+        self._cache = (xp, z, y)
         return y
 
-    def backward(self, dy):
-        win, z, y = self._cache
+    def backward(self, dy, input_grad=True):
+        xp, z, y = self._cache
         if self._act_fn is not None:
             dy = dy * self._act_grad(z, y)
         k = self.kernel_size
-        # dW[k, ci, co] = sum_{n, l} win[n, l, ci, k] * dy[n, l, co]
-        dw = np.tensordot(win, dy, axes=([0, 1], [0, 1]))  # (ci, k, co)
-        self.set_grad("kernel", dw.transpose(1, 0, 2))
+        n, steps, co = dy.shape
+        # dW[ci, k, co] = sum_{n, l} xp[n, l + k, ci] * dy[n, l, co]
+        dw = np.dot(_im2col_t(xp, k), dy.reshape(n * steps, co))
+        self.set_grad("kernel", dw.reshape(-1, k, co).transpose(1, 0, 2))
         if self.use_bias:
             self.set_grad("bias", dy.sum(axis=(0, 1)))
+        if not input_grad:
+            return None
         # Full correlation of dy with the tap-reversed kernel gives dx.
         if k > 1:
-            n, steps, co = dy.shape
             # cached pad buffer: margins are zero-initialized once and
             # never written, so reuse skips both the alloc and the memset
             dyp = self.scratch("dyp", (n, steps + 2 * (k - 1), co), dy.dtype, zero=False)
             dyp[:, k - 1 : k - 1 + steps, :] = dy
         else:
             dyp = dy
-        win_dy = sliding_window_view(dyp, k, axis=1)  # (N, L_pad, co, k)
-        w_flip = self.params["kernel"][::-1]  # reverse taps
-        dxp = np.tensordot(win_dy, w_flip, axes=([3, 2], [0, 2]))
+        # taps reversed, (k, co) flattened to match _im2col's columns
+        w_flip = self.params["kernel"][::-1].transpose(0, 2, 1).reshape(k * co, -1)
+        dxp = np.dot(_im2col(dyp, k), w_flip).reshape(n, steps + k - 1, -1)
         if self._pad_l or self._pad_r:
             end = dxp.shape[1] - self._pad_r
             dxp = dxp[:, self._pad_l : end, :]
@@ -176,9 +229,19 @@ class MaxPooling1D(Layer):
         n, steps, c = x.shape
         out_steps = steps // p
         xw = x[:, : out_steps * p, :].reshape(n, out_steps, p, c)
-        idx = np.argmax(xw, axis=2)  # (n, out_steps, c)
+        # One walk over the taps: np.maximum keeps the value (and, like
+        # np.max, hands a NaN through), a strict > keeps the first tap
+        # that reached it (argmax's tie rule).
+        if p == 1:
+            out, idx = xw[:, :, 0, :].copy(), np.zeros((n, out_steps, c), dtype=np.intp)
+        else:
+            out = np.maximum(xw[:, :, 0, :], xw[:, :, 1, :])
+            idx = (xw[:, :, 1, :] > xw[:, :, 0, :]).astype(np.intp)
+            for tap in range(2, p):
+                np.copyto(idx, tap, where=xw[:, :, tap, :] > out)
+                np.maximum(out, xw[:, :, tap, :], out=out)
         self._cache = (x.shape, idx)
-        return np.max(xw, axis=2)
+        return out
 
     def backward(self, dy):
         in_shape, idx = self._cache
@@ -267,7 +330,7 @@ class LocallyConnected1D(Layer):
         self._cache = (x.shape, win_flat, z, y)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         in_shape, win_flat, z, y = self._cache
         if self._act_fn is not None:
             dy = dy * self._act_grad(z, y)
@@ -278,6 +341,8 @@ class LocallyConnected1D(Layer):
             self.set_grad("kernel", np.einsum("nlf,nlo->lfo", win_flat, dy))
         if self.use_bias:
             self.set_grad("bias", dy.sum(axis=0))
+        if not input_grad:
+            return None
         dwin = np.einsum("nlo,lfo->nlf", dy, self.params["kernel"])
         n, steps, c = in_shape
         k = self.kernel_size

@@ -74,7 +74,7 @@ class Dense(Layer):
         self._cache = (x, z, y)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x, z, y = self._cache
         if self._act_fn is not None:
             dy = dy * self._act_grad(z, y)
@@ -96,9 +96,9 @@ class Dense(Layer):
                 np.sum(dy, axis=0, out=bdst)
             else:
                 self.set_grad("bias", dy.sum(axis=0))
-        return dy @ self.params["kernel"].T
+        return dy @ self.params["kernel"].T if input_grad else None
 
-    def backward_from_logits(self, dz: np.ndarray) -> np.ndarray:
+    def backward_from_logits(self, dz: np.ndarray, input_grad: bool = True):
         """Backward given a gradient w.r.t. the pre-activation logits.
 
         Used by ``Sequential`` for the fused softmax+cross-entropy
@@ -107,7 +107,7 @@ class Dense(Layer):
         saved = self._act_fn, self._act_grad
         self._act_fn = self._act_grad = None
         try:
-            return self.backward(dz)
+            return self.backward(dz, input_grad=input_grad)
         finally:
             self._act_fn, self._act_grad = saved
 

@@ -66,11 +66,13 @@ class BatchNormalization(Layer):
         self._cache = (x_hat, inv_std, training, x.shape)
         return self.params["gamma"] * x_hat + self.params["beta"]
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x_hat, inv_std, training, shape = self._cache
         axes = self._axes(dy)
         self.set_grad("gamma", (dy * x_hat).sum(axis=axes))
         self.set_grad("beta", dy.sum(axis=axes))
+        if not input_grad:
+            return None
         g = self.params["gamma"]
         if not training:
             return dy * g * inv_std

@@ -216,8 +216,13 @@ class Sequential:
 
         Fuses softmax with categorical cross-entropy when the last layer
         is ``Activation('softmax')`` or ``Dense(activation='softmax')``.
+
+        ``layers[0]`` reads the data batch, so nobody consumes its input
+        gradient: when it owns parameters it is asked for its parameter
+        gradients only (``input_grad=False``). For NT3 that dx was 40%
+        of the step.
         """
-        last = self.layers[-1]
+        first, last = self.layers[0], self.layers[-1]
         fused = isinstance(self.loss, _losses.CategoricalCrossentropy) and (
             (isinstance(last, Activation) and last.is_softmax)
             or (isinstance(last, Dense) and last.activation_name == "softmax")
@@ -227,14 +232,17 @@ class Sequential:
             if isinstance(last, Activation):
                 rest = self.layers[:-1]
             else:
-                grad = last.backward_from_logits(grad)
+                grad = last.backward_from_logits(grad, input_grad=last is not first)
                 self._notify_backward(last)
                 rest = self.layers[:-1]
         else:
             grad = self.loss.grad(y_true, y_pred)
             rest = self.layers
         for layer in reversed(rest):
-            grad = layer.backward(grad)
+            if layer is first and layer.params:
+                layer.backward(grad, input_grad=False)
+            else:
+                grad = layer.backward(grad)
             self._notify_backward(layer)
 
     def _notify_backward(self, layer: Layer) -> None:

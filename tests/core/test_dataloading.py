@@ -54,10 +54,20 @@ def test_chunked_method_honors_chunksize(nt3_files):
 
 
 def test_wide_file_speedup_shape(tmp_path):
-    """The Table 3 effect at laptop scale: chunked beats original on a
-    wide-row file by a solid factor."""
+    """The Table 3 effect at laptop scale, asserted on its cause: on a
+    wide-row file ``original`` re-enters the tokenizer once per internal
+    low-memory chunk, ``chunked`` parses the file in one — same frame,
+    fewer and larger chunks. How many seconds that buys is a wall-clock
+    claim: it belongs to the ``io_wide`` workload of ``benchmarks/e2e``,
+    not to a single-shot ratio in tier-1."""
     b = get_benchmark("nt3", scale=0.15, sample_scale=0.05)  # wide rows
     train, _ = b.write_files(tmp_path, rng=np.random.default_rng(1))
-    _, t_orig = load_csv_timed(train, method="original")
-    _, t_chunk = load_csv_timed(train, method="chunked")
-    assert t_orig > 1.5 * t_chunk, f"expected wide-file speedup, got {t_orig/t_chunk:.2f}x"
+    orig, _ = load_csv_timed(train, method="original")
+    chunk, _ = load_csv_timed(train, method="chunked")
+    assert chunk.equals(orig)
+    cells = orig.shape[0] * orig.shape[1]
+    assert chunk.parse_stats.chunks_parsed == 1
+    assert chunk.parse_stats.peak_chunk_tokens == cells
+    assert orig.parse_stats.chunks_parsed >= 4
+    # the price: chunked holds every token of the file at once
+    assert orig.parse_stats.peak_chunk_tokens * 4 <= cells
