@@ -1,7 +1,11 @@
 """The Communicator: point-to-point plus algorithmic collectives.
 
 Each SPMD run shares one :class:`_Context` (mailboxes, barrier, abort
-flag); each rank holds a :class:`Communicator` view of it. Collectives
+flag); each rank holds a :class:`Communicator` view of it. Every
+blocking receive is an event wait: a rank sleeps on its own *arrival
+condition*, which every ``put`` into one of its mailboxes and
+:meth:`_Context.abort` notify — nothing on the message path polls.
+Collectives
 are built *on top of* send/recv with the textbook algorithms so the
 communication structure is faithful to MPI/NCCL:
 
@@ -18,10 +22,11 @@ Horovod timeline and the analysis layer read.
 
 from __future__ import annotations
 
+import collections
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -38,7 +43,8 @@ __all__ = [
 #: Seconds a blocking recv/barrier waits before declaring deadlock.
 DEFAULT_TIMEOUT = 120.0
 
-_POLL_INTERVAL = 0.005
+#: "no message" marker — ``None`` is a legal payload
+_NOTHING = object()
 
 
 class DeadlockError(RuntimeError):
@@ -66,24 +72,69 @@ class OpStats:
         return dict(self.__dict__)
 
 
+class _Mailbox:
+    """FIFO of one ``(src, dst, tag)`` stream.
+
+    ``put`` appends under the destination rank's arrival condition and
+    notifies it, so whoever that rank has blocked — in ``recv``,
+    ``recv_any``, a request wait, or this box's own ``get`` — wakes on
+    arrival. Each stream has one consumer, so ``take`` needs no lock.
+    The ``get``/``get_nowait`` pair keeps :class:`queue.Queue`'s
+    contract (:class:`queue.Empty` on nothing) for the FT channel.
+    """
+
+    __slots__ = ("_items", "_arrival")
+
+    def __init__(self, arrival: threading.Condition):
+        self._items: collections.deque = collections.deque()
+        self._arrival = arrival
+
+    def put(self, obj: Any) -> None:
+        with self._arrival:
+            self._items.append(obj)
+            self._arrival.notify_all()
+
+    def take(self) -> Any:
+        """The oldest message, or ``_NOTHING`` (never blocks)."""
+        return self._items.popleft() if self._items else _NOTHING
+
+    def get_nowait(self) -> Any:
+        obj = self.take()
+        if obj is _NOTHING:
+            raise queue.Empty
+        return obj
+
+    def get(self, timeout: float) -> Any:
+        deadline = time.monotonic() + timeout
+        with self._arrival:
+            while not self._items:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise queue.Empty
+                self._arrival.wait(remaining)
+            return self._items.popleft()
+
+
 class _Context:
     """State shared by all ranks of one SPMD run."""
 
     def __init__(self, size: int, timeout: float):
         self.size = size
         self.timeout = timeout
-        self._mailboxes: dict[tuple[int, int, int], queue.Queue] = {}
+        self._mailboxes: dict[tuple[int, int, int], _Mailbox] = {}
         self._mail_lock = threading.Lock()
+        #: one arrival condition per destination rank
+        self._arrivals = [threading.Condition() for _ in range(size)]
         self._barrier = threading.Barrier(size)
         self.aborted = threading.Event()
         self.abort_cause: Optional[BaseException] = None
 
-    def mailbox(self, src: int, dst: int, tag: int) -> queue.Queue:
+    def mailbox(self, src: int, dst: int, tag: int) -> _Mailbox:
         key = (src, dst, tag)
         with self._mail_lock:
             box = self._mailboxes.get(key)
             if box is None:
-                box = self._mailboxes[key] = queue.Queue()
+                box = self._mailboxes[key] = _Mailbox(self._arrivals[dst])
             return box
 
     def abort(self, cause: BaseException) -> None:
@@ -91,6 +142,37 @@ class _Context:
             self.abort_cause = cause
             self.aborted.set()
             self._barrier.abort()
+            # the flag is set before each notify and waiters read it
+            # under the same lock, so no blocked rank can miss it
+            for arrival in self._arrivals:
+                with arrival:
+                    arrival.notify_all()
+
+    def check_alive(self) -> None:
+        if self.aborted.is_set():
+            raise AbortError(f"aborted by peer: {self.abort_cause!r}")
+
+    def wait_until(self, rank: int, ready: Callable[[], Any], timeout: float) -> Any:
+        """Sleep on ``rank``'s arrival condition until ``ready()`` yields.
+
+        The one blocking wait of the message path. ``ready`` runs under
+        the condition's lock and returns ``_NOTHING`` for "not yet";
+        anything else is returned to the caller. Returns ``_NOTHING``
+        once ``timeout`` seconds pass without a result and raises
+        :class:`AbortError` as soon as the run is aborted.
+        """
+        arrival = self._arrivals[rank]
+        deadline = time.monotonic() + timeout
+        with arrival:
+            while True:
+                self.check_alive()
+                got = ready()
+                if got is not _NOTHING:
+                    return got
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return _NOTHING
+                arrival.wait(remaining)
 
     def barrier_wait(self) -> None:
         try:
@@ -139,26 +221,32 @@ class Request:
     requests are idempotent: repeated waits return the same value.
     """
 
-    def __init__(self, poll: Callable[[], tuple[bool, Any]]):
+    def __init__(
+        self,
+        poll: Callable[[], Any],
+        block: Optional[Callable[[Optional[float]], Any]] = None,
+    ):
+        #: ``poll()`` returns the payload or ``_NOTHING``, never blocks;
+        #: ``block(timeout)`` sleeps until the payload is there (only an
+        #: operation that can be incomplete needs one)
         self._poll = poll
-        self._done = False
-        self._value: Any = None
+        self._block = block
+        self._value: Any = _NOTHING
 
     def test(self) -> bool:
         """True once the operation has completed (non-blocking)."""
-        if not self._done:
-            done, value = self._poll()
-            if done:
-                self._done, self._value = True, value
-        return self._done
+        if self._value is _NOTHING:
+            self._value = self._poll()
+        return self._value is not _NOTHING
 
     def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until complete; returns the payload (None for sends)."""
-        deadline = time.monotonic() + (timeout if timeout is not None else DEFAULT_TIMEOUT)
-        while not self.test():
-            if time.monotonic() > deadline:
-                raise DeadlockError("request wait timed out")
-            time.sleep(_POLL_INTERVAL)
+        """Block until complete; returns the payload (None for sends).
+
+        ``timeout=None`` waits the run's timeout (the one ``run_spmd``
+        was given), like every other blocking receive.
+        """
+        if not self.test():
+            self._value = self._block(timeout)
         return self._value
 
     @staticmethod
@@ -205,23 +293,7 @@ class Communicator:
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive with deadlock detection."""
-        self._check_peer(source)
-        box = self._context.mailbox(source, self.rank, tag)
-        deadline = time.monotonic() + self._context.timeout
-        while True:
-            self._check_alive()
-            try:
-                obj = box.get(timeout=_POLL_INTERVAL)
-                break
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise DeadlockError(
-                        f"rank {self.rank} recv from {source} tag {tag} "
-                        f"timed out after {self._context.timeout}s"
-                    ) from None
-        self.stats.recvs += 1
-        self.stats.bytes_received += _payload_bytes(obj)
-        return obj
+        return self._recv("recv", source, tag, self._context.timeout)
 
     def recv_within(self, source: int, tag: int = 0, timeout: float = 1.0) -> Any:
         """Blocking receive with a caller-chosen deadline.
@@ -232,25 +304,7 @@ class Communicator:
         consensus) rather than wait out the full deadlock window.
         Raises :class:`DeadlockError` on expiry.
         """
-        self._check_peer(source)
-        box = self._context.mailbox(source, self.rank, tag)
-        deadline = time.monotonic() + timeout
-        while True:
-            self._check_alive()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"rank {self.rank} recv_within from {source} tag {tag} "
-                    f"timed out after {timeout}s"
-                )
-            try:
-                obj = box.get(timeout=min(_POLL_INTERVAL, remaining))
-                break
-            except queue.Empty:
-                continue
-        self.stats.recvs += 1
-        self.stats.bytes_received += _payload_bytes(obj)
-        return obj
+        return self._recv("recv_within", source, tag, timeout)
 
     def recv_any(
         self,
@@ -260,13 +314,14 @@ class Communicator:
     ) -> tuple[int, Any]:
         """Receive the next message from *any* of ``sources`` on ``tag``.
 
-        Polls the per-source mailboxes round-robin (MPI_ANY_SOURCE
-        analog) and returns ``(source, payload)`` for the first message
-        found. A serving front-end collecting results from whichever
-        replica finishes first needs this; pinning recv order to a fixed
-        source would serialize the replicas. Raises
-        :class:`DeadlockError` after ``timeout`` (context default when
-        None) with no message from any source.
+        Scans the per-source mailboxes in the order given
+        (MPI_ANY_SOURCE analog) and returns ``(source, payload)`` for
+        the first message found, sleeping until one arrives. A serving
+        front-end collecting results from whichever replica finishes
+        first needs this; pinning recv order to a fixed source would
+        serialize the replicas. Raises :class:`DeadlockError` after
+        ``timeout`` (context default when None) with no message from any
+        source; ``timeout=0`` makes it a non-blocking probe.
         """
         if not sources:
             raise ValueError("recv_any needs at least one source")
@@ -274,24 +329,39 @@ class Communicator:
         for src in sources:
             self._check_peer(src)
             boxes.append((src, self._context.mailbox(src, self.rank, tag)))
-        limit = timeout if timeout is not None else self._context.timeout
-        deadline = time.monotonic() + limit
-        while True:
-            self._check_alive()
+
+        def ready():
             for src, box in boxes:
-                try:
-                    obj = box.get_nowait()
-                except queue.Empty:
-                    continue
-                self.stats.recvs += 1
-                self.stats.bytes_received += _payload_bytes(obj)
-                return src, obj
-            if time.monotonic() > deadline:
-                raise DeadlockError(
-                    f"rank {self.rank} recv_any from {list(sources)} tag "
-                    f"{tag} timed out after {limit}s"
-                )
-            time.sleep(_POLL_INTERVAL)
+                obj = box.take()
+                if obj is not _NOTHING:
+                    return src, obj
+            return _NOTHING
+
+        limit = timeout if timeout is not None else self._context.timeout
+        src, obj = self._await(ready, limit, "recv_any", list(sources), tag)
+        self._account_recv(obj)
+        return src, obj
+
+    def _recv(self, op: str, source: int, tag: int, timeout: float) -> Any:
+        self._check_peer(source)
+        box = self._context.mailbox(source, self.rank, tag)
+        obj = self._await(box.take, timeout, op, source, tag)
+        self._account_recv(obj)
+        return obj
+
+    def _await(self, ready: Callable[[], Any], timeout: float, op: str, peer, tag: int) -> Any:
+        """Block on this rank's arrival condition; expiry is a deadlock."""
+        got = self._context.wait_until(self.rank, ready, timeout)
+        if got is _NOTHING:
+            raise DeadlockError(
+                f"rank {self.rank} {op} from {peer} tag {tag} "
+                f"timed out after {timeout}s"
+            )
+        return got
+
+    def _account_recv(self, obj: Any) -> None:
+        self.stats.recvs += 1
+        self.stats.bytes_received += _payload_bytes(obj)
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
         """Simultaneous send+recv (ring building block)."""
@@ -302,24 +372,28 @@ class Communicator:
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; the buffered send completes immediately."""
         self.send(obj, dest, tag)
-        return Request(lambda: (True, None))
+        return Request(lambda: None)
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Nonblocking receive; complete via ``request.wait()``/``test()``."""
         self._check_peer(source)
         box = self._context.mailbox(source, self.rank, tag)
 
-        def poll() -> tuple[bool, Any]:
-            self._check_alive()
-            try:
-                obj = box.get_nowait()
-            except queue.Empty:
-                return False, None
-            self.stats.recvs += 1
-            self.stats.bytes_received += _payload_bytes(obj)
-            return True, obj
+        def take() -> Any:
+            obj = box.take()
+            if obj is not _NOTHING:
+                self._account_recv(obj)
+            return obj
 
-        return Request(poll)
+        def poll() -> Any:
+            self._check_alive()
+            return take()
+
+        def block(timeout: Optional[float]) -> Any:
+            limit = timeout if timeout is not None else self._context.timeout
+            return self._await(take, limit, "irecv wait", source, tag)
+
+        return Request(poll, block)
 
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
@@ -466,10 +540,7 @@ class Communicator:
             raise ValueError(f"peer rank {rank} out of range [0, {self.size})")
 
     def _check_alive(self) -> None:
-        if self._context.aborted.is_set():
-            raise AbortError(
-                f"aborted by peer: {self._context.abort_cause!r}"
-            )
+        self._context.check_alive()
 
     def __repr__(self):
         return f"<Communicator rank={self.rank}/{self.size}>"

@@ -111,7 +111,13 @@ class RpcChannel:
     def recv_any(
         self, sources: Sequence[int], timeout: Optional[float] = None
     ) -> tuple[int, RpcMessage]:
-        """Next envelope from any of ``sources`` — ``(source, message)``."""
+        """Next envelope from any of ``sources`` — ``(source, message)``.
+
+        Sleeps until one arrives (``Communicator.recv_any``'s event
+        wait, passed through: ``timeout=None`` is the run's deadlock
+        window, ``timeout=0`` a non-blocking probe); a channel may list
+        its own rank to receive envelopes it posted to itself.
+        """
         src, msg = self._comm.recv_any(list(sources), tag=self._tag, timeout=timeout)
         return src, self._checked(msg)
 

@@ -57,23 +57,19 @@ def _serve_sync(comm, params: Dict[str, np.ndarray], optimizer: Optimizer, steps
     return steps
 
 
-def _serve_async(comm, params: Dict[str, np.ndarray], optimizer: Optimizer, total_pushes: int):
+def _serve_async(comm, params: Dict[str, np.ndarray], optimizer: Optimizer):
     updates = 0
-    done = 0
-    pending = {w: comm.irecv(source=w, tag=_PUSH_TAG) for w in range(1, comm.size)}
-    while done < comm.size - 1:
-        for w, req in list(pending.items()):
-            if req is None or not req.test():
-                continue
-            payload = req.wait()
-            if payload == _DONE:
-                pending[w] = None
-                done += 1
-                continue
-            optimizer.apply_gradients(params, payload)
-            updates += 1
-            comm.send({n: p.copy() for n, p in params.items()}, dest=w, tag=_PULL_TAG)
-            pending[w] = comm.irecv(source=w, tag=_PUSH_TAG)
+    workers = list(range(1, comm.size))
+    while workers:
+        # sleeps until some worker pushes; per-worker order is the
+        # fabric's per-pair order
+        w, payload = comm.recv_any(workers, tag=_PUSH_TAG)
+        if payload == _DONE:
+            workers.remove(w)
+            continue
+        optimizer.apply_gradients(params, payload)
+        updates += 1
+        comm.send({n: p.copy() for n, p in params.items()}, dest=w, tag=_PULL_TAG)
     return updates
 
 
@@ -110,7 +106,7 @@ def run_parameter_server_training(
             if mode == "sync":
                 updates = _serve_sync(comm, params, optimizer, steps)
             else:
-                updates = _serve_async(comm, params, optimizer, steps * nworkers)
+                updates = _serve_async(comm, params, optimizer)
             return {
                 "weights": {n: p.copy() for n, p in params.items()},
                 "updates": updates,

@@ -98,15 +98,28 @@ class DynamicBatcher:
 
     ``offer`` is called by submitter threads; ``poll``/``next_batch``
     by the dispatcher. All state is guarded by one condition variable.
+
+    A dispatcher that sleeps somewhere else (the serving front-end
+    sleeps on its rank's message arrivals) passes ``wake``: it is
+    called, outside the lock, whenever the moment of the next forced
+    flush may have moved *earlier* than :meth:`seconds_until_flush`
+    last said — the queue went non-empty, a batch filled, or the
+    batcher closed.
     """
 
     def __init__(
-        self, options: ServeOptions, clock: Callable[[], float] = time.monotonic
+        self,
+        options: ServeOptions,
+        clock: Callable[[], float] = time.monotonic,
+        wake: Optional[Callable[[], None]] = None,
     ):
         self.options = options
         self.clock = clock
+        self._wake = wake
         self._cond = threading.Condition()
         self._queue: collections.deque[Request] = collections.deque()
+        #: rows queued, so "is a batch full" is one comparison
+        self._rows = 0
         self._closed = False
         #: admission outcome counters (read under the lock or after close)
         self.accepted = 0
@@ -122,6 +135,8 @@ class DynamicBatcher:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+        if self._wake is not None:
+            self._wake()
 
     # -- admission ----------------------------------------------------------
     def offer(
@@ -135,6 +150,7 @@ class DynamicBatcher:
         Under "block" a full queue makes this call wait for space —
         backpressure all the way to the submitter.
         """
+        outcome, displaced = "accepted", []
         with self._cond:
             if self._closed:
                 self.rejected += 1
@@ -145,44 +161,48 @@ class DynamicBatcher:
                     self.rejected += 1
                     return "rejected", []
                 if policy == "shed_oldest":
-                    displaced = self._queue.popleft()
-                    self._queue.append(request)
-                    self.accepted += 1
+                    victim = self._queue.popleft()
+                    self._rows -= victim.rows
                     self.shed += 1
-                    self._cond.notify_all()
-                    return "shed", [displaced]
-                # block: wait for the dispatcher to make room
-                deadline = None if timeout is None else self.clock() + timeout
-                while len(self._queue) >= self.options.queue_depth:
-                    if self._closed:
-                        self.rejected += 1
-                        return "rejected", []
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - self.clock()
-                        if remaining <= 0:
+                    outcome, displaced = "shed", [victim]
+                else:
+                    # block: wait for the dispatcher to make room
+                    deadline = None if timeout is None else self.clock() + timeout
+                    while len(self._queue) >= self.options.queue_depth:
+                        if self._closed:
                             self.rejected += 1
                             return "rejected", []
-                    self._cond.wait(remaining if remaining is not None else 0.05)
+                        remaining = None
+                        if deadline is not None:
+                            remaining = deadline - self.clock()
+                            if remaining <= 0:
+                                self.rejected += 1
+                                return "rejected", []
+                        self._cond.wait(remaining)
+            before = self._rows
             self._queue.append(request)
+            self._rows = before + request.rows
             self.accepted += 1
             self._cond.notify_all()
-            return "accepted", []
+            moved_earlier = before == 0 or before < self.options.max_batch <= self._rows
+        if moved_earlier and self._wake is not None:
+            self._wake()
+        return outcome, displaced
 
     # -- assembly -----------------------------------------------------------
-    def _flush_ready(self) -> bool:
-        """Lock held: is a batch flush-worthy *right now*?"""
+    def _flush_in(self) -> Optional[float]:
+        """Lock held: seconds until a flush is forced; None on an empty queue.
+
+        0.0 means flush-worthy right now: the queued rows fill a batch,
+        the batcher is closed (drain), or the oldest request has spent
+        its assembly budget. Otherwise what is left of that budget.
+        """
         if not self._queue:
-            return False
-        if self._closed:
-            return True
-        rows = 0
-        for req in self._queue:
-            rows += req.rows
-            if rows >= self.options.max_batch:
-                return True
-        oldest = self._queue[0]
-        return self.clock() >= oldest.arrival_s + self.options.assemble_budget_s
+            return None
+        if self._closed or self._rows >= self.options.max_batch:
+            return 0.0
+        expiry = self._queue[0].arrival_s + self.options.assemble_budget_s
+        return max(0.0, expiry - self.clock())
 
     def _assemble(self) -> Batch:
         """Lock held, queue non-empty: pop one batch's worth of requests."""
@@ -192,6 +212,7 @@ class DynamicBatcher:
             req = self._queue.popleft()
             taken.append(req)
             rows += req.rows
+        self._rows -= rows
         self._cond.notify_all()  # space freed: wake blocked submitters
         features = (
             taken[0].features
@@ -199,6 +220,16 @@ class DynamicBatcher:
             else np.concatenate([r.features for r in taken], axis=0)
         )
         return Batch(requests=taken, features=features, assembled_s=self.clock())
+
+    def seconds_until_flush(self) -> Optional[float]:
+        """How long a dispatcher may sleep before :meth:`poll` has a batch.
+
+        0.0 when a batch is flush-worthy now, the remainder of the
+        oldest request's assembly budget for a partial batch, None when
+        the queue is empty (only an arrival — a ``wake`` — changes that).
+        """
+        with self._cond:
+            return self._flush_in()
 
     def poll(self) -> Optional[Batch]:
         """A batch if one is flush-worthy now, else None (non-blocking).
@@ -210,7 +241,7 @@ class DynamicBatcher:
         An empty queue returns None.
         """
         with self._cond:
-            if not self._flush_ready():
+            if self._flush_in() != 0.0:
                 return None
             return self._assemble()
 
@@ -222,24 +253,16 @@ class DynamicBatcher:
         """
         deadline = None if timeout is None else self.clock() + timeout
         with self._cond:
-            while not self._flush_ready():
-                if self._closed and not self._queue:
-                    return None
-                waits = []
+            while True:
+                flush_in = self._flush_in()
+                if flush_in == 0.0:
+                    return self._assemble()
+                if self._closed:
+                    return None  # closed and empty
+                waits = [] if flush_in is None else [flush_in]
                 if deadline is not None:
                     remaining = deadline - self.clock()
                     if remaining <= 0:
                         return None
                     waits.append(remaining)
-                if self._queue:
-                    oldest = self._queue[0]
-                    waits.append(
-                        max(
-                            0.0,
-                            oldest.arrival_s
-                            + self.options.assemble_budget_s
-                            - self.clock(),
-                        )
-                    )
-                self._cond.wait(min(waits) if waits else 0.05)
-            return self._assemble()
+                self._cond.wait(min(waits) if waits else None)

@@ -20,6 +20,15 @@ assignment, never a half-updated model. Every batch is tagged with the
 version it was computed under, so in-flight work completed during the
 drain is attributable (and verifiable bit-for-bit) to the old version.
 
+**The front-end never polls.** Between events it sleeps in one
+``recv_any`` on rank 0's message arrivals, and three things end that
+sleep: a replica's result; a zero-payload ``wake`` envelope rank 0
+addresses to itself when an ``offer`` (or the batcher closing) moves
+the next forced flush earlier; or the timeout it asked for, which is
+what is left of the oldest queued request's assembly budget. On each
+wake it drains every result that is ready and dispatches until every
+replica holds ``worker_depth`` batches.
+
 The wall-clock accounting rides on :mod:`repro.telemetry`: the run is
 a ``serve.run`` span, request/batch/swap totals are counters, and the
 per-request latency distribution reduces to an
@@ -36,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.mpi import run_spmd
-from repro.mpi.communicator import DeadlockError
+from repro.mpi.communicator import AbortError, DeadlockError
 from repro.ps.rpc import RpcChannel
 from repro.serve.batcher import Batch, DynamicBatcher, Request
 from repro.serve.loadgen import ClosedWorkload, OpenWorkload
@@ -45,8 +54,6 @@ from repro.serve.slo import SloReport, SloTracker
 from repro.telemetry import runtime as telemetry
 
 __all__ = ["serve_workload", "ServeReport", "SwapPlan", "request_features"]
-
-_POLL_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -197,9 +204,12 @@ class _Frontend:
         self.workload = workload
         self.pool = pool
         self.options = options
-        self.batcher = DynamicBatcher(options)
+        self.batcher = DynamicBatcher(options, wake=self._wake)
         self.tracker = SloTracker(options.deadline_ms)
         self.replica_ranks = list(range(1, comm.size))
+        #: everything that can end the event loop's sleep: rank 0's own
+        #: wake envelopes, then the replicas' results
+        self.event_sources = [0] + self.replica_ranks
         self.inflight: Dict[int, Dict[int, Batch]] = {
             r: {} for r in self.replica_ranks
         }
@@ -212,11 +222,17 @@ class _Frontend:
         self.per_replica_batches = {r: 0 for r in self.replica_ranks}
         self.batch_log: List[tuple] = []
         self.responses: Optional[Dict[int, tuple]] = {} if keep_responses else None
-        self.pending_batch: Optional[Batch] = None
         self.submitters_done = threading.Event()
         self.swaps_done = 0
 
     # -- submission side (runs on workload threads) -------------------------
+    def _wake(self) -> None:
+        """End the event loop's sleep: the batcher has news for it."""
+        try:
+            self.rpc.post(0, "wake")
+        except AbortError:
+            pass  # the run is being torn down; nobody is left to wake
+
     def _submit(self, req_id: int) -> Request:
         rows = self.workload.rows_per_request
         now = time.monotonic()
@@ -240,6 +256,8 @@ class _Frontend:
         for i, offset in enumerate(self.workload.arrivals):
             delay = start + float(offset) - time.monotonic()
             if delay > 0:
+                # a schedule, not a poll: the open loop owes request i at
+                # its arrival offset whatever the server is doing
                 time.sleep(delay)
             self._submit(i)
 
@@ -249,6 +267,8 @@ class _Frontend:
             request = self._submit(client * per + j)
             request.future.wait(timeout=self.comm._context.timeout)
             if self.workload.think_time_s > 0:
+                # a schedule, not a poll: the modelled client thinks
+                # this long between its answer and its next request
                 time.sleep(self.workload.think_time_s)
 
     def start_submitters(self) -> List[threading.Thread]:
@@ -283,11 +303,22 @@ class _Frontend:
     def _inflight_total(self) -> int:
         return sum(len(v) for v in self.inflight.values())
 
-    def _collect_one(self, timeout: float) -> bool:
-        try:
-            src, msg = self.rpc.recv_any(self.replica_ranks, timeout=timeout)
-        except DeadlockError:
-            return False
+    def _collect(self, timeout: Optional[float]) -> None:
+        """Sleep until an event or ``timeout``, then drain what is ready.
+
+        ``timeout=None`` sleeps until the next event (bounded by the
+        run's deadlock window, after which the loop just looks again).
+        """
+        while True:
+            try:
+                src, msg = self.rpc.recv_any(self.event_sources, timeout=timeout)
+            except DeadlockError:
+                return
+            timeout = 0.0  # awake now: take whatever else has arrived
+            if src != 0:
+                self._complete(src, msg)
+
+    def _complete(self, src: int, msg) -> None:
         if msg.kind != "result":
             raise RuntimeError(f"front-end: unexpected rpc kind {msg.kind!r}")
         batch = self.inflight[src].pop(msg.seq)
@@ -304,33 +335,41 @@ class _Frontend:
             request.future.set((payload["version"], prediction))
             self.completed += 1
         telemetry.counter("serve.batches")
-        return True
 
-    def _maybe_dispatch(self) -> None:
+    def _open_replica(self) -> Optional[int]:
+        """The least-loaded replica below ``worker_depth``, if any."""
+        target = min(self.replica_ranks, key=lambda r: len(self.inflight[r]))
+        if len(self.inflight[target]) < self.options.worker_depth:
+            return target
+        return None
+
+    def _dispatch(self) -> None:
+        """Send flush-worthy batches until every replica is at depth."""
+        while self.swap_drain_started is None:  # a draining swap sends nothing
+            target = self._open_replica()
+            if target is None:
+                return  # every replica at depth; a result will free a slot
+            batch = self.batcher.poll()
+            if batch is None:
+                return
+            seq = self.rpc.post(target, "batch", {"features": batch.features})
+            self.inflight[target][seq] = batch
+            self.batches += 1
+            self.batch_rows += batch.rows
+            self.per_replica_batches[target] += 1
+            self.batch_log.append(
+                (self.current_version, tuple(r.req_id for r in batch.requests))
+            )
+
+    def _sleep_budget(self) -> Optional[float]:
+        """Longest the loop may sleep with no event; None for "until one"."""
         if self.swap_drain_started is not None:
-            return  # draining for a swap: nothing new goes out
-        if self.pending_batch is None:
-            self.pending_batch = self.batcher.poll()
-        if self.pending_batch is None:
-            return
-        open_ranks = [
-            r
-            for r in self.replica_ranks
-            if len(self.inflight[r]) < self.options.worker_depth
-        ]
-        if not open_ranks:
-            return  # every replica at depth; results will free a slot
-        target = min(open_ranks, key=lambda r: len(self.inflight[r]))
-        batch = self.pending_batch
-        self.pending_batch = None
-        seq = self.rpc.post(target, "batch", {"features": batch.features})
-        self.inflight[target][seq] = batch
-        self.batches += 1
-        self.batch_rows += batch.rows
-        self.per_replica_batches[target] += 1
-        self.batch_log.append(
-            (self.current_version, tuple(r.req_id for r in batch.requests))
-        )
+            # only results matter now; look again when the drain is overdue
+            overdue = self.swap_drain_started + self.options.drain_timeout_s
+            return max(0.0, overdue - time.monotonic())
+        if self._open_replica() is None:
+            return None  # a full batch cannot go anywhere before a result
+        return self.batcher.seconds_until_flush()
 
     def _maybe_swap(self) -> None:
         if not self.pending_swaps:
@@ -341,7 +380,6 @@ class _Frontend:
             # so a run never exits with versions silently unshipped
             self.submitters_done.is_set()
             and len(self.batcher) == 0
-            and self.pending_batch is None
         )
         if not due:
             return
@@ -397,20 +435,16 @@ class _Frontend:
             start = time.monotonic()
             self.start_submitters()
             while True:
-                progressed = self._collect_one(timeout=_POLL_S)
                 self._maybe_swap()
-                self._maybe_dispatch()
+                self._dispatch()
                 if (
                     self.submitters_done.is_set()
                     and len(self.batcher) == 0
-                    and self.pending_batch is None
                     and self._inflight_total() == 0
                     and not self.pending_swaps
                 ):
                     break
-                if not progressed and self.pending_batch is None:
-                    # idle: nothing collected, nothing to send — yield
-                    time.sleep(0)
+                self._collect(self._sleep_budget())
             wall = time.monotonic() - start
             # retire the replicas and gather their stats
             for r in self.replica_ranks:

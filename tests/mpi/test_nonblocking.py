@@ -82,3 +82,23 @@ def test_wait_timeout_raises_deadlock():
                 req.wait(timeout=0.2)
 
     run_spmd(2, job)
+
+
+def test_wait_without_a_timeout_inherits_the_runs_timeout():
+    # was: fell back to the module's DEFAULT_TIMEOUT and hung 120 s
+    def job(comm):
+        if comm.rank == 1:
+            with pytest.raises(DeadlockError, match="timed out after 0.2s"):
+                comm.irecv(source=0).wait()
+
+    run_spmd(2, job, timeout=0.2)
+
+
+def test_waitall_without_a_timeout_inherits_the_runs_timeout():
+    def job(comm):
+        if comm.rank == 1:
+            reqs = [comm.irecv(source=0, tag=t) for t in (1, 2)]
+            with pytest.raises(DeadlockError, match="tag 1 timed out after 0.2s"):
+                Request.waitall(reqs)
+
+    run_spmd(2, job, timeout=0.2)

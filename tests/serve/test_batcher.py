@@ -7,6 +7,9 @@ expiry here is ``clock.advance(...)``, not a sleep — so every edge
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,8 +157,6 @@ class TestAdmission:
             ServeOptions(admission="block", queue_depth=1, max_batch=1)
         )
         batcher.offer(make_request(0, rows=1, clock=FakeClock()))
-        import threading
-
         def drain():
             batcher.poll()  # frees the slot (max_batch=1 → flush-ready)
 
@@ -190,8 +191,6 @@ class TestCloseAndDrain:
 
     def test_next_batch_blocking_delivers(self):
         batcher = DynamicBatcher(ServeOptions(max_batch=2, deadline_ms=50.0))
-        import threading
-
         def submit():
             fake = FakeClock()
             batcher.offer(make_request(0, rows=1, clock=fake))
@@ -200,3 +199,141 @@ class TestCloseAndDrain:
         threading.Timer(0.02, submit).start()
         batch = batcher.next_batch(timeout=5.0)
         assert batch is not None and batch.rows == 2
+
+
+class TestSecondsUntilFlush:
+    """What a dispatcher sleeping elsewhere asks: how long may I sleep?"""
+
+    def test_empty_queue_has_nothing_to_wait_for(self, clock):
+        assert make_batcher(clock).seconds_until_flush() is None
+
+    def test_partial_batch_reports_the_rest_of_the_oldest_budget(self, clock):
+        batcher = make_batcher(clock)  # budget = 100ms * 0.5
+        batcher.offer(make_request(0, rows=2, clock=clock))
+        assert batcher.seconds_until_flush() == pytest.approx(0.05)
+        clock.advance(0.03)
+        batcher.offer(make_request(1, rows=2, clock=clock))  # newer: no effect
+        assert batcher.seconds_until_flush() == pytest.approx(0.02)
+        clock.advance(0.02)
+        assert batcher.seconds_until_flush() == 0.0
+        clock.advance(1.0)  # long overdue is still "now", never negative
+        assert batcher.seconds_until_flush() == 0.0
+        assert batcher.poll().rows == 4
+
+    def test_full_batch_is_due_now(self, clock):
+        batcher = make_batcher(clock)
+        for i in range(4):
+            batcher.offer(make_request(i, rows=2, clock=clock))
+        assert batcher.seconds_until_flush() == 0.0
+        batcher.poll()
+        assert batcher.seconds_until_flush() is None
+
+    def test_leftover_after_a_flush_restarts_from_its_own_arrival(self, clock):
+        batcher = make_batcher(clock)
+        for i in range(3):
+            batcher.offer(make_request(i, rows=3, clock=clock))
+            clock.advance(0.01)
+        assert batcher.poll().rows == 6  # 3+3, the third does not fit
+        # request 2 arrived at t=0.02; now t=0.03
+        assert batcher.seconds_until_flush() == pytest.approx(0.04)
+
+    def test_closed_drains_now_then_has_nothing(self, clock):
+        batcher = make_batcher(clock)
+        batcher.offer(make_request(0, rows=1, clock=clock))
+        batcher.close()
+        assert batcher.seconds_until_flush() == 0.0
+        batcher.poll()
+        assert batcher.seconds_until_flush() is None
+
+    def test_agrees_with_poll_at_every_step(self, clock):
+        batcher = make_batcher(clock, admission="reject")
+        rng = np.random.default_rng(3)
+        for i in range(200):
+            if rng.random() < 0.6:
+                batcher.offer(make_request(i, rows=int(rng.integers(1, 4)), clock=clock))
+            clock.advance(float(rng.random()) * 0.02)
+            due = batcher.seconds_until_flush()
+            batch = batcher.poll()
+            assert (batch is not None) == (due == 0.0)
+
+
+class TestWake:
+    """``wake`` fires only when the next forced flush moved earlier."""
+
+    def make(self, clock, **overrides):
+        wakes = []
+        defaults = dict(max_batch=8, deadline_ms=100.0, queue_depth=16)
+        defaults.update(overrides)
+        batcher = DynamicBatcher(
+            ServeOptions(**defaults), clock=clock, wake=lambda: wakes.append(1)
+        )
+        return batcher, wakes
+
+    def test_first_arrival_and_batch_fill_wake_others_do_not(self, clock):
+        batcher, wakes = self.make(clock)
+        batcher.offer(make_request(0, rows=2, clock=clock))
+        assert len(wakes) == 1  # queue went non-empty: a budget now runs
+        batcher.offer(make_request(1, rows=2, clock=clock))
+        batcher.offer(make_request(2, rows=2, clock=clock))
+        assert len(wakes) == 1  # oldest unchanged, batch not full
+        batcher.offer(make_request(3, rows=2, clock=clock))
+        assert len(wakes) == 2  # 8 rows: flush-worthy now
+        batcher.offer(make_request(4, rows=2, clock=clock))
+        assert len(wakes) == 2  # already due; the dispatcher knows
+
+    def test_oversized_first_request_wakes_once(self, clock):
+        batcher, wakes = self.make(clock)
+        batcher.offer(make_request(0, rows=13, clock=clock))
+        assert len(wakes) == 1
+
+    def test_refused_offers_do_not_wake(self, clock):
+        batcher, wakes = self.make(clock, admission="reject", queue_depth=1)
+        batcher.offer(make_request(0, rows=1, clock=clock))
+        assert batcher.offer(make_request(1, rows=1, clock=clock))[0] == "rejected"
+        assert len(wakes) == 1
+
+    def test_close_wakes(self, clock):
+        batcher, wakes = self.make(clock)
+        batcher.close()
+        assert len(wakes) == 1
+
+
+def test_row_count_survives_concurrent_offers_and_polls():
+    # four submitters against one dispatcher at a 10 µs switch interval:
+    # the queued-rows counter must equal the queue's rows at the end,
+    # and every accepted row is either dispatched or still queued
+    batcher = DynamicBatcher(
+        ServeOptions(max_batch=8, admission="reject", queue_depth=32)
+    )
+    clock = FakeClock()
+    dispatched = []
+    stop = threading.Event()
+
+    def submit(base):
+        for i in range(500):
+            batcher.offer(make_request(base + i, rows=1 + i % 3, clock=clock))
+
+    def dispatch():
+        while not stop.is_set() or len(batcher):
+            batch = batcher.poll()
+            if batch is not None:
+                dispatched.append(batch.rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submit, args=(k * 1000,)) for k in range(4)]
+        dispatcher = threading.Thread(target=dispatch)
+        for t in [*threads, dispatcher]:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        batcher.close()  # drain: whatever is left is flush-worthy
+        stop.set()
+        dispatcher.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not dispatcher.is_alive() and not any(t.is_alive() for t in threads)
+    assert batcher._rows == 0 and len(batcher) == 0
+    assert batcher.accepted + batcher.rejected == 2000
+    assert len(dispatched) >= batcher.accepted / 8

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import time
+import types
+
 import numpy as np
 import pytest
 
+from repro.mpi import communicator as communicator_module
+from repro.mpi.communicator import Communicator, _Context
 from repro.nn import Sequential
 from repro.nn.layers import Dense
+from repro.ps.rpc import RpcChannel
+from repro.serve import server as server_module
 from repro.serve import (
     ClosedWorkload,
     OpenWorkload,
@@ -42,6 +50,28 @@ def serve_opts(**overrides) -> ServeOptions:
     defaults = dict(max_batch=8, deadline_ms=500.0, replicas=2, queue_depth=64)
     defaults.update(overrides)
     return ServeOptions(**defaults)
+
+
+def assert_replays(report, pool, versions: dict, rows: int) -> int:
+    """Replay each dispatched batch exactly as the replica saw it.
+
+    Asserts every served prediction bit for bit against a reference
+    model holding the batch's logged version; returns requests checked.
+    """
+    ref = build_model()
+    checked = 0
+    for version, req_ids in report.batch_log:
+        install_weights(ref, versions[version])
+        feats = np.concatenate(
+            [request_features(pool, rid, rows) for rid in req_ids], axis=0
+        )
+        expected = ref._forward(feats, training=False)
+        for i, rid in enumerate(req_ids):
+            got_version, got = report.responses[rid]
+            assert got_version == version
+            np.testing.assert_array_equal(got, expected[i * rows:(i + 1) * rows])
+            checked += 1
+    return checked
 
 
 class TestRequestFeatures:
@@ -114,20 +144,9 @@ class TestClosedWorkloadServing:
             build_model, workload, pool, serve_opts(),
             initial_weights=weights, keep_responses=True,
         )
-        ref = build_model()
-        install_weights(ref, weights)
-        # replay each dispatched batch exactly as the replica saw it
-        for version, req_ids in report.batch_log:
-            feats = np.concatenate(
-                [request_features(pool, rid, 2) for rid in req_ids], axis=0
-            )
-            expected = ref._forward(feats, training=False)
-            start = 0
-            for rid in req_ids:
-                got_version, got = report.responses[rid]
-                assert got_version == version == "v0"
-                np.testing.assert_array_equal(got, expected[start:start + 2])
-                start += 2
+        assert report.versions == ["v0"]
+        checked = assert_replays(report, pool, {"v0": weights}, rows=2)
+        assert checked == workload.total_requests
 
 
 class TestOpenWorkloadServing:
@@ -172,23 +191,8 @@ class TestHotSwap:
         )
         assert report.swaps == 1
         assert report.versions == ["v0", "v1"]
-        versions = {"v0": weights, "v1": w1}
-        served_under = {"v0": 0, "v1": 0}
-        ref = build_model()
-        for version, req_ids in report.batch_log:
-            install_weights(ref, versions[version])
-            feats = np.concatenate(
-                [request_features(pool, rid, 2) for rid in req_ids], axis=0
-            )
-            expected = ref._forward(feats, training=False)
-            start = 0
-            for rid in req_ids:
-                got_version, got = report.responses[rid]
-                assert got_version == version
-                np.testing.assert_array_equal(got, expected[start:start + 2])
-                served_under[version] += 1
-                start += 2
-        assert sum(served_under.values()) == len(arrivals)
+        checked = assert_replays(report, pool, {"v0": weights, "v1": w1}, rows=2)
+        assert checked == len(arrivals)
 
     def test_unreached_swap_still_ships_at_end(self, pool, weights):
         w1 = {k: v * 2.0 for k, v in weights.items()}
@@ -200,6 +204,90 @@ class TestHotSwap:
         )
         assert report.swaps == 1
         assert report.versions == ["v0", "v1"]
+
+
+class TestEventDrivenFrontend:
+    """The front-end sleeps on arrivals; only the load generator's
+    schedule (arrival pacing, think time) may call ``time.sleep``."""
+
+    @pytest.fixture(autouse=True)
+    def only_schedules_sleep(self, monkeypatch):
+        def never(_seconds):
+            raise AssertionError("the message path called time.sleep")
+
+        def schedule_only(seconds):
+            caller = sys._getframe(1).f_code.co_name
+            if caller not in ("_run_open", "_run_closed_client"):
+                raise AssertionError(f"serve.server.{caller} called time.sleep")
+            time.sleep(seconds)
+
+        for module, sleep in (
+            (communicator_module, never),
+            (server_module, schedule_only),
+        ):
+            monkeypatch.setattr(
+                module,
+                "time",
+                types.SimpleNamespace(monotonic=time.monotonic, sleep=sleep),
+            )
+
+    def test_open_workload_answers_all_and_replays(self, pool, weights):
+        # paced arrivals: partial batches leave on the budget timer,
+        # bursts fill batches — both wake-ups, no poll
+        arrivals = np.concatenate([np.linspace(0.0, 0.15, 12), np.full(20, 0.16)])
+        report = serve_workload(
+            build_model, OpenWorkload(arrivals=arrivals, rows_per_request=2),
+            pool, serve_opts(deadline_ms=40.0),
+            initial_weights=weights, keep_responses=True,
+        )
+        assert report.slo.requests == len(arrivals)
+        assert report.slo.rejected == 0 and report.slo.shed == 0
+        assert assert_replays(report, pool, {"v0": weights}, rows=2) == len(arrivals)
+
+    def test_closed_workload_answers_all_and_replays(self, pool, weights):
+        workload = ClosedWorkload(clients=3, requests_per_client=5,
+                                  think_time_s=0.002)
+        report = serve_workload(
+            build_model, workload, pool, serve_opts(deadline_ms=40.0),
+            initial_weights=weights, keep_responses=True,
+        )
+        assert report.slo.requests == workload.total_requests
+        checked = assert_replays(report, pool, {"v0": weights}, rows=1)
+        assert checked == workload.total_requests
+
+    def test_one_wake_fills_a_replica_to_worker_depth(self, pool):
+        # 96 queued rows, one replica, worker_depth=2: a single dispatch
+        # pass puts two 32-row batches in flight and leaves the third
+        opts = serve_opts(max_batch=32, replicas=1, queue_depth=256)
+        assert opts.worker_depth == 2
+        ctx = _Context(2, timeout=5.0)
+        frontend = server_module._Frontend(
+            Communicator(ctx, 0), OpenWorkload(arrivals=np.zeros(96)),
+            pool, opts, swaps=[], keep_responses=False,
+        )
+        frontend.versions.append("v0")
+        for i in range(96):
+            frontend._submit(i)
+        frontend._dispatch()
+        assert [b.rows for b in frontend.inflight[1].values()] == [32, 32]
+        assert len(frontend.batcher) == 32
+        frontend._dispatch()  # at depth: nothing more goes out
+        assert frontend.batches == 2
+
+        replica = RpcChannel(Communicator(ctx, 1))
+        first, second = replica.recv(0), replica.recv(0)
+        assert (first.kind, second.kind) == ("batch", "batch")
+        assert len(first.payload["features"]) == 32
+        # one result frees one slot; the wake that delivers it refills it
+        replica.reply(0, first, "result", {
+            "batch_seq": first.seq, "version": "v0",
+            "predictions": np.zeros((32, 3)),
+        })
+        frontend._collect(frontend._sleep_budget())
+        assert frontend.completed == 32
+        frontend._dispatch()
+        assert sorted(frontend.inflight[1]) == [second.seq, replica.recv(0).seq]
+        assert len(frontend.batcher) == 0
 
 
 class TestEntryPointValidation:
