@@ -12,12 +12,29 @@ Python speed through the object-safe parser in
 chunk, so the per-chunk/per-column overhead is paid per-value — which is
 exactly why the paper measured 81.72 s for the 597 MB NT3 training file.
 
-**Fast path** (``low_memory=False``): each (large) chunk is converted in
-bulk — one C-level ``str.split`` pass over the text and one C-level
-``np.asarray(..., float64)`` per chunk — falling back to per-column
-conversion only if the bulk cast fails. Combined with a user
+**Fast path** (``low_memory=False``): each (large) chunk goes from text
+to a ``(rows, ncols)`` float64 block inside NumPy's C tokenizer
+(``np.loadtxt`` over the chunk's lines) — no per-cell Python string is
+ever built, and every cell ends in the same correctly-rounded
+``PyOS_string_to_double`` that ``float()`` ends in. Combined with a user
 ``chunksize`` (the paper uses 16 MB chunks matching Spectrum Scale's
 largest I/O block) this is the paper's optimized loader.
+
+**Refusal → token path.** The C cast takes all-numeric ASCII chunks with
+one column count and a one-character ``sep``, and nothing else: an NA
+spelling, a string, ``1_0``, a ragged row, a CR or an ASCII separator
+character anywhere in the chunk, and it refuses the chunk whole
+(:func:`_cast_chunk`). A refused chunk is parsed by
+:func:`_parse_chunk_tokens` — one C-level ``str.split`` pass, a bulk
+``np.asarray(tokens, float64)``, then NA substitution and per-column
+dispatch — which therefore defines the result and the error for
+everything the C cast does not accept, and is the oracle
+``tests/frame/test_parser_differential.py`` holds the C cast to, bit
+for bit. Known bound, recorded and not engineered around: the refusal
+comes at the *first* non-numeric cell, so a chunk whose first one comes
+late has paid for the C cast up to there. One NA in the last of
+300 x 4,839 rows: 0.47 -> 0.58 s; NA in row 0 (the genomics files, and
+``bench_ingest``'s headline file): +3 ms on 355.
 
 Both paths produce identical frames; the test suite asserts so.
 """
@@ -71,9 +88,13 @@ class ParseStats:
     The *reason* pandas defaults to ``low_memory=True`` is peak
     transient memory: the engine tokenizes one internal chunk at a time,
     and token lists cost several times the raw bytes. These counters
-    record the largest single-chunk token footprint each engine touched,
-    so the memory-vs-speed trade the paper's fix makes (big chunks =>
-    fast but hungrier) is observable, not folklore.
+    record the largest number of Python tokens alive at once in any one
+    chunk, so the memory-vs-speed trade (big chunks => fast but
+    hungrier) is observable, not folklore. Since the fast engine casts
+    all-numeric chunks in C it records 0 for them and pays neither side
+    of that trade; the trade now exists only between the slow engine and
+    the fast engine's token path (a refused chunk holds every cell of a
+    16 MB chunk as a token).
     """
 
     def __init__(self):
@@ -163,6 +184,14 @@ LAST_PARSE_STATS = _ThreadLocalParseStats()
 # line streaming
 # ---------------------------------------------------------------------------
 
+def _normalize_newlines(text: str) -> str:
+    """CRLF → LF. The ``in`` scan is a memchr; the ``replace`` copies the
+    whole block, so LF-only text (every CANDLE file) skips it. A CRLF cut
+    in two by a block boundary still meets in ``tail + block``: the lone
+    ``\\r`` ends the tail, which is never split off as a line."""
+    return text.replace("\r\n", "\n") if "\r" in text else text
+
+
 class _LineStream:
     """Stream lines from a text file in large blocks.
 
@@ -188,8 +217,7 @@ class _LineStream:
                     self._tail = ""
                     self._pos = 0
                 return
-            text = (self._tail + block).replace("\r\n", "\n")
-            lines = text.split("\n")
+            lines = _normalize_newlines(self._tail + block).split("\n")
             self._tail = lines.pop()
             self._buffer = lines
             self._pos = 0
@@ -232,10 +260,24 @@ class _LineStream:
 # ---------------------------------------------------------------------------
 
 def _tokenize(lines: list[str], ncols: int, sep: str = ",") -> list[str]:
-    """One C-level pass: join rows and split on the delimiter."""
+    """One C-level pass: join rows and split on the delimiter.
+
+    Rows are framed by their own cell counts, not by the chunk total: a
+    short row followed by a long one must not borrow cells across the
+    line break.
+    """
+    want = ncols - 1
+    ragged = next((i for i, ln in enumerate(lines) if ln.count(sep) != want), None)
+    if ragged is not None:
+        raise ValueError(
+            f"ragged CSV chunk: expected {ncols} columns, "
+            f"got {lines[ragged].count(sep) + 1} in row {ragged} of the chunk"
+        )
     flat = sep.join(lines).split(sep)
     LAST_PARSE_STATS.record_chunk(len(flat))
     if len(flat) != ncols * len(lines):
+        # only a multi-character sep gets here: one that also matches
+        # across the join ("a:" + "::" + ":b")
         raise ValueError(
             f"ragged CSV chunk: expected {ncols} columns, "
             f"got {len(flat) / len(lines):.2f} on average"
@@ -243,12 +285,66 @@ def _tokenize(lines: list[str], ncols: int, sep: str = ",") -> list[str]:
     return flat
 
 
-def _parse_chunk_fast(lines: list[str], names: Sequence, sep: str = ",") -> DataFrame:
-    """Bulk conversion: one split pass + one C-level float cast.
+#: Characters that make a chunk the token path's, unread. FS, GS, RS and
+#: US are the one place the C cast is the *more* permissive: NumPy strips
+#: cells with ``Py_UNICODE_ISSPACE``, which counts them as whitespace;
+#: ``float()`` strips with ``Py_ISSPACE``, which does not. A CR is a row
+#: break to the C tokenizer wherever it stands; framing has already
+#: turned every CRLF into LF, so one that is left is cell content.
+_TOKEN_PATH_ONLY = ("\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
-    This is the ``low_memory=False`` engine. The all-numeric common case
-    converts the entire chunk with a single vectorized cast; integer
-    narrowing is one matrix-wide comparison, not a per-column loop.
+
+def _cast_chunk(lines: list[str], ncols: int, sep: str) -> Optional[np.ndarray]:
+    """Text → ``(len(lines), ncols)`` float64 block in NumPy's C tokenizer,
+    or None when it refuses the chunk.
+
+    No per-cell Python object is created, and every cell ends in the same
+    correctly-rounded ``PyOS_string_to_double`` that ``float()`` ends in,
+    so an accepted chunk has the bits the token path would give it. With
+    ``_TOKEN_PATH_ONLY`` screened out the C cast is strictly the less
+    permissive of the two (no ``1_0``, no non-ASCII digits, no NA
+    spelling, no multi-character ``sep``, one column count per call), so
+    a refusal decides nothing: the caller hands the chunk to
+    :func:`_parse_chunk_tokens`, which defines both the result and the
+    error.
+    """
+    text = "\n".join(lines)  # one copy, scanned; cheaper than scanning each line
+    if any(c in text for c in _TOKEN_PATH_ONLY):
+        return None
+    try:
+        # the C reader behind loadtxt is NumPy 1.23+; pyproject.toml
+        # requires numpy>=1.24
+        block = np.loadtxt(
+            lines, dtype=np.float64, delimiter=sep, comments=None, ndmin=2
+        )
+    except (ValueError, TypeError):  # a cell or row / the sep itself
+        return None
+    return block if block.shape == (len(lines), ncols) else None
+
+
+def _parse_chunk_fast(lines: list[str], names: Sequence, sep: str = ",") -> DataFrame:
+    """The ``low_memory=False`` engine: one C cast per chunk.
+
+    An all-numeric chunk never becomes Python tokens
+    (``peak_chunk_tokens`` stays 0); integer narrowing is one
+    matrix-wide comparison, not a per-column loop. Anything the C cast
+    refuses takes the token path.
+    """
+    matrix = _cast_chunk(lines, len(names), sep)
+    if matrix is None:
+        return _parse_chunk_tokens(lines, names, sep)
+    LAST_PARSE_STATS.record_chunk(0)
+    return _frame_from_matrix(matrix, names)
+
+
+def _parse_chunk_tokens(lines: list[str], names: Sequence, sep: str = ",") -> DataFrame:
+    """The token path: one split pass, then the cast ladder.
+
+    Owns every chunk the C cast refuses — NA spellings, strings, the
+    float spellings only Python accepts, ragged rows — and is the oracle
+    the differential suite compares the C cast against. Its first rung
+    is still a bulk float cast (``1_0`` is numeric here); below it sit
+    the chunk-level NA substitution and the per-column dispatch.
     """
     ncols = len(names)
     flat = _tokenize(lines, ncols, sep)
@@ -260,6 +356,11 @@ def _parse_chunk_fast(lines: list[str], names: Sequence, sep: str = ",") -> Data
             if frame is not None:
                 return frame
         return _parse_columns_bulk(flat, len(lines), names)
+    return _frame_from_matrix(matrix, names)
+
+
+def _frame_from_matrix(matrix: np.ndarray, names: Sequence) -> DataFrame:
+    """Columns of an all-float block, integral ones narrowed to int64."""
     int_cols = _integral_columns(matrix)
     cols = {}
     for j, name in enumerate(names):
@@ -627,20 +728,24 @@ class CSVChunkIterator:
     def __next__(self) -> DataFrame:
         if self._done:
             raise StopIteration
-        frame = _read_frame(
-            self._stream, self._names, self._low_memory, nrows=self._chunksize,
-            sep=self._sep,
-        )
-        if len(frame) == 0:
-            self._done = True
-            self.close()
-            raise StopIteration
+        try:
+            frame = _read_frame(
+                self._stream, self._names, self._low_memory, nrows=self._chunksize,
+                sep=self._sep,
+            )
+        except BaseException:
+            self.close()  # a parse error ends the iteration too
+            raise
         if len(frame) < self._chunksize:
-            self._done = True
+            self.close()  # the last chunk (or nothing) was just read
+            if len(frame) == 0:
+                raise StopIteration
         frame.parse_stats = LAST_PARSE_STATS.snapshot()
         return frame
 
     def close(self) -> None:
+        """Release the file; further ``next()`` calls stop the iteration."""
+        self._done = True
         self._fh.close()
 
     def __enter__(self) -> "CSVChunkIterator":
@@ -717,15 +822,14 @@ def read_csv(
         stream = _LineStream(fh, comment=comment)
         stream.skip(skiprows)
         resolved = _resolve_header(stream, header, names, sep=sep)
+        if chunksize is not None:
+            return CSVChunkIterator(
+                fh, resolved, chunksize, low_memory, stream=stream, sep=sep
+            )
     except Exception:
         if owns_fh:
             fh.close()
         raise
-
-    if chunksize is not None:
-        return CSVChunkIterator(
-            fh, resolved, chunksize, low_memory, stream=stream, sep=sep
-        )
 
     try:
         frame = _read_frame(stream, resolved, low_memory, nrows=nrows, sep=sep)

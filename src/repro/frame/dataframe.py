@@ -169,7 +169,8 @@ class DataFrame:
                 common = promote(common, dtype_of_array(a))
             cols = [cast_to(a, common) for a in self._columns.values()]
         else:
-            cols = [a.astype(dtype) for a in self._columns.values()]
+            # column_stack copies, so the result is fresh either way
+            cols = [a.astype(dtype, copy=False) for a in self._columns.values()]
         return np.column_stack(cols)
 
     def astype(self, dtype) -> "DataFrame":

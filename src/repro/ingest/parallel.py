@@ -8,12 +8,14 @@ engines :func:`repro.frame.read_csv` uses (``_parse_chunk_fast`` /
 — the per-chunk integer narrowing and the int64 < float64 < object
 promotion lattice commute with any chunking of the rows.
 
-Workers default to a **process** pool: the hot loop (C-level ``str.split``
-plus ``np.asarray(tokens, float64)``) holds the GIL, so threads cannot
-scale it. Span results travel back as pickled column arrays — a binary
-copy, which is cheap next to text decoding. A thread pool remains as a
-fallback for environments where fork/spawn is unavailable, and both
-pools degrade to in-process parsing for a single span or worker.
+Workers default to a **process** pool: the hot loop (NumPy's C text
+reader pulling lines from a Python list, or ``str.split`` plus
+``np.asarray(tokens, float64)`` on the token path) holds the GIL, so
+threads cannot scale it. Span results travel back as pickled column
+arrays — a binary copy, which is cheap next to text decoding. A thread
+pool remains as a fallback for environments where fork/spawn is
+unavailable, and both pools degrade to in-process parsing for a single
+span or worker.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Optional, Sequence
 from repro.frame.csv import (
     LAST_PARSE_STATS,
     ParseStats,
+    _normalize_newlines,
     _parse_chunk_fast,
     _parse_chunk_slow,
     _slow_path_rows_per_chunk,
@@ -65,8 +68,7 @@ def newline_spans(path, block_bytes: int, size: Optional[int] = None) -> list[tu
 def _decode_lines(raw: bytes) -> list[str]:
     """Bytes → logical lines, matching ``_LineStream`` framing exactly
     (CRLF normalized, blank lines skipped)."""
-    text = raw.decode().replace("\r\n", "\n")
-    return [ln for ln in text.split("\n") if ln]
+    return [ln for ln in _normalize_newlines(raw.decode()).split("\n") if ln]
 
 
 def parse_lines(

@@ -167,14 +167,13 @@ def _load_original(path, config: LoaderConfig, comm=None) -> DataFrame:
 @register_method("chunked")
 def _load_chunked(path, config: LoaderConfig, comm=None) -> DataFrame:
     """The paper's fix: chunked iteration with low_memory=False + concat."""
-    chunks = []
-    for chunk in read_csv(
+    with read_csv(
         path,
         header=None,
         chunksize=config.chunksize,
         low_memory=False if config.low_memory is None else config.low_memory,
-    ):
-        chunks.append(chunk)
+    ) as reader:
+        chunks = list(reader)
     frame = concat(chunks, axis=0, ignore_index=True)
     frame.parse_stats = getattr(chunks[-1], "parse_stats", None)
     return frame

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile=deep`: the local budget of the differential suites
+# (tests/frame/test_parser_differential.py); tier-1 keeps each test's own
+settings.register_profile("deep", max_examples=600, deadline=None)
 
 
 @pytest.fixture

@@ -57,7 +57,8 @@ def test_wide_file_speedup_shape(tmp_path):
     """The Table 3 effect at laptop scale, asserted on its cause: on a
     wide-row file ``original`` re-enters the tokenizer once per internal
     low-memory chunk, ``chunked`` parses the file in one — same frame,
-    fewer and larger chunks. How many seconds that buys is a wall-clock
+    fewer and larger chunks, and (all-numeric file) cast in C without a
+    single Python token. How many seconds that buys is a wall-clock
     claim: it belongs to the ``io_wide`` workload of ``benchmarks/e2e``,
     not to a single-shot ratio in tier-1."""
     b = get_benchmark("nt3", scale=0.15, sample_scale=0.05)  # wide rows
@@ -67,7 +68,19 @@ def test_wide_file_speedup_shape(tmp_path):
     assert chunk.equals(orig)
     cells = orig.shape[0] * orig.shape[1]
     assert chunk.parse_stats.chunks_parsed == 1
-    assert chunk.parse_stats.peak_chunk_tokens == cells
+    assert chunk.parse_stats.peak_chunk_tokens == 0
     assert orig.parse_stats.chunks_parsed >= 4
-    # the price: chunked holds every token of the file at once
-    assert orig.parse_stats.peak_chunk_tokens * 4 <= cells
+    # original still holds tokens, a bounded slice of the file at a time
+    assert 0 < orig.parse_stats.peak_chunk_tokens * 4 <= cells
+
+    # one NA and the chunk takes the token path, which holds every cell
+    # of the file at once: the price chunked pays when C refuses
+    with open(train) as fh:
+        text = fh.read().split(",", 2)
+    text[1] = "NA"
+    with_na = tmp_path / "with_na.csv"
+    with_na.write_text(",".join(text))
+    fallback, _ = load_csv_timed(str(with_na), method="chunked")
+    assert fallback.parse_stats.chunks_parsed == 1
+    assert fallback.parse_stats.peak_chunk_tokens == cells
+    assert np.isnan(fallback[1][0])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.frame import CSVChunkIterator, DataFrame, concat, read_csv, write_csv
 from repro.frame.csv import DtypeWarning
+from repro.ingest import read_csv_parallel
 
 
 def _write(tmp_path, matrix, name="f.csv", header=None):
@@ -106,6 +107,22 @@ class TestChunked:
         with pytest.raises(ValueError, match="chunksize"):
             read_csv(path, header=None, chunksize=0)
 
+    @pytest.mark.parametrize("rows", [6, 7], ids=["whole-chunks", "short-last-chunk"])
+    def test_handle_closed_after_full_iteration(self, tmp_path, rng, rows):
+        path = _write(tmp_path, rng.random((rows, 2)))
+        it = read_csv(path, header=None, chunksize=3)
+        assert sum(len(c) for c in it) == rows
+        assert it._fh.closed
+
+    def test_handle_closed_after_abandoned_iteration(self, tmp_path, rng):
+        path = _write(tmp_path, rng.random((9, 2)))
+        with read_csv(path, header=None, chunksize=3) as it:
+            next(it)
+            assert not it._fh.closed
+        assert it._fh.closed
+        with pytest.raises(StopIteration):  # closed means finished, not broken
+            next(it)
+
     def test_exhaustion_raises_stopiteration(self, tmp_path, rng):
         path = _write(tmp_path, rng.random((6, 2)))
         it = read_csv(path, header=None, chunksize=6)
@@ -137,6 +154,34 @@ class TestEdgeCases:
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(ValueError, match="ragged"):
             read_csv(str(path), header=None, low_memory=False)
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda p: read_csv(p, header=None, low_memory=True),
+            lambda p: read_csv(p, header=None, low_memory=False),
+            lambda p: list(read_csv(p, header=None, chunksize=10, low_memory=False)),
+            lambda p: list(read_csv(p, header=None, chunksize=10, low_memory=True)),
+            lambda p: read_csv_parallel(p, executor="serial"),
+        ],
+        ids=["slow", "fast", "chunksize-fast", "chunksize-slow", "parallel-serial"],
+    )
+    @pytest.mark.parametrize(
+        "text, bad_row",
+        [
+            ("1,2,3\n4\n5,6,7,8,9\n", 1),  # 9 cells in 3 rows: the total matches
+            ("1,2,3\n4,5,6\n7,8\n9,10,11,12\n", 2),
+            ("1,2,3\n4,5,NA\n7,8\n9,10,11,12\n", 2),  # same, on the token path
+        ],
+    )
+    def test_ragged_rows_raise_even_when_the_cell_total_matches(
+        self, tmp_path, load, text, bad_row
+    ):
+        """A short row must not borrow cells from the long row after it."""
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"ragged CSV chunk.* row {bad_row} "):
+            load(str(path))
 
     def test_missing_values_to_nan_both_engines(self, tmp_path):
         path = tmp_path / "na.csv"

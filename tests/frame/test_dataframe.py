@@ -81,6 +81,17 @@ class TestConversion:
     def test_values_property(self, df):
         assert np.array_equal(df.values, df.to_numpy())
 
+    @pytest.mark.parametrize("columns", [["a", "b"], ["b"]])
+    def test_to_numpy_with_dtype_is_a_fresh_array(self, df, columns):
+        """Columns already of the asked dtype are not copied on the way
+        in; the result still shares no memory with the frame."""
+        sub = df[columns]
+        m = sub.to_numpy(np.float64)
+        assert m.dtype == np.float64 and m.flags.writeable
+        assert not any(np.shares_memory(m, sub[c]) for c in columns)
+        m[:] = -1.0
+        assert sub["b"].tolist() == df["b"].tolist()
+
     def test_astype(self, df):
         assert df.astype(np.float32)["a"].dtype == np.float32
 

@@ -66,14 +66,32 @@ def test_single_span_degrades_to_serial(mixed_csv):
     assert par.equals(serial)
 
 
-def test_merged_stats_cover_every_span(mixed_csv):
-    par = read_csv_parallel(
-        mixed_csv, num_workers=2, block_bytes=1024, executor="serial"
-    )
+def test_merged_stats_cover_every_span(mixed_csv, tmp_path):
     nspans = len(newline_spans(mixed_csv, 1024))
-    assert isinstance(par.parse_stats, ParseStats)
-    assert par.parse_stats.chunks_parsed >= nspans
-    assert par.parse_stats.peak_chunk_tokens > 0
+
+    def stats(path, low_memory=False):
+        par = read_csv_parallel(
+            path, num_workers=2, block_bytes=1024, low_memory=low_memory,
+            executor="serial",
+        )
+        assert isinstance(par.parse_stats, ParseStats)
+        assert par.parse_stats.chunks_parsed >= nspans
+        return par.parse_stats
+
+    # all-numeric spans are cast in C: every span counted, no token built
+    assert stats(mixed_csv).peak_chunk_tokens == 0
+    # the slow engine still tokenizes
+    assert stats(mixed_csv, low_memory=True).peak_chunk_tokens > 0
+    # one NA: its span takes the token path, and the merged peak is that
+    # span's cell count
+    with open(mixed_csv) as fh:
+        cells = fh.read().split(",", 2)
+    cells[1] = "NA"  # row 0 of a float column
+    with_na = tmp_path / "na.csv"
+    with_na.write_text(",".join(cells))
+    first_span = newline_spans(with_na, 1024)[0][1]
+    first_span_rows = with_na.read_text()[:first_span].count("\n")
+    assert stats(with_na).peak_chunk_tokens == 27 * first_span_rows
 
 
 def test_rejects_unknown_executor_and_empty_file(tmp_path, mixed_csv):
