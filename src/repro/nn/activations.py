@@ -2,10 +2,16 @@
 
 Every activation is a pair of vectorized functions:
 
-- ``f(x)`` — the forward value.
-- ``f_grad(x, y)`` — the elementwise derivative ``df/dx`` evaluated with
-  access to both the input ``x`` and the already-computed output ``y``
-  (several derivatives are cheaper in terms of ``y``).
+- ``f(x, out=None)`` — the forward value.
+- ``f_grad(x, y, out=None)`` — the elementwise derivative ``df/dx``. Every
+  derivative here is a function of the output ``y`` alone and never
+  reads ``x``, so a layer that activated in place (``f(z, out=z)``) and
+  no longer has its pre-activation passes ``y`` for both.
+
+``out=`` is NumPy's: the same ufuncs write into the given array (which
+may be ``x`` itself) instead of a fresh one, bit for bit the same
+values. Layers pass their work buffers so a training step allocates
+nothing activation-sized.
 
 ``softmax`` is special-cased: its Jacobian is not elementwise, so models
 pair it with categorical cross-entropy and use the fused
@@ -21,59 +27,77 @@ import numpy as np
 __all__ = ["get", "ACTIVATIONS", "relu", "sigmoid", "tanh", "softmax", "linear"]
 
 
-def linear(x: np.ndarray) -> np.ndarray:
+def linear(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Identity activation."""
-    return x
-
-
-def _linear_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit: ``max(x, 0)``."""
-    return np.maximum(x, 0.0)
-
-
-def _relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(x.dtype)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid (dtype-preserving)."""
-    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    if out is None or out is x:
+        return x
+    np.copyto(out, x)
     return out
 
 
-def _sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return y * (1.0 - y)
+def _linear_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(y) if out is None else out
+    out.fill(1.0)
+    return out
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rectified linear unit: ``max(x, 0)``."""
+    return np.maximum(x, 0.0, out=out)
+
+
+def _relu_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # y > 0 exactly where x > 0 (NaN and -0.0 included)
+    return np.greater(y, 0.0, out=np.empty_like(y) if out is None else out)
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid (dtype-preserving).
+
+    ``1 / (1 + e^-x)`` for ``x >= 0`` and ``e^x / (1 + e^x)`` below, with
+    no masked gather: ``t = e^-|x|`` is the exponential either branch
+    takes, and the numerator is ``max(heaviside(x), t)`` — 1 where
+    ``x >= 0`` (``t <= 1`` there), ``t`` where not. One array of ``x``'s
+    size is allocated for ``t``.
+    """
+    t = np.abs(x).astype(np.result_type(x, np.float32), copy=False)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    if out is None:
+        out = np.empty_like(t)
+    np.heaviside(x, 1.0, out=out)
+    np.maximum(out, t, out=out)
+    t += 1.0
+    return np.divide(out, t, out=out)
+
+
+def _sigmoid_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.subtract(1.0, y, out=out)
+    return np.multiply(y, out, out=out)
+
+
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hyperbolic tangent."""
-    return np.tanh(x)
+    return np.tanh(x, out=out)
 
 
-def _tanh_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return 1.0 - y * y
+def _tanh_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(y, y, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax over the last axis, shifted for stability."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    out = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, np.sum(out, axis=-1, keepdims=True), out=out)
 
 
-def _softmax_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _softmax_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Elementwise surrogate; exact only when fused with cross-entropy.
     # Kept so an Activation('softmax') layer used standalone still trains
     # (diagonal of the softmax Jacobian).
-    return y * (1.0 - y)
+    return _sigmoid_grad(x, y, out=out)
 
 
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {

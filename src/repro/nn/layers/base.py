@@ -18,12 +18,23 @@ A layer owns name-keyed parameter and gradient dicts. The contract:
   Parameterless layers have nothing but dx to compute and keep the
   one-argument form.
 
+- What ``forward`` and ``backward`` return is **borrowed**: it lives in
+  the layer's own work buffers (:meth:`Layer.scratch`) and is valid
+  until that layer's next ``forward`` (``backward``). The next layer
+  reads it and caches it by reference; anything that has to outlive
+  the step is copied by whoever keeps it (``Sequential.predict`` copies
+  every tile into the array it returns).
+- ``workspace_row_bytes()`` is the layer's share of the model's memory
+  plan: bytes per example of the largest buffer one inference forward
+  fills. ``Sequential.predict`` sizes its row tile from the largest.
+
 Shapes follow Keras convention: batch first, channels last.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -49,6 +60,9 @@ class Layer:
         #: set_grad then writes through instead of rebinding the dict
         self._arena_grads = False
         self._scratch: dict[str, np.ndarray] = {}
+        #: transient-buffer pool; Sequential.build points every layer of
+        #: a model at one shared dict
+        self._shared: dict[str, np.ndarray] = {}
         self.input_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
         self.built = False
@@ -76,22 +90,62 @@ class Layer:
         self.grads[key] = value
 
     def scratch(self, key: str, shape, dtype, zero: bool = True) -> np.ndarray:
-        """A cached per-layer work buffer keyed by ``key``.
+        """A per-layer work buffer keyed by ``key``, sized by capacity.
 
-        Reallocated (zero-filled) when the requested shape or dtype
-        changes — e.g. the short final batch of an epoch; otherwise the
-        cached buffer is reused, re-zeroed only when ``zero`` is True.
-        Callers that overwrite every element they read pass
-        ``zero=False`` and skip the memset.
+        The buffer keeps the largest leading dimension (batch rows) it
+        was ever asked for and hands out the contiguous ``buf[:n]`` view,
+        so the short last batch of an epoch, or the short last tile of a
+        ``predict``, neither reallocates nor disturbs the rows beyond it.
+        It is reallocated (zero-filled) only to grow, or when the
+        per-row shape or dtype changes. ``zero`` re-zeroes the view
+        handed out; callers that overwrite every element they read pass
+        ``zero=False`` and skip the memset (a fresh buffer is zero
+        either way, which is what the padded-margin buffers rely on).
         """
         shape = tuple(shape)
         buf = self._scratch.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.zeros(shape, dtype=dtype)
-            self._scratch[key] = buf
-        elif zero:
-            buf.fill(0.0)
-        return buf
+        if (
+            buf is None
+            or len(buf) < shape[0]
+            or buf.shape[1:] != shape[1:]
+            or buf.dtype != dtype
+        ):
+            buf = self._scratch[key] = np.zeros(shape, dtype=dtype)
+            return buf
+        view = buf[: shape[0]]
+        if zero:
+            view.fill(0)
+        return view
+
+    def workspace(self, slot: str, shape, dtype) -> np.ndarray:
+        """A transient buffer from the pool shared by the model's layers.
+
+        For operands that die inside the call that gathers them — the
+        Conv1D window matrices, several times the size of any
+        activation. One flat capacity-sized block per ``slot`` serves
+        every layer in turn, so the model holds one window matrix, not
+        one per gather. Contents are undefined on return.
+        """
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        block = self._shared.get(slot)
+        if block is None or block.nbytes < nbytes:
+            block = self._shared[slot] = np.empty(nbytes, dtype=np.uint8)
+        return block[:nbytes].view(dtype).reshape(shape)
+
+    def _backprop_activation(self, dy: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``dy * f'(y)`` in the ``dz`` buffer, for layers with an
+        activation (``self._act_grad``)."""
+        if dy.dtype != y.dtype:
+            # mixed precision: numpy's promotion decides, not a buffer's dtype
+            return dy * self._act_grad(y, y)
+        dz = self._act_grad(y, y, out=self.scratch("dz", y.shape, y.dtype, zero=False))
+        return np.multiply(dy, dz, out=dz)
+
+    def workspace_row_bytes(self) -> int:
+        """Bytes per example of the largest buffer an inference forward
+        fills (default: the output row)."""
+        return math.prod(self.output_shape) * self.dtype.itemsize
 
     # -- execution ---------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

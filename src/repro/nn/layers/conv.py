@@ -15,11 +15,20 @@ so every result is bit for bit what that formulation gives
 (``tests/nn/test_conv_reference.py`` keeps it as the oracle). What this
 module owns is how the window matrix is gathered: in contiguous runs
 (:func:`_im2col`, :func:`_im2col_t`), not by ``tensordot``'s generic
-copy of a strided 4-D view. No window matrix outlives the call that
-built it: forward and dW want different layouts (``cols.T @ dy`` on a
-kept forward matrix is a transposed-operand GEMM, which BLAS does not
-sum in the same order), and kept through ``predict`` it would be the
-largest live array in the process.
+copy of a strided 4-D view, and into the one ``cols`` block of the
+model's shared workspace (:meth:`Layer.workspace`) rather than a fresh
+array per gather. No layer keeps a window matrix: forward and dW want
+different layouts (``cols.T @ dy`` on a kept forward matrix is a
+transposed-operand GEMM, which BLAS does not sum in the same order),
+and one kept per layer would be the largest live arrays in the process
+— the shared block is as large as the largest single gather and
+``Sequential.predict`` bounds that by tiling rows.
+
+Outputs, padded inputs and gradients live in per-layer
+:meth:`Layer.scratch` buffers and are written with ``out=``, so a
+warmed training step allocates nothing activation-sized; bias and
+activation are applied to the GEMM's output in place, and the cache is
+``(xp, y)`` — every activation derivative is a function of ``y``.
 
 Layout is Keras channels-last: ``(batch, steps, channels)``.
 """
@@ -44,18 +53,9 @@ __all__ = [
 ]
 
 
-def _pad_same(x: np.ndarray, kernel_size: int) -> tuple[np.ndarray, int, int]:
-    """Zero-pad the steps axis so a stride-1 'valid' conv preserves length."""
-    total = kernel_size - 1
-    left = total // 2
-    right = total - left
-    if total == 0:
-        return x, 0, 0
-    return np.pad(x, ((0, 0), (left, right), (0, 0))), left, right
-
-
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """``(N, Lp, C)`` → C-contiguous ``(N·L, k·C)``, ``L = Lp - k + 1``.
+def _im2col(xp: np.ndarray, k: int, workspace) -> np.ndarray:
+    """``(N, Lp, C)`` → C-contiguous ``(N·L, k·C)``, ``L = Lp - k + 1``,
+    gathered into ``workspace``'s ``cols`` block.
 
     Row ``(n, l)`` is the window ``xp[n, l : l + k, :]`` flattened in
     (tap, channel) order — already ``k·C`` consecutive scalars of a
@@ -66,16 +66,19 @@ def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     # windows of k·C scalars over the flattened (steps, channels) axis,
     # one every C scalars
     win = sliding_window_view(xp.reshape(n, lp * c), k * c, axis=1)[:, ::c]
-    return np.ascontiguousarray(win).reshape(n * out_steps, k * c)
+    cols = workspace("cols", (n, out_steps, k * c), xp.dtype)
+    np.copyto(cols, win)
+    return cols.reshape(n * out_steps, k * c)
 
 
-def _im2col_t(xp: np.ndarray, k: int) -> np.ndarray:
+def _im2col_t(xp: np.ndarray, k: int, workspace) -> np.ndarray:
     """``(N, Lp, C)`` → C-contiguous ``(C·k, N·L)``: :func:`_im2col`
     transposed, rows in (channel, tap) order.
 
     Row ``(c, tap)`` is channel ``c`` shifted by ``tap`` steps. The input
-    goes channel-first before the gather so that each row is copied in
-    runs of ``L`` instead of one scalar every ``C``.
+    goes channel-first (``workspace``'s ``xt`` block) before the gather
+    so that each row is copied in runs of ``L`` instead of one scalar
+    every ``C``.
     """
     n, lp, c = xp.shape
     out_steps = lp - k + 1
@@ -85,9 +88,20 @@ def _im2col_t(xp: np.ndarray, k: int) -> np.ndarray:
         # xp transposed — a different (equally valid) order of summation
         # from a gathered copy, and the one the oracle has.
         return sliding_window_view(xp, k, axis=1).transpose(2, 3, 0, 1).reshape(c * k, -1)
-    xt = np.ascontiguousarray(xp.transpose(2, 0, 1))  # (C, N, Lp)
+    xt = workspace("xt", (c, n, lp), xp.dtype)
+    np.copyto(xt, xp.transpose(2, 0, 1))
     win = sliding_window_view(xt, k, axis=2)  # (C, N, L, k)
-    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).reshape(c * k, n * out_steps)
+    cols = workspace("cols", (c, k, n, out_steps), xp.dtype)
+    np.copyto(cols, win.transpose(0, 3, 1, 2))
+    return cols.reshape(c * k, n * out_steps)
+
+
+def _window_row_bytes(layer) -> int:
+    """``Layer.workspace_row_bytes`` of a windowed layer: one example's
+    window matrix (its output, should a 1-tap kernel make that wider)."""
+    out_steps, filters = layer.output_shape
+    widest = max(layer.kernel_size * layer.input_shape[1], filters)
+    return out_steps * widest * layer.dtype.itemsize
 
 
 class Conv1D(Layer):
@@ -144,34 +158,53 @@ class Conv1D(Layer):
         self.output_shape = (out_steps, self.filters)
         self.built = True
 
+    workspace_row_bytes = _window_row_bytes
+
     def forward(self, x, training=False):
         self._require_built()
-        if self.padding == "same":
-            xp, self._pad_l, self._pad_r = _pad_same(x, self.kernel_size)
-        else:
-            xp, self._pad_l, self._pad_r = x, 0, 0
         k, co = self.kernel_size, self.filters
-        # z[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
-        z = np.dot(_im2col(xp, k), self.params["kernel"].reshape(-1, co))
-        z = z.reshape(xp.shape[0], xp.shape[1] - k + 1, co)
+        kernel = self.params["kernel"]
+        n, steps, c = x.shape
+        self._pad_l = self._pad_r = 0
+        xp = x
+        if self.padding == "same" and k > 1:
+            # margins are zero from allocation and never written
+            self._pad_l = (k - 1) // 2
+            self._pad_r = k - 1 - self._pad_l
+            xp = self.scratch("xp", (n, steps + k - 1, c), x.dtype, zero=False)
+            xp[:, self._pad_l : self._pad_l + steps, :] = x
+        y = self.scratch(
+            "y", (n, xp.shape[1] - k + 1, co), np.result_type(xp, kernel), zero=False
+        )
+        # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
+        np.dot(
+            _im2col(xp, k, self.workspace), kernel.reshape(-1, co),
+            out=y.reshape(-1, co),
+        )
         if self.use_bias:
-            z += self.params["bias"]  # z is fresh from the dot
+            y += self.params["bias"]
+        if self._act_fn is not None:
+            self._act_fn(y, out=y)
         # cached: the (padded) input by reference, not its window matrix
-        if self._act_fn is None:
-            self._cache = (xp, None, None)
-            return z
-        y = self._act_fn(z)
-        self._cache = (xp, z, y)
+        self._cache = (xp, y)
         return y
 
     def backward(self, dy, input_grad=True):
-        xp, z, y = self._cache
+        xp, y = self._cache
         if self._act_fn is not None:
-            dy = dy * self._act_grad(z, y)
+            dy = self._backprop_activation(dy, y)
         k = self.kernel_size
         n, steps, co = dy.shape
+        kernel = self.params["kernel"]
+        ci = kernel.shape[1]
         # dW[ci, k, co] = sum_{n, l} xp[n, l + k, ci] * dy[n, l, co]
-        dw = np.dot(_im2col_t(xp, k), dy.reshape(n * steps, co))
+        # (its own buffer only when set_grad copies out of it)
+        dw = (
+            self.scratch("dw", (ci * k, co), np.result_type(xp, dy), zero=False)
+            if self._arena_grads
+            else None
+        )
+        dw = np.dot(_im2col_t(xp, k, self.workspace), dy.reshape(n * steps, co), out=dw)
         self.set_grad("kernel", dw.reshape(-1, k, co).transpose(1, 0, 2))
         if self.use_bias:
             self.set_grad("bias", dy.sum(axis=(0, 1)))
@@ -179,19 +212,19 @@ class Conv1D(Layer):
             return None
         # Full correlation of dy with the tap-reversed kernel gives dx.
         if k > 1:
-            # cached pad buffer: margins are zero-initialized once and
-            # never written, so reuse skips both the alloc and the memset
+            # margins are zero from allocation and never written
             dyp = self.scratch("dyp", (n, steps + 2 * (k - 1), co), dy.dtype, zero=False)
             dyp[:, k - 1 : k - 1 + steps, :] = dy
         else:
             dyp = dy
         # taps reversed, (k, co) flattened to match _im2col's columns
-        w_flip = self.params["kernel"][::-1].transpose(0, 2, 1).reshape(k * co, -1)
-        dxp = np.dot(_im2col(dyp, k), w_flip).reshape(n, steps + k - 1, -1)
-        if self._pad_l or self._pad_r:
-            end = dxp.shape[1] - self._pad_r
-            dxp = dxp[:, self._pad_l : end, :]
-        return dxp
+        w_flip = self.scratch("w_flip", (k * co, ci), kernel.dtype, zero=False)
+        np.copyto(w_flip.reshape(k, co, ci), kernel[::-1].transpose(0, 2, 1))
+        dxp = self.scratch(
+            "dxp", (n, steps + k - 1, ci), np.result_type(dy, kernel), zero=False
+        )
+        np.dot(_im2col(dyp, k, self.workspace), w_flip, out=dxp.reshape(-1, ci))
+        return dxp[:, self._pad_l : dxp.shape[1] - self._pad_r, :]
 
 
 class MaxPooling1D(Layer):
@@ -207,6 +240,7 @@ class MaxPooling1D(Layer):
             raise ValueError(f"pool_size must be positive, got {pool_size}")
         self.pool_size = int(pool_size)
         self._cache: tuple | None = None
+        self._input: np.ndarray | None = None
 
     def build(self, input_shape, rng):
         if len(input_shape) != 2:
@@ -225,26 +259,43 @@ class MaxPooling1D(Layer):
 
     def forward(self, x, training=False):
         self._require_built()
+        # the winning tap is backward's business: inference does not
+        # compute it, and keeps the input so a backward that does follow
+        # (gradcheck, the noise-scale estimate) can
+        out, idx = self._pool(x, want_idx=training)
+        self._cache = (x.shape, idx)
+        self._input = None if training else x
+        return out
+
+    def _pool(self, x, want_idx):
+        """``(pooled, winning tap or None)``, one walk over the taps:
+        np.maximum keeps the value (and, like np.max, hands a NaN
+        through), a strict > keeps the first tap that reached it
+        (argmax's tie rule)."""
         p = self.pool_size
         n, steps, c = x.shape
         out_steps = steps // p
         xw = x[:, : out_steps * p, :].reshape(n, out_steps, p, c)
-        # One walk over the taps: np.maximum keeps the value (and, like
-        # np.max, hands a NaN through), a strict > keeps the first tap
-        # that reached it (argmax's tie rule).
+        out = self.scratch("y", (n, out_steps, c), x.dtype, zero=False)
+        # p == 1: every window's winner is tap 0
+        idx = self.scratch("idx", out.shape, np.intp, zero=p == 1) if want_idx else None
         if p == 1:
-            out, idx = xw[:, :, 0, :].copy(), np.zeros((n, out_steps, c), dtype=np.intp)
-        else:
-            out = np.maximum(xw[:, :, 0, :], xw[:, :, 1, :])
-            idx = (xw[:, :, 1, :] > xw[:, :, 0, :]).astype(np.intp)
-            for tap in range(2, p):
-                np.copyto(idx, tap, where=xw[:, :, tap, :] > out)
-                np.maximum(out, xw[:, :, tap, :], out=out)
-        self._cache = (x.shape, idx)
-        return out
+            np.copyto(out, xw[:, :, 0, :])
+            return out, idx
+        if want_idx:
+            np.greater(xw[:, :, 1, :], xw[:, :, 0, :], out=idx)
+        np.maximum(xw[:, :, 0, :], xw[:, :, 1, :], out=out)
+        for tap in range(2, p):
+            if want_idx:
+                beats = self.scratch("beats", out.shape, np.bool_, zero=False)
+                np.copyto(idx, tap, where=np.greater(xw[:, :, tap, :], out, out=beats))
+            np.maximum(out, xw[:, :, tap, :], out=out)
+        return out, idx
 
     def backward(self, dy):
         in_shape, idx = self._cache
+        if idx is None:
+            idx = self._pool(self._input, want_idx=True)[1]
         p = self.pool_size
         n, out_steps, c = dy.shape
         # scatter target must be re-zeroed (argmax positions move per batch)
@@ -310,6 +361,8 @@ class LocallyConnected1D(Layer):
         self.input_shape = tuple(input_shape)
         self.output_shape = (out_steps, self.filters)
         self.built = True
+
+    workspace_row_bytes = _window_row_bytes
 
     def forward(self, x, training=False):
         self._require_built()

@@ -64,20 +64,22 @@ class Dense(Layer):
 
     def forward(self, x, training=False):
         self._require_built()
-        z = x @ self.params["kernel"]
+        kernel = self.params["kernel"]
+        y = self.scratch(
+            "y", (len(x), self.units), np.result_type(x, kernel), zero=False
+        )
+        np.matmul(x, kernel, out=y)
         if self.use_bias:
-            z += self.params["bias"]  # z is fresh from the matmul
-        if self._act_fn is None:
-            self._cache = (x, None, None)
-            return z
-        y = self._act_fn(z)
-        self._cache = (x, z, y)
+            y += self.params["bias"]
+        if self._act_fn is not None:
+            self._act_fn(y, out=y)
+        self._cache = (x, y)
         return y
 
     def backward(self, dy, input_grad=True):
-        x, z, y = self._cache
+        x, y = self._cache
         if self._act_fn is not None:
-            dy = dy * self._act_grad(z, y)
+            dy = self._backprop_activation(dy, y)
         dst = self.grads.get("kernel") if self._arena_grads else None
         if (
             dst is not None
@@ -96,7 +98,13 @@ class Dense(Layer):
                 np.sum(dy, axis=0, out=bdst)
             else:
                 self.set_grad("bias", dy.sum(axis=0))
-        return dy @ self.params["kernel"].T if input_grad else None
+        if not input_grad:
+            return None
+        kernel = self.params["kernel"]
+        dx = self.scratch(
+            "dx", (len(dy), kernel.shape[0]), np.result_type(dy, kernel), zero=False
+        )
+        return np.matmul(dy, kernel.T, out=dx)
 
     def backward_from_logits(self, dz: np.ndarray, input_grad: bool = True):
         """Backward given a gradient w.r.t. the pre-activation logits.
@@ -145,13 +153,21 @@ class Dropout(Layer):
         keep = 1.0 - self.rate
         # draw in float64 (keeps the mask stream identical across model
         # dtypes), then cast so a float32 model stays float32 end to end
-        self._mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
+        dtype = np.result_type(x, np.float32)
+        draw = self.scratch("draw", x.shape, np.float64, zero=False)
+        self._rng.random(out=draw)
+        mask = self.scratch("mask", x.shape, dtype, zero=False)
+        np.less(draw, keep, out=mask)
+        self._mask = np.divide(mask, keep, out=mask)
+        return np.multiply(x, mask, out=self.scratch("y", x.shape, dtype, zero=False))
 
     def backward(self, dy):
         if self._mask is None:
             return dy
-        return dy * self._mask
+        # a buffer only when it has the dtype numpy would promote to
+        same = dy.dtype == self._mask.dtype
+        dx = self.scratch("dx", dy.shape, dy.dtype, zero=False) if same else None
+        return np.multiply(dy, self._mask, out=dx)
 
 
 class Activation(Layer):
@@ -164,7 +180,7 @@ class Activation(Layer):
     def __init__(self, activation: str, name: Optional[str] = None):
         super().__init__(name=name)
         self.activation_name = activation
-        self._fn, self._grad = _act.get(activation)
+        self._act_fn, self._act_grad = _act.get(activation)
         self._cache: tuple | None = None
 
     @property
@@ -173,13 +189,15 @@ class Activation(Layer):
 
     def forward(self, x, training=False):
         self._require_built()
-        y = self._fn(x)
+        floating = x.dtype.kind == "f"
+        out = self.scratch("y", x.shape, x.dtype, zero=False) if floating else None
+        y = self._act_fn(x, out=out)
         self._cache = (x, y)
         return y
 
     def backward(self, dy):
-        x, y = self._cache
-        return dy * self._grad(x, y)
+        _, y = self._cache
+        return self._backprop_activation(dy, y)
 
     def backward_fused(self, dz: np.ndarray) -> np.ndarray:
         """Pass through a pre-fused gradient (softmax+CE)."""

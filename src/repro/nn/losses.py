@@ -8,6 +8,13 @@ passes can accumulate per-example gradients with plain matmuls.
 ``CategoricalCrossentropy`` supports the fused softmax gradient: when the
 model's last activation is softmax, the combined gradient is simply
 ``(y_pred - y_true)/N``, which is both faster and numerically exact.
+
+``value``, ``grad`` and ``fused_softmax_grad`` take an optional ``out``:
+an array of the shape and dtype that ``y_true`` and ``y_pred`` share,
+which the same ufuncs write into instead of allocating.
+``grad`` returns it; ``value`` only works in it (an autoencoder's
+``y_pred - y_true`` is as large as the input batch). ``Sequential``
+passes one buffer to both, value first.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ class Loss:
 
     name = "loss"
 
-    def value(self, y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    def value(self, y_true: np.ndarray, y_pred: np.ndarray, out=None) -> float:
         raise NotImplementedError
 
-    def grad(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    def grad(self, y_true: np.ndarray, y_pred: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -46,12 +53,14 @@ class MeanSquaredError(Loss):
 
     name = "mse"
 
-    def value(self, y_true, y_pred):
-        diff = y_pred - y_true
-        return float(np.mean(diff * diff))
+    def value(self, y_true, y_pred, out=None):
+        diff = np.subtract(y_pred, y_true, out=out)
+        return float(np.mean(np.multiply(diff, diff, out=diff)))
 
-    def grad(self, y_true, y_pred):
-        return 2.0 * (y_pred - y_true) / y_pred.size
+    def grad(self, y_true, y_pred, out=None):
+        out = np.subtract(y_pred, y_true, out=out)
+        np.multiply(2.0, out, out=out)
+        return np.divide(out, y_pred.size, out=out)
 
 
 class MeanAbsoluteError(Loss):
@@ -59,11 +68,14 @@ class MeanAbsoluteError(Loss):
 
     name = "mae"
 
-    def value(self, y_true, y_pred):
-        return float(np.mean(np.abs(y_pred - y_true)))
+    def value(self, y_true, y_pred, out=None):
+        diff = np.subtract(y_pred, y_true, out=out)
+        return float(np.mean(np.abs(diff, out=diff)))
 
-    def grad(self, y_true, y_pred):
-        return np.sign(y_pred - y_true) / y_pred.size
+    def grad(self, y_true, y_pred, out=None):
+        out = np.subtract(y_pred, y_true, out=out)
+        np.sign(out, out=out)
+        return np.divide(out, y_pred.size, out=out)
 
 
 class CategoricalCrossentropy(Loss):
@@ -76,18 +88,22 @@ class CategoricalCrossentropy(Loss):
 
     name = "categorical_crossentropy"
 
-    def value(self, y_true, y_pred):
-        p = np.clip(y_pred, _EPS, 1.0)
-        return float(-np.sum(y_true * np.log(p)) / y_true.shape[0])
+    def value(self, y_true, y_pred, out=None):
+        p = np.clip(y_pred, _EPS, 1.0, out=out)
+        np.log(p, out=p)
+        return float(-np.sum(np.multiply(y_true, p, out=p)) / y_true.shape[0])
 
-    def grad(self, y_true, y_pred):
-        p = np.clip(y_pred, _EPS, 1.0)
-        return -(y_true / p) / y_true.shape[0]
+    def grad(self, y_true, y_pred, out=None):
+        out = np.clip(y_pred, _EPS, 1.0, out=out)
+        np.divide(y_true, out, out=out)
+        np.negative(out, out=out)
+        return np.divide(out, y_true.shape[0], out=out)
 
     @staticmethod
-    def fused_softmax_grad(y_true, y_pred):
+    def fused_softmax_grad(y_true, y_pred, out=None):
         """Gradient of CE∘softmax w.r.t. the softmax *input* logits."""
-        return (y_pred - y_true) / y_true.shape[0]
+        out = np.subtract(y_pred, y_true, out=out)
+        return np.divide(out, y_true.shape[0], out=out)
 
 
 class BinaryCrossentropy(Loss):
@@ -95,15 +111,17 @@ class BinaryCrossentropy(Loss):
 
     name = "binary_crossentropy"
 
-    def value(self, y_true, y_pred):
-        p = np.clip(y_pred, _EPS, 1.0 - _EPS)
+    def value(self, y_true, y_pred, out=None):
+        p = np.clip(y_pred, _EPS, 1.0 - _EPS, out=out)
         return float(
             -np.mean(y_true * np.log(p) + (1.0 - y_true) * np.log(1.0 - p))
         )
 
-    def grad(self, y_true, y_pred):
+    def grad(self, y_true, y_pred, out=None):
         p = np.clip(y_pred, _EPS, 1.0 - _EPS)
-        return (p - y_true) / (p * (1.0 - p)) / y_true.size
+        out = np.subtract(p, y_true, out=out)
+        np.divide(out, p * (1.0 - p), out=out)
+        return np.divide(out, y_true.size, out=out)
 
 
 _LOSSES = {

@@ -31,6 +31,14 @@ from repro.nn.layers.core import Activation, Dense
 
 __all__ = ["Sequential"]
 
+#: Byte budget of the widest buffer one ``predict`` tile may fill (the
+#: model's largest ``Layer.workspace_row_bytes()`` times the tile's
+#: rows). See ``Sequential.predict``; the sweep that chose it is in
+#: docs/ARCHITECTURE.md ("The memory plan").
+WORKSPACE_BYTES = 24 << 20
+#: rows every plan-chosen tile is a multiple of (see ``_tile_edges``)
+_GEMM_ROWS = 16
+
 
 class Sequential:
     """A linear stack of layers."""
@@ -46,6 +54,11 @@ class Sequential:
         self.stop_training = False
         self.dtype = np.dtype(np.float64)
         self._arena: ParameterArena | None = None
+        #: the memory plan, fixed by build(): bytes per example of the
+        #: widest buffer a forward fills, and predict's own set of layer
+        #: work buffers (tile-sized; fit's are batch-sized)
+        self._row_bytes = 0
+        self._tile_buffers: list[dict] = []
         self._shuffle_rng = np.random.default_rng(0)
         #: layer-completion callbacks fired during backward (overlap)
         self._backward_hooks: list = []
@@ -109,14 +122,18 @@ class Sequential:
         rng = np.random.default_rng(seed)
         self._shuffle_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         shape = tuple(int(s) for s in input_shape)
+        shared: dict = {}
         for i, layer in enumerate(self.layers):
             if layer.auto_named:
                 # positional names: identical across SPMD ranks regardless
                 # of thread interleaving, so broadcast/allreduce align
                 layer.name = f"{type(layer).__name__.lower()}_{i}"
             layer.dtype = self.dtype
+            layer._shared = shared
             layer.build(shape, rng)
             shape = layer.output_shape
+        self._row_bytes = max(layer.workspace_row_bytes() for layer in self.layers)
+        self._tile_buffers = [{} for _ in self.layers]
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate layer names: {names}")
@@ -195,21 +212,82 @@ class Sequential:
 
     # -- forward / backward ---------------------------------------------------
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Forward pass in inference mode, batched to bound memory."""
+        """Forward pass in inference mode, tiled to bound memory.
+
+        ``batch_size`` rows at a time, as ever — but a slice whose widest
+        per-layer buffer (``row_bytes`` a row: a Conv1D window matrix is
+        hundreds of KB, a Dense output a few) would pass
+        ``WORKSPACE_BYTES`` goes through the stack in tiles that stay
+        under it, cut so that the bytes are the unsplit slice's
+        (:meth:`_tile_edges`). Each tile is copied into the array
+        returned, which is the only thing allocated per call: the layers
+        work in a set of buffers of their own, tile-sized and kept
+        between calls.
+        """
         self._require_built()
-        if len(x) == 0:
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        rows = len(x)
+        if rows == 0:
             raise ValueError("predict called with empty input")
-        outs = [
-            self._forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
-        ]
-        return np.concatenate(outs, axis=0)
+        edges = self._tile_edges(rows, batch_size)
+        out = None
+        fit_buffers = self._swap_buffers(self._tile_buffers)
+        try:
+            if len(edges) == 2:  # one tile: a serving batch
+                return self._forward(x, training=False).copy()
+            for start, stop in zip(edges, edges[1:]):
+                y = self._forward(x[start:stop], training=False)
+                if out is None:
+                    out = np.empty((rows,) + y.shape[1:], dtype=y.dtype)
+                out[start:stop] = y
+        finally:
+            self._swap_buffers(fit_buffers)
+        return out
+
+    def _swap_buffers(self, sets: list[dict]) -> list[dict]:
+        """Point every layer at its dict in ``sets``; returns the old ones."""
+        old = [layer._scratch for layer in self.layers]
+        for layer, buffers in zip(self.layers, sets):
+            layer._scratch = buffers
+        return old
+
+    def _tile_edges(self, rows: int, batch_size: int) -> list[int]:
+        """Row boundaries of ``predict``'s forward passes: the caller's
+        ``batch_size`` slices, each cut into tiles the plan allows."""
+        # Tiling a slice must not show in its bytes. A GEMM runs its last
+        # M % unroll rows (unroll 4..16) through an edge kernel and a
+        # matrix of a few rows through a small-matrix kernel, and both
+        # round differently from the blocked one: so tiles are multiples
+        # of 16 rows, and a remainder shorter than that joins the tile
+        # before it instead of becoming a GEMM of its own.
+        tile = WORKSPACE_BYTES // self._row_bytes
+        if tile >= _GEMM_ROWS:
+            tile -= tile % _GEMM_ROWS
+        tile = max(1, tile)
+        edges = []
+        for lo in range(0, rows, batch_size):
+            hi = min(lo + batch_size, rows)
+            cuts = [*range(lo, hi, tile)]
+            if len(cuts) > 1 and hi - cuts[-1] < _GEMM_ROWS:
+                cuts.pop()
+            edges += cuts
+        return [*edges, rows]
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        """The last layer's output — borrowed: it is that layer's work
+        buffer, overwritten by the next forward."""
         h = x
         for layer in self.layers:
             h = layer.forward(h, training=training)
         return h
+
+    def _loss_buffer(self, y_true: np.ndarray, y_pred: np.ndarray):
+        """Where the loss works and leaves its gradient (the last
+        layer's), or ``None`` if numpy would broadcast or promote."""
+        if np.shape(y_true) != y_pred.shape or getattr(y_true, "dtype", None) != y_pred.dtype:
+            return None
+        return self.layers[-1].scratch("loss", y_pred.shape, y_pred.dtype, zero=False)
 
     def _backward(self, y_true: np.ndarray, y_pred: np.ndarray) -> None:
         """Backprop the loss gradient through the stack.
@@ -227,8 +305,9 @@ class Sequential:
             (isinstance(last, Activation) and last.is_softmax)
             or (isinstance(last, Dense) and last.activation_name == "softmax")
         )
+        out = self._loss_buffer(y_true, y_pred)
         if fused:
-            grad = self.loss.fused_softmax_grad(y_true, y_pred)
+            grad = self.loss.fused_softmax_grad(y_true, y_pred, out=out)
             if isinstance(last, Activation):
                 rest = self.layers[:-1]
             else:
@@ -236,7 +315,7 @@ class Sequential:
                 self._notify_backward(last)
                 rest = self.layers[:-1]
         else:
-            grad = self.loss.grad(y_true, y_pred)
+            grad = self.loss.grad(y_true, y_pred, out=out)
             rest = self.layers
         for layer in reversed(rest):
             if layer is first and layer.params:
@@ -258,7 +337,8 @@ class Sequential:
         """One forward/backward/update step; returns batch logs."""
         self._require_compiled()
         y_pred = self._forward(x, training=True)
-        loss_val = self.loss.value(y, y_pred) + self._regularization_penalty()
+        loss_val = self.loss.value(y, y_pred, out=self._loss_buffer(y, y_pred))
+        loss_val += self._regularization_penalty()
         if self._overlap is not None:
             self._overlap.begin_step()
         self._backward(y, y_pred)

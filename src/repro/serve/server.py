@@ -182,7 +182,9 @@ def _replica(comm, build_model, initial_weights, initial_version) -> dict:
             continue
         if msg.kind == "batch":
             feats = msg.payload["features"]
-            y = model._forward(feats, training=False)
+            # predict, not _forward: the reply is handed off by reference,
+            # and _forward's result is a work buffer the next batch reuses
+            y = model.predict(feats, batch_size=len(feats))
             batches += 1
             rows += len(feats)
             rpc.reply(0, msg, "result", {
