@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.frame.dtypes import cast_to, dtype_of_array, promote
 
@@ -49,13 +50,90 @@ def resident_nbytes(frame: "DataFrame") -> int:
     for arr in frame._columns.values():
         if mmap_base(arr) is not None:
             continue
-        owner = arr
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
+        owner = _owner(arr)
         if id(owner) not in seen:
             seen.add(id(owner))
             total += owner.nbytes
     return total
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array at the end of ``arr``'s ``.base`` chain (``arr`` if it
+    owns its data; the ``np.memmap`` for a view of a mapped block)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+#: runs are looked for only in columns at least this long. Reading a
+#: column's data pointer (~1.3 µs through ``__array_interface__``) costs
+#: what a strided copy of a 256–512-row float64 column does, so in
+#: shorter columns finding a run costs more than its slab copy saves
+#: (sweep: 200 / 1,209 / 4,838 columns × 64–4,096 rows, 2-core Xeon)
+_RUN_MIN_ROWS = 512
+
+
+def _column_runs(cols: Sequence[np.ndarray], dtype: np.dtype):
+    """``(start, stop)`` of each run of ``cols``, in order.
+
+    A run is adjacent columns that lie side by side in one buffer: views
+    (not owners) of the same owning array, with the same strides, data
+    pointers exactly ``dtype.itemsize`` apart, and ``dtype`` itself. Its
+    columns are then the columns of one 2-D strided view of that buffer.
+    Every other column is a run of one, and so is every column shorter
+    than ``_RUN_MIN_ROWS``. Owners, strides and dtypes are compared
+    first, so a data pointer is read only inside a candidate group.
+    """
+    j, n = 0, len(cols)
+    probe = len(cols[0]) >= _RUN_MIN_ROWS
+    while j < n:
+        first, stop = cols[j], j + 1
+        if probe and first.base is not None and first.dtype == dtype:
+            owner, strides = _owner(first), first.strides
+            while stop < n:
+                col = cols[stop]
+                if col.base is None or col.dtype != dtype or col.strides != strides:
+                    break
+                if col.base is not first.base and _owner(col) is not owner:
+                    break
+                stop += 1
+        if stop - j == 1:
+            yield j, stop
+        else:
+            ptrs = np.array([a.__array_interface__["data"][0] for a in cols[j:stop]])
+            cuts = j + 1 + np.flatnonzero(np.diff(ptrs) != dtype.itemsize)
+            edges = [j, *cuts.tolist(), stop]
+            yield from zip(edges[:-1], edges[1:])
+        j = stop
+
+
+def _stack_columns(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.column_stack(cols)`` for 1-D columns, one slab copy per run.
+
+    Same dtype (the concatenation rule), same C order, same bytes. A run
+    (see :func:`_column_runs`) is copied as one 2-D slab, any other
+    column on its own as ``column_stack`` does: a cache block's columns,
+    or a parsed chunk's, become one memcpy-like copy instead of
+    thousands of strided column copies (16 against 45 ms, probing
+    included, for a 1,120 × 4,839 frame off the column-store cache).
+    """
+    # one zero-row slice per distinct dtype: concatenate resolves the
+    # output dtype exactly as it does for column_stack
+    dtype = np.concatenate([a[:0] for a in {a.dtype: a for a in cols}.values()]).dtype
+    nrows = len(cols[0])
+    out = np.empty((nrows, len(cols)), dtype=dtype)
+    if nrows == 0:
+        return out
+    for start, stop in _column_runs(cols, dtype):
+        first = cols[start]
+        if stop - start == 1:
+            out[:, start] = first
+        else:
+            out[:, start:stop] = as_strided(
+                first, (nrows, stop - start), (first.strides[0], dtype.itemsize),
+                writeable=False,
+            )
+    return out
 
 
 class DataFrame:
@@ -169,9 +247,9 @@ class DataFrame:
                 common = promote(common, dtype_of_array(a))
             cols = [cast_to(a, common) for a in self._columns.values()]
         else:
-            # column_stack copies, so the result is fresh either way
+            # the stack copies, so the result is fresh either way
             cols = [a.astype(dtype, copy=False) for a in self._columns.values()]
-        return np.column_stack(cols)
+        return _stack_columns(cols)
 
     def astype(self, dtype) -> "DataFrame":
         """Cast every column to a NumPy dtype."""

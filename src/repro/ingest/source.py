@@ -202,15 +202,22 @@ def _load_parallel(path, config: LoaderConfig, comm=None) -> DataFrame:
 
 @register_method("cached")
 def _load_cached(path, config: LoaderConfig, comm=None):
-    """Column-store cache wrapper; parses (in parallel) only on miss.
+    """Column-store cache wrapper; parses only on a miss, in-process.
+
+    A hit maps each cached block once and copies nothing. A miss takes
+    the file's fingerprint, parses it with the ``chunked`` engine in
+    this process, and has the cache write the entry and hand back its
+    memory-mapped frame. Not the ``parallel`` pool: on two cores it
+    parses no faster than ``chunked``, and handing the parsed columns
+    back from its workers was pure extra cost on the cold load.
 
     With ``config.shard`` set, the rank's contiguous row shard is
     returned as a zero-copy slice of the memory-mapped cache blocks —
     N ranks of a node share the block's page-cache pages instead of
     each materializing the full array, so per-rank resident bytes drop
     to ~1/N (``ShardSpec.allgather`` is ignored here: the mapping *is*
-    the shared full frame). A miss parses and stores the full file,
-    then re-reads through the mmap so the shard is view-backed too.
+    the shared full frame). A miss stores the full file and shards the
+    mapped frame the store hands back, so the shard is view-backed too.
     """
     from repro.ingest.shard import shard_frame
 
@@ -220,13 +227,10 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     frame = cache.lookup(path)
     hit = frame is not None
     if not hit:
-        fresh = _load_parallel(path, config, comm)
-        cache.store(path, fresh)
-        frame = cache.lookup(path)
-        if frame is None:  # cache dir unwritable/raced: fall back
-            frame = fresh
-        else:
-            frame.parse_stats = getattr(fresh, "parse_stats", None)
+        fingerprint = cache.fingerprint(path)  # before the text is read
+        fresh = _load_chunked(path, config, comm)
+        frame = cache.store(path, fresh, fingerprint)
+        frame.parse_stats = getattr(fresh, "parse_stats", None)
     if config.shard is not None:
         shard = shard_frame(frame, config.shard.rank, config.shard.world_size)
         shard.parse_stats = getattr(frame, "parse_stats", None)
