@@ -42,13 +42,15 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.analysis.report import format_table
 from repro.candle import get_benchmark
-from repro.frame import read_csv, vectorized_parser
+import repro.frame.csv as csv_mod
+from repro.frame import read_csv
 from repro.ingest import (
     DataSource,
     EpochPrefetcher,
@@ -149,7 +151,10 @@ def _write_cell_csv(path: str, rows: int, cols: int, dtype_path: str,
 
 
 def _time_parse(path: str, vectorized: bool, comment) -> tuple[float, object]:
-    with vectorized_parser(vectorized):
+    """Time ``read_csv`` with the fast engine, or with the sampled
+    reference engine in its place (same framing, same chunking)."""
+    engine = csv_mod._parse_chunk_fast if vectorized else csv_mod._parse_chunk_reference
+    with mock.patch.object(csv_mod, "_parse_chunk_fast", engine):
         t0 = time.perf_counter()
         frame = read_csv(path, header=None, low_memory=False, comment=comment)
     return time.perf_counter() - t0, frame

@@ -4,7 +4,7 @@ A :class:`CandleBenchmark` knows how to
 
 - generate shape-faithful synthetic data (in memory or as CSV files),
 - load those files with either the original (``low_memory=True``) or
-  the paper's optimized chunked method (:mod:`repro.core.dataloading`),
+  the paper's optimized chunked method (:mod:`repro.ingest`),
 - build its Keras-style model at a given scale,
 - and report its full-scale geometry (used analytically by the
   simulator: batch steps per epoch, gradient bytes, file sizes).
@@ -148,30 +148,16 @@ class CandleBenchmark:
         """Generate learnable synthetic (x, y) arrays at this scale."""
         raise NotImplementedError
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         """Build (but not compile) the benchmark's model at this scale.
 
         ``train`` (a :class:`repro.train.TrainOptions`) forwards to
         :meth:`repro.nn.Sequential.build`: arena storage (fused
         optimizer + zero-copy allreduce) is the default;
         ``TrainOptions(dtype="float32")`` halves memory traffic per
-        step. The bare ``arena=``/``dtype=`` keywords are deprecated
-        shims dispatching through a TrainOptions.
+        step.
         """
         raise NotImplementedError
-
-    @staticmethod
-    def _resolve_train(train, arena, dtype, caller: str):
-        """Shared ``build_model`` deprecation shim for the benchmarks."""
-        from repro.train import UNSET, resolve_train
-
-        return resolve_train(
-            train,
-            caller=caller,
-            stacklevel=4,
-            arena=UNSET if arena is None else arena,
-            dtype=UNSET if dtype is None else dtype,
-        )
 
     def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows written to CSV: [target column(s), features...]."""

@@ -66,8 +66,7 @@ class NT3Benchmark(CandleBenchmark):
             one_hot(y[n_tr:], 2),
         )
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
-        train = self._resolve_train(train, arena, dtype, "NT3.build_model")
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         f = self.features
         k1 = max(3, min(20, f // 64))
         k2 = max(3, min(10, f // 128))

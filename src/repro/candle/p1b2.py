@@ -53,8 +53,7 @@ class P1B2Benchmark(CandleBenchmark):
             x[:n_tr], one_hot(y[:n_tr], k), x[n_tr:], one_hot(y[n_tr:], k)
         )
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
-        train = self._resolve_train(train, arena, dtype, "P1B2.build_model")
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         f = self.features
         h1 = max(32, f // 32)
         reg = regularizers.l2(1e-5)

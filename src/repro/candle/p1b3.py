@@ -62,8 +62,7 @@ class P1B3Benchmark(CandleBenchmark):
             x[:n_tr], y[:n_tr, None], x[n_tr:], y[n_tr:, None]
         )
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
-        train = self._resolve_train(train, arena, dtype, "P1B3.build_model")
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         f = self.features
         h1 = max(32, f)
         layers = []

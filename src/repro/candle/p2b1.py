@@ -81,8 +81,7 @@ class P2B1Benchmark(CandleBenchmark):
         x_tr, x_te = x[:n_tr], x[n_tr:]
         return LoadedData(x_tr, x_tr, x_te, x_te)
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
-        train = self._resolve_train(train, arena, dtype, "P2B1.build_model")
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         f = self.features
         model = Sequential(
             [

@@ -82,8 +82,7 @@ class P3B1Benchmark(CandleBenchmark):
             x[:n_tr], one_hot(y[:n_tr], k), x[n_tr:], one_hot(y[n_tr:], k)
         )
 
-    def build_model(self, seed: int = 0, *, train=None, arena=None, dtype=None) -> Sequential:
-        train = self._resolve_train(train, arena, dtype, "P3B1.build_model")
+    def build_model(self, seed: int = 0, *, train=None) -> Sequential:
         f = self.features
         h1 = max(64, f * 2)
         model = Sequential(

@@ -8,9 +8,10 @@ Three pieces, straight from §2.3 and §5:
    strategies (:mod:`repro.core.batch_scaling`, Fig 4b: linear, square
    root, cubic root), and linear learning-rate scaling
    (:mod:`repro.core.lr_scaling`).
-2. **The optimized data loader** (:mod:`repro.core.dataloading`) —
-   chunked ``read_csv`` with ``low_memory=False`` (§5), plus the
-   original and Dask-like methods for comparison.
+2. **The optimized data loader** (:mod:`repro.ingest`, re-exported
+   here as :func:`load_benchmark_data`) — chunked ``read_csv`` with
+   ``low_memory=False`` (§5), plus the original and Dask-like methods
+   for comparison.
 3. **The parallel runner** (:mod:`repro.core.parallel`) — executes a
    CANDLE benchmark's three phases under Horovod data parallelism in
    functional mode (real training, real collectives, real timeline),
@@ -22,7 +23,6 @@ from repro.core.batch_scaling import (
     memory_limited_batch,
     scale_batch_size,
 )
-from repro.core.dataloading import LOAD_METHODS, load_csv_timed
 from repro.ingest import load_benchmark_data
 from repro.core.epochs import comp_epochs, comp_epochs_balanced, epochs_schedule
 from repro.core.lr_scaling import scale_learning_rate
@@ -37,9 +37,7 @@ __all__ = [
     "memory_limited_batch",
     "BATCH_STRATEGIES",
     "scale_learning_rate",
-    "load_csv_timed",
     "load_benchmark_data",
-    "LOAD_METHODS",
     "ScalingPlan",
     "strong_scaling_plan",
     "weak_scaling_plan",

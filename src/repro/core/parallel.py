@@ -35,7 +35,7 @@ from repro.hvd.timeline import Timeline
 from repro.mpi import run_spmd
 from repro.nn import get_optimizer
 from repro.telemetry import Tracer
-from repro.train import UNSET, TrainOptions, resolve_train
+from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 __all__ = [
     "run_parallel_benchmark",
@@ -130,8 +130,6 @@ def run_parallel_benchmark(
     train: "Optional[TrainOptions]" = None,
     tracer: Optional[Tracer] = None,
     fault_injector=None,
-    arena=None,
-    collective=None,
 ) -> ParallelRunResult:
     """Run one benchmark under one scaling plan, functionally.
 
@@ -154,9 +152,8 @@ def run_parallel_benchmark(
     falls back to the per-parameter pack/unpack reference path (the two
     produce bit-identical weights). ``overlap=True`` installs the
     :class:`repro.overlap.OverlapScheduler` on every rank, hiding each
-    step's gradient exchange behind its backward pass. The bare
-    ``arena=``/``collective=`` keywords are deprecated shims that
-    dispatch through a TrainOptions.
+    step's gradient exchange behind its backward pass. None means
+    ``DEFAULT_TRAIN_OPTIONS``.
 
     Every rank records ``load``/``train``/``eval`` phase spans — and,
     through :mod:`repro.hvd.ops`, its collectives — into one shared
@@ -175,12 +172,8 @@ def run_parallel_benchmark(
     communicator rebuild — the survivors finish the run and the dead
     rank is listed on ``ParallelRunResult.dead_ranks``.
     """
-    train = resolve_train(
-        train,
-        caller="run_parallel_benchmark",
-        arena=UNSET if arena is None else arena,
-        collective=UNSET if collective is None else collective,
-    )
+    if train is None:
+        train = DEFAULT_TRAIN_OPTIONS
     collective = train.effective_collective
     if data is None and data_paths is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))

@@ -24,13 +24,8 @@ P1B3 file) — emerges from the same mechanism at any scale:
 """
 
 from repro.frame.dataframe import DataFrame, concat, mmap_base, resident_nbytes
-from repro.frame.csv import (
-    CSVChunkIterator,
-    read_csv,
-    vectorized_parser,
-    vectorized_parser_enabled,
-)
-from repro.frame.dask_like import PartitionedCSVReader, read_csv_partitioned
+from repro.frame.csv import CSVChunkIterator, read_csv
+from repro.frame.dask_like import PartitionedCSVReader
 from repro.frame.dtypes import infer_column_dtype, parse_value
 from repro.frame.writer import write_csv
 
@@ -40,12 +35,9 @@ __all__ = [
     "read_csv",
     "CSVChunkIterator",
     "PartitionedCSVReader",
-    "read_csv_partitioned",
     "infer_column_dtype",
     "parse_value",
     "write_csv",
-    "vectorized_parser",
-    "vectorized_parser_enabled",
     "mmap_base",
     "resident_nbytes",
 ]

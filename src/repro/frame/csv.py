@@ -44,7 +44,6 @@ from __future__ import annotations
 import io
 import threading
 import warnings
-from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,8 +64,6 @@ __all__ = [
     "LOW_MEMORY_CHUNK_BYTES",
     "ParseStats",
     "LAST_PARSE_STATS",
-    "vectorized_parser",
-    "vectorized_parser_enabled",
 ]
 
 #: Byte budget for one internal chunk on the slow path. pandas uses
@@ -351,10 +348,9 @@ def _parse_chunk_tokens(lines: list[str], names: Sequence, sep: str = ",") -> Da
     try:
         matrix = np.asarray(flat, dtype=np.float64).reshape(len(lines), ncols)
     except ValueError:
-        if _VECTORIZED:
-            frame = _parse_matrix_with_missing(flat, len(lines), names)
-            if frame is not None:
-                return frame
+        frame = _parse_matrix_with_missing(flat, len(lines), names)
+        if frame is not None:
+            return frame
         return _parse_columns_bulk(flat, len(lines), names)
     return _frame_from_matrix(matrix, names)
 
@@ -388,29 +384,6 @@ def _integral_columns(matrix: np.ndarray) -> np.ndarray:
             )
         int_cols[idx[ok]] = True
     return int_cols
-
-
-#: toggle for the vectorized column-conversion fast path (see
-#: :func:`vectorized_parser`); the sampled-inference reference engine
-#: stays available for bit-identity checks and A/B microbenchmarks
-_VECTORIZED = True
-
-
-def vectorized_parser_enabled() -> bool:
-    """Whether column conversion uses the vectorized dispatch ladder."""
-    return _VECTORIZED
-
-
-@contextmanager
-def vectorized_parser(enabled: bool):
-    """Scoped switch between the vectorized fast path and the sampled
-    reference engine (both produce bit-identical frames)."""
-    global _VECTORIZED
-    previous, _VECTORIZED = _VECTORIZED, bool(enabled)
-    try:
-        yield
-    finally:
-        _VECTORIZED = previous
 
 
 def _substitute_missing(
@@ -508,10 +481,10 @@ def _convert_column(toks: list[str], dtype: str) -> np.ndarray:
 
     Clean numeric columns convert at C speed (as pandas's C parser does
     in *both* low_memory modes); only genuinely mixed columns fall back
-    to the per-value object-safe parser. With the vectorized fast path
-    on, float columns whose bulk cast fails only because of NA
-    spellings convert through :func:`_cast_float_with_missing` — the
-    per-value loop runs only for genuinely malformed tokens.
+    to the per-value object-safe parser. Float columns whose bulk cast
+    fails only because of NA spellings convert through
+    :func:`_cast_float_with_missing` — the per-value loop runs only for
+    genuinely malformed tokens.
     """
     if dtype == "int64":
         try:
@@ -522,10 +495,9 @@ def _convert_column(toks: list[str], dtype: str) -> np.ndarray:
         try:
             return np.asarray(toks, dtype=np.float64)
         except ValueError:
-            if _VECTORIZED:
-                col = _cast_float_with_missing(toks)
-                if col is not None:
-                    return col
+            col = _cast_float_with_missing(toks)
+            if col is not None:
+                return col
             return parse_column(toks, dtype="float64")
     return parse_column(toks, dtype="object")
 
@@ -538,11 +510,11 @@ def _narrow_integral(col: np.ndarray) -> np.ndarray:
 
 
 def _convert_column_sampled(toks: list[str]) -> np.ndarray:
-    """The reference per-column engine: sampled inference + conversion.
+    """Sampled inference + conversion, the dispatch ladder's last rung.
 
-    This is the pre-vectorization behaviour, kept bit-for-bit: infer a
-    dtype from the head sample, convert (falling back to the per-value
-    parser when the sample lied), then narrow integral float columns.
+    Infer a dtype from the head sample, convert (falling back to the
+    per-value parser when the sample lied), then narrow integral float
+    columns.
     """
     dtype = infer_column_dtype(toks[:_INFER_SAMPLE_ROWS])
     col = _convert_column(toks, dtype)
@@ -559,13 +531,13 @@ def _convert_column_dispatch(toks: list[str]) -> np.ndarray:
     ladder reproduces the sampled engine's output exactly: a clean int
     column casts on rung 1, a float (or int-then-float) column on rung
     2, a numeric column with NA spellings on rung 3, and anything with
-    genuinely malformed tokens drops to the reference engine, whose
+    genuinely malformed tokens drops to the sampled engine, whose
     fallbacks define the semantics for that case.
     """
     try:
         return np.asarray(toks, dtype=np.int64)
     except OverflowError:
-        # out-of-range ints: the reference engine defines the semantics
+        # out-of-range ints: the sampled engine defines the semantics
         # (including the OverflowError an int-inferred column raises)
         return _convert_column_sampled(toks)
     except ValueError:
@@ -583,11 +555,48 @@ def _convert_column_dispatch(toks: list[str]) -> np.ndarray:
 def _parse_columns_bulk(flat: list[str], nrows: int, names: Sequence) -> DataFrame:
     """Column-wise conversion for chunks where the bulk float cast failed."""
     ncols = len(names)
-    convert = _convert_column_dispatch if _VECTORIZED else _convert_column_sampled
     cols = {}
     for j, name in enumerate(names):
-        cols[name] = convert(flat[j::ncols])
+        cols[name] = _convert_column_dispatch(flat[j::ncols])
     return DataFrame(cols)
+
+
+def _convert_column_reference(toks: list[str]) -> np.ndarray:
+    """:func:`_convert_column_sampled` without the bulk NA rung: a float
+    column that holds an NA spelling converts value by value."""
+    dtype = infer_column_dtype(toks[:_INFER_SAMPLE_ROWS])
+    if dtype != "float64":
+        col = _convert_column(toks, dtype)  # int64 and object: no NA rung
+    else:
+        try:
+            col = np.asarray(toks, dtype=np.float64)
+        except ValueError:
+            col = parse_column(toks, dtype="float64")
+    if col.dtype == np.float64:
+        col = _narrow_integral(col)
+    return col
+
+
+def _parse_chunk_reference(lines: list[str], names: Sequence, sep: str = ",") -> DataFrame:
+    """The sampled reference engine: an oracle, never called by :func:`read_csv`.
+
+    The C cast, then one bulk float cast, then sampled inference and
+    per-value conversion column by column: the fast engine without the
+    chunk-level NA substitution and the dispatch ladder, which must
+    reproduce it bit for bit. Tests and ``benchmarks/bench_ingest.py``
+    compare against it by putting it in ``_parse_chunk_fast``'s place.
+    """
+    ncols = len(names)
+    matrix = _cast_chunk(lines, ncols, sep)
+    if matrix is None:
+        flat = _tokenize(lines, ncols, sep)
+        try:
+            matrix = np.asarray(flat, dtype=np.float64).reshape(len(lines), ncols)
+        except ValueError:
+            return DataFrame(
+                {name: _convert_column_reference(flat[j::ncols]) for j, name in enumerate(names)}
+            )
+    return _frame_from_matrix(matrix, names)
 
 
 #: Rows sampled for per-chunk dtype inference on the slow path.

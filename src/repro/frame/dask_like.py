@@ -12,7 +12,6 @@ final multi-partition concat, so it lands between the two pandas paths.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from repro.frame.csv import _parse_chunk_fast, _parse_chunk_slow
 from repro.frame.dataframe import DataFrame, concat
 
-__all__ = ["PartitionedCSVReader", "read_csv_partitioned"]
+__all__ = ["PartitionedCSVReader"]
 
 _DEFAULT_BLOCKSIZE = 8 << 20
 
@@ -104,25 +103,3 @@ class PartitionedCSVReader:
             return parts[0]
         return concat(parts, axis=0, ignore_index=True)
 
-
-def read_csv_partitioned(
-    path,
-    blocksize: int = _DEFAULT_BLOCKSIZE,
-    num_workers: int = 4,
-    names: Optional[Sequence] = None,
-    engine: str = "mixed",
-) -> DataFrame:
-    """Deprecated convenience wrapper: Dask-like ``dd.read_csv(...).compute()``.
-
-    Use ``DataSource(path).load(LoaderConfig(method="dask"))`` from
-    :mod:`repro.ingest` (or :class:`PartitionedCSVReader` directly).
-    """
-    warnings.warn(
-        "read_csv_partitioned is deprecated; use repro.ingest.DataSource "
-        "with LoaderConfig(method='dask') or PartitionedCSVReader directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return PartitionedCSVReader(
-        path, blocksize=blocksize, num_workers=num_workers, names=names, engine=engine
-    ).read()

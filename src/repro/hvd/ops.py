@@ -19,14 +19,12 @@ topology. Non-compressed schedules are bit-identical to the flat
 reference path, so this routing is numerically invisible.
 
 All signatures are keyword-only past the payload (``op=``, ``root=``,
-``name=``, ``options=``); the historical positional forms still work but
-raise :class:`DeprecationWarning`.
+``name=``, and ``allreduce``'s ``options=``).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Optional
 
 import numpy as np
@@ -35,28 +33,6 @@ from repro.hvd import runtime as _rt
 from repro.mpi.communicator import payload_nbytes as _nbytes
 
 __all__ = ["allreduce", "broadcast", "allgather", "broadcast_weights"]
-
-
-def _legacy_positional(fn_name: str, legacy: tuple, params: tuple, values: dict):
-    """Apply deprecated positional arguments onto keyword-only params."""
-    if not legacy:
-        return values
-    if len(legacy) > len(params):
-        raise TypeError(
-            f"{fn_name}() takes at most {len(params)} positional option "
-            f"argument(s) ({', '.join(params)}), got {len(legacy)}"
-        )
-    shown = ", ".join(params[: len(legacy)])
-    warnings.warn(
-        f"passing {shown} positionally to {fn_name}() is deprecated; "
-        f"use keyword arguments ({fn_name}(..., {params[0]}=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    out = dict(values)
-    for param, value in zip(params, legacy):
-        out[param] = value
-    return out
 
 
 def _trace(name: str, category: str, rank: int, start_s: float, duration_s: float, **attrs) -> None:
@@ -76,7 +52,7 @@ def _trace(name: str, category: str, rank: int, start_s: float, duration_s: floa
 
 def allreduce(
     tensor: np.ndarray,
-    *legacy,
+    *,
     op: str = "mean",
     name: Optional[str] = None,
     options=None,
@@ -88,10 +64,6 @@ def allreduce(
     with the resolved algorithm). ``options`` overrides the run-level
     :class:`~repro.comms.CollectiveOptions` for this one call.
     """
-    resolved = _legacy_positional(
-        "allreduce", legacy, ("op", "name"), {"op": op, "name": name}
-    )
-    op, name = resolved["op"], resolved["name"]
     comm = _rt.comm()
     tl = _rt.timeline()
     tag = name or "tensor"
@@ -133,27 +105,13 @@ def allreduce(
     return result
 
 
-def broadcast(
-    obj: Any,
-    *legacy,
-    root: int = 0,
-    name: Optional[str] = None,
-    options=None,
-) -> Any:
+def broadcast(obj: Any, *, root: int = 0, name: Optional[str] = None) -> Any:
     """Broadcast any object from ``root``; returns it on every rank.
 
     Records ``negotiate_broadcast`` (rendezvous wait — dominated by
     data-loading skew in the unoptimized benchmarks), ``broadcast``, and
-    ``mpi_broadcast`` (the binomial-tree movement). ``options`` is
-    accepted for signature uniformity; the functional tree broadcast has
-    no algorithm variants (the simulator prices hierarchical vs flat via
-    :func:`repro.comms.plan_broadcast`).
+    ``mpi_broadcast`` (the binomial-tree movement).
     """
-    resolved = _legacy_positional(
-        "broadcast", legacy, ("root", "name"), {"root": root, "name": name}
-    )
-    root, name = resolved["root"], resolved["name"]
-    del options  # no functional variants; see docstring
     comm = _rt.comm()
     tl = _rt.timeline()
     tag = name or "object"
@@ -179,11 +137,8 @@ def broadcast(
     return result
 
 
-def allgather(obj: Any, *legacy, name: Optional[str] = None, options=None) -> list:
+def allgather(obj: Any, *, name: Optional[str] = None) -> list:
     """Gather one object per rank, everywhere (rank-ordered)."""
-    resolved = _legacy_positional("allgather", legacy, ("name",), {"name": name})
-    name = resolved["name"]
-    del options  # ring is the only allgather transport
     comm = _rt.comm()
     tl = _rt.timeline()
     t_enter = time.perf_counter()
@@ -204,17 +159,13 @@ def allgather(obj: Any, *legacy, name: Optional[str] = None, options=None) -> li
     return result
 
 
-def broadcast_weights(target, *legacy, root: int = 0) -> None:
+def broadcast_weights(target, *, root: int = 0) -> None:
     """Broadcast model weights from ``root`` and install them in place.
 
     ``target`` is a :class:`repro.nn.Sequential` or a name→array dict.
     In-place installation preserves optimizer-state identity — the same
     property Horovod's broadcast hook relies on.
     """
-    resolved = _legacy_positional(
-        "broadcast_weights", legacy, ("root",), {"root": root}
-    )
-    root = resolved["root"]
     if hasattr(target, "named_parameters"):
         params = target.named_parameters()
     elif isinstance(target, dict):

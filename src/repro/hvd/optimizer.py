@@ -14,25 +14,20 @@ one :class:`repro.train.TrainOptions` passed as ``train=``: its
 ``overlap=True`` lets an attached
 :class:`repro.overlap.OverlapScheduler` take over the arena reduction —
 ``apply_arena`` then drains the scheduler's fence instead of issuing
-the serialized slab allreduces. The earlier ``options=`` (a bare
-:class:`~repro.comms.CollectiveOptions`) and the pre-engine
-``fusion_bytes=`` keywords still work behind
-:class:`DeprecationWarning` shims.
+the serialized slab allreduces.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.comms import CollectiveOptions
 from repro.hvd import ops as _ops
 from repro.hvd import runtime as _rt
 from repro.hvd.fusion import FusionBuffer
 from repro.nn.optimizers import Optimizer
-from repro.train import TrainOptions
+from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 __all__ = ["DistributedOptimizer"]
 
@@ -40,56 +35,14 @@ __all__ = ["DistributedOptimizer"]
 class DistributedOptimizer(Optimizer):
     """Wraps a base optimizer; averages gradients over ranks first."""
 
-    def __init__(
-        self,
-        base: Optimizer,
-        *legacy,
-        train: Optional[TrainOptions] = None,
-        options: Optional[CollectiveOptions] = None,
-        fusion_bytes: Optional[int] = None,
-    ):
+    def __init__(self, base: Optimizer, *, train: Optional[TrainOptions] = None):
         if not isinstance(base, Optimizer):
             raise TypeError(f"expected an Optimizer, got {type(base)!r}")
-        if legacy:
-            if len(legacy) > 1:
-                raise TypeError(
-                    f"DistributedOptimizer takes at most one positional "
-                    f"option (fusion_bytes), got {len(legacy)}"
-                )
-            fusion_bytes = legacy[0]
-        if fusion_bytes is not None:
-            warnings.warn(
-                "DistributedOptimizer(fusion_bytes=...) is deprecated; pass "
-                "train=TrainOptions(collective=CollectiveOptions("
-                "fusion_bytes=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if options is not None or train is not None:
-                raise TypeError(
-                    "pass either train= or the deprecated fusion_bytes=, "
-                    "not both"
-                )
-            options = CollectiveOptions(fusion_bytes=int(fusion_bytes))
-        if options is not None:
-            if fusion_bytes is None:  # the fusion_bytes shim already warned
-                warnings.warn(
-                    "DistributedOptimizer(options=...) is deprecated; pass "
-                    "train=TrainOptions(collective=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            if train is not None:
-                raise TypeError(
-                    "pass either train= or the deprecated options=, not both"
-                )
-            train = TrainOptions(collective=options)
         # Deliberately no super().__init__: lr/decay/state all proxy to base.
         self.base = base
-        self.train = train if train is not None else TrainOptions()
+        self.train = train if train is not None else DEFAULT_TRAIN_OPTIONS
         #: effective CollectiveOptions of this run's reductions
-        #: (None = run-level options / engine defaults), kept under the
-        #: pre-TrainOptions attribute name for compatibility
+        #: (None = run-level options / engine defaults)
         self.options = self.train.effective_collective
         self.fusion = FusionBuffer.from_options(self.options)
         self.allreduce_count = 0

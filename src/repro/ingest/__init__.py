@@ -6,8 +6,7 @@ file formats the rest of the way:
 
 - :class:`DataSource` / :class:`LoaderConfig` — the single loading API
   with a method registry (``original``, ``chunked``, ``dask``,
-  ``parallel``, ``cached``, ``sharded``) replacing the old string
-  dispatch in ``repro.core.dataloading``.
+  ``parallel``, ``cached``, ``sharded``).
 - :mod:`repro.ingest.parallel` — newline-aligned byte spans decoded
   across a process pool, bit-identical to the serial engines.
 - :mod:`repro.ingest.cache` — a memmap-able ``.npy`` column store keyed

@@ -1,10 +1,7 @@
 """The unified loading API: ``DataSource(path).load(LoaderConfig(...))``.
 
-This replaces the three ad-hoc entry points that grew around the
-paper's fix — the ``LOAD_METHODS`` string dispatch in
-``repro.core.dataloading``, the ``read_csv_partitioned`` convenience
-wrapper, and direct ``read_csv`` calls in the pipeline — with one
-front door and an extensible method registry:
+One front door for every way of loading the paper's CSVs, with an
+extensible method registry:
 
 ========== ==========================================================
 method     engine

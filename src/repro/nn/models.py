@@ -78,47 +78,33 @@ class Sequential:
             raise RuntimeError("cannot add layers after the model is built")
         self.layers.append(layer)
 
-    def build(
-        self,
-        input_shape: Sequence[int],
-        seed: int = 0,
-        *,
-        train=None,
-        arena=None,
-        dtype=None,
-    ) -> None:
+    def build(self, input_shape: Sequence[int], seed: int = 0, *, train=None) -> None:
         """Build every layer for a per-example ``input_shape``.
 
         ``seed`` drives weight init; SPMD ranks pass different seeds and
         rely on the Horovod broadcast to reconcile, as the paper does.
 
-        ``train`` is a :class:`repro.train.TrainOptions`; its ``arena``
-        field (default True) moves all parameters and gradients into a
+        ``train`` is a :class:`repro.train.TrainOptions` (None means
+        ``DEFAULT_TRAIN_OPTIONS``); its ``arena`` field (default True)
+        moves all parameters and gradients into a
         :class:`~repro.nn.arena.ParameterArena` after building —
         contiguous slabs that enable fused optimizer updates and
         zero-copy gradient allreduce. Updates stay bit-identical to the
         per-parameter path; ``TrainOptions(arena=False)`` keeps plain
         per-layer arrays. Its ``dtype`` sets the parameter/compute
         precision (default float64; NT3-scale models train ~2× faster
-        in float32). The bare ``arena=``/``dtype=`` keywords are
-        deprecated shims that dispatch through a TrainOptions.
+        in float32).
         """
-        from repro.train import UNSET, resolve_train
+        if train is None:
+            from repro.train import DEFAULT_TRAIN_OPTIONS
 
-        train = resolve_train(
-            train,
-            caller="Sequential.build",
-            arena=UNSET if arena is None else arena,
-            dtype=UNSET if dtype is None else dtype,
-        )
+            train = DEFAULT_TRAIN_OPTIONS
         if self.built:
             raise RuntimeError("model already built")
         if not self.layers:
             raise ValueError("cannot build an empty model")
         if train.dtype is not None:
             self.dtype = train.dtype
-            if self.dtype.kind != "f":
-                raise ValueError(f"model dtype must be floating, got {self.dtype}")
         rng = np.random.default_rng(seed)
         self._shuffle_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         shape = tuple(int(s) for s in input_shape)

@@ -6,47 +6,29 @@ its public knob — :class:`repro.train.TrainOptions`,
 :class:`repro.comms.ft.FaultToleranceOptions`,
 :class:`repro.serve.ServeOptions` — plus the frozen (positional-
 friendly) :class:`repro.ingest.LoaderConfig`. Before this module each
-of them carried its own copy of the same three pieces:
+of them carried its own copy of the same two pieces:
 
 - an ``evolve(**changes)`` helper (frozen-friendly ``dataclasses.replace``),
-- construction-time validation boilerplate with hand-rolled messages,
-- a deprecation shim that folds legacy per-call keywords into one
-  options value (``resolve_train`` and friends).
+- construction-time validation boilerplate with hand-rolled messages.
 
-All three now live here. The validators reproduce the family's
+Both now live here. The validators reproduce the family's
 established message formats byte-for-byte, so rebasing an existing
 options class on them is invisible to callers and tests.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "FrozenOptions",
-    "UNSET",
-    "resolve_legacy",
     "require_positive",
     "require_non_negative",
     "require_in_interval",
     "require_choice",
     "require_instance",
 ]
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from an explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<UNSET>"
-
-
-#: default for deprecated keyword parameters ("the caller said nothing")
-UNSET = _Unset()
 
 
 class FrozenOptions:
@@ -108,45 +90,3 @@ def require_instance(name: str, value, cls: type) -> None:
             f"got {type(value).__name__}"
         )
 
-
-# -- deprecation shims ------------------------------------------------------
-def resolve_legacy(
-    cls: type,
-    value,
-    *,
-    caller: str,
-    keyword: str,
-    default,
-    stacklevel: int = 3,
-    **legacy,
-):
-    """Merge deprecated per-call keywords into one options value.
-
-    ``legacy`` maps ``cls`` *field names* to the values the caller
-    received for the old keywords, with :data:`UNSET` meaning "not
-    passed". Any supplied legacy value warns ``DeprecationWarning``
-    (naming ``caller``), is rejected when ``keyword=`` was also given,
-    and otherwise lands on the corresponding field of a fresh ``cls``.
-    When nothing legacy was supplied, returns ``value`` (or ``default``
-    when that is None too).
-
-    This is the machinery behind :func:`repro.train.resolve_train` and
-    any future shim in the options family — one implementation, one
-    message format, one both-given error.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not UNSET}
-    if supplied:
-        names = ", ".join(f"{k}=" for k in sorted(supplied))
-        warnings.warn(
-            f"{caller}: {names} is deprecated; pass "
-            f"{keyword}={cls.__name__}(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        if value is not None:
-            raise TypeError(
-                f"{caller}: pass either {keyword}= or the deprecated "
-                f"{names}, not both"
-            )
-        return cls(**supplied)
-    return value if value is not None else default

@@ -5,22 +5,17 @@ knob of a training step (arena storage, precision, collective
 transport, fault tolerance, compute/communication overlap) from the
 benchmark entry point down through ``Sequential.build``/``fit``,
 ``hvd.DistributedOptimizer``, the overlap scheduler, and the simulator
-— replacing the scattered ``arena=``/``dtype=``/``options=`` keywords,
-which keep working behind :class:`DeprecationWarning` shims.
+— replacing the scattered ``arena=``/``dtype=``/``options=`` keywords.
 """
 
 from repro.train.options import (
     DEFAULT_TRAIN_OPTIONS,
     OVERLAP_PRIORITIES,
-    UNSET,
     TrainOptions,
-    resolve_train,
 )
 
 __all__ = [
     "TrainOptions",
     "DEFAULT_TRAIN_OPTIONS",
     "OVERLAP_PRIORITIES",
-    "UNSET",
-    "resolve_train",
 ]

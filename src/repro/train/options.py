@@ -13,9 +13,6 @@ threaded unchanged from the benchmark entry point through model
 building, the distributed optimizer, the overlap scheduler, and across
 to the simulator, so a functional run and a simulated run of the same
 configuration execute (and charge) the same training step.
-
-The old keywords keep working behind :class:`DeprecationWarning` shims
-(see :func:`resolve_train`); new code passes ``train=TrainOptions(...)``.
 """
 
 from __future__ import annotations
@@ -28,21 +25,17 @@ import numpy as np
 from repro.comms import CollectiveOptions
 from repro.comms.ft.options import FaultToleranceOptions
 from repro.options import (
-    UNSET,
     FrozenOptions,
     require_choice,
     require_in_interval,
     require_instance,
     require_positive,
-    resolve_legacy,
 )
 
 __all__ = [
     "TrainOptions",
     "DEFAULT_TRAIN_OPTIONS",
     "OVERLAP_PRIORITIES",
-    "UNSET",
-    "resolve_train",
 ]
 
 #: ready-queue orderings for the overlap scheduler
@@ -137,30 +130,3 @@ class TrainOptions(FrozenOptions):
 #: the step's defaults — arena storage, serialized exchange, no FT
 DEFAULT_TRAIN_OPTIONS = TrainOptions()
 
-
-def resolve_train(
-    train: Optional[TrainOptions],
-    *,
-    caller: str,
-    stacklevel: int = 3,
-    **legacy,
-) -> TrainOptions:
-    """Merge deprecated per-call keywords into one ``TrainOptions``.
-
-    ``legacy`` maps TrainOptions *field names* to the values the caller
-    received for the old keywords, with :data:`UNSET` meaning "not
-    passed". Any supplied legacy value warns ``DeprecationWarning``
-    (naming ``caller``), is rejected when ``train=`` was also given, and
-    otherwise lands on the corresponding field of a fresh TrainOptions.
-    Delegates to the family machinery in
-    :func:`repro.options.resolve_legacy`.
-    """
-    return resolve_legacy(
-        TrainOptions,
-        train,
-        caller=caller,
-        keyword="train",
-        default=DEFAULT_TRAIN_OPTIONS,
-        stacklevel=stacklevel + 1,
-        **legacy,
-    )

@@ -1,18 +1,11 @@
-"""The three data-loading methods over real benchmark files.
-
-This module exercises the *deprecated* ``repro.core.dataloading`` shim
-layer on purpose — its behavior is contract for external callers. The
-replacement ``repro.ingest.DataSource`` API is covered in
-``tests/ingest`` (with ``DeprecationWarning`` escalated to an error).
-"""
+"""The paper's three data-loading methods (§5) over real benchmark files."""
 
 import numpy as np
 import pytest
 
 from repro.candle import get_benchmark
-from repro.core import LOAD_METHODS, load_benchmark_data, load_csv_timed
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.core import load_benchmark_data
+from repro.ingest import DataSource, LoaderConfig
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +16,7 @@ def nt3_files(tmp_path_factory):
     return b, train, test
 
 
-@pytest.mark.parametrize("method", LOAD_METHODS)
+@pytest.mark.parametrize("method", ["original", "chunked", "dask"])
 def test_all_methods_load_identical_data(nt3_files, method):
     b, train, test = nt3_files
     ref = load_benchmark_data(b, train, test, method="chunked")
@@ -33,23 +26,16 @@ def test_all_methods_load_identical_data(nt3_files, method):
     assert got.load_seconds > 0
 
 
-def test_load_csv_timed_returns_positive_seconds(nt3_files):
-    _, train, _ = nt3_files
-    df, seconds = load_csv_timed(train, method="original")
-    assert seconds > 0
-    assert df.shape[0] > 0
-
-
 def test_unknown_method_rejected(nt3_files):
     _, train, _ = nt3_files
     with pytest.raises(ValueError, match="unknown method"):
-        load_csv_timed(train, method="mmap")
+        DataSource(train).load(LoaderConfig(method="mmap"))
 
 
 def test_chunked_method_honors_chunksize(nt3_files):
     _, train, _ = nt3_files
-    small, _ = load_csv_timed(train, method="chunked", chunksize=7)
-    big, _ = load_csv_timed(train, method="chunked", chunksize=10**6)
+    small = DataSource(train).load(LoaderConfig(method="chunked", chunksize=7)).frame
+    big = DataSource(train).load(LoaderConfig(method="chunked", chunksize=10**6)).frame
     assert small.equals(big)
 
 
@@ -63,8 +49,8 @@ def test_wide_file_speedup_shape(tmp_path):
     not to a single-shot ratio in tier-1."""
     b = get_benchmark("nt3", scale=0.15, sample_scale=0.05)  # wide rows
     train, _ = b.write_files(tmp_path, rng=np.random.default_rng(1))
-    orig, _ = load_csv_timed(train, method="original")
-    chunk, _ = load_csv_timed(train, method="chunked")
+    orig = DataSource(train).load(LoaderConfig(method="original")).frame
+    chunk = DataSource(train).load(LoaderConfig(method="chunked")).frame
     assert chunk.equals(orig)
     cells = orig.shape[0] * orig.shape[1]
     assert chunk.parse_stats.chunks_parsed == 1
@@ -80,7 +66,7 @@ def test_wide_file_speedup_shape(tmp_path):
     text[1] = "NA"
     with_na = tmp_path / "with_na.csv"
     with_na.write_text(",".join(text))
-    fallback, _ = load_csv_timed(str(with_na), method="chunked")
+    fallback = DataSource(with_na).load(LoaderConfig(method="chunked")).frame
     assert fallback.parse_stats.chunks_parsed == 1
     assert fallback.parse_stats.peak_chunk_tokens == cells
     assert np.isnan(fallback[1][0])

@@ -3,13 +3,19 @@
 The vectorized dispatch ladder and the chunk-level NA-substituted cast
 must reproduce the sampled-inference engine *exactly* — same values,
 same dtypes, same NaN placement — on every edge the CANDLE files (and
-their pathological cousins) can contain.
+their pathological cousins) can contain. The reference is
+``_parse_chunk_reference``, a plain oracle ``read_csv`` never calls;
+each case reads the file as is and again with the oracle in
+``_parse_chunk_fast``'s place (same framing, same chunking).
 """
 
-import numpy as np
+from contextlib import nullcontext
+from unittest import mock
+
 import pytest
 
-from repro.frame import read_csv, vectorized_parser, vectorized_parser_enabled
+import repro.frame.csv as csv_mod
+from repro.frame import concat, read_csv
 
 
 def write(tmp_path, text):
@@ -18,11 +24,14 @@ def write(tmp_path, text):
     return str(path)
 
 
+def reference_engine():
+    return mock.patch.object(csv_mod, "_parse_chunk_fast", csv_mod._parse_chunk_reference)
+
+
 def both_engines(path, **kwargs):
-    with vectorized_parser(False):
+    with reference_engine():
         ref = read_csv(path, header=None, low_memory=False, **kwargs)
-    with vectorized_parser(True):
-        vec = read_csv(path, header=None, low_memory=False, **kwargs)
+    vec = read_csv(path, header=None, low_memory=False, **kwargs)
     return ref, vec
 
 
@@ -73,8 +82,8 @@ def test_bit_identity_overflow_ints_raise_identically(tmp_path):
     # (crash included) defines the semantics
     path = write(tmp_path, f"{10**25},1\n{10**26},2\n")
     outcomes = []
-    for enabled in (False, True):
-        with vectorized_parser(enabled):
+    for engine in (reference_engine(), nullcontext()):
+        with engine:
             try:
                 outcomes.append(("frame", read_csv(path, header=None, low_memory=False)))
             except OverflowError:
@@ -94,27 +103,24 @@ def test_bit_identity_chunked_iteration(tmp_path):
         f"{i},{'na' if i % 3 == 0 else i / 7.0},{i * 2}\n" for i in range(64)
     )
     path = write(tmp_path, text)
-    for enabled in (False, True):
-        with vectorized_parser(enabled):
-            from repro.frame import concat
 
-            chunks = list(read_csv(path, header=None, chunksize=10, low_memory=False))
-            frame = concat(chunks, axis=0, ignore_index=True)
-        if enabled:
-            assert_identical(ref, frame)
-        else:
-            ref = frame
+    def read_chunked():
+        chunks = list(read_csv(path, header=None, chunksize=10, low_memory=False))
+        return concat(chunks, axis=0, ignore_index=True)
+
+    with reference_engine():
+        ref = read_chunked()
+    assert_identical(ref, read_chunked())
 
 
-def test_context_manager_restores_state():
-    initial = vectorized_parser_enabled()
-    with vectorized_parser(False):
-        assert not vectorized_parser_enabled()
-        with vectorized_parser(True):
-            assert vectorized_parser_enabled()
-        assert not vectorized_parser_enabled()
-    assert vectorized_parser_enabled() is initial
+def test_default_is_vectorized(tmp_path, monkeypatch):
+    # read_csv never calls the reference, not even for a chunk the C
+    # cast refuses or on the low_memory path
+    def refuse(*args):
+        raise AssertionError("read_csv called the reference engine")
 
-
-def test_default_is_vectorized():
-    assert vectorized_parser_enabled()
+    monkeypatch.setattr(csv_mod, "_parse_chunk_reference", refuse)
+    monkeypatch.setattr(csv_mod, "_convert_column_reference", refuse)
+    path = write(tmp_path, CASES["mixed_with_missing"] + "3,abc,8\n")
+    for low_memory in (False, True):
+        assert len(read_csv(path, header=None, low_memory=low_memory)) == 4

@@ -7,6 +7,8 @@ import pytest
 
 from repro import hvd
 from repro.mpi import run_spmd
+from repro.nn import SGD
+from repro.train import TrainOptions
 
 
 def _with_hvd(nprocs, fn, timeline=None, local_size=1):
@@ -126,3 +128,42 @@ def test_negotiate_precedes_data_movement_per_rank():
         neg = next(e for e in tl.events_named("negotiate_broadcast") if e.rank == rank)
         mov = next(e for e in tl.events_named("mpi_broadcast") if e.rank == rank)
         assert neg.end_s <= mov.start_s + 1e-6
+
+
+@pytest.fixture
+def single_rank():
+    hvd.init()
+    yield
+    hvd.shutdown()
+
+
+REMOVED_FORMS = {
+    "allreduce-positional-op": lambda: hvd.allreduce(np.ones(4), "sum"),
+    "broadcast-positional-root": lambda: hvd.broadcast({"a": 1}, 0),
+    "broadcast_weights-positional-root": lambda: hvd.broadcast_weights({"w": np.ones(3)}, 0),
+    "allgather-options": lambda: hvd.allgather(7, name="xs", options=None),
+    "optimizer-positional-fusion-bytes": lambda: hvd.DistributedOptimizer(SGD(lr=0.1), 1 << 20),
+    "optimizer-options": lambda: hvd.DistributedOptimizer(SGD(lr=0.1), options=hvd.CollectiveOptions()),
+    "optimizer-fusion-bytes": lambda: hvd.DistributedOptimizer(SGD(lr=0.1), fusion_bytes=512),
+}
+
+
+class TestCallForms:
+    """One call form per op: every option past the payload is a keyword."""
+
+    # the keyword forms themselves are checked in tests/comms/test_deprecation.py
+
+    def test_optimizer_train_sets_fusion(self, single_rank):
+        opt = hvd.DistributedOptimizer(
+            SGD(lr=0.1),
+            train=TrainOptions(collective=hvd.CollectiveOptions(fusion_bytes=256)),
+        )
+        assert opt.fusion.capacity_bytes == 256
+        assert opt.options.fusion_bytes == 256
+
+    @pytest.mark.parametrize("form", sorted(REMOVED_FORMS))
+    def test_removed_forms_raise(self, single_rank, form):
+        # a stale caller fails loudly instead of binding a value to the
+        # wrong parameter
+        with pytest.raises(TypeError):
+            REMOVED_FORMS[form]()

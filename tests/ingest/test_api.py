@@ -1,4 +1,4 @@
-"""The DataSource API surface: registry, configs, results, deprecation shims."""
+"""The DataSource API surface: registry, configs, results."""
 
 from __future__ import annotations
 
@@ -96,49 +96,7 @@ def test_as_config_passthrough_and_names():
     assert as_config(None).method == "chunked"
 
 
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-
-def test_load_csv_timed_warns_and_delegates(mixed_csv):
-    from repro.core.dataloading import load_csv_timed
-
-    serial = read_csv(mixed_csv, header=None, low_memory=False)
-    with pytest.deprecated_call():
-        frame, seconds = load_csv_timed(mixed_csv, method="chunked")
-    assert frame.equals(serial)
-    assert seconds > 0
-
-
-def test_load_csv_timed_keeps_unknown_method_error(mixed_csv):
-    from repro.core.dataloading import load_csv_timed
-
-    with pytest.deprecated_call():
-        with pytest.raises(ValueError, match="unknown method"):
-            load_csv_timed(mixed_csv, method="pandas")
-
-
-def test_read_csv_partitioned_warns_and_delegates(mixed_csv):
-    from repro.frame import read_csv_partitioned
-
-    serial = read_csv(mixed_csv, header=None, low_memory=False)
-    with pytest.deprecated_call():
-        frame = read_csv_partitioned(mixed_csv, blocksize=2048, num_workers=2)
-    assert frame.equals(serial)
-
-
-def test_dataloading_load_benchmark_data_warns(tmp_path):
-    from repro.candle import get_benchmark
-    from repro.core.dataloading import load_benchmark_data
-
-    nt3 = get_benchmark("nt3", scale=0.005, sample_scale=0.2)
-    train, test = nt3.write_files(tmp_path, rng=np.random.default_rng(0))
-    with pytest.deprecated_call():
-        data = load_benchmark_data(nt3, train, test, method="chunked")
-    assert data.load_seconds > 0
-
-
-def test_ingest_load_benchmark_data_does_not_warn(tmp_path, recwarn):
+def test_ingest_load_benchmark_data_does_not_warn(tmp_path):
     from repro.candle import get_benchmark
     from repro.ingest import load_benchmark_data
 
@@ -146,4 +104,3 @@ def test_ingest_load_benchmark_data_does_not_warn(tmp_path, recwarn):
     train, test = nt3.write_files(tmp_path, rng=np.random.default_rng(0))
     data = load_benchmark_data(nt3, train, test, method="chunked")
     assert data.load_seconds > 0
-    assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]

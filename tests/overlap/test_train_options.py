@@ -1,6 +1,4 @@
-"""TrainOptions: validation, folding, and the PR 7 deprecation shims."""
-
-import warnings
+"""TrainOptions: validation, folding, and the one ``train=`` call form."""
 
 import numpy as np
 import pytest
@@ -9,14 +7,7 @@ from repro.comms import CollectiveOptions
 from repro.comms.ft import FaultToleranceOptions
 from repro.nn import Dense, Sequential
 from repro.nn.optimizers import SGD
-from repro.train import (
-    DEFAULT_TRAIN_OPTIONS,
-    UNSET,
-    TrainOptions,
-    resolve_train,
-)
-
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 
 class TestValidation:
@@ -86,45 +77,9 @@ class TestValidation:
         assert DEFAULT_TRAIN_OPTIONS.overlap is False  # original untouched
 
 
-class TestResolveTrain:
-    def test_no_legacy_no_train_gives_defaults(self):
-        assert resolve_train(None, caller="f") is DEFAULT_TRAIN_OPTIONS
-
-    def test_train_passes_through(self):
-        t = TrainOptions(overlap=True)
-        assert resolve_train(t, caller="f") is t
-
-    def test_legacy_warns_and_lands_on_fields(self):
-        with pytest.deprecated_call(match="f: arena="):
-            t = resolve_train(None, caller="f", arena=False, dtype=UNSET)
-        assert t.arena is False
-
-    def test_legacy_plus_train_rejected(self):
-        with pytest.raises(TypeError, match="not both"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            resolve_train(TrainOptions(), caller="f", arena=False)
-
-
 class TestShims:
-    def test_sequential_build_arena_kwarg_warns(self):
-        model = Sequential([Dense(2)])
-        with pytest.deprecated_call(match="arena="):
-            model.build((3,), arena=False)
-        assert model.arena is None
-
-    def test_sequential_build_dtype_kwarg_warns(self):
-        model = Sequential([Dense(2)])
-        with pytest.deprecated_call(match="dtype="):
-            model.build((3,), dtype="float32")
-        assert model.dtype == np.dtype(np.float32)
-
-    def test_build_model_legacy_kwargs_warn(self):
-        from repro.candle import get_benchmark
-
-        bench = get_benchmark("nt3", scale=0.004, sample_scale=0.05)
-        with pytest.deprecated_call(match="NT3.build_model"):
-            model = bench.build_model(arena=False)
-        assert model.arena is None
+    """Where the keyword shims stood: ``train=`` is the one form, and a
+    removed keyword raises rather than binding to the wrong parameter."""
 
     def test_build_model_train_is_silent(self):
         from repro.candle import get_benchmark
@@ -136,21 +91,25 @@ class TestShims:
 
     def test_build_rejects_both_forms(self):
         model = Sequential([Dense(2)])
-        with pytest.raises(TypeError, match="not both"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="arena"):
             model.build((3,), train=TrainOptions(), arena=False)
 
-    def test_run_parallel_benchmark_legacy_collective_warns(self):
+    @pytest.mark.parametrize("keyword", ["arena", "dtype", "collective"])
+    def test_removed_keyword_raises(self, keyword):
         from repro.candle import get_benchmark
         from repro.core.parallel import run_parallel_benchmark
         from repro.core.scaling import strong_scaling_plan
 
         bench = get_benchmark("nt3", scale=0.004, sample_scale=0.1)
         plan = strong_scaling_plan(bench.spec, 1, total_epochs=1)
-        with pytest.deprecated_call(match="collective="):
-            run_parallel_benchmark(
-                bench, plan, seed=3, collective=CollectiveOptions()
-            )
+        value = {"arena": False, "dtype": "float32", "collective": CollectiveOptions()}
+        for call in (
+            lambda **kw: Sequential([Dense(2)]).build((3,), **kw),
+            bench.build_model,
+            lambda **kw: run_parallel_benchmark(bench, plan, seed=3, **kw),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: value[keyword]})
 
     def test_single_rank_fit_with_overlap_falls_back(self):
         """overlap=True on one rank: no scheduler, training still runs."""

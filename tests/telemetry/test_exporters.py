@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -154,9 +155,9 @@ class TestExportRun:
     def test_artifact_set(self, traced, tmp_path):
         arts = export_run(traced, tmp_path / "run", prefix="nt3")
         assert os.path.basename(arts.chrome_trace) == "nt3.chrome.json"
-        trace = json.loads(open(arts.chrome_trace).read())
+        trace = json.loads(Path(arts.chrome_trace).read_text())
         assert any(e["name"] == "load" for e in trace["traceEvents"])
         assert trace["otherData"]["run_id"] == "export-test"
-        lines = open(arts.metrics_jsonl).read().splitlines()
+        lines = Path(arts.metrics_jsonl).read_text().splitlines()
         assert all(json.loads(line) for line in lines)
-        assert "train" in open(arts.summary_txt).read()
+        assert "train" in Path(arts.summary_txt).read_text()

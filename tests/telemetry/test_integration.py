@@ -8,6 +8,7 @@ shows up in the span record.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,16 +73,16 @@ class TestTracedPipeline:
         assert abs(total - exact) <= bound
 
         arts = export_run(tracer, tmp_path, prefix="nt3")
-        trace = json.load(open(arts.chrome_trace))
+        trace = json.loads(Path(arts.chrome_trace).read_text())
         traced_names = {e["name"] for e in trace["traceEvents"]}
         assert {"load", "train", "eval"} <= traced_names
         load_ev = next(e for e in trace["traceEvents"] if e["name"] == "load")
         assert load_ev["args"]["energy_j"] > 0
         records = [
-            json.loads(line) for line in open(arts.metrics_jsonl).read().splitlines()
+            json.loads(line) for line in Path(arts.metrics_jsonl).read_text().splitlines()
         ]
         assert any(r["name"] == "train" for r in records)
-        summary = open(arts.summary_txt).read()
+        summary = Path(arts.summary_txt).read_text()
         assert "energy_j" in summary
 
     def test_summary_reproduces_low_power_load_effect(self, traced_run):

@@ -8,20 +8,17 @@ silently alter five public APIs' error text at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
 from repro.options import (
-    UNSET,
     FrozenOptions,
     require_choice,
     require_in_interval,
     require_instance,
     require_non_negative,
     require_positive,
-    resolve_legacy,
 )
 
 
@@ -86,61 +83,3 @@ class TestValidators:
         ):
             require_instance("opts", 3, Knobs)
 
-
-class TestResolveLegacy:
-    def resolve(self, value=None, **legacy):
-        return resolve_legacy(
-            Knobs,
-            value,
-            caller="fit",
-            keyword="train",
-            default=Knobs(),
-            **{"depth": UNSET, "rate": UNSET, **legacy},
-        )
-
-    def test_nothing_supplied_returns_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert self.resolve() == Knobs()
-
-    def test_explicit_value_passes_through(self):
-        mine = Knobs(depth=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert self.resolve(value=mine) is mine
-
-    def test_legacy_keyword_warns_and_maps(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"fit: depth= is deprecated; pass train=Knobs\(\.\.\.\) instead",
-        ):
-            resolved = self.resolve(depth=7)
-        assert resolved == Knobs(depth=7)
-
-    def test_multiple_legacy_keywords_sorted_in_message(self):
-        with pytest.warns(DeprecationWarning, match=r"depth=, rate="):
-            resolved = self.resolve(depth=7, rate=0.1)
-        assert resolved == Knobs(depth=7, rate=0.1)
-
-    def test_both_given_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError,
-                match=r"fit: pass either train= or the deprecated depth=, not both",
-            ):
-                self.resolve(value=Knobs(), depth=7)
-
-    def test_explicit_none_legacy_value_is_supplied(self):
-        # UNSET, not None, means "not passed": an explicit None is real
-        @dataclass(frozen=True, kw_only=True)
-        class Opt(FrozenOptions):
-            thing: object = "x"
-
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_legacy(
-                Opt, None, caller="f", keyword="o", default=Opt(), thing=None
-            )
-        assert resolved.thing is None
-
-    def test_unset_repr(self):
-        assert repr(UNSET) == "<UNSET>"
