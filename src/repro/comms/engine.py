@@ -173,22 +173,23 @@ class CollectiveEngine:
                 * opts.emulate_fabric_scale
                 / schedule.nchunks
             )
+        if algorithm in ("ring", "flat"):
+            run = self._ring
+        elif algorithm == "rhd":
+            run = self._rhd
+        else:
+            run = self._hierarchical
         for ci in range(schedule.nchunks):
-            seg = flat[bounds[ci] : bounds[ci + 1]]
+            a, b = bounds[ci], bounds[ci + 1]
+            seg = flat[a:b]
             t0 = time.perf_counter()
             try:
-                if algorithm in ("ring", "flat"):
-                    reduced = self._ring(seg, op, opts, tag_shift)
-                elif algorithm == "rhd":
-                    reduced = self._rhd(seg, op, opts, tag_shift)
-                else:
-                    reduced = self._hierarchical(seg, op, opts, tag_shift)
+                run(seg, op, opts, out[a:b], tag_shift)
             except Exception as exc:
                 attach = getattr(exc, "attach_context", None)
                 if attach is not None:
                     attach(chunk=ci, algorithm=algorithm, tensor=tag)
                 raise
-            out[bounds[ci] : bounds[ci + 1]] = reduced
             if delay_s > 0:
                 time.sleep(delay_s)
             self._record_chunk(
@@ -234,9 +235,17 @@ class CollectiveEngine:
         return fp16_encode(segment) if opts.compression == "fp16" else segment
 
     # -- ring ---------------------------------------------------------------
+    # Each algorithm reduces ``seg`` across ranks into ``out`` (the
+    # chunk's slice of the schedule's result). The combined segment a
+    # rank sends stays a fresh array: peers read it after this returns.
     def _ring(
-        self, seg: np.ndarray, op: str, opts: CollectiveOptions, tag_shift: int = 0
-    ) -> np.ndarray:
+        self,
+        seg: np.ndarray,
+        op: str,
+        opts: CollectiveOptions,
+        out: np.ndarray,
+        tag_shift: int = 0,
+    ) -> None:
         group = list(range(self.comm.size))
         owned, contribs, bounds = self._ring_reduce_scatter(
             seg, group, opts, _TAG_RING_RS - tag_shift
@@ -244,8 +253,8 @@ class CollectiveEngine:
         combined = canonical_reduce(
             [contribs[r] for r in sorted(contribs)], op
         )
-        return self._ring_allgather(
-            combined, owned, bounds, group, _TAG_RING_AG - tag_shift, seg.size
+        self._ring_allgather(
+            combined, owned, bounds, group, _TAG_RING_AG - tag_shift, out
         )
 
     def _ring_reduce_scatter(
@@ -290,16 +299,16 @@ class CollectiveEngine:
         bounds: np.ndarray,
         group: Sequence[int],
         tag: int,
-        total: int,
-    ) -> np.ndarray:
-        """Circulate combined segments until every rank holds the vector."""
+        out: np.ndarray,
+    ) -> None:
+        """Circulate combined segments until every rank's ``out`` holds
+        the whole reduced vector."""
         me = self.comm.rank
         p = len(group)
         i = group.index(me)
-        out = np.empty(total, dtype=np.float64)
         out[bounds[owned] : bounds[owned + 1]] = combined
         if p == 1:
-            return out
+            return
         right = group[(i + 1) % p]
         left = group[(i - 1) % p]
         carry: Tuple[int, np.ndarray] = (owned, combined)
@@ -308,12 +317,16 @@ class CollectiveEngine:
             carry = self.comm.recv(left, tag=tag)
             idx, segment = carry
             out[bounds[idx] : bounds[idx + 1]] = segment
-        return out
 
     # -- recursive halving-doubling -----------------------------------------
     def _rhd(
-        self, seg: np.ndarray, op: str, opts: CollectiveOptions, tag_shift: int = 0
-    ) -> np.ndarray:
+        self,
+        seg: np.ndarray,
+        op: str,
+        opts: CollectiveOptions,
+        out: np.ndarray,
+        tag_shift: int = 0,
+    ) -> None:
         me = self.comm.rank
         p = self.comm.size
         rounds = p.bit_length() - 1  # p is a power of two (planner guarantee)
@@ -334,7 +347,6 @@ class CollectiveEngine:
             self.comm.send(ship, partner, tag=_TAG_RHD_HALVE - tag_shift)
             contribs.update(self.comm.recv(partner, tag=_TAG_RHD_HALVE - tag_shift))
         combined = canonical_reduce([contribs[r] for r in sorted(contribs)], op)
-        out = np.empty(int(seg.size), dtype=np.float64)
         out[lo:hi] = combined
         owned: List[Tuple[int, int]] = [(lo, hi)]
         for k in reversed(range(rounds)):
@@ -344,12 +356,16 @@ class CollectiveEngine:
             for a, b, segment in self.comm.recv(partner, tag=_TAG_RHD_DOUBLE - tag_shift):
                 out[a:b] = segment
                 owned.append((a, b))
-        return out
 
     # -- two-level hierarchical ---------------------------------------------
     def _hierarchical(
-        self, seg: np.ndarray, op: str, opts: CollectiveOptions, tag_shift: int = 0
-    ) -> np.ndarray:
+        self,
+        seg: np.ndarray,
+        op: str,
+        opts: CollectiveOptions,
+        out: np.ndarray,
+        tag_shift: int = 0,
+    ) -> None:
         """Intra-node reduce-scatter, inter-node ring, intra-node allgather.
 
         Each local index owns one slice of the buffer; the slices ring
@@ -376,8 +392,8 @@ class CollectiveEngine:
         combined = canonical_reduce(
             [collected[r] for r in sorted(collected)], op
         )
-        return self._ring_allgather(
-            combined, owned, bounds, local, _TAG_HIER_AG - tag_shift, seg.size
+        self._ring_allgather(
+            combined, owned, bounds, local, _TAG_HIER_AG - tag_shift, out
         )
 
     # -- top-k sparse path --------------------------------------------------

@@ -555,16 +555,39 @@ def canonical_reduce(values: list, op: str):
     moves contributions through its own message pattern but defers the
     arithmetic to this routine, which is what makes their results
     bit-identical to each other.
+
+    Arrays are folded into one fresh float64 array in ascending rank
+    order: a sum starts from +0.0 (as numpy's reduction does, so a lone
+    ``-0.0`` sums to ``0.0``), max/min from the first contribution, and
+    a mean is the sum divided by the count. For contributions of two or
+    more elements that is what ``np.stack(values).<op>(axis=0)``
+    computes (numpy walks the rank axis in order), without the p × n
+    copy. A stack of one-element contributions would instead reduce
+    along a contiguous axis, which numpy sums pairwise from 8 terms on;
+    the fold gives every element the same order whatever the size.
+    Shapes must match exactly; nothing is broadcast.
     """
     if any(isinstance(v, np.ndarray) for v in values):
-        stack = np.stack([np.asarray(v, dtype=np.float64) for v in values])
-        if op == "sum":
-            return stack.sum(axis=0)
+        arrays = [np.asarray(v) for v in values]
+        shape = arrays[0].shape
+        for a in arrays:
+            if a.shape != shape:
+                raise ValueError(
+                    f"cannot reduce contributions of shapes {shape} and {a.shape}"
+                )
+        if op in ("sum", "mean"):
+            # numpy seeds a sum with +0.0; adding it makes the first copy
+            total = np.add(arrays[0], 0.0, out=np.empty(shape), dtype=np.float64)
+            fold = np.add
+        else:
+            total = np.array(arrays[0], dtype=np.float64)
+            fold = np.maximum if op == "max" else np.minimum
+        for a in arrays[1:]:
+            fold(total, a, out=total)
         if op == "mean":
-            return stack.mean(axis=0)
-        if op == "max":
-            return stack.max(axis=0)
-        return stack.min(axis=0)
+            np.true_divide(total, len(arrays), out=total)
+        # 0-d contributions reduce to a float64 scalar, as numpy's do
+        return total if total.ndim else total[()]
     total = values[0]
     for v in values[1:]:
         if op in ("sum", "mean"):

@@ -23,6 +23,13 @@ __all__ = ["Optimizer", "SGD", "RMSprop", "Adam", "get"]
 
 Params = Dict[str, np.ndarray]
 
+#: bytes per operand in one block of the fused arena update: 512 KiB is
+#: 64 K float64 or 128 K float32 elements. Each ufunc touches two or
+#: three operands (≤ 1.5 MiB), so what one ufunc wrote is still in a
+#: 2 MiB per-core L2 when the next reads it, instead of every ufunc
+#: streaming whole slabs. Chosen by a sweep (docs/ARCHITECTURE.md)
+BLOCK_BYTES = 512 * 1024
+
 
 class Optimizer:
     """Base optimizer.
@@ -31,9 +38,10 @@ class Optimizer:
     parameter array in place given its gradient. Optimizers with a
     fused-kernel path additionally override :meth:`_arena_step`, which
     updates a :class:`repro.nn.arena.ParameterArena`'s whole parameter
-    slab with a handful of vectorized in-place operations — bit-identical
-    to looping :meth:`_update_one`, but without the per-parameter Python
-    and allocation overhead.
+    slab with a handful of vectorized in-place operations, run block by
+    block (:meth:`_blocks`) — bit-identical to looping
+    :meth:`_update_one`, but without the per-parameter Python and
+    allocation overhead.
     """
 
     def __init__(self, lr: float = 0.01, decay: float = 0.0):
@@ -135,12 +143,35 @@ class Optimizer:
         return slab
 
     def _scratch(self, arena, key: str) -> np.ndarray:
-        """A reusable slab-sized work buffer (contents undefined)."""
+        """A reusable block-sized work buffer (contents undefined).
+
+        One :data:`BLOCK_BYTES` block, or the whole slab when that is
+        smaller: :meth:`_blocks` hands out its leading views.
+        """
+        size = min(arena.size, BLOCK_BYTES // arena.dtype.itemsize)
         buf = self._arena_scratch.get(key)
-        if buf is None or buf.size != arena.size or buf.dtype != arena.dtype:
-            buf = np.empty(arena.size, dtype=arena.dtype)
+        if buf is None or buf.size != size or buf.dtype != arena.dtype:
+            buf = np.empty(size, dtype=arena.dtype)
             self._arena_scratch[key] = buf
         return buf
+
+    def _blocks(self, arena, *state: np.ndarray, scratch=()):
+        """Walk the slabs one cache-sized block at a time.
+
+        Yields ``(params, grads, *state, *scratch)`` views of the same
+        element range, :data:`BLOCK_BYTES` per operand (the last block is
+        shorter). A subclass runs its whole ufunc sequence on each block
+        before the next, so every element sees the same ops in the same
+        order as one pass per ufunc over the slab — the same bits.
+        """
+        slabs = (arena.params_flat, arena.grads_flat) + state
+        bufs = [self._scratch(arena, key) for key in scratch]
+        step = BLOCK_BYTES // arena.dtype.itemsize
+        for start in range(0, arena.size, step):
+            stop = min(start + step, arena.size)
+            yield tuple(s[start:stop] for s in slabs) + tuple(
+                b[: stop - start] for b in bufs
+            )
 
     def _check_orphan_grads(self, params: Params, grads: Params) -> None:
         if self._warned_orphan_grads or len(grads) <= len(params):
@@ -201,24 +232,27 @@ class SGD(Optimizer):
             p += v
 
     def _arena_step(self, arena, lr):
-        # same elementwise ops as _update_one, over the whole slab at once
-        p, g = arena.params_flat, arena.grads_flat
-        s = self._scratch(arena, "s")
+        # same elementwise ops as _update_one, one slab block at a time
         if self.momentum == 0.0:
-            np.multiply(g, lr, out=s)
-            p -= s
+            for p, g, s in self._blocks(arena, scratch=("s",)):
+                np.multiply(g, lr, out=s)
+                p -= s
             return
-        v = self._arena_state(arena, "velocity")
-        np.multiply(v, self.momentum, out=v)
-        np.multiply(g, lr, out=s)  # lr * g, reused below for nesterov
-        v -= s
-        if self.nesterov:
-            s2 = self._scratch(arena, "s2")
+        velocity = self._arena_state(arena, "velocity")
+        if not self.nesterov:
+            for p, g, v, s in self._blocks(arena, velocity, scratch=("s",)):
+                np.multiply(v, self.momentum, out=v)
+                np.multiply(g, lr, out=s)
+                v -= s
+                p += v
+            return
+        for p, g, v, s, s2 in self._blocks(arena, velocity, scratch=("s", "s2")):
+            np.multiply(v, self.momentum, out=v)
+            np.multiply(g, lr, out=s)  # lr * g, reused below
+            v -= s
             np.multiply(v, self.momentum, out=s2)
             s2 -= s
             p += s2
-        else:
-            p += v
 
 
 class RMSprop(Optimizer):
@@ -241,19 +275,17 @@ class RMSprop(Optimizer):
         p -= lr * g / (np.sqrt(acc) + self.epsilon)
 
     def _arena_step(self, arena, lr):
-        p, g = arena.params_flat, arena.grads_flat
-        acc = self._arena_state(arena, "accumulator")
-        a = self._scratch(arena, "a")
-        b = self._scratch(arena, "b")
-        np.multiply(acc, self.rho, out=acc)
-        np.multiply(g, 1.0 - self.rho, out=a)
-        a *= g
-        acc += a
-        np.multiply(g, lr, out=a)
-        np.sqrt(acc, out=b)
-        b += self.epsilon
-        a /= b
-        p -= a
+        accumulator = self._arena_state(arena, "accumulator")
+        for p, g, acc, a, b in self._blocks(arena, accumulator, scratch=("a", "b")):
+            np.multiply(acc, self.rho, out=acc)
+            np.multiply(g, 1.0 - self.rho, out=a)
+            a *= g
+            acc += a
+            np.multiply(g, lr, out=a)
+            np.sqrt(acc, out=b)
+            b += self.epsilon
+            a /= b
+            p -= a
 
 
 class Adam(Optimizer):
@@ -292,26 +324,25 @@ class Adam(Optimizer):
         p -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def _arena_step(self, arena, lr):
-        p, g = arena.params_flat, arena.grads_flat
-        m = self._arena_state(arena, "m")
-        v = self._arena_state(arena, "v")
-        a = self._scratch(arena, "a")
-        b = self._scratch(arena, "b")
+        m_slab = self._arena_state(arena, "m")
+        v_slab = self._arena_state(arena, "v")
         t = self.iterations
-        np.multiply(m, self.beta_1, out=m)
-        np.multiply(g, 1.0 - self.beta_1, out=a)
-        m += a
-        np.multiply(v, self.beta_2, out=v)
-        np.multiply(g, 1.0 - self.beta_2, out=a)
-        a *= g
-        v += a
-        np.divide(m, 1.0 - self.beta_1**t, out=a)  # m_hat
-        np.divide(v, 1.0 - self.beta_2**t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += self.epsilon
-        a *= lr
-        a /= b
-        p -= a
+        bias_1, bias_2 = 1.0 - self.beta_1**t, 1.0 - self.beta_2**t
+        for p, g, m, v, a, b in self._blocks(arena, m_slab, v_slab, scratch=("a", "b")):
+            np.multiply(m, self.beta_1, out=m)
+            np.multiply(g, 1.0 - self.beta_1, out=a)
+            m += a
+            np.multiply(v, self.beta_2, out=v)
+            np.multiply(g, 1.0 - self.beta_2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bias_1, out=a)  # m_hat
+            np.divide(v, bias_2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            a *= lr
+            a /= b
+            p -= a
 
 
 _OPTIMIZERS = {"sgd": SGD, "rmsprop": RMSprop, "adam": Adam}

@@ -465,8 +465,9 @@ class OverlapScheduler:
         )
         t1 = time.perf_counter()
         np.copyto(view, reduced)
-        self.optimizer.allreduce_count += 1
         with self._cond:
+            # channels finish buckets concurrently: count under the lock
+            self.optimizer.allreduce_count += 1
             self._records[bucket.index] = (t0, t1, int(buf.nbytes))
             self._delivery.append(bucket.index)
 
