@@ -133,14 +133,25 @@ class Layer:
             block = self._shared[slot] = np.empty(nbytes, dtype=np.uint8)
         return block[:nbytes].view(dtype).reshape(shape)
 
-    def _backprop_activation(self, dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``dy * f'(y)`` in the ``dz`` buffer, for layers with an
-        activation (``self._act_grad``)."""
-        if dy.dtype != y.dtype:
-            # mixed precision: numpy's promotion decides, not a buffer's dtype
-            return dy * self._act_grad(y, y)
-        dz = self._act_grad(y, y, out=self.scratch("dz", y.shape, y.dtype, zero=False))
+    def _backprop_activation(
+        self, dy: np.ndarray, y: np.ndarray, dz: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``dy * f'(y)``, for layers with an activation
+        (``self._act_grad``), in ``dz``: the :meth:`_dz_buffer` by
+        default, or rows of it a layer obtained before splitting its
+        batch (with the same rows of ``dy`` and ``y``)."""
+        if dz is None:
+            dz = self._dz_buffer(dy, y)
+        if dz.dtype != y.dtype:
+            # mixed precision: f' in y's dtype, the product in numpy's
+            # promotion of the two
+            return np.multiply(dy, self._act_grad(y, y), out=dz)
+        self._act_grad(y, y, out=dz)
         return np.multiply(dy, dz, out=dz)
+
+    def _dz_buffer(self, dy: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Where :meth:`_backprop_activation` leaves ``dy * f'(y)``."""
+        return self.scratch("dz", y.shape, np.result_type(dy, y), zero=False)
 
     def workspace_row_bytes(self) -> int:
         """Bytes per example of the largest buffer an inference forward

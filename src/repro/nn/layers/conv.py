@@ -14,15 +14,23 @@ layouts, that ``np.tensordot`` over a ``sliding_window_view`` ends in,
 so every result is bit for bit what that formulation gives
 (``tests/nn/test_conv_reference.py`` keeps it as the oracle). What this
 module owns is how the window matrix is gathered: in contiguous runs
-(:func:`_im2col`, :func:`_im2col_t`), not by ``tensordot``'s generic
-copy of a strided 4-D view, and into the one ``cols`` block of the
-model's shared workspace (:meth:`Layer.workspace`) rather than a fresh
-array per gather. No layer keeps a window matrix: forward and dW want
-different layouts (``cols.T @ dy`` on a kept forward matrix is a
-transposed-operand GEMM, which BLAS does not sum in the same order),
-and one kept per layer would be the largest live arrays in the process
-— the shared block is as large as the largest single gather and
-``Sequential.predict`` bounds that by tiling rows.
+(:func:`_windows`, :func:`_cols_t`), not by ``tensordot``'s generic
+copy of a strided 4-D view, and into the model's shared workspace
+(:meth:`Layer.workspace`) rather than a fresh array per gather. No
+layer keeps a window matrix: forward and dW want different layouts
+(``cols.T @ dy`` on a kept forward matrix is a transposed-operand GEMM,
+which BLAS does not sum in the same order), and one kept per layer
+would be the largest live arrays in the process — the ``cols`` block is
+as large as the largest forward or dW gather, ``Sequential.predict``
+bounds that by tiling rows, and the dx window matrix only ever passes
+through a :data:`DX_BLOCK_BYTES` block, a row tile at a time.
+
+Two cores (:mod:`repro.nn.halves`): ``Conv1D`` and ``MaxPooling1D``
+run the first samples of a batch on the calling thread and the rest on
+the helper — gathers, the forward GEMM (cut where
+:func:`~repro.nn.halves.gemm_edges` allows), bias, activation and its
+derivative, pooling both ways — and a dW GEMM runs whole on the helper
+beside the dx GEMM (or, without dx, the bias sum).
 
 Outputs, padded inputs and gradients live in per-layer
 :meth:`Layer.scratch` buffers and are written with ``out=``, so a
@@ -42,6 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import activations as _act
 from repro.nn import initializers as _init
+from repro.nn.halves import GEMM_ROWS, beside, gemm_edges, halves
 from repro.nn.layers.base import Layer
 
 __all__ = [
@@ -53,27 +62,47 @@ __all__ = [
 ]
 
 
-def _im2col(xp: np.ndarray, k: int, workspace) -> np.ndarray:
-    """``(N, Lp, C)`` → C-contiguous ``(N·L, k·C)``, ``L = Lp - k + 1``,
-    gathered into ``workspace``'s ``cols`` block.
+#: bytes of the block ``Conv1D``'s dx window matrix is gathered through,
+#: a row tile at a time
+DX_BLOCK_BYTES = 2 << 20
+
+
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """``(N, Lp, C)`` → the ``(N, L, k·C)`` view of every window,
+    ``L = Lp - k + 1``.
 
     Row ``(n, l)`` is the window ``xp[n, l : l + k, :]`` flattened in
     (tap, channel) order — already ``k·C`` consecutive scalars of a
-    contiguous ``xp``, so the gather is one run per row.
+    contiguous ``xp``, so a gather copies one run per row.
     """
     n, lp, c = xp.shape
-    out_steps = lp - k + 1
     # windows of k·C scalars over the flattened (steps, channels) axis,
     # one every C scalars
-    win = sliding_window_view(xp.reshape(n, lp * c), k * c, axis=1)[:, ::c]
-    cols = workspace("cols", (n, out_steps, k * c), xp.dtype)
-    np.copyto(cols, win)
-    return cols.reshape(n * out_steps, k * c)
+    return sliding_window_view(xp.reshape(n, lp * c), k * c, axis=1)[:, ::c]
 
 
-def _im2col_t(xp: np.ndarray, k: int, workspace) -> np.ndarray:
-    """``(N, Lp, C)`` → C-contiguous ``(C·k, N·L)``: :func:`_im2col`
-    transposed, rows in (channel, tap) order.
+def _gather_rows(win: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Rows ``lo:hi`` of the window matrix ``win`` stands for (its first
+    two axes flattened, which no view can do) into ``out``."""
+    steps = win.shape[1]
+    first, head = divmod(lo, steps)
+    if head:  # the rest of the sample the rows start inside
+        rows = min(steps - head, hi - lo)
+        np.copyto(out[:rows], win[first, head : head + rows])
+        out, first = out[rows:], first + 1
+    last, tail = divmod(hi, steps)
+    if last > first:  # whole samples
+        whole = (last - first) * steps
+        np.copyto(out[:whole].reshape(-1, steps, win.shape[2]), win[first:last])
+        out = out[whole:]
+    if tail and last >= first:  # the start of the sample they end inside
+        np.copyto(out, win[last, :tail])
+
+
+def _cols_t(xp: np.ndarray, k: int, workspace):
+    """The ``(C·k, N·L)`` transposed window matrix, rows in (channel,
+    tap) order, and ``gather(lo, hi)`` filling samples ``lo:hi`` of it
+    (``None`` when there is nothing to gather).
 
     Row ``(c, tap)`` is channel ``c`` shifted by ``tap`` steps. The input
     goes channel-first (``workspace``'s ``xt`` block) before the gather
@@ -87,13 +116,17 @@ def _im2col_t(xp: np.ndarray, k: int, workspace) -> np.ndarray:
         # the window view in place where it can, and the GEMM then reads
         # xp transposed — a different (equally valid) order of summation
         # from a gathered copy, and the one the oracle has.
-        return sliding_window_view(xp, k, axis=1).transpose(2, 3, 0, 1).reshape(c * k, -1)
+        view = sliding_window_view(xp, k, axis=1).transpose(2, 3, 0, 1).reshape(c * k, -1)
+        return view, None
     xt = workspace("xt", (c, n, lp), xp.dtype)
-    np.copyto(xt, xp.transpose(2, 0, 1))
-    win = sliding_window_view(xt, k, axis=2)  # (C, N, L, k)
     cols = workspace("cols", (c, k, n, out_steps), xp.dtype)
-    np.copyto(cols, win.transpose(0, 3, 1, 2))
-    return cols.reshape(c * k, n * out_steps)
+
+    def gather(lo, hi):
+        np.copyto(xt[:, lo:hi], xp[lo:hi].transpose(2, 0, 1))
+        win = sliding_window_view(xt[:, lo:hi], k, axis=2)  # (C, n, L, k)
+        np.copyto(cols[:, :, lo:hi], win.transpose(0, 3, 1, 2))
+
+    return cols.reshape(c * k, n * out_steps), gather
 
 
 def _window_row_bytes(layer) -> int:
@@ -164,6 +197,7 @@ class Conv1D(Layer):
         self._require_built()
         k, co = self.kernel_size, self.filters
         kernel = self.params["kernel"]
+        bias = self.params["bias"] if self.use_bias else None
         n, steps, c = x.shape
         self._pad_l = self._pad_r = 0
         xp = x
@@ -172,58 +206,108 @@ class Conv1D(Layer):
             self._pad_l = (k - 1) // 2
             self._pad_r = k - 1 - self._pad_l
             xp = self.scratch("xp", (n, steps + k - 1, c), x.dtype, zero=False)
-            xp[:, self._pad_l : self._pad_l + steps, :] = x
-        y = self.scratch(
-            "y", (n, xp.shape[1] - k + 1, co), np.result_type(xp, kernel), zero=False
-        )
-        # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
-        np.dot(
-            _im2col(xp, k, self.workspace), kernel.reshape(-1, co),
-            out=y.reshape(-1, co),
-        )
-        if self.use_bias:
-            y += self.params["bias"]
-        if self._act_fn is not None:
-            self._act_fn(y, out=y)
+        out_steps = xp.shape[1] - k + 1
+        y = self.scratch("y", (n, out_steps, co), np.result_type(xp, kernel), zero=False)
+        cols = self.workspace("cols", (n * out_steps, k * c), xp.dtype)
+        win = _windows(xp, k)
+        pad = slice(self._pad_l, self._pad_l + steps)
+        kernel2d = kernel.reshape(-1, co)
+
+        def part(lo, hi):
+            if xp is not x:
+                xp[lo:hi, pad] = x[lo:hi]
+            rows, out = cols[lo * out_steps : hi * out_steps], y[lo:hi]
+            np.copyto(rows.reshape(hi - lo, out_steps, -1), win[lo:hi])
+            # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
+            np.dot(rows, kernel2d, out=out.reshape(-1, co))
+            if bias is not None:
+                out += bias
+            if self._act_fn is not None:
+                self._act_fn(out, out=out)
+
+        halves(part, n, cols.size, gemm=(out_steps, co, k * c))
         # cached: the (padded) input by reference, not its window matrix
         self._cache = (xp, y)
         return y
 
     def backward(self, dy, input_grad=True):
         xp, y = self._cache
-        if self._act_fn is not None:
-            dy = self._backprop_activation(dy, y)
         k = self.kernel_size
         n, steps, co = dy.shape
         kernel = self.params["kernel"]
         ci = kernel.shape[1]
-        # dW[ci, k, co] = sum_{n, l} xp[n, l + k, ci] * dy[n, l, co]
+        # dy through the activation's derivative, filled in halves below
+        dz = dy if self._act_grad is None else self._dz_buffer(dy, y)
+        # dW[ci, k, co] = sum_{n, l} xp[n, l + k, ci] * dz[n, l, co]
         # (its own buffer only when set_grad copies out of it)
         dw = (
-            self.scratch("dw", (ci * k, co), np.result_type(xp, dy), zero=False)
+            self.scratch("dw", (ci * k, co), np.result_type(xp, dz), zero=False)
             if self._arena_grads
             else None
         )
-        dw = np.dot(_im2col_t(xp, k, self.workspace), dy.reshape(n * steps, co), out=dw)
-        self.set_grad("kernel", dw.reshape(-1, k, co).transpose(1, 0, 2))
-        if self.use_bias:
-            self.set_grad("bias", dy.sum(axis=(0, 1)))
-        if not input_grad:
-            return None
-        # Full correlation of dy with the tap-reversed kernel gives dx.
-        if k > 1:
+        cols_t, gather = _cols_t(xp, k, self.workspace)
+        # Full correlation of dz with the tap-reversed kernel gives dx.
+        dyp = None
+        if input_grad and k > 1:
             # margins are zero from allocation and never written
-            dyp = self.scratch("dyp", (n, steps + 2 * (k - 1), co), dy.dtype, zero=False)
-            dyp[:, k - 1 : k - 1 + steps, :] = dy
-        else:
-            dyp = dy
-        # taps reversed, (k, co) flattened to match _im2col's columns
-        w_flip = self.scratch("w_flip", (k * co, ci), kernel.dtype, zero=False)
-        np.copyto(w_flip.reshape(k, co, ci), kernel[::-1].transpose(0, 2, 1))
+            dyp = self.scratch("dyp", (n, steps + 2 * (k - 1), co), dz.dtype, zero=False)
+
+        def prepare(lo, hi):
+            if dz is not dy:
+                self._backprop_activation(dy[lo:hi], y[lo:hi], dz[lo:hi])
+            if gather is not None:
+                gather(lo, hi)
+            if dyp is not None:
+                dyp[lo:hi, k - 1 : k - 1 + steps] = dz[lo:hi]
+
+        passes = (dz is not dy) + (dyp is not None)
+        halves(prepare, n, passes * dz.size + (gather is not None) * cols_t.size)
+
+        def weights():
+            grad = np.dot(cols_t, dz.reshape(n * steps, co), out=dw)
+            self.set_grad("kernel", grad.reshape(-1, k, co).transpose(1, 0, 2))
+
+        def bias_grad():
+            if self.use_bias:
+                self.set_grad("bias", dz.sum(axis=(0, 1)))
+
+        if not input_grad:
+            beside(bias_grad, weights, cols_t.size)
+            return None
         dxp = self.scratch(
-            "dxp", (n, steps + k - 1, ci), np.result_type(dy, kernel), zero=False
+            "dxp", (n, steps + k - 1, ci), np.result_type(dz, kernel), zero=False
         )
-        np.dot(_im2col(dyp, k, self.workspace), w_flip, out=dxp.reshape(-1, ci))
+        out = dxp.reshape(-1, ci)
+        if k == 1:
+            # No window overlaps another, so dz is the window matrix, and
+            # the oracle's tap-reversed kernel is numpy's in-place reshape
+            # of it, kernel[0].T: a transposed operand, which BLAS sums in
+            # its own order, and in row pieces not as it sums the whole.
+            def dx_gemm():
+                np.dot(dz.reshape(-1, co), kernel[0].T, out=out)
+        else:
+            # taps reversed, (k, co) flattened to match _windows' columns
+            w_flip = self.scratch("w_flip", (k * co, ci), kernel.dtype, zero=False)
+            np.copyto(w_flip.reshape(k, co, ci), kernel[::-1].transpose(0, 2, 1))
+            win = _windows(dyp, k)
+            # row tiles of the dx GEMM, gathered through one small block
+            # while the dW GEMM holds the cols block
+            rows, depth = len(out), k * co
+            tile = max(GEMM_ROWS, DX_BLOCK_BYTES // (depth * win.itemsize) // GEMM_ROWS * GEMM_ROWS)
+            edges = gemm_edges([*range(0, rows, tile), rows], ci, depth)
+            longest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+            block = self.workspace("dx_cols", (longest, depth), win.dtype)
+
+            def dx_gemm():
+                for lo, hi in zip(edges, edges[1:]):
+                    _gather_rows(win, lo, hi, block[: hi - lo])
+                    np.dot(block[: hi - lo], w_flip, out=out[lo:hi])
+
+        def inputs():
+            bias_grad()
+            dx_gemm()
+
+        beside(inputs, weights, cols_t.size)
         return dxp[:, self._pad_l : dxp.shape[1] - self._pad_r, :]
 
 
@@ -279,17 +363,23 @@ class MaxPooling1D(Layer):
         out = self.scratch("y", (n, out_steps, c), x.dtype, zero=False)
         # p == 1: every window's winner is tap 0
         idx = self.scratch("idx", out.shape, np.intp, zero=p == 1) if want_idx else None
-        if p == 1:
-            np.copyto(out, xw[:, :, 0, :])
-            return out, idx
-        if want_idx:
-            np.greater(xw[:, :, 1, :], xw[:, :, 0, :], out=idx)
-        np.maximum(xw[:, :, 0, :], xw[:, :, 1, :], out=out)
-        for tap in range(2, p):
+        beats = self.scratch("beats", out.shape, np.bool_, zero=False) if want_idx and p > 2 else None
+
+        def part(lo, hi):
+            win, top = xw[lo:hi], out[lo:hi]
+            if p == 1:
+                np.copyto(top, win[:, :, 0, :])
+                return
             if want_idx:
-                beats = self.scratch("beats", out.shape, np.bool_, zero=False)
-                np.copyto(idx, tap, where=np.greater(xw[:, :, tap, :], out, out=beats))
-            np.maximum(out, xw[:, :, tap, :], out=out)
+                np.greater(win[:, :, 1, :], win[:, :, 0, :], out=idx[lo:hi])
+            np.maximum(win[:, :, 0, :], win[:, :, 1, :], out=top)
+            for tap in range(2, p):
+                if want_idx:
+                    np.copyto(idx[lo:hi], tap,
+                              where=np.greater(win[:, :, tap, :], top, out=beats[lo:hi]))
+                np.maximum(top, win[:, :, tap, :], out=top)
+
+        halves(part, n, x.size)
         return out, idx
 
     def backward(self, dy):
@@ -298,14 +388,18 @@ class MaxPooling1D(Layer):
             idx = self._pool(self._input, want_idx=True)[1]
         p = self.pool_size
         n, out_steps, c = dy.shape
-        # scatter target must be re-zeroed (argmax positions move per batch)
-        dxw = self.scratch("dxw", (n, out_steps, p, c), dy.dtype)
-        ni, li, ci = np.ogrid[:n, :out_steps, :c]
-        dxw[ni, li, idx, ci] = dy
-        # the pooled region is fully overwritten; the dropped tail stays
-        # zero from allocation, so no re-zero is needed
         dx = self.scratch("dx", in_shape, dy.dtype, zero=False)
-        dx[:, : out_steps * p, :] = dxw.reshape(n, out_steps * p, c)
+        # the windows' view of dx: each gets its winning tap's gradient
+        pooled = dx[:, : out_steps * p, :].reshape(n, out_steps, p, c)
+
+        def part(lo, hi):
+            # zero the rest (winners move per batch, and the dropped tail
+            # takes no gradient)
+            dx[lo:hi].fill(0)
+            ni, li, ci = np.ogrid[: hi - lo, :out_steps, :c]
+            pooled[lo:hi][ni, li, idx[lo:hi], ci] = dy[lo:hi]
+
+        halves(part, n, dx.size)
         return dx
 
 

@@ -26,7 +26,9 @@ from repro.nn import metrics as _metrics
 from repro.nn import optimizers as _optimizers
 from repro.nn.arena import ParameterArena
 from repro.nn.callbacks import Callback, CallbackList, History
+from repro.nn.halves import GEMM_ROWS, gemm_edges
 from repro.nn.layers.base import Layer
+from repro.nn.layers.conv import Conv1D
 from repro.nn.layers.core import Activation, Dense
 
 __all__ = ["Sequential"]
@@ -36,8 +38,17 @@ __all__ = ["Sequential"]
 #: rows). See ``Sequential.predict``; the sweep that chose it is in
 #: docs/ARCHITECTURE.md ("The memory plan").
 WORKSPACE_BYTES = 24 << 20
-#: rows every plan-chosen tile is a multiple of (see ``_tile_edges``)
-_GEMM_ROWS = 16
+
+
+def _forward_gemms(layer: Layer) -> list[tuple[int, int, int]]:
+    """``(rows per example, N, K)`` of each GEMM ``layer``'s inference
+    forward runs."""
+    if isinstance(layer, Dense):
+        return [(1, layer.units, layer.input_shape[0])]
+    if isinstance(layer, Conv1D):
+        out_steps, filters = layer.output_shape
+        return [(out_steps, filters, layer.kernel_size * layer.input_shape[1])]
+    return []
 
 
 class Sequential:
@@ -58,6 +69,9 @@ class Sequential:
         #: widest buffer a forward fills, and predict's own set of layer
         #: work buffers (tile-sized; fit's are batch-sized)
         self._row_bytes = 0
+        #: (rows per example, N, K) of every GEMM a forward runs: where
+        #: predict may cut a slice into tiles (see _tile_edges)
+        self._gemms: list[tuple[int, int, int]] = []
         self._tile_buffers: list[dict] = []
         self._shuffle_rng = np.random.default_rng(0)
         #: layer-completion callbacks fired during backward (overlap)
@@ -119,6 +133,7 @@ class Sequential:
             layer.build(shape, rng)
             shape = layer.output_shape
         self._row_bytes = max(layer.workspace_row_bytes() for layer in self.layers)
+        self._gemms = [gemm for layer in self.layers for gemm in _forward_gemms(layer)]
         self._tile_buffers = [{} for _ in self.layers]
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
@@ -241,23 +256,26 @@ class Sequential:
     def _tile_edges(self, rows: int, batch_size: int) -> list[int]:
         """Row boundaries of ``predict``'s forward passes: the caller's
         ``batch_size`` slices, each cut into tiles the plan allows."""
-        # Tiling a slice must not show in its bytes. A GEMM runs its last
-        # M % unroll rows (unroll 4..16) through an edge kernel and a
-        # matrix of a few rows through a small-matrix kernel, and both
-        # round differently from the blocked one: so tiles are multiples
-        # of 16 rows, and a remainder shorter than that joins the tile
-        # before it instead of becoming a GEMM of its own.
+        # Tiling a slice must not show in its bytes: tiles are multiples
+        # of 16 examples, and every GEMM of the stack may be cut only
+        # where repro.nn.halves.gemm_edges allows it (a tile one of them
+        # may not cut off joins the tile after it; the last one, the tile
+        # before it). Rows too wide for 16 in the budget keep the budget
+        # instead: tiles of fewer examples, the last two joined, which
+        # take those tiles' bits (DESIGN.md, "Not kept, by construction").
         tile = WORKSPACE_BYTES // self._row_bytes
-        if tile >= _GEMM_ROWS:
-            tile -= tile % _GEMM_ROWS
-        tile = max(1, tile)
+        exact = tile >= GEMM_ROWS
+        tile = tile // GEMM_ROWS * GEMM_ROWS if exact else max(1, tile)
         edges = []
         for lo in range(0, rows, batch_size):
-            hi = min(lo + batch_size, rows)
-            cuts = [*range(lo, hi, tile)]
-            if len(cuts) > 1 and hi - cuts[-1] < _GEMM_ROWS:
-                cuts.pop()
-            edges += cuts
+            width = min(batch_size, rows - lo)
+            cuts = [*range(0, width, tile), width]
+            if len(cuts) > 2 and not exact:
+                del cuts[-2]
+            elif len(cuts) > 2:
+                for per_row, n, k in self._gemms:
+                    cuts = [e // per_row for e in gemm_edges([e * per_row for e in cuts], n, k)]
+            edges += [lo + e for e in cuts[:-1]]
         return [*edges, rows]
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
