@@ -116,6 +116,11 @@ class FaultTolerantEngine(CollectiveEngine):
         """Stop the channel's heartbeat service."""
         self.channel.close()
 
+    def owner_step_ok(self, options: Optional[CollectiveOptions] = None) -> bool:
+        """Never: a retried or restarted collective would apply an update
+        twice, so this engine keeps allreduce-then-update."""
+        return False
+
     # -- the recovery loop ----------------------------------------------------
     def allreduce(
         self,

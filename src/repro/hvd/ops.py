@@ -25,6 +25,7 @@ All signatures are keyword-only past the payload (``op=``, ``root=``,
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Any, Optional
 
 import numpy as np
@@ -32,7 +33,13 @@ import numpy as np
 from repro.hvd import runtime as _rt
 from repro.mpi.communicator import payload_nbytes as _nbytes
 
-__all__ = ["allreduce", "broadcast", "allgather", "broadcast_weights"]
+__all__ = [
+    "allreduce",
+    "allreduce_update",
+    "broadcast",
+    "allgather",
+    "broadcast_weights",
+]
 
 
 def _trace(name: str, category: str, rank: int, start_s: float, duration_s: float, **attrs) -> None:
@@ -50,23 +57,16 @@ def _trace(name: str, category: str, rank: int, start_s: float, duration_s: floa
         )
 
 
-def allreduce(
-    tensor: np.ndarray,
-    *,
-    op: str = "mean",
-    name: Optional[str] = None,
-    options=None,
-) -> np.ndarray:
-    """Average (or sum/max/min) a tensor across all ranks.
+@contextmanager
+def _allreduce_events(tag: str, nbytes: int, options):
+    """Negotiate, then record one allreduce's timeline events and spans.
 
-    Records ``negotiate_allreduce`` (rendezvous wait), ``allreduce``
-    (the whole op), and ``nccl_allreduce`` (the data movement, tagged
-    with the resolved algorithm). ``options`` overrides the run-level
-    :class:`~repro.comms.CollectiveOptions` for this one call.
+    Yields a dict whose ``"algorithm"`` the body sets to the resolved
+    transport algorithm, and whose ``"bytes"`` (``nbytes`` until the body
+    changes it) the events record.
     """
     comm = _rt.comm()
     tl = _rt.timeline()
-    tag = name or "tensor"
     run_opts = options if options is not None else _rt.options()
     ft = getattr(run_opts, "fault_tolerance", None)
     ft_enabled = ft is not None and ft.enabled and comm.size > 1
@@ -77,17 +77,11 @@ def allreduce(
         # a raw barrier would hang forever on a rank that died.
         comm.barrier()
     t_ready = time.perf_counter()
-    if isinstance(tensor, np.ndarray) and tensor.size >= comm.size:
-        eng = _rt.engine()
-        result = eng.allreduce(tensor, op=op, name=tag, options=options)
-        algorithm = eng.last_info.get("algorithm", "flat")
-        comm = _rt.comm()  # an elastic rebuild may have swapped it
-    else:
-        # scalars and sub-world arrays take the communicator's tree path
-        result = comm.allreduce(tensor, op=op)
-        algorithm = "flat"
+    info = {"algorithm": "flat", "bytes": nbytes}
+    yield info
     t_done = time.perf_counter()
-    nbytes = _nbytes(tensor)
+    comm = _rt.comm()  # an elastic rebuild may have swapped it
+    algorithm, nbytes = info["algorithm"], info["bytes"]
     tl.record("negotiate_allreduce", comm.rank, t_enter, t_ready - t_enter, tensor=tag)
     tl.record(
         "allreduce", comm.rank, t_ready, t_done - t_ready, tensor=tag,
@@ -102,7 +96,48 @@ def allreduce(
         "allreduce", "allreduce", comm.rank, t_ready, t_done - t_ready,
         tensor=tag, bytes=nbytes, algorithm=algorithm,
     )
+
+
+def allreduce(
+    tensor: np.ndarray,
+    *,
+    op: str = "mean",
+    name: Optional[str] = None,
+    options=None,
+) -> np.ndarray:
+    """Average (or sum/max/min) a tensor across all ranks.
+
+    Records ``negotiate_allreduce`` (rendezvous wait), ``allreduce``
+    (the whole op), and ``nccl_allreduce`` (the data movement, tagged
+    with the resolved algorithm). ``options`` overrides the run-level
+    :class:`~repro.comms.CollectiveOptions` for this one call.
+    """
+    tag = name or "tensor"
+    with _allreduce_events(tag, _nbytes(tensor), options) as info:
+        if isinstance(tensor, np.ndarray) and tensor.size >= _rt.comm().size:
+            eng = _rt.engine()
+            result = eng.allreduce(tensor, op=op, name=tag, options=options)
+            info["algorithm"] = eng.last_info.get("algorithm", "flat")
+        else:
+            # scalars and sub-world arrays take the communicator's tree path
+            result = _rt.comm().allreduce(tensor, op=op)
     return result
+
+
+def allreduce_update(slabs, update, *, name: Optional[str] = None, options=None) -> None:
+    """Mean-allreduce a gradient range fused with its optimizer update.
+
+    :meth:`CollectiveEngine.allreduce_update
+    <repro.comms.CollectiveEngine.allreduce_update>` (the owner step)
+    on this rank's engine, recorded like :func:`allreduce`, with the
+    bytes of the gradient and of every slab the gather carries.
+    """
+    tag = name or "tensor"
+    with _allreduce_events(tag, int(slabs[0].nbytes), options) as info:
+        eng = _rt.engine()
+        eng.allreduce_update(slabs, update, name=tag, options=options)
+        info["algorithm"] = eng.last_info.get("algorithm", "flat")
+        info["bytes"] = eng.last_info.get("payload_bytes", info["bytes"])
 
 
 def broadcast(obj: Any, *, root: int = 0, name: Optional[str] = None) -> Any:
@@ -179,3 +214,6 @@ def broadcast_weights(target, *, root: int = 0) -> None:
     received = broadcast(payload, root=root, name="global_variables")
     for name, arr in zip(names, received):
         np.copyto(params[name], arr)
+    arena = getattr(target, "arena", None)
+    if arena is not None:
+        arena.replicated = True

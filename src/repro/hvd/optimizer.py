@@ -15,6 +15,14 @@ one :class:`repro.train.TrainOptions` passed as ``train=``: its
 :class:`repro.overlap.OverlapScheduler` take over the arena reduction —
 ``apply_arena`` then drains the scheduler's fence instead of issuing
 the serialized slab allreduces.
+
+On the arena path, where the rank's engine allows it (uncompressed
+gradients, no fault tolerance, no emulated fabric) and the base
+optimizer has a slab kernel, each fusion group runs the engine's **owner step**
+(:meth:`repro.comms.CollectiveEngine.allreduce_update`): every element
+is updated once, by the rank that reduced it, and the gather carries
+the result. Every rank ends the step with the bytes allreduce-then-
+update leaves, so checkpoints and broadcasts see no difference.
 """
 
 from __future__ import annotations
@@ -123,18 +131,69 @@ class DistributedOptimizer(Optimizer):
 
         Gradients already live in one contiguous slab laid out in fusion
         order, so there is nothing to pack: each fusion group is a slab
-        *slice*, allreduced directly, with the mean copied back in place
-        before the base optimizer's fused update. With an attached
-        overlap scheduler that armed this step, the buckets are already
-        in flight — the drain fence replaces the serialized reductions
-        (bit-identical on the non-compressed path: same buffers, same
-        schedules, same canonical reduction order).
+        *slice*. Under the owner step (:meth:`owner_step`) each slice is
+        reduced and updated by :func:`repro.hvd.ops.allreduce_update`;
+        otherwise it is allreduced, the mean copied back in place, and
+        the base optimizer's fused update runs over the whole slab. With
+        an attached overlap scheduler that armed this step, the buckets
+        are already in flight (and, under the owner step, updated) — the
+        drain fence replaces the serialized path, bit-identical to it on
+        the non-compressed path: same buffers, same schedules, same
+        canonical reduction order.
         """
         if self._overlap is not None and self._overlap.finish_step(arena):
             self._reconcile_world()
+            if not self._overlap.owner_step:
+                self.base.apply_arena(arena)
+        elif _rt.size() > 1 and self.owner_step(_rt.engine(), arena, self.options):
+            lr = self.base.prepare_arena_step(arena)
+            for start, stop, names in arena.fusion_groups(self.fusion.capacity_bytes):
+                slabs, update = self.bucket_update(arena, start, stop, lr)
+                _ops.allreduce_update(
+                    slabs, update, name="+".join(names), options=self.options
+                )
+                self.allreduce_count += 1
+            self._reconcile_world()
         else:
             self.reduce_arena(arena)
-        self.base.apply_arena(arena)
+            self.base.apply_arena(arena)
+
+    def owner_step(self, engine, arena, options) -> bool:
+        """Whether a step may run ``engine``'s owner step on ``arena``
+        under ``options``, the options its reductions will run with.
+
+        Needs ranks whose parameters a weight broadcast made identical
+        (``arena.replicated``), a base optimizer whose update is an
+        elementwise slab kernel, and an engine that allows it under
+        ``options`` (:meth:`CollectiveEngine.owner_step_ok
+        <repro.comms.CollectiveEngine.owner_step_ok>`: the plain engine,
+        uncompressed gradients, no emulated fabric).
+        """
+        return (
+            arena.replicated
+            and self.base.slab_kernel
+            and engine.owner_step_ok(options)
+        )
+
+    def bucket_update(self, arena, start: int, stop: int, lr: float, scratch=None):
+        """The owner-step operands of the slab slice ``[start, stop)``.
+
+        Returns ``(slabs, update)`` for
+        :meth:`~repro.comms.CollectiveEngine.allreduce_update`: the
+        gradient, parameter and state slices, and the base optimizer's
+        update of a sub-range at the step's learning rate ``lr`` (from
+        :meth:`Optimizer.prepare_arena_step`). ``scratch`` is the
+        caller's work-buffer dict: concurrent callers need their own.
+        """
+        slabs = [arena.grads_flat[start:stop], arena.params_flat[start:stop]]
+        slabs += [s[start:stop] for s in self.base.arena_state_slabs()]
+
+        def update(lo: int, hi: int) -> None:
+            self.base._arena_step(
+                arena, lr, start=start + lo, stop=start + hi, scratch=scratch
+            )
+
+        return slabs, update
 
     def reduce_arena(self, arena) -> None:
         """Allreduce-average the gradient slab, slice by fusion group."""

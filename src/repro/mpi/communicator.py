@@ -546,7 +546,12 @@ class Communicator:
         return f"<Communicator rank={self.rank}/{self.size}>"
 
 
-def canonical_reduce(values: list, op: str):
+#: float64 elements per block of an ``out=`` fold that cannot run in
+#: place (512 KiB, the optimizers' block size)
+_FOLD_BLOCK = 1 << 16
+
+
+def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     """The one reduction everything funnels through.
 
     Combines per-rank contributions (already ordered by ascending rank)
@@ -566,26 +571,29 @@ def canonical_reduce(values: list, op: str):
     along a contiguous axis, which numpy sums pairwise from 8 terms on;
     the fold gives every element the same order whatever the size.
     Shapes must match exactly; nothing is broadcast.
+
+    ``out`` (a C-contiguous floating array of the contributions' shape)
+    receives the result, cast to its dtype, and is returned. It may be
+    one of the contributions: the comms engine's owner step folds into
+    its own gradient slab. The fold starts from rank 0's contribution,
+    so a float64 ``out`` that overlaps no other contribution is folded
+    in place; any other ``out`` is folded one block at a time through a
+    float64 scratch, every contribution's block read before ``out``'s
+    block is written. Either way each element sees the same operations
+    in the same order, so the bits are those of the fresh result.
     """
-    if any(isinstance(v, np.ndarray) for v in values):
+    if out is not None or any(isinstance(v, np.ndarray) for v in values):
         arrays = [np.asarray(v) for v in values]
         shape = arrays[0].shape
-        for a in arrays:
+        for a in arrays + ([] if out is None else [out]):
             if a.shape != shape:
                 raise ValueError(
                     f"cannot reduce contributions of shapes {shape} and {a.shape}"
                 )
-        if op in ("sum", "mean"):
-            # numpy seeds a sum with +0.0; adding it makes the first copy
-            total = np.add(arrays[0], 0.0, out=np.empty(shape), dtype=np.float64)
-            fold = np.add
-        else:
-            total = np.array(arrays[0], dtype=np.float64)
-            fold = np.maximum if op == "max" else np.minimum
-        for a in arrays[1:]:
-            fold(total, a, out=total)
-        if op == "mean":
-            np.true_divide(total, len(arrays), out=total)
+        if out is not None:
+            return _fold_into(arrays, op, out)
+        total = np.empty(shape)
+        _fold(arrays, op, total)
         # 0-d contributions reduce to a float64 scalar, as numpy's do
         return total if total.ndim else total[()]
     total = values[0]
@@ -599,3 +607,38 @@ def canonical_reduce(values: list, op: str):
     if op == "mean":
         total = total / len(values)
     return total
+
+
+def _fold(arrays: list, op: str, total: np.ndarray) -> None:
+    """The rank-order fold of ``arrays`` into the float64 ``total``."""
+    if op in ("sum", "mean"):
+        # numpy seeds a sum with +0.0; adding it makes the first copy
+        np.add(arrays[0], 0.0, out=total, dtype=np.float64)
+        fold = np.add
+    else:
+        np.copyto(total, arrays[0])
+        fold = np.maximum if op == "max" else np.minimum
+    for a in arrays[1:]:
+        fold(total, a, out=total)
+    if op == "mean":
+        np.true_divide(total, len(arrays), out=total)
+
+
+def _fold_into(arrays: list, op: str, out: np.ndarray) -> np.ndarray:
+    """``canonical_reduce`` into ``out``, which may alias a contribution."""
+    if out.dtype.kind != "f" or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous floating array")
+    if out.dtype == np.float64 and not any(
+        np.may_share_memory(out, a) for a in arrays[1:]
+    ):
+        _fold(arrays, op, out)
+        return out
+    target = out.reshape(-1)
+    flats = [a.reshape(-1) for a in arrays]
+    scratch = np.empty(min(target.size, _FOLD_BLOCK))
+    for start in range(0, target.size, _FOLD_BLOCK):
+        stop = min(start + _FOLD_BLOCK, target.size)
+        block = scratch[: stop - start]
+        _fold([a[start:stop] for a in flats], op, block)
+        target[start:stop] = block
+    return out

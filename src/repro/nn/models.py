@@ -194,7 +194,12 @@ class Sequential:
         return [arr.copy() for arr in self.named_parameters().values()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        """Copy ``weights`` into the model's arrays *in place*."""
+        """Copy ``weights`` into the model's arrays *in place*.
+
+        The arena's ranks are no longer known to be synchronized
+        (:attr:`ParameterArena.replicated`) until the next weight
+        broadcast: each rank may have written its own.
+        """
         params = list(self.named_parameters().values())
         if len(weights) != len(params):
             raise ValueError(
@@ -205,6 +210,8 @@ class Sequential:
             if dst.shape != src.shape:
                 raise ValueError(f"shape mismatch: {dst.shape} vs {src.shape}")
             np.copyto(dst, src)
+        if self.arena is not None:
+            self.arena.replicated = False
 
     def count_params(self) -> int:
         """Total trainable scalar count."""

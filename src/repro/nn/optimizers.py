@@ -37,12 +37,20 @@ class Optimizer:
     Subclasses implement :meth:`_update_one` which mutates a single
     parameter array in place given its gradient. Optimizers with a
     fused-kernel path additionally override :meth:`_arena_step`, which
-    updates a :class:`repro.nn.arena.ParameterArena`'s whole parameter
-    slab with a handful of vectorized in-place operations, run block by
-    block (:meth:`_blocks`) — bit-identical to looping
+    updates a :class:`repro.nn.arena.ParameterArena`'s parameter slab
+    (the whole slab, or any element range of it) with a handful of
+    vectorized in-place operations, run block by block
+    (:meth:`_blocks`) — bit-identical to looping
     :meth:`_update_one`, but without the per-parameter Python and
     allocation overhead.
     """
+
+    #: True when :meth:`_arena_step` is an elementwise slab kernel that
+    #: may update any element range on its own (the distributed owner
+    #: step updates one range per rank)
+    slab_kernel = False
+    #: names of the per-element state slabs the slab kernel keeps
+    state_slots: tuple = ()
 
     def __init__(self, lr: float = 0.01, decay: float = 0.0):
         if lr <= 0.0:
@@ -89,8 +97,26 @@ class Optimizer:
         views (and bit-identical to it), but subclasses with a fused
         kernel touch each slab once instead of looping parameters.
         """
+        self._arena_step(arena, self.prepare_arena_step(arena))
+
+    def prepare_arena_step(self, arena) -> float:
+        """Open one arena step; returns the step's learning rate.
+
+        Advances ``iterations`` (Adam's bias correction, ``decay``) and
+        readies every state slab. :meth:`apply_arena` calls it before
+        its one update. The distributed owner step calls it once, before
+        the first of its range updates: those may run on several
+        threads at once, so nothing they share may be created lazily.
+        """
         self.iterations += 1
-        self._arena_step(arena, self._current_lr())
+        for slot in self.state_slots:
+            self._arena_state(arena, slot)
+        return self._current_lr()
+
+    def arena_state_slabs(self) -> list:
+        """The state slabs :meth:`prepare_arena_step` readied, in
+        :attr:`state_slots` order."""
+        return [self._arena_slabs[slot] for slot in self.state_slots]
 
     def scale_lr(self, factor: float) -> None:
         """Multiply the learning rate — the paper's linear LR scaling."""
@@ -103,13 +129,24 @@ class Optimizer:
         return self._state.setdefault(name, {})
 
     # -- arena plumbing ----------------------------------------------------
-    def _arena_step(self, arena, lr: float) -> None:
-        """Fallback fused step: per-parameter updates over arena views.
+    def _arena_step(
+        self, arena, lr: float, start: int = 0, stop=None, scratch=None
+    ) -> None:
+        """One update of the slab elements ``[start, stop)``.
 
-        Subclasses override this with true slab-wide kernels; the
-        fallback keeps every custom :meth:`_update_one` optimizer
-        working against arena-built models.
+        ``scratch`` is the caller's dict of work buffers (None: this
+        optimizer's own); two threads updating disjoint ranges at once
+        must each pass their own. Subclasses with a :attr:`slab_kernel`
+        override this and pass the range on to :meth:`_blocks`. This
+        fallback keeps every custom :meth:`_update_one` optimizer working
+        against arena-built models, one whole parameter at a time, so it
+        takes the whole slab only.
         """
+        if start != 0 or stop not in (None, arena.size):
+            raise ValueError(
+                f"{type(self).__name__} has no slab kernel: it updates "
+                "whole parameters only"
+            )
         for name, p, g in arena.items():
             self._update_one(name, p, g, lr)
 
@@ -142,36 +179,41 @@ class Optimizer:
             slots[slot] = view
         return slab
 
-    def _scratch(self, arena, key: str) -> np.ndarray:
+    @staticmethod
+    def _scratch(arena, key: str, pool: dict) -> np.ndarray:
         """A reusable block-sized work buffer (contents undefined).
 
         One :data:`BLOCK_BYTES` block, or the whole slab when that is
         smaller: :meth:`_blocks` hands out its leading views.
         """
         size = min(arena.size, BLOCK_BYTES // arena.dtype.itemsize)
-        buf = self._arena_scratch.get(key)
+        buf = pool.get(key)
         if buf is None or buf.size != size or buf.dtype != arena.dtype:
             buf = np.empty(size, dtype=arena.dtype)
-            self._arena_scratch[key] = buf
+            pool[key] = buf
         return buf
 
-    def _blocks(self, arena, *state: np.ndarray, scratch=()):
-        """Walk the slabs one cache-sized block at a time.
+    def _blocks(
+        self, arena, *state: np.ndarray, bufs=(), start=0, stop=None, scratch=None
+    ):
+        """Walk the slabs' ``[start, stop)`` one cache-sized block at a time.
 
-        Yields ``(params, grads, *state, *scratch)`` views of the same
+        Yields ``(params, grads, *state, *bufs)`` views of the same
         element range, :data:`BLOCK_BYTES` per operand (the last block is
-        shorter). A subclass runs its whole ufunc sequence on each block
-        before the next, so every element sees the same ops in the same
-        order as one pass per ufunc over the slab — the same bits.
+        shorter); ``bufs`` names the work buffers, taken from ``scratch``
+        (default: this optimizer's own). A subclass runs its whole ufunc
+        sequence on each block before the next, so every element sees
+        the same ops in the same order as one pass per ufunc over the
+        slab — the same bits, whatever the range and its block edges.
         """
+        stop = arena.size if stop is None else stop
         slabs = (arena.params_flat, arena.grads_flat) + state
-        bufs = [self._scratch(arena, key) for key in scratch]
+        pool = self._arena_scratch if scratch is None else scratch
+        work = [self._scratch(arena, key, pool) for key in bufs]
         step = BLOCK_BYTES // arena.dtype.itemsize
-        for start in range(0, arena.size, step):
-            stop = min(start + step, arena.size)
-            yield tuple(s[start:stop] for s in slabs) + tuple(
-                b[: stop - start] for b in bufs
-            )
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            yield tuple(s[lo:hi] for s in slabs) + tuple(b[: hi - lo] for b in work)
 
     def _check_orphan_grads(self, params: Params, grads: Params) -> None:
         if self._warned_orphan_grads or len(grads) <= len(params):
@@ -203,6 +245,8 @@ class Optimizer:
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and Nesterov."""
 
+    slab_kernel = True
+
     def __init__(
         self,
         lr: float = 0.01,
@@ -231,22 +275,26 @@ class SGD(Optimizer):
         else:
             p += v
 
-    def _arena_step(self, arena, lr):
+    @property
+    def state_slots(self) -> tuple:
+        return ("velocity",) if self.momentum else ()
+
+    def _arena_step(self, arena, lr, **span):
         # same elementwise ops as _update_one, one slab block at a time
         if self.momentum == 0.0:
-            for p, g, s in self._blocks(arena, scratch=("s",)):
+            for p, g, s in self._blocks(arena, bufs=("s",), **span):
                 np.multiply(g, lr, out=s)
                 p -= s
             return
-        velocity = self._arena_state(arena, "velocity")
+        velocity = self._arena_slabs["velocity"]
         if not self.nesterov:
-            for p, g, v, s in self._blocks(arena, velocity, scratch=("s",)):
+            for p, g, v, s in self._blocks(arena, velocity, bufs=("s",), **span):
                 np.multiply(v, self.momentum, out=v)
                 np.multiply(g, lr, out=s)
                 v -= s
                 p += v
             return
-        for p, g, v, s, s2 in self._blocks(arena, velocity, scratch=("s", "s2")):
+        for p, g, v, s, s2 in self._blocks(arena, velocity, bufs=("s", "s2"), **span):
             np.multiply(v, self.momentum, out=v)
             np.multiply(g, lr, out=s)  # lr * g, reused below
             v -= s
@@ -257,6 +305,9 @@ class SGD(Optimizer):
 
 class RMSprop(Optimizer):
     """RMSprop: scale each coordinate by a running RMS of its gradient."""
+
+    slab_kernel = True
+    state_slots = ("accumulator",)
 
     def __init__(self, lr: float = 0.001, rho: float = 0.9, epsilon: float = 1e-7, decay: float = 0.0):
         super().__init__(lr=lr, decay=decay)
@@ -274,9 +325,9 @@ class RMSprop(Optimizer):
         acc += (1.0 - self.rho) * g * g
         p -= lr * g / (np.sqrt(acc) + self.epsilon)
 
-    def _arena_step(self, arena, lr):
-        accumulator = self._arena_state(arena, "accumulator")
-        for p, g, acc, a, b in self._blocks(arena, accumulator, scratch=("a", "b")):
+    def _arena_step(self, arena, lr, **span):
+        accumulator = self._arena_slabs["accumulator"]
+        for p, g, acc, a, b in self._blocks(arena, accumulator, bufs=("a", "b"), **span):
             np.multiply(acc, self.rho, out=acc)
             np.multiply(g, 1.0 - self.rho, out=a)
             a *= g
@@ -290,6 +341,9 @@ class RMSprop(Optimizer):
 
 class Adam(Optimizer):
     """Adam: bias-corrected first/second moment estimates."""
+
+    slab_kernel = True
+    state_slots = ("m", "v")
 
     def __init__(
         self,
@@ -323,12 +377,12 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta_2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
-    def _arena_step(self, arena, lr):
-        m_slab = self._arena_state(arena, "m")
-        v_slab = self._arena_state(arena, "v")
+    def _arena_step(self, arena, lr, **span):
+        m_slab, v_slab = self._arena_slabs["m"], self._arena_slabs["v"]
         t = self.iterations
         bias_1, bias_2 = 1.0 - self.beta_1**t, 1.0 - self.beta_2**t
-        for p, g, m, v, a, b in self._blocks(arena, m_slab, v_slab, scratch=("a", "b")):
+        blocks = self._blocks(arena, m_slab, v_slab, bufs=("a", "b"), **span)
+        for p, g, m, v, a, b in blocks:
             np.multiply(m, self.beta_1, out=m)
             np.multiply(g, 1.0 - self.beta_1, out=a)
             m += a

@@ -230,6 +230,10 @@ def load_checkpoint(model, path, expected_sha256: Optional[str] = None) -> dict:
                 f"shape mismatch for {name!r}: {saved.shape} vs {param.shape}"
             )
         np.copyto(param, saved)
+    arena = getattr(model, "arena", None)
+    if arena is not None:
+        # one rank's load: synchronized again by the next weight broadcast
+        arena.replicated = False
 
     opt = _optimizer_of(model)
     # Restore state *in place* where the live slot array matches: fused

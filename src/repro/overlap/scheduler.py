@@ -21,10 +21,23 @@ the arena-backed step:
    a small late bucket travels beside a large in-flight one instead of
    queueing behind it;
 4. a **drain fence** in :meth:`OverlapScheduler.finish_step` blocks the
-   fused optimizer update until every bucket has landed — so the
-   non-compressed path stays bit-identical to the serialized step (same
-   buffers, same schedules, same canonical reduction order, only
-   earlier).
+   step until every bucket has landed — so the non-compressed path stays
+   bit-identical to the serialized step (same buffers, same schedules,
+   same canonical reduction order, only earlier).
+
+Where the distributed optimizer allows the engine's owner step
+(:meth:`DistributedOptimizer.owner_step
+<repro.hvd.DistributedOptimizer.owner_step>`), a channel runs it for its
+bucket: the bucket's slice is reduced *and updated* while backward
+continues, so the fence leaves nothing to do. The step's learning rate
+and iteration count are then fixed in :meth:`begin_step`, before the
+first bucket can update, and each channel updates with its own work
+buffers. Otherwise the fence is followed by the base optimizer's fused
+update, as in the serialized step.
+
+A plan of one bucket cannot overlap anything: its bucket is released by
+the last backward event. The scheduler then starts no channel thread
+and runs the bucket in :meth:`finish_step`, on the rank thread.
 
 **Cross-rank ordering.** Collectives sharing a tag namespace use
 blocking rendezvous, so every rank must issue them in the *same order*
@@ -119,7 +132,7 @@ class OverlapScheduler:
 
     Create (or :meth:`maybe_install`) on an initialized rank thread;
     the constructor captures the rank's collective engine and spawns the
-    background worker. ``begin_step`` arms the step before backward,
+    channel workers (none for a one-bucket plan). ``begin_step`` arms the step before backward,
     the model's backward hooks release buckets, ``finish_step`` is the
     drain fence the distributed optimizer calls in place of its
     serialized ``reduce_arena``.
@@ -177,6 +190,12 @@ class OverlapScheduler:
         self.channels = 1 if serial_only else min(
             self.train.overlap_channels, max(1, len(self._buckets))
         )
+        #: whether this step's buckets run the owner step (set per step:
+        #: it needs the weight broadcast, which follows construction)
+        self.owner_step = False
+        self._lr = 0.0
+        #: per-channel optimizer work buffers: channels update at once
+        self._scratch: List[dict] = [{} for _ in range(self.channels)]
 
         # step state, guarded by one condition variable shared with the
         # workers: per-channel heaps of (release_event, within-group
@@ -196,6 +215,7 @@ class OverlapScheduler:
         self._delivery: List[int] = []
         self._step = 0
         self._installed = False
+        # one bucket: nothing to overlap, so no thread (see finish_step)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -203,7 +223,7 @@ class OverlapScheduler:
                 name=f"overlap-worker-r{self._rank}c{slot}",
                 daemon=True,
             )
-            for slot in range(self.channels)
+            for slot in range(self.channels if len(self._buckets) > 1 else 0)
         ]
         for w in self._workers:
             w.start()
@@ -262,7 +282,8 @@ class OverlapScheduler:
         """Register the backward hook and attach to the optimizer."""
         if self._installed:
             return
-        self.model._backward_hooks.append(self._on_layer_backward)
+        if self._workers:
+            self.model._backward_hooks.append(self._on_layer_backward)
         self.model._overlap = self
         self.optimizer.attach_overlap(self)
         self._installed = True
@@ -282,8 +303,15 @@ class OverlapScheduler:
             self._delivery = []
             self._done = 0
             self._event = 0
-            self._active = True
             self._step += 1
+            # decided with the options the buckets run under
+            self.owner_step = self.optimizer.owner_step(
+                self._engine, self._arena, self.options
+            )
+            if self.owner_step:
+                # before backward releases the first bucket to a channel
+                self._lr = self.optimizer.base.prepare_arena_step(self._arena)
+            self._active = True
 
     def _on_layer_backward(self, layer) -> None:
         """Backward hook: release every bucket this layer completes."""
@@ -321,6 +349,13 @@ class OverlapScheduler:
         if arena is not None and arena is not self._arena:
             raise ValueError("finish_step called with a different arena")
         t_backward_end = time.perf_counter()
+        if not self._workers:
+            try:
+                self._reduce_bucket(self._buckets[0])
+            finally:
+                self._active = False
+            self._account(self._records, self._delivery, t_backward_end)
+            return True
         deadline = t_backward_end + self.train.drain_timeout_s
         with self._cond:
             # defensive residue: a bucket whose trigger never fired (a
@@ -445,30 +480,43 @@ class OverlapScheduler:
                     self._cond.notify_all()
 
     def _reduce_bucket(self, bucket: GradientBucket, slot: int = 0) -> None:
-        """Allreduce one slab slice on a background channel thread.
+        """Reduce one slab slice on channel ``slot``'s thread (the rank
+        thread for a one-bucket plan).
 
-        Reduces a *copy* of the live gradient view: the engine's
-        zero-copy sends hand raw buffer views to peer mailboxes, and the
-        in-place ``copyto`` at completion must never overwrite data a
-        remote rank is still reading. The channel's ``tag_shift`` keeps
-        its engine messages out of every other channel's mailboxes.
+        The owner step reduces and updates the live slices in place
+        (the engine's acknowledgements keep peers' reads safe).
+        Otherwise the engine reduces a *copy* of the live gradient view:
+        its zero-copy sends hand raw buffer views to peer mailboxes, and
+        the in-place ``copyto`` at completion must never overwrite data
+        a remote rank is still reading. The channel's ``tag_shift``
+        keeps its engine messages out of every other channel's
+        mailboxes.
         """
+        name = "+".join(bucket.names)
+        shift = 64 * (slot + 1)
         view = self._arena.grads_flat[bucket.start : bucket.stop]
-        buf = view.copy()
-        t0 = time.perf_counter()
-        reduced = self._engine.allreduce(
-            buf,
-            op="mean",
-            name="+".join(bucket.names),
-            options=self.options,
-            tag_shift=64 * (slot + 1),
-        )
-        t1 = time.perf_counter()
-        np.copyto(view, reduced)
+        if self.owner_step:
+            slabs, update = self.optimizer.bucket_update(
+                self._arena, bucket.start, bucket.stop, self._lr,
+                self._scratch[slot],
+            )
+            t0 = time.perf_counter()
+            self._engine.allreduce_update(
+                slabs, update, name=name, options=self.options, tag_shift=shift
+            )
+            t1 = time.perf_counter()
+        else:
+            buf = view.copy()
+            t0 = time.perf_counter()
+            reduced = self._engine.allreduce(
+                buf, op="mean", name=name, options=self.options, tag_shift=shift
+            )
+            t1 = time.perf_counter()
+            np.copyto(view, reduced)
         with self._cond:
             # channels finish buckets concurrently: count under the lock
             self.optimizer.allreduce_count += 1
-            self._records[bucket.index] = (t0, t1, int(buf.nbytes))
+            self._records[bucket.index] = (t0, t1, int(view.nbytes))
             self._delivery.append(bucket.index)
 
     # -- teardown -----------------------------------------------------------

@@ -15,6 +15,11 @@ pairwise sum numpy runs along a contiguous axis (from 8 terms on).
 Comparisons are ``dtype`` + ``tobytes()`` (see ``same_bytes`` for the
 one NaN-sign allowance), and the exception type for mismatched shapes.
 
+With ``out=`` the result is written into ``out``, which may be any of
+the contributions (the comms engine's owner step folds into its own
+gradient slab): each case is also run with ``out`` aliasing each
+floating contribution in turn, against the oracle cast to its dtype.
+
 Hypothesis budget: 40 derandomized examples in tier-1, 600 with
 ``--hypothesis-profile=deep`` (registered in ``tests/conftest.py``).
 """
@@ -89,6 +94,60 @@ def test_special_values_fold_like_the_stack(shape, p, op):
         with np.errstate(all="ignore"):
             want = oracle(values, op)
         assert same_bytes(got, want), (values, op)
+
+
+def folded_into_each(values, op):
+    """``(k, outcome)`` of ``canonical_reduce(..., out=values[k])`` for
+    every floating contribution ``k``, each on fresh copies."""
+    for k, v in enumerate(values):
+        if np.asarray(v).dtype.kind != "f":
+            continue
+        copies = [np.array(x) for x in values]
+        yield k, copies[k], outcome(
+            lambda vals, o: canonical_reduce(vals, o, out=vals[k]), copies, op
+        )
+
+
+def cast(want, dtype):
+    with np.errstate(all="ignore"):
+        return want.astype(dtype)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3, 1), (2, 5)], ids=str)
+def test_special_values_fold_into_each_contribution(shape, p, op):
+    rng = np.random.default_rng(p * 137 + len(shape))
+    for _ in range(5):
+        values = [rng.choice(SPECIALS, size=shape) for _ in range(p)]
+        values[-1] = cast(values[-1], np.float32)  # a cast on the way out
+        with np.errstate(all="ignore"):
+            want = oracle(values, op)
+        for k, out, (kind, got) in folded_into_each(values, op):
+            assert kind == "ok"
+            assert got is out or np.shares_memory(got, out)
+            assert same_bytes(out, cast(want, out.dtype)), (k, values, op)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("owner", [0, 1, 2])
+def test_a_fold_into_a_contribution_crosses_blocks_like_the_fresh_fold(owner, op):
+    """Folds through the block-sized scratch (``out`` is not rank 0's)
+    cross block edges; the fold into rank 0's runs in place."""
+    rng = np.random.default_rng(owner)
+    values = [rng.normal(size=(1 << 16) * 2 + 3) for _ in range(3)]
+    want = canonical_reduce(values, op)
+    canonical_reduce(values, op, out=values[owner])
+    assert values[owner].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["int", "strided", "shape"])
+def test_out_must_be_a_contiguous_float_array_of_the_shape(bad):
+    values = [np.ones(6), np.ones(6)]
+    out = {"int": np.zeros(6, dtype=np.int64), "strided": np.zeros(12)[::2],
+           "shape": np.zeros(5)}[bad]
+    with pytest.raises(ValueError):
+        canonical_reduce(values, "sum", out=out)
 
 
 def test_zero_d_contributions_reduce_to_a_float64_scalar():
@@ -171,6 +230,17 @@ def test_fold_is_the_stacked_reduction(case):
 
 
 @FUZZ
+@given(contributions())
+def test_fold_into_any_contribution_is_the_stacked_reduction(case):
+    values, op = case
+    with np.errstate(all="ignore"):
+        want = oracle(values, op)
+    for k, out, (kind, got) in folded_into_each(values, op):
+        assert kind == "ok"
+        assert same_bytes(out, cast(want, out.dtype)), k
+
+
+@FUZZ
 @given(
     st.lists(hnp.array_shapes(min_dims=0, max_dims=2, max_side=4), min_size=2, max_size=5),
     st.sampled_from(OPS),
@@ -205,3 +275,20 @@ def test_two_4mb_contributions_peak_at_one_result(op):
         tracemalloc.stop()
     assert result.nbytes == values[0].nbytes
     assert peak < 1.5 * values[0].nbytes
+
+
+@pytest.mark.parametrize("owner", [0, 1])
+def test_a_fold_into_a_4mb_contribution_allocates_at_most_one_block(owner):
+    """Rank 0's contribution is folded in place; any other through one
+    512 KiB block of scratch."""
+    rng = np.random.default_rng(0)
+    values = [rng.normal(size=1 << 19) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        canonical_reduce(values, "mean", out=values[owner])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 19) + (64 << 10)

@@ -5,6 +5,10 @@ sequence once per ``BLOCK_BYTES`` block of the slabs instead of once per
 ufunc over the whole slab. The op order per element is unchanged, so
 none of it may show in a byte.
 
+A range update (``start``/``stop``: the distributed owner step updates
+one range per rank) must give the same bytes inside the range and leave
+everything outside it untouched.
+
 The oracle (``oracle_*``) is the parent's three whole-slab bodies, kept
 as plain functions over a dict of state slabs with slab-sized scratch.
 Comparisons are ``tobytes()`` of the parameters and of every state slab,
@@ -18,7 +22,7 @@ import pytest
 
 from repro.candle import get_benchmark
 from repro.nn.arena import ParameterArena
-from repro.nn.optimizers import BLOCK_BYTES, SGD, Adam, RMSprop
+from repro.nn.optimizers import BLOCK_BYTES, SGD, Adam, Optimizer, RMSprop
 
 # ---------------------------------------------------------------------------
 # the oracle: one pass per ufunc over the whole slab
@@ -144,6 +148,50 @@ def test_blocked_update_is_the_whole_slab_update(size, dtype, kind):
         assert sorted(opt._arena_slabs) == sorted(slots)
         for slot in slots:
             assert opt._arena_slabs[slot].tobytes() == want_state[slot].tobytes(), (step, slot)
+
+
+@pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("span", ["one", "straddle", "whole"])
+def test_a_range_update_is_the_whole_slab_update_on_that_range(span, dtype, kind):
+    """The distributed owner step updates one element range per rank:
+    inside it the bytes of the whole-slab update, outside it nothing."""
+    make, oracle, slots = OPTIMIZERS[kind]
+    k = block(dtype)
+    n = 3 * k + 7
+    lo, hi = {"one": (k + 5, k + 6), "straddle": (k - 3, 2 * k + 4), "whole": (0, n)}[span]
+    rng = np.random.default_rng(n + lo)
+    arena = make_arena(n, dtype, rng)
+    first_p = arena.params_flat.copy()
+    want_p = first_p.copy()
+    want_state = {slot: np.zeros(n, dtype=dtype) for slot in slots}
+    opt = make()
+    for step in range(1, 4):
+        arena.grads_flat[...] = rng.normal(size=n)
+        grads = arena.grads_flat.copy()
+        lr = opt.prepare_arena_step(arena)
+        scratch = {}
+        opt._arena_step(arena, lr, start=lo, stop=None if span == "whole" else hi, scratch=scratch)
+        assert not opt._arena_scratch and scratch  # the caller's buffers only
+        oracle(opt, want_p, grads, want_state, lr, step)
+        inside, outside = slice(lo, hi), np.r_[0:lo, hi:n]
+        assert arena.params_flat[inside].tobytes() == want_p[inside].tobytes(), step
+        assert arena.params_flat[outside].tobytes() == first_p[outside].tobytes(), step
+        for slot, slab in zip(slots, opt.arena_state_slabs()):
+            assert slab[inside].tobytes() == want_state[slot][inside].tobytes(), (step, slot)
+            assert not slab[outside].any(), (step, slot)
+
+
+def test_an_optimizer_without_a_slab_kernel_updates_the_whole_slab_only():
+    class Custom(Optimizer):
+        def _update_one(self, name, p, g, lr):
+            p -= lr * g
+
+    opt, arena = Custom(lr=0.1), make_arena(10, np.float64, np.random.default_rng(0))
+    assert not opt.slab_kernel
+    with pytest.raises(ValueError, match="slab kernel"):
+        opt._arena_step(arena, 0.1, start=2, stop=5)
+    opt._arena_step(arena, 0.1, start=0, stop=10)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.candle import get_benchmark
+from repro.comms import CollectiveEngine
 from repro.core.scaling import strong_scaling_plan
 from repro.mpi.runtime import SpmdError
 from repro.resilience import (
@@ -55,6 +56,27 @@ def test_replan_rejects_empty_world(bench):
 # -- the supervised run ------------------------------------------------------
 def test_recovery_is_bit_exact_vs_uninterrupted(tmp_path, bench):
     """The acceptance criterion: crash, resume, same final loss bit-for-bit."""
+    _assert_resume_is_bit_exact(tmp_path, bench)
+
+
+def test_recovery_is_bit_exact_vs_uninterrupted_under_adam(tmp_path, monkeypatch):
+    """P1B1 trains with Adam: the resumed run must carry the step count
+    (bias correction) through the owner step bit for bit."""
+    owner_steps = []
+    real = CollectiveEngine.allreduce_update
+
+    def counting(self, *args, **kwargs):
+        owner_steps.append(self.comm.rank)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CollectiveEngine, "allreduce_update", counting)
+    p1b1 = get_benchmark("p1b1", scale=0.01, sample_scale=0.05)
+    assert p1b1.spec.optimizer == "adam"
+    _assert_resume_is_bit_exact(tmp_path, p1b1)
+    assert owner_steps
+
+
+def _assert_resume_is_bit_exact(tmp_path, bench):
     plan = _plan(bench)
     clean = run_resilient_benchmark(
         bench, plan, tmp_path / "clean", seed=0, every_n_epochs=2
