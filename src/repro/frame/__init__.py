@@ -13,7 +13,7 @@ P1B3 file) — emerges from the same mechanism at any scale:
 
 - :func:`repro.frame.read_csv` — both ``low_memory`` paths, ``chunksize``
   iteration, header handling.
-- :class:`repro.frame.DataFrame` — a minimal column-oriented frame.
+- :class:`repro.frame.DataFrame` — a minimal frame over 2-D dtype blocks.
 - :func:`repro.frame.concat` — row-wise concatenation (the paper's
   optimized loader ends with ``pd.concat(chunks, axis=0)``).
 - :class:`repro.frame.PartitionedCSVReader` — the Dask-DataFrame-like

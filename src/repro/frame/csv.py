@@ -48,14 +48,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.frame.dataframe import DataFrame, concat
-from repro.frame.dtypes import (
-    MISSING_TOKENS,
-    dtype_of_array,
-    infer_column_dtype,
-    parse_column,
-    promote,
-)
+from repro.frame.dataframe import DataFrame, _conform, _same_layout, concat
+from repro.frame.dtypes import MISSING_TOKENS, infer_column_dtype, parse_column
 
 __all__ = [
     "read_csv",
@@ -143,33 +137,17 @@ class _ThreadLocalParseStats(threading.local):
     parallel span workers in :mod:`repro.ingest.parallel` (and the
     thread pool in :mod:`repro.frame.dask_like`) would corrupt — peaks
     and chunk counts from concurrent parses interleaving arbitrarily.
-    Each thread now accumulates into its own counters; callers that need
-    a cross-worker aggregate merge per-worker snapshots explicitly
-    (see ``DataFrame.parse_stats`` / :class:`repro.ingest.LoadResult`).
+    Each thread now accumulates into its own counters, which every
+    attribute read goes to; callers that need a cross-worker aggregate
+    merge per-worker snapshots explicitly (see ``DataFrame.parse_stats``
+    / :class:`repro.ingest.LoadResult`).
     """
 
     def __init__(self):
         self._stats = ParseStats()
 
-    @property
-    def peak_chunk_tokens(self) -> int:
-        return self._stats.peak_chunk_tokens
-
-    @property
-    def chunks_parsed(self) -> int:
-        return self._stats.chunks_parsed
-
-    def reset(self) -> None:
-        self._stats.reset()
-
-    def record_chunk(self, ntokens: int) -> None:
-        self._stats.record_chunk(ntokens)
-
-    def peak_transient_bytes(self, bytes_per_token: int = 56) -> int:
-        return self._stats.peak_transient_bytes(bytes_per_token)
-
-    def snapshot(self) -> ParseStats:
-        return self._stats.snapshot()
+    def __getattr__(self, name):
+        return getattr(self._stats, name)
 
 
 #: stats of the calling thread's most recent read_csv call (reset per
@@ -305,14 +283,16 @@ def _cast_chunk(lines: list[str], ncols: int, sep: str) -> Optional[np.ndarray]:
     :func:`_parse_chunk_tokens`, which defines both the result and the
     error.
     """
-    text = "\n".join(lines)  # one copy, scanned; cheaper than scanning each line
-    if any(c in text for c in _TOKEN_PATH_ONLY):
+    # line by line: no joined copy (1.7 ms per 16 MB chunk, 5.5 joined)
+    if any(c in line for line in lines for c in _TOKEN_PATH_ONLY):
         return None
     try:
-        # the C reader behind loadtxt is NumPy 1.23+; pyproject.toml
-        # requires numpy>=1.24
+        # the C reader behind loadtxt is NumPy 1.23+ (pyproject: >=1.24);
+        # with max_rows it allocates the block once, not a realloc per
+        # quarter grown (whose holes cost a chunked load tens of MB)
         block = np.loadtxt(
-            lines, dtype=np.float64, delimiter=sep, comments=None, ndmin=2
+            lines, dtype=np.float64, delimiter=sep, comments=None, ndmin=2,
+            max_rows=len(lines),
         )
     except (ValueError, TypeError):  # a cell or row / the sep itself
         return None
@@ -356,13 +336,13 @@ def _parse_chunk_tokens(lines: list[str], names: Sequence, sep: str = ",") -> Da
 
 
 def _frame_from_matrix(matrix: np.ndarray, names: Sequence) -> DataFrame:
-    """Columns of an all-float block, integral ones narrowed to int64."""
-    int_cols = _integral_columns(matrix)
-    cols = {}
-    for j, name in enumerate(names):
-        col = matrix[:, j]
-        cols[name] = col.astype(np.int64) if int_cols[j] else col
-    return DataFrame(cols)
+    """An all-float block as a frame: an int64 block of the integral
+    columns, ``matrix`` itself (their slots unplaced) for the rest."""
+    ints = np.flatnonzero(_integral_columns(matrix))
+    blocks = [matrix, matrix[:, ints].astype(np.int64)]
+    blkno, blkloc = np.zeros(len(names), dtype=np.intp), np.arange(len(names))
+    blkno[ints], blkloc[ints] = 1, np.arange(ints.size)
+    return DataFrame._from_blocks(names, blocks, blkno, blkloc, len(matrix))
 
 
 def _integral_columns(matrix: np.ndarray) -> np.ndarray:
@@ -461,19 +441,20 @@ def _parse_matrix_with_missing(
     na_cols[np.asarray(na_idx, dtype=np.int64) % ncols] = True
     with np.errstate(invalid="ignore"):
         integral = np.logical_and.reduce(matrix == np.trunc(matrix), axis=0)
-    cols = {}
-    for j, name in enumerate(names):
-        col = matrix[:, j]
-        if integral[j] and not na_cols[j]:
-            toks = flat[j::ncols]
-            try:
-                col = np.asarray(toks, dtype=np.int64)
-            except ValueError:
-                col = _narrow_integral(col)  # float-spelled integrals
-            except OverflowError:
-                col = _convert_column_sampled(toks)
-        cols[name] = col
-    return DataFrame(cols)
+    # each re-cast integral column is its own block; matrix holds the rest
+    blocks = [matrix]
+    blkno, blkloc = np.zeros(ncols, dtype=np.intp), np.arange(ncols)
+    for j in np.flatnonzero(integral & ~na_cols).tolist():
+        toks = flat[j::ncols]
+        try:
+            col = np.asarray(toks, dtype=np.int64)
+        except ValueError:
+            col = _narrow_integral(matrix[:, j])  # float-spelled integrals
+        except OverflowError:
+            col = _convert_column_sampled(toks)
+        blkno[j], blkloc[j] = len(blocks), 0
+        blocks.append(col[:, None])
+    return DataFrame._from_blocks(names, blocks, blkno, blkloc, nrows)
 
 
 def _convert_column(toks: list[str], dtype: str) -> np.ndarray:
@@ -555,10 +536,7 @@ def _convert_column_dispatch(toks: list[str]) -> np.ndarray:
 def _parse_columns_bulk(flat: list[str], nrows: int, names: Sequence) -> DataFrame:
     """Column-wise conversion for chunks where the bulk float cast failed."""
     ncols = len(names)
-    cols = {}
-    for j, name in enumerate(names):
-        cols[name] = _convert_column_dispatch(flat[j::ncols])
-    return DataFrame(cols)
+    return DataFrame({n: _convert_column_dispatch(flat[j::ncols]) for j, n in enumerate(names)})
 
 
 def _convert_column_reference(toks: list[str]) -> np.ndarray:
@@ -616,12 +594,11 @@ def _parse_chunk_slow(lines: list[str], names: Sequence, sep: str = ",") -> Data
     """
     ncols = len(names)
     flat = _tokenize(lines, ncols, sep)
-    cols = {}
-    for j, name in enumerate(names):
-        toks = flat[j::ncols]
-        dtype = infer_column_dtype(toks[:_INFER_SAMPLE_ROWS])
-        cols[name] = _convert_column(toks, dtype)
-    return DataFrame(cols)
+    columns = (flat[j::ncols] for j in range(ncols))
+    return DataFrame({
+        name: _convert_column(toks, infer_column_dtype(toks[:_INFER_SAMPLE_ROWS]))
+        for name, toks in zip(names, columns)
+    })
 
 
 def _slow_path_rows_per_chunk(sample_line: str) -> int:
@@ -634,18 +611,18 @@ def _slow_path_rows_per_chunk(sample_line: str) -> int:
     return max(1, LOW_MEMORY_CHUNK_BYTES // row_bytes)
 
 
-def _read_frame(
+def _read_chunks(
     stream: _LineStream,
     names: Sequence,
     low_memory: bool,
     nrows: Optional[int],
     sep: str = ",",
-) -> DataFrame:
-    """Read up to ``nrows`` rows (or EOF) into one DataFrame."""
+) -> Iterator[DataFrame]:
+    """Up to ``nrows`` rows (or to EOF) as internal chunks, parsed as read."""
     remaining = nrows if nrows is not None else None
     first = stream.next_line()
     if first is None:
-        return DataFrame({name: np.empty(0) for name in names})
+        return
 
     if low_memory:
         per_chunk = _slow_path_rows_per_chunk(first)
@@ -655,7 +632,6 @@ def _read_frame(
         per_chunk = max(1, (16 << 20) // max(1, len(first) + 1))
         parser = lambda lines, names: _parse_chunk_fast(lines, names, sep)  # noqa: E731
 
-    chunks: list[DataFrame] = []
     pending = [first]
     if remaining is not None:
         remaining -= 1
@@ -669,31 +645,27 @@ def _read_frame(
         pending.extend(batch)
         if not pending:
             break
-        chunks.append(parser(pending, names))
+        yield parser(pending, names)
         pending = []
         if (remaining is not None and remaining <= 0) or len(batch) < max(want, 0):
             break
 
-    if len(chunks) == 1:
-        return chunks[0]
-    _warn_mixed_dtypes(chunks, names)
+
+def _combine(chunks: list[DataFrame], names: Sequence) -> DataFrame:
+    """One frame of a read's internal chunks (the pandas concat)."""
+    if not chunks:
+        return DataFrame({name: np.empty(0) for name in names})
+    if len(chunks) > 1:  # recast in place, so a chunk's copy replaces it
+        _warn_mixed_dtypes(_conform(chunks))
     return concat(chunks, axis=0, ignore_index=True)
 
 
-def _warn_mixed_dtypes(chunks: list[DataFrame], names: Sequence) -> None:
-    """Emit the pandas-style DtypeWarning when chunks disagree."""
-    mixed = []
-    for name in names:
-        kinds = {dtype_of_array(c[name]) for c in chunks}
-        if len(kinds) > 1:
-            mixed.append(name)
+def _warn_mixed_dtypes(mixed: list) -> None:
+    """Emit the pandas-style DtypeWarning for columns whose chunks disagree."""
     if mixed:
-        warnings.warn(
-            f"columns {mixed[:5]}{'...' if len(mixed) > 5 else ''} have mixed "
-            "dtypes across internal chunks; specify low_memory=False",
-            DtypeWarning,
-            stacklevel=3,
-        )
+        more = "..." if len(mixed) > 5 else ""
+        warnings.warn(f"columns {mixed[:5]}{more} have mixed dtypes across internal chunks; "
+                      "specify low_memory=False", DtypeWarning, stacklevel=4)
 
 
 # ---------------------------------------------------------------------------
@@ -735,22 +707,47 @@ class CSVChunkIterator:
         return self
 
     def __next__(self) -> DataFrame:
-        if self._done:
+        parts = self._next_parts()
+        if not parts:
             raise StopIteration
+        frame = _combine(parts, self._names)
+        frame.parse_stats = LAST_PARSE_STATS.snapshot()
+        return frame
+
+    def _next_parts(self) -> list[DataFrame]:
+        """The next chunk's internal chunks, unconcatenated ([] at EOF)."""
+        if self._done:
+            return []
         try:
-            frame = _read_frame(
-                self._stream, self._names, self._low_memory, nrows=self._chunksize,
-                sep=self._sep,
-            )
+            parts = list(_read_chunks(
+                self._stream, self._names, self._low_memory, self._chunksize, self._sep,
+            ))
         except BaseException:
             self.close()  # a parse error ends the iteration too
             raise
-        if len(frame) < self._chunksize:
+        if sum(len(p) for p in parts) < self._chunksize:
             self.close()  # the last chunk (or nothing) was just read
-            if len(frame) == 0:
-                raise StopIteration
-        frame.parse_stats = LAST_PARSE_STATS.snapshot()
-        return frame
+        return parts
+
+    def read_pieces(self) -> list[DataFrame]:
+        """The rest of the file as row pieces laid out alike, whose concat
+        is ``concat(list(self))``, so that a consumer that only copies
+        them out, like the column store, never builds that frame.
+
+        The pieces are the internal chunks, recast one at a time to the
+        concat's layout when they disagree on a column's dtype (with the
+        same ``DtypeWarning``). Over several chunks of ``chunksize`` rows
+        promotion is not associative (int -> float -> object is not
+        int -> object), so then the one piece is that frame.
+        """
+        chunks = list(iter(self._next_parts, []))
+        pieces = [p for parts in chunks for p in parts]
+        if len(chunks) > 1 and not all(_same_layout(pieces[0], p) for p in pieces[1:]):
+            return [concat([_combine(parts, self._names) for parts in chunks])]
+        del chunks
+        if len(pieces) > 1:
+            _warn_mixed_dtypes(_conform(pieces))
+        return pieces
 
     def close(self) -> None:
         """Release the file; further ``next()`` calls stop the iteration."""
@@ -841,7 +838,7 @@ def read_csv(
         raise
 
     try:
-        frame = _read_frame(stream, resolved, low_memory, nrows=nrows, sep=sep)
+        frame = _combine(list(_read_chunks(stream, resolved, low_memory, nrows, sep)), resolved)
     finally:
         if owns_fh:
             fh.close()

@@ -1,9 +1,17 @@
 """Binary column-store cache: parse the text once, memmap it ever after.
 
-The first load of a CSV writes its columns to a per-file cache entry —
-dtype-grouped 2-D ``.npy`` blocks plus a ``meta.json`` — so later loads
-skip text parsing entirely and ``np.load(..., mmap_mode='r')`` the
-blocks (milliseconds instead of the paper's 81.72 s for NT3).
+The first load of a CSV writes its frame to a per-file cache entry —
+one 2-D ``.npy`` block per column dtype plus a ``meta.json`` — so later
+loads skip text parsing entirely and map the blocks (milliseconds
+instead of the paper's 81.72 s for NT3).
+
+Format 2's ``meta.json`` describes each block by its dtype, shape and
+data offset in the file, and by the frame-position spans of its columns
+(``[[1, 4839]]`` for NT3's features, not 4,838 entries); names are
+encoded as runs too. A numeric block opens as ``np.memmap`` at its
+recorded offset, with no ``.npy`` header parse; an object block is
+unpickled by ``np.load``. A version-1 entry reads as stale and is
+rewritten by the next load.
 
 An entry is keyed by the source path and validated against three
 fingerprints recorded at store time:
@@ -26,6 +34,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -35,24 +44,25 @@ from typing import Optional
 
 import numpy as np
 
-from repro.frame.dataframe import DataFrame
+from repro.frame.dataframe import DataFrame, _dtype_codes, _same_layout, concat
 
 __all__ = ["ColumnStoreCache", "CacheStats", "DEFAULT_CACHE_DIRNAME"]
 
 #: sibling directory used when LoaderConfig.cache_dir is None
 DEFAULT_CACHE_DIRNAME = ".ingest-cache"
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: what reading an entry's blocks raises when they are missing, corrupt
 #: or not the layout its meta describes
-_UNREADABLE = (OSError, ValueError, KeyError, IndexError)
+_UNREADABLE = (OSError, ValueError, KeyError, IndexError, TypeError)
 
 #: ``np.load`` parses each ``.npy`` header with ``ast.literal_eval``, and
 #: CPython 3.11's AST constructor keeps its recursion depth in
 #: interpreter-wide state: two threads converting at once can fail with
 #: ``SystemError: AST constructor recursion depth mismatch``. SPMD ranks
-#: are threads that load one entry at once, so blocks open one at a time
+#: are threads that load one entry at once, so object blocks (the only
+#: ones still read through ``np.load``) open one at a time
 _LOAD_LOCK = threading.Lock()
 
 
@@ -75,14 +85,79 @@ def _header_sha256(path: str) -> str:
     return hashlib.sha256(first.rstrip(b"\r\n")).hexdigest()
 
 
-def _encode_name(name) -> list:
-    """Column names survive JSON: ints stay ints, everything else str."""
-    return ["i", int(name)] if isinstance(name, (int, np.integer)) else ["s", str(name)]
+def _encode_names(names) -> list:
+    """Column names as JSON runs that keep ints ints: ``["r", a, b]`` for
+    the ints ``a..b-1`` in order, ``["s", name]`` for any other name."""
+    runs: list = []
+    for name in names:
+        if not isinstance(name, (int, np.integer)):
+            runs.append(["s", str(name)])
+        elif runs and runs[-1][0] == "r" and runs[-1][2] == int(name):
+            runs[-1][2] += 1
+        else:
+            runs.append(["r", int(name), int(name) + 1])
+    return runs
 
 
-def _decode_name(pair):
-    kind, value = pair
-    return int(value) if kind == "i" else value
+def _decode_names(runs) -> list:
+    names: list = []
+    for run in runs:
+        if run[0] == "r":
+            names.extend(range(run[1], run[2]))
+        else:
+            names.append(run[1])
+    return names
+
+
+def _spans(positions: np.ndarray) -> list:
+    """``[start, stop]`` of each step-1 run of ascending ``positions``."""
+    cuts = np.flatnonzero(np.diff(positions) != 1) + 1
+    starts = positions[np.r_[0, cuts]]
+    stops = positions[np.r_[cuts - 1, len(positions) - 1]] + 1
+    return np.column_stack([starts, stops]).tolist()
+
+
+def _write_npy(path: str, matrices, shape: tuple, dtype: np.dtype) -> int:
+    """Row pieces of one C-order matrix of ``shape``, stacked, as an
+    ``.npy`` file; returns its data offset.
+
+    The rows go out in ~1 MB batches, each copied only if it is not
+    contiguous already, so a strided view (a parsed chunk's float64
+    columns) is written without a copy of the whole.
+    """
+    header = {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": shape,
+    }
+    rows = max(1, (1 << 20) // max(1, shape[1] * dtype.itemsize))
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        offset = fh.tell()
+        for matrix in matrices:
+            for start in range(0, len(matrix), rows):
+                fh.write(np.ascontiguousarray(matrix[start : start + rows]))
+    return offset
+
+
+def _map_block(path: str, block: dict) -> np.ndarray:
+    """One block of an entry, as its meta describes it.
+
+    A numeric block is mapped at its recorded offset, with no header
+    parse (so no lock); a file that is not exactly that offset plus the
+    block's bytes is unreadable. Columns come off a plain-ndarray view
+    of the mapping: ``np.memmap.__getitem__`` costs 26 ms per 4,838
+    slices, a view's 2; the view's ``.base`` is still the memmap
+    (``mmap_base``, ``resident_nbytes``).
+    """
+    if block["pickled"]:
+        with _LOAD_LOCK:
+            return np.load(path, allow_pickle=True)
+    dtype, shape, offset = np.dtype(block["dtype"]), tuple(block["shape"]), block["offset"]
+    nbytes = dtype.itemsize * math.prod(shape)
+    if os.path.getsize(path) != offset + nbytes:
+        raise ValueError(f"{path}: not {nbytes} bytes of data after offset {offset}")
+    return np.asarray(np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape))
 
 
 def _rename_dir(src: str, dst: str) -> bool:
@@ -103,8 +178,9 @@ class ColumnStoreCache:
     A warm load (:meth:`lookup`) reads ``meta.json``, checks the
     fingerprint and maps each block once; every column is a view of its
     block, so nothing is copied until the caller asks for a matrix. A
-    cold one writes each dtype block once (:meth:`store`) and hands back
-    the same mapped frame, read with the meta it just wrote.
+    cold one writes each dtype block once (:meth:`store`), straight from
+    the parsed chunks, and hands back the same mapped frame, read with
+    the meta it just wrote.
     """
 
     def __init__(self, cache_dir):
@@ -136,8 +212,14 @@ class ColumnStoreCache:
         }
 
     # -- store -------------------------------------------------------------
-    def store(self, path, frame: DataFrame, fingerprint: Optional[dict] = None) -> DataFrame:
+    def store(self, path, frame, fingerprint: Optional[dict] = None) -> DataFrame:
         """Write ``frame`` as this file's column store; returns it mapped.
+
+        ``frame`` is a frame, or the row pieces of one laid out alike (a
+        parse's chunks before their concat, see
+        :meth:`repro.frame.CSVChunkIterator.read_pieces`): each block file
+        is then written piece by piece, and the whole frame is never
+        assembled in memory.
 
         ``fingerprint`` is :meth:`fingerprint` taken before the text was
         read (default: taken now) and is recorded as given, so a source
@@ -147,19 +229,22 @@ class ColumnStoreCache:
         The returned frame is read back with the meta written here — no
         second ``meta.json`` read or fingerprint. When another writer
         installed the entry first, this one discards its own and returns
-        the installed entry if it validates, else ``frame``; a stale
-        entry is renamed aside before the new one goes in and deleted
-        only after, so the entry's name never points at a directory
-        being deleted or half written.
+        the installed entry if it validates, else the frame it was given;
+        a stale entry is renamed aside before the new one goes in and
+        deleted only after, so the entry's name never points at a
+        directory being deleted or half written.
         """
         path = str(path)
+        pieces = [frame] if isinstance(frame, DataFrame) else list(frame)
+        if not pieces or not all(_same_layout(pieces[0], p) for p in pieces[1:]):
+            raise ValueError("store takes a frame, or row pieces of one laid out alike")
         fp = self.fingerprint(path) if fingerprint is None else fingerprint
         entry = self.entry_dir(path)
         os.makedirs(self.cache_dir, exist_ok=True)
         tmp = tempfile.mkdtemp(prefix=".tmp-", dir=self.cache_dir)
         installed = False
         try:
-            meta = self._write(tmp, path, frame, fp)
+            meta = self._write(tmp, path, pieces, fp)
             installed = _rename_dir(tmp, entry)
             if not installed:
                 theirs = self.lookup(path)
@@ -167,45 +252,55 @@ class ColumnStoreCache:
                     return theirs
                 installed = self._replace_stale(tmp, entry)
                 if not installed:  # lost to a third writer: serve the parse
-                    return frame
+                    return concat(pieces, axis=0, ignore_index=True)
         finally:
             if not installed:
                 shutil.rmtree(tmp, ignore_errors=True)
         try:
             return self._read_entry(entry, meta)
         except _UNREADABLE:  # replaced under us by a newer writer
-            return frame
+            return concat(pieces, axis=0, ignore_index=True)
 
     @staticmethod
-    def _write(tmp: str, path: str, frame: DataFrame, fp: dict) -> dict:
-        """The entry's blocks and ``meta.json`` in ``tmp``; returns the meta."""
-        # group columns by dtype so a 60k-column frame becomes a
-        # handful of contiguous 2-D blocks, not 60k tiny files
-        groups: dict[str, list] = {}
-        for name in frame.columns:
-            groups.setdefault(str(frame[name].dtype), []).append(name)
-        blocks, columns = [], []
-        for block_idx, (dtype, names) in enumerate(sorted(groups.items())):
-            block_dtype = frame[names[0]].dtype
-            pickled = block_dtype == object
-            matrix = frame[names].to_numpy(dtype=block_dtype)
-            fname = f"block{block_idx}.npy"
-            np.save(os.path.join(tmp, fname), matrix, allow_pickle=pickled)
-            blocks.append({"file": fname, "dtype": dtype, "pickled": pickled})
-            for j, n in enumerate(names):
-                columns.append({"name": _encode_name(n), "block": block_idx, "index": j})
+    def _write(tmp: str, path: str, pieces: list, fp: dict) -> dict:
+        """The entry's blocks and ``meta.json`` in ``tmp``; returns the meta.
+
+        One C-order block per column dtype, so a 60k-column frame is a
+        handful of files, each written from the pieces' own blocks.
+        """
+        nrows = sum(len(p) for p in pieces)
+        codes, dtypes = _dtype_codes(pieces[:1])
+        blocks = []
+        for i, dtype in enumerate(dtypes):
+            positions = np.flatnonzero(codes[0] == i)
+            fname = f"block{i}.npy"
+            block_path = os.path.join(tmp, fname)
+            shape = (nrows, len(positions))
+            matrices = (p._matrix(positions, dtype) for p in pieces)
+            if dtype.hasobject:
+                np.save(block_path, np.concatenate(list(matrices)), allow_pickle=True)
+                offset = None
+            else:
+                offset = _write_npy(block_path, matrices, shape, dtype)
+            blocks.append({
+                "file": fname,
+                "dtype": dtype.str,
+                "shape": list(shape),
+                "offset": offset,
+                "pickled": dtype.hasobject,
+                "spans": _spans(positions),
+            })
         meta = {
             "version": _FORMAT_VERSION,
             "source": os.path.abspath(path),
             **fp,
-            "nrows": len(frame),
-            "column_order": [_encode_name(n) for n in frame.columns],
-            "columns": columns,
+            "nrows": nrows,
+            "names": _encode_names(pieces[0].columns),
             "blocks": blocks,
         }
         with open(os.path.join(tmp, "meta.json"), "w") as fh:
             # dumps is the C encoder in one call; json.dump walks the
-            # pure-Python one (34 ms against 6 for 4,839 columns)
+            # pure-Python one
             fh.write(json.dumps(meta))
         return meta
 
@@ -253,25 +348,24 @@ class ColumnStoreCache:
 
     @staticmethod
     def _read_entry(entry: str, meta: dict) -> DataFrame:
-        matrices = []
-        for block in meta["blocks"]:
-            block_path = os.path.join(entry, block["file"])
-            with _LOAD_LOCK:
-                if block["pickled"]:
-                    matrices.append(np.load(block_path, allow_pickle=True))
-                else:
-                    # columns come off a plain-ndarray view of the
-                    # mapping: np.memmap.__getitem__ costs 26 ms per
-                    # 4,838 slices, a view's 2; each column's .base chain
-                    # still ends at the memmap (mmap_base, resident_nbytes)
-                    matrices.append(np.asarray(np.load(block_path, mmap_mode="r")))
-        by_name = {
-            tuple(col["name"]): matrices[col["block"]][:, col["index"]]
-            for col in meta["columns"]
-        }
-        return DataFrame(
-            {_decode_name(pair): by_name[tuple(pair)] for pair in meta["column_order"]}
-        )
+        """The frame over the entry's mapped blocks, placed by their spans."""
+        names, nrows = _decode_names(meta["names"]), meta["nrows"]
+        blkno = np.full(len(names), -1, dtype=np.intp)
+        blkloc = np.empty(len(names), dtype=np.intp)
+        blocks = []
+        for b, block in enumerate(meta["blocks"]):
+            matrix = _map_block(os.path.join(entry, block["file"]), block)
+            width = 0
+            for start, stop in block["spans"]:
+                blkno[start:stop] = b
+                blkloc[start:stop] = np.arange(width, width + stop - start)
+                width += stop - start
+            if matrix.shape != (nrows, width):
+                raise ValueError(f"{block['file']} is {matrix.shape}, its meta {(nrows, width)}")
+            blocks.append(matrix)
+        if (blkno < 0).any():
+            raise ValueError("the meta places some column in no block")
+        return DataFrame._from_blocks(names, blocks, blkno, blkloc, nrows)
 
     # -- maintenance -------------------------------------------------------
     def evict(self, path) -> bool:

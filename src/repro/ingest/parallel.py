@@ -28,13 +28,13 @@ from typing import Optional, Sequence
 from repro.frame.csv import (
     LAST_PARSE_STATS,
     ParseStats,
+    _combine,
     _normalize_newlines,
     _parse_chunk_fast,
     _parse_chunk_slow,
     _slow_path_rows_per_chunk,
-    _warn_mixed_dtypes,
 )
-from repro.frame.dataframe import DataFrame, concat
+from repro.frame.dataframe import DataFrame
 
 __all__ = ["newline_spans", "parse_lines", "read_csv_parallel"]
 
@@ -76,7 +76,7 @@ def parse_lines(
 ) -> DataFrame:
     """Parse a batch of lines with the serial engines' internal chunking.
 
-    Mirrors ``_read_frame``: the slow engine re-chunks under its byte
+    Mirrors ``read_csv``: the slow engine re-chunks under its byte
     budget (so transient memory stays bounded even inside a big span),
     the fast engine takes 16 MB bites.
     """
@@ -92,10 +92,7 @@ def parse_lines(
         parser(lines[i : i + per_chunk], names, sep)
         for i in range(0, len(lines), per_chunk)
     ]
-    if len(chunks) == 1:
-        return chunks[0]
-    _warn_mixed_dtypes(chunks, names)
-    return concat(chunks, axis=0, ignore_index=True)
+    return _combine(chunks, names)
 
 
 def parse_span(
@@ -189,8 +186,6 @@ def read_csv_parallel(
     stats = ParseStats()
     for _, s in results:
         stats.merge(s)
-    if len(frames) > 1:
-        _warn_mixed_dtypes(frames, resolved)
-    out = concat(frames, axis=0, ignore_index=True) if len(frames) > 1 else frames[0]
+    out = _combine(frames, resolved)
     out.parse_stats = stats
     return out

@@ -51,9 +51,6 @@ __all__ = [
 #: real shuffle at CANDLE sample counts (NT3: 1120 train rows)
 DEFAULT_SHARD_ROWS = 16
 
-#: cancellation poll period for the producer's bounded put (seconds)
-_PUT_POLL_S = 0.05
-
 
 def epoch_shard_order(
     n_rows: int, shard_rows: int, seed: int, epoch: int
@@ -181,14 +178,13 @@ class EpochPrefetcher:
             self._offer(("error", exc))
 
     def _offer(self, item) -> bool:
-        """Bounded put that yields to cancellation instead of blocking."""
-        while not self._cancel.is_set():
-            try:
-                self._queue.put(item, timeout=_PUT_POLL_S)
-                return True
-            except queue.Full:
-                continue
-        return False
+        """Bounded put, blocking while the queue is full; False once
+        cancelled. :meth:`close` sets the cancel flag and then drains the
+        queue, which wakes a put blocked on a full one."""
+        if self._cancel.is_set():
+            return False
+        self._queue.put(item)
+        return not self._cancel.is_set()
 
     # -- consumer -----------------------------------------------------------
     def __len__(self) -> int:
@@ -263,7 +259,8 @@ class EpochPrefetcher:
             return
         self._closed = True
         self._cancel.set()
-        # drain so a producer blocked in put() sees the cancel promptly
+        # drain: a producer blocked in put() wakes, finds the cancel set
+        # and stops (it puts at most one more item)
         while True:
             try:
                 self._queue.get_nowait()

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.frame.csv import ParseStats, read_csv
+from repro.frame.csv import LAST_PARSE_STATS, ParseStats, read_csv
 from repro.frame.dask_like import PartitionedCSVReader
 from repro.frame.dataframe import DataFrame, concat
 from repro.ingest.cache import ColumnStoreCache
@@ -161,18 +161,25 @@ def _load_original(path, config: LoaderConfig, comm=None) -> DataFrame:
     return read_csv(path, header=None, low_memory=low_memory)
 
 
-@register_method("chunked")
-def _load_chunked(path, config: LoaderConfig, comm=None) -> DataFrame:
-    """The paper's fix: chunked iteration with low_memory=False + concat."""
+def _parse_pieces(path, config: LoaderConfig) -> tuple[list[DataFrame], ParseStats]:
+    """The ``chunked`` parse as row pieces whose concat is its frame (see
+    :meth:`~repro.frame.CSVChunkIterator.read_pieces`), and its stats."""
     with read_csv(
         path,
         header=None,
         chunksize=config.chunksize,
         low_memory=False if config.low_memory is None else config.low_memory,
     ) as reader:
-        chunks = list(reader)
-    frame = concat(chunks, axis=0, ignore_index=True)
-    frame.parse_stats = getattr(chunks[-1], "parse_stats", None)
+        pieces = reader.read_pieces()
+    return pieces, LAST_PARSE_STATS.snapshot()
+
+
+@register_method("chunked")
+def _load_chunked(path, config: LoaderConfig, comm=None) -> DataFrame:
+    """The paper's fix: chunked iteration with low_memory=False + concat."""
+    pieces, stats = _parse_pieces(path, config)
+    frame = concat(pieces, axis=0, ignore_index=True)
+    frame.parse_stats = stats
     return frame
 
 
@@ -203,10 +210,11 @@ def _load_cached(path, config: LoaderConfig, comm=None):
 
     A hit maps each cached block once and copies nothing. A miss takes
     the file's fingerprint, parses it with the ``chunked`` engine in
-    this process, and has the cache write the entry and hand back its
-    memory-mapped frame. Not the ``parallel`` pool: on two cores it
-    parses no faster than ``chunked``, and handing the parsed columns
-    back from its workers was pure extra cost on the cold load.
+    this process, and has the cache write the parsed chunks to the entry
+    (no concat) and hand back its memory-mapped frame. Not the
+    ``parallel`` pool: on two cores it parses no faster than
+    ``chunked``, and handing the parsed columns back from its workers
+    was pure extra cost on the cold load.
 
     With ``config.shard`` set, the rank's contiguous row shard is
     returned as a zero-copy slice of the memory-mapped cache blocks —
@@ -225,9 +233,9 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     hit = frame is not None
     if not hit:
         fingerprint = cache.fingerprint(path)  # before the text is read
-        fresh = _load_chunked(path, config, comm)
-        frame = cache.store(path, fresh, fingerprint)
-        frame.parse_stats = getattr(fresh, "parse_stats", None)
+        pieces, stats = _parse_pieces(path, config)
+        frame = cache.store(path, pieces, fingerprint)
+        frame.parse_stats = stats
     if config.shard is not None:
         shard = shard_frame(frame, config.shard.rank, config.shard.world_size)
         shard.parse_stats = getattr(frame, "parse_stats", None)

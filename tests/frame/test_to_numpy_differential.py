@@ -1,17 +1,17 @@
 """Differential suite: ``DataFrame.to_numpy`` against ``np.column_stack``.
 
-``to_numpy`` copies each run of adjacent columns of one 2-D block (same
-owning buffer, same strides, data pointers one itemsize apart, the
-output's dtype) as one 2-D slab and every other column on its own. The
-oracle is the same casts followed by ``np.column_stack``, kept here as
-a plain function. Each case compares dtype, C-contiguity
-and ``tobytes()``; object cells that a cast created are new objects on
-every call, so an object result compares by the type and repr of each
-cell, and an all-object frame is also held to its pointers.
+``to_numpy`` copies block by block: a block's columns are one 2-D slab
+copy when their frame positions and their block indices are both
+step-1 runs, else one gather. The oracle is the per-column casts
+followed by ``np.column_stack``, kept here as a plain function. Each
+case compares dtype, C-contiguity and ``tobytes()``; object cells that
+a cast created are new objects on every call, so an object result
+compares by the type and repr of each cell, and an all-object frame is
+also held to its pointers.
 
-Every case runs twice: at the real row threshold (``_RUN_MIN_ROWS``)
-and with runs looked for in columns of any length, so that frames of
-0, 1 and 2 rows take the slab path too.
+Every case runs on two layouts of the same columns: built from a dict
+(each column its own one-column block) and placed in the 2-D block
+they are views of (gaps, repeats and reversals inside one block).
 
 Tier-1 runs the Hypothesis property on 40 fixed-seed examples; locally,
 ``pytest tests/frame/test_to_numpy_differential.py
@@ -20,16 +20,12 @@ Tier-1 runs the Hypothesis property on 40 fixed-seed examples; locally,
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.frame.dataframe as dataframe_mod
 from repro.frame import DataFrame, read_csv, write_csv
-from repro.frame.dataframe import _column_runs
 from repro.frame.dtypes import cast_to, dtype_of_array, promote
 from repro.ingest import ColumnStoreCache, shard_frame
 
@@ -39,7 +35,7 @@ else:
     FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
 
 NCOLS = 6
-ROWS = (0, 1, 2, 600)  # 600 is past the real threshold
+ROWS = (0, 1, 2, 600)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +78,12 @@ def check(frame: DataFrame, dtypes, case: str) -> None:
 
 
 @pytest.fixture(params=["threshold", "any-length"])
-def min_rows(request, monkeypatch):
-    """Run each case at the real threshold and with runs in any column."""
-    if request.param == "any-length":
-        monkeypatch.setattr(dataframe_mod, "_RUN_MIN_ROWS", 1)
-    return dataframe_mod._RUN_MIN_ROWS
+def placed(request) -> bool:
+    """Each case on both layouts: "threshold" builds the frame from a
+    dict, "any-length" places its columns in their source block. (The
+    ids are those of the row-threshold fixture this one replaced, so
+    every case keeps its name.)"""
+    return request.param == "any-length"
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +129,38 @@ LAYOUTS = ("c-order", "fortran", "row-strided", "negative-rows", "negative-both"
            "int64", "memmap", "memmap-subclass", "object")
 
 
-def frame_of(block, order) -> DataFrame:
-    """Columns ``order`` of ``block``, named by position (repeats allowed)."""
+def frame_of(block, order, placed=False) -> DataFrame:
+    """Columns ``order`` of ``block``, named by position (repeats
+    allowed): one-column blocks, or placements in ``block`` itself."""
+    if placed:
+        n = len(order)
+        return DataFrame._from_blocks(range(n), [block], np.zeros(n, dtype=np.intp),
+                                      list(order), len(block))
     return DataFrame({i: block[:, j] for i, j in enumerate(order)})
 
 
-def selections(block, rows):
+def selections(block, rows, placed):
     """``(name, frame)`` for every way a frame's columns sit in a block."""
     ints = np.random.default_rng(rows).integers(-1000, 1000, size=(rows, 3))
-    full = frame_of(block, range(NCOLS))
+    full = frame_of(block, range(NCOLS), placed)
     yield "all", full
-    yield "gaps", frame_of(block, [0, 2, 3, 5])
-    yield "reversed", frame_of(block, range(NCOLS - 1, -1, -1))
-    yield "repeated", frame_of(block, [1, 1, 2, 3])
-    yield "one column", frame_of(block, [4])
+    yield "gaps", frame_of(block, [0, 2, 3, 5], placed)
+    yield "reversed", frame_of(block, range(NCOLS - 1, -1, -1), placed)
+    yield "repeated", frame_of(block, [1, 1, 2, 3], placed)
+    yield "one column", frame_of(block, [4], placed)
     yield "iloc rows 1:", full.iloc(slice(1, None))
     yield "iloc every 3rd row", full.iloc(slice(None, None, 3))
+    yield "selected", full[[4, 1, 2]]
     for rank in range(3):
         yield f"shard {rank} of 3", shard_frame(full, rank, 3)
-    yield "mixed with int64", DataFrame({
+    # block columns 0-4 at frame positions 0, 1, 3, 4, 7; ints at 2, 5, 6
+    mixed = DataFrame._from_blocks(
+        range(8), [block, ints], [0, 0, 1, 0, 0, 1, 1, 0], [0, 1, 0, 2, 3, 1, 2, 4], rows,
+    ) if placed else DataFrame({
         0: block[:, 0], 1: block[:, 1], 2: ints[:, 0], 3: block[:, 2],
         4: block[:, 3], 5: ints[:, 1], 6: ints[:, 2], 7: block[:, 4],
     })
+    yield "mixed with int64", mixed
 
 
 def dtypes_for(block):
@@ -166,14 +173,16 @@ def dtypes_for(block):
 
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_to_numpy_matches_column_stack(layout, rows, tmp_path, min_rows):
+def test_to_numpy_matches_column_stack(layout, rows, tmp_path, placed):
     block = make_block(layout, rows, tmp_path)
-    for name, frame in selections(block, rows):
+    for name, frame in selections(block, rows, placed):
         check(frame, dtypes_for(block), f"{layout}, {rows} rows, {name}")
 
 
 @pytest.mark.parametrize("rows", ROWS)
-def test_cache_entry_frames_match_column_stack(rows, tmp_path, min_rows):
+def test_cache_entry_frames_match_column_stack(rows, tmp_path, placed):
+    """The store writes a parsed frame's blocks as they are ("any-length")
+    and regroups a dict-built frame's one-column blocks ("threshold")."""
     rng = np.random.default_rng(5)
     matrix = np.column_stack([
         rng.integers(0, 3, size=rows).astype(np.float64),
@@ -185,6 +194,8 @@ def test_cache_entry_frames_match_column_stack(rows, tmp_path, min_rows):
     parsed = read_csv(path, header=None, low_memory=False) if rows else DataFrame(
         {j: np.empty(0) for j in range(matrix.shape[1])}
     )
+    if not placed:
+        parsed = DataFrame({c: parsed[c] for c in parsed.columns})
     cache = ColumnStoreCache(tmp_path / "cache")
     cold = cache.store(path, parsed)
     warm = cache.lookup(path)
@@ -194,9 +205,9 @@ def test_cache_entry_frames_match_column_stack(rows, tmp_path, min_rows):
         check(frame.iloc(slice(1, None)), (None,), f"{rows} rows, {name} iloc")
 
 
-def test_all_object_frame_copies_the_same_pointers(min_rows):
+def test_all_object_frame_copies_the_same_pointers(placed):
     block = _object_block(np.random.default_rng(1), 600)
-    frame = frame_of(block, range(NCOLS))
+    frame = frame_of(block, range(NCOLS), placed)
     got, want = frame.to_numpy(), column_stack_oracle(frame)
     assert got.dtype == want.dtype == object
     assert got.tobytes() == want.tobytes()
@@ -207,46 +218,40 @@ def test_empty_frame():
 
 
 # ---------------------------------------------------------------------------
-# where the runs are
+# how each block is copied
 # ---------------------------------------------------------------------------
 
-F8 = np.dtype(np.float64)
-
-
-def runs(frame, dtype=F8):
-    return list(_column_runs([frame[c] for c in frame.columns], dtype))
+def copies(frame):
+    """Per block, the frame positions and block indices ``to_numpy``
+    copies: ``(start, stop)`` for a step-1 run, a list for a gather."""
+    def norm(ix):
+        return (ix.start, ix.stop) if isinstance(ix, slice) else ix.tolist()
+    return [(norm(pos), norm(locs)) for _, pos, locs in frame._groups()]
 
 
 def test_columns_of_one_block_are_one_run():
     block = np.random.default_rng(0).random((600, NCOLS))
-    assert runs(frame_of(block, range(NCOLS))) == [(0, NCOLS)]
-    assert runs(frame_of(block[::-1], range(NCOLS))) == [(0, NCOLS)]
-    assert runs(frame_of(block, range(NCOLS)).iloc(slice(10, 590))) == [(0, NCOLS)]
+    whole = [((0, NCOLS), (0, NCOLS))]
+    assert copies(frame_of(block, range(NCOLS), placed=True)) == whole
+    assert copies(frame_of(block[::-1], range(NCOLS), placed=True)) == whole
+    assert copies(frame_of(block, range(NCOLS), placed=True).iloc(slice(10, 590))) == whole
+    assert copies(DataFrame.from_matrix(block)) == whole
+    # a dict keeps each array as a one-column block of its own
+    assert copies(frame_of(block, range(NCOLS))) == [((j, j + 1), (0, 1)) for j in range(NCOLS)]
 
 
 def test_runs_break_where_the_block_does():
     block = np.random.default_rng(0).random((600, NCOLS))
-    assert runs(frame_of(block, [0, 2, 3, 5])) == [(0, 1), (1, 3), (3, 4)]
-    assert runs(frame_of(block, [1, 1, 2, 3])) == [(0, 1), (1, 4)]
-    assert runs(frame_of(block, range(NCOLS - 1, -1, -1))) == [(j, j + 1) for j in range(NCOLS)]
-    fortran = np.asfortranarray(block)
-    assert runs(frame_of(fortran, range(NCOLS))) == [(j, j + 1) for j in range(NCOLS)]
-    owners = DataFrame({j: block[:, j].copy() for j in range(NCOLS)})
-    assert runs(owners) == [(j, j + 1) for j in range(NCOLS)]
-    # pointers one itemsize apart in one buffer, but different row steps
-    tall = np.random.default_rng(1).random((1200, NCOLS))
-    steps = DataFrame({0: tall[:600, 0], 1: tall[::2, 1], 2: tall[::2, 2]})
-    assert runs(steps) == [(0, 1), (1, 3)]
-    check(steps, (None,), "different row steps")
-    # a column of another dtype, or cast on the way in, is a run of one
-    assert runs(frame_of(block, range(NCOLS)), np.dtype(np.float32)) == [
-        (j, j + 1) for j in range(NCOLS)
-    ]
-
-
-def test_short_columns_are_not_probed():
-    block = np.random.default_rng(0).random((dataframe_mod._RUN_MIN_ROWS - 1, NCOLS))
-    assert runs(frame_of(block, range(NCOLS))) == [(j, j + 1) for j in range(NCOLS)]
+    assert copies(frame_of(block, [0, 2, 3, 5], placed=True)) == [((0, 4), [0, 2, 3, 5])]
+    assert copies(frame_of(block, [1, 1, 2, 3], placed=True)) == [((0, 4), [1, 1, 2, 3])]
+    assert copies(frame_of(block, [3, 4, 5], placed=True)) == [((0, 3), (3, 6))]
+    full = frame_of(block, range(NCOLS), placed=True)
+    assert copies(full[[5, 0, 1]]) == [((0, 3), [5, 0, 1])]
+    assert copies(full.drop([2])) == [((0, 5), [0, 1, 3, 4, 5])]
+    # a column set into a frame becomes a block of its own
+    full[2] = np.ones(600)
+    assert copies(full) == [([0, 1, 3, 4, 5], [0, 1, 3, 4, 5]), ((2, 3), (0, 1))]
+    check(full, (None,), "a replaced column")
 
 
 def test_a_parsed_chunk_and_a_cache_entry_are_one_run_each(tmp_path):
@@ -257,14 +262,14 @@ def test_a_parsed_chunk_and_a_cache_entry_are_one_run_each(tmp_path):
     write_csv(path, matrix)
     parsed = read_csv(path, header=None, low_memory=False)
     assert str(parsed[0].dtype) == "int64"
-    floats = parsed[list(range(1, 41))]
-    assert runs(floats) == [(0, 40)]
+    # the parsed float64 matrix is the float block, the int64 label's
+    # slot in it unplaced; the label is a one-column int64 block
+    assert copies(parsed) == [((1, 41), (1, 41)), ((0, 1), (0, 1))]
+    assert copies(parsed[list(range(1, 41))]) == [((0, 40), (1, 41))]
     cache = ColumnStoreCache(tmp_path / "cache")
     for frame in (cache.store(path, parsed), cache.lookup(path)):
-        assert runs(frame[list(range(1, 41))]) == [(0, 40)]
-        # the int64 label is another block (and to_numpy casts it to a
-        # float64 copy first): a run of one
-        assert runs(frame) == [(0, 1), (1, 41)]
+        assert copies(frame) == [((1, 41), (0, 40)), ((0, 1), (0, 1))]
+        check(frame, (None, np.float64), "cache entry")
 
 
 # ---------------------------------------------------------------------------
@@ -280,31 +285,35 @@ def picked_frames(draw):
         base = rng.integers(-100, 100, size=(2 * rows, ncols))
     else:
         base = rng.random((2 * rows, ncols))
-    views = {  # all but "f" are views of one buffer
-        "c": base[:rows],
-        "f": np.asfortranarray(base[:rows]),
-        "every-2nd-row": base[::2],
-        "reversed-rows": base[:rows][::-1],
-    }
+    views = [  # all but the Fortran copy are views of one buffer
+        base[:rows],
+        np.asfortranarray(base[:rows]),
+        base[::2],
+        base[:rows][::-1],
+    ]
     # columns in segments (a view, a first column or "carry on from the
     # last segment", a length, a direction): runs, gaps, repeats, and two
     # views meeting at adjacent pointers with different strides
     segments = draw(st.lists(
-        st.tuples(st.sampled_from(list(views)), st.none() | st.integers(0, ncols - 1),
+        st.tuples(st.integers(0, len(views) - 1), st.none() | st.integers(0, ncols - 1),
                   st.integers(1, ncols), st.sampled_from([1, -1])),
         min_size=1, max_size=4,
     ))
-    cols, j = [], 0
+    blkno, blkloc, j = [], [], 0
     for view, start, length, step in segments:
         j = j + step if start is None else start
         for _ in range(length):
-            cols.append(views[view][:, j % ncols])
+            blkno.append(view)
+            blkloc.append(j % ncols)
             j += step
         j -= step
-    frame = DataFrame(dict(enumerate(cols)))
+    if draw(st.booleans()):  # placed in the views, as blocks
+        frame = DataFrame._from_blocks(range(len(blkno)), views, blkno, blkloc, rows)
+    else:  # one-column blocks
+        frame = DataFrame({i: views[b][:, c] for i, (b, c) in enumerate(zip(blkno, blkloc))})
     if draw(st.booleans()):  # some columns from a second, int64 block
         other = rng.integers(-10, 10, size=(rows, 3))
-        for name in draw(st.lists(st.integers(0, len(cols) - 1), max_size=3, unique=True)):
+        for name in draw(st.lists(st.integers(0, len(blkno) - 1), max_size=3, unique=True)):
             frame[name] = other[:, name % 3]
     if rows and draw(st.booleans()):
         start = draw(st.integers(0, rows - 1))
@@ -315,5 +324,4 @@ def picked_frames(draw):
 @FUZZ
 @given(picked_frames(), st.sampled_from([None, np.float64]))
 def test_random_picks_match_column_stack(frame, dtype):
-    with mock.patch.object(dataframe_mod, "_RUN_MIN_ROWS", 1):
-        assert_same(frame.to_numpy(dtype=dtype), column_stack_oracle(frame, dtype))
+    assert_same(frame.to_numpy(dtype=dtype), column_stack_oracle(frame, dtype))

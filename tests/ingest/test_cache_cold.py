@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -144,17 +145,17 @@ def test_shard_of_a_cold_load_is_a_view(tmp_path, mixed_csv):
 def test_source_rewritten_during_the_parse_is_stale_next_time(tmp_path, mixed_csv, monkeypatch):
     path = tmp_path / "moving.csv"
     shutil.copyfile(mixed_csv, path)
-    parse = source_mod._load_chunked
+    parse = source_mod._parse_pieces
 
-    def parse_then_touch(p, config, comm=None):
-        frame = parse(p, config, comm)
+    def parse_then_touch(p, config):
+        parsed = parse(p, config)
         st = os.stat(p)  # a writer lands while the text is being parsed
         os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 5_000_000_000))
-        return frame
+        return parsed
 
-    monkeypatch.setattr(source_mod, "_load_chunked", parse_then_touch)
+    monkeypatch.setattr(source_mod, "_parse_pieces", parse_then_touch)
     assert cached(path, tmp_path / "c").cache_hit is False
-    monkeypatch.setattr(source_mod, "_load_chunked", parse)
+    monkeypatch.setattr(source_mod, "_parse_pieces", parse)
     cache = ColumnStoreCache(tmp_path / "c")
     assert cache.lookup(path) is None
     assert (cache.stats.hits, cache.stats.invalidations) == (0, 1)
@@ -265,26 +266,67 @@ def test_a_writer_that_loses_the_rename_returns_the_installed_entry(tmp_path, mi
     assert sorted(os.listdir(cache.cache_dir)) == [os.path.basename(cache.entry_dir(mixed_csv))]
 
 
-def test_format_is_unchanged(tmp_path, csv_file):
-    """The entry layout is the one version 1 has always had: a
-    ``meta.json`` plus one ``.npy`` block per dtype, columns in name
-    order per block."""
+def test_format_2_layout(tmp_path, csv_file):
+    """A ``meta.json`` plus one C-order ``.npy`` block per dtype; each
+    block is described by its dtype, shape, data offset and the
+    frame-position spans of its columns, and the names by runs."""
     path, _ = csv_file
     frame = chunked(path)
     cache = ColumnStoreCache(tmp_path / "c")
     cache.store(path, frame)
     entry = cache.entry_dir(path)
     assert sorted(os.listdir(entry)) == ["block0.npy", "block1.npy", "meta.json"]
-    with open(os.path.join(entry, "meta.json")) as fh:
-        meta = json.load(fh)
-    assert meta["version"] == 1 and meta["nrows"] == len(frame)
-    assert meta["column_order"] == [["i", c] for c in frame.columns]
-    assert [(b["file"], b["dtype"], b["pickled"]) for b in meta["blocks"]] == [
-        ("block0.npy", "float64", False), ("block1.npy", "int64", False),
+    meta = json.loads(Path(entry, "meta.json").read_text())
+    assert meta["version"] == 2 and meta["nrows"] == len(frame)
+    assert meta["names"] == [["r", 0, len(frame.columns)]]
+    n = len(frame)
+    assert [(b["file"], b["dtype"], b["shape"], b["pickled"], b["spans"])
+            for b in meta["blocks"]] == [
+        ("block0.npy", "<f8", [n, len(frame.columns) - 1], False, [[1, len(frame.columns)]]),
+        ("block1.npy", "<i8", [n, 1], False, [[0, 1]]),
     ]
-    assert meta["columns"][0] == {"name": ["i", 1], "block": 0, "index": 0}
     floats = np.load(os.path.join(entry, "block0.npy"))
     assert floats.flags.c_contiguous
     assert floats.tobytes() == np.column_stack([frame[c] for c in frame.columns[1:]]).tobytes()
     ints = np.load(os.path.join(entry, "block1.npy"))
     assert ints.shape == (len(frame), 1) and np.array_equal(ints[:, 0], frame[0])
+
+
+@pytest.mark.parametrize("fixture", ["mixed_csv", "wide_csv", "object_csv"])
+def test_recorded_offsets_are_the_npy_headers(tmp_path, fixture, request):
+    """Each numeric block's recorded offset is where ``np.lib.format``
+    finds its data; an object block is read by ``np.load`` instead."""
+    path = request.getfixturevalue(fixture)
+    cached(path, tmp_path / "c")
+    entry = ColumnStoreCache(tmp_path / "c").entry_dir(path)
+    meta = json.loads(Path(entry, "meta.json").read_text())
+    for block in meta["blocks"]:
+        with open(os.path.join(entry, block["file"]), "rb") as fh:
+            read_header = {
+                (1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0,
+            }[np.lib.format.read_magic(fh)]
+            shape, fortran, dtype = read_header(fh)
+            assert (list(shape), fortran, dtype.str) == (block["shape"], False, block["dtype"])
+            assert block["offset"] == (None if block["pickled"] else fh.tell())
+
+
+def test_a_block_of_the_wrong_size_is_reparsed(tmp_path, mixed_csv):
+    cold = cached(mixed_csv, tmp_path / "c")
+    entry = ColumnStoreCache(tmp_path / "c").entry_dir(mixed_csv)
+    with open(os.path.join(entry, "block0.npy"), "ab") as fh:
+        fh.write(b"\0" * 8)  # offset + nbytes no longer the file size
+    again = cached(mixed_csv, tmp_path / "c")
+    assert again.cache_hit is False and again.frame.equals(cold.frame)
+    assert cached(mixed_csv, tmp_path / "c").cache_hit is True
+
+
+def test_numeric_blocks_open_without_np_load(tmp_path, mixed_csv, monkeypatch):
+    cached(mixed_csv, tmp_path / "c")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a numeric block went through np.load")
+
+    monkeypatch.setattr(cache_mod.np, "load", no_load)
+    warm = cached(mixed_csv, tmp_path / "c")
+    assert warm.cache_hit is True and warm.frame.equals(chunked(mixed_csv))
