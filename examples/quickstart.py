@@ -35,10 +35,10 @@ def main() -> None:
     print(f"test-set metrics (identical on every rank): "
           f"{ {k: round(v, 4) for k, v in result.ranks[0].eval_metrics.items()} }")
 
-    waits = [e.duration_s for e in result.timeline.events_named("negotiate_broadcast")]
+    waits = [s.duration_s for s in result.tracer.spans_named("negotiate_broadcast")]
     print(f"\nbroadcast rendezvous waits per rank: "
           f"{[round(w, 3) for w in sorted(waits)]} s")
-    n_allreduce = len(result.timeline.events_named("nccl_allreduce"))
+    n_allreduce = len(result.tracer.spans_named("nccl_allreduce"))
     print(f"gradient allreduce operations recorded: {n_allreduce}")
 
 

@@ -34,7 +34,7 @@ def main(machine: str = "summit") -> None:
                 "epochs/worker": plan.epochs_per_worker,
                 "tf_s": round(orig.train_s, 1),
                 "load_s": round(orig.load_s, 1),
-                "bcast_overhead_s": round(broadcast_overhead_seconds(orig.timeline), 1),
+                "bcast_overhead_s": round(broadcast_overhead_seconds(orig.tracer), 1),
                 "orig_total_s": round(orig.total_s, 1),
                 "opt_total_s": round(opt.total_s, 1),
                 "perf_impr_%": round(comp.performance_improvement_pct, 1),

@@ -16,6 +16,7 @@ from repro.candle.nt3 import NT3_SPEC
 from repro.cluster import IoSkewModel
 from repro.core import run_parallel_benchmark, strong_scaling_plan
 from repro.sim import ScaledRunSimulator
+from repro.telemetry import dump_chrome_trace
 
 
 def functional_trace(out_path: str) -> None:
@@ -24,10 +25,10 @@ def functional_trace(out_path: str) -> None:
     res = run_parallel_benchmark(
         bench, plan, seed=1, io_skew=IoSkewModel(cv=0.4), skew_scale_s=1.0
     )
-    res.timeline.dump(out_path)
-    print(f"wrote {len(res.timeline.events)} events to {out_path} "
+    dump_chrome_trace(res.tracer, out_path)
+    print(f"wrote {len(res.tracer)} spans to {out_path} "
           "(open in chrome://tracing)")
-    summary = communication_summary(res.timeline)
+    summary = communication_summary(res.tracer)
     rows = [
         {"event": name, "total_s": round(summary.get(f"{name}_s", 0.0), 3),
          "count": int(summary.get(f"{name}_n", 0))}
@@ -46,7 +47,7 @@ def simulated_384() -> None:
         rows.append(
             {"method": method,
              "broadcast_overhead_s": round(
-                 broadcast_overhead_seconds(report.timeline), 2)}
+                 broadcast_overhead_seconds(report.tracer), 2)}
         )
     print(format_table(rows, title="simulated 384-GPU broadcast overhead"))
     print("paper: 43.72 s original -> 4.65 s optimized (89.36% less)")

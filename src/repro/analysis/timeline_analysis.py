@@ -2,16 +2,18 @@
 
 The paper reads its headline broadcast-overhead numbers (43.72 s →
 4.65 s on 384 GPUs; 37.65 s → 5.3 s on 768) off Horovod Chrome traces.
-These helpers compute the same quantities from a
-:class:`repro.hvd.timeline.Timeline`, whether it came from a functional
-run or from the simulator.
+These helpers compute the same quantities from the timeline spans of a
+:class:`repro.telemetry.Tracer`, whether it recorded a functional run,
+a simulated one, or was read back from disk by
+:func:`repro.telemetry.read_chrome_trace`.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.hvd.timeline import ALLREDUCE_EVENTS, BROADCAST_EVENTS, Timeline
+from repro.hvd.ops import ALLREDUCE_EVENTS, BROADCAST_EVENTS
+from repro.telemetry import Tracer
 
 __all__ = [
     "broadcast_overhead_seconds",
@@ -20,36 +22,30 @@ __all__ = [
 ]
 
 
-def broadcast_overhead_seconds(timeline: Timeline) -> float:
+def broadcast_overhead_seconds(tracer: Tracer) -> float:
     """Wall-clock span of the initial broadcast (negotiate → done).
 
     Measured as the paper does: from the first rank entering
     negotiate_broadcast to the last rank finishing the broadcast data
     movement. Dominated by data-loading skew in the original runs.
     """
-    events = timeline.events_named(*BROADCAST_EVENTS)
-    if not events:
+    spans = tracer.spans_named(*BROADCAST_EVENTS)
+    if not spans:
         return 0.0
-    start = min(e.start_s for e in events)
-    end = max(e.end_s for e in events)
-    return end - start
+    return max(s.end_s for s in spans) - min(s.start_s for s in spans)
 
 
-def allreduce_total_seconds(timeline: Timeline, rank: int = 0) -> float:
+def allreduce_total_seconds(tracer: Tracer, rank: int = 0) -> float:
     """Total time one rank spent inside allreduce data movement."""
-    events = [
-        e
-        for e in timeline.events_named("nccl_allreduce")
-        if e.rank == rank
-    ]
-    return sum(e.duration_s for e in events)
+    return sum(
+        s.duration_s for s in tracer.spans_named("nccl_allreduce") if s.rank == rank
+    )
 
 
-def communication_summary(timeline: Timeline) -> Dict[str, float]:
+def communication_summary(tracer: Tracer) -> Dict[str, float]:
     """Per-event-type total seconds and counts across all ranks."""
     out: Dict[str, float] = {}
-    for e in timeline.events:
-        if e.name in BROADCAST_EVENTS or e.name in ALLREDUCE_EVENTS:
-            out[f"{e.name}_s"] = out.get(f"{e.name}_s", 0.0) + e.duration_s
-            out[f"{e.name}_n"] = out.get(f"{e.name}_n", 0) + 1
+    for s in tracer.spans_named(*BROADCAST_EVENTS, *ALLREDUCE_EVENTS):
+        out[f"{s.name}_s"] = out.get(f"{s.name}_s", 0.0) + s.duration_s
+        out[f"{s.name}_n"] = out.get(f"{s.name}_n", 0) + 1
     return out

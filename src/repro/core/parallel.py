@@ -14,8 +14,9 @@ parallelism with *real* training and *real* collectives (SPMD threads):
    linearly, and runs its share of epochs.
 3. **Prediction & evaluation** — every rank evaluates on the test set.
 
-Returns per-rank phase timings, rank-0 history, and the shared timeline
-— everything Figures 6-10 read in functional mode.
+Returns per-rank phase timings, rank-0 history, and the shared tracer
+(phase spans plus the paper's Horovod timeline events) — everything
+Figures 6-10 read in functional mode.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import numpy as np
 
 from repro import hvd
 from repro.candle.base import CandleBenchmark, LoadedData
+from repro.candle.pipeline import _loss_and_metrics
 from repro.cluster.filesystem import IoSkewModel
 from repro.core.scaling import ScalingPlan
 from repro.ingest import LoaderConfig, as_config, load_benchmark_data
-from repro.hvd.timeline import Timeline
 from repro.mpi import run_spmd
 from repro.nn import get_optimizer
 from repro.telemetry import Tracer
@@ -78,9 +79,8 @@ class ParallelRunResult:
 
     plan: ScalingPlan
     ranks: list[RankReport]
-    timeline: Timeline
     wall_s: float
-    tracer: Optional[Tracer] = None
+    tracer: Tracer
     #: ranks that died mid-run (fault injection) and were routed around
     #: by the elastic rebuild; their reports are absent from ``ranks``
     dead_ranks: tuple = ()
@@ -106,14 +106,6 @@ class ParallelRunResult:
             "train": max(r.train_s for r in self.ranks),
             "eval": max(r.eval_s for r in self.ranks),
         }
-
-
-def _loss_and_metrics(benchmark: CandleBenchmark):
-    if benchmark.spec.task == "classification":
-        return "categorical_crossentropy", ["accuracy"]
-    if benchmark.spec.task == "autoencoder":
-        return "mse", []
-    return "mse", ["mae"]
 
 
 def run_parallel_benchmark(
@@ -142,7 +134,7 @@ def run_parallel_benchmark(
     paper's broadcast delay genuinely shrinks. ``io_skew`` +
     ``skew_scale_s`` inject per-rank artificial load-time dispersion
     (rank sleeps ``(factor-1) * skew_scale_s``), which the
-    negotiate_broadcast timeline events then expose.
+    negotiate_broadcast spans then expose.
 
     ``train`` is the run's :class:`repro.train.TrainOptions`, the single
     configuration of every rank's training step. ``arena=True`` (its
@@ -179,16 +171,14 @@ def run_parallel_benchmark(
         data = benchmark.synth_arrays(np.random.default_rng(seed))
     load_config = as_config(load_method)
     loss_name, metric_names = _loss_and_metrics(benchmark)
-    origin = time.perf_counter()
-    timeline = Timeline(origin_s=origin)
     if tracer is None:
-        tracer = Tracer(run_id=f"{benchmark.spec.name}-x{plan.nworkers}", origin_s=origin)
+        tracer = Tracer(run_id=f"{benchmark.spec.name}-x{plan.nworkers}")
     factors = (
         io_skew.factors(plan.nworkers, seed=seed) if io_skew is not None else None
     )
 
     def worker(comm):
-        hvd.init(comm, timeline=timeline, tracer=tracer, options=collective)
+        hvd.init(comm, tracer=tracer, options=collective)
         try:
             # ---- phase 1: data loading & preprocessing -------------------
             with tracer.span("load", rank=comm.rank) as sp_load:
@@ -258,7 +248,6 @@ def run_parallel_benchmark(
     return ParallelRunResult(
         plan=plan,
         ranks=[r for r in reports if r is not None],
-        timeline=timeline,
         wall_s=wall,
         tracer=tracer,
         dead_ranks=dead,

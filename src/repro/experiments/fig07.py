@@ -48,7 +48,7 @@ def run(
     ]
 
     # (b) communication events
-    comm = communication_summary(report.timeline)
+    comm = communication_summary(report.tracer)
     names = sorted({k[:-2] for k in comm})
     timeline_rows = [
         {
@@ -58,7 +58,7 @@ def run(
         }
         for name in names
     ]
-    overhead = broadcast_overhead_seconds(report.timeline)
+    overhead = broadcast_overhead_seconds(report.tracer)
     return ExperimentResult(
         experiment_id="fig7",
         title=f"NT3 on {nworkers} GPUs: power trace and timeline (paper Fig 7)",

@@ -37,7 +37,7 @@ def run(
     overheads = {}
     for method in ("original", "chunked"):
         report = sim.run(NT3_SPEC, plan, method=method)
-        overhead = broadcast_overhead_seconds(report.timeline)
+        overhead = broadcast_overhead_seconds(report.tracer)
         overheads[method] = overhead
         rows.append(
             {

@@ -34,14 +34,14 @@ def run(
     comm_bands = 0
     for method in ("original", "chunked"):
         report = sim.run(NT3_SPEC, plan, method=method)
-        overhead = broadcast_overhead_seconds(report.timeline)
+        overhead = broadcast_overhead_seconds(report.tracer)
         overheads[method] = overhead
         # "the timeline shows 8 pieces of the communication for 8 epochs"
         rank0 = min(report.profiles)
         comm_bands = sum(
             1
-            for e in report.timeline.events_named("nccl_allreduce")
-            if e.rank == rank0
+            for s in report.tracer.spans_named("nccl_allreduce")
+            if s.rank == rank0
         )
         rows.append(
             {

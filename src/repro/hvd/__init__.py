@@ -13,9 +13,12 @@ Horovod's public surface, as the paper's methodology (§2.3.2) uses it:
 - Tensor fusion — "batch small allreduce operations by combining all the
   tensors that are ready to be reduced at a given moment into one
   reduction operation" (:class:`repro.hvd.fusion.FusionBuffer`).
-- ``Timeline`` — Chrome-trace recording with the paper's event names
-  (``negotiate_broadcast``, ``mpi_broadcast``, ``negotiate_allreduce``,
-  ``nccl_allreduce``), viewable in ``chrome://tracing``.
+- Horovod's timeline — every collective records the paper's event
+  names (``negotiate_broadcast``, ``mpi_broadcast``,
+  ``negotiate_allreduce``, ``nccl_allreduce``) as spans on the rank's
+  :class:`repro.telemetry.Tracer` (bound by ``init(comm, tracer=...)``),
+  exported for ``chrome://tracing`` by
+  :func:`repro.telemetry.dump_chrome_trace`.
 
 Because ranks are threads, the module-level state is thread-local: each
 rank thread calls ``init(comm)`` with its own communicator and sees its
@@ -50,10 +53,8 @@ from repro.hvd.runtime import (
     rank,
     shutdown,
     size,
-    timeline,
     tracer,
 )
-from repro.hvd.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "init",
@@ -62,7 +63,6 @@ __all__ = [
     "size",
     "rank",
     "local_rank",
-    "timeline",
     "tracer",
     "engine",
     "options",
@@ -82,6 +82,4 @@ __all__ = [
     "load_sharded",
     "FusionBuffer",
     "DEFAULT_FUSION_BYTES",
-    "Timeline",
-    "TimelineEvent",
 ]

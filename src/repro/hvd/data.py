@@ -3,11 +3,12 @@
 ``hvd.load_sharded(path)`` is the ingest subsystem seen from a rank
 thread that already called :func:`repro.hvd.init`: the rank identity
 and communicator come from the thread-local Horovod state, the local
-shard parse and the shard-exchange allgather are recorded as timeline
-events (``shard_parse``, ``shard_allgather``) alongside the paper's
-``negotiate_*`` events, and the returned frame is the full dataset on
-every rank — for 1/N of the per-rank parse time, which is exactly the
-lever that shrinks the 43.72 s ``negotiate_broadcast`` skew.
+shard parse and the shard-exchange allgather are recorded as
+``shard_parse`` / ``shard_allgather`` spans on the rank's tracer
+alongside the paper's ``negotiate_*`` events, and the returned frame is
+the full dataset on every rank — for 1/N of the per-rank parse time,
+which is exactly the lever that shrinks the 43.72 s
+``negotiate_broadcast`` skew.
 """
 
 from __future__ import annotations
@@ -15,57 +16,20 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.frame.dataframe import DataFrame
-from repro.hvd.runtime import _state, clock
-from repro.ingest.config import LoaderConfig, ShardSpec
-from repro.ingest.shard import read_csv_shard, union_shards
+from repro.hvd.runtime import comm
+from repro.ingest.config import LoaderConfig
+from repro.ingest.shard import load_sharded as _load_sharded
 
 __all__ = ["load_sharded"]
 
 
 def load_sharded(path, config: Optional[LoaderConfig] = None) -> DataFrame:
-    """Load ``path`` sharded across the Horovod world, timeline-traced.
+    """Load ``path`` sharded across the Horovod world, traced.
 
-    Equivalent to ``repro.ingest.load_sharded`` with this rank's
-    communicator, plus per-phase timeline events. ``config.shard``
-    overrides the rank identity (and its ``allgather=False`` skips the
-    exchange, returning only the local shard).
+    :func:`repro.ingest.shard.load_sharded` with this rank's
+    communicator. ``config.shard`` overrides the rank identity (and its
+    ``allgather=False`` skips the exchange, returning only the local
+    shard).
     """
-    state = _state()
-    comm, tl = state.comm, state.timeline
     config = config if config is not None else LoaderConfig(method="sharded")
-    shard = config.shard
-    if shard is None:
-        shard = ShardSpec(rank=comm.rank, world_size=comm.size)
-
-    t0 = clock()
-    local = read_csv_shard(
-        path,
-        shard.rank,
-        shard.world_size,
-        low_memory=config.effective_low_memory,
-    )
-    tl.record(
-        "shard_parse",
-        comm.rank,
-        t0,
-        clock() - t0,
-        category="io",
-        rows=len(local),
-        world_size=shard.world_size,
-    )
-    if not shard.allgather or shard.world_size == 1:
-        return local
-
-    t1 = clock()
-    gathered = comm.allgather(local)
-    full = union_shards(gathered)
-    tl.record(
-        "shard_allgather",
-        comm.rank,
-        t1,
-        clock() - t1,
-        category="io",
-        rows=len(full),
-    )
-    full.parse_stats = getattr(local, "parse_stats", None)
-    return full
+    return _load_sharded(path, config, comm=comm())

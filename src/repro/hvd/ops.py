@@ -1,15 +1,19 @@
 """Instrumented collective operations (the hvd.* tensor ops).
 
-Every op records the paper's timeline event structure:
+Every op records the paper's timeline event structure as spans on the
+rank's :class:`~repro.telemetry.Tracer`:
 
 - a *negotiate* phase — Horovod's coordinator rendezvous, which in
   functional mode is real waiting: the time from this rank entering the
   op until every rank has entered. This is exactly the mechanism behind
   the paper's 43.72 s broadcast overhead: ranks that finish data loading
   early sit in ``negotiate_broadcast`` until the slowest loader arrives.
-- the data-movement phase (``mpi_broadcast`` inside ``broadcast``, or
-  ``nccl_allreduce`` inside ``allreduce``), which is the tree/ring
-  algorithm actually moving buffers.
+- the op itself (``broadcast`` / ``allreduce``) and its data-movement
+  phase (``mpi_broadcast`` / ``nccl_allreduce``), which is the
+  tree/ring algorithm actually moving buffers.
+
+With no tracer bound to the rank (see :func:`repro.hvd.init`), the ops
+record nothing.
 
 Array allreduces route through the rank's
 :class:`~repro.comms.CollectiveEngine`, which resolves the transport
@@ -39,34 +43,47 @@ __all__ = [
     "broadcast",
     "allgather",
     "broadcast_weights",
+    "BROADCAST_EVENTS",
+    "ALLREDUCE_EVENTS",
 ]
 
+#: the paper's event families (§4.2.1), in the order each op records them
+BROADCAST_EVENTS = ("negotiate_broadcast", "broadcast", "mpi_broadcast")
+ALLREDUCE_EVENTS = ("negotiate_allreduce", "allreduce", "nccl_allreduce")
 
-def _trace(name: str, category: str, rank: int, start_s: float, duration_s: float, **attrs) -> None:
-    """Mirror a collective's timing into this rank's telemetry tracer.
 
-    Spans carry the byte counts the timeline events already record, so
-    per-collective bandwidth and energy attribution need no second
-    instrumentation pass. No-op on untraced runs.
+def _record(family, rank, t_enter, t_ready, t_done, tensor: str, **attrs) -> None:
+    """Record one collective's event family on the rank's tracer.
+
+    ``family`` is :data:`BROADCAST_EVENTS` or :data:`ALLREDUCE_EVENTS`,
+    whose op name is also the spans' category; the op span carries
+    ``attrs`` (bytes, algorithm). Times are raw ``perf_counter``
+    readings. No-op when the rank is untraced.
     """
     tr = _rt.tracer()
-    if tr is not None:
+    if tr is None:
+        return
+    negotiate, op, movement = family
+    for name, start, end, extra in (
+        (negotiate, t_enter, t_ready, {}),
+        (op, t_ready, t_done, attrs),
+        (movement, t_ready, t_done, {}),
+    ):
         tr.record_span(
-            name, start_s, duration_s, category=category, rank=rank,
-            absolute=True, **attrs,
+            name, start, end - start, category=op, rank=rank, absolute=True,
+            tensor=tensor, **extra,
         )
 
 
 @contextmanager
 def _allreduce_events(tag: str, nbytes: int, options):
-    """Negotiate, then record one allreduce's timeline events and spans.
+    """Negotiate, then record one allreduce's event family.
 
     Yields a dict whose ``"algorithm"`` the body sets to the resolved
     transport algorithm, and whose ``"bytes"`` (``nbytes`` until the body
-    changes it) the events record.
+    changes it) the ``allreduce`` span records.
     """
     comm = _rt.comm()
-    tl = _rt.timeline()
     run_opts = options if options is not None else _rt.options()
     ft = getattr(run_opts, "fault_tolerance", None)
     ft_enabled = ft is not None and ft.enabled and comm.size > 1
@@ -80,21 +97,9 @@ def _allreduce_events(tag: str, nbytes: int, options):
     info = {"algorithm": "flat", "bytes": nbytes}
     yield info
     t_done = time.perf_counter()
-    comm = _rt.comm()  # an elastic rebuild may have swapped it
-    algorithm, nbytes = info["algorithm"], info["bytes"]
-    tl.record("negotiate_allreduce", comm.rank, t_enter, t_ready - t_enter, tensor=tag)
-    tl.record(
-        "allreduce", comm.rank, t_ready, t_done - t_ready, tensor=tag,
-        bytes=nbytes, algorithm=algorithm,
-    )
-    tl.record("nccl_allreduce", comm.rank, t_ready, t_done - t_ready, tensor=tag)
-    _trace(
-        "negotiate_allreduce", "allreduce", comm.rank, t_enter, t_ready - t_enter,
-        tensor=tag,
-    )
-    _trace(
-        "allreduce", "allreduce", comm.rank, t_ready, t_done - t_ready,
-        tensor=tag, bytes=nbytes, algorithm=algorithm,
+    _record(
+        ALLREDUCE_EVENTS, _rt.comm().rank,  # an elastic rebuild may have swapped it
+        t_enter, t_ready, t_done, tag, bytes=info["bytes"], algorithm=info["algorithm"],
     )
 
 
@@ -148,49 +153,28 @@ def broadcast(obj: Any, *, root: int = 0, name: Optional[str] = None) -> Any:
     ``mpi_broadcast`` (the binomial-tree movement).
     """
     comm = _rt.comm()
-    tl = _rt.timeline()
     tag = name or "object"
     t_enter = time.perf_counter()
     comm.barrier()  # rendezvous: slowest rank gates everyone
     t_ready = time.perf_counter()
     result = comm.bcast(obj, root=root)
     t_done = time.perf_counter()
-    nbytes = _nbytes(obj)
-    tl.record("negotiate_broadcast", comm.rank, t_enter, t_ready - t_enter, tensor=tag)
-    tl.record(
-        "broadcast", comm.rank, t_ready, t_done - t_ready, tensor=tag, bytes=nbytes
-    )
-    tl.record("mpi_broadcast", comm.rank, t_ready, t_done - t_ready, tensor=tag)
-    _trace(
-        "negotiate_broadcast", "broadcast", comm.rank, t_enter, t_ready - t_enter,
-        tensor=tag,
-    )
-    _trace(
-        "broadcast", "broadcast", comm.rank, t_ready, t_done - t_ready,
-        tensor=tag, bytes=nbytes,
-    )
+    _record(BROADCAST_EVENTS, comm.rank, t_enter, t_ready, t_done, tag, bytes=_nbytes(obj))
     return result
 
 
 def allgather(obj: Any, *, name: Optional[str] = None) -> list:
     """Gather one object per rank, everywhere (rank-ordered)."""
     comm = _rt.comm()
-    tl = _rt.timeline()
     t_enter = time.perf_counter()
     result = comm.allgather(obj)
     duration = time.perf_counter() - t_enter
-    tl.record(
-        "allgather",
-        comm.rank,
-        t_enter,
-        duration,
-        category="allgather",
-        tensor=name or "object",
-    )
-    _trace(
-        "allgather", "allgather", comm.rank, t_enter, duration,
-        tensor=name or "object", bytes=_nbytes(obj),
-    )
+    tr = _rt.tracer()
+    if tr is not None:
+        tr.record_span(
+            "allgather", t_enter, duration, category="allgather", rank=comm.rank,
+            absolute=True, tensor=name or "object", bytes=_nbytes(obj),
+        )
     return result
 
 

@@ -10,11 +10,9 @@ runners handle both ends.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional
 
 from repro.mpi.communicator import Communicator, _Context
-from repro.hvd.timeline import Timeline
 
 __all__ = [
     "init",
@@ -24,31 +22,24 @@ __all__ = [
     "rank",
     "local_rank",
     "comm",
-    "timeline",
     "tracer",
     "engine",
     "options",
-    "clock",
 ]
 
 _tls = threading.local()
 
 
 class _HvdState:
-    def __init__(
-        self, communicator: Communicator, tl: Optional[Timeline], tr, opts=None
-    ):
+    def __init__(self, communicator: Communicator, tr, opts=None):
         self.comm = communicator
-        self.timeline = tl if tl is not None else Timeline(origin_s=time.perf_counter())
         self.tracer = tr
         self.options = opts
         self.engine = None  # CollectiveEngine, built lazily on first use
-        self.t0 = time.perf_counter()
 
 
 def init(
     communicator: Optional[Communicator] = None,
-    timeline: Optional[Timeline] = None,
     tracer=None,
     options=None,
 ) -> None:
@@ -57,10 +48,10 @@ def init(
     ``communicator=None`` creates a single-rank world, so serial code
     using the Horovod API runs unchanged — matching ``horovodrun -np 1``.
     ``tracer`` is an optional :class:`repro.telemetry.Tracer` the
-    collective ops record spans into alongside the timeline; when
+    collective ops record the paper's timeline events into; when
     omitted, the process-wide active tracer (if any) is adopted, so a
     run activated via :func:`repro.telemetry.tracing` sees its rank
-    threads automatically. ``options`` is an optional
+    threads automatically. With neither, the ops record nothing. ``options`` is an optional
     :class:`repro.comms.CollectiveOptions` applied to every collective
     this rank issues; None uses the engine's automatic defaults.
     """
@@ -72,7 +63,7 @@ def init(
         from repro.telemetry import runtime as _telemetry_rt
 
         tracer = _telemetry_rt.active_tracer()
-    _tls.state = _HvdState(communicator, timeline, tracer, options)
+    _tls.state = _HvdState(communicator, tracer, options)
 
 
 def shutdown() -> None:
@@ -118,11 +109,6 @@ def local_rank() -> int:
 def comm() -> Communicator:
     """The underlying communicator for this rank."""
     return _state().comm
-
-
-def timeline() -> Timeline:
-    """The shared timeline this rank records into."""
-    return _state().timeline
 
 
 def tracer():
@@ -171,8 +157,3 @@ def engine():
 def options():
     """The run-level CollectiveOptions, or None for engine defaults."""
     return _state().options
-
-
-def clock() -> float:
-    """Seconds since this rank initialized (timeline-relative time)."""
-    return time.perf_counter() - _state().t0

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from typing import Optional, Sequence
 
 from repro.frame.dataframe import DataFrame, concat
 from repro.ingest.config import LoaderConfig, ShardSpec
 from repro.ingest.parallel import _resolve_names, newline_spans, parse_span
+from repro.telemetry import runtime as telemetry
 
 __all__ = [
     "shard_spans",
@@ -128,6 +130,14 @@ def union_shards(frames: Sequence[DataFrame]) -> DataFrame:
     return concat(nonempty, axis=0, ignore_index=True)
 
 
+def _rank_tracer():
+    """The calling rank's tracer: the one :func:`repro.hvd.init` bound,
+    else the process-wide active one; None when untraced."""
+    from repro.hvd import runtime as hvd_rt  # repro.hvd imports this module
+
+    return hvd_rt.tracer() if hvd_rt.is_initialized() else telemetry.active_tracer()
+
+
 def load_sharded(path, config: LoaderConfig, comm=None) -> DataFrame:
     """One rank's sharded load, with optional allgather to the full frame.
 
@@ -135,7 +145,9 @@ def load_sharded(path, config: LoaderConfig, comm=None) -> DataFrame:
     from ``comm`` (a :class:`repro.mpi.Communicator`). With
     ``allgather=True`` and a communicator, every rank returns the full
     frame after one collective — the drop-in replacement for N ranks
-    each parsing the whole file.
+    each parsing the whole file. The local parse and the exchange are
+    recorded as ``shard_parse`` / ``shard_allgather`` spans on the
+    rank's tracer, beside the paper's ``negotiate_*`` events.
     """
     shard = config.shard
     if shard is None:
@@ -145,17 +157,32 @@ def load_sharded(path, config: LoaderConfig, comm=None) -> DataFrame:
                 "derive (rank, world_size) from"
             )
         shard = ShardSpec(rank=comm.rank, world_size=comm.size)
+    tracer = _rank_tracer()
+    rank = comm.rank if comm is not None else shard.rank
+    t0 = time.perf_counter()
     local = read_csv_shard(
         path,
         shard.rank,
         shard.world_size,
         low_memory=config.effective_low_memory,
     )
+    if tracer is not None:
+        tracer.record_span(
+            "shard_parse", t0, time.perf_counter() - t0, category="io",
+            rank=rank, absolute=True, rows=len(local),
+            world_size=shard.world_size,
+        )
     if not shard.allgather or shard.world_size == 1:
         return local
     if comm is None:
         raise ValueError("allgather=True requires a communicator")
+    t1 = time.perf_counter()
     gathered = comm.allgather(local)  # rank-ordered by construction
     full = union_shards(gathered)
+    if tracer is not None:
+        tracer.record_span(
+            "shard_allgather", t1, time.perf_counter() - t1, category="io",
+            rank=rank, absolute=True, rows=len(full),
+        )
     full.parse_stats = getattr(local, "parse_stats", None)
     return full

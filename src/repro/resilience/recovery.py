@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import hvd
 from repro.candle.base import CandleBenchmark, LoadedData
+from repro.candle.pipeline import _loss_and_metrics
 from repro.core.epochs import comp_epochs_balanced
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.scaling import ScalingPlan
@@ -173,14 +174,6 @@ def replan_for_world(
     return replace(
         plan, nworkers=nworkers, epochs_per_worker=epochs, learning_rate=lr
     )
-
-
-def _loss_and_metrics(benchmark: CandleBenchmark):
-    if benchmark.spec.task == "classification":
-        return "categorical_crossentropy", ["accuracy"]
-    if benchmark.spec.task == "autoencoder":
-        return "mse", []
-    return "mse", ["mae"]
 
 
 def run_resilient_benchmark(

@@ -7,10 +7,10 @@ the simulator keeps a ``numpy`` clock vector and three accumulators:
 
 - per-rank **energy** (every advance adds ``duration x watts``),
 - per-phase **time totals** (by the slowest rank, which gates the run),
-- full :class:`~repro.cluster.power.PhasePowerProfile` and
-  :class:`~repro.hvd.timeline.Timeline` records for a small set of
-  *tracked* ranks (storing 3,072 full profiles would be pointless — the
-  paper's Fig 7a likewise plots one node's GPUs).
+- full :class:`~repro.cluster.power.PhasePowerProfile` records and
+  :class:`~repro.telemetry.Tracer` spans (in sim time) for a small set
+  of *tracked* ranks (storing 3,072 full profiles would be pointless —
+  the paper's Fig 7a likewise plots one node's GPUs).
 
 Synchronization is where the paper's broadcast-overhead mechanism
 lives: ``synchronize()`` lifts every clock to the max and charges the
@@ -25,11 +25,20 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.power import PhasePowerProfile
-from repro.hvd.timeline import Timeline
+from repro.telemetry import Tracer
 
 __all__ = ["PhaseSimulator"]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def span_category(name: str) -> str:
+    """The paper's event family a phase name belongs to.
+
+    ``negotiate_broadcast`` / ``mpi_broadcast`` → ``"broadcast"``,
+    ``nccl_allreduce`` → ``"allreduce"``, anything else ``"misc"``.
+    """
+    return next((f for f in ("broadcast", "allreduce") if name.endswith(f)), "misc")
 
 
 class PhaseSimulator:
@@ -42,6 +51,9 @@ class PhaseSimulator:
     failure after the current clock and :meth:`expected_failures` the
     mean count over the elapsed run — at paper scale (3,072 Theta
     ranks) that expectation is what makes checkpointing non-optional.
+
+    The tracked ranks' phases are recorded as spans on ``tracer`` (the
+    caller's, or a fresh one with origin 0: sim time starts at 0).
     """
 
     def __init__(
@@ -64,8 +76,7 @@ class PhaseSimulator:
             if not 0 <= r < nranks:
                 raise ValueError(f"tracked rank {r} out of range")
         self.profiles = {r: PhasePowerProfile() for r in self.tracked}
-        self.timeline = Timeline()
-        self.tracer = tracer  # optional repro.telemetry.Tracer, sim time base
+        self.tracer = tracer if tracer is not None else Tracer(origin_s=0.0)
         self.phase_seconds: dict[str, float] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -87,17 +98,14 @@ class PhaseSimulator:
         for r in self.tracked:
             if duration[r] > 0:
                 self.profiles[r].add_phase(name, start[r], start[r] + duration[r], power[r])
-                event = self.timeline.record(name, r, start[r], duration[r])
-                if self.tracer is not None:
-                    # sim time starts at 0, already the tracer's base
-                    self.tracer.record_span(
-                        name,
-                        float(start[r]),
-                        float(duration[r]),
-                        category=event.category,
-                        rank=r,
-                        power_w=float(power[r]),
-                    )
+                self.tracer.record_span(
+                    name,
+                    float(start[r]),
+                    float(duration[r]),
+                    category=span_category(name),
+                    rank=r,
+                    power_w=float(power[r]),
+                )
 
     # -- phase primitives ---------------------------------------------------
     def advance(self, duration: ArrayLike, name: str, power_w: ArrayLike) -> None:

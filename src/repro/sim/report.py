@@ -7,7 +7,7 @@ from typing import Optional
 
 from repro.cluster.power import PhasePowerProfile
 from repro.core.scaling import ScalingPlan
-from repro.hvd.timeline import Timeline
+from repro.telemetry import Tracer
 
 __all__ = ["SimRunReport", "improvement_percent"]
 
@@ -57,7 +57,8 @@ class SimRunReport:
     #: DVFS state the run was pinned to ("" = nominal / no ladder)
     power_state: str = ""
 
-    timeline: Optional[Timeline] = None
+    #: the tracked ranks' phase spans in sim time (None unless kept)
+    tracer: Optional[Tracer] = None
     profiles: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -253,7 +253,7 @@ class ScaledRunSimulator:
             power_state=self.power_state.name if self.power_state else "",
             avg_power_w=energy / total if total > 0 else 0.0,
             energy_per_worker_j=energy,
-            timeline=sim.timeline if keep_profiles else None,
+            tracer=sim.tracer if keep_profiles else None,
             profiles=sim.profiles if keep_profiles else {},
         )
 

@@ -1,11 +1,11 @@
 """Three exporters over one tracer: Chrome trace, JSONL, summary table.
 
 - :func:`to_chrome_trace` emits the chrome://tracing JSON the paper
-  reads Horovod timelines with (§4.2.1). The span schema is a strict
-  superset of :meth:`repro.hvd.timeline.TimelineEvent.to_chrome` —
-  ``ph="X"`` events keyed by name/cat/tid(rank)/ts/dur — so
+  reads Horovod timelines with (§4.2.1): ``ph="X"`` events keyed by
+  name/cat/tid(rank)/ts/dur/args, with counters riding along as
+  ``ph="C"`` events. :func:`read_chrome_trace` is its reader, so
   :mod:`repro.analysis.timeline_analysis` extracts broadcast overhead
-  from a traced run unchanged; counters ride along as ``ph="C"`` events.
+  from a trace on disk as from a live tracer.
 - :func:`dump_jsonl` streams every span and counter as one JSON object
   per line (the metrics feed).
 - :func:`summary_rows` / :func:`format_summary` aggregate per span
@@ -31,6 +31,7 @@ from repro.telemetry.tracer import Tracer
 __all__ = [
     "to_chrome_trace",
     "dump_chrome_trace",
+    "read_chrome_trace",
     "iter_jsonl",
     "dump_jsonl",
     "summary_rows",
@@ -112,6 +113,37 @@ def dump_chrome_trace(tracer: Tracer, path) -> str:
     """Atomically write the Chrome trace JSON; returns the path."""
     atomic_write_text(path, json.dumps(to_chrome_trace(tracer)))
     return os.fspath(path)
+
+
+def read_chrome_trace(source) -> Tracer:
+    """Rebuild a tracer from Chrome trace JSON.
+
+    ``source`` is the trace dict, its JSON text, or a file path. Only
+    complete (``ph="X"``) events become spans, each with its category,
+    rank (``tid``), times and args; counter samples and metadata are
+    skipped.
+    """
+    if isinstance(source, (str, bytes, os.PathLike)) and os.path.exists(
+        os.fspath(source)
+    ):
+        with open(source) as fh:
+            source = json.load(fh)
+    elif isinstance(source, (str, bytes)):
+        source = json.loads(source)
+    tracer = Tracer(
+        run_id=source.get("otherData", {}).get("run_id", "run"), origin_s=0.0
+    )
+    for ev in source.get("traceEvents", []):
+        if ev.get("ph") == "X":
+            tracer.record_span(
+                ev["name"],
+                float(ev["ts"]) / 1e6,
+                float(ev.get("dur", 0.0)) / 1e6,
+                category=ev.get("cat", "phase"),
+                rank=int(ev.get("tid", 0)),
+                **dict(ev.get("args") or {}),
+            )
+    return tracer
 
 
 # -- JSONL metrics stream --------------------------------------------------

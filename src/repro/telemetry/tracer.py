@@ -87,14 +87,9 @@ class _OpenSpan:
 
 def _default_rank() -> int:
     """The calling thread's Horovod rank, 0 outside any rank context."""
-    try:
-        from repro.hvd import runtime as _hvd_rt
+    from repro.hvd import runtime as _hvd_rt  # repro.hvd imports telemetry
 
-        if _hvd_rt.is_initialized():
-            return _hvd_rt.rank()
-    except Exception:
-        pass
-    return 0
+    return _hvd_rt.rank() if _hvd_rt.is_initialized() else 0
 
 
 class Tracer:
@@ -281,25 +276,3 @@ class Tracer:
         if self.power_binding is None:
             return None
         return self.power_binding.attribute(span.start_s, span.end_s)
-
-    # -- interop -----------------------------------------------------------
-    def as_timeline(self):
-        """A :class:`repro.hvd.timeline.Timeline` view of the spans.
-
-        The existing analysis layer
-        (:mod:`repro.analysis.timeline_analysis`) consumes Timelines;
-        this is the bridge that lets it read a traced run unchanged.
-        """
-        from repro.hvd.timeline import Timeline
-
-        tl = Timeline()
-        for s in self.spans:
-            tl.record(
-                s.name,
-                s.rank,
-                s.start_s,
-                s.duration_s,
-                category=s.category,
-                **s.attrs,
-            )
-        return tl

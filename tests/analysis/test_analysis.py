@@ -15,7 +15,7 @@ from repro.analysis import (
     profile_callable,
 )
 from repro.analysis.timeline_analysis import allreduce_total_seconds
-from repro.hvd import Timeline
+from repro.telemetry import Tracer
 
 
 class TestPhaseProfiler:
@@ -57,21 +57,21 @@ def test_profile_callable_finds_hotspot():
 
 class TestTimelineAnalysis:
     def _timeline(self):
-        tl = Timeline()
-        tl.record("negotiate_broadcast", 0, 10.0, 40.0)
-        tl.record("negotiate_broadcast", 1, 48.0, 2.0)
-        tl.record("mpi_broadcast", 0, 50.0, 1.5)
-        tl.record("mpi_broadcast", 1, 50.0, 1.5)
-        tl.record("nccl_allreduce", 0, 60.0, 0.2)
-        tl.record("nccl_allreduce", 0, 61.0, 0.3)
-        return tl
+        tr = Tracer(origin_s=0.0)
+        tr.record_span("negotiate_broadcast", 10.0, 40.0, rank=0)
+        tr.record_span("negotiate_broadcast", 48.0, 2.0, rank=1)
+        tr.record_span("mpi_broadcast", 50.0, 1.5, rank=0)
+        tr.record_span("mpi_broadcast", 50.0, 1.5, rank=1)
+        tr.record_span("nccl_allreduce", 60.0, 0.2, rank=0)
+        tr.record_span("nccl_allreduce", 61.0, 0.3, rank=0)
+        return tr
 
     def test_broadcast_overhead_span(self):
         # first negotiate at 10, last broadcast ends 51.5 -> 41.5 s
         assert broadcast_overhead_seconds(self._timeline()) == pytest.approx(41.5)
 
     def test_empty_timeline(self):
-        assert broadcast_overhead_seconds(Timeline()) == 0.0
+        assert broadcast_overhead_seconds(Tracer()) == 0.0
 
     def test_allreduce_total_per_rank(self):
         assert allreduce_total_seconds(self._timeline(), rank=0) == pytest.approx(0.5)

@@ -70,13 +70,13 @@ class TestOpsIntegration:
 
     def test_broadcast_records_nested_bytes(self):
         from repro import hvd
-        from repro.hvd import runtime
+        from repro.telemetry import Tracer
 
-        hvd.init()
+        tracer = Tracer()
+        hvd.init(tracer=tracer)
         try:
             hvd.broadcast([np.zeros(1000), np.zeros(1000)], name="weights")
-            tl = runtime.timeline()
-            [event] = tl.events_named("broadcast")
-            assert event.args["bytes"] == 16_000
+            [span] = tracer.spans_named("broadcast")
+            assert span.attrs["bytes"] == 16_000
         finally:
             hvd.shutdown()

@@ -42,7 +42,7 @@ def test_injected_skew_appears_in_negotiate_broadcast(nt3):
     res = run_parallel_benchmark(
         nt3, plan, seed=5, io_skew=IoSkewModel(cv=0.3), skew_scale_s=1.0
     )
-    waits = [e.duration_s for e in res.timeline.events_named("negotiate_broadcast")]
+    waits = [s.duration_s for s in res.tracer.spans_named("negotiate_broadcast")]
     # the fastest loader's wait must be ~the injected spread
     assert max(waits) > 0.2, waits
 

@@ -8,12 +8,13 @@ import pytest
 from repro import hvd
 from repro.mpi import run_spmd
 from repro.nn import SGD
+from repro.telemetry import Tracer
 from repro.train import TrainOptions
 
 
-def _with_hvd(nprocs, fn, timeline=None, local_size=1):
+def _with_hvd(nprocs, fn, tracer=None, local_size=1):
     def worker(comm):
-        hvd.init(comm, timeline=timeline)
+        hvd.init(comm, tracer=tracer)
         try:
             return fn(comm)
         finally:
@@ -64,24 +65,51 @@ class TestOps:
         assert out == [[0, 1, 2]] * 3
 
     def test_ops_record_timeline_events(self):
-        tl = hvd.Timeline(origin_s=time.perf_counter())
-        _with_hvd(2, lambda c: hvd.allreduce(np.ones(8), name="grads"), timeline=tl)
-        names = {e.name for e in tl.events}
+        tr = Tracer()
+        _with_hvd(2, lambda c: hvd.allreduce(np.ones(8), name="grads"), tracer=tr)
+        names = {s.name for s in tr.spans if s.category == "allreduce"}
         assert {"negotiate_allreduce", "allreduce", "nccl_allreduce"} <= names
-        tagged = [e for e in tl.events if e.args.get("tensor") == "grads"]
+        tagged = [s for s in tr.spans if s.attrs.get("tensor") == "grads"]
         assert tagged
 
+    def test_each_op_records_its_family_once_per_rank(self):
+        tr = Tracer()
+
+        def fn(comm):
+            hvd.allreduce(np.ones(8), name="grads")
+            hvd.broadcast(np.ones(4) if comm.rank == 0 else None, name="w")
+            hvd.allgather(np.ones(2), name="shards")
+
+        _with_hvd(2, fn, tracer=tr)
+        # the engine's per-chunk spans ride along; the ops' own are these
+        top = [s for s in tr.spans if s.name != "allreduce_chunk"]
+        for rank in range(2):
+            mine = [(s.name, s.category) for s in top if s.rank == rank]
+            assert sorted(mine) == sorted(
+                [(n, "allreduce") for n in hvd.ops.ALLREDUCE_EVENTS]
+                + [(n, "broadcast") for n in hvd.ops.BROADCAST_EVENTS]
+                + [("allgather", "allgather")]
+            )
+        (reduce_op,) = [s for s in top if s.name == "allreduce" and s.rank == 0]
+        assert reduce_op.attrs["bytes"] == 64
+        assert reduce_op.attrs["algorithm"]
+        (bcast,) = [s for s in top if s.name == "broadcast" and s.rank == 0]
+        assert bcast.attrs["bytes"] == 32
+        gathers = [s for s in top if s.name == "allgather"]
+        assert [s.attrs["bytes"] for s in gathers] == [16, 16]
+        assert {s.attrs["tensor"] for s in top} == {"grads", "w", "shards"}
+
     def test_skewed_entry_shows_in_negotiate(self):
-        tl = hvd.Timeline(origin_s=time.perf_counter())
+        tr = Tracer()
 
         def fn(comm):
             if comm.rank == 0:
                 time.sleep(0.25)
             hvd.broadcast(1 if comm.rank == 0 else None)
 
-        _with_hvd(3, fn, timeline=tl)
+        _with_hvd(3, fn, tracer=tr)
         waits = {
-            e.rank: e.duration_s for e in tl.events_named("negotiate_broadcast")
+            s.rank: s.duration_s for s in tr.spans_named("negotiate_broadcast")
         }
         assert waits[0] < 0.1  # the slow rank doesn't wait
         assert waits[1] > 0.2 and waits[2] > 0.2  # fast ranks wait for it
@@ -122,11 +150,11 @@ class TestBroadcastWeights:
 
 def test_negotiate_precedes_data_movement_per_rank():
     """Timeline ordering: the rendezvous always ends where movement starts."""
-    tl = hvd.Timeline(origin_s=time.perf_counter())
-    _with_hvd(3, lambda c: hvd.broadcast("w" if c.rank == 0 else None), timeline=tl)
+    tr = Tracer()
+    _with_hvd(3, lambda c: hvd.broadcast("w" if c.rank == 0 else None), tracer=tr)
     for rank in range(3):
-        neg = next(e for e in tl.events_named("negotiate_broadcast") if e.rank == rank)
-        mov = next(e for e in tl.events_named("mpi_broadcast") if e.rank == rank)
+        neg = next(s for s in tr.spans_named("negotiate_broadcast") if s.rank == rank)
+        mov = next(s for s in tr.spans_named("mpi_broadcast") if s.rank == rank)
         assert neg.end_s <= mov.start_s + 1e-6
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.ingest import (
 )
 from repro.ingest.shard import load_sharded
 from repro.mpi import run_spmd
+from repro.telemetry import Tracer, export_run
 
 
 def test_shard_spans_partition_in_rank_order(mixed_csv):
@@ -96,18 +99,22 @@ def test_hvd_load_sharded_records_timeline_events(mixed_csv):
 
     serial = read_csv(mixed_csv, header=None, low_memory=False)
 
+    tracer = Tracer()
+
     def rank_fn(comm):
-        hvd.init(comm)
+        hvd.init(comm, tracer=tracer)
         try:
-            frame = hvd.load_sharded(mixed_csv)
-            events = {e.name for e in hvd.timeline().events}
+            return hvd.load_sharded(mixed_csv)
         finally:
             hvd.shutdown()
-        return frame, events
 
-    for frame, events in run_spmd(4, rank_fn):
+    for frame in run_spmd(4, rank_fn):
         assert frame.equals(serial)
-        assert {"shard_parse", "shard_allgather"} <= events
+    for name in ("shard_parse", "shard_allgather"):
+        spans = tracer.spans_named(name)
+        assert sorted(s.rank for s in spans) == [0, 1, 2, 3]
+        assert all(s.category == "io" for s in spans)
+        assert all(0.0 <= s.start_s <= tracer.now() for s in spans)
 
 
 def test_runner_accepts_sharded_load_method(tmp_path):
@@ -119,3 +126,32 @@ def test_runner_accepts_sharded_load_method(tmp_path):
     )
     assert res.phase_seconds()["load"] > 0
     assert len(res.history["loss"]) == 1
+
+
+def test_traced_sharded_run_records_shard_spans_on_the_run_clock(tmp_path):
+    """Shard spans share the run tracer's time base and reach its export."""
+    nt3 = get_benchmark("nt3", scale=0.005, sample_scale=0.2)
+    paths = nt3.write_files(tmp_path, rng=np.random.default_rng(3))
+    plan = strong_scaling_plan(nt3.spec, 2, total_epochs=2)
+    res = run_parallel_benchmark(
+        nt3, plan, data_paths=paths, load_method="sharded", seed=1
+    )
+    tracer = res.tracer
+    _, end = tracer.extent()
+    shard_spans_ = tracer.spans_named("shard_parse", "shard_allgather")
+    # one parse and one exchange per rank for each of the two files
+    assert sorted((s.name, s.rank) for s in shard_spans_) == sorted(
+        (name, rank)
+        for name in ("shard_parse", "shard_allgather")
+        for rank in (0, 1)
+        for _ in paths
+    )
+    for s in shard_spans_:
+        assert 0.0 <= s.start_s <= end
+        load = next(p for p in tracer.spans_named("load") if p.rank == s.rank)
+        assert load.start_s <= s.start_s and s.end_s <= load.end_s
+    arts = export_run(tracer, tmp_path / "trace", prefix="sharded")
+    events = json.loads(Path(arts.chrome_trace).read_text())["traceEvents"]
+    exported = [e for e in events if e["name"] in ("shard_parse", "shard_allgather")]
+    assert len(exported) == len(shard_spans_)
+    assert all(0.0 <= e["ts"] <= end * 1e6 for e in exported)

@@ -68,12 +68,12 @@ def test_timeline_records_full_communication_structure():
     bench = get_benchmark("nt3", scale=0.003, sample_scale=0.1)
     plan = strong_scaling_plan(bench.spec, 3, total_epochs=3)
     res = run_parallel_benchmark(bench, plan, seed=2)
-    names = {e.name for e in res.timeline.events}
+    names = {s.name for s in res.tracer.spans}
     assert {"negotiate_broadcast", "mpi_broadcast", "nccl_allreduce"} <= names
     # one broadcast triple per rank
-    assert len(res.timeline.events_named("mpi_broadcast")) == 3
+    assert len(res.tracer.spans_named("mpi_broadcast")) == 3
     # allreduces: steps * epochs_per_worker per rank (one fusion group);
     # fit runs the trailing partial batch, hence the ceiling
     steps = -(-bench.train_samples // plan.batch_size)
     expected = steps * plan.epochs_per_worker * 3
-    assert len(res.timeline.events_named("nccl_allreduce")) == expected
+    assert len(res.tracer.spans_named("nccl_allreduce")) == expected

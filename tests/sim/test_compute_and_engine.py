@@ -7,7 +7,7 @@ from repro.candle.nt3 import NT3_SPEC
 from repro.candle.p1b1 import P1B1_SPEC
 from repro.cluster.machine import SUMMIT, THETA
 from repro.sim.computemodel import ComputeModel
-from repro.sim.engine import PhaseSimulator
+from repro.sim.engine import PhaseSimulator, span_category
 
 
 class TestComputeModel:
@@ -77,9 +77,40 @@ class TestPhaseSimulator:
         sim.synchronize("negotiate_broadcast", 36.0)
         assert set(sim.profiles) == {0, 9}
         assert sim.profiles[0].phases[0][3] == 42.0
-        names = {e.name for e in sim.timeline.events}
+        names = {s.name for s in sim.tracer.spans}
         assert "data_loading" in names
         assert "negotiate_broadcast" in names
+        assert {s.rank for s in sim.tracer.spans} == {0, 9}
+
+    def test_span_categories_follow_event_family(self):
+        from repro.hvd.ops import ALLREDUCE_EVENTS, BROADCAST_EVENTS
+
+        for name in BROADCAST_EVENTS:
+            assert span_category(name) == "broadcast"
+        for name in ALLREDUCE_EVENTS:
+            assert span_category(name) == "allreduce"
+        assert span_category("data_loading") == "misc"
+        sim = PhaseSimulator(2, track_ranks=[0])
+        sim.advance(1.0, "data_loading", 10.0)
+        sim.advance(1.0, "mpi_broadcast", 10.0)
+        sim.lockstep(0.5, "nccl_allreduce", 10.0)
+        assert [(s.name, s.category) for s in sim.tracer.spans] == [
+            ("data_loading", "misc"),
+            ("mpi_broadcast", "broadcast"),
+            ("nccl_allreduce", "allreduce"),
+        ]
+
+    def test_records_into_the_callers_tracer_in_sim_time(self):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer(origin_s=0.0)
+        sim = PhaseSimulator(2, track_ranks=[1], tracer=tracer)
+        sim.advance(np.array([1.0, 2.0]), "data_loading", 10.0)
+        sim.synchronize("negotiate_broadcast", 5.0)
+        assert sim.tracer is tracer
+        assert [(s.name, s.rank, s.start_s, s.duration_s) for s in tracer.spans] == [
+            ("data_loading", 1, 0.0, 2.0),
+        ]
 
     def test_mean_energy(self):
         sim = PhaseSimulator(2)

@@ -44,10 +44,10 @@ class TestRunStructure:
     def test_timeline_and_profiles_attached(self, summit):
         plan = strong_scaling_plan(NT3_SPEC, 24)
         r = summit.run(NT3_SPEC, plan)
-        assert len(r.timeline.events) > 0
+        assert len(r.tracer.spans) > 0
         assert len(r.profiles) >= 1
         r2 = summit.run(NT3_SPEC, plan, keep_profiles=False)
-        assert r2.timeline is None
+        assert r2.tracer is None
 
     def test_machine_accepts_spec_object(self):
         from repro.cluster.machine import THETA

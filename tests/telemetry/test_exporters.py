@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.timeline_analysis import broadcast_overhead_seconds
-from repro.hvd.timeline import Timeline
 from repro.telemetry import (
     Tracer,
     dump_chrome_trace,
     dump_jsonl,
     export_run,
     format_summary,
+    read_chrome_trace,
     summary_rows,
     to_chrome_trace,
 )
@@ -37,18 +37,13 @@ def traced():
 
 class TestChromeTrace:
     def test_span_schema_matches_timeline_events(self, traced):
-        """Span events carry the exact keys Timeline.to_chrome emits
-        (name/cat/ph/pid/tid/ts/dur/args) — the superset guarantee."""
+        """Span events carry the keys of a Horovod timeline's complete
+        events (name/cat/ph/pid/tid/ts/dur/args)."""
         trace = to_chrome_trace(traced)
         span_events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        reference = set(
-            Timeline()
-            .record("allreduce", 0, 0.0, 1.0)
-            .to_chrome()
-            .keys()
-        )
+        assert len(span_events) == 3
         for ev in span_events:
-            assert reference <= set(ev.keys())
+            assert set(ev) == {"name", "cat", "ph", "pid", "tid", "ts", "dur", "args"}
         assert trace["displayTimeUnit"] == "ms"
 
     def test_timestamps_in_microseconds(self, traced):
@@ -76,11 +71,50 @@ class TestChromeTrace:
         tracer.record_span("broadcast", 50.0, 3.72, category="broadcast", rank=0)
         path = tmp_path / "trace.json"
         dump_chrome_trace(tracer, path)
-        reloaded = Timeline.from_chrome(path)
+        reloaded = read_chrome_trace(path)
         assert broadcast_overhead_seconds(reloaded) == pytest.approx(43.72)
-        assert broadcast_overhead_seconds(tracer.as_timeline()) == pytest.approx(
-            43.72
+        assert broadcast_overhead_seconds(tracer) == pytest.approx(43.72)
+
+
+class TestReadChromeTrace:
+    def test_roundtrip_from_file(self, tmp_path):
+        tracer = Tracer(run_id="rt", origin_s=0.0)
+        tracer.record_span(
+            "negotiate_broadcast", 2.0, 3.0, category="broadcast", rank=1, bytes=512
         )
+        tracer.record_span("allreduce", 5.0, 0.5, category="allreduce", rank=0)
+        path = tmp_path / "trace.json"
+        dump_chrome_trace(tracer, path)
+        reloaded = read_chrome_trace(path)
+        assert len(reloaded) == 2
+        assert reloaded.run_id == "rt"
+        (span,) = reloaded.spans_named("negotiate_broadcast")
+        assert span.rank == 1
+        assert span.start_s == pytest.approx(2.0)
+        assert span.duration_s == pytest.approx(3.0)
+        assert span.category == "broadcast"
+        assert span.attrs["bytes"] == 512
+
+    def test_from_dict_and_string(self, traced):
+        trace = to_chrome_trace(traced)
+        for source in (trace, json.dumps(trace)):
+            reloaded = read_chrome_trace(source)
+            assert [s.name for s in reloaded.spans] == [s.name for s in traced.spans]
+            assert reloaded.spans_named("load")[0].attrs == {"method": "cached"}
+
+    def test_non_span_events_skipped(self, traced):
+        trace = {
+            "traceEvents": [
+                {"name": "x", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 1e6},
+                {"name": "c", "ph": "C", "pid": 0, "tid": 0, "ts": 0, "args": {}},
+                {"name": "process_name", "ph": "M", "pid": 0, "args": {}},
+            ]
+        }
+        reloaded = read_chrome_trace(trace)
+        assert [s.name for s in reloaded.spans] == ["x"]
+        assert reloaded.counters() == {}
+        # a whole export keeps its spans and drops its counter samples
+        assert len(read_chrome_trace(to_chrome_trace(traced))) == len(traced)
 
 
 class TestJsonl:

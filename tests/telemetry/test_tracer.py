@@ -154,16 +154,6 @@ class TestThreadSafety:
 
 
 class TestInterop:
-    def test_as_timeline(self, tracer, clock):
-        with tracer.span("negotiate_broadcast", category="broadcast", rank=1):
-            clock.advance(2.0)
-        tracer.record_span("mpi_broadcast", 2.0, 0.5, category="broadcast", rank=1)
-        tl = tracer.as_timeline()
-        assert len(tl) == 2
-        ev = tl.events_named("negotiate_broadcast")[0]
-        assert ev.rank == 1
-        assert ev.duration_s == pytest.approx(2.0)
-
     def test_default_rank_inside_hvd(self):
         from repro import hvd
 
@@ -175,6 +165,26 @@ class TestInterop:
         finally:
             hvd.shutdown()
         assert tracer.spans[0].rank == 0
+
+    def test_default_rank_follows_each_rank_thread(self):
+        from repro import hvd
+        from repro.mpi import run_spmd
+
+        tracer = Tracer()
+
+        def worker(comm):
+            hvd.init(comm)
+            try:
+                with tracer.span("load"):
+                    pass
+            finally:
+                hvd.shutdown()
+            with tracer.span("after"):  # outside any rank context
+                pass
+
+        run_spmd(2, worker)
+        assert sorted(s.rank for s in tracer.spans_named("load")) == [0, 1]
+        assert [s.rank for s in tracer.spans_named("after")] == [0, 0]
 
     def test_span_frozen(self, tracer, clock):
         with tracer.span("a"):

@@ -1,8 +1,11 @@
 """Repository hygiene: API surface, docstrings, registry/bench parity."""
 
 import importlib
+import json
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +77,48 @@ def test_every_example_is_runnable_python():
         compile(source, path, "exec")
         assert '"""' in source.split("\n", 1)[0] + source, f"{script} lacks a docstring"
         assert "__main__" in source, f"{script} is not directly runnable"
+
+
+def _run_example(script, *args, cwd):
+    """Run ``examples/<script>`` in a fresh interpreter; returns its stdout."""
+    src = os.path.join(REPO_ROOT, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO_ROOT, "examples", script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_timeline_tracing_example_runs(tmp_path):
+    trace = tmp_path / "trace.json"
+    out = _run_example("timeline_tracing.py", str(trace), cwd=tmp_path)
+    events = json.loads(trace.read_text())["traceEvents"]
+    names = {e["name"] for e in events}
+    rows = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[0] in names:
+            rows[parts[0]] = int(parts[2])
+    # 4 ranks: one broadcast each, and one allreduce per step per rank
+    assert rows["negotiate_broadcast"] == rows["mpi_broadcast"] == 4
+    assert rows["nccl_allreduce"] == rows["negotiate_allreduce"] > 0
+    assert rows["nccl_allreduce"] == sum(e["name"] == "nccl_allreduce" for e in events)
+    assert "original" in out and "chunked" in out
+    assert os.listdir(tmp_path) == ["trace.json"]
+
+
+def test_strong_scaling_example_runs(tmp_path):
+    out = _run_example("strong_scaling_study.py", cwd=tmp_path)
+    workers = [
+        int(line.split()[0])
+        for line in out.splitlines()
+        if line.split() and line.split()[0].isdigit()
+    ]
+    assert workers == [1, 6, 12, 24, 48, 96, 192, 384]
+    assert "data loading dominates the runtime from" in out
 
 
 def test_documentation_files_exist_and_are_substantial():
