@@ -13,13 +13,13 @@ al., ICPP 2019) depends on:
 - :mod:`repro.mpi` — an in-process SPMD MPI runtime with real collective
   algorithms (the paper uses MPI/NCCL through Horovod).
 - :mod:`repro.comms` — the collective engine: ring, recursive
-  halving-doubling, and two-level hierarchical allreduce schedules with
-  optional fp16/top-k compression, planned once and shared by the
-  functional runtime and the simulator, configured by one
-  ``CollectiveOptions`` object.
+  halving-doubling, and two-level hierarchical allreduce schedules,
+  planned once and shared by the functional runtime and the simulator,
+  configured by one ``CollectiveOptions`` object (whose
+  ``fault_tolerance`` arms the fault-tolerant engine).
 - :mod:`repro.train` — the unified ``TrainOptions`` configuration of a
-  training step (arena, precision, collectives, fault tolerance,
-  overlap), threaded from benchmark entry points to the simulator.
+  training step (arena, precision, collectives, overlap), threaded from
+  benchmark entry points to the simulator.
 - :mod:`repro.overlap` — wait-free backprop: the compute/communication
   overlap scheduler that fires ready gradient buckets through the
   collective engine while backward continues.

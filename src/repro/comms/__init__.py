@@ -6,16 +6,14 @@ topology + :class:`CollectiveOptions` into an inspectable
 rank-local :class:`CollectiveEngine` over real point-to-point messages,
 or *priced* by the simulator's fabric cost model. One options object
 threads from :class:`repro.hvd.DistributedOptimizer` down to the wire;
-non-compressed schedules are bit-identical to the flat reference
-allreduce (see :mod:`repro.comms.engine` for the contract).
+every schedule is bit-identical to the flat reference allreduce (see
+:mod:`repro.comms.engine` for the contract).
 """
 
-from repro.comms.compression import TopKCompressor, fp16_encode
 from repro.comms.engine import CollectiveEngine
 from repro.comms.ft import DEFAULT_FT_OPTIONS, FaultToleranceOptions
 from repro.comms.options import (
     ALGORITHMS,
-    COMPRESSIONS,
     DEFAULT_OPTIONS,
     CollectiveOptions,
     select_algorithm,
@@ -31,7 +29,6 @@ from repro.comms.topology import Topology
 
 __all__ = [
     "ALGORITHMS",
-    "COMPRESSIONS",
     "DEFAULT_FT_OPTIONS",
     "DEFAULT_OPTIONS",
     "CollectiveEngine",
@@ -41,8 +38,6 @@ __all__ = [
     "FaultTolerantEngine",
     "PlanStep",
     "Topology",
-    "TopKCompressor",
-    "fp16_encode",
     "plan_allgather",
     "plan_allreduce",
     "plan_broadcast",

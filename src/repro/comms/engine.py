@@ -5,20 +5,18 @@ communicator. ``allreduce`` resolves the algorithm (ring, recursive
 halving-doubling, two-level hierarchical, or the flat reference path),
 splits the buffer into pipelined chunks, executes the schedule with real
 point-to-point messages, and records one telemetry span per chunk with
-bytes, algorithm, and compression ratio.
+its bytes and algorithm.
 
 **Numerics contract.** Floating-point addition is not associative, so
 different message schedules would normally produce different low bits.
 The engine avoids that by *canonicalizing the arithmetic*: every
-non-compressed algorithm moves per-source contributions through its own
-message pattern but performs the reduction exactly once, at the chunk's
-owner, over contributions ordered by ascending global rank
+algorithm moves per-source contributions through its own message
+pattern but performs the reduction exactly once, at the chunk's owner,
+over contributions ordered by ascending global rank
 (:func:`repro.mpi.communicator.canonical_reduce` — the same routine the
 flat path uses). Result: ring, rhd, and hierarchical allreduce are
 **bit-identical** to the flat allreduce on the same inputs, for any
-chunking — asserted in ``tests/comms``. Compressed paths (fp16, top-k
-with error feedback) are lossy by design and covered by tolerance and
-convergence tests instead.
+chunking — asserted in ``tests/comms``.
 
 **The owner step.** :meth:`CollectiveEngine.allreduce_update` runs the
 same schedules with the optimizer update moved to the chunk's owner:
@@ -35,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comms.compression import TopKCompressor, fp16_encode
 from repro.comms.options import (
     DEFAULT_OPTIONS,
     CollectiveOptions,
@@ -90,7 +87,6 @@ class CollectiveEngine:
         self.options = options if options is not None else DEFAULT_OPTIONS
         self.topology = Topology.from_communicator(comm)
         self._tracer = tracer
-        self._topk: Dict[Tuple[float, bool], TopKCompressor] = {}
         #: metadata of the last executed collective (for span attributes)
         self.last_info: Dict[str, object] = {}
         self.chunks_executed = 0
@@ -118,23 +114,15 @@ class CollectiveEngine:
         arr = np.asarray(tensor)
         tag = name or "tensor"
         if self.comm.size == 1 or arr.size == 0:
-            self.last_info = {
-                "algorithm": "flat", "chunks": 1, "compression": "none",
-                "wire_bytes": 0,
-            }
+            self.last_info = {"algorithm": "flat", "chunks": 1, "wire_bytes": 0}
             return self.comm.allreduce(arr, op=op)
-        if opts.compression == "topk":
-            return self._topk_allreduce(arr, op, tag, opts)
         algorithm = select_algorithm(arr.nbytes, self.topology, opts)
         if algorithm == "flat":
             t0 = time.perf_counter()
             result = self.comm.allreduce(arr, op=op)
-            self._record_chunk(
-                t0, tag, 0, arr.nbytes, algorithm="flat", compression="none"
-            )
+            self._record_chunk(t0, tag, 0, arr.nbytes, algorithm="flat")
             self.last_info = {
-                "algorithm": "flat", "chunks": 1, "compression": "none",
-                "wire_bytes": arr.nbytes,
+                "algorithm": "flat", "chunks": 1, "wire_bytes": arr.nbytes,
             }
             return result
         schedule = plan_allreduce(arr.nbytes, self.topology, opts)
@@ -143,11 +131,10 @@ class CollectiveEngine:
     def owner_step_ok(self, options: Optional[CollectiveOptions] = None) -> bool:
         """Whether :meth:`allreduce_update` may run under ``options``.
 
-        It needs uncompressed gradients: the owner folds exact
-        contributions. It also needs wire bytes that cost no wire time:
-        the gather carries every slab the update writes, and only the
-        threaded runtime's in-process messages make those bytes cheaper
-        than the updates they save. Under an emulated fabric each byte
+        It needs wire bytes that cost no wire time: the gather carries
+        every slab the update writes, and only the threaded runtime's
+        in-process messages make those bytes cheaper than the updates
+        they save. Under an emulated fabric each byte
         sleeps its priced time, and at the paper's operating point
         (``benchmarks/bench_trainstep.py``'s overlap section) the extra
         gather costs more than the update saves, so such runs keep
@@ -156,7 +143,7 @@ class CollectiveEngine:
         twice.)
         """
         opts = options if options is not None else self.options
-        return opts.compression == "none" and opts.emulate_fabric is None
+        return opts.emulate_fabric is None
 
     def allreduce_update(
         self,
@@ -197,9 +184,8 @@ class CollectiveEngine:
         opts = options if options is not None else self.options
         if not self.owner_step_ok(opts):
             raise ValueError(
-                "the owner step needs uncompressed gradients on the plain "
-                "engine and no emulated fabric; the other reductions keep "
-                "allreduce-then-update"
+                "the owner step needs the plain engine and no emulated "
+                "fabric; the other reductions keep allreduce-then-update"
             )
         grads = slabs[0]
         algorithm = select_algorithm(grads.nbytes, self.topology, opts)
@@ -215,7 +201,7 @@ class CollectiveEngine:
         def chunk(a: int, b: int) -> None:
             part = [s[a:b] for s in slabs]
             run(
-                part[0], part, "mean", opts, tag_shift,
+                part[0], part, "mean", tag_shift,
                 lambda lo, hi: update(a + lo, a + hi),
             )
 
@@ -263,7 +249,7 @@ class CollectiveEngine:
         run = self._runner(schedule.algorithm)
         self._execute(
             schedule, opts, tag, flat.size, flat.itemsize,
-            lambda a, b: run(flat[a:b], [out[a:b]], op, opts, tag_shift),
+            lambda a, b: run(flat[a:b], [out[a:b]], op, tag_shift),
         )
         return out.reshape(arr.shape).astype(arr.dtype, copy=False)
 
@@ -292,7 +278,6 @@ class CollectiveEngine:
         priced = schedule.carrying(kinds) if kinds > 1 else schedule
         scale = priced.wire_bytes() / schedule.wire_bytes() if kinds > 1 else 1.0
         bounds = np.linspace(0, size, schedule.nchunks + 1).astype(np.int64)
-        wire_ratio = opts.wire_ratio()
         # emulated wire latency: sleep each chunk's share of the priced
         # schedule, so the threaded runtime's (shared-memory, ~free)
         # messages cost what they would on the modeled machine's fabric
@@ -317,13 +302,12 @@ class CollectiveEngine:
             if delay_s > 0:
                 time.sleep(delay_s)
             self._record_chunk(
-                t0, tag, ci, int((b - a) * itemsize * wire_ratio * scale),
-                algorithm=algorithm, compression=opts.compression,
+                t0, tag, ci, int((b - a) * itemsize * scale),
+                algorithm=algorithm,
             )
         info: Dict[str, object] = {
             "algorithm": algorithm,
             "chunks": schedule.nchunks,
-            "compression": opts.compression,
             "wire_bytes": int(priced.wire_bytes()),
             "payload_bytes": int(size * itemsize * scale),
         }
@@ -353,11 +337,6 @@ class CollectiveEngine:
             **attrs,
         )
 
-    # -- wire encoding ------------------------------------------------------
-    @staticmethod
-    def _wire(segment: np.ndarray, opts: CollectiveOptions) -> np.ndarray:
-        return fp16_encode(segment) if opts.compression == "fp16" else segment
-
     # -- the schedules --------------------------------------------------------
     # Each schedule reduces the contributions ``seg`` across ranks into
     # ``slabs[0]``: the chunk's slice of an allreduce's fresh result, or,
@@ -382,14 +361,13 @@ class CollectiveEngine:
         seg: np.ndarray,
         slabs: List[np.ndarray],
         op: str,
-        opts: CollectiveOptions,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         """Ring reduce-scatter, the owner's fold, then the slabs' gather."""
         group = list(range(self.comm.size))
         owned, contribs, bounds = self._ring_reduce_scatter(
-            seg, group, opts, _TAG_RING_RS - tag_shift
+            seg, group, _TAG_RING_RS - tag_shift
         )
         self._own(slabs, contribs, op, bounds[owned], bounds[owned + 1], update)
         self._ring_gather(
@@ -401,23 +379,20 @@ class CollectiveEngine:
         self,
         vec: np.ndarray,
         group: Sequence[int],
-        opts: CollectiveOptions,
         tag: int,
     ) -> Tuple[int, Dict[int, np.ndarray], np.ndarray]:
         """Ring reduce-scatter over ``group``, carrying per-source segments.
 
         Returns ``(owned_index, contributions, bounds)`` where
         ``contributions`` maps every group member's global rank to its
-        (possibly wire-compressed) segment ``owned_index`` — the owner
-        combines them canonically afterwards.
+        segment ``owned_index`` — the owner combines them canonically
+        afterwards.
         """
         me = self.comm.rank
         p = len(group)
         i = group.index(me)
         bounds = np.linspace(0, vec.size, p + 1).astype(np.int64)
-        segs = [
-            self._wire(vec[bounds[j] : bounds[j + 1]], opts) for j in range(p)
-        ]
+        segs = [vec[bounds[j] : bounds[j + 1]] for j in range(p)]
         if p == 1:
             return 0, {me: segs[0]}, bounds
         right = group[(i + 1) % p]
@@ -471,7 +446,6 @@ class CollectiveEngine:
         seg: np.ndarray,
         slabs: List[np.ndarray],
         op: str,
-        opts: CollectiveOptions,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
@@ -484,7 +458,7 @@ class CollectiveEngine:
         """
         me = self.comm.rank
         rounds = self.comm.size.bit_length() - 1  # a power of two (planner)
-        contribs: Dict[int, np.ndarray] = {me: self._wire(seg, opts)}
+        contribs: Dict[int, np.ndarray] = {me: seg}
         lo, hi = 0, int(seg.size)
         for k in range(rounds):
             partner = me ^ (1 << k)
@@ -521,7 +495,6 @@ class CollectiveEngine:
         seg: np.ndarray,
         slabs: List[np.ndarray],
         op: str,
-        opts: CollectiveOptions,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
@@ -540,7 +513,7 @@ class CollectiveEngine:
         local = self.topology.node_ranks(me)
         rail = self.topology.rail_ranks(me)
         owned, contribs, bounds = self._ring_reduce_scatter(
-            seg, local, opts, _TAG_HIER_RS - tag_shift
+            seg, local, _TAG_HIER_RS - tag_shift
         )
         collected = dict(contribs)
         n = len(rail)
@@ -561,39 +534,8 @@ class CollectiveEngine:
             _TAG_ACK - tag_shift,
         )
 
-    # -- top-k sparse path --------------------------------------------------
-    def _compressor(self, opts: CollectiveOptions) -> TopKCompressor:
-        key = (opts.topk_ratio, opts.error_feedback)
-        compressor = self._topk.get(key)
-        if compressor is None:
-            compressor = self._topk[key] = TopKCompressor(
-                opts.topk_ratio, error_feedback=opts.error_feedback
-            )
-        return compressor
-
-    def _topk_allreduce(
-        self, arr: np.ndarray, op: str, name: str, opts: CollectiveOptions
-    ) -> np.ndarray:
-        flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-        t0 = time.perf_counter()
-        payload = self._compressor(opts).compress(name, flat)
-        payloads = self.comm.allgather(payload)  # rank-ordered
-        dense = TopKCompressor.densify(payloads, flat.size, op, self.comm.size)
-        sparse_bytes = TopKCompressor.payload_nbytes(payload)
-        ratio = sparse_bytes / flat.nbytes if flat.nbytes else 1.0
-        self._record_chunk(
-            t0, name, 0, sparse_bytes,
-            algorithm="topk-allgather", compression="topk",
-            compression_ratio=round(ratio, 6),
-        )
-        self.last_info = {
-            "algorithm": "topk-allgather", "chunks": 1, "compression": "topk",
-            "wire_bytes": sparse_bytes, "compression_ratio": ratio,
-        }
-        return dense.reshape(arr.shape).astype(arr.dtype, copy=False)
-
     def __repr__(self):
         return (
             f"<CollectiveEngine rank={self.comm.rank}/{self.comm.size} "
-            f"{self.options.algorithm}/{self.options.compression}>"
+            f"{self.options.algorithm}>"
         )

@@ -13,8 +13,7 @@ the wrapper adds:
 - **Deadlines + retransmission**: a recv that misses its chunk deadline
   sends a NACK on the control tag; the sender's service thread re-puts
   the stored envelope. Backoff between requests is the capped
-  exponential of :class:`repro.resilience.RetryPolicy` with a per-rank
-  seeded RNG (bit-reproducible jitter).
+  exponential of :class:`repro.resilience.RetryPolicy`, without jitter.
 - **Heartbeats**: a per-rank service thread beats every peer and feeds
   arrivals to the :class:`~repro.comms.ft.detector.PhiAccrualDetector`;
   the same thread services NACKs, death notices, and restart signals,
@@ -46,7 +45,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from repro.comms.ft.detector import PEER_DEAD, PhiAccrualDetector
+from repro.comms.ft.detector import PEER_DEAD, detector_for
 from repro.comms.ft.options import DEFAULT_FT_OPTIONS, FaultToleranceOptions
 
 __all__ = [
@@ -66,6 +65,13 @@ _RECV_SLICE = 0.005
 
 #: retransmit buffer depth per (peer, tag) stream
 _STORE_DEPTH = 8
+
+#: growth factor and cap of the retransmit backoff
+RETRY_FACTOR = 2.0
+RETRY_MAX_DELAY_S = 0.05
+
+#: the service thread exits after this long without data-plane traffic
+IDLE_SHUTDOWN_S = 2.0
 
 
 class RankKilledError(RuntimeError):
@@ -177,23 +183,13 @@ class FtChannel:
         self.comm = comm
         self.options = options if options is not None else DEFAULT_FT_OPTIONS
         self._tracer = tracer
-        o = self.options
-        self.detector = PhiAccrualDetector(
-            window=o.detector_window,
-            phi_suspect=o.phi_suspect,
-            phi_dead=o.phi_dead,
-            min_std_s=o.detector_min_std_s,
-            bootstrap_interval_s=o.heartbeat_interval_s,
-            suspect_heal_s=o.suspect_heal_s,
-            acceptable_pause_s=o.resolved_acceptable_pause_s,
-        )
+        self.detector = detector_for(self.options)
         #: the rank fault plans target: the *original* SPMD rank, stable
         #: across communicator rebuilds that renumber ``comm.rank``
         self._fault_rank = comm.rank
         self.injector = getattr(comm, "fault_injector", None)
         self.epoch = 0
         self.counters: dict[str, int] = defaultdict(int)
-        self._rng = np.random.default_rng(o.retry_seed + comm.rank)
         self._retry = None
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
@@ -236,24 +232,22 @@ class FtChannel:
         return self.comm.stats
 
     def __getattr__(self, name):
-        # collectives the engine uses off the data path (allgather for
-        # top-k, bcast, barrier, tree allreduce) run on the raw comm
+        # collectives the engine uses off the data path (bcast, barrier,
+        # tree allreduce) run on the raw comm
         return getattr(self.comm, name)
 
     # -- lifecycle -----------------------------------------------------------
     @property
     def retry(self):
-        """The retransmit backoff policy (PR 1's RetryPolicy, seeded)."""
+        """The retransmit backoff policy (PR 1's RetryPolicy)."""
         if self._retry is None:
             from repro.resilience.recovery import RetryPolicy
 
-            o = self.options
             self._retry = RetryPolicy(
-                max_retries=o.max_retransmits,
-                base_delay_s=o.retry_base_delay_s,
-                factor=o.retry_factor,
-                max_delay_s=o.retry_max_delay_s,
-                jitter=o.retry_jitter,
+                max_retries=self.options.max_retransmits,
+                base_delay_s=self.options.retry_base_delay_s,
+                factor=RETRY_FACTOR,
+                max_delay_s=RETRY_MAX_DELAY_S,
             )
         return self._retry
 
@@ -307,7 +301,6 @@ class FtChannel:
         """Beat peers, feed the detector, serve NACKs and signals."""
         ctx = self.comm._context
         me = self.comm.rank
-        o = self.options
         # beats ride a shared timestamp board instead of per-peer
         # queues: ranks are threads in one process, and 2·world queue
         # hops per tick per rank is pure lock churn that taxes the data
@@ -326,25 +319,22 @@ class FtChannel:
             if ctx.aborted.is_set():
                 return
             now = time.monotonic()
-            if now - self._last_activity > o.idle_shutdown_s:
+            if now - self._last_activity > IDLE_SHUTDOWN_S:
                 return  # data plane went quiet; reap (restarted on demand)
-            try:
-                board[me] = now
-                for peer, ctrl_box in ctrl_boxes.items():
-                    if peer not in self._dead_peers:
-                        stamp = board.get(peer)
-                        if stamp is not None and stamp != last_seen.get(peer):
-                            last_seen[peer] = stamp
-                            self.detector.beat(peer, now=stamp)
-                    while True:
-                        try:
-                            msg = ctrl_box.get_nowait()
-                        except queue.Empty:
-                            break
-                        self._handle_ctrl(msg)
-            except Exception:
-                return  # context torn down under us; nothing left to serve
-            self._stop.wait(o.heartbeat_interval_s)
+            board[me] = now
+            for peer, ctrl_box in ctrl_boxes.items():
+                if peer not in self._dead_peers:
+                    stamp = board.get(peer)
+                    if stamp is not None and stamp != last_seen.get(peer):
+                        last_seen[peer] = stamp
+                        self.detector.beat(peer, now=stamp)
+                while True:
+                    try:
+                        msg = ctrl_box.get_nowait()
+                    except queue.Empty:
+                        break
+                    self._handle_ctrl(msg)
+            self._stop.wait(self.options.heartbeat_interval_s)
 
     def _handle_ctrl(self, msg: tuple) -> None:
         kind = msg[0]
@@ -578,7 +568,7 @@ class FtChannel:
             self._count("retransmit_requests", peer=source, why=why)
             ctx = self.comm._context
             ctx.mailbox(me, source, _TAG_FT_CTRL).put(("nack", tag, expected, me))
-            time.sleep(self.retry.delay_s(attempts - 1, rng=self._rng))
+            time.sleep(self.retry.delay_s(attempts - 1))
             return time.monotonic() + o.chunk_deadline_s
 
         while True:

@@ -28,6 +28,7 @@ __all__ = [
     "PEER_SUSPECT",
     "PEER_DEAD",
     "PhiAccrualDetector",
+    "detector_for",
 ]
 
 PEER_HEALTHY = "healthy"
@@ -36,6 +37,17 @@ PEER_DEAD = "dead"
 
 #: phi is capped here: a survival probability below ~1e-30 is silence
 _PHI_CAP = 30.0
+
+#: phi at which a peer becomes *suspect* (the demotion trigger)
+PHI_SUSPECT = 2.0
+#: sliding window of heartbeat inter-arrival samples
+WINDOW = 32
+#: floor on the interval standard deviation (jitter tolerance)
+MIN_STD_S = 0.004
+#: seconds a retransmit-marked peer stays suspect before healing
+SUSPECT_HEAL_S = 1.0
+#: the acceptable pause, in heartbeat intervals (Akka's heuristic)
+PAUSE_BEATS = 3.0
 
 
 class PhiAccrualDetector:
@@ -58,12 +70,12 @@ class PhiAccrualDetector:
     def __init__(
         self,
         *,
-        window: int = 32,
-        phi_suspect: float = 2.0,
+        window: int = WINDOW,
+        phi_suspect: float = PHI_SUSPECT,
         phi_dead: float = 8.0,
-        min_std_s: float = 0.004,
+        min_std_s: float = MIN_STD_S,
         bootstrap_interval_s: float = 0.01,
-        suspect_heal_s: float = 1.0,
+        suspect_heal_s: float = SUSPECT_HEAL_S,
         acceptable_pause_s: float = 0.0,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -228,3 +240,20 @@ class PhiAccrualDetector:
         survival = 10.0 ** (-min(phi, _PHI_CAP))
         z = NormalDist().inv_cdf(1.0 - survival)
         return self.acceptable_pause_s + self.bootstrap_interval_s + z * self.min_std_s
+
+
+def detector_for(options) -> PhiAccrualDetector:
+    """The detector a :class:`~repro.comms.ft.FaultToleranceOptions` runs.
+
+    Heartbeats bootstrap the inter-arrival statistics and set the
+    acceptable pause (``PAUSE_BEATS`` intervals); ``phi_dead`` is the
+    options' own. The FT channel watches its peers with this detector
+    and :func:`repro.sim.faultmodel.ft_detection_seconds` prices its
+    latency, so the wire and the simulator share one model.
+    """
+    beat = options.heartbeat_interval_s
+    return PhiAccrualDetector(
+        phi_dead=options.phi_dead,
+        bootstrap_interval_s=beat,
+        acceptable_pause_s=PAUSE_BEATS * beat,
+    )

@@ -133,14 +133,8 @@ class FaultTolerantEngine(CollectiveEngine):
     ) -> np.ndarray:
         opts = options if options is not None else self.options
         arr = np.asarray(tensor)
-        if (
-            not self.ft_options.enabled
-            or self.comm.size == 1
-            or arr.size == 0
-            or opts.compression == "topk"
-        ):
-            # nothing to protect (or the sparse allgather path, which
-            # runs on the raw comm's collectives)
+        if self.comm.size == 1 or arr.size == 0:
+            # nothing to protect
             return super().allreduce(
                 tensor, op=op, name=name, options=options, tag_shift=tag_shift
             )
@@ -235,8 +229,6 @@ class FaultTolerantEngine(CollectiveEngine):
         NACK path covers one slow hop), so suspicion demotes to ring
         before the collective starts rather than after it times out.
         """
-        if not self.ft_options.demote_on_suspect:
-            return algorithm, None
         if algorithm not in ("hierarchical", "rhd"):
             return algorithm, None
         suspects = self.channel.detector.suspects(
@@ -257,9 +249,7 @@ class FaultTolerantEngine(CollectiveEngine):
         ch = self.channel
         t0 = time.perf_counter()
         known_dead = set(dead) | ch.detector.dead_peers(range(ch.size))
-        result = rebuild_communicator(
-            ch.comm, known_dead, epoch, timeout=self.ft_options.rebuild_timeout_s
-        )
+        result = rebuild_communicator(ch.comm, known_dead, epoch)
         old_world, old_rank = ch.size, ch.rank
         ch.adopt(result.comm, result.epoch)
         self.topology = Topology.from_communicator(result.comm)

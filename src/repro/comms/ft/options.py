@@ -8,7 +8,7 @@ rank-local :class:`~repro.comms.ft.engine.FaultTolerantEngine`.
 
 The defaults are tuned for the functional SPMD runtime (ranks are
 threads, messages are queue hops): heartbeats every 250 ms, a chunk
-deadline of 250 ms before the first retransmission request, and a
+deadline of 1 s before the first retransmission request, and a
 phi-accrual detector that declares death around ``phi_dead``. The
 simulator prices the same parameters analytically
 (:func:`repro.sim.faultmodel.ft_detection_seconds`), so a paper-scale
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.comms.ft.detector import PHI_SUSPECT
 from repro.options import (
     FrozenOptions,
     require_non_negative,
@@ -35,31 +36,23 @@ DEMOTION_LADDER = ("hierarchical", "ring", "flat")
 
 @dataclass(frozen=True, kw_only=True)
 class FaultToleranceOptions(FrozenOptions):
-    """Keyword-only, frozen configuration of the FT collective runtime."""
+    """Keyword-only, frozen configuration of the FT collective runtime.
 
-    #: master switch; a disabled instance behaves like plain PR 5 engine
-    enabled: bool = True
+    ``CollectiveOptions(fault_tolerance=None)`` is the plain engine; any
+    instance arms the FT engine. The detector's other parameters, the
+    backoff's growth and cap, and the idle deadline are constants of
+    :mod:`repro.comms.ft.detector` and :mod:`repro.comms.ft.channel`;
+    the rebuild deadline is
+    :func:`~repro.comms.ft.rebuild.rebuild_communicator`'s default.
+    """
 
     # -- failure detector ---------------------------------------------------
     #: heartbeat period of the per-rank service thread — the cadence
     #: real accrual detectors run at (Cassandra/Akka beat at 0.1–1 s);
     #: beating much faster taxes the data plane it is meant to protect
     heartbeat_interval_s: float = 0.25
-    #: phi at which a peer becomes *suspect* (demotion trigger)
-    phi_suspect: float = 2.0
     #: phi at which a peer is declared *dead* (rebuild trigger)
     phi_dead: float = 8.0
-    #: sliding window of heartbeat inter-arrival samples
-    detector_window: int = 32
-    #: floor on the interval standard deviation (jitter tolerance)
-    detector_min_std_s: float = 0.004
-    #: Akka-style acceptable heartbeat pause: silence deducted before
-    #: phi accrues, absorbing scheduler stalls of live peers. ``None``
-    #: derives 3x the heartbeat interval (see
-    #: :meth:`resolved_acceptable_pause_s`).
-    detector_acceptable_pause_s: float | None = None
-    #: seconds a retransmit-marked peer stays suspect before healing
-    suspect_heal_s: float = 1.0
 
     # -- reliable chunk transport ------------------------------------------
     #: per-chunk recv deadline before a retransmission is requested.
@@ -78,64 +71,29 @@ class FaultToleranceOptions(FrozenOptions):
     #: or genuinely unreliable transports — ``msg_corrupt`` injection
     #: is only caught while this is enabled.
     checksum: bool = False
-    #: capped exponential backoff between retransmission requests
+    #: first delay of the capped exponential backoff between
+    #: retransmission requests
     retry_base_delay_s: float = 0.002
-    retry_factor: float = 2.0
-    retry_max_delay_s: float = 0.05
-    #: jitter fraction of the retransmit backoff (seeded per rank)
-    retry_jitter: float = 0.0
-    #: base seed of the per-rank backoff RNG (rank is added to it)
-    retry_seed: int = 0
 
     # -- degradation & recovery --------------------------------------------
-    #: demote the schedule one ladder step while any peer is suspect
-    demote_on_suspect: bool = True
     #: allow mid-collective demotion after retransmit exhaustion
     allow_demotion: bool = True
     #: allow the elastic communicator rebuild on confirmed rank death
     allow_rebuild: bool = True
-    #: consensus deadline of one rebuild round
-    rebuild_timeout_s: float = 5.0
     #: a killed rank broadcasts a death notice before dying (fast path;
     #: pure-silence death is still caught by the phi detector)
     death_notice: bool = True
-    #: service thread exits after this long without data-plane traffic
-    idle_shutdown_s: float = 2.0
 
     def __post_init__(self):
         require_positive("heartbeat_interval_s", self.heartbeat_interval_s)
-        if not 0 < self.phi_suspect < self.phi_dead:
+        if self.phi_dead <= PHI_SUSPECT:
             raise ValueError(
-                f"need 0 < phi_suspect < phi_dead, got "
-                f"{self.phi_suspect} / {self.phi_dead}"
-            )
-        if self.detector_window < 2:
-            raise ValueError(
-                f"detector_window must be >= 2, got {self.detector_window}"
-            )
-        require_positive("detector_min_std_s", self.detector_min_std_s)
-        if self.detector_acceptable_pause_s is not None:
-            require_non_negative(
-                "detector_acceptable_pause_s", self.detector_acceptable_pause_s
+                f"phi_dead must exceed phi_suspect ({PHI_SUSPECT}), "
+                f"got {self.phi_dead}"
             )
         require_positive("chunk_deadline_s", self.chunk_deadline_s)
         require_non_negative("max_retransmits", self.max_retransmits)
-        if self.retry_base_delay_s < 0 or self.retry_max_delay_s < 0:
-            raise ValueError("retry delays must be non-negative")
-        if self.retry_factor < 1.0:
-            raise ValueError(f"retry_factor must be >= 1, got {self.retry_factor}")
-        require_non_negative("retry_jitter", self.retry_jitter)
-        require_positive("rebuild_timeout_s", self.rebuild_timeout_s)
-        require_non_negative("suspect_heal_s", self.suspect_heal_s)
-        require_positive("idle_shutdown_s", self.idle_shutdown_s)
-
-    @property
-    def resolved_acceptable_pause_s(self) -> float:
-        """The effective detector grace: the explicit value, else 3x the
-        heartbeat interval (Akka's heartbeat-pause heuristic)."""
-        if self.detector_acceptable_pause_s is not None:
-            return self.detector_acceptable_pause_s
-        return 3.0 * self.heartbeat_interval_s
+        require_non_negative("retry_base_delay_s", self.retry_base_delay_s)
 
 
 #: FT defaults: detection + retry + demotion + rebuild all armed

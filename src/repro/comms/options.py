@@ -36,9 +36,7 @@ from repro.comms.ft.options import FaultToleranceOptions
 from repro.options import (
     FrozenOptions,
     require_choice,
-    require_in_interval,
     require_instance,
-    require_non_negative,
     require_positive,
 )
 
@@ -46,15 +44,15 @@ __all__ = [
     "CollectiveOptions",
     "DEFAULT_OPTIONS",
     "ALGORITHMS",
-    "COMPRESSIONS",
+    "SMALL_MESSAGE_BYTES",
     "select_algorithm",
 ]
 
 #: supported transport algorithms ("auto" resolves to one of the others)
 ALGORITHMS = ("auto", "flat", "ring", "rhd", "hierarchical")
 
-#: supported gradient compression modes
-COMPRESSIONS = ("none", "fp16", "topk")
+#: at or below this size, latency dominates and "auto" prefers rhd
+SMALL_MESSAGE_BYTES = 16 << 10
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -66,26 +64,16 @@ class CollectiveOptions(FrozenOptions):
     """Keyword-only configuration for every collective in a run.
 
     The defaults reproduce the engine's automatic behaviour, which is
-    itself calibrated to match the pre-engine flat path bit-for-bit on
-    non-compressed tensors (see the numerics contract in
-    :mod:`repro.comms.engine`).
+    itself calibrated to match the pre-engine flat path bit-for-bit (see
+    the numerics contract in :mod:`repro.comms.engine`).
     """
 
     #: transport algorithm; "auto" selects by size and topology
     algorithm: str = "auto"
-    #: gradient compression: "none", "fp16" (half-precision wire format),
-    #: or "topk" (sparse top-k with error feedback)
-    compression: str = "none"
-    #: fraction of gradient entries kept by top-k compression
-    topk_ratio: float = 0.01
-    #: accumulate the truncated residual into the next step (top-k only)
-    error_feedback: bool = True
     #: fusion-buffer capacity consumed per fused allreduce (Horovod's 64 MB)
     fusion_bytes: int = 64 << 20
     #: pipelined chunk size for one fused reduction; None = single chunk
     chunk_bytes: Optional[int] = None
-    #: at or below this size, latency dominates and rhd is preferred
-    small_message_bytes: int = 16 << 10
     #: fault-tolerant execution (heartbeat detection, retransmission,
     #: demotion, elastic rebuild); None = the plain PR 5 engine
     fault_tolerance: Optional[FaultToleranceOptions] = None
@@ -106,14 +94,11 @@ class CollectiveOptions(FrozenOptions):
 
     def __post_init__(self):
         require_choice("algorithm", self.algorithm, ALGORITHMS)
-        require_choice("compression", self.compression, COMPRESSIONS)
-        require_in_interval("topk_ratio", self.topk_ratio, 0, 1, open_low=True)
         require_positive("fusion_bytes", self.fusion_bytes)
         if self.chunk_bytes is not None and self.chunk_bytes <= 0:
             raise ValueError(
                 f"chunk_bytes must be positive or None, got {self.chunk_bytes}"
             )
-        require_non_negative("small_message_bytes", self.small_message_bytes)
         require_instance(
             "fault_tolerance", self.fault_tolerance, FaultToleranceOptions
         )
@@ -133,17 +118,8 @@ class CollectiveOptions(FrozenOptions):
             return 1
         return max(1, -(-nbytes // self.chunk_bytes))
 
-    def wire_ratio(self, itemsize: int = 8) -> float:
-        """Bytes-on-wire per payload byte under this compression mode."""
-        if self.compression == "fp16":
-            return 2.0 / itemsize
-        if self.compression == "topk":
-            # value + index per surviving entry
-            return min(1.0, 2.0 * self.topk_ratio)
-        return 1.0
 
-
-#: the engine's defaults — automatic selection, no compression
+#: the engine's defaults — automatic selection
 DEFAULT_OPTIONS = CollectiveOptions()
 
 
@@ -163,7 +139,7 @@ def select_algorithm(nbytes: int, topology, options: CollectiveOptions) -> str:
             topology.nnodes > 1 and topology.local_size > 1 and topology.uniform
         ):
             algo = "hierarchical"
-        elif nbytes <= options.small_message_bytes and _is_power_of_two(
+        elif nbytes <= SMALL_MESSAGE_BYTES and _is_power_of_two(
             topology.world
         ):
             algo = "rhd"
@@ -174,9 +150,5 @@ def select_algorithm(nbytes: int, topology, options: CollectiveOptions) -> str:
     if algo == "hierarchical" and not (
         topology.nnodes > 1 and topology.local_size > 1 and topology.uniform
     ):
-        algo = "ring"
-    if algo == "flat" and options.compression != "none" and topology.world > 1:
-        # the flat path is the uncompressed reference; compression needs
-        # an engine-executed schedule
         algo = "ring"
     return algo

@@ -15,7 +15,7 @@ consumers:
   algorithm choice,
 - golden tests assert the exact step structure per topology.
 
-Cost identities (single chunk, no compression) are kept exactly in line
+Cost identities (single chunk) are kept exactly in line
 with :class:`~repro.mpi.network.CollectiveCostModel`: a planned ring
 prices as ``allreduce_ring``, a planned hierarchical as
 ``allreduce_hierarchical`` (the inter stage charges the *full* buffer —
@@ -90,11 +90,10 @@ class CollectiveSchedule:
 
     collective: str  #: "allreduce" | "broadcast" | "allgather"
     algorithm: str  #: resolved algorithm (never "auto")
-    nbytes: int  #: total payload bytes (uncompressed)
+    nbytes: int  #: total payload bytes
     topology: Topology
-    compression: str
     nchunks: int
-    chunk_bytes: int  #: uncompressed bytes of one chunk (last may be short)
+    chunk_bytes: int  #: bytes of one chunk (last may be short)
     steps: Tuple[PlanStep, ...]
     demoted_from: Optional[str] = None
     demotion_reason: Optional[str] = None
@@ -151,7 +150,7 @@ _GATHER_PHASES = ("allgather", "doubling")
 
 
 def _allreduce_steps(
-    chunk: float, topo: Topology, algorithm: str, wire: float
+    chunk: float, topo: Topology, algorithm: str
 ) -> Tuple[PlanStep, ...]:
     """Per-chunk allreduce phases for one resolved algorithm."""
     p = topo.world
@@ -161,14 +160,14 @@ def _allreduce_steps(
     frac = (p - 1) / p
     if algorithm in ("flat", "ring"):
         return (
-            PlanStep("reduce_scatter", spans, p - 1, chunk * frac * wire, chunk * frac),
-            PlanStep("allgather", spans, p - 1, chunk * frac * wire),
+            PlanStep("reduce_scatter", spans, p - 1, chunk * frac, chunk * frac),
+            PlanStep("allgather", spans, p - 1, chunk * frac),
         )
     if algorithm == "rhd":
         rounds = math.ceil(math.log2(p))
         return (
-            PlanStep("halving", spans, rounds, chunk * frac * wire, chunk * frac),
-            PlanStep("doubling", spans, rounds, chunk * frac * wire),
+            PlanStep("halving", spans, rounds, chunk * frac, chunk * frac),
+            PlanStep("doubling", spans, rounds, chunk * frac),
         )
     if algorithm == "hierarchical":
         l, n = topo.local_size, topo.nnodes
@@ -177,9 +176,9 @@ def _allreduce_steps(
         # the l per-local-index slice rings share one NIC per node, so the
         # inter stage charges the full chunk, not chunk/l
         return (
-            PlanStep("reduce_scatter", "intra", l - 1, chunk * lfrac * wire, chunk * lfrac),
-            PlanStep("inter_ring", "inter", 2 * (n - 1), 2 * chunk * nfrac * wire, chunk * nfrac),
-            PlanStep("allgather", "intra", l - 1, chunk * lfrac * wire),
+            PlanStep("reduce_scatter", "intra", l - 1, chunk * lfrac, chunk * lfrac),
+            PlanStep("inter_ring", "inter", 2 * (n - 1), 2 * chunk * nfrac, chunk * nfrac),
+            PlanStep("allgather", "intra", l - 1, chunk * lfrac),
         )
     raise ValueError(f"unplannable algorithm {algorithm!r}")
 
@@ -193,32 +192,12 @@ def plan_allreduce(
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     algorithm = select_algorithm(nbytes, topology, options)
-    p = topology.world
-    if options.compression == "topk" and p > 1:
-        # sparse allgather of (index, value) pairs; no chunking — top-k
-        # selection is a whole-tensor decision
-        spans = "inter" if topology.nnodes > 1 else "intra"
-        payload = nbytes * options.wire_ratio()
-        steps = (
-            PlanStep(
-                "sparse_allgather",
-                spans,
-                p - 1,
-                (p - 1) * payload,
-                p * payload,
-            ),
-        )
-        return CollectiveSchedule(
-            "allreduce", "topk-allgather", nbytes, topology,
-            "topk", 1, nbytes, steps,
-        )
     nchunks = options.nchunks(nbytes)
     chunk = nbytes / nchunks if nchunks else float(nbytes)
-    wire = options.wire_ratio()
-    steps = _allreduce_steps(chunk, topology, algorithm, wire)
+    steps = _allreduce_steps(chunk, topology, algorithm)
     return CollectiveSchedule(
         "allreduce", algorithm, nbytes, topology,
-        options.compression, nchunks, int(math.ceil(chunk)) if nbytes else 0, steps,
+        nchunks, int(math.ceil(chunk)) if nbytes else 0, steps,
     )
 
 
@@ -256,7 +235,7 @@ def plan_broadcast(
     else:
         algorithm = "flat"
     return CollectiveSchedule(
-        "broadcast", algorithm, nbytes, topology, "none", 1, nbytes, steps
+        "broadcast", algorithm, nbytes, topology, 1, nbytes, steps
     )
 
 
@@ -279,6 +258,6 @@ def plan_allgather(
             PlanStep("allgather", spans, p - 1, total * (p - 1) / p),
         )
     return CollectiveSchedule(
-        "allgather", "ring", nbytes_per_rank, topology, "none", 1,
+        "allgather", "ring", nbytes_per_rank, topology, 1,
         nbytes_per_rank, steps,
     )

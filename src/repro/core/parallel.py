@@ -154,9 +154,9 @@ def run_parallel_benchmark(
     of the per-rank timings.
 
     ``train.collective`` governs every gradient and metric reduction in
-    the run (algorithm, compression, fusion size, chunking); None uses
-    the engine's automatic, bit-identical defaults. When its
-    ``fault_tolerance`` is enabled, gradient reductions run over the
+    the run (algorithm, fusion size, chunking); None uses the engine's
+    automatic, bit-identical defaults. When it sets
+    ``fault_tolerance``, gradient reductions run over the
     fault-tolerant engine
     (:mod:`repro.comms.ft`): message faults from ``fault_injector`` (a
     :class:`repro.resilience.FaultInjector`) are retried or demoted, and
@@ -166,7 +166,7 @@ def run_parallel_benchmark(
     """
     if train is None:
         train = DEFAULT_TRAIN_OPTIONS
-    collective = train.effective_collective
+    collective = train.collective
     if data is None and data_paths is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
     load_config = as_config(load_method)

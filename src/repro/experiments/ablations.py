@@ -82,7 +82,7 @@ def run_collectives(fast: bool = True, config=None) -> ExperimentResult:
 
     Every column is a :func:`repro.comms.plan_allreduce` schedule on the
     Summit topology — the same plans the functional engine executes —
-    compared per worker count; ``config.collective`` (compression,
+    compared per worker count; ``config.collective`` (fusion size,
     chunking) applies to every algorithm column.
     """
     from repro.comms import CollectiveOptions, Topology, plan_allreduce

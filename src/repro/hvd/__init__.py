@@ -24,7 +24,7 @@ Because ranks are threads, the module-level state is thread-local: each
 rank thread calls ``init(comm)`` with its own communicator and sees its
 own rank identity, exactly like per-process Horovod.
 
-Collective transport — algorithm, compression, chunking, fusion size —
+Collective transport — algorithm, chunking, fusion size, fault tolerance —
 is configured by one :class:`repro.comms.CollectiveOptions` (re-exported
 here) passed to ``init`` or ``DistributedOptimizer`` and threaded down
 to the engine unchanged.

@@ -60,8 +60,8 @@ class MetricAverageCallback(Callback):
     every rank reports the same global metric — used when ranks train
     on different shards and a single curve is wanted. ``options``
     overrides the run-level :class:`~repro.comms.CollectiveOptions` for
-    the metric reduction (metrics are tiny — never compress them along
-    with the gradients).
+    the metric reduction (metrics are tiny: a latency-bound algorithm
+    may suit them better than the gradients' schedule).
     """
 
     def __init__(self, options=None):

@@ -19,8 +19,8 @@ Array allreduces route through the rank's
 :class:`~repro.comms.CollectiveEngine`, which resolves the transport
 algorithm (ring / recursive halving-doubling / hierarchical / flat) from
 the run's :class:`~repro.comms.CollectiveOptions` and the machine
-topology. Non-compressed schedules are bit-identical to the flat
-reference path, so this routing is numerically invisible.
+topology. Every schedule is bit-identical to the flat reference path,
+so this routing is numerically invisible.
 
 All signatures are keyword-only past the payload (``op=``, ``root=``,
 ``name=``, and ``allreduce``'s ``options=``).
@@ -86,9 +86,8 @@ def _allreduce_events(tag: str, nbytes: int, options):
     comm = _rt.comm()
     run_opts = options if options is not None else _rt.options()
     ft = getattr(run_opts, "fault_tolerance", None)
-    ft_enabled = ft is not None and ft.enabled and comm.size > 1
     t_enter = time.perf_counter()
-    if not ft_enabled:
+    if ft is None or comm.size == 1:
         # rendezvous: every rank ready to reduce. Under fault tolerance
         # the engine's completion fence provides the synchronization, and
         # a raw barrier would hang forever on a rank that died.

@@ -10,14 +10,14 @@ Gradients are fused per :class:`repro.hvd.fusion.FusionBuffer` before
 the allreduce, so each training step issues one (or a few) large
 reductions rather than one per layer. The whole step is configured by
 one :class:`repro.train.TrainOptions` passed as ``train=``: its
-``collective``/``fault_tolerance`` govern how reductions travel, and
+``collective`` governs how reductions travel, and
 ``overlap=True`` lets an attached
 :class:`repro.overlap.OverlapScheduler` take over the arena reduction —
 ``apply_arena`` then drains the scheduler's fence instead of issuing
 the serialized slab allreduces.
 
-On the arena path, where the rank's engine allows it (uncompressed
-gradients, no fault tolerance, no emulated fabric) and the base
+On the arena path, where the rank's engine allows it (no fault
+tolerance, no emulated fabric) and the base
 optimizer has a slab kernel, each fusion group runs the engine's **owner step**
 (:meth:`repro.comms.CollectiveEngine.allreduce_update`): every element
 is updated once, by the rank that reduced it, and the gather carries
@@ -49,9 +49,9 @@ class DistributedOptimizer(Optimizer):
         # Deliberately no super().__init__: lr/decay/state all proxy to base.
         self.base = base
         self.train = train if train is not None else DEFAULT_TRAIN_OPTIONS
-        #: effective CollectiveOptions of this run's reductions
+        #: CollectiveOptions of this run's reductions
         #: (None = run-level options / engine defaults)
-        self.options = self.train.effective_collective
+        self.options = self.train.collective
         self.fusion = FusionBuffer.from_options(self.options)
         self.allreduce_count = 0
         #: (old_world, new_world) pairs for every elastic world change
@@ -137,9 +137,8 @@ class DistributedOptimizer(Optimizer):
         the base optimizer's fused update runs over the whole slab. With
         an attached overlap scheduler that armed this step, the buckets
         are already in flight (and, under the owner step, updated) — the
-        drain fence replaces the serialized path, bit-identical to it on
-        the non-compressed path: same buffers, same schedules, same
-        canonical reduction order.
+        drain fence replaces the serialized path, bit-identical to it:
+        same buffers, same schedules, same canonical reduction order.
         """
         if self._overlap is not None and self._overlap.finish_step(arena):
             self._reconcile_world()
@@ -167,7 +166,7 @@ class DistributedOptimizer(Optimizer):
         elementwise slab kernel, and an engine that allows it under
         ``options`` (:meth:`CollectiveEngine.owner_step_ok
         <repro.comms.CollectiveEngine.owner_step_ok>`: the plain engine,
-        uncompressed gradients, no emulated fabric).
+        no emulated fabric).
         """
         return (
             arena.replicated

@@ -125,8 +125,7 @@ def engine():
     """
     state = _state()
     if state.engine is None:
-        ft = getattr(state.options, "fault_tolerance", None)
-        if ft is not None and ft.enabled:
+        if getattr(state.options, "fault_tolerance", None) is not None:
             from repro.comms.ft.engine import FaultTolerantEngine
 
             eng = FaultTolerantEngine(

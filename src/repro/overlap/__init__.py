@@ -5,7 +5,7 @@ arena-built :class:`~repro.nn.Sequential`, releases gradient buckets
 onto a priority ready-queue the moment their layers finish, and fires
 their allreduce schedules on a background worker while backward
 continues — draining at a fence before the fused optimizer update so
-the non-compressed path stays bit-identical to the serialized step.
+the step stays bit-identical to the serialized step.
 Enabled per run with ``TrainOptions(overlap=True)``.
 """
 

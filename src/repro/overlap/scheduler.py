@@ -21,9 +21,10 @@ the arena-backed step:
    a small late bucket travels beside a large in-flight one instead of
    queueing behind it;
 4. a **drain fence** in :meth:`OverlapScheduler.finish_step` blocks the
-   step until every bucket has landed — so the non-compressed path stays
-   bit-identical to the serialized step (same buffers, same schedules,
-   same canonical reduction order, only earlier).
+   step until every bucket has landed (and fails it after
+   ``DRAIN_TIMEOUT_S``) — so the step stays bit-identical to the
+   serialized step (same buffers, same schedules, same canonical
+   reduction order, only earlier).
 
 Where the distributed optimizer allows the engine's owner step
 (:meth:`DistributedOptimizer.owner_step
@@ -52,10 +53,10 @@ progressed. Buckets are partitioned across channels by ``index %
 channels`` — deterministic, so each channel's issue sequence is also
 identical on every rank, and distinct channels cannot interfere because
 their tag namespaces are disjoint. Priority therefore orders buckets
-*released by the same event* (``"layer"`` = early model positions
-first, since the next forward consumes them first; ``"fifo"`` = slab
-order); a global early-layers-first order is impossible without a
-coordinator, because early layers finish backward *last*.
+*released by the same event*: early model positions first, since the
+next forward consumes them first; a global early-layers-first order is
+impossible without a coordinator, because early layers finish backward
+*last*.
 
 Per-bucket telemetry lands as ``overlap_hidden`` (bucket comm time that
 ran concurrently with backward) and ``overlap_wait`` (the exposed
@@ -77,6 +78,9 @@ import numpy as np
 from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 __all__ = ["OverlapScheduler", "OverlapStats", "GradientBucket"]
+
+#: seconds the pre-update drain fence waits for in-flight buckets
+DRAIN_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ class OverlapScheduler:
         self.model = model
         self.optimizer = optimizer
         self.train = train if train is not None else DEFAULT_TRAIN_OPTIONS
-        self.options = self.train.effective_collective
+        self.options = self.train.collective
         self.stats = OverlapStats()
         # captured on the rank thread: the worker thread cannot use the
         # thread-local hvd accessors
@@ -178,14 +182,12 @@ class OverlapScheduler:
         for group in self._triggers.values():
             group.sort(key=lambda b: (b.priority, b.index))
         self._layer_pos = {id(layer): i for i, layer in enumerate(model.layers)}
-        # channel count: fault tolerance, compression, and the flat path
-        # are single-stream engine features — force one channel there so
+        # channel count: fault tolerance and the flat path are
+        # single-stream engine features — force one channel there so
         # their (well-tested) serial semantics are preserved
         opts = self.options
         serial_only = opts is not None and (
-            opts.compression != "none"
-            or opts.fault_tolerance is not None
-            or opts.algorithm == "flat"
+            opts.fault_tolerance is not None or opts.algorithm == "flat"
         )
         self.channels = 1 if serial_only else min(
             self.train.overlap_channels, max(1, len(self._buckets))
@@ -262,10 +264,6 @@ class OverlapScheduler:
             self._arena.fusion_groups(capacity_bytes)
         ):
             trigger = min(pos[n] for n in names)
-            if self.train.overlap_priority == "layer":
-                priority: Tuple[int, ...] = (trigger, start)
-            else:  # fifo: slab order
-                priority = (idx,)
             buckets.append(
                 GradientBucket(
                     index=idx,
@@ -273,7 +271,7 @@ class OverlapScheduler:
                     stop=stop,
                     names=tuple(names),
                     trigger_pos=trigger,
-                    priority=priority,
+                    priority=(trigger, start),
                 )
             )
         return buckets
@@ -356,7 +354,7 @@ class OverlapScheduler:
                 self._active = False
             self._account(self._records, self._delivery, t_backward_end)
             return True
-        deadline = t_backward_end + self.train.drain_timeout_s
+        deadline = t_backward_end + DRAIN_TIMEOUT_S
         with self._cond:
             # defensive residue: a bucket whose trigger never fired (a
             # layer skipped by this step's graph) still has to travel —
@@ -381,7 +379,7 @@ class OverlapScheduler:
                     self._active = False
                     raise RuntimeError(
                         f"overlap drain fence timed out after "
-                        f"{self.train.drain_timeout_s}s with "
+                        f"{DRAIN_TIMEOUT_S}s with "
                         f"{len(self._buckets) - self._done} buckets in flight"
                     )
                 self._cond.wait(timeout=remaining)
@@ -529,7 +527,7 @@ class OverlapScheduler:
             self._active = False
             self._cond.notify_all()
         for w in self._workers:
-            w.join(timeout=self.train.drain_timeout_s)
+            w.join(timeout=DRAIN_TIMEOUT_S)
         if self._installed:
             try:
                 self.model._backward_hooks.remove(self._on_layer_backward)
@@ -545,6 +543,5 @@ class OverlapScheduler:
     def __repr__(self):
         return (
             f"OverlapScheduler(rank={self._rank}, "
-            f"buckets={len(self._buckets)}, channels={self.channels}, "
-            f"priority={self.train.overlap_priority!r})"
+            f"buckets={len(self._buckets)}, channels={self.channels})"
         )

@@ -56,9 +56,9 @@ class RetryPolicy:
     ``jitter`` spreads retries by up to that fraction of the capped
     delay — but only from an *injected* RNG: the policy never touches
     global ``random``/``np.random`` state, so SPMD ranks that each seed
-    their own generator back off bit-reproducibly (the FT channel seeds
-    ``options.retry_seed + rank``; :func:`run_resilient_benchmark`
-    derives its generator from the run seed).
+    their own generator back off bit-reproducibly
+    (:func:`run_resilient_benchmark` derives its generator from the run
+    seed; the FT channel backs off without jitter).
     """
 
     max_retries: int = 3

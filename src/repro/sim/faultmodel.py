@@ -217,22 +217,15 @@ def ft_detection_seconds(ft_options=None) -> float:
     analytic inverse gives the silence length for a target phi under
     the bootstrap inter-arrival statistics — the same quantity the
     functional :class:`~repro.comms.ft.detector.PhiAccrualDetector`
-    exposes, so the simulator and the wire agree on the model.
+    exposes (both build it with
+    :func:`~repro.comms.ft.detector.detector_for`), so the simulator and
+    the wire agree on the model.
     """
-    from repro.comms.ft.detector import PhiAccrualDetector
+    from repro.comms.ft.detector import detector_for
     from repro.comms.ft.options import DEFAULT_FT_OPTIONS
 
     o = ft_options if ft_options is not None else DEFAULT_FT_OPTIONS
-    detector = PhiAccrualDetector(
-        window=o.detector_window,
-        phi_suspect=o.phi_suspect,
-        phi_dead=o.phi_dead,
-        min_std_s=o.detector_min_std_s,
-        bootstrap_interval_s=o.heartbeat_interval_s,
-        suspect_heal_s=o.suspect_heal_s,
-        acceptable_pause_s=o.resolved_acceptable_pause_s,
-    )
-    return detector.detection_latency_s(o.phi_dead)
+    return detector_for(o).detection_latency_s(o.phi_dead)
 
 
 def ft_rebuild_seconds(

@@ -58,8 +58,8 @@ class ScaledRunSimulator:
     gradient traffic is priced by planning each fused buffer with
     :func:`repro.comms.plan_allreduce` on this machine's topology and
     charging the schedule on its fabric — the same planner the
-    functional engine executes, so algorithm/compression/chunking
-    choices move simulated time too. The defaults resolve to the
+    functional engine executes, so algorithm and chunking choices move
+    simulated time too. The defaults resolve to the
     hierarchical schedule and price identically to the pre-engine cost
     model.
     """
@@ -94,8 +94,10 @@ class ScaledRunSimulator:
             # executes; explicit overlap=/collective= kwargs stay for the
             # sim-only call sites that predate it
             self.overlap = bool(train.overlap)
-            eff = train.effective_collective
-            self.collective = eff if eff is not None else DEFAULT_OPTIONS
+            self.collective = (
+                train.collective if train.collective is not None
+                else DEFAULT_OPTIONS
+            )
         else:
             self.overlap = bool(overlap)
             self.collective = collective if collective is not None else DEFAULT_OPTIONS

@@ -2,20 +2,15 @@
 
 One frozen, keyword-only :class:`TrainOptions` object carries every
 knob of a training step (arena storage, precision, collective
-transport, fault tolerance, compute/communication overlap) from the
-benchmark entry point down through ``Sequential.build``/``fit``,
+transport and its fault tolerance, compute/communication overlap) from
+the benchmark entry point down through ``Sequential.build``/``fit``,
 ``hvd.DistributedOptimizer``, the overlap scheduler, and the simulator
 — replacing the scattered ``arena=``/``dtype=``/``options=`` keywords.
 """
 
-from repro.train.options import (
-    DEFAULT_TRAIN_OPTIONS,
-    OVERLAP_PRIORITIES,
-    TrainOptions,
-)
+from repro.train.options import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 __all__ = [
     "TrainOptions",
     "DEFAULT_TRAIN_OPTIONS",
-    "OVERLAP_PRIORITIES",
 ]

@@ -89,40 +89,6 @@ class TestBitIdentity:
             assert shape == (4, 6) and dtype == np.float32
 
 
-class TestCompressedPaths:
-    def test_fp16_close_but_lossy(self):
-        opts = CollectiveOptions(algorithm="ring", compression="fp16")
-
-        def worker(comm):
-            data = np.random.default_rng(comm.rank).normal(size=4001)
-            eng = CollectiveEngine(comm, options=opts)
-            got = eng.allreduce(data.copy(), op="mean", name="g")
-            ref = comm.allreduce(data.copy(), op="mean")
-            return got, ref, dict(eng.last_info)
-
-        for got, ref, info in run_spmd(4, worker):
-            assert info["compression"] == "fp16"
-            np.testing.assert_allclose(got, ref, rtol=2e-3, atol=1e-2)
-
-    def test_topk_ranks_agree_and_sparse(self):
-        opts = CollectiveOptions(compression="topk", topk_ratio=0.05)
-
-        def worker(comm):
-            data = _rank_data(comm.rank)
-            eng = CollectiveEngine(comm, options=opts)
-            out = eng.allreduce(data, op="mean", name="g")
-            return out, dict(eng.last_info)
-
-        results = run_spmd(4, worker)
-        first, info = results[0]
-        assert info["algorithm"] == "topk-allgather"
-        assert 0 < info["compression_ratio"] < 0.25
-        # sparse by construction, and every rank computes the same dense result
-        assert np.count_nonzero(first) < first.size
-        for out, _ in results[1:]:
-            np.testing.assert_array_equal(out, first)
-
-
 class TestTelemetryAndInfo:
     def test_one_span_per_chunk_with_attributes(self):
         opts = CollectiveOptions(algorithm="ring", chunk_bytes=8 << 10)
@@ -141,7 +107,6 @@ class TestTelemetryAndInfo:
             for a in attrs:
                 assert a["tensor"] == "grad/w0"
                 assert a["algorithm"] == "ring"
-                assert a["compression"] == "none"
                 assert a["bytes"] > 0
 
     def test_last_info_wire_bytes_match_plan(self):
@@ -167,10 +132,7 @@ class TestTelemetryAndInfo:
 
         [(out, info)] = run_spmd(1, worker)
         np.testing.assert_array_equal(out, np.arange(8.0))
-        assert info == {
-            "algorithm": "flat", "chunks": 1, "compression": "none",
-            "wire_bytes": 0,
-        }
+        assert info == {"algorithm": "flat", "chunks": 1, "wire_bytes": 0}
 
     def test_per_call_options_override_engine_default(self):
         def worker(comm):

@@ -144,23 +144,6 @@ class TestFaultFree:
             assert recovery is None
             assert counters.get("retransmit_requests", 0) == 0
 
-    def test_ft_disabled_options_bypass_channel(self):
-        opts = CollectiveOptions(
-            fault_tolerance=FaultToleranceOptions(enabled=False)
-        )
-
-        def worker(comm):
-            engine = FaultTolerantEngine(comm, opts)
-            out = engine.allreduce(rank_input(comm.rank), name="g")
-            engine.close()
-            assert engine.channel.counters == {}
-            return out
-
-        results = run_spmd(4, worker)
-        expect = expected_mean(range(4))
-        for out in results:
-            assert np.array_equal(out, expect)
-
 
 class TestDemotion:
     def test_silent_death_walks_demotion_ladder_to_rebuild(self):

@@ -4,19 +4,19 @@ import pytest
 
 from repro.comms import (
     ALGORITHMS,
-    COMPRESSIONS,
     DEFAULT_OPTIONS,
     CollectiveOptions,
     Topology,
     select_algorithm,
 )
+from repro.comms.options import SMALL_MESSAGE_BYTES
 
 
 class TestValidation:
     def test_defaults_are_valid_and_frozen(self):
         opts = CollectiveOptions()
         assert opts.algorithm == "auto"
-        assert opts.compression == "none"
+        assert opts.fault_tolerance is None and opts.emulate_fabric is None
         with pytest.raises(Exception):
             opts.algorithm = "ring"
 
@@ -28,12 +28,12 @@ class TestValidation:
         "kwargs",
         [
             {"algorithm": "butterfly"},
-            {"compression": "zstd"},
-            {"topk_ratio": 0.0},
-            {"topk_ratio": 1.5},
+            {"fault_tolerance": object()},
+            {"chunk_bytes": 0},
+            {"emulate_fabric": 3},
             {"fusion_bytes": 0},
             {"chunk_bytes": -1},
-            {"small_message_bytes": -1},
+            {"emulate_fabric_scale": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -42,7 +42,7 @@ class TestValidation:
 
     def test_known_sets(self):
         assert "auto" in ALGORITHMS and "hierarchical" in ALGORITHMS
-        assert COMPRESSIONS == ("none", "fp16", "topk")
+        assert ALGORITHMS == ("auto", "flat", "ring", "rhd", "hierarchical")
 
 
 class TestDerived:
@@ -54,13 +54,6 @@ class TestDerived:
         assert opts.nchunks(1000) == 1
         assert opts.nchunks(1001) == 2
         assert opts.nchunks(0) == 1
-
-    def test_wire_ratio(self):
-        assert CollectiveOptions().wire_ratio() == 1.0
-        assert CollectiveOptions(compression="fp16").wire_ratio(8) == 0.25
-        assert CollectiveOptions(compression="fp16").wire_ratio(4) == 0.5
-        topk = CollectiveOptions(compression="topk", topk_ratio=0.01)
-        assert topk.wire_ratio() == pytest.approx(0.02)
 
     def test_evolve_replaces_without_mutation(self):
         opts = CollectiveOptions()
@@ -90,6 +83,11 @@ class TestSelection:
         assert select_algorithm(8 << 10, THETA_LIKE, DEFAULT_OPTIONS) == "rhd"
         # above the threshold: ring
         assert select_algorithm(64 << 20, THETA_LIKE, DEFAULT_OPTIONS) == "ring"
+        # the threshold itself: 16 KiB is still small
+        assert SMALL_MESSAGE_BYTES == 16 << 10
+        at, above = SMALL_MESSAGE_BYTES, SMALL_MESSAGE_BYTES + 1
+        assert select_algorithm(at, THETA_LIKE, DEFAULT_OPTIONS) == "rhd"
+        assert select_algorithm(above, THETA_LIKE, DEFAULT_OPTIONS) == "ring"
 
     def test_rhd_demoted_on_non_power_of_two(self):
         topo = Topology(world=12, local_size=1)
@@ -103,10 +101,6 @@ class TestSelection:
 
     def test_hierarchical_demoted_on_single_node(self):
         opts = CollectiveOptions(algorithm="hierarchical")
-        assert select_algorithm(64 << 20, SINGLE_NODE, opts) == "ring"
-
-    def test_flat_with_compression_demoted_to_ring(self):
-        opts = CollectiveOptions(algorithm="flat", compression="fp16")
         assert select_algorithm(64 << 20, SINGLE_NODE, opts) == "ring"
 
     def test_explicit_choices_honoured(self):

@@ -16,9 +16,8 @@ The other cases hold the step's safety rules, each with a test that
 fails without it: channels update with their own work buffers, the
 iteration count advances before the first bucket updates, a sender
 leaves only after its receivers have copied, and runs whose engine may
-retry (fault tolerance), whose reduction is lossy (fp16, top-k), whose
-wire bytes cost emulated time, or whose ranks wrote their own weights
-never enter the owner step.
+retry (fault tolerance), whose wire bytes cost emulated time, or whose
+ranks wrote their own weights never enter the owner step.
 """
 
 import functools
@@ -125,7 +124,7 @@ def fit(
     x, y = data(world)
 
     def worker(comm):
-        hvd.init(comm, options=train.effective_collective)
+        hvd.init(comm, options=train.collective)
         try:
             model = build(7 + comm.rank, train)
             model.compile(optimizer_cls(make_opt(), train=train), "categorical_crossentropy")
@@ -427,25 +426,27 @@ def test_a_one_bucket_plan_runs_on_the_rank_thread(owner_calls):
 # ---------------------------------------------------------------------------
 
 
-def test_a_compressed_fit_keeps_allreduce_then_update(owner_calls):
+def test_an_emulated_fabric_fit_keeps_allreduce_then_update(owner_calls):
     """The overlap buckets reduce with ``fit``'s options, which may differ
-    from the optimizer's: an fp16 ``fit`` with a default-options
-    optimizer must train with an fp16 allreduce, not fail in the owner
-    step."""
+    from the optimizer's: an emulated-fabric ``fit`` with a
+    default-options optimizer must train with a plain allreduce, not fail
+    in the owner step."""
     x, y = data(2)
-    fp16 = TrainOptions(
+    emulated = TrainOptions(
         overlap=True,
-        collective=CollectiveOptions(compression="fp16", fusion_bytes=512),
+        collective=CollectiveOptions(
+            fusion_bytes=512, emulate_fabric="summit", emulate_fabric_scale=1.0
+        ),
     )
 
     def worker(comm):
         hvd.init(comm)
         try:
-            model = build(7 + comm.rank, fp16)
+            model = build(7 + comm.rank, emulated)
             model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "categorical_crossentropy")
             shard = slice(comm.rank * ROWS, (comm.rank + 1) * ROWS)
             model.fit(
-                x[shard], y[shard], batch_size=BATCH, shuffle=False, train=fp16,
+                x[shard], y[shard], batch_size=BATCH, shuffle=False, train=emulated,
                 callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
             )
             return model.last_overlap_stats.buckets, model.arena.params_flat.tobytes()
@@ -479,23 +480,11 @@ def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, owner_calls)
     once, after it."""
     train = TrainOptions(
         overlap=overlap,
-        fault_tolerance=FaultToleranceOptions(heartbeat_interval_s=0.01),
-        collective=CollectiveOptions(fusion_bytes=512),
+        collective=CollectiveOptions(
+            fusion_bytes=512,
+            fault_tolerance=FaultToleranceOptions(heartbeat_interval_s=0.01),
+        ),
     )
     results = fit(2, OPTIMIZERS["adam"], train)
     assert not owner_calls
     assert_all_ranks_equal(results, oracle(2, "adam"))
-
-
-@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-def test_topk_keeps_allreduce_then_update(overlap, owner_calls):
-    """Top-k reduces a lossy sparse mean; every rank updates all of it,
-    exactly as the packed path does with the same compressor state."""
-    collective = CollectiveOptions(compression="topk", topk_ratio=0.25, fusion_bytes=512)
-    results = fit(2, OPTIMIZERS["adam"], TrainOptions(overlap=overlap, collective=collective))
-    want = fit(
-        2, OPTIMIZERS["adam"], TrainOptions(arena=False, collective=collective),
-        optimizer_cls=RecordingOptimizer,
-    )[0]
-    assert not owner_calls
-    assert_all_ranks_equal(results, want)

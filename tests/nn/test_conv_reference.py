@@ -368,7 +368,7 @@ def test_world2_overlap_equals_the_serialized_full_backward_step():
 
     def fit(train, full):
         def worker(comm):
-            hvd.init(comm, options=train.effective_collective)
+            hvd.init(comm, options=train.collective)
             try:
                 model = bench.build_model(seed=11 + comm.rank, train=train)
                 model.compile(

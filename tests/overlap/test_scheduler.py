@@ -64,7 +64,7 @@ def fit_weights(train, make_opt, world=2, epochs=2, result=_weights_and_stats):
     x, y = class_data(n=world * 16)
 
     def worker(comm):
-        hvd.init(comm, options=train.effective_collective)
+        hvd.init(comm, options=train.collective)
         try:
             model = nt3_shaped(seed=11 + comm.rank, train=train)
             model.compile(
@@ -153,7 +153,7 @@ class TestDeliveryOrder:
             from repro.hvd.optimizer import DistributedOptimizer
             from repro.overlap import OverlapScheduler
 
-            hvd.init(comm, options=train.effective_collective)
+            hvd.init(comm, options=train.collective)
             try:
                 model = nt3_shaped(seed=5 + comm.rank, train=train)
                 opt = DistributedOptimizer(SGD(lr=0.05), train=train)
@@ -191,18 +191,19 @@ class TestDeliveryOrder:
 
 
 class TestDrainFence:
-    def test_fence_timeout_raises(self):
+    def test_fence_timeout_raises(self, monkeypatch):
         """A bucket that never lands must fail the step loudly."""
-        train = TrainOptions(
-            overlap=True, collective=SMALL_FUSION, drain_timeout_s=0.2
-        )
+        from repro.overlap import scheduler
+
+        monkeypatch.setattr(scheduler, "DRAIN_TIMEOUT_S", 0.2)
+        train = TrainOptions(overlap=True, collective=SMALL_FUSION)
         x, y = class_data(n=16)
 
         def worker(comm):
             from repro.hvd.optimizer import DistributedOptimizer
             from repro.overlap import OverlapScheduler
 
-            hvd.init(comm, options=train.effective_collective)
+            hvd.init(comm, options=train.collective)
             try:
                 model = nt3_shaped(seed=5 + comm.rank, train=train)
                 opt = DistributedOptimizer(SGD(lr=0.05), train=train)
@@ -240,14 +241,13 @@ class TestDrainFence:
         )
         train = TrainOptions(
             overlap=True,
-            fault_tolerance=fto,
-            collective=CollectiveOptions(fusion_bytes=512),
+            collective=CollectiveOptions(fusion_bytes=512, fault_tolerance=fto),
         )
         world, victim = 3, 2
         x, y = class_data(n=world * 8)
 
         def worker(comm):
-            hvd.init(comm, options=train.effective_collective)
+            hvd.init(comm, options=train.collective)
             try:
                 model = nt3_shaped(seed=3 + comm.rank, train=train)
                 model.compile(

@@ -1,4 +1,4 @@
-"""TrainOptions: validation, folding, and the one ``train=`` call form."""
+"""TrainOptions: validation and the one ``train=`` call form."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ class TestValidation:
         assert t.arena is True
         assert t.dtype is None
         assert t.collective is None
-        assert t.fault_tolerance is None
         assert t.overlap is False
-        assert t.effective_collective is None
 
     def test_kwonly_and_frozen(self):
         with pytest.raises(TypeError):
@@ -35,41 +33,23 @@ class TestValidation:
     def test_rejects_wrong_types(self):
         with pytest.raises(ValueError, match="CollectiveOptions"):
             TrainOptions(collective={"fusion_bytes": 4})
-        with pytest.raises(ValueError, match="FaultToleranceOptions"):
-            TrainOptions(fault_tolerance=object())
-
-    def test_rejects_double_fault_tolerance(self):
-        fto = FaultToleranceOptions()
-        with pytest.raises(ValueError, match="twice"):
-            TrainOptions(
-                fault_tolerance=fto,
-                collective=CollectiveOptions(fault_tolerance=fto),
-            )
 
     def test_overlap_requires_arena(self):
         with pytest.raises(ValueError, match="arena"):
             TrainOptions(overlap=True, arena=False)
 
-    def test_overlap_priority_and_channels_bounds(self):
-        with pytest.raises(ValueError, match="overlap_priority"):
-            TrainOptions(overlap_priority="depth")
+    def test_overlap_channels_bounds(self):
         with pytest.raises(ValueError, match="overlap_channels"):
             TrainOptions(overlap_channels=0)
         with pytest.raises(ValueError, match="overlap_channels"):
             TrainOptions(overlap_channels=17)
-        with pytest.raises(ValueError, match="drain_timeout_s"):
-            TrainOptions(drain_timeout_s=0)
 
-    def test_effective_collective_folds_ft(self):
+    def test_fault_tolerance_rides_on_the_collective(self):
         fto = FaultToleranceOptions()
-        eff = TrainOptions(fault_tolerance=fto).effective_collective
-        assert eff is not None and eff.fault_tolerance is fto
-        eff = TrainOptions(
-            fault_tolerance=fto,
-            collective=CollectiveOptions(fusion_bytes=256),
-        ).effective_collective
-        assert eff.fusion_bytes == 256
-        assert eff.fault_tolerance is fto
+        t = TrainOptions(collective=CollectiveOptions(fault_tolerance=fto))
+        assert t.collective.fault_tolerance is fto
+        with pytest.raises(TypeError, match="fault_tolerance"):
+            TrainOptions(fault_tolerance=fto)
 
     def test_evolve(self):
         t = TrainOptions().evolve(overlap=True, overlap_channels=3)

@@ -162,19 +162,17 @@ def test_failure_model_validation():
 # -- fault-tolerant collectives pricing ---------------------------------------
 def test_ft_detection_seconds_matches_detector_inverse():
     from repro.comms.ft import FaultToleranceOptions
-    from repro.comms.ft.detector import PhiAccrualDetector
+    from repro.comms.ft.detector import MIN_STD_S, PhiAccrualDetector
     from repro.sim.faultmodel import ft_detection_seconds
 
     d = ft_detection_seconds()
     assert 0 < d < 2.0
-    fto = FaultToleranceOptions(
-        heartbeat_interval_s=0.1, phi_dead=10.0, detector_min_std_s=0.02
-    )
+    fto = FaultToleranceOptions(heartbeat_interval_s=0.1, phi_dead=10.0)
     det = PhiAccrualDetector(
         bootstrap_interval_s=fto.heartbeat_interval_s,
         phi_dead=fto.phi_dead,
-        min_std_s=fto.detector_min_std_s,
-        acceptable_pause_s=fto.resolved_acceptable_pause_s,
+        min_std_s=MIN_STD_S,
+        acceptable_pause_s=3 * fto.heartbeat_interval_s,
     )
     assert ft_detection_seconds(fto) == pytest.approx(
         det.detection_latency_s(fto.phi_dead)

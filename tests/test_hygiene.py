@@ -110,6 +110,13 @@ def test_timeline_tracing_example_runs(tmp_path):
     assert os.listdir(tmp_path) == ["trace.json"]
 
 
+def test_chaos_collectives_example_runs(tmp_path):
+    out = _run_example("chaos_collectives.py", cwd=tmp_path)
+    agree = "survivor allreduce bitwise == flat allreduce over survivors: True"
+    assert out.count(agree) == 3
+    assert "checksum failures caught: 1" in out
+
+
 def test_strong_scaling_example_runs(tmp_path):
     out = _run_example("strong_scaling_study.py", cwd=tmp_path)
     workers = [
