@@ -36,7 +36,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
 from repro.comms import (
@@ -48,6 +47,7 @@ from repro.comms import (
 from repro.experiments import run_experiment
 from repro.mpi import run_spmd
 from repro.mpi.network import CollectiveCostModel
+from repro.telemetry.report import format_table
 
 #: the simulated topology the acceptance gate names: 2 nodes x 6 GPUs
 PAIR = Topology(world=12, local_size=6)

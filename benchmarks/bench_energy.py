@@ -46,13 +46,13 @@ import sys
 
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle import get_benchmark
 from repro.cluster.machine import get_machine
 from repro.experiments.base import run_experiment
 from repro.experiments.common import plan_for
 from repro.sim.powercap import PowerCapScheduler
 from repro.sim.runner import ScaledRunSimulator
+from repro.telemetry.report import format_table
 
 #: strong-scaling Theta grids for the savings section; both reach the
 #: paper's full 3,072-node scale where the Lustre story peaks

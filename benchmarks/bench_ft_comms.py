@@ -39,7 +39,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
 from repro.comms import CollectiveEngine, CollectiveOptions
@@ -49,6 +48,7 @@ from repro.mpi import run_spmd
 from repro.mpi.communicator import canonical_reduce
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.sim.faultmodel import FailureModel, checkpoint_write_seconds
+from repro.telemetry.report import format_table
 
 #: the paper's smallest multi-node shape: 2 nodes x 6 GPUs
 WORLD, LOCAL = 12, 6

@@ -47,7 +47,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle import get_benchmark
 import repro.frame.csv as csv_mod
 from repro.frame import read_csv
@@ -59,6 +58,7 @@ from repro.ingest import (
     epoch_shard_order,
     load_benchmark_data,
 )
+from repro.telemetry.report import format_table
 
 #: generated-file geometry: NT3's wide rows at two sizes
 SMOKE_SHAPE = dict(scale=0.02, sample_scale=0.1)   # ~0.5 MB

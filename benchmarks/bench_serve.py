@@ -49,7 +49,6 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle import get_benchmark
 from repro.cluster.machine import SUMMIT
 from repro.nn import Sequential, get_optimizer
@@ -68,6 +67,7 @@ from repro.serve import (
     serve_workload,
 )
 from repro.sim import ServeModel
+from repro.telemetry.report import format_table
 
 #: serving model geometry: small enough that per-dispatch fixed cost
 #: (event loop, RPC, python scatter) dominates row math — the regime

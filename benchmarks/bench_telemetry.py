@@ -42,10 +42,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_table
 from repro.candle import get_benchmark
 from repro.candle.pipeline import run_benchmark
 from repro.telemetry import Tracer, export_run, profile_from_spans
+from repro.telemetry.report import format_table
 
 #: NT3 geometry at two sizes (features = 60483 * scale)
 SMOKE_SHAPE = dict(scale=0.01, sample_scale=0.05)   # 604 features

@@ -50,12 +50,12 @@ import numpy as np
 import pytest
 
 from repro import hvd
-from repro.analysis.report import format_table
 from repro.candle import get_benchmark
 from repro.comms import CollectiveOptions
 from repro.mpi import run_spmd
 from repro.nn.optimizers import SGD
 from repro.train import TrainOptions
+from repro.telemetry.report import format_table
 
 #: NT3 geometry at two sizes (features = 60483 * scale)
 SMOKE_SHAPE = dict(scale=0.01, sample_scale=0.05)   # 604 features

@@ -9,7 +9,6 @@ where the gentler cubic-root scaling preserves quality best).
 Run:  python examples/batch_scaling_p1b3.py
 """
 
-from repro.analysis import format_table
 from repro.candle import get_benchmark
 from repro.candle.p1b3 import P1B3_SPEC
 from repro.core import run_parallel_benchmark, scale_batch_size, strong_scaling_plan
@@ -17,6 +16,7 @@ from repro.core.batch_scaling import BatchMemoryError, check_batch_fits
 from repro.core.scaling import ScalingPlan
 from repro.experiments.fig10 import P1B3_ACTIVATION_MULTIPLIER
 from repro.sim import ScaledRunSimulator
+from repro.telemetry.report import format_table
 
 STRATEGIES = ("linear", "sqrt", "cubic")
 GPU_COUNTS = (6, 24, 48, 96, 192, 384)

@@ -1,6 +1,6 @@
 """Fault tolerance: checkpoint/restart (the paper's §7 future work).
 
-Runs NT3 under Horovod through :func:`repro.core.run_resilient_benchmark`:
+Runs NT3 under Horovod through :func:`repro.resilience.run_resilient_benchmark`:
 a :class:`~repro.resilience.CheckpointManager` writes an atomic,
 checksummed checkpoint every 2 epochs, a deterministic
 :class:`~repro.resilience.FaultPlan` kills rank 1 mid-training, and the
@@ -18,9 +18,8 @@ Run:  python examples/checkpoint_restart.py
 import tempfile
 
 from repro.candle import get_benchmark
-from repro.core.parallel import run_resilient_benchmark
 from repro.core.scaling import strong_scaling_plan
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, run_resilient_benchmark
 
 WORKERS = 2
 TOTAL_EPOCHS = 8  # 4 global epochs per worker (strong scaling)

@@ -18,10 +18,10 @@ import tempfile
 
 import numpy as np
 
-from repro.analysis import format_table
 from repro.candle import get_benchmark
 from repro.experiments import run_experiment
 from repro.ingest import DataSource, LoaderConfig
+from repro.telemetry.report import format_table
 
 
 def functional_demo() -> None:

@@ -21,11 +21,16 @@ Run:  python examples/fault_injection.py
 import tempfile
 
 from repro.candle import get_benchmark
-from repro.core.parallel import run_resilient_benchmark
 from repro.core.scaling import strong_scaling_plan
 from repro.mpi import run_spmd
 from repro.mpi.runtime import SpmdError
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience import (
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
+    run_resilient_benchmark,
+)
 
 
 def demo_reproducible_schedules() -> None:

@@ -11,11 +11,11 @@ Run:  python examples/hyperparameter_search.py
 
 import numpy as np
 
-from repro.analysis import format_table
 from repro.candle import get_benchmark
 from repro.core.parallel import run_parallel_benchmark
 from repro.core.scaling import ScalingPlan
 from repro.supervisor import GridSearch, ParameterSpace, RandomSearch, Supervisor
+from repro.telemetry.report import format_table
 
 
 def main() -> None:

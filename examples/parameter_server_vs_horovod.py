@@ -15,12 +15,13 @@ Run:  python examples/parameter_server_vs_horovod.py
 
 import numpy as np
 
-from repro.analysis import format_table, line_chart
+from repro.analysis import line_chart
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
 from repro.hvd.fusion import DEFAULT_FUSION_BYTES
 from repro.mpi.network import CollectiveCostModel
 from repro.ps import PsCostModel, run_parameter_server_training
+from repro.telemetry.report import format_table
 
 
 def cost_comparison() -> None:

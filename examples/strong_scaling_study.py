@@ -12,10 +12,11 @@ Run:  python examples/strong_scaling_study.py [summit|theta]
 
 import sys
 
-from repro.analysis import broadcast_overhead_seconds, compare_runs, format_table
+from repro.analysis import broadcast_overhead_seconds, compare_runs
 from repro.candle.nt3 import NT3_SPEC
 from repro.core import strong_scaling_plan
 from repro.sim import ScaledRunSimulator
+from repro.telemetry.report import format_table
 
 GPU_COUNTS = (1, 6, 12, 24, 48, 96, 192, 384)
 

@@ -10,13 +10,14 @@ Run:  python examples/timeline_tracing.py [output.json]
 
 import sys
 
-from repro.analysis import broadcast_overhead_seconds, communication_summary, format_table
+from repro.analysis import broadcast_overhead_seconds, communication_summary
 from repro.candle import get_benchmark
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster import IoSkewModel
 from repro.core import run_parallel_benchmark, strong_scaling_plan
 from repro.sim import ScaledRunSimulator
 from repro.telemetry import dump_chrome_trace
+from repro.telemetry.report import format_table
 
 
 def functional_trace(out_path: str) -> None:

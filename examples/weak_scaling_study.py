@@ -9,11 +9,12 @@ training at reduced scale.
 Run:  python examples/weak_scaling_study.py
 """
 
-from repro.analysis import compare_runs, format_table
+from repro.analysis import compare_runs
 from repro.candle import get_benchmark
 from repro.candle.nt3 import NT3_SPEC
 from repro.core import run_parallel_benchmark, weak_scaling_plan
 from repro.sim import ScaledRunSimulator
+from repro.telemetry.report import format_table
 
 GPU_COUNTS = (6, 48, 384, 768, 1536, 3072)
 

@@ -44,10 +44,10 @@ al., ICPP 2019) depends on:
   ``ServeOptions`` object.
 - :mod:`repro.telemetry` — the unified observability layer: one tracer
   of nestable spans and counters per run, power/energy attribution per
-  span, and Chrome-trace/JSONL/summary exporters shared by the
-  functional and simulated paths.
+  span, Chrome-trace/JSONL/summary exporters shared by the functional
+  and simulated paths, and the fixed-width report tables.
 - :mod:`repro.analysis` — phase profiling, energy accounting, timeline
-  analysis, and report formatting.
+  analysis, and plots.
 - :mod:`repro.experiments` — one module per paper table/figure.
 
 See DESIGN.md for the full inventory and EXPERIMENTS.md for the

@@ -1,4 +1,4 @@
-"""repro.analysis — profiling, energy accounting, timeline analysis, reports.
+"""repro.analysis — profiling, energy accounting, timeline analysis, plots.
 
 The measurement toolkit the paper's evaluation uses:
 
@@ -8,8 +8,6 @@ The measurement toolkit the paper's evaluation uses:
   overheads from Horovod timelines (Figs 7b, 12, 19).
 - :mod:`repro.analysis.energy` — power-trace statistics and
   original-vs-optimized improvement accounting (Tables 5-6, Figs 11-21).
-- :mod:`repro.analysis.report` — fixed-width table rendering for the
-  experiment harnesses.
 """
 
 from repro.analysis.energy import (
@@ -20,7 +18,6 @@ from repro.analysis.energy import (
 )
 from repro.analysis.profiling import PhaseProfiler, profile_callable
 from repro.analysis.plotting import bar_chart, line_chart, power_strip
-from repro.analysis.report import format_series, format_table
 from repro.analysis.timeline_analysis import (
     allreduce_total_seconds,
     broadcast_overhead_seconds,
@@ -37,8 +34,6 @@ __all__ = [
     "compare_runs",
     "energy_delay_product",
     "pareto_front",
-    "format_table",
-    "format_series",
     "line_chart",
     "bar_chart",
     "power_strip",

@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from repro.analysis.report import format_table
 from repro.candle.registry import BENCHMARKS, EXTENSION_BENCHMARKS, get_benchmark
+from repro.telemetry.report import format_table
 
 
 def main(argv=None) -> int:

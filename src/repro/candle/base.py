@@ -5,7 +5,9 @@ A :class:`CandleBenchmark` knows how to
 - generate shape-faithful synthetic data (in memory or as CSV files),
 - load those files with either the original (``low_memory=True``) or
   the paper's optimized chunked method (:mod:`repro.ingest`),
-- build its Keras-style model at a given scale,
+- build its Keras-style model at a given scale, and say how every
+  runner compiles it and feeds it (:meth:`CandleBenchmark.loss_and_metrics`,
+  :meth:`CandleBenchmark.prepare`),
 - and report its full-scale geometry (used analytically by the
   simulator: batch steps per epoch, gradient bytes, file sizes).
 """
@@ -13,7 +15,7 @@ A :class:`CandleBenchmark` knows how to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -159,6 +161,10 @@ class CandleBenchmark:
         """
         raise NotImplementedError
 
+    def prepare_x(self, x: np.ndarray) -> np.ndarray:
+        """Model-ready inputs from loaded rows (unchanged by default)."""
+        return x
+
     def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows written to CSV: [target column(s), features...]."""
         raise NotImplementedError
@@ -166,6 +172,23 @@ class CandleBenchmark:
     def _split_matrix(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`_target_matrix`: matrix → (x, y)."""
         raise NotImplementedError
+
+    # -- the runners' phase rules ---------------------------------------------
+    def loss_and_metrics(self) -> Tuple[str, list]:
+        """The loss and metric names every runner compiles the model with."""
+        if self.spec.task == "classification":
+            return "categorical_crossentropy", ["accuracy"]
+        if self.spec.task == "autoencoder":
+            return "mse", []
+        return "mse", ["mae"]
+
+    def prepare(self, data: LoadedData) -> LoadedData:
+        """``data`` with both splits' inputs through :meth:`prepare_x`."""
+        return replace(
+            data,
+            x_train=self.prepare_x(data.x_train),
+            x_test=self.prepare_x(data.x_test),
+        )
 
     # -- files ---------------------------------------------------------------------
     def file_names(self) -> tuple[str, str]:

@@ -22,7 +22,10 @@ import numpy as np
 
 from repro.candle.base import CandleBenchmark, LoadedData
 from repro.candle.preprocessing import get_scaler
+from repro.ingest import load_benchmark_data
+from repro.ingest.prefetch import EpochPrefetcher
 from repro.nn import get_optimizer
+from repro.serve import ClosedWorkload, serve_workload
 from repro.telemetry import Tracer, tracing
 
 __all__ = ["run_benchmark", "BenchmarkRunReport"]
@@ -56,14 +59,6 @@ class BenchmarkRunReport:
         if self.serve_s > 0:
             phases["serve"] = self.serve_s
         return max(phases, key=phases.get)
-
-
-def _loss_and_metrics(benchmark: CandleBenchmark):
-    if benchmark.spec.task == "classification":
-        return "categorical_crossentropy", ["accuracy"]
-    if benchmark.spec.task == "autoencoder":
-        return "mse", []
-    return "mse", ["mae"]
 
 
 def run_benchmark(
@@ -107,8 +102,6 @@ def run_benchmark(
     the duration, so ingest loads, collectives, and checkpoint writes
     nest inside the phase that caused them.
     """
-    from repro.ingest import load_benchmark_data
-
     spec = benchmark.spec
     if tracer is None:
         tracer = Tracer(run_id=spec.name)
@@ -137,19 +130,13 @@ def run_benchmark(
             )
 
         # benchmarks with a conv front end (P1B3 conv=True) need a channel axis
-        if hasattr(benchmark, "prepare_x") and getattr(benchmark, "conv", False):
-            data = LoadedData(
-                benchmark.prepare_x(data.x_train),
-                data.y_train,
-                benchmark.prepare_x(data.x_test),
-                data.y_test,
-            )
+        data = benchmark.prepare(data)
 
         # ---- phase 2: training and cross-validation ----------------------
         n_epochs = epochs if epochs is not None else min(spec.epochs, 8)
         with tracer.span("train", epochs=n_epochs) as sp_train:
             model = benchmark.build_model(seed=seed, train=train)
-            loss, metric_names = _loss_and_metrics(benchmark)
+            loss, metric_names = benchmark.loss_and_metrics()
             model.compile(
                 get_optimizer(spec.optimizer, lr=learning_rate if learning_rate is not None else spec.learning_rate),
                 loss,
@@ -159,8 +146,6 @@ def run_benchmark(
             if getattr(load_method, "prefetch", False):
                 # LoaderConfig(prefetch=True): feed epochs from a
                 # background loader, shard-shuffled by shuffle_seed
-                from repro.ingest.prefetch import EpochPrefetcher
-
                 fit_x = EpochPrefetcher.from_config(
                     data.x_train, data.y_train, n_epochs, load_method
                 )
@@ -187,8 +172,6 @@ def run_benchmark(
         serve_report = None
         serve_s = 0.0
         if serve is not None:
-            from repro.serve import ClosedWorkload, serve_workload
-
             with tracer.span("serve", replicas=serve.replicas) as sp_serve:
                 weights = {
                     name: p.copy() for name, p in model.named_parameters().items()

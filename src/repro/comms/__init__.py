@@ -10,8 +10,14 @@ every schedule is bit-identical to the flat reference allreduce (see
 :mod:`repro.comms.engine` for the contract).
 """
 
+# comms.ft before comms.engine: the engine's options import
+# comms.ft.options, and the FT engine extends the engine
+from repro.comms.ft import (
+    DEFAULT_FT_OPTIONS,
+    FaultToleranceOptions,
+    FaultTolerantEngine,
+)
 from repro.comms.engine import CollectiveEngine
-from repro.comms.ft import DEFAULT_FT_OPTIONS, FaultToleranceOptions
 from repro.comms.options import (
     ALGORITHMS,
     DEFAULT_OPTIONS,
@@ -44,12 +50,3 @@ __all__ = [
     "select_algorithm",
 ]
 
-
-def __getattr__(name):
-    # FaultTolerantEngine pulls in repro.resilience machinery at call
-    # time; resolve it lazily to keep `import repro.comms` cycle-free
-    if name == "FaultTolerantEngine":
-        from repro.comms.ft.engine import FaultTolerantEngine
-
-        return FaultTolerantEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

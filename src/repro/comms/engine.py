@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.machine import get_machine
 from repro.comms.options import (
     DEFAULT_OPTIONS,
     CollectiveOptions,
@@ -59,16 +60,9 @@ _FABRICS: Dict[str, object] = {}
 
 
 def _emulated_fabric(name: str):
-    """The fabric cost model for one machine name (cached).
-
-    Imported lazily: the engine sits below :mod:`repro.cluster` in the
-    layering and only needs a machine model when a run opts into
-    emulated wire latency.
-    """
+    """The fabric cost model for one machine name (cached)."""
     fabric = _FABRICS.get(name)
     if fabric is None:
-        from repro.cluster.machine import get_machine
-
         fabric = get_machine(name).fabric
         _FABRICS[name] = fabric
     return fabric
@@ -238,7 +232,7 @@ class CollectiveEngine:
         """Execute a planned chunked schedule over this rank's messages.
 
         A chunk that fails with a context-carrying error (a
-        :class:`~repro.resilience.TransientCollectiveError` from the
+        :class:`~repro.comms.ft.channel.TransientCollectiveError` from the
         injector or the FT channel) gets the failing chunk index,
         resolved algorithm, and tensor name attached before the
         exception propagates — so it surfaces in ``SpmdError`` as a

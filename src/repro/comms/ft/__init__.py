@@ -7,22 +7,37 @@ Layered on the PR 5 :class:`~repro.comms.engine.CollectiveEngine`:
 - :mod:`repro.comms.ft.detector` — phi-accrual heartbeat failure
   detection (healthy / suspect / dead).
 - :mod:`repro.comms.ft.channel` — reliable enveloped transport with
-  checksums, deadlines, NACK retransmission, and restart signalling.
+  checksums, deadlines, NACK retransmission (:class:`RetryPolicy`
+  backoff), restart signalling, and :class:`TransientCollectiveError`.
 - :mod:`repro.comms.ft.rebuild` — the JOIN/COMMIT survivor consensus
   that rebuilds the communicator around dead ranks.
 - :mod:`repro.comms.ft.engine` — :class:`FaultTolerantEngine`, the
   recovery loop tying them together.
-
-Only the options module is imported eagerly; everything else resolves
-lazily (PEP 562) so that importing :mod:`repro.comms` stays cheap and
-cycle-free with :mod:`repro.resilience`.
 """
 
+from repro.comms.ft.channel import (
+    CollectiveRestart,
+    FtChannel,
+    InjectedFault,
+    PeerDeadError,
+    RankKilledError,
+    RetryPolicy,
+    TransientCollectiveError,
+    payload_checksum,
+)
+from repro.comms.ft.detector import (
+    PEER_DEAD,
+    PEER_HEALTHY,
+    PEER_SUSPECT,
+    PhiAccrualDetector,
+)
+from repro.comms.ft.engine import FaultTolerantEngine, RebuildRecord
 from repro.comms.ft.options import (
     DEFAULT_FT_OPTIONS,
     DEMOTION_LADDER,
     FaultToleranceOptions,
 )
+from repro.comms.ft.rebuild import RebuildResult, rebuild_communicator
 
 __all__ = [
     "FaultToleranceOptions",
@@ -36,34 +51,12 @@ __all__ = [
     "CollectiveRestart",
     "PeerDeadError",
     "RankKilledError",
+    "InjectedFault",
+    "TransientCollectiveError",
+    "RetryPolicy",
     "payload_checksum",
     "RebuildResult",
     "rebuild_communicator",
     "FaultTolerantEngine",
     "RebuildRecord",
 ]
-
-_LAZY = {
-    "PhiAccrualDetector": "repro.comms.ft.detector",
-    "PEER_HEALTHY": "repro.comms.ft.detector",
-    "PEER_SUSPECT": "repro.comms.ft.detector",
-    "PEER_DEAD": "repro.comms.ft.detector",
-    "FtChannel": "repro.comms.ft.channel",
-    "CollectiveRestart": "repro.comms.ft.channel",
-    "PeerDeadError": "repro.comms.ft.channel",
-    "RankKilledError": "repro.comms.ft.channel",
-    "payload_checksum": "repro.comms.ft.channel",
-    "RebuildResult": "repro.comms.ft.rebuild",
-    "rebuild_communicator": "repro.comms.ft.rebuild",
-    "FaultTolerantEngine": "repro.comms.ft.engine",
-    "RebuildRecord": "repro.comms.ft.engine",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)

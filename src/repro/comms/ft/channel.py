@@ -13,7 +13,7 @@ the wrapper adds:
 - **Deadlines + retransmission**: a recv that misses its chunk deadline
   sends a NACK on the control tag; the sender's service thread re-puts
   the stored envelope. Backoff between requests is the capped
-  exponential of :class:`repro.resilience.RetryPolicy`, without jitter.
+  exponential of :class:`RetryPolicy`, without jitter.
 - **Heartbeats**: a per-rank service thread beats every peer and feeds
   arrivals to the :class:`~repro.comms.ft.detector.PhiAccrualDetector`;
   the same thread services NACKs, death notices, and restart signals,
@@ -41,18 +41,26 @@ import threading
 import time
 import zlib
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from repro.comms.ft.detector import PEER_DEAD, detector_for
-from repro.comms.ft.options import DEFAULT_FT_OPTIONS, FaultToleranceOptions
+from repro.comms.ft.options import (
+    DEFAULT_FT_OPTIONS,
+    DEMOTION_LADDER,
+    FaultToleranceOptions,
+)
 
 __all__ = [
     "FtChannel",
     "CollectiveRestart",
     "PeerDeadError",
     "RankKilledError",
+    "InjectedFault",
+    "TransientCollectiveError",
+    "RetryPolicy",
     "payload_checksum",
 ]
 
@@ -72,6 +80,105 @@ RETRY_MAX_DELAY_S = 0.05
 
 #: the service thread exits after this long without data-plane traffic
 IDLE_SHUTDOWN_S = 2.0
+
+
+class InjectedFault(RuntimeError):
+    """Base class for every injector-raised error."""
+
+
+class TransientCollectiveError(InjectedFault):
+    """A collective operation failed transiently.
+
+    Carries the failure's location — failing chunk index, resolved
+    algorithm, peer rank, tensor name — so recovery can target the
+    retransmit/demotion instead of replaying the whole run. Raisers
+    that know only part of the context (the channel knows the peer, the
+    engine's chunk loop knows chunk and algorithm) compose it via
+    :meth:`attach_context`, which never overwrites a field already set.
+    """
+
+    def __init__(
+        self,
+        message: str = "",
+        *,
+        chunk: Optional[int] = None,
+        algorithm: Optional[str] = None,
+        peer: Optional[int] = None,
+        tensor: Optional[str] = None,
+    ):
+        super().__init__(message)
+        self.chunk = chunk
+        self.algorithm = algorithm
+        self.peer = peer
+        self.tensor = tensor
+
+    def attach_context(self, **context) -> "TransientCollectiveError":
+        """Fill in missing location fields; returns self for chaining."""
+        for key in ("chunk", "algorithm", "peer", "tensor"):
+            if key in context and getattr(self, key) is None:
+                setattr(self, key, context[key])
+        return self
+
+    def context(self) -> dict:
+        """The non-None location fields (for reports and assertions)."""
+        return {
+            key: getattr(self, key)
+            for key in ("chunk", "algorithm", "peer", "tensor")
+            if getattr(self, key) is not None
+        }
+
+    def __str__(self):
+        base = super().__str__()
+        parts = [f"{k}={v}" for k, v in self.context().items()]
+        return f"{base} [{', '.join(parts)}]" if parts else base
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Capped exponential backoff for failed attempts.
+
+    ``jitter`` spreads retries by up to that fraction of the capped
+    delay — but only from an *injected* RNG: the policy never touches
+    global ``random``/``np.random`` state, so SPMD ranks that each seed
+    their own generator back off bit-reproducibly
+    (:func:`repro.resilience.run_resilient_benchmark` derives its
+    generator from the run seed; the FT channel backs off without
+    jitter).
+    """
+
+    max_retries: int = 3
+    base_delay_s: float = 0.05
+    factor: float = 2.0
+    max_delay_s: float = 2.0
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
+        if self.base_delay_s < 0 or self.max_delay_s < 0:
+            raise ValueError("delays must be non-negative")
+        if self.factor < 1.0:
+            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+
+    def delay_s(
+        self, attempt: int, rng: Optional[np.random.Generator] = None
+    ) -> float:
+        """Backoff before retrying after failed attempt ``attempt``.
+
+        With ``jitter > 0`` an RNG must be supplied — refusing to fall
+        back to global random state is what makes the jitter seedable.
+        """
+        delay = min(self.base_delay_s * self.factor**attempt, self.max_delay_s)
+        if self.jitter > 0.0:
+            if rng is None:
+                raise ValueError(
+                    "jittered backoff needs an injected rng "
+                    "(np.random.Generator) for reproducibility"
+                )
+            delay *= 1.0 + self.jitter * float(rng.random())
+        return delay
 
 
 class RankKilledError(RuntimeError):
@@ -190,7 +297,13 @@ class FtChannel:
         self.injector = getattr(comm, "fault_injector", None)
         self.epoch = 0
         self.counters: dict[str, int] = defaultdict(int)
-        self._retry = None
+        #: the retransmit backoff policy
+        self.retry = RetryPolicy(
+            max_retries=self.options.max_retransmits,
+            base_delay_s=self.options.retry_base_delay_s,
+            factor=RETRY_FACTOR,
+            max_delay_s=RETRY_MAX_DELAY_S,
+        )
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
         self._fence_seq: dict[str, int] = {}
@@ -237,20 +350,6 @@ class FtChannel:
         return getattr(self.comm, name)
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def retry(self):
-        """The retransmit backoff policy (PR 1's RetryPolicy)."""
-        if self._retry is None:
-            from repro.resilience.recovery import RetryPolicy
-
-            self._retry = RetryPolicy(
-                max_retries=self.options.max_retransmits,
-                base_delay_s=self.options.retry_base_delay_s,
-                factor=RETRY_FACTOR,
-                max_delay_s=RETRY_MAX_DELAY_S,
-            )
-        return self._retry
-
     def ensure_started(self) -> None:
         """Start (or restart after idle exit) the heartbeat service."""
         if self._killed or self.comm.size == 1:
@@ -357,8 +456,6 @@ class FtChannel:
 
     # -- restart signalling ----------------------------------------------------
     def _note_restart(self, kind: str, epoch: int, payload) -> None:
-        from repro.comms.ft.options import DEMOTION_LADDER
-
         with self._restart_lock:
             cur = self._pending
             if cur is not None and epoch < cur["epoch"]:
@@ -544,8 +641,6 @@ class FtChannel:
     def recv(self, source: int, tag: int = 0) -> Any:
         """Deadline-guarded receive with NACK retransmission and CRC."""
         self._touch()
-        from repro.resilience.faults import TransientCollectiveError
-
         o = self.options
         me = self.comm.rank
         key = (source, tag)

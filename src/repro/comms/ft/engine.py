@@ -7,7 +7,7 @@ and wraps schedule execution in a recovery loop:
 - **Retry** — a chunk that times out or fails its checksum is NACKed
   and retransmitted by the sender (inside the channel, invisible here).
 - **Demote** — when retransmission gives up
-  (:class:`~repro.resilience.TransientCollectiveError`) or the failure
+  (:class:`~repro.comms.ft.channel.TransientCollectiveError`) or the failure
   detector turns suspicious of a peer, the schedule steps down the
   ladder hierarchical → ring → flat; the demotion is a collective
   decision (broadcast on the control tag, every rank re-executes from
@@ -44,6 +44,7 @@ from repro.comms.ft.channel import (
     CollectiveRestart,
     FtChannel,
     PeerDeadError,
+    TransientCollectiveError,
 )
 from repro.comms.ft.options import DEFAULT_FT_OPTIONS, FaultToleranceOptions
 from repro.comms.ft.rebuild import rebuild_communicator
@@ -138,10 +139,6 @@ class FaultTolerantEngine(CollectiveEngine):
             return super().allreduce(
                 tensor, op=op, name=name, options=options, tag_shift=tag_shift
             )
-        # deferred: repro.resilience eagerly imports the hvd layer, which
-        # imports repro.comms — a module-level import here would cycle
-        from repro.resilience.faults import TransientCollectiveError
-
         fto = self.ft_options
         tag = name or "tensor"
         ch = self.channel

@@ -8,10 +8,9 @@ Three pieces, straight from §2.3 and §5:
    strategies (:mod:`repro.core.batch_scaling`, Fig 4b: linear, square
    root, cubic root), and linear learning-rate scaling
    (:mod:`repro.core.lr_scaling`).
-2. **The optimized data loader** (:mod:`repro.ingest`, re-exported
-   here as :func:`load_benchmark_data`) — chunked ``read_csv`` with
-   ``low_memory=False`` (§5), plus the original and Dask-like methods
-   for comparison.
+2. **The optimized data loader** (:func:`repro.ingest.load_benchmark_data`)
+   — chunked ``read_csv`` with ``low_memory=False`` (§5), plus the
+   original and Dask-like methods for comparison.
 3. **The parallel runner** (:mod:`repro.core.parallel`) — executes a
    CANDLE benchmark's three phases under Horovod data parallelism in
    functional mode (real training, real collectives, real timeline),
@@ -23,7 +22,6 @@ from repro.core.batch_scaling import (
     memory_limited_batch,
     scale_batch_size,
 )
-from repro.ingest import load_benchmark_data
 from repro.core.epochs import comp_epochs, comp_epochs_balanced, epochs_schedule
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.parallel import ParallelRunResult, run_parallel_benchmark
@@ -37,21 +35,10 @@ __all__ = [
     "memory_limited_batch",
     "BATCH_STRATEGIES",
     "scale_learning_rate",
-    "load_benchmark_data",
     "ScalingPlan",
     "strong_scaling_plan",
     "weak_scaling_plan",
     "run_parallel_benchmark",
-    "run_resilient_benchmark",
     "ParallelRunResult",
 ]
 
-
-def __getattr__(name):
-    # Lazy: repro.resilience imports repro.core submodules, so the
-    # resilient runner can only be re-exported on demand.
-    if name == "run_resilient_benchmark":
-        from repro.core.parallel import run_resilient_benchmark
-
-        return run_resilient_benchmark
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

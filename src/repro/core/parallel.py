@@ -29,7 +29,6 @@ import numpy as np
 
 from repro import hvd
 from repro.candle.base import CandleBenchmark, LoadedData
-from repro.candle.pipeline import _loss_and_metrics
 from repro.cluster.filesystem import IoSkewModel
 from repro.core.scaling import ScalingPlan
 from repro.ingest import LoaderConfig, as_config, load_benchmark_data
@@ -40,21 +39,9 @@ from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
 __all__ = [
     "run_parallel_benchmark",
-    "run_resilient_benchmark",
     "ParallelRunResult",
     "RankReport",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-export: the fault-tolerant runner lives in
-    # repro.resilience (which imports this module's scaling machinery),
-    # so an eager import here would be a cycle.
-    if name == "run_resilient_benchmark":
-        from repro.resilience.recovery import run_resilient_benchmark
-
-        return run_resilient_benchmark
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -170,7 +157,7 @@ def run_parallel_benchmark(
     if data is None and data_paths is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
     load_config = as_config(load_method)
-    loss_name, metric_names = _loss_and_metrics(benchmark)
+    loss_name, metric_names = benchmark.loss_and_metrics()
     if tracer is None:
         tracer = Tracer(run_id=f"{benchmark.spec.name}-x{plan.nworkers}")
     factors = (
@@ -195,6 +182,7 @@ def run_parallel_benchmark(
                 if factors is not None and skew_scale_s > 0:
                     # stretch this rank's load relative to the fastest rank
                     time.sleep((factors[comm.rank] - factors.min()) * skew_scale_s)
+            local = benchmark.prepare(local)
 
             # ---- phase 2: training & cross-validation --------------------
             with tracer.span(
@@ -210,13 +198,10 @@ def run_parallel_benchmark(
                     metrics=metric_names,
                 )
                 callbacks = [hvd.BroadcastGlobalVariablesCallback(0)]
-                x_train = local.x_train
-                if hasattr(benchmark, "prepare_x") and getattr(benchmark, "conv", False):
-                    x_train = benchmark.prepare_x(x_train[..., 0] if x_train.ndim == 3 else x_train)
                 history = model.fit(
-                    x_train,
+                    local.x_train,
                     local.y_train,
-                    batch_size=min(plan.batch_size, len(x_train)),
+                    batch_size=min(plan.batch_size, len(local.x_train)),
                     epochs=plan.epochs_per_worker,
                     callbacks=callbacks,
                     validation_data=(local.x_test, local.y_test) if validation else None,
@@ -225,8 +210,7 @@ def run_parallel_benchmark(
 
             # ---- phase 3: prediction & evaluation ------------------------
             with tracer.span("eval", rank=comm.rank) as sp_eval:
-                x_test = local.x_test
-                metrics = model.evaluate(x_test, local.y_test)
+                metrics = model.evaluate(local.x_test, local.y_test)
             return RankReport(
                 rank=comm.rank,
                 load_s=sp_load.duration_s,

@@ -16,16 +16,28 @@ leans on:
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 
+from repro import hvd
+from repro.candle import get_benchmark
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
+from repro.comms import CollectiveOptions, Topology, plan_allreduce
+from repro.core.lr_scaling import scale_learning_rate
+from repro.core.parallel import run_parallel_benchmark
+from repro.core.scaling import ScalingPlan, weak_scaling_plan
 from repro.experiments import common
 from repro.experiments.base import ExperimentResult
 from repro.hvd.fusion import FusionBuffer
+from repro.mpi import run_spmd
 from repro.mpi.network import CollectiveCostModel
+from repro.nn.optimizers import SGD
+from repro.sim.runner import ScaledRunSimulator
+from repro.train import TrainOptions
 
 #: NT3's per-layer gradient tensors (elements), from the CANDLE model:
 #: conv1 (128x20x1+128), conv2 (128x10x128+128), dense200 (773760x200+200),
@@ -85,8 +97,6 @@ def run_collectives(fast: bool = True, config=None) -> ExperimentResult:
     compared per worker count; ``config.collective`` (fusion size,
     chunking) applies to every algorithm column.
     """
-    from repro.comms import CollectiveOptions, Topology, plan_allreduce
-
     if config is not None:
         fast = config.fast
     base = (config.collective if config is not None else None) or CollectiveOptions()
@@ -156,11 +166,6 @@ def run_collectives(fast: bool = True, config=None) -> ExperimentResult:
 
 
 def run_lr_scaling(fast: bool = True) -> ExperimentResult:
-    from repro.candle import get_benchmark
-    from repro.core.parallel import run_parallel_benchmark
-    from repro.core.scaling import ScalingPlan
-    from repro.core.lr_scaling import scale_learning_rate
-
     bench = get_benchmark("nt3", scale=0.004 if fast else 0.008, sample_scale=0.5)
     nworkers = 4
     epochs = 4 if fast else 8
@@ -241,16 +246,6 @@ def _measure_overlap_row(world: int, local: int, epochs: int) -> dict:
     measured speedup and the scheduler's own telemetry fraction
     (hidden comm / total comm, aggregated over ranks).
     """
-    import sys
-    import time
-
-    from repro import hvd
-    from repro.candle import get_benchmark
-    from repro.comms import CollectiveOptions
-    from repro.mpi import run_spmd
-    from repro.nn.optimizers import SGD
-    from repro.train import TrainOptions
-
     bench = get_benchmark("nt3", scale=0.01, sample_scale=0.05)
     batch = 20
     train = TrainOptions(
@@ -326,10 +321,6 @@ def run_overlap(fast: bool = True) -> ExperimentResult:
     wait-free backprop) on the emulated fabric, so the modeled overlap
     fraction sits next to a measured one.
     """
-    from repro.core.scaling import weak_scaling_plan
-    from repro.sim.runner import ScaledRunSimulator
-    from repro.train import TrainOptions
-
     with_overlap = ScaledRunSimulator("summit", train=TrainOptions(overlap=True))
     without = ScaledRunSimulator("summit", train=TrainOptions(overlap=False))
     rows = []

@@ -19,7 +19,7 @@ import inspect
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.report import format_table
+from repro.telemetry.report import format_table
 
 __all__ = [
     "ExperimentResult",

@@ -22,6 +22,7 @@ from repro.cluster.machine import SUMMIT
 from repro.experiments.base import ExperimentResult
 from repro.hvd.fusion import DEFAULT_FUSION_BYTES
 from repro.mpi.network import CollectiveCostModel
+from repro.nn import SGD, Activation, Dense, Sequential
 from repro.ps import PsCostModel, run_parameter_server_training
 
 
@@ -57,8 +58,6 @@ def run(fast: bool = True) -> ExperimentResult:
     y = np.eye(2)[(x[:, 0] > 0).astype(int)]
 
     def build():
-        from repro.nn import SGD, Activation, Dense, Sequential
-
         m = Sequential([Dense(5, activation="tanh"), Dense(2), Activation("softmax")])
         m.build((6,), seed=3)
         m.compile(SGD(lr=0.1), "categorical_crossentropy")

@@ -11,9 +11,11 @@ The paper's observations this table carries:
 from __future__ import annotations
 
 from repro.candle.nt3 import NT3_SPEC
+from repro.cluster.machine import SUMMIT
 from repro.core.batch_scaling import BatchMemoryError, check_batch_fits
 from repro.experiments import common
 from repro.experiments.base import ExperimentResult
+from repro.sim.computemodel import ComputeModel
 
 #: NT3's conv stack multiplies the 60,483-float input by ~256x in
 #: activations (two 128-filter conv layers) — the paper hits OOM at
@@ -41,9 +43,6 @@ def train_power_rows(counts) -> list[dict]:
 
 def _train_power(report) -> float:
     """Average power over the training phase only (what Table 2 shows)."""
-    from repro.cluster.machine import SUMMIT
-    from repro.sim.computemodel import ComputeModel
-
     power = SUMMIT.worker_device_power()
     cm = ComputeModel(SUMMIT)
     intensity = cm.train_intensity(NT3_SPEC, report.plan.batch_size)

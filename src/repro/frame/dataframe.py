@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.frame.dtypes import cast_to, dtype_of_array, promote
+from repro.frame.writer import write_csv
 
 __all__ = ["DataFrame", "concat", "mmap_base", "resident_nbytes"]
 
@@ -274,8 +275,6 @@ class DataFrame:
 
     def to_csv(self, path, header: bool = False, float_fmt: str = "%.6g") -> int:
         """Write the frame to a CSV file; returns bytes written."""
-        from repro.frame.writer import write_csv
-
         header = [str(c) for c in self.columns] if header else None
         return write_csv(path, self.to_numpy(), header=header, float_fmt=float_fmt)
 

@@ -76,6 +76,27 @@ class DistributedOptimizer(Optimizer):
     def scale_lr(self, factor: float) -> None:
         self.base.scale_lr(factor)
 
+    # -- the calling rank's runtime, as an overlap scheduler reads it ------
+    @property
+    def engine(self):
+        """The calling rank's collective engine."""
+        return _rt.engine()
+
+    @property
+    def tracer(self):
+        """The calling rank's bound tracer, or None when untraced."""
+        return _rt.tracer()
+
+    @property
+    def rank(self) -> int:
+        """The calling rank's index."""
+        return _rt.rank()
+
+    @property
+    def world_size(self) -> int:
+        """The calling rank's world size; 1 outside an initialized rank."""
+        return _rt.size() if _rt.is_initialized() else 1
+
     # -- overlap attachment -------------------------------------------------
     def attach_overlap(self, scheduler) -> None:
         """Let an :class:`repro.overlap.OverlapScheduler` own the arena

@@ -12,7 +12,9 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.comms import CollectiveEngine, FaultTolerantEngine
 from repro.mpi.communicator import Communicator, _Context
+from repro.telemetry import runtime as telemetry
 
 __all__ = [
     "init",
@@ -60,10 +62,9 @@ def init(
     if communicator is None:
         communicator = Communicator(_Context(1, timeout=60.0), 0)
     if tracer is None:
-        from repro.telemetry import runtime as _telemetry_rt
-
-        tracer = _telemetry_rt.active_tracer()
+        tracer = telemetry.active_tracer()
     _tls.state = _HvdState(communicator, tracer, options)
+    telemetry.bind_rank(communicator.rank, tracer)
 
 
 def shutdown() -> None:
@@ -74,6 +75,7 @@ def shutdown() -> None:
         if close is not None:
             close()  # stop the FT channel's heartbeat service, if any
     _tls.state = None
+    telemetry.unbind_rank()
 
 
 def is_initialized() -> bool:
@@ -126,8 +128,6 @@ def engine():
     state = _state()
     if state.engine is None:
         if getattr(state.options, "fault_tolerance", None) is not None:
-            from repro.comms.ft.engine import FaultTolerantEngine
-
             eng = FaultTolerantEngine(
                 state.comm,
                 options=state.options,
@@ -137,14 +137,14 @@ def engine():
             def _adopt_rebuilt(record, _state_ref=state, _eng=eng):
                 # runs in this rank's own thread right after an elastic
                 # rebuild: the hvd-level view (size(), rank(), comm())
-                # must follow the shrunken communicator
+                # and the rank its spans carry follow the shrunken
+                # communicator
                 _state_ref.comm = _eng.channel.comm
+                telemetry.bind_rank(_state_ref.comm.rank, _state_ref.tracer)
 
             eng.on_rebuild(_adopt_rebuilt)
             state.engine = eng
         else:
-            from repro.comms import CollectiveEngine
-
             state.engine = CollectiveEngine(
                 state.comm,
                 options=state.options,

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.candle.base import CandleBenchmark, LoadedData
 from repro.ingest.config import LoaderConfig
 from repro.ingest.source import DataSource
 
@@ -19,15 +18,17 @@ def as_config(method: Union[str, LoaderConfig, None]) -> LoaderConfig:
 
 
 def load_benchmark_data(
-    benchmark: CandleBenchmark,
+    benchmark,
     train_path,
     test_path,
     method: Union[str, LoaderConfig] = "original",
     comm=None,
-) -> LoadedData:
+):
     """Phase 1 of Figure 2: load + preprocess both files for a benchmark.
 
-    ``method`` is a registry name or a full :class:`LoaderConfig`;
+    ``benchmark`` is a :class:`repro.candle.CandleBenchmark`; the frames
+    become its :class:`~repro.candle.base.LoadedData` through
+    ``benchmark.from_frames``. ``method`` is a registry name or a full :class:`LoaderConfig`;
     SPMD ranks pass their communicator so ``sharded`` configs resolve
     rank identity and can allgather the shards.
     """

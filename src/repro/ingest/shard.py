@@ -130,14 +130,6 @@ def union_shards(frames: Sequence[DataFrame]) -> DataFrame:
     return concat(nonempty, axis=0, ignore_index=True)
 
 
-def _rank_tracer():
-    """The calling rank's tracer: the one :func:`repro.hvd.init` bound,
-    else the process-wide active one; None when untraced."""
-    from repro.hvd import runtime as hvd_rt  # repro.hvd imports this module
-
-    return hvd_rt.tracer() if hvd_rt.is_initialized() else telemetry.active_tracer()
-
-
 def load_sharded(path, config: LoaderConfig, comm=None) -> DataFrame:
     """One rank's sharded load, with optional allgather to the full frame.
 
@@ -157,7 +149,7 @@ def load_sharded(path, config: LoaderConfig, comm=None) -> DataFrame:
                 "derive (rank, world_size) from"
             )
         shard = ShardSpec(rank=comm.rank, world_size=comm.size)
-    tracer = _rank_tracer()
+    tracer = telemetry.thread_tracer()
     rank = comm.rank if comm is not None else shard.rank
     t0 = time.perf_counter()
     local = read_csv_shard(

@@ -32,7 +32,7 @@ from repro.frame.dataframe import DataFrame, concat
 from repro.ingest.cache import ColumnStoreCache
 from repro.ingest.config import LoaderConfig, ShardSpec
 from repro.ingest.parallel import read_csv_parallel
-from repro.ingest.shard import load_sharded
+from repro.ingest.shard import load_sharded, shard_frame
 from repro.telemetry import runtime as telemetry
 
 __all__ = [
@@ -224,8 +224,6 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     the shared full frame). A miss stores the full file and shards the
     mapped frame the store hands back, so the shard is view-backed too.
     """
-    from repro.ingest.shard import shard_frame
-
     cache = ColumnStoreCache.for_source(path, config.cache_dir)
     if config.refresh_cache:
         cache.evict(path)

@@ -56,7 +56,7 @@ class SpmdError(RuntimeError):
 
         Duck-typed (the MPI layer stays dependency-free): an exception
         qualifies when any of the
-        :class:`repro.resilience.TransientCollectiveError` location
+        :class:`repro.comms.ft.TransientCollectiveError` location
         attributes is present and set, so recovery code can target the
         failing chunk instead of treating the error as opaque.
         """

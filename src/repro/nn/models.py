@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.ingest.prefetch import EpochPrefetcher
 from repro.nn import losses as _losses
 from repro.nn import metrics as _metrics
 from repro.nn import optimizers as _optimizers
@@ -30,6 +31,8 @@ from repro.nn.halves import GEMM_ROWS, gemm_edges
 from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import Conv1D
 from repro.nn.layers.core import Activation, Dense
+from repro.overlap import OverlapScheduler
+from repro.train import DEFAULT_TRAIN_OPTIONS
 
 __all__ = ["Sequential"]
 
@@ -110,8 +113,6 @@ class Sequential:
         in float32).
         """
         if train is None:
-            from repro.train import DEFAULT_TRAIN_OPTIONS
-
             train = DEFAULT_TRAIN_OPTIONS
         if self.built:
             raise RuntimeError("model already built")
@@ -399,8 +400,6 @@ class Sequential:
         is installed for the duration of the fit, overlapping each
         step's gradient allreduce with its backward pass.
         """
-        from repro.ingest.prefetch import EpochPrefetcher
-
         self._require_compiled()
         prefetcher = x if isinstance(x, EpochPrefetcher) else None
         if prefetcher is not None:
@@ -429,8 +428,6 @@ class Sequential:
 
         overlap = None
         if train is not None and train.overlap and self._overlap is None:
-            from repro.overlap import OverlapScheduler
-
             overlap = OverlapScheduler.maybe_install(
                 self, self.optimizer, train=train
             )

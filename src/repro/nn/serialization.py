@@ -15,10 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Optional
 
 import numpy as np
+
+from repro.telemetry.exporters import atomic_write
 
 __all__ = [
     "save_checkpoint",
@@ -135,22 +136,8 @@ def save_checkpoint(
     ).copy()
 
     final = _npz_path(path)
-    directory = os.path.dirname(final) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(final) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(final, "wb") as fh:
+        np.savez(fh, **arrays)
     return checksum_file(final)
 
 

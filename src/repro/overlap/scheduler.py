@@ -135,7 +135,8 @@ class OverlapScheduler:
     """Per-rank compute/communication overlap for one model + optimizer.
 
     Create (or :meth:`maybe_install`) on an initialized rank thread;
-    the constructor captures the rank's collective engine and spawns the
+    the constructor reads the rank's collective engine, tracer, rank and
+    fusion capacity from the distributed ``optimizer`` and spawns the
     channel workers (none for a one-bucket plan). ``begin_step`` arms the step before backward,
     the model's backward hooks release buckets, ``finish_step`` is the
     drain fence the distributed optimizer calls in place of its
@@ -149,17 +150,10 @@ class OverlapScheduler:
         *,
         train: Optional[TrainOptions] = None,
     ):
-        from repro.hvd import runtime as _rt
-        from repro.hvd.fusion import FusionBuffer
-
         if model.arena is None:
             raise ValueError(
                 "overlap needs an arena-built model (train=TrainOptions("
                 "arena=True)); this model was built without one"
-            )
-        if not _rt.is_initialized():
-            raise RuntimeError(
-                "overlap scheduler needs hvd.init() on this rank thread"
             )
         self.model = model
         self.optimizer = optimizer
@@ -167,14 +161,12 @@ class OverlapScheduler:
         self.options = self.train.collective
         self.stats = OverlapStats()
         # captured on the rank thread: the worker thread cannot use the
-        # thread-local hvd accessors
-        self._engine = _rt.engine()
-        self._tracer = _rt.tracer()
-        self._rank = _rt.rank()
+        # optimizer's thread-local runtime accessors
+        self._engine = optimizer.engine
+        self._tracer = optimizer.tracer
+        self._rank = optimizer.rank
         self._arena = model.arena
-        self._buckets = self._plan_buckets(
-            FusionBuffer.from_options(self.options).capacity_bytes
-        )
+        self._buckets = self._plan_buckets(optimizer.fusion.capacity_bytes)
         #: trigger layer position → buckets it releases, priority-sorted
         self._triggers: Dict[int, List[GradientBucket]] = {}
         for b in self._buckets:
@@ -239,15 +231,13 @@ class OverlapScheduler:
         model has no arena, the optimizer is not overlap-capable, or the
         rank thread is not running under an initialized multi-rank hvd.
         """
-        from repro.hvd import runtime as _rt
-
         if train is None or not train.overlap:
             return None
         if model.arena is None or model.optimizer is None:
             return None
         if not hasattr(optimizer, "attach_overlap"):
             return None
-        if not _rt.is_initialized() or _rt.size() < 2:
+        if optimizer.world_size < 2:
             return None
         sched = cls(model, optimizer, train=train)
         sched.install()
@@ -289,9 +279,7 @@ class OverlapScheduler:
     # -- the step -----------------------------------------------------------
     def begin_step(self) -> None:
         """Arm the scheduler for one backward pass (rank thread)."""
-        from repro.hvd import runtime as _rt
-
-        if self._closed or _rt.size() < 2:
+        if self._closed or self.optimizer.world_size < 2:
             return
         with self._cond:
             if self._error is not None:

@@ -18,8 +18,13 @@ future work; this package is that work, grown into a subsystem:
   shuffle order), and graceful degradation to a smaller world when a
   rank is permanently dead, with the learning rate and epoch partition
   re-derived from the paper's scaling rules.
+
+:class:`RetryPolicy`, :class:`TransientCollectiveError` and its base
+:class:`InjectedFault` live in :mod:`repro.comms.ft.channel`, the lowest
+layer that uses them; they are re-exported here.
 """
 
+from repro.comms.ft.channel import InjectedFault, RetryPolicy, TransientCollectiveError
 from repro.resilience.checkpoint import CheckpointInfo, CheckpointManager
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -27,13 +32,10 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedCrash,
-    InjectedFault,
-    TransientCollectiveError,
 )
 from repro.resilience.recovery import (
     AttemptRecord,
     ResilientRunResult,
-    RetryPolicy,
     replan_for_world,
     run_resilient_benchmark,
 )

@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import hvd
 from repro.nn.serialization import (
     CheckpointError,
     checksum_file,
@@ -33,6 +33,7 @@ from repro.nn.serialization import (
     save_checkpoint,
 )
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.exporters import atomic_write
 
 __all__ = ["CheckpointManager", "CheckpointInfo"]
 
@@ -80,21 +81,8 @@ class CheckpointManager:
         return {str(k): str(v) for k, v in raw.items()}
 
     def _write_manifest(self, entries: dict[str, str]) -> None:
-        fd, tmp = tempfile.mkstemp(
-            prefix=_MANIFEST + ".", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entries, fh, indent=1, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.manifest_path) as fh:
+            json.dump(entries, fh, indent=1, sort_keys=True)
 
     # -- listing -----------------------------------------------------------
     def checkpoints(self) -> list[CheckpointInfo]:
@@ -244,8 +232,6 @@ class CheckpointManager:
         to the uninterrupted one. Returns the checkpoint metadata on
         every rank (None everywhere when there is nothing to restore).
         """
-        from repro import hvd  # deferred: keep this module import-light
-
         meta: Optional[dict] = None
         if hvd.rank() == root:
             meta = self.restore_latest(model)

@@ -31,6 +31,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.comms.ft.channel import InjectedFault, TransientCollectiveError
+
 __all__ = [
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
@@ -38,9 +40,7 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
-    "InjectedFault",
     "InjectedCrash",
-    "TransientCollectiveError",
 ]
 
 #: the process-level fault taxonomy: process death, slow rank, stalled
@@ -61,59 +61,8 @@ MESSAGE_FAULT_KINDS = ("msg_drop", "msg_corrupt", "msg_delay", "rank_kill")
 ALL_FAULT_KINDS = FAULT_KINDS + MESSAGE_FAULT_KINDS
 
 
-class InjectedFault(RuntimeError):
-    """Base class for every injector-raised error."""
-
-
 class InjectedCrash(InjectedFault):
     """A rank process died (injected)."""
-
-
-class TransientCollectiveError(InjectedFault):
-    """A collective operation failed transiently.
-
-    Carries the failure's location — failing chunk index, resolved
-    algorithm, peer rank, tensor name — so recovery can target the
-    retransmit/demotion instead of replaying the whole run. Raisers
-    that know only part of the context (the channel knows the peer, the
-    engine's chunk loop knows chunk and algorithm) compose it via
-    :meth:`attach_context`, which never overwrites a field already set.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        chunk: Optional[int] = None,
-        algorithm: Optional[str] = None,
-        peer: Optional[int] = None,
-        tensor: Optional[str] = None,
-    ):
-        super().__init__(message)
-        self.chunk = chunk
-        self.algorithm = algorithm
-        self.peer = peer
-        self.tensor = tensor
-
-    def attach_context(self, **context) -> "TransientCollectiveError":
-        """Fill in missing location fields; returns self for chaining."""
-        for key in ("chunk", "algorithm", "peer", "tensor"):
-            if key in context and getattr(self, key) is None:
-                setattr(self, key, context[key])
-        return self
-
-    def context(self) -> dict:
-        """The non-None location fields (for reports and assertions)."""
-        return {
-            key: getattr(self, key)
-            for key in ("chunk", "algorithm", "peer", "tensor")
-            if getattr(self, key) is not None
-        }
-
-    def __str__(self):
-        base = super().__str__()
-        parts = [f"{k}={v}" for k, v in self.context().items()]
-        return f"{base} [{', '.join(parts)}]" if parts else base
 
 
 @dataclass(frozen=True)

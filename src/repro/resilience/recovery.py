@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import hvd
 from repro.candle.base import CandleBenchmark, LoadedData
-from repro.candle.pipeline import _loss_and_metrics
+from repro.comms.ft.channel import RetryPolicy
 from repro.core.epochs import comp_epochs_balanced
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.scaling import ScalingPlan
@@ -41,59 +41,11 @@ from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
 
 __all__ = [
-    "RetryPolicy",
     "AttemptRecord",
     "ResilientRunResult",
     "run_resilient_benchmark",
     "replan_for_world",
 ]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for failed attempts.
-
-    ``jitter`` spreads retries by up to that fraction of the capped
-    delay — but only from an *injected* RNG: the policy never touches
-    global ``random``/``np.random`` state, so SPMD ranks that each seed
-    their own generator back off bit-reproducibly
-    (:func:`run_resilient_benchmark` derives its generator from the run
-    seed; the FT channel backs off without jitter).
-    """
-
-    max_retries: int = 3
-    base_delay_s: float = 0.05
-    factor: float = 2.0
-    max_delay_s: float = 2.0
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be non-negative")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
-
-    def delay_s(
-        self, attempt: int, rng: Optional[np.random.Generator] = None
-    ) -> float:
-        """Backoff before retrying after failed attempt ``attempt``.
-
-        With ``jitter > 0`` an RNG must be supplied — refusing to fall
-        back to global random state is what makes the jitter seedable.
-        """
-        delay = min(self.base_delay_s * self.factor**attempt, self.max_delay_s)
-        if self.jitter > 0.0:
-            if rng is None:
-                raise ValueError(
-                    "jittered backoff needs an injected rng "
-                    "(np.random.Generator) for reproducibility"
-                )
-            delay *= 1.0 + self.jitter * float(rng.random())
-        return delay
 
 
 @dataclass
@@ -200,18 +152,13 @@ def run_resilient_benchmark(
     """
     if data is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
+    data = benchmark.prepare(data)
     retry = retry if retry is not None else RetryPolicy()
     # backoff jitter draws from a run-seeded generator, never global state
     backoff_rng = np.random.default_rng(seed)
-    loss_name, metric_names = _loss_and_metrics(benchmark)
+    loss_name, metric_names = benchmark.loss_and_metrics()
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     checkpoint_dir = str(checkpoint_dir)
-
-    x_train = data.x_train
-    if hasattr(benchmark, "prepare_x") and getattr(benchmark, "conv", False):
-        x_train = benchmark.prepare_x(
-            x_train[..., 0] if x_train.ndim == 3 else x_train
-        )
 
     current_plan = plan
     attempts: list[AttemptRecord] = []
@@ -244,9 +191,9 @@ def run_resilient_benchmark(
             history: dict[str, list[float]] = {}
             if epochs_to_run > 0:
                 fit_history = model.fit(
-                    x_train,
+                    data.x_train,
                     data.y_train,
-                    batch_size=min(current_plan.batch_size, len(x_train)),
+                    batch_size=min(current_plan.batch_size, len(data.x_train)),
                     epochs=epochs_to_run,
                     initial_epoch=start,
                     shuffle=False,

@@ -24,6 +24,7 @@ from repro.cluster.machine import SUMMIT, THETA, MachineSpec
 from repro.core.scaling import strong_scaling_plan
 from repro.sim.computemodel import ComputeModel
 from repro.sim.iomodel import IoModel, benchmark_files
+from repro.sim.runner import ScaledRunSimulator
 
 __all__ = ["Anchor", "Calibration", "DEFAULT_CALIBRATION", "calibration_report"]
 
@@ -63,8 +64,6 @@ def _epoch_anchor(machine: MachineSpec, spec, batch: int) -> Callable[[], float]
 
 def _epoch_with_comm_anchor(machine: MachineSpec, spec, batch: int, nworkers: int) -> Callable[[], float]:
     def derive() -> float:
-        from repro.sim.runner import ScaledRunSimulator
-
         sim = ScaledRunSimulator(machine)
         compute = sim.compute.epoch_compute_seconds(spec, batch)
         comm = sim.effective_step_comm_seconds(

@@ -32,6 +32,9 @@ import numpy as np
 from repro.candle.base import BenchmarkSpec
 from repro.candle.registry import get_benchmark
 from repro.cluster.machine import MachineSpec, get_machine
+from repro.comms import DEFAULT_OPTIONS, Topology, plan_allreduce
+from repro.comms.ft.detector import detector_for
+from repro.comms.ft.options import DEFAULT_FT_OPTIONS
 from repro.core.scaling import ScalingPlan
 from repro.sim.engine import PhaseSimulator
 from repro.sim.runner import ScaledRunSimulator
@@ -221,9 +224,6 @@ def ft_detection_seconds(ft_options=None) -> float:
     :func:`~repro.comms.ft.detector.detector_for`), so the simulator and
     the wire agree on the model.
     """
-    from repro.comms.ft.detector import detector_for
-    from repro.comms.ft.options import DEFAULT_FT_OPTIONS
-
     o = ft_options if ft_options is not None else DEFAULT_FT_OPTIONS
     return detector_for(o).detection_latency_s(o.phi_dead)
 
@@ -239,8 +239,6 @@ def ft_rebuild_seconds(
     planned on the shrunken degraded topology (``local_size=1``: the
     rebuilt communicator never claims hierarchical placement).
     """
-    from repro.comms import DEFAULT_OPTIONS, Topology, plan_allreduce
-
     if nworkers <= 2:
         return 0.0
     survivors = nworkers - 1

@@ -16,7 +16,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.resilience.recovery import RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.supervisor.db import ResultsDB, TrialRecord
 
 __all__ = ["Supervisor"]

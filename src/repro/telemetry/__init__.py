@@ -29,6 +29,8 @@ that could not be joined. This package is the join:
 - :mod:`repro.telemetry.runtime` — the process-wide *active* tracer, so
   deep call sites (ingest methods, checkpoint writes) can record spans
   without every caller threading a tracer argument through.
+- :mod:`repro.telemetry.report` — fixed-width table rendering for the
+  summary, the CLIs and the experiment harnesses.
 """
 
 from repro.telemetry.tracer import Counter, Span, Tracer

@@ -23,9 +23,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.telemetry.report import format_table
 from repro.telemetry.tracer import Tracer
 
 __all__ = [
@@ -41,16 +43,23 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via temp-then-``os.replace``."""
+@contextmanager
+def atomic_write(path, mode: str = "w") -> Iterator:
+    """A temp file beside ``path``, opened with ``mode``, that replaces it.
+
+    On a clean exit the file is flushed, fsynced and moved over ``path``
+    with ``os.replace``; on any error it is removed and ``path`` keeps
+    its old content. Telemetry artifacts, checkpoints and the checkpoint
+    manifest are all written through here.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -60,6 +69,12 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _span_args(tracer: Tracer, span) -> dict:
@@ -225,8 +240,6 @@ def summary_rows(tracer: Tracer) -> list[dict]:
 
 def format_summary(tracer: Tracer, title: str = "") -> str:
     """The summary as an aligned text table."""
-    from repro.analysis.report import format_table
-
     rows = [
         {
             k: (round(v, 6) if isinstance(v, float) else v)

@@ -12,20 +12,40 @@ threads of a single run, and the tracer itself is thread-safe with
 per-thread span stacks, so rank concurrency needs nothing extra.
 Nested activations restore the previous tracer on exit
 (:func:`tracing` is re-entrant).
+
+Each rank thread also has a *binding*: its rank and the tracer its
+collectives record into. :func:`repro.hvd.init` binds them, an elastic
+rebuild rebinds the renumbered rank, and :func:`repro.hvd.shutdown`
+clears them. A span opened without an explicit rank takes
+:func:`thread_rank`.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.telemetry.tracer import Tracer
+if TYPE_CHECKING:
+    from repro.telemetry.tracer import Tracer
 
-__all__ = ["activate", "deactivate", "active_tracer", "tracing", "span", "counter"]
+__all__ = [
+    "activate",
+    "deactivate",
+    "active_tracer",
+    "tracing",
+    "span",
+    "counter",
+    "bind_rank",
+    "unbind_rank",
+    "thread_rank",
+    "thread_tracer",
+]
 
 _lock = threading.Lock()
 _active: Optional[Tracer] = None
+#: per rank thread: ``binding`` is (rank, tracer) while the rank is bound
+_thread = threading.local()
 
 
 def activate(tracer: Tracer) -> None:
@@ -45,6 +65,28 @@ def deactivate() -> None:
 def active_tracer() -> Optional[Tracer]:
     """The active tracer, or None when tracing is off."""
     return _active
+
+
+def bind_rank(rank: int, tracer: Optional[Tracer]) -> None:
+    """Bind the calling thread's rank and tracer (None: untraced)."""
+    _thread.binding = (rank, tracer)
+
+
+def unbind_rank() -> None:
+    """Clear the calling thread's binding."""
+    _thread.binding = None
+
+
+def thread_rank() -> int:
+    """The calling thread's bound rank, 0 outside any rank context."""
+    binding = getattr(_thread, "binding", None)
+    return 0 if binding is None else binding[0]
+
+
+def thread_tracer() -> Optional[Tracer]:
+    """The calling thread's bound tracer, else the active one."""
+    binding = getattr(_thread, "binding", None)
+    return _active if binding is None else binding[1]
 
 
 @contextmanager

@@ -22,6 +22,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from repro.telemetry import runtime
+from repro.telemetry.power import PowerBinding
+
 __all__ = ["Span", "Counter", "Tracer"]
 
 
@@ -85,13 +88,6 @@ class _OpenSpan:
         self.attrs.update(attrs)
 
 
-def _default_rank() -> int:
-    """The calling thread's Horovod rank, 0 outside any rank context."""
-    from repro.hvd import runtime as _hvd_rt  # repro.hvd imports telemetry
-
-    return _hvd_rt.rank() if _hvd_rt.is_initialized() else 0
-
-
 class Tracer:
     """Thread-safe, append-only span/counter log for one run."""
 
@@ -138,7 +134,7 @@ class Tracer:
         frame = _OpenSpan(
             name=name,
             category=category,
-            rank=_default_rank() if rank is None else int(rank),
+            rank=runtime.thread_rank() if rank is None else int(rank),
             span_id=next(self._ids),
             parent_id=parent.span_id if parent is not None else None,
             start_s=self.now(),
@@ -189,7 +185,7 @@ class Tracer:
         completed = Span(
             name=name,
             category=category,
-            rank=_default_rank() if rank is None else int(rank),
+            rank=runtime.thread_rank() if rank is None else int(rank),
             start_s=start_s - self.origin_s if absolute else start_s,
             duration_s=duration_s,
             span_id=next(self._ids),
@@ -214,7 +210,7 @@ class Tracer:
                 time_s=self.now(),
                 value=float(value),
                 total=total,
-                rank=_default_rank() if rank is None else int(rank),
+                rank=runtime.thread_rank() if rank is None else int(rank),
                 attrs=dict(attrs),
             )
             self._counter_events.append(event)
@@ -266,8 +262,6 @@ class Tracer:
         Returns the :class:`~repro.telemetry.power.PowerBinding` (also
         kept on ``self.power_binding`` for the exporters).
         """
-        from repro.telemetry.power import PowerBinding
-
         self.power_binding = PowerBinding(profile, rate_hz=rate_hz, mode=mode)
         return self.power_binding
 

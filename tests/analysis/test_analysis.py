@@ -10,12 +10,11 @@ from repro.analysis import (
     broadcast_overhead_seconds,
     communication_summary,
     compare_runs,
-    format_series,
-    format_table,
     profile_callable,
 )
 from repro.analysis.timeline_analysis import allreduce_total_seconds
 from repro.telemetry import Tracer
+from repro.telemetry.report import format_series, format_table
 
 
 class TestPhaseProfiler:

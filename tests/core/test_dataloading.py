@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.candle import get_benchmark
-from repro.core import load_benchmark_data
-from repro.ingest import DataSource, LoaderConfig
+from repro.ingest import DataSource, LoaderConfig, load_benchmark_data
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from repro import hvd
 from repro.candle.nt3 import NT3Benchmark
 from repro.candle.p1b1 import P1B1Benchmark
 from repro.candle.p1b3 import P1B3Benchmark
-from repro.candle.pipeline import _loss_and_metrics
 from repro.comms import CollectiveOptions
 from repro.mpi import run_spmd
 from repro.nn import (
@@ -328,7 +327,7 @@ def compiled(bench, train, seed=4):
     model = bench.build_model(seed=seed, train=train)
     model.compile(
         get_optimizer(bench.spec.optimizer, lr=bench.spec.learning_rate),
-        _loss_and_metrics(bench)[0],
+        bench.loss_and_metrics()[0],
     )
     return model
 
