@@ -6,11 +6,11 @@ checksummed checkpoint every 2 epochs, a deterministic
 :class:`~repro.resilience.FaultPlan` kills rank 1 mid-training, and the
 supervisor loop retries with backoff, resuming every rank from the
 newest valid checkpoint. The recovered run's final test loss is
-bit-identical to an uninterrupted run of the same total epochs (fixed
-shuffle order + restored RNG streams). A second scenario makes the
-crash *permanent*: the supervisor shrinks the world to the survivors
-and re-derives the epoch partition and learning rate from the paper's
-scaling rules.
+bit-identical to an uninterrupted run of the same total epochs (the
+checkpoint restores every rank's RNG streams, shuffle order included).
+A second scenario makes the crash *permanent*: the supervisor shrinks
+the world to the survivors and re-derives the epoch partition and
+learning rate from the paper's scaling rules.
 
 Run:  python examples/checkpoint_restart.py
 """

@@ -3,8 +3,8 @@
 Real Horovod is per-process; our ranks are threads, so the module-level
 API (``hvd.size()`` etc.) resolves through ``threading.local``. A rank
 thread calls ``init(comm)`` once (``comm=None`` gives a self-contained
-single-rank world) and ``shutdown()`` when done; :func:`repro.core`'s
-runners handle both ends.
+single-rank world) and ``shutdown()`` when done; the runners' one
+driver, :func:`repro.candle.pipeline.run_rank`, handles both ends.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ future work; this package is that work, grown into a subsystem:
   rank-0-writes / broadcast-restore distributed protocol.
 - :mod:`repro.resilience.recovery` —
   :func:`run_resilient_benchmark`: capped-exponential-backoff retries,
-  resume from the newest valid checkpoint (bit-exact with a fixed
-  shuffle order), and graceful degradation to a smaller world when a
+  resume from the newest valid checkpoint (bit-exact: RNG streams are
+  restored), and graceful degradation to a smaller world when a
   rank is permanently dead, with the learning rate and epoch partition
   re-derived from the paper's scaling rules.
 

@@ -1,15 +1,16 @@
 """Resilient execution: retry, resume, and elastic world shrinking.
 
-:func:`run_resilient_benchmark` is the fault-tolerant sibling of
-:func:`repro.core.parallel.run_parallel_benchmark`. It runs the same
-three-phase CANDLE/Horovod job (load → train+checkpoint → evaluate),
-but wraps every attempt in a supervisor loop:
+:func:`run_resilient_benchmark` is a retry wrapper around the one run
+driver, :func:`repro.candle.pipeline.run_rank`: every attempt runs the
+same per-rank phases as :func:`repro.core.parallel.run_parallel_benchmark`
+(load → train+checkpoint → evaluate) under a supervisor loop:
 
 1. a failed attempt (any rank crash, injected or real) is retried with
    capped exponential backoff;
 2. each retry resumes from the newest *checksum-valid* checkpoint via
-   :class:`~repro.resilience.CheckpointManager` — with a fixed shuffle
-   order the recovered run is bit-identical to an uninterrupted one;
+   :class:`~repro.resilience.CheckpointManager` — the restored weights,
+   optimizer state and RNG streams (shuffle order included) make the
+   recovered run bit-identical to an uninterrupted one;
 3. ranks declared permanently dead shrink the world: the survivors are
    renumbered, and the scaling plan is re-derived from the paper's own
    rules (linear learning-rate scaling, balanced epoch partitioning)
@@ -28,17 +29,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro import hvd
 from repro.candle.base import CandleBenchmark, LoadedData
+from repro.candle.pipeline import run_rank
 from repro.comms.ft.channel import RetryPolicy
 from repro.core.epochs import comp_epochs_balanced
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.scaling import ScalingPlan
 from repro.mpi import run_spmd
 from repro.mpi.runtime import SpmdError
-from repro.nn import get_optimizer
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.telemetry import Tracer
 
 __all__ = [
     "AttemptRecord",
@@ -147,86 +148,55 @@ def run_resilient_benchmark(
     ``fault_plan`` optionally injects a deterministic fault schedule
     (the rehearsal mode); real failures take exactly the same path.
     ``sleep`` is injectable so tests can assert the backoff sequence
-    without waiting it out. Training always uses a fixed shuffle order,
-    which is what makes checkpoint-resumed runs bit-exact.
+    without waiting it out. Each attempt's ``start_epoch`` is the epoch
+    after the newest valid checkpoint, read once before the attempt
+    starts; every rank resumes there.
     """
     if data is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
-    data = benchmark.prepare(data)
     retry = retry if retry is not None else RetryPolicy()
     # backoff jitter draws from a run-seeded generator, never global state
     backoff_rng = np.random.default_rng(seed)
-    loss_name, metric_names = benchmark.loss_and_metrics()
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     checkpoint_dir = str(checkpoint_dir)
+    manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
+    tracer = Tracer(run_id=f"{benchmark.spec.name}-resilient")
 
     current_plan = plan
     attempts: list[AttemptRecord] = []
     all_dead: list[int] = []  # original-world ids of permanently dead ranks
     identity = list(range(plan.nworkers))  # new rank -> original rank id
 
-    def worker(comm):
-        hvd.init(comm)
-        try:
-            manager = CheckpointManager(
-                checkpoint_dir, keep_last=keep_last
-            )
-            model = benchmark.build_model(seed=seed + 1000 * (comm.rank + 1))
-            base_opt = get_optimizer(
-                benchmark.spec.optimizer, lr=current_plan.learning_rate
-            )
-            model.compile(
-                hvd.DistributedOptimizer(base_opt), loss_name, metrics=metric_names
-            )
-            callbacks = [hvd.BroadcastGlobalVariablesCallback(0)]
-            meta = manager.restore_distributed(model)
-            start = int(meta["epoch"]) + 1 if meta is not None else 0
-            callbacks.append(
-                hvd.ManagedCheckpointCallback(manager, every_n_epochs=every_n_epochs)
-            )
-            if injector is not None:
-                callbacks.append(hvd.FaultInjectionCallback(injector))
-            target = current_plan.epochs_per_worker
-            epochs_to_run = max(0, target - start)
-            history: dict[str, list[float]] = {}
-            if epochs_to_run > 0:
-                fit_history = model.fit(
-                    data.x_train,
-                    data.y_train,
-                    batch_size=min(current_plan.batch_size, len(data.x_train)),
-                    epochs=epochs_to_run,
-                    initial_epoch=start,
-                    shuffle=False,
-                    callbacks=callbacks,
-                )
-                history = dict(fit_history.history)
-            metrics = model.evaluate(data.x_test, data.y_test)
-            return history, metrics, start
-        finally:
-            hvd.shutdown()
-
     max_attempts = retry.max_retries + 1
     for attempt in range(max_attempts):
-        start_epoch_guess = 0
+        latest = manager.latest_valid()
+        record = AttemptRecord(
+            attempt=attempt,
+            nworkers=current_plan.nworkers,
+            start_epoch=latest.epoch + 1 if latest is not None else 0,
+            status="failed",
+        )
+        attempts.append(record)
         t0 = time.perf_counter()
         try:
             reports = run_spmd(
                 current_plan.nworkers,
-                worker,
+                lambda comm: run_rank(
+                    comm, benchmark, tracer=tracer,
+                    epochs=current_plan.epochs_per_worker,
+                    batch_size=current_plan.batch_size,
+                    learning_rate=current_plan.learning_rate,
+                    model_seed=seed + 1000 * (comm.rank + 1), data=data,
+                    checkpoint=manager, checkpoint_every=every_n_epochs,
+                    initial_epoch=record.start_epoch,
+                )[0],
                 local_size=local_size,
                 fault_injector=injector,
             )
         except SpmdError as exc:
-            record = AttemptRecord(
-                attempt=attempt,
-                nworkers=current_plan.nworkers,
-                start_epoch=start_epoch_guess,
-                status="failed",
-                failed_ranks=exc.failed_ranks,
-                error=str(exc),
-                wall_s=time.perf_counter() - t0,
-            )
-            attempts.append(record)
+            record.failed_ranks = exc.failed_ranks
+            record.error = str(exc)
+            record.wall_s = time.perf_counter() - t0
             if attempt + 1 >= max_attempts:
                 raise
             delay = retry.delay_s(attempt, rng=backoff_rng)
@@ -251,24 +221,15 @@ def run_resilient_benchmark(
                     )
                 injector.next_attempt()
             continue
-        # success
-        history, metrics, resumed_from = reports[0]
-        attempts.append(
-            AttemptRecord(
-                attempt=attempt,
-                nworkers=current_plan.nworkers,
-                start_epoch=resumed_from,
-                status="completed",
-                wall_s=time.perf_counter() - t0,
-            )
-        )
+        record.status = "completed"
+        record.wall_s = time.perf_counter() - t0
         return ResilientRunResult(
             benchmark=benchmark.spec.name,
             initial_plan=plan,
             final_plan=current_plan,
             attempts=attempts,
-            history=history,
-            eval_metrics=metrics,
+            history=reports[0].history,
+            eval_metrics=reports[0].eval_metrics,
             dead_ranks=sorted(all_dead),
             checkpoint_dir=checkpoint_dir,
         )

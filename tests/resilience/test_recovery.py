@@ -168,3 +168,22 @@ def test_no_shrink_when_disallowed(tmp_path, bench):
             retry=RetryPolicy(max_retries=3, base_delay_s=0.0),
             allow_shrink=False,
         )
+
+
+def test_failed_attempts_record_the_epoch_they_resumed_from(tmp_path, bench):
+    result = run_resilient_benchmark(
+        bench,
+        _plan(bench),
+        tmp_path,
+        seed=0,
+        every_n_epochs=1,
+        fault_plan=FaultPlan(
+            specs=(
+                FaultPlan.single_crash(rank=0, epoch=1).specs[0],
+                FaultPlan.single_crash(rank=1, epoch=2).specs[0],
+            )
+        ),
+        retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
+    )
+    assert [a.status for a in result.attempts] == ["failed", "failed", "completed"]
+    assert [a.start_epoch for a in result.attempts] == [0, 2, 3]

@@ -117,6 +117,18 @@ def test_chaos_collectives_example_runs(tmp_path):
     assert "checksum failures caught: 1" in out
 
 
+def test_checkpoint_restart_example_runs(tmp_path):
+    out = _run_example("checkpoint_restart.py", cwd=tmp_path)
+    assert "recovered: True" in out
+    assert "bit-exact recovery: True" in out
+    assert "dead ranks [1]; world 2 -> 1" in out
+
+
+def test_fault_injection_example_runs(tmp_path):
+    out = _run_example("fault_injection.py", cwd=tmp_path)
+    assert "recovered: True" in out
+
+
 def test_strong_scaling_example_runs(tmp_path):
     out = _run_example("strong_scaling_study.py", cwd=tmp_path)
     workers = [
