@@ -72,7 +72,7 @@ def run_rank(
     comm,
     benchmark: CandleBenchmark,
     *,
-    tracer: Tracer,
+    tracer: Optional[Tracer],
     epochs: int,
     batch_size: int,
     learning_rate: Optional[float],
@@ -92,9 +92,11 @@ def run_rank(
 
     Runs on ``comm`` (from :func:`repro.mpi.run_spmd`) under
     :func:`repro.hvd.init`, recording ``load``/``train``/``eval`` spans
-    on ``tracer``. ``load``: ``data``, or ``data_paths`` parsed through
-    ``load_method`` (a ``sharded`` config without a shard takes this
-    rank's), then ``scaler`` and a ``load_delay_s`` sleep. ``train``:
+    and the collectives on ``tracer`` (None: the collectives adopt the
+    active tracer, if any, and a private one times the phases).
+    ``load``: ``data``, or ``data_paths`` parsed through ``load_method``
+    (a ``sharded`` config without a shard takes this rank's), then
+    ``scaler`` and a ``load_delay_s`` sleep. ``train``:
     the model from ``model_seed`` under ``hvd.DistributedOptimizer``,
     rank 0's weights broadcast, ``fit`` from ``initial_epoch`` to
     ``epochs``; the communicator's fault injector fires its epoch and
@@ -109,9 +111,10 @@ def run_rank(
     train = train if train is not None else DEFAULT_TRAIN_OPTIONS
     config = as_config(load_method)
     hvd.init(comm, tracer=tracer, options=train.collective)
+    phases = tracer if tracer is not None else Tracer(run_id=spec.name)
     try:
         # ---- phase 1: data loading and preprocessing ---------------------
-        with tracer.span("load", rank=comm.rank, load_method=config.method) as sp_load:
+        with phases.span("load", rank=comm.rank, load_method=config.method) as sp_load:
             if data_paths is not None:
                 if config.method == "sharded" and config.shard is None:
                     config = config.with_shard(comm.rank, comm.size, allgather=True)
@@ -138,7 +141,7 @@ def run_rank(
         data = benchmark.prepare(data)
 
         # ---- phase 2: training and cross-validation ----------------------
-        with tracer.span("train", rank=comm.rank, epochs=epochs) as sp_train:
+        with phases.span("train", rank=comm.rank, epochs=epochs) as sp_train:
             model = benchmark.build_model(seed=model_seed, train=train)
             loss, metric_names = benchmark.loss_and_metrics()
             base = get_optimizer(spec.optimizer, lr=learning_rate)
@@ -185,7 +188,7 @@ def run_rank(
                     )
 
         # ---- phase 3: prediction and evaluation --------------------------
-        with tracer.span("eval", rank=comm.rank) as sp_eval:
+        with phases.span("eval", rank=comm.rank) as sp_eval:
             eval_metrics = model.evaluate(data.x_test, data.y_test)
     finally:
         hvd.shutdown()

@@ -29,6 +29,7 @@ from repro.nn.serialization import (
     CheckpointError,
     checksum_file,
     load_checkpoint,
+    load_weights_dict,
     restore_rng_state,
     save_checkpoint,
 )
@@ -166,6 +167,21 @@ class CheckpointManager:
         for info in reversed(self.checkpoints()):
             if self.verify(info):
                 return info
+        return None
+
+    def latest_restorable(self) -> Optional[CheckpointInfo]:
+        """The checkpoint :meth:`restore_latest` loads, found without a model.
+
+        Same candidates, newest-first, under the same file checks: a
+        recorded checkpoint must match its checksum, an unrecorded one
+        (its manifest write died) must parse. None when none passes.
+        """
+        for info in reversed(self.checkpoints()):
+            try:
+                load_weights_dict(info.path, expected_sha256=info.sha256)
+            except CheckpointError:
+                continue
+            return info
         return None
 
     def resolve(self, epoch: Optional[int] = None) -> CheckpointInfo:

@@ -39,7 +39,7 @@ from repro.mpi import run_spmd
 from repro.mpi.runtime import SpmdError
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.telemetry import Tracer
+from repro.telemetry import active_tracer
 
 __all__ = [
     "AttemptRecord",
@@ -149,8 +149,10 @@ def run_resilient_benchmark(
     (the rehearsal mode); real failures take exactly the same path.
     ``sleep`` is injectable so tests can assert the backoff sequence
     without waiting it out. Each attempt's ``start_epoch`` is the epoch
-    after the newest valid checkpoint, read once before the attempt
-    starts; every rank resumes there.
+    after the checkpoint rank 0 will restore
+    (:meth:`~repro.resilience.CheckpointManager.latest_restorable`),
+    read once before the attempt starts; every rank resumes there. The
+    ranks record into the process-wide active tracer, if any.
     """
     if data is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
@@ -160,7 +162,7 @@ def run_resilient_benchmark(
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     checkpoint_dir = str(checkpoint_dir)
     manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
-    tracer = Tracer(run_id=f"{benchmark.spec.name}-resilient")
+    tracer = active_tracer()
 
     current_plan = plan
     attempts: list[AttemptRecord] = []
@@ -169,7 +171,7 @@ def run_resilient_benchmark(
 
     max_attempts = retry.max_retries + 1
     for attempt in range(max_attempts):
-        latest = manager.latest_valid()
+        latest = manager.latest_restorable()
         record = AttemptRecord(
             attempt=attempt,
             nworkers=current_plan.nworkers,

@@ -1,5 +1,7 @@
 """Resilient runs: bit-exact resume, backoff, elastic shrink, give-up."""
 
+import json
+
 import pytest
 
 from repro.candle import get_benchmark
@@ -12,6 +14,7 @@ from repro.resilience import (
     replan_for_world,
     run_resilient_benchmark,
 )
+from repro.telemetry import Tracer, tracing
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +190,33 @@ def test_failed_attempts_record_the_epoch_they_resumed_from(tmp_path, bench):
     )
     assert [a.status for a in result.attempts] == ["failed", "failed", "completed"]
     assert [a.start_epoch for a in result.attempts] == [0, 2, 3]
+
+
+def test_resumes_from_a_checkpoint_missing_from_the_manifest(tmp_path, bench):
+    """A crash between a checkpoint's file write and its manifest write
+    leaves the file unrecorded; rank 0 still restores it, so the next
+    run must start after it, not after the newest recorded one."""
+    clean = run_resilient_benchmark(
+        bench, _plan(bench, total_epochs=12), tmp_path / "clean", seed=0
+    )
+    run_resilient_benchmark(bench, _plan(bench, total_epochs=8), tmp_path, seed=0)
+    manifest = tmp_path / "MANIFEST.json"
+    entries = json.loads(manifest.read_text())
+    del entries["ckpt-000003.npz"]
+    manifest.write_text(json.dumps(entries))
+
+    resumed = run_resilient_benchmark(
+        bench, _plan(bench, total_epochs=12), tmp_path, seed=0
+    )
+    assert [(a.status, a.start_epoch) for a in resumed.attempts] == [("completed", 4)]
+    assert len(resumed.history["loss"]) == 2
+    assert resumed.eval_metrics == clean.eval_metrics
+
+
+def test_ranks_record_into_the_active_tracer(tmp_path, bench):
+    tracer = Tracer(run_id="resilient")
+    with tracing(tracer):
+        run_resilient_benchmark(bench, _plan(bench), tmp_path, seed=0, every_n_epochs=2)
+    assert {s.rank for s in tracer.spans_named("train")} == {0, 1}
+    assert {s.rank for s in tracer.spans_named("negotiate_allreduce")} == {0, 1}
+    assert tracer.spans_named("checkpoint.save")
