@@ -1,21 +1,18 @@
 """Microbenchmark: the zero-copy training step on an NT3-shaped model.
 
-Measures ``train_on_batch`` on the NT3 conv stack under three
-configurations:
-
-- **seed path** — float64, per-layer parameter arrays, per-parameter
-  optimizer updates and pack/unpack gradient fusion (the repo's
-  original training step);
-- **arena f64** — parameters/gradients in a flat
-  :class:`~repro.nn.ParameterArena`, fused optimizer kernels
-  (bit-identical to the seed path, the equivalence this bench asserts);
-- **arena f32** — the same arena step at float32, halving memory
-  traffic per step (the optimized configuration).
+Measures ``train_on_batch`` on the NT3 conv stack, parameters and
+gradients in a flat :class:`~repro.nn.ParameterArena` updated by fused
+optimizer kernels, at float64 and at float32 (half the memory traffic
+per step).
 
 Also isolates the parameter-update phase and compares its allocation
 high-water mark (tracemalloc peak): the fused slab kernels update every
-parameter through preallocated scratch, where the per-parameter path
-allocates fresh temporaries per parameter per step.
+parameter through preallocated scratch, where the name-keyed
+``apply_gradients`` over the same arena's views allocates fresh
+temporaries per parameter per step. Two bit-identity checks hold the
+fused step to its references: ``apply_arena`` against
+``apply_gradients`` on a second model, and the world-2 owner step
+against allreduce-then-update.
 
 The overlap section measures the PR 7 wait-free-backprop scheduler: the
 same NT3 step at world 12 (2 nodes x 6 workers) on an emulated,
@@ -25,8 +22,7 @@ overlapped step is faster *and* lands bitwise-identical parameters.
 Run standalone::
 
     python benchmarks/bench_trainstep.py --smoke   # CI-sized, identity only
-    python benchmarks/bench_trainstep.py --full    # asserts arena f32 >= 2x
-                                                   # seed path, update-phase
+    python benchmarks/bench_trainstep.py --full    # asserts update-phase
                                                    # allocations >= 5x lower,
                                                    # overlap >= 1.3x serialized
                                                    # (overlap fraction >= 0.6),
@@ -64,7 +60,6 @@ FULL_SHAPE = dict(scale=0.05, sample_scale=0.05)    # 3024 features
 BATCH = 20  # NT3's Table-1 batch size
 
 CONFIGS = [
-    ("seed (f64, per-param)", TrainOptions(arena=False)),
     ("arena f64 (fused)", TrainOptions()),
     ("arena f32 (fused)", TrainOptions(dtype="float32")),
 ]
@@ -118,14 +113,14 @@ def time_train_step(bench, steps: int) -> dict[str, float]:
     return out
 
 
-def update_alloc_peak(bench, arena: bool, repeats: int = 5) -> int:
+def update_alloc_peak(bench, per_param: bool, repeats: int = 5) -> int:
     """Allocation high-water (bytes) of one parameter-update phase.
 
     The forward/backward work is done outside the traced window so the
     measurement isolates exactly what the fused kernels replace:
     ``apply_gradients`` temporaries vs in-place slab updates.
     """
-    model = _compiled(bench, TrainOptions(arena=arena))
+    model = _compiled(bench, TrainOptions())
     x, y = _data(bench.features)
     for _ in range(3):
         model.train_on_batch(x, y)  # steady state: scratch + optimizer state
@@ -137,63 +132,64 @@ def update_alloc_peak(bench, arena: bool, repeats: int = 5) -> int:
     for _ in range(repeats):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        if arena:
-            model.optimizer.apply_arena(model.arena)
-        else:
+        if per_param:
             model.optimizer.apply_gradients(params, grads)
+        else:
+            model.optimizer.apply_arena(model.arena)
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
     tracemalloc.stop()
     return min(peaks)  # steadiest step: no warmup or GC noise
 
 
 def check_single_process_identity(bench, steps: int) -> bool:
-    """Arena-fused training == per-parameter training, bitwise, at f64."""
-    ref = _compiled(bench, TrainOptions(arena=False))
+    """Fused ``apply_arena`` == per-parameter ``apply_gradients``, bitwise."""
+    ref = _compiled(bench, TrainOptions())
     fused = _compiled(bench, TrainOptions())
     x, y = _data(bench.features)
     for _ in range(steps):
-        ref.train_on_batch(x, y)
+        ref._backward(y, ref._forward(x, training=True))
+        ref.optimizer.apply_gradients(ref.named_parameters(), ref.named_gradients())
         fused.train_on_batch(x, y)
-    return all(
-        np.array_equal(a, b)
-        for a, b in zip(ref.get_weights(), fused.get_weights())
-    )
+    return ref.arena.params_flat.tobytes() == fused.arena.params_flat.tobytes()
+
+
+class _AllreduceThenUpdate(hvd.DistributedOptimizer):
+    """The Horovod step without the owner step: allreduce every slab
+    slice, then one whole-slab update."""
+
+    def apply_arena(self, arena) -> None:
+        self.reduce_arena(arena)
+        self.base.apply_arena(arena)
 
 
 def check_distributed_identity(bench, epochs: int = 2) -> bool:
-    """Zero-copy slab allreduce == pack/unpack allreduce, bitwise (2 ranks)."""
+    """World-2 owner step == allreduce-then-update, bitwise, every rank."""
     x, y = _data(bench.features, n=4 * BATCH)
 
-    def run(arena):
+    def run(optimizer_cls):
         def worker(comm):
             hvd.init(comm)
             try:
-                model = bench.build_model(
-                    seed=1 + comm.rank, train=TrainOptions(arena=arena)
+                model = bench.build_model(seed=1 + comm.rank)
+                model.compile(
+                    optimizer_cls(SGD(lr=0.001, momentum=0.9)),
+                    "categorical_crossentropy",
                 )
-                opt = hvd.DistributedOptimizer(SGD(lr=0.001, momentum=0.9))
-                model.compile(opt, "categorical_crossentropy")
                 shard = slice(comm.rank * 2 * BATCH, (comm.rank + 1) * 2 * BATCH)
                 model.fit(
                     x[shard], y[shard], batch_size=BATCH, epochs=epochs,
                     shuffle=False,
                     callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
                 )
-                return model.get_weights()
+                return model.arena.params_flat.tobytes()
             finally:
                 hvd.shutdown()
 
         return run_spmd(2, worker)
 
-    arena_w = run(True)
-    packed_w = run(False)
-    ranks_agree = all(
-        np.array_equal(a, b) for a, b in zip(arena_w[0], arena_w[1])
-    )
-    paths_agree = all(
-        np.array_equal(a, p) for a, p in zip(arena_w[0], packed_w[0])
-    )
-    return ranks_agree and paths_agree
+    owner = run(hvd.DistributedOptimizer)
+    reference = run(_AllreduceThenUpdate)
+    return len(set(owner + reference)) == 1
 
 
 # -- compute/communication overlap ------------------------------------------
@@ -285,8 +281,8 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
     bench = get_benchmark("nt3", **shape)
 
     timings = time_train_step(bench, steps)
-    alloc_ref = update_alloc_peak(bench, arena=False)
-    alloc_fused = update_alloc_peak(bench, arena=True)
+    alloc_ref = update_alloc_peak(bench, per_param=True)
+    alloc_fused = update_alloc_peak(bench, per_param=False)
     ident_single = check_single_process_identity(bench, steps=max(5, steps))
     ident_dist = check_distributed_identity(bench)
     # the overlap measurement is a wall-clock race on a shared machine;
@@ -300,13 +296,8 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
         retry["bit_identical_overlap"] &= overlap["bit_identical_overlap"]
         overlap = retry
 
-    seed_s = timings["seed (f64, per-param)"]
     rows = [
-        {
-            "config": label,
-            "ms_per_step": round(t * 1e3, 2),
-            "speedup_vs_seed": round(seed_s / t, 2),
-        }
+        {"config": label, "ms_per_step": round(t * 1e3, 2)}
         for label, t in timings.items()
     ]
     print(format_table(rows, title=f"NT3 train step, {bench.features} features, batch {BATCH}"))
@@ -315,7 +306,10 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
         f"update-phase allocation peak: per-param {alloc_ref} B, "
         f"fused {alloc_fused} B ({alloc_ratio:.0f}x lower)"
     )
-    print(f"bit-identical (arena vs reference): single={ident_single} spmd={ident_dist}")
+    print(
+        f"bit-identical: single (fused vs per-param)={ident_single} "
+        f"spmd (owner step vs allreduce-then-update)={ident_dist}"
+    )
     print(
         f"overlap @ world {overlap['world']}: "
         f"{overlap['speedup_vs_serialized']:.2f}x vs serialized, "
@@ -328,7 +322,6 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
         "batch": BATCH,
         "steps_timed": steps,
         "ms_per_step": {label: t * 1e3 for label, t in timings.items()},
-        "speedup_arena_f32": seed_s / timings["arena f32 (fused)"],
         "update_alloc_peak_bytes": {"per_param": alloc_ref, "fused": alloc_fused},
         "update_alloc_ratio": alloc_ratio,
         "bit_identical_single": ident_single,
@@ -343,16 +336,12 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
             json.dump(result, fh, indent=2)
         print(f"wrote {json_path}")
 
-    assert ident_single, "arena training diverged bitwise from the reference path"
-    assert ident_dist, "slab allreduce diverged bitwise from the packed path"
+    assert ident_single, "the fused update diverged bitwise from the per-parameter one"
+    assert ident_dist, "the owner step diverged bitwise from allreduce-then-update"
     assert overlap["bit_identical_overlap"], (
         "overlapped training diverged bitwise from the serialized step"
     )
     if full:
-        speedup = result["speedup_arena_f32"]
-        assert speedup >= 2.0, (
-            f"arena f32 step only {speedup:.2f}x over the seed path (need >= 2x)"
-        )
         assert alloc_ratio >= 5.0, (
             f"update-phase allocations only {alloc_ratio:.1f}x lower (need >= 5x)"
         )

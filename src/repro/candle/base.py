@@ -154,8 +154,7 @@ class CandleBenchmark:
         """Build (but not compile) the benchmark's model at this scale.
 
         ``train`` (a :class:`repro.train.TrainOptions`) forwards to
-        :meth:`repro.nn.Sequential.build`: arena storage (fused
-        optimizer + zero-copy allreduce) is the default;
+        :meth:`repro.nn.Sequential.build`;
         ``TrainOptions(dtype="float32")`` halves memory traffic per
         step.
         """

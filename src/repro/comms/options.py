@@ -43,6 +43,7 @@ from repro.options import (
 __all__ = [
     "CollectiveOptions",
     "DEFAULT_OPTIONS",
+    "DEFAULT_FUSION_BYTES",
     "ALGORITHMS",
     "SMALL_MESSAGE_BYTES",
     "select_algorithm",
@@ -50,6 +51,10 @@ __all__ = [
 
 #: supported transport algorithms ("auto" resolves to one of the others)
 ALGORITHMS = ("auto", "flat", "ring", "rhd", "hierarchical")
+
+#: Horovod's default fusion-buffer capacity: the bytes one fused
+#: allreduce carries at most
+DEFAULT_FUSION_BYTES = 64 << 20
 
 #: at or below this size, latency dominates and "auto" prefers rhd
 SMALL_MESSAGE_BYTES = 16 << 10
@@ -71,7 +76,7 @@ class CollectiveOptions(FrozenOptions):
     #: transport algorithm; "auto" selects by size and topology
     algorithm: str = "auto"
     #: fusion-buffer capacity consumed per fused allreduce (Horovod's 64 MB)
-    fusion_bytes: int = 64 << 20
+    fusion_bytes: int = DEFAULT_FUSION_BYTES
     #: pipelined chunk size for one fused reduction; None = single chunk
     chunk_bytes: Optional[int] = None
     #: fault-tolerant execution (heartbeat detection, retransmission,

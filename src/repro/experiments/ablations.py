@@ -27,14 +27,15 @@ from repro.candle import get_benchmark
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
 from repro.comms import CollectiveOptions, Topology, plan_allreduce
+from repro.comms.options import DEFAULT_FUSION_BYTES
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.parallel import run_parallel_benchmark
 from repro.core.scaling import ScalingPlan, weak_scaling_plan
 from repro.experiments import common
 from repro.experiments.base import ExperimentResult
-from repro.hvd.fusion import FusionBuffer
 from repro.mpi import run_spmd
 from repro.mpi.network import CollectiveCostModel
+from repro.nn.arena import fusion_plan
 from repro.nn.optimizers import SGD
 from repro.sim.runner import ScaledRunSimulator
 from repro.train import TrainOptions
@@ -54,17 +55,15 @@ def _allreduce_time(cm: CollectiveCostModel, sizes_bytes, nworkers: int) -> floa
 
 def run_fusion(fast: bool = True) -> ExperimentResult:
     cm = CollectiveCostModel(SUMMIT.fabric, ranks_per_node=SUMMIT.workers_per_node)
-    tensors = {
-        f"t{i}": np.zeros(n, dtype=np.float32) for i, n in enumerate(NT3_LAYER_PARAMS)
-    }
+    # float32 gradient bytes per layer tensor, in layer (= name) order
+    per_tensor = [4 * n for n in NT3_LAYER_PARAMS]
     rows = []
     for nworkers in (48, 384, 3072):
         row = {"gpus": nworkers}
         # no fusion: one ring op per layer tensor
-        per_tensor = [t.nbytes for t in tensors.values()]
         row["per_tensor_ms"] = round(_allreduce_time(cm, per_tensor, nworkers) * 1e3, 2)
         for mb in (8, 64, 512):
-            fused = FusionBuffer(mb << 20).fused_sizes(tensors)
+            fused = [sum(per_tensor[g.start : g.stop]) for g in fusion_plan(per_tensor, mb << 20)]
             # a group larger than the buffer still rings in buffer-sized pieces
             sizes = []
             for s in fused:
@@ -211,7 +210,8 @@ def run_nccl_upgrade(fast: bool = True) -> ExperimentResult:
         old_cm = CollectiveCostModel(old_fabric, SUMMIT.workers_per_node)
         new_cm = CollectiveCostModel(new_fabric, SUMMIT.workers_per_node)
         # 64 MB fusion pieces, as the runner charges them
-        pieces = [64 << 20] * (nbytes // (64 << 20)) + [nbytes % (64 << 20)]
+        pieces = [DEFAULT_FUSION_BYTES] * (nbytes // DEFAULT_FUSION_BYTES)
+        pieces.append(nbytes % DEFAULT_FUSION_BYTES)
         old_t = sum(old_cm.allreduce_hierarchical(p, nworkers) for p in pieces if p)
         new_t = sum(new_cm.allreduce_hierarchical(p, nworkers) for p in pieces if p)
         rows.append(

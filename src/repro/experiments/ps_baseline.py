@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
+from repro.comms.options import DEFAULT_FUSION_BYTES
 from repro.experiments.base import ExperimentResult
-from repro.hvd.fusion import DEFAULT_FUSION_BYTES
 from repro.mpi.network import CollectiveCostModel
 from repro.nn import SGD, Activation, Dense, Sequential
 from repro.ps import PsCostModel, run_parameter_server_training

@@ -12,7 +12,9 @@ Horovod's public surface, as the paper's methodology (§2.3.2) uses it:
   initialization of all workers."
 - Tensor fusion — "batch small allreduce operations by combining all the
   tensors that are ready to be reduced at a given moment into one
-  reduction operation" (:class:`repro.hvd.fusion.FusionBuffer`).
+  reduction operation": ``DistributedOptimizer`` reduces the gradient
+  slab in slices of at most ``CollectiveOptions.fusion_bytes``
+  (:func:`repro.nn.arena.fusion_plan`, ``DEFAULT_FUSION_BYTES`` = 64 MB).
 - Horovod's timeline — every collective records the paper's event
   names (``negotiate_broadcast``, ``mpi_broadcast``,
   ``negotiate_allreduce``, ``nccl_allreduce``) as spans on the rank's
@@ -31,6 +33,7 @@ to the engine unchanged.
 """
 
 from repro.comms import CollectiveOptions
+from repro.comms.options import DEFAULT_FUSION_BYTES
 from repro.train import TrainOptions
 from repro.hvd.callbacks import (
     BroadcastGlobalVariablesCallback,
@@ -41,7 +44,6 @@ from repro.hvd.callbacks import (
     resume_from_checkpoint,
 )
 from repro.hvd.data import load_sharded
-from repro.hvd.fusion import DEFAULT_FUSION_BYTES, FusionBuffer
 from repro.hvd.optimizer import DistributedOptimizer
 from repro.hvd.ops import allgather, allreduce, broadcast, broadcast_weights
 from repro.hvd.runtime import (
@@ -80,6 +82,5 @@ __all__ = [
     "MetricAverageCallback",
     "resume_from_checkpoint",
     "load_sharded",
-    "FusionBuffer",
     "DEFAULT_FUSION_BYTES",
 ]

@@ -6,17 +6,19 @@ optimizer delegates the gradient computation to the original optimizer,
 averages gradients using the Allreduce, and then applies those averaged
 gradients."
 
-Gradients are fused per :class:`repro.hvd.fusion.FusionBuffer` before
-the allreduce, so each training step issues one (or a few) large
-reductions rather than one per layer. The whole step is configured by
-one :class:`repro.train.TrainOptions` passed as ``train=``: its
-``collective`` governs how reductions travel, and
-``overlap=True`` lets an attached
-:class:`repro.overlap.OverlapScheduler` take over the arena reduction —
-``apply_arena`` then drains the scheduler's fence instead of issuing
-the serialized slab allreduces.
+The step runs on the model's :class:`repro.nn.ParameterArena`: its
+gradient slab is reduced in slices of at most ``fusion_bytes``
+(:meth:`~repro.nn.ParameterArena.fusion_groups`), so each training step
+issues one (or a few) large reductions rather than one per layer, with
+nothing to pack. The whole step is configured by one
+:class:`repro.train.TrainOptions` passed as ``train=``: its
+``collective`` governs how reductions travel, and ``overlap=True`` lets
+an attached :class:`repro.overlap.OverlapScheduler` take over the
+reduction — ``apply_arena`` then drains the scheduler's fence instead
+of issuing the serialized slab allreduces. The name-keyed
+``apply_gradients`` of the base optimizers has no distributed form.
 
-On the arena path, where the rank's engine allows it (no fault
+Where the rank's engine allows it (no fault
 tolerance, no emulated fabric) and the base
 optimizer has a slab kernel, each fusion group runs the engine's **owner step**
 (:meth:`repro.comms.CollectiveEngine.allreduce_update`): every element
@@ -27,13 +29,13 @@ update leaves, so checkpoints and broadcasts see no difference.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.comms.options import DEFAULT_FUSION_BYTES
 from repro.hvd import ops as _ops
 from repro.hvd import runtime as _rt
-from repro.hvd.fusion import FusionBuffer
 from repro.nn.optimizers import Optimizer
 from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
@@ -52,7 +54,10 @@ class DistributedOptimizer(Optimizer):
         #: CollectiveOptions of this run's reductions
         #: (None = run-level options / engine defaults)
         self.options = self.train.collective
-        self.fusion = FusionBuffer.from_options(self.options)
+        #: byte capacity of one fused reduction (one slab slice)
+        self.fusion_bytes = (
+            DEFAULT_FUSION_BYTES if self.options is None else self.options.fusion_bytes
+        )
         self.allreduce_count = 0
         #: (old_world, new_world) pairs for every elastic world change
         self.world_rescales: list = []
@@ -110,25 +115,13 @@ class DistributedOptimizer(Optimizer):
             self._overlap = None
 
     # -- the Horovod step ---------------------------------------------------
-    def apply_gradients(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray]) -> None:
-        """Allreduce-average ``grads`` across ranks, then delegate."""
-        averaged = self.reduce_gradients(grads)
-        self.base.apply_gradients(params, averaged)
-
-    def reduce_gradients(self, grads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Fused ring-allreduce mean of every gradient tensor."""
-        if _rt.size() == 1:
-            return grads
-        averaged: Dict[str, np.ndarray] = {}
-        for group in self.fusion.plan(grads):
-            fused = self.fusion.pack(grads, group)
-            reduced = _ops.allreduce(
-                fused, op="mean", name="+".join(group), options=self.options
-            )
-            self.allreduce_count += 1
-            averaged.update(FusionBuffer.unpack(reduced, grads, group))
-        self._reconcile_world()
-        return averaged
+    def apply_gradients(self, params, grads) -> None:
+        """Not a distributed step: ranks reduce an arena's gradient slab."""
+        raise TypeError(
+            "DistributedOptimizer steps an arena-built model through "
+            "apply_arena; the name-keyed apply_gradients has no "
+            "distributed form"
+        )
 
     def _reconcile_world(self) -> None:
         """Re-apply the linear LR rule when the world size changes.
@@ -167,7 +160,7 @@ class DistributedOptimizer(Optimizer):
                 self.base.apply_arena(arena)
         elif _rt.size() > 1 and self.owner_step(_rt.engine(), arena, self.options):
             lr = self.base.prepare_arena_step(arena)
-            for start, stop, names in arena.fusion_groups(self.fusion.capacity_bytes):
+            for start, stop, names in arena.fusion_groups(self.fusion_bytes):
                 slabs, update = self.bucket_update(arena, start, stop, lr)
                 _ops.allreduce_update(
                     slabs, update, name="+".join(names), options=self.options
@@ -219,7 +212,7 @@ class DistributedOptimizer(Optimizer):
         """Allreduce-average the gradient slab, slice by fusion group."""
         if _rt.size() == 1:
             return
-        for start, stop, names in arena.fusion_groups(self.fusion.capacity_bytes):
+        for start, stop, names in arena.fusion_groups(self.fusion_bytes):
             view = arena.grads_flat[start:stop]
             reduced = _ops.allreduce(
                 view, op="mean", name="+".join(names), options=self.options

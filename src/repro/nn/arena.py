@@ -16,19 +16,41 @@ training step. A :class:`ParameterArena` owns two contiguous 1-D slabs
   checkpoints, broadcasts) keeps working unchanged, because those code
   paths already mutate arrays in place via ``np.copyto``.
 
-Layout is **sorted by parameter name** — the same deterministic order
-:meth:`repro.hvd.fusion.FusionBuffer.plan` packs gradients — so an
-allreduce over a slab slice is bit-identical to the packed reference
-path, group by group.
+Layout is **sorted by parameter name**, so every rank lays out the same
+slab without negotiation, and the fusion groups (:func:`fusion_plan`,
+Horovod's greedy rule) are consecutive slab slices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ParameterArena"]
+__all__ = ["ParameterArena", "fusion_plan"]
+
+
+def fusion_plan(sizes: Sequence[int], capacity_bytes: int) -> List[range]:
+    """Greedy first-fit grouping of tensors, in order, by byte size.
+
+    Each group is a ``range`` of consecutive indices into ``sizes``
+    whose bytes total at most ``capacity_bytes``; a tensor larger than
+    the capacity gets a group of its own. Deterministic, so every rank
+    computes the same plan without negotiation — Horovod's requirement
+    that ranks agree on reduction order.
+    """
+    if capacity_bytes <= 0:
+        raise ValueError(f"capacity must be positive, got {capacity_bytes}")
+    groups: List[range] = []
+    start, total = 0, 0
+    for i, nbytes in enumerate(sizes):
+        if i > start and total + nbytes > capacity_bytes:
+            groups.append(range(start, i))
+            start, total = i, 0
+        total += nbytes
+    if len(sizes) > start:
+        groups.append(range(start, len(sizes)))
+    return groups
 
 
 class ParameterArena:
@@ -40,7 +62,7 @@ class ParameterArena:
         self.dtype = np.dtype(dtype)
         if self.dtype.kind != "f":
             raise ValueError(f"arena dtype must be floating, got {self.dtype}")
-        #: parameter names in slab order (sorted — FusionBuffer's order)
+        #: parameter names in slab order (sorted)
         self.names: List[str] = sorted(named)
         self._layout: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
         offset = 0
@@ -118,31 +140,16 @@ class ParameterArena:
     def fusion_groups(self, capacity_bytes: int) -> List[Tuple[int, int, List[str]]]:
         """Slice the slab into allreduce groups of ≤ ``capacity_bytes``.
 
-        Greedy first-fit over the (sorted) layout — exactly the grouping
-        :meth:`repro.hvd.fusion.FusionBuffer.plan` computes for the same
-        tensors at the same dtype, so the zero-copy arena path reduces
-        bit-identical buffers to the packed reference path. A parameter
-        larger than the capacity gets its own group.
+        Returns ``(start, stop, names)`` per group: :func:`fusion_plan`
+        over the parameters in slab order, so each group is one slab
+        slice. A parameter larger than the capacity gets its own group.
         """
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-        itemsize = self.dtype.itemsize
-        groups: List[Tuple[int, int, List[str]]] = []
-        cur_names: List[str] = []
-        cur_start = 0
-        cur_stop = 0
-        for name in self.names:
-            start, stop, _ = self._layout[name]
-            nbytes = (stop - start) * itemsize
-            if cur_names and (cur_stop - cur_start) * itemsize + nbytes > capacity_bytes:
-                groups.append((cur_start, cur_stop, cur_names))
-                cur_names = []
-                cur_start = start
-            cur_names.append(name)
-            cur_stop = stop
-        if cur_names:
-            groups.append((cur_start, cur_stop, cur_names))
-        return groups
+        spans = [self._layout[name][:2] for name in self.names]
+        sizes = [(stop - start) * self.dtype.itemsize for start, stop in spans]
+        return [
+            (spans[g.start][0], spans[g.stop - 1][1], self.names[g.start : g.stop])
+            for g in fusion_plan(sizes, capacity_bytes)
+        ]
 
     def __repr__(self):
         return (

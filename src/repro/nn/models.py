@@ -6,8 +6,10 @@ prediction/evaluation; the middle phase is ``fit``).
 
 Distributed-training hooks, mirroring the paper's Horovod additions:
 
-- the optimizer is pluggable, so ``hvd.DistributedOptimizer`` can wrap
-  it (gradient allreduce happens inside ``optimizer.apply_gradients``);
+- every parameter and gradient lives in one
+  :class:`~repro.nn.arena.ParameterArena`, and the optimizer is
+  pluggable, so ``hvd.DistributedOptimizer`` can wrap it (the gradient
+  slab's allreduce happens inside ``optimizer.apply_arena``);
 - callbacks run at epoch/batch boundaries, so
   ``BroadcastGlobalVariablesCallback`` can sync initial weights;
 - ``set_weights`` copies *in place*, so a broadcast does not invalidate
@@ -101,16 +103,14 @@ class Sequential:
         ``seed`` drives weight init; SPMD ranks pass different seeds and
         rely on the Horovod broadcast to reconcile, as the paper does.
 
+        After building, all parameters and gradients move into a
+        :class:`~repro.nn.arena.ParameterArena` — contiguous slabs that
+        enable fused optimizer updates and zero-copy gradient allreduce.
+
         ``train`` is a :class:`repro.train.TrainOptions` (None means
-        ``DEFAULT_TRAIN_OPTIONS``); its ``arena`` field (default True)
-        moves all parameters and gradients into a
-        :class:`~repro.nn.arena.ParameterArena` after building —
-        contiguous slabs that enable fused optimizer updates and
-        zero-copy gradient allreduce. Updates stay bit-identical to the
-        per-parameter path; ``TrainOptions(arena=False)`` keeps plain
-        per-layer arrays. Its ``dtype`` sets the parameter/compute
-        precision (default float64; NT3-scale models train ~2× faster
-        in float32).
+        ``DEFAULT_TRAIN_OPTIONS``); its ``dtype`` sets the
+        parameter/compute precision (default float64; NT3-scale models
+        train ~2× faster in float32).
         """
         if train is None:
             train = DEFAULT_TRAIN_OPTIONS
@@ -140,30 +140,13 @@ class Sequential:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate layer names: {names}")
         self.built = True
-        if train.arena and any(layer.params for layer in self.layers):
+        if any(layer.params for layer in self.layers):
             self._arena = ParameterArena.adopt(self, dtype=self.dtype)
 
     @property
     def arena(self) -> ParameterArena | None:
-        """The parameter arena, or ``None`` if built with ``arena=False``."""
+        """The parameter arena, or ``None`` for a model with no parameters."""
         return self._arena
-
-    def detach_arena(self) -> None:
-        """Give every layer back its own (copied) parameter arrays.
-
-        After this, parameters are ordinary per-layer arrays and
-        training uses the per-parameter reference path. Used by code
-        that wants to hand layers to another process/thread without
-        sharing slab storage.
-        """
-        if self._arena is None:
-            return
-        for layer in self.layers:
-            for key in list(layer.params):
-                layer.params[key] = layer.params[key].copy()
-                layer.grads.pop(key, None)
-            layer._arena_grads = False
-        self._arena = None
 
     def compile(self, optimizer="sgd", loss="mse", metrics: Sequence = (), lr: float | None = None) -> None:
         """Attach optimizer, loss, and metrics (Keras signature subset)."""
@@ -356,10 +339,6 @@ class Sequential:
         self._backward(y, y_pred)
         if self._arena is not None:
             self.optimizer.apply_arena(self._arena)
-        else:
-            self.optimizer.apply_gradients(
-                self.named_parameters(), self.named_gradients()
-            )
         logs = {"loss": float(loss_val)}
         for name, fn in zip(self.metric_names, self.metrics):
             logs[name] = fn(y, y_pred)
@@ -395,7 +374,7 @@ class Sequential:
         ``self.last_prefetch_stats``.
 
         ``train`` is an optional :class:`repro.train.TrainOptions`; with
-        ``overlap=True`` on an arena-built model under a multi-rank
+        ``overlap=True`` on a model with parameters under a multi-rank
         distributed optimizer, an :class:`repro.overlap.OverlapScheduler`
         is installed for the duration of the fit, overlapping each
         step's gradient allreduce with its backward pass.

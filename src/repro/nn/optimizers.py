@@ -4,9 +4,15 @@ Table 1 of the paper: NT3 and P1B3 train with ``sgd``, P1B1 with
 ``adam``, P1B2 with ``rmsprop``. All optimizers expose a mutable ``lr``
 attribute so the paper's *linear learning-rate scaling*
 (``lr × nprocs``, §2.3.2) and ``LearningRateScheduler`` callbacks can
-adjust it, and an ``apply_gradients`` entry point that
-:class:`repro.hvd.DistributedOptimizer` wraps to average gradients over
-ranks before the update — exactly Horovod's structure.
+adjust it, and an ``apply_arena`` entry point that
+:class:`repro.hvd.DistributedOptimizer` wraps to average the gradient
+slab over ranks before the update — exactly Horovod's structure.
+
+``apply_arena`` updates a model's whole
+:class:`~repro.nn.arena.ParameterArena` with fused slab kernels.
+``apply_gradients`` is the name-keyed form: one ``_update_one`` per
+parameter, which the parameter server's shards step with and which is
+the per-parameter reference the slab kernels are bit-identical to.
 
 State (momenta, moment estimates) is keyed by parameter name so
 optimizers survive weight broadcasts that replace the arrays.

@@ -151,10 +151,7 @@ class OverlapScheduler:
         train: Optional[TrainOptions] = None,
     ):
         if model.arena is None:
-            raise ValueError(
-                "overlap needs an arena-built model (train=TrainOptions("
-                "arena=True)); this model was built without one"
-            )
+            raise ValueError("overlap needs a model with parameters (an arena)")
         self.model = model
         self.optimizer = optimizer
         self.train = train if train is not None else DEFAULT_TRAIN_OPTIONS
@@ -166,7 +163,7 @@ class OverlapScheduler:
         self._tracer = optimizer.tracer
         self._rank = optimizer.rank
         self._arena = model.arena
-        self._buckets = self._plan_buckets(optimizer.fusion.capacity_bytes)
+        self._buckets = self._plan_buckets(optimizer.fusion_bytes)
         #: trigger layer position → buckets it releases, priority-sorted
         self._triggers: Dict[int, List[GradientBucket]] = {}
         for b in self._buckets:

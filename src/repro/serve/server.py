@@ -119,36 +119,24 @@ def request_features(pool: np.ndarray, index: int, rows: int) -> np.ndarray:
 def install_weights(model, weights: Dict[str, np.ndarray]) -> None:
     """Commit a named-weights dict into a built model atomically.
 
-    Arena-backed models stage every array into one contiguous slab and
-    commit with a single vectorized slab copy — the live views never
-    see a partially-applied version. Non-arena models fall back to
-    per-parameter in-place copies (still in-place: optimizer state and
-    any aliased views stay linked).
+    Every array is staged into one contiguous slab, committed into the
+    model's :class:`~repro.nn.arena.ParameterArena` with a single
+    vectorized slab copy — the live views never see a partially-applied
+    version.
     """
     params = model.named_parameters()
     if set(weights) != set(params):
         missing = sorted(set(params) - set(weights))
         extra = sorted(set(weights) - set(params))
         raise ValueError(f"weight set mismatch: missing {missing}, unexpected {extra}")
-    arena = getattr(model, "_arena", None)
-    if arena is not None:
-        staged = np.empty_like(arena.params_flat)
-        for name, slab_slice, shape in arena.entries():
-            value = np.asarray(weights[name], dtype=arena.params_flat.dtype)
-            if value.shape != shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {shape}"
-                )
-            staged[slab_slice] = value.reshape(-1)
-        arena.params_flat[:] = staged
-        return
-    for name, param in params.items():
-        value = np.asarray(weights[name], dtype=param.dtype)
-        if value.shape != param.shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: {value.shape} vs {param.shape}"
-            )
-        np.copyto(param, value)
+    arena = model.arena
+    staged = np.empty_like(arena.params_flat)
+    for name, slab_slice, shape in arena.entries():
+        value = np.asarray(weights[name], dtype=arena.params_flat.dtype)
+        if value.shape != shape:
+            raise ValueError(f"shape mismatch for {name!r}: {value.shape} vs {shape}")
+        staged[slab_slice] = value.reshape(-1)
+    arena.params_flat[:] = staged
 
 
 # -- replica ----------------------------------------------------------------

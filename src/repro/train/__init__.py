@@ -1,11 +1,11 @@
 """repro.train — the unified training-step configuration surface.
 
 One frozen, keyword-only :class:`TrainOptions` object carries every
-knob of a training step (arena storage, precision, collective
-transport and its fault tolerance, compute/communication overlap) from
+knob of a training step (precision, collective transport and its
+fault tolerance, compute/communication overlap) from
 the benchmark entry point down through ``Sequential.build``/``fit``,
 ``hvd.DistributedOptimizer``, the overlap scheduler, and the simulator
-— replacing the scattered ``arena=``/``dtype=``/``options=`` keywords.
+— replacing the scattered ``dtype=``/``options=`` keywords.
 """
 
 from repro.train.options import DEFAULT_TRAIN_OPTIONS, TrainOptions

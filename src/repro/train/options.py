@@ -1,10 +1,10 @@
 """`TrainOptions`: the one public knob of a training step.
 
 Before this module, configuring a distributed training step meant a
-different keyword on every layer: ``arena=``/``dtype=`` on
+different keyword on every layer: ``dtype=`` on
 :meth:`repro.nn.Sequential.build`, ``options=`` (a
 :class:`~repro.comms.CollectiveOptions`) on
-:class:`repro.hvd.DistributedOptimizer`, ``arena=``/``collective=`` on
+:class:`repro.hvd.DistributedOptimizer`, ``collective=`` on
 :func:`repro.core.parallel.run_parallel_benchmark`, and — with the
 overlap scheduler — a new set of knobs nobody had a home for. All of
 that collapses into one keyword-only frozen dataclass, mirroring the
@@ -13,6 +13,10 @@ threaded unchanged from the benchmark entry point through model
 building, the distributed optimizer, the overlap scheduler, and across
 to the simulator, so a functional run and a simulated run of the same
 configuration execute (and charge) the same training step.
+
+Storage is not a knob: a model with parameters always keeps them in a
+:class:`~repro.nn.ParameterArena`, which every step updates with the
+fused slab kernels and reduces slice by slice.
 """
 
 from __future__ import annotations
@@ -39,16 +43,11 @@ __all__ = [
 class TrainOptions(FrozenOptions):
     """Keyword-only configuration for every training step in a run.
 
-    The defaults reproduce the pre-existing behaviour exactly: arena
-    storage at the model's default precision, engine-automatic
-    collectives, no fault tolerance, and the serialized (non-overlapped)
-    gradient exchange.
+    The defaults reproduce the pre-existing behaviour exactly: the
+    model's default precision, engine-automatic collectives, no fault
+    tolerance, and the serialized (non-overlapped) gradient exchange.
     """
 
-    #: keep parameters/gradients in a flat :class:`~repro.nn.ParameterArena`
-    #: (fused optimizer kernels + zero-copy slab allreduce); ``False`` is
-    #: the per-parameter reference path
-    arena: bool = True
     #: parameter/compute precision; None keeps the model default (float64)
     dtype: Optional[np.dtype] = None
     #: how gradient/metric collectives travel (algorithm, fusion,
@@ -72,13 +71,8 @@ class TrainOptions(FrozenOptions):
             object.__setattr__(self, "dtype", dt)
         require_instance("collective", self.collective, CollectiveOptions)
         require_in_interval("overlap_channels", self.overlap_channels, 1, 16)
-        if self.overlap and not self.arena:
-            raise ValueError(
-                "overlap=True requires arena=True: the scheduler reduces "
-                "gradient-slab buckets in place"
-            )
 
 
-#: the step's defaults — arena storage, serialized exchange, no FT
+#: the step's defaults — model precision, serialized exchange, no FT
 DEFAULT_TRAIN_OPTIONS = TrainOptions()
 

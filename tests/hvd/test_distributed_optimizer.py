@@ -1,12 +1,15 @@
-"""DistributedOptimizer: gradient averaging semantics."""
+"""DistributedOptimizer: gradient averaging semantics, against the
+serial oracle (``tests/hvd/step_oracle``) byte for byte."""
 
 import numpy as np
 import pytest
 
 from repro import hvd
 from repro.mpi import run_spmd
-from repro.nn import SGD, Adam
+from repro.nn import SGD, Adam, ParameterArena
 from repro.train import TrainOptions
+from tests.hvd.step_oracle import BATCH, ROWS, build, shards, slabs
+from tests.hvd.test_step_oracle import distributed, serial
 
 
 def _with_hvd(nprocs, fn):
@@ -29,64 +32,58 @@ def test_single_rank_passthrough():
     hvd.init()
     try:
         opt = hvd.DistributedOptimizer(SGD(lr=0.1))
-        grads = {"w": np.ones(4)}
-        assert opt.reduce_gradients(grads) is grads
+        arena = ParameterArena({"w": np.zeros(4)})
+        arena.grads_flat[:] = 1.0
+        opt.reduce_arena(arena)
+        assert (arena.grads_flat == 1.0).all()
         assert opt.allreduce_count == 0
     finally:
         hvd.shutdown()
 
 
-def test_gradients_averaged_across_ranks():
-    def fn(comm):
-        opt = hvd.DistributedOptimizer(SGD(lr=1.0))
-        params = {"w": np.zeros(8)}
-        grads = {"w": np.full(8, float(comm.rank))}  # ranks 0..3 -> mean 1.5
-        opt.apply_gradients(params, grads)
-        return params["w"].copy()
+def test_the_name_keyed_step_has_no_distributed_form():
+    opt = hvd.DistributedOptimizer(SGD(lr=0.1))
+    with pytest.raises(TypeError, match="apply_arena"):
+        opt.apply_gradients({"w": np.zeros(4)}, {"w": np.ones(4)})
 
-    for w in _with_hvd(4, fn):
-        assert np.allclose(w, -1.5)
+
+def test_gradients_averaged_across_ranks():
+    make = lambda: SGD(lr=0.1)  # noqa: E731
+    want, _ = serial(4, TrainOptions(), make)
+    for got, _ in distributed(4, TrainOptions(), make):
+        assert got == want
 
 
 def test_equivalent_to_large_batch_sgd():
     """N workers averaging over shards == one worker on the full batch."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(8, 3))
-    w0 = rng.normal(size=3)
-
-    def grad(xs):  # gradient of 0.5*||x w||^2 wrt w, mean over rows
-        return (xs @ w0)[:, None].T @ xs / len(xs)
-
-    # serial full-batch step
-    serial = w0 - 0.1 * grad(x).ravel()
-
-    def fn(comm):
-        shard = x[comm.rank * 2 : (comm.rank + 1) * 2]
-        opt = hvd.DistributedOptimizer(SGD(lr=0.1))
-        params = {"w": w0.copy()}
-        opt.apply_gradients(params, {"w": grad(shard).ravel()})
-        return params["w"]
-
-    for w in _with_hvd(4, fn):
-        assert np.allclose(w, serial, atol=1e-12)
+    data = shards(4)
+    full = build(7, TrainOptions())
+    full.compile(SGD(lr=0.1), "categorical_crossentropy")
+    for start in range(0, ROWS, BATCH):
+        x, y = (np.concatenate([d[i][start : start + BATCH] for d in data]) for i in (0, 1))
+        full.train_on_batch(x, y)
+    for got, _ in distributed(4, TrainOptions(), lambda: SGD(lr=0.1)):
+        assert np.allclose(np.frombuffer(got["param"]), full.arena.params_flat, atol=1e-12)
 
 
 def test_multiple_fusion_groups_still_correct():
-    def fn(comm):
-        opt = hvd.DistributedOptimizer(
-            SGD(lr=1.0),
-            train=TrainOptions(
-                collective=hvd.CollectiveOptions(fusion_bytes=64)
-            ),
-        )
-        params = {f"p{i}": np.zeros(16) for i in range(5)}  # 128 B each
-        grads = {f"p{i}": np.full(16, float(comm.rank)) for i in range(5)}
-        opt.apply_gradients(params, grads)
-        return opt.allreduce_count, [params[f"p{i}"][0] for i in range(5)]
+    make = lambda: SGD(lr=0.1, momentum=0.9)  # noqa: E731
+    train = TrainOptions(collective=hvd.CollectiveOptions(fusion_bytes=64))
+    want, _ = serial(2, train, make)
 
-    for count, firsts in _with_hvd(2, fn):
-        assert count == 5  # one ring op per tensor at this tiny capacity
-        assert all(v == pytest.approx(-0.5) for v in firsts)
+    def fn(comm):
+        model = build(7 + comm.rank, train)
+        opt = hvd.DistributedOptimizer(make(), train=train)
+        model.compile(opt, "categorical_crossentropy")
+        model.fit(
+            *shards(2)[comm.rank], batch_size=BATCH, shuffle=False,
+            callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
+        )
+        return slabs(model, opt.base), opt.allreduce_count, len(model.arena.names)
+
+    for got, count, tensors in _with_hvd(2, fn):
+        assert got == want
+        assert count == ROWS // BATCH * tensors  # one ring op per tensor per step
 
 
 def test_lr_proxying_reaches_base():
@@ -107,8 +104,7 @@ def test_base_optimizer_state_updates():
     def fn(comm):
         base = Adam(lr=0.01)
         opt = hvd.DistributedOptimizer(base)
-        params = {"w": np.zeros(4)}
-        opt.apply_gradients(params, {"w": np.ones(4)})
+        opt.apply_arena(ParameterArena({"w": np.zeros(4)}))
         return base.iterations
 
     assert _with_hvd(2, fn) == [1, 1]

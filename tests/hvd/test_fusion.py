@@ -1,113 +1,65 @@
-"""Tensor fusion: packing plans, pack/unpack fidelity."""
+"""Tensor fusion: the greedy grouping rule (``repro.nn.arena.fusion_plan``)
+and the arena's slab slices it cuts."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hvd import FusionBuffer
+from repro.nn import ParameterArena
+from repro.nn.arena import fusion_plan
 
 
 @pytest.fixture
 def tensors(rng):
     return {
+        "c": rng.normal(size=(2, 3, 5)),
         "a": rng.normal(size=(4, 4)),
         "b": rng.normal(size=(10,)),
-        "c": rng.normal(size=(2, 3, 5)),
     }
 
 
 def test_plan_is_deterministic_and_sorted(tensors):
-    fb = FusionBuffer(1 << 20)
-    plan = fb.plan(tensors)
-    assert plan == [["a", "b", "c"]]  # all fit in one group, sorted
+    arena = ParameterArena(tensors)
+    groups = arena.fusion_groups(1 << 20)
+    assert [names for _, _, names in groups] == [["a", "b", "c"]]  # one group, sorted
+    assert groups == arena.fusion_groups(1 << 20)
 
 
-def test_plan_splits_at_capacity(rng):
-    tensors = {f"t{i}": rng.normal(size=128) for i in range(6)}  # 1 KiB each
-    fb = FusionBuffer(2 * 1024)
-    groups = fb.plan(tensors)
-    assert all(
-        sum(tensors[n].nbytes for n in g) <= 2 * 1024 for g in groups
-    )
-    assert sorted(n for g in groups for n in g) == sorted(tensors)
+def test_plan_splits_at_capacity():
+    sizes = [1024] * 6
+    groups = fusion_plan(sizes, 2 * 1024)
+    assert groups == [range(0, 2), range(2, 4), range(4, 6)]
 
 
-def test_oversized_tensor_gets_own_group(rng):
-    tensors = {"big": rng.normal(size=1024), "small": rng.normal(size=4)}
-    fb = FusionBuffer(64)
-    groups = fb.plan(tensors)
-    assert ["big"] in groups
-
-
-def test_pack_unpack_roundtrip(tensors):
-    fb = FusionBuffer()
-    (group,) = fb.plan(tensors)
-    fused = fb.pack(tensors, group)
-    assert fused.ndim == 1
-    out = FusionBuffer.unpack(fused, tensors, group)
-    for name in group:
-        assert out[name].shape == tensors[name].shape
-        assert np.allclose(out[name], tensors[name])
-
-
-def test_pack_reuses_backing_buffer(tensors):
-    fb = FusionBuffer()
-    (group,) = fb.plan(tensors)
-    first = fb.pack(tensors, group)
-    second = fb.pack(tensors, group)
-    assert np.shares_memory(first, second)  # one allocation, reused per step
-
-
-def test_pack_preserves_float32(rng):
-    fb = FusionBuffer()
-    tensors = {"a": rng.normal(size=8).astype(np.float32), "b": rng.normal(size=3).astype(np.float32)}
-    fused = fb.pack(tensors, ["a", "b"])
-    assert fused.dtype == np.float32
-    # mixed / non-float inputs still promote to float64
-    assert fb.pack({"i": np.arange(4)}, ["i"]).dtype == np.float64
-
-
-def test_unpack_size_mismatch_raises(tensors):
-    fused = np.zeros(9999)
-    with pytest.raises(ValueError, match="fused buffer"):
-        FusionBuffer.unpack(fused, tensors, ["a", "b", "c"])
+def test_oversized_tensor_gets_own_group():
+    assert fusion_plan([8192, 32], 64) == [range(0, 1), range(1, 2)]
+    assert fusion_plan([32, 8192, 32], 64) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
 def test_fused_sizes_accounting(tensors):
-    fb = FusionBuffer()
-    assert sum(fb.fused_sizes(tensors)) == sum(t.nbytes for t in tensors.values())
+    sizes = [t.nbytes for t in tensors.values()]
+    groups = fusion_plan(sizes, 256)
+    assert sum(sum(sizes[g.start : g.stop]) for g in groups) == sum(sizes)
 
 
 def test_invalid_capacity():
     with pytest.raises(ValueError):
-        FusionBuffer(0)
+        fusion_plan([8], 0)
 
 
 @given(
-    sizes=st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=12),
+    sizes=st.lists(st.integers(min_value=8, max_value=4000), min_size=1, max_size=12),
     capacity=st.integers(min_value=64, max_value=4096),
 )
 @settings(max_examples=30, deadline=None)
 def test_property_plan_covers_all_tensors_once(sizes, capacity):
-    rng = np.random.default_rng(0)
-    tensors = {f"t{i:02d}": rng.normal(size=s) for i, s in enumerate(sizes)}
-    groups = FusionBuffer(capacity).plan(tensors)
-    flat = [n for g in groups for n in g]
-    assert sorted(flat) == sorted(tensors)
-    assert len(flat) == len(set(flat))
+    groups = fusion_plan(sizes, capacity)
+    # consecutive groups, in order, each index exactly once
+    assert [i for g in groups for i in g] == list(range(len(sizes)))
     # every multi-tensor group respects capacity
     for g in groups:
         if len(g) > 1:
-            assert sum(tensors[n].nbytes for n in g) <= capacity
-
-
-@given(sizes=st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=6))
-@settings(max_examples=30, deadline=None)
-def test_property_pack_unpack_identity(sizes):
-    rng = np.random.default_rng(1)
-    tensors = {f"t{i}": rng.normal(size=s) for i, s in enumerate(sizes)}
-    group = sorted(tensors)
-    out = FusionBuffer.unpack(FusionBuffer().pack(tensors, group), tensors, group)
-    for name in group:
-        assert np.allclose(out[name], tensors[name])
+            assert sum(sizes[g.start : g.stop]) <= capacity
+    # and is greedy: the next tensor would not have fit
+    for g, after in zip(groups, groups[1:]):
+        assert sum(sizes[g.start : g.stop]) + sizes[after.start] > capacity

@@ -1,4 +1,4 @@
-"""The owner step against the packed allreduce-then-update step.
+"""The owner step's safety rules, each against the serial oracle.
 
 ``DistributedOptimizer.apply_arena`` (and each overlap bucket) runs the
 engine's owner step where it may: the rank that reduces a segment folds
@@ -7,20 +7,20 @@ gather carries its gradient, parameter and state segments to the other
 ranks. After every step each rank must hold exactly what the reference
 step leaves: every element reduced, then updated, on every rank.
 
-The oracle is the ``TrainOptions(arena=False)`` packed path
-(``reduce_gradients`` + the per-parameter ``apply_gradients``), which
-never runs the owner step. After 3 steps every rank's parameters, mean
-gradients and optimizer state slots are compared by ``tobytes()``.
+The reference is ``tests/hvd/step_oracle.oracle``, the Horovod step run
+serially, which never runs the owner step; every rank's parameter and
+optimizer state slabs are compared with it by ``tobytes()``
+(``tests/hvd/test_step_oracle.py`` draws every axis of the exchange
+against it).
 
-The other cases hold the step's safety rules, each with a test that
-fails without it: channels update with their own work buffers, the
-iteration count advances before the first bucket updates, a sender
-leaves only after its receivers have copied, and runs whose engine may
-retry (fault tolerance), whose wire bytes cost emulated time, or whose
-ranks wrote their own weights never enter the owner step.
+Each case holds one of the step's safety rules, with a test that fails
+without it: channels update with their own work buffers, the iteration
+count advances before the first bucket updates, a sender leaves only
+after its receivers have copied, and runs whose engine may retry (fault
+tolerance), whose wire bytes cost emulated time, or whose ranks wrote
+their own weights never enter the owner step.
 """
 
-import functools
 import sys
 import threading
 import time
@@ -32,124 +32,16 @@ from repro import hvd
 from repro.comms import CollectiveEngine, CollectiveOptions
 from repro.comms.ft import FaultToleranceOptions
 from repro.mpi import run_spmd
-from repro.nn import Conv1D, Dense, Flatten, MaxPooling1D, Sequential
-from repro.nn.optimizers import SGD, Adam, RMSprop
+from repro.nn.optimizers import Adam
 from repro.train import TrainOptions
-
-ROWS, BATCH = 24, 8  # 3 steps per rank
-
-OPTIMIZERS = {
-    "sgd_momentum": lambda: SGD(lr=0.05, momentum=0.9),
-    "sgd_nesterov": lambda: SGD(lr=0.05, momentum=0.9, nesterov=True),
-    "rmsprop": lambda: RMSprop(lr=0.01),
-    "adam": lambda: Adam(lr=0.01),
-}
-
-#: (algorithm, world, local_size); rhd needs a power-of-two world and
-#: hierarchical more than one node of more than one rank
-TOPOLOGIES = [
-    ("ring", 2, 1),
-    ("ring", 3, 1),
-    ("ring", 4, 1),
-    ("rhd", 2, 1),
-    ("rhd", 4, 1),
-    ("hierarchical", 4, 2),
-]
-
-FUSIONS = {"fusion512": 512, "fusion_default": CollectiveOptions().fusion_bytes}
+from tests.hvd.step_oracle import BATCH, ROWS, build, shards
+from tests.hvd.test_step_oracle import OPTIMIZERS, distributed, serial
 
 
-class RecordingOptimizer(hvd.DistributedOptimizer):
-    """The packed path, keeping the last averaged gradients."""
-
-    def reduce_gradients(self, grads):
-        self.averaged = super().reduce_gradients(grads)
-        return self.averaged
-
-
-class AllreduceThenUpdate(hvd.DistributedOptimizer):
-    """The arena step without the owner step: allreduce every slice,
-    then one whole-slab update (the second oracle, for float32 arenas,
-    whose packed path differs from the arena path before any
-    reduction)."""
-
-    def apply_arena(self, arena):
-        self.reduce_arena(arena)
-        self.base.apply_arena(arena)
-
-
-def build(seed, train):
-    model = Sequential(
-        [
-            Conv1D(4, 3, activation="relu"),
-            MaxPooling1D(2),
-            Flatten(),
-            Dense(16, activation="relu"),
-            Dense(3, activation="softmax"),
-        ]
-    )
-    model.build((24, 1), seed=seed, train=train)
-    return model
-
-
-def data(world):
-    rng = np.random.default_rng(world)
-    x = rng.normal(size=(world * ROWS, 24, 1))
-    y = np.eye(3)[rng.integers(0, 3, size=world * ROWS)]
-    return x, y
-
-
-def slabs_of(model):
-    """``{kind: {name: bytes}}`` for parameters, gradients, state slots."""
-    opt = model.optimizer
-    if model.arena is not None:
-        grads = model.arena.grads
-    else:
-        grads = opt.averaged
-    out = {
-        "param": {n: a.tobytes() for n, a in model.named_parameters().items()},
-        "grad": {n: np.asarray(a).tobytes() for n, a in grads.items()},
-    }
-    for name, slots in opt.base._state.items():
-        for slot, arr in slots.items():
-            out.setdefault(slot, {})[name] = arr.tobytes()
-    return out
-
-
-def fit(
-    world, make_opt, train, local_size=1, optimizer_cls=hvd.DistributedOptimizer,
-    epochs=1,
-):
+def fit(world, make_opt, train, local_size=1, epochs=1):
     """3 steps an epoch on every rank under ``train``; each rank's slabs."""
-    x, y = data(world)
-
-    def worker(comm):
-        hvd.init(comm, options=train.collective)
-        try:
-            model = build(7 + comm.rank, train)
-            model.compile(optimizer_cls(make_opt(), train=train), "categorical_crossentropy")
-            shard = slice(comm.rank * ROWS, (comm.rank + 1) * ROWS)
-            model.fit(
-                x[shard], y[shard], batch_size=BATCH, epochs=epochs, shuffle=False,
-                train=train, callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
-            )
-            assert model.optimizer.iterations == epochs * ROWS // BATCH
-            return slabs_of(model)
-        finally:
-            hvd.shutdown()
-
-    return run_spmd(world, worker, local_size=local_size)
-
-
-@functools.lru_cache(maxsize=None)
-def oracle(world, opt_name, epochs=1):
-    """Rank 0's slabs on the packed path (the bits do not depend on the
-    algorithm, the fusion or the topology)."""
-    train = TrainOptions(arena=False)
-    return fit(
-        world, OPTIMIZERS[opt_name], train, optimizer_cls=RecordingOptimizer,
-        epochs=epochs,
-    )[0]
+    results = distributed(world, train, make_opt, local_size=local_size, epochs=epochs)
+    return [got for got, _ in results]
 
 
 @pytest.fixture
@@ -173,24 +65,6 @@ def assert_all_ranks_equal(results, want):
             assert got[kind] == want[kind], (rank, kind)
 
 
-@pytest.mark.parametrize("fusion", sorted(FUSIONS))
-@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-@pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
-@pytest.mark.parametrize(
-    "algorithm,world,local_size", TOPOLOGIES, ids=[f"{a}-w{w}" for a, w, _ in TOPOLOGIES]
-)
-def test_owner_step_is_the_packed_step(
-    algorithm, world, local_size, opt_name, overlap, fusion, owner_calls
-):
-    train = TrainOptions(
-        overlap=overlap,
-        collective=CollectiveOptions(algorithm=algorithm, fusion_bytes=FUSIONS[fusion]),
-    )
-    results = fit(world, OPTIMIZERS[opt_name], train, local_size=local_size)
-    assert sorted(set(owner_calls)) == list(range(world))
-    assert_all_ranks_equal(results, oracle(world, opt_name))
-
-
 def test_chunked_float32_owner_step_is_allreduce_then_update(owner_calls):
     """Pipelined chunks, each with its own owner step, on a float32
     arena: the mean is folded in float64 and cast as the engine's
@@ -201,7 +75,7 @@ def test_chunked_float32_owner_step_is_allreduce_then_update(owner_calls):
     )
     results = fit(3, OPTIMIZERS["adam"], train)
     assert owner_calls
-    want = fit(3, OPTIMIZERS["adam"], train, optimizer_cls=AllreduceThenUpdate)[0]
+    want, _ = serial(3, train, OPTIMIZERS["adam"])
     assert_all_ranks_equal(results, want)
 
 
@@ -235,7 +109,7 @@ def test_two_channels_update_with_their_own_scratch(owner_calls):
     finally:
         sys.setswitchinterval(old)
     assert owner_calls
-    assert_all_ranks_equal(results, oracle(2, "adam", epochs=8))
+    assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"], epochs=8)[0])
 
 
 def test_iterations_advance_before_the_first_bucket_updates(owner_calls):
@@ -243,7 +117,7 @@ def test_iterations_advance_before_the_first_bucket_updates(owner_calls):
     Adam's bias correction and ``decay`` must already see this step."""
     make = lambda: Adam(lr=0.01, decay=0.1)  # noqa: E731
     train = TrainOptions(overlap=True, collective=CollectiveOptions(fusion_bytes=512))
-    want = fit(2, make, TrainOptions(arena=False), optimizer_cls=RecordingOptimizer)[0]
+    want, _ = serial(2, TrainOptions(), make)
     results = fit(2, make, train)
     assert owner_calls
     assert_all_ranks_equal(results, want)
@@ -256,7 +130,6 @@ def test_ranks_with_their_own_weights_each_update_their_own(set_weights, owner_c
     """Ranks that never synchronized their weights, or wrote their own
     after the broadcast (``set_weights``), keep today's step: the owner
     step would hand every rank the owner's parameters."""
-    x, y = data(2)
     train = TrainOptions(overlap=True, collective=CollectiveOptions(fusion_bytes=512))
 
     def worker(comm):
@@ -269,8 +142,7 @@ def test_ranks_with_their_own_weights_each_update_their_own(set_weights, owner_c
                 assert model.arena.replicated
                 model.set_weights(build(11 + comm.rank, train).get_weights())
             assert not model.arena.replicated
-            shard = slice(comm.rank * ROWS, (comm.rank + 1) * ROWS)
-            model.fit(x[shard], y[shard], batch_size=BATCH, shuffle=False, train=train)
+            model.fit(*shards(2)[comm.rank], batch_size=BATCH, shuffle=False, train=train)
             return model.get_weights()
         finally:
             hvd.shutdown()
@@ -390,7 +262,6 @@ def test_a_one_bucket_plan_runs_on_the_rank_thread(owner_calls):
     """The bucket is released by the last backward event, so nothing can
     overlap it: no channel thread, and no communication hidden."""
     train = TrainOptions(overlap=True)  # the default fusion: one bucket
-    x, y = data(2)
 
     def worker(comm):
         from repro.overlap import OverlapScheduler
@@ -403,10 +274,9 @@ def test_a_one_bucket_plan_runs_on_the_rank_thread(owner_calls):
             sched = OverlapScheduler.maybe_install(model, opt, train=train)
             try:
                 hvd.broadcast_weights(model)
-                shard = slice(comm.rank * ROWS, (comm.rank + 1) * ROWS)
+                x, y = shards(2)[comm.rank]
                 for start in range(0, ROWS, BATCH):
-                    rows = slice(shard.start + start, shard.start + start + BATCH)
-                    model.train_on_batch(x[rows], y[rows])
+                    model.train_on_batch(x[start : start + BATCH], y[start : start + BATCH])
                 return sched._workers, sched.stats, sched._on_layer_backward in model._backward_hooks
             finally:
                 sched.close()
@@ -431,7 +301,6 @@ def test_an_emulated_fabric_fit_keeps_allreduce_then_update(owner_calls):
     from the optimizer's: an emulated-fabric ``fit`` with a
     default-options optimizer must train with a plain allreduce, not fail
     in the owner step."""
-    x, y = data(2)
     emulated = TrainOptions(
         overlap=True,
         collective=CollectiveOptions(
@@ -444,9 +313,8 @@ def test_an_emulated_fabric_fit_keeps_allreduce_then_update(owner_calls):
         try:
             model = build(7 + comm.rank, emulated)
             model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "categorical_crossentropy")
-            shard = slice(comm.rank * ROWS, (comm.rank + 1) * ROWS)
             model.fit(
-                x[shard], y[shard], batch_size=BATCH, shuffle=False, train=emulated,
+                *shards(2)[comm.rank], batch_size=BATCH, shuffle=False, train=emulated,
                 callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
             )
             return model.last_overlap_stats.buckets, model.arena.params_flat.tobytes()
@@ -470,7 +338,7 @@ def test_an_emulated_fabric_keeps_allreduce_then_update(overlap, owner_calls):
     )
     results = fit(2, OPTIMIZERS["adam"], train)
     assert not owner_calls
-    assert_all_ranks_equal(results, oracle(2, "adam"))
+    assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"])[0])
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
@@ -487,4 +355,4 @@ def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, owner_calls)
     )
     results = fit(2, OPTIMIZERS["adam"], train)
     assert not owner_calls
-    assert_all_ranks_equal(results, oracle(2, "adam"))
+    assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"])[0])

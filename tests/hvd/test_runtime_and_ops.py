@@ -186,7 +186,7 @@ class TestCallForms:
             SGD(lr=0.1),
             train=TrainOptions(collective=hvd.CollectiveOptions(fusion_bytes=256)),
         )
-        assert opt.fusion.capacity_bytes == 256
+        assert opt.fusion_bytes == 256
         assert opt.options.fusion_bytes == 256
 
     @pytest.mark.parametrize("form", sorted(REMOVED_FORMS))

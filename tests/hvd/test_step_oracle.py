@@ -1,0 +1,114 @@
+"""The whole distributed step against its serial oracle.
+
+Every axis of the gradient exchange is drawn at once: world 2–4, one or
+two ranks a node, the algorithm (flat, ring, rhd, hierarchical; an
+infeasible choice demotes to ring), the fusion capacity, chunking,
+overlap with 1, 2 or 4 channels, fault tolerance with no fault
+injected, an emulated Summit fabric, float32 or float64, and the
+optimizer. Two epochs of three steps later, every rank's parameter slab,
+every optimizer state slab and each rank's batch losses must equal
+``tests/hvd/step_oracle.oracle``'s on ``tobytes()``. The gradient slab is
+not compared: nothing reads it after the step.
+
+Hypothesis budget: 40 derandomized examples in tier-1, 600 with
+``--hypothesis-profile=deep`` (registered in ``tests/conftest.py``).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import hvd
+from repro.comms import CollectiveOptions
+from repro.comms.ft import FaultToleranceOptions
+from repro.mpi import run_spmd
+from repro.nn import LambdaCallback
+from repro.nn.optimizers import SGD, Adam, RMSprop
+from repro.train import TrainOptions
+from tests.hvd.step_oracle import BATCH, ROWS, build, oracle, shards, slabs
+
+if settings.default is settings.get_profile("deep"):
+    FUZZ = settings()
+else:
+    FUZZ = settings(max_examples=40, derandomize=True, deadline=None)
+
+OPTIMIZERS = {
+    "sgd": lambda: SGD(lr=0.05),
+    "sgd_momentum": lambda: SGD(lr=0.05, momentum=0.9),
+    "sgd_nesterov": lambda: SGD(lr=0.05, momentum=0.9, nesterov=True),
+    "rmsprop": lambda: RMSprop(lr=0.01),
+    "adam": lambda: Adam(lr=0.01),
+    "adam_decay": lambda: Adam(lr=0.01, decay=0.1),
+}
+
+
+def distributed(world, train, make_opt, *, local_size=1, epochs=1):
+    """Every rank's ``(slabs, batch losses)`` after a broadcast and a
+    fit of ``epochs`` on its shard under ``train``."""
+    data = shards(world, train.dtype or np.float64)
+
+    def worker(comm):
+        hvd.init(comm, options=train.collective)
+        try:
+            model = build(7 + comm.rank, train)
+            model.compile(hvd.DistributedOptimizer(make_opt(), train=train), "categorical_crossentropy")
+            losses = []
+            model.fit(
+                *data[comm.rank], batch_size=BATCH, epochs=epochs, shuffle=False, train=train,
+                callbacks=[
+                    hvd.BroadcastGlobalVariablesCallback(0),
+                    LambdaCallback(on_batch_end=lambda _, logs: losses.append(logs["loss"])),
+                ],
+            )
+            assert model.optimizer.iterations == epochs * ROWS // BATCH
+            return slabs(model, model.optimizer.base), losses
+        finally:
+            hvd.shutdown()
+
+    return run_spmd(world, worker, local_size=local_size)
+
+
+def serial(world, train, make_opt, *, epochs=1):
+    """The oracle's ``(slabs, each rank's batch losses)`` for the run
+    ``distributed`` makes."""
+    model, optimizer = build(7, train), make_opt()
+    losses = oracle(model, optimizer, shards(world, train.dtype or np.float64), batch=BATCH, epochs=epochs)
+    return slabs(model, optimizer), losses
+
+
+@FUZZ
+@given(
+    world=st.integers(2, 4),
+    two_a_node=st.booleans(),
+    algorithm=st.sampled_from(["flat", "ring", "rhd", "hierarchical"]),
+    fusion_bytes=st.sampled_from([512, CollectiveOptions().fusion_bytes]),
+    chunk_bytes=st.sampled_from([None, 1024]),
+    channels=st.sampled_from([0, 1, 2, 4]),  # 0: overlap off
+    fault_tolerance=st.booleans(),
+    emulate_fabric=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    opt_name=st.sampled_from(sorted(OPTIMIZERS)),
+)
+def test_distributed_step_equals_serial_oracle(
+    world, two_a_node, algorithm, fusion_bytes, chunk_bytes, channels,
+    fault_tolerance, emulate_fabric, dtype, opt_name,
+):
+    train = TrainOptions(
+        dtype=dtype,
+        overlap=channels > 0,
+        overlap_channels=max(channels, 1),
+        collective=CollectiveOptions(
+            algorithm=algorithm,
+            fusion_bytes=fusion_bytes,
+            chunk_bytes=chunk_bytes,
+            fault_tolerance=FaultToleranceOptions() if fault_tolerance else None,
+            emulate_fabric="summit" if emulate_fabric else None,
+        ),
+    )
+    local_size = 2 if two_a_node and world % 2 == 0 else 1
+    make_opt = OPTIMIZERS[opt_name]
+    want, want_losses = serial(world, train, make_opt, epochs=2)
+    results = distributed(world, train, make_opt, local_size=local_size, epochs=2)
+    for rank, (got, losses) in enumerate(results):
+        assert got == want, rank
+        assert np.array(losses).tobytes() == np.array(want_losses[rank]).tobytes(), rank

@@ -1,8 +1,10 @@
 """ParameterArena: slab layout, fused-optimizer bit-identity, round-trips.
 
-The contract under test is strict: the arena path (flat slabs + fused
-optimizer kernels + zero-copy allreduce) must produce *bitwise* the same
-weights as the per-parameter reference path, step for step.
+The contract under test is strict: the fused slab kernels must produce
+*bitwise* the same weights as the base optimizer's per-parameter
+``apply_gradients`` over the same arena's views, step for step; and the
+zero-copy distributed step must equal its serial oracle
+(``tests/hvd/step_oracle``).
 """
 
 import warnings
@@ -22,6 +24,7 @@ from repro.nn import (
     ParameterArena,
     Sequential,
 )
+from repro.nn.arena import fusion_plan
 from repro.nn.optimizers import SGD, Adam, Optimizer, RMSprop
 from repro.nn.serialization import (
     capture_rng_state,
@@ -30,9 +33,10 @@ from repro.nn.serialization import (
     save_checkpoint,
 )
 from repro.train import TrainOptions
+from tests.hvd.test_step_oracle import distributed, serial
 
 
-def nt3_shaped(seed=0, arena=True, dtype=None):
+def nt3_shaped(seed=0, dtype=None):
     """A miniature of NT3's conv→pool→dense stack (same layer types)."""
     model = Sequential(
         [
@@ -45,10 +49,15 @@ def nt3_shaped(seed=0, arena=True, dtype=None):
             Activation("softmax"),
         ]
     )
-    model.build(
-        (24, 1), seed=seed, train=TrainOptions(arena=arena, dtype=dtype)
-    )
+    model.build((24, 1), seed=seed, train=TrainOptions(dtype=dtype))
     return model
+
+
+def per_param_step(model, x, y):
+    """``train_on_batch`` with the name-keyed update in place of the
+    fused one."""
+    model._backward(y, model._forward(x, training=True))
+    model.optimizer.apply_gradients(model.named_parameters(), model.named_gradients())
 
 
 def class_data(rng, n=32, steps=24, classes=3):
@@ -83,33 +92,22 @@ def test_layout_sorted_and_contiguous():
     assert offset == arena.size == model.count_params()
 
 
-def test_build_without_arena():
-    model = nt3_shaped(arena=False)
+def test_a_model_without_parameters_has_no_arena(rng):
+    model = Sequential([Activation("relu")])
+    model.build((3,))
     assert model.arena is None
-    for arr in model.named_parameters().values():
-        assert arr.base is None  # plain per-layer storage
+    model.compile("sgd", "mse")
+    x = rng.normal(size=(4, 3))
+    model.train_on_batch(x, x)  # nothing to update
 
 
 def test_arena_values_preserved_on_adoption():
-    with_arena = nt3_shaped(seed=7, arena=True)
-    without = nt3_shaped(seed=7, arena=False)
-    for a, b in zip(with_arena.get_weights(), without.get_weights()):
-        assert np.array_equal(a, b)
-
-
-def test_detach_arena_restores_plain_arrays(rng):
-    model = nt3_shaped(seed=3)
+    model = nt3_shaped(seed=7)
     before = model.get_weights()
-    model.detach_arena()
-    assert model.arena is None
-    for arr in model.named_parameters().values():
-        assert arr.base is None
-    for a, b in zip(before, model.get_weights()):
-        assert np.array_equal(a, b)
-    # training still works on the reference path
-    model.compile("sgd", "categorical_crossentropy", lr=0.01)
-    x, y = class_data(rng)
-    model.train_on_batch(x, y)
+    arena = ParameterArena.adopt(model)
+    for arr, want in zip(model.named_parameters().values(), before):
+        assert np.shares_memory(arr, arena.params_flat)
+        assert np.array_equal(arr, want)
 
 
 def test_rejects_non_float_dtype():
@@ -117,17 +115,17 @@ def test_rejects_non_float_dtype():
         TrainOptions(dtype=np.int64)
 
 
-def test_fusion_groups_match_fusion_buffer_plan():
-    from repro.hvd import FusionBuffer
-
+def test_fusion_groups_match_fusion_plan():
     model = nt3_shaped()
     arena = model.arena
-    grads = {name: g for name, _, g in arena.items()}
     capacity = 512  # force several groups at this model size
-    fb = FusionBuffer(capacity)
-    assert [names for _, _, names in arena.fusion_groups(capacity)] == fb.plan(grads)
-    # groups tile the slab exactly
+    sizes = [g.nbytes for _, _, g in arena.items()]
     groups = arena.fusion_groups(capacity)
+    assert [names for _, _, names in groups] == [
+        arena.names[g.start : g.stop] for g in fusion_plan(sizes, capacity)
+    ]
+    assert len(groups) > 1
+    # groups tile the slab exactly
     assert groups[0][0] == 0
     assert groups[-1][1] == arena.size
     for (_, stop, _), (start, _, _) in zip(groups, groups[1:]):
@@ -150,13 +148,13 @@ OPTIMIZERS = [
 @pytest.mark.parametrize("make_opt", OPTIMIZERS, ids=lambda f: repr(f()))
 def test_fused_step_bit_identical_to_reference(make_opt, rng):
     """≥100 steps: arena-fused updates == per-parameter updates, bitwise."""
-    ref = nt3_shaped(seed=11, arena=False)
-    fused = nt3_shaped(seed=11, arena=True)
+    ref = nt3_shaped(seed=11)
+    fused = nt3_shaped(seed=11)
     ref.compile(make_opt(), "categorical_crossentropy")
     fused.compile(make_opt(), "categorical_crossentropy")
     x, y = class_data(rng, n=16)
     for step in range(100):
-        ref.train_on_batch(x, y)
+        per_param_step(ref, x, y)
         fused.train_on_batch(x, y)
         if step % 25 == 0 or step == 99:
             for name, (a, b) in _paired(ref, fused).items():
@@ -177,15 +175,15 @@ def _paired(a, b):
 
 
 def test_fused_step_bit_identical_float32(rng):
-    ref = nt3_shaped(seed=5, arena=False, dtype="float32")
-    fused = nt3_shaped(seed=5, arena=True, dtype="float32")
+    ref = nt3_shaped(seed=5, dtype="float32")
+    fused = nt3_shaped(seed=5, dtype="float32")
     ref.compile(SGD(lr=0.05, momentum=0.9), "categorical_crossentropy")
     fused.compile(SGD(lr=0.05, momentum=0.9), "categorical_crossentropy")
     x, y = class_data(rng, n=16)
     x = x.astype(np.float32)
     y = y.astype(np.float32)
     for _ in range(50):
-        ref.train_on_batch(x, y)
+        per_param_step(ref, x, y)
         fused.train_on_batch(x, y)
     for name, (a, b) in _paired(ref, fused).items():
         assert a.dtype == np.float32
@@ -199,13 +197,13 @@ def test_base_arena_step_fallback(rng):
         def _update_one(self, name, p, g, lr):
             p -= lr * g
 
-    ref = nt3_shaped(seed=2, arena=False)
-    fused = nt3_shaped(seed=2, arena=True)
+    ref = nt3_shaped(seed=2)
+    fused = nt3_shaped(seed=2)
     ref.compile(Custom(lr=0.05), "categorical_crossentropy")
     fused.compile(Custom(lr=0.05), "categorical_crossentropy")
     x, y = class_data(rng, n=8)
     for _ in range(5):
-        ref.train_on_batch(x, y)
+        per_param_step(ref, x, y)
         fused.train_on_batch(x, y)
     for name, (a, b) in _paired(ref, fused).items():
         assert np.array_equal(a, b), name
@@ -310,42 +308,13 @@ def test_orphan_gradient_warns_once():
 # -- zero-copy distributed reduce -------------------------------------------
 
 
-def test_arena_reduce_bitwise_equals_packed_reduce(rng):
-    """SPMD ranks: slab-slice allreduce == pack/unpack allreduce, bitwise."""
-    x, y = class_data(rng, n=32)
-
-    def run(arena_path):
-        def worker(comm):
-            hvd.init(comm)
-            try:
-                model = nt3_shaped(seed=31 + comm.rank, arena=arena_path)
-                opt = hvd.DistributedOptimizer(
-                    SGD(lr=0.05, momentum=0.9),
-                    train=TrainOptions(
-                        collective=hvd.CollectiveOptions(fusion_bytes=512)
-                    ),
-                )
-                model.compile(opt, "categorical_crossentropy")
-                cbs = [hvd.BroadcastGlobalVariablesCallback(0)]
-                shard = slice(comm.rank * 16, (comm.rank + 1) * 16)
-                model.fit(
-                    x[shard], y[shard], batch_size=8, epochs=2,
-                    shuffle=False, callbacks=cbs,
-                )
-                return model.get_weights(), opt.allreduce_count
-            finally:
-                hvd.shutdown()
-
-        return run_spmd(2, worker)
-
-    arena_results = run(True)
-    packed_results = run(False)
-    # ranks agree with each other, and both paths agree bitwise
-    for (wa, _), (wp, _) in zip(arena_results, packed_results):
-        for a, p, a0 in zip(wa, wp, arena_results[0][0]):
-            assert np.array_equal(a, a0)
-            assert np.array_equal(a, p)
-    assert arena_results[0][1] > 0  # the slab path genuinely allreduced
+def test_arena_reduce_bitwise_equals_serial_oracle():
+    """SPMD ranks: slab-slice allreduce == the serial oracle, bitwise."""
+    make = lambda: SGD(lr=0.05, momentum=0.9)  # noqa: E731
+    train = TrainOptions(collective=hvd.CollectiveOptions(fusion_bytes=512))
+    want, _ = serial(2, train, make, epochs=2)
+    for got, _ in distributed(2, train, make, epochs=2):
+        assert got == want
 
 
 def test_parameter_arena_direct_api(rng):

@@ -332,11 +332,10 @@ def compiled(bench, train, seed=4):
     return model
 
 
-@pytest.mark.parametrize("arena", [True, False], ids=["arena", "no_arena"])
 @pytest.mark.parametrize("name", ["nt3", "p1b1", "p1b3_conv"])
-def test_ten_steps_equal_the_full_backward_loop(name, arena):
+def test_ten_steps_equal_the_full_backward_loop(name):
     bench, x, y = candle_case(name)
-    train = TrainOptions(arena=arena)
+    train = TrainOptions()
     model, reference = compiled(bench, train), compiled(bench, train)
     assert model.layers[0].params  # layer 0 is Conv1D / Dense / LocallyConnected1D
     use_full_backward(reference, (8,) + x.shape[1:])

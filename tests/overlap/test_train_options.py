@@ -1,5 +1,7 @@
 """TrainOptions: validation and the one ``train=`` call form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 class TestValidation:
     def test_defaults_reproduce_pre_existing_behaviour(self):
         t = DEFAULT_TRAIN_OPTIONS
-        assert t.arena is True
         assert t.dtype is None
         assert t.collective is None
         assert t.overlap is False
@@ -34,9 +35,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="CollectiveOptions"):
             TrainOptions(collective={"fusion_bytes": 4})
 
-    def test_overlap_requires_arena(self):
-        with pytest.raises(ValueError, match="arena"):
-            TrainOptions(overlap=True, arena=False)
+    def test_storage_is_not_an_option(self):
+        assert [f.name for f in dataclasses.fields(TrainOptions)] == [
+            "dtype", "collective", "overlap", "overlap_channels",
+        ]
+        with pytest.raises(TypeError, match="arena"):
+            TrainOptions(arena=True)
 
     def test_overlap_channels_bounds(self):
         with pytest.raises(ValueError, match="overlap_channels"):
@@ -71,8 +75,8 @@ class TestShims:
 
     def test_build_rejects_both_forms(self):
         model = Sequential([Dense(2)])
-        with pytest.raises(TypeError, match="arena"):
-            model.build((3,), train=TrainOptions(), arena=False)
+        with pytest.raises(TypeError, match="dtype"):
+            model.build((3,), train=TrainOptions(), dtype="float32")
 
     @pytest.mark.parametrize("keyword", ["arena", "dtype", "collective"])
     def test_removed_keyword_raises(self, keyword):

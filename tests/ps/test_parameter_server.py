@@ -7,6 +7,7 @@ from repro.mpi.network import CollectiveCostModel
 from repro.nn import SGD, Activation, Dense, Sequential
 from repro.ps import PsCostModel, run_parameter_server_training
 from repro.cluster.machine import SUMMIT
+from tests.hvd.step_oracle import oracle
 
 
 def _data(seed=0, n=120, f=6):
@@ -37,45 +38,22 @@ class TestFunctionalPs:
         assert np.mean(res.losses[-5:]) < np.mean(res.losses[:5])
 
     def test_sync_matches_allreduce_semantics(self):
-        """One synchronous PS step == one DistributedOptimizer step."""
-        from repro import hvd
-        from repro.mpi import run_spmd
-
+        """One synchronous PS step == one Horovod step: the serial oracle
+        on the batches the two PS workers (ranks 1 and 2) sample."""
         x, y = _data(n=8)
-        # PS: 2 workers, full-batch halves, one step
         builder = _builder(lr=0.5)
-
-        def build_for_ps():
-            return builder()
-
-        # deterministic shards instead of random batches: monkey-patch by
-        # using batch_size == len(x) so both workers use all data? The PS
-        # loop samples randomly, so instead verify the update *rule*:
-        # server average of two different gradients equals allreduce mean.
         ps = run_parameter_server_training(
-            nworkers=2, build_model=build_for_ps, data=(x, y), steps=1,
+            nworkers=2, build_model=builder, data=(x, y), steps=1,
             batch_size=len(x),
         )
-
-        def hvd_worker(comm):
-            hvd.init(comm)
-            try:
-                m = builder()
-                rng = np.random.default_rng(0 + comm.rank + 1)
-                idx = rng.integers(0, len(x), size=len(x))
-                xb, yb = x[idx], y[idx]
-                y_pred = m._forward(xb, training=True)
-                m._backward(yb, y_pred)
-                opt = hvd.DistributedOptimizer(SGD(lr=0.5))
-                opt.apply_gradients(m.named_parameters(), m.named_gradients())
-                return m.get_weights()
-            finally:
-                hvd.shutdown()
-
-        hvd_weights = run_spmd(2, hvd_worker)[0]
-        ps_weights = list(ps.final_weights.values())
-        for a, b in zip(ps_weights, hvd_weights):
-            assert np.allclose(a, b, atol=1e-12)
+        batches = []
+        for rank in (1, 2):
+            idx = np.random.default_rng(rank).integers(0, len(x), size=len(x))
+            batches.append((x[idx], y[idx]))
+        model = builder()
+        oracle(model, SGD(lr=0.5), batches, batch=len(x))
+        for name, want in model.named_parameters().items():
+            assert np.array_equal(ps.final_weights[name], want), name
 
     def test_async_applies_every_push(self):
         x, y = _data()

@@ -140,6 +140,29 @@ def test_strong_scaling_example_runs(tmp_path):
     assert "data loading dominates the runtime from" in out
 
 
+def test_a_failing_property_reports_its_counter_example(tmp_path):
+    """A failing Hypothesis property ends in pytest's FAILED line with
+    its falsifying example, not an INTERNALERROR. Hypothesis's failure
+    report imports libcst where it is installed, which raises a
+    DeprecationWarning that ``filterwarnings`` must not make an error."""
+    test = tmp_path / "test_failing_property.py"
+    test.write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers(min_value=0))\n"
+        "def test_negative(n):\n"
+        "    assert n < 0\n"
+    )
+    config = os.path.join(REPO_ROOT, "pyproject.toml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", config, str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "FAILED" in out and "Falsifying example" in out, out
+
+
 def test_documentation_files_exist_and_are_substantial():
     for fname, minimum in (
         ("README.md", 3000),
