@@ -7,20 +7,24 @@ gather carries its gradient, parameter and state segments to the other
 ranks. After every step each rank must hold exactly what the reference
 step leaves: every element reduced, then updated, on every rank.
 
-The reference is ``tests/hvd/step_oracle.oracle``, the Horovod step run
-serially, which never runs the owner step; every rank's parameter and
-optimizer state slabs are compared with it by ``tobytes()``
-(``tests/hvd/test_step_oracle.py`` draws every axis of the exchange
-against it).
+The reference is ``tests/hvd/step_oracle.oracle``, the packed Horovod
+step (allreduce every gradient, then update) run serially, which never
+runs the owner step; every rank's parameter and optimizer state slabs
+are compared with it by ``tobytes()``. ``test_owner_step_is_the_packed_step``
+does so after 3 steps on a fixed grid of topologies, optimizers, overlap
+and fusion capacities, and requires every rank to have entered the
+owner step; ``tests/hvd/test_step_oracle.py`` draws every axis of the
+exchange against the same oracle.
 
-Each case holds one of the step's safety rules, with a test that fails
-without it: channels update with their own work buffers, the iteration
+The other cases hold the step's safety rules, each with a test that
+fails without it: channels update with their own work buffers, the iteration
 count advances before the first bucket updates, a sender leaves only
 after its receivers have copied, and runs whose engine may retry (fault
 tolerance), whose wire bytes cost emulated time, or whose ranks wrote
 their own weights never enter the owner step.
 """
 
+import functools
 import sys
 import threading
 import time
@@ -36,6 +40,23 @@ from repro.nn.optimizers import Adam
 from repro.train import TrainOptions
 from tests.hvd.step_oracle import BATCH, ROWS, build, shards
 from tests.hvd.test_step_oracle import OPTIMIZERS, distributed, serial
+
+
+#: the grid's optimizers, a subset of the property's
+GRID_OPTIMIZERS = ["adam", "rmsprop", "sgd_momentum", "sgd_nesterov"]
+
+#: (algorithm, world, local_size); rhd needs a power-of-two world and
+#: hierarchical more than one node of more than one rank
+TOPOLOGIES = [
+    ("ring", 2, 1),
+    ("ring", 3, 1),
+    ("ring", 4, 1),
+    ("rhd", 2, 1),
+    ("rhd", 4, 1),
+    ("hierarchical", 4, 2),
+]
+
+FUSIONS = {"fusion512": 512, "fusion_default": CollectiveOptions().fusion_bytes}
 
 
 def fit(world, make_opt, train, local_size=1, epochs=1):
@@ -63,6 +84,31 @@ def assert_all_ranks_equal(results, want):
         assert sorted(got) == sorted(want), rank
         for kind in want:
             assert got[kind] == want[kind], (rank, kind)
+
+
+@functools.lru_cache(maxsize=None)
+def packed_step(world, opt_name):
+    """The oracle's slabs after 3 steps (the bits do not depend on the
+    algorithm, the fusion, the overlap or the topology)."""
+    return serial(world, TrainOptions(), OPTIMIZERS[opt_name])[0]
+
+
+@pytest.mark.parametrize("fusion", sorted(FUSIONS))
+@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
+@pytest.mark.parametrize("opt_name", GRID_OPTIMIZERS)
+@pytest.mark.parametrize(
+    "algorithm,world,local_size", TOPOLOGIES, ids=[f"{a}-w{w}" for a, w, _ in TOPOLOGIES]
+)
+def test_owner_step_is_the_packed_step(
+    algorithm, world, local_size, opt_name, overlap, fusion, owner_calls
+):
+    train = TrainOptions(
+        overlap=overlap,
+        collective=CollectiveOptions(algorithm=algorithm, fusion_bytes=FUSIONS[fusion]),
+    )
+    results = fit(world, OPTIMIZERS[opt_name], train, local_size=local_size)
+    assert sorted(set(owner_calls)) == list(range(world))
+    assert_all_ranks_equal(results, packed_step(world, opt_name))
 
 
 def test_chunked_float32_owner_step_is_allreduce_then_update(owner_calls):

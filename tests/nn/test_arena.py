@@ -92,7 +92,8 @@ def test_layout_sorted_and_contiguous():
     assert offset == arena.size == model.count_params()
 
 
-def test_a_model_without_parameters_has_no_arena(rng):
+def test_build_without_arena(rng):
+    """A model with no parameters is built without an arena."""
     model = Sequential([Activation("relu")])
     model.build((3,))
     assert model.arena is None
