@@ -20,10 +20,16 @@ chunking — asserted in ``tests/comms``.
 
 **The owner step.** :meth:`CollectiveEngine.allreduce_update` runs the
 same schedules with the optimizer update moved to the chunk's owner:
-it folds the mean into its own gradient slab, updates that segment
-alone, and the gather carries the gradient, parameter and state
-segments. Every rank ends with the bytes allreduce-then-update leaves,
-and each element is updated once instead of once per rank.
+it folds the mean into its own gradient slab (never shipped), updates
+that segment alone, and the gather carries the parameter segments
+only, so a step moves exactly an allreduce's bytes (36.9 MB per rank
+per ``p1b1_hvd_w2`` step, where a gather of the gradient, parameter and
+Adam state slabs moved 92.3 MB). Every rank ends with the parameters
+allreduce-then-update leaves, each element updated once instead of once
+per rank; its optimizer state is correct on the segments it owns
+(ZeRO stage 1). Ownership is a pure function of the range, the plan
+and the topology, so :meth:`CollectiveEngine.gather_owned` replays the
+same gathers over the state slabs when a rank needs them whole.
 """
 
 from __future__ import annotations
@@ -125,16 +131,15 @@ class CollectiveEngine:
     def owner_step_ok(self, options: Optional[CollectiveOptions] = None) -> bool:
         """Whether :meth:`allreduce_update` may run under ``options``.
 
-        It needs wire bytes that cost no wire time: the gather carries
-        every slab the update writes, and only the threaded runtime's
-        in-process messages make those bytes cheaper than the updates
-        they save. Under an emulated fabric each byte
-        sleeps its priced time, and at the paper's operating point
-        (``benchmarks/bench_trainstep.py``'s overlap section) the extra
-        gather costs more than the update saves, so such runs keep
-        allreduce-then-update. (A fault-tolerant engine answers False: a
-        retried or restarted collective must never apply an update
-        twice.)
+        Not under an emulated fabric: there each chunk sleeps its priced
+        wire time, and at the paper's operating point
+        (``benchmarks/bench_trainstep.py``'s overlap section, plain SGD)
+        the owner step was not faster than allreduce-then-update even
+        with its gather at an allreduce's bytes, so such runs keep
+        allreduce-then-update (pairs in
+        ``docs/results/benchmark-results.md``). (A fault-tolerant engine
+        answers False: a retried or restarted collective must never
+        apply an update twice.)
         """
         opts = options if options is not None else self.options
         return opts.emulate_fabric is None
@@ -150,30 +155,33 @@ class CollectiveEngine:
     ) -> None:
         """Mean-allreduce a gradient range, updating each element once.
 
-        ``slabs`` are equal-length contiguous 1-D views of one element
-        range of this rank's slabs: the gradient first, then every slab
-        the update writes (parameters, each optimizer state slot).
-        ``update(lo, hi)`` runs the optimizer over elements ``[lo, hi)``
-        of the range.
+        ``slabs`` is ``(grads, params)``: equal-length contiguous 1-D
+        views of one element range of this rank's gradient and parameter
+        slabs. ``update(lo, hi)`` runs the optimizer over elements
+        ``[lo, hi)`` of the range, writing the parameters and the
+        optimizer state there.
 
         The ring, rhd and hierarchical schedules run an **owner step**
         between their reduce and gather phases: a segment's owner folds
         the contributions with :func:`canonical_reduce` straight into
         its own gradient slab, runs ``update`` over that segment, and
-        the gather then carries the owner's gradient, parameter and
-        state segments, which each receiver copies into its own slabs.
-        Afterwards every rank holds the bytes an :meth:`allreduce` of
-        the gradient followed by a whole-range ``update`` leaves, while
-        each element is updated by one rank (one per node for
-        hierarchical) instead of by all. A flat schedule, or a world of
-        one, runs exactly that: allreduce, then update.
+        the gather then carries the owner's parameter segment, which
+        each receiver copies into its own slab. Afterwards every rank
+        holds the parameters an :meth:`allreduce` of the gradient
+        followed by a whole-range ``update`` leaves, while each element
+        is updated by one rank (one per node for hierarchical) instead
+        of by all. The optimizer state, and the mean gradient, are
+        correct only on the segments this rank owns;
+        :meth:`gather_owned` copies the owners' state to every rank. A
+        flat schedule, or a world of one, runs exactly allreduce, then
+        update, and every rank owns everything.
 
         The in-place writes rest on one invariant: a rank receives a
         segment only after its owner has read every contribution to it.
         Every segment shipped is a view of the sender's own slabs, so a
         sender leaves only after the ranks it shipped to acknowledge
-        their copies; until then its next backward pass may not
-        overwrite what they read.
+        their copies; until then its next step may not overwrite what
+        they read.
         """
         opts = options if options is not None else self.options
         if not self.owner_step_ok(opts):
@@ -181,29 +189,58 @@ class CollectiveEngine:
                 "the owner step needs the plain engine and no emulated "
                 "fabric; the other reductions keep allreduce-then-update"
             )
-        grads = slabs[0]
-        algorithm = select_algorithm(grads.nbytes, self.topology, opts)
-        if self.comm.size == 1 or grads.size == 0 or algorithm == "flat":
+        grads, params = slabs
+        run = self._owned_runner(grads.nbytes, opts)
+        if run is None:
             np.copyto(
                 grads,
                 self.allreduce(grads, op="mean", name=name, options=opts),
             )
             update(0, grads.size)
             return
-        run = self._runner(algorithm)
 
         def chunk(a: int, b: int) -> None:
-            part = [s[a:b] for s in slabs]
             run(
-                part[0], part, "mean", tag_shift,
+                grads[a:b], grads[a:b], [params[a:b]], "mean", tag_shift,
                 lambda lo, hi: update(a + lo, a + hi),
             )
 
         schedule = plan_allreduce(grads.nbytes, self.topology, opts)
         self._execute(
-            schedule, opts, name or "tensor", grads.size, grads.itemsize,
-            chunk, kinds=len(slabs),
+            schedule, opts, name or "tensor", grads.size, grads.itemsize, chunk
         )
+
+    def gather_owned(
+        self,
+        slabs: Sequence[np.ndarray],
+        *,
+        options: Optional[CollectiveOptions] = None,
+        tag_shift: int = 0,
+    ) -> None:
+        """Copy each owner's segments of ``slabs`` to every rank.
+
+        ``slabs`` are equal-length 1-D views of one element range, with
+        the gradient's dtype, that :meth:`allreduce_update` stepped
+        under ``options``: after it, each rank's optimizer state there
+        is correct on the segments it owns. This replays that call's
+        gather phase, chunk by chunk and through the same gather code,
+        over ``slabs`` instead of the parameters, so every rank ends
+        with the owners' bytes everywhere. Ownership depends only on
+        the range, the plan and the topology, so no reduce phase runs
+        first. Every rank of the collective must call it, as for the
+        steps it replays; a flat plan or a world of one owns everything
+        and moves nothing.
+        """
+        if not slabs:
+            return
+        opts = options if options is not None else self.options
+        nbytes = slabs[0].nbytes
+        run = self._owned_runner(nbytes, opts)
+        if run is None:
+            return
+        schedule = plan_allreduce(nbytes, self.topology, opts)
+        for a, b in self._chunk_bounds(schedule, slabs[0].size):
+            run(None, None, [s[a:b] for s in slabs], "mean", tag_shift)
 
     # -- schedule execution -------------------------------------------------
     def _runner(self, algorithm: str) -> Callable[..., None]:
@@ -219,6 +256,15 @@ class CollectiveEngine:
         if algorithm == "rhd":
             return self._rhd
         return self._hierarchical
+
+    def _owned_runner(self, nbytes: int, opts: CollectiveOptions):
+        """The chunk routine an owner step of ``nbytes`` runs, or None
+        when it runs allreduce-then-update (a world of one, an empty
+        range or a flat plan): then every rank owns every element."""
+        algorithm = select_algorithm(nbytes, self.topology, opts)
+        if self.comm.size == 1 or nbytes == 0 or algorithm == "flat":
+            return None
+        return self._runner(algorithm)
 
     def _run_schedule(
         self,
@@ -243,9 +289,15 @@ class CollectiveEngine:
         run = self._runner(schedule.algorithm)
         self._execute(
             schedule, opts, tag, flat.size, flat.itemsize,
-            lambda a, b: run(flat[a:b], [out[a:b]], op, tag_shift),
+            lambda a, b: run(flat[a:b], out[a:b], [out[a:b]], op, tag_shift),
         )
         return out.reshape(arr.shape).astype(arr.dtype, copy=False)
+
+    @staticmethod
+    def _chunk_bounds(schedule, size: int) -> List[Tuple[int, int]]:
+        """The ``[a, b)`` element range of each of the schedule's chunks."""
+        bounds = np.linspace(0, size, schedule.nchunks + 1).astype(np.int64)
+        return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _execute(
         self,
@@ -255,23 +307,13 @@ class CollectiveEngine:
         size: int,
         itemsize: int,
         run_chunk: Callable[[int, int], None],
-        kinds: int = 1,
     ) -> None:
         """Run ``run_chunk(a, b)`` over each of the schedule's chunks.
 
         Adds each chunk's emulated wire time and span, and leaves the
-        schedule's metadata in :attr:`last_info`. ``kinds`` is the number
-        of slabs the gather carries (the owner step's gradient,
-        parameter and state slabs): the wire time, the spans' bytes and
-        ``last_info`` then count the schedule :meth:`carrying
-        <repro.comms.plan.CollectiveSchedule.carrying>` them, and
-        ``last_info["payload_bytes"]`` is the gradient's bytes scaled
-        the same way.
+        schedule's metadata in :attr:`last_info`.
         """
         algorithm = schedule.algorithm
-        priced = schedule.carrying(kinds) if kinds > 1 else schedule
-        scale = priced.wire_bytes() / schedule.wire_bytes() if kinds > 1 else 1.0
-        bounds = np.linspace(0, size, schedule.nchunks + 1).astype(np.int64)
         # emulated wire latency: sleep each chunk's share of the priced
         # schedule, so the threaded runtime's (shared-memory, ~free)
         # messages cost what they would on the modeled machine's fabric
@@ -279,12 +321,11 @@ class CollectiveEngine:
         if opts.emulate_fabric is not None:
             fabric = _emulated_fabric(opts.emulate_fabric)
             delay_s = (
-                priced.seconds(fabric)
+                schedule.seconds(fabric)
                 * opts.emulate_fabric_scale
                 / schedule.nchunks
             )
-        for ci in range(schedule.nchunks):
-            a, b = int(bounds[ci]), int(bounds[ci + 1])
+        for ci, (a, b) in enumerate(self._chunk_bounds(schedule, size)):
             t0 = time.perf_counter()
             try:
                 run_chunk(a, b)
@@ -295,15 +336,12 @@ class CollectiveEngine:
                 raise
             if delay_s > 0:
                 time.sleep(delay_s)
-            self._record_chunk(
-                t0, tag, ci, int((b - a) * itemsize * scale),
-                algorithm=algorithm,
-            )
+            self._record_chunk(t0, tag, ci, (b - a) * itemsize, algorithm=algorithm)
         info: Dict[str, object] = {
             "algorithm": algorithm,
             "chunks": schedule.nchunks,
-            "wire_bytes": int(priced.wire_bytes()),
-            "payload_bytes": int(size * itemsize * scale),
+            "wire_bytes": int(schedule.wire_bytes()),
+            "payload_bytes": size * itemsize,
         }
         if schedule.demoted_from is not None:
             info["demoted_from"] = schedule.demoted_from
@@ -333,18 +371,21 @@ class CollectiveEngine:
 
     # -- the schedules --------------------------------------------------------
     # Each schedule reduces the contributions ``seg`` across ranks into
-    # ``slabs[0]``: the chunk's slice of an allreduce's fresh result, or,
-    # for the owner step, ``seg`` itself. The owner of a segment folds it
+    # ``fold``: the chunk's slice of an allreduce's fresh result, or, for
+    # the owner step, ``seg`` itself. The owner of a segment folds it
     # (and runs ``update`` over it, when given); the gather then carries
-    # that segment of every slab in ``slabs``. A sender ships views of
+    # that segment of every slab in ``carried``. A sender ships views of
     # its own slabs and leaves only after their readers acknowledge, so
     # the caller may overwrite its slabs as soon as the schedule returns.
+    # With ``seg`` None the reduce phase is skipped and the gather alone
+    # runs, from the segments the reduce phase would have given this
+    # rank (:meth:`gather_owned`).
     @staticmethod
-    def _own(slabs, contribs, op: str, lo: int, hi: int, update) -> None:
-        """Fold the contributions into ``slabs[0][lo:hi]`` (which may be
+    def _own(fold, contribs, op: str, lo: int, hi: int, update) -> None:
+        """Fold the contributions into ``fold[lo:hi]`` (which may be
         this rank's own contribution), then run ``update`` over it."""
         canonical_reduce(
-            [contribs[r] for r in sorted(contribs)], op, out=slabs[0][lo:hi]
+            [contribs[r] for r in sorted(contribs)], op, out=fold[lo:hi]
         )
         if update is not None:
             update(lo, hi)
@@ -352,43 +393,55 @@ class CollectiveEngine:
     # -- ring ---------------------------------------------------------------
     def _ring(
         self,
-        seg: np.ndarray,
-        slabs: List[np.ndarray],
+        seg: Optional[np.ndarray],
+        fold: Optional[np.ndarray],
+        carried: List[np.ndarray],
         op: str,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        """Ring reduce-scatter, the owner's fold, then the slabs' gather."""
+        """Ring reduce-scatter, the owner's fold, then the gather."""
         group = list(range(self.comm.size))
-        owned, contribs, bounds = self._ring_reduce_scatter(
-            seg, group, _TAG_RING_RS - tag_shift
-        )
-        self._own(slabs, contribs, op, bounds[owned], bounds[owned + 1], update)
+        owned, bounds = self._ring_segments(carried[0].size, group)
+        if seg is not None:
+            contribs = self._ring_reduce_scatter(
+                seg, group, _TAG_RING_RS - tag_shift
+            )
+            self._own(fold, contribs, op, bounds[owned], bounds[owned + 1], update)
         self._ring_gather(
-            slabs, owned, bounds, group, _TAG_RING_AG - tag_shift,
+            carried, owned, bounds, group, _TAG_RING_AG - tag_shift,
             _TAG_ACK - tag_shift,
         )
+
+    def _ring_segments(
+        self, size: int, group: Sequence[int]
+    ) -> Tuple[int, np.ndarray]:
+        """``(owned_index, bounds)``: the segment a ring reduce-scatter of
+        ``size`` elements over ``group`` leaves this rank, and every
+        segment's bounds."""
+        p = len(group)
+        bounds = np.linspace(0, size, p + 1).astype(np.int64)
+        return (group.index(self.comm.rank) + 1) % p, bounds
 
     def _ring_reduce_scatter(
         self,
         vec: np.ndarray,
         group: Sequence[int],
         tag: int,
-    ) -> Tuple[int, Dict[int, np.ndarray], np.ndarray]:
+    ) -> Dict[int, np.ndarray]:
         """Ring reduce-scatter over ``group``, carrying per-source segments.
 
-        Returns ``(owned_index, contributions, bounds)`` where
-        ``contributions`` maps every group member's global rank to its
-        segment ``owned_index`` — the owner combines them canonically
-        afterwards.
+        Returns the contributions to this rank's :meth:`_ring_segments`
+        segment, keyed by every group member's global rank — the owner
+        combines them canonically afterwards.
         """
         me = self.comm.rank
         p = len(group)
         i = group.index(me)
-        bounds = np.linspace(0, vec.size, p + 1).astype(np.int64)
+        _, bounds = self._ring_segments(vec.size, group)
         segs = [vec[bounds[j] : bounds[j + 1]] for j in range(p)]
         if p == 1:
-            return 0, {me: segs[0]}, bounds
+            return {me: segs[0]}
         right = group[(i + 1) % p]
         left = group[(i - 1) % p]
         send_idx = i
@@ -399,7 +452,7 @@ class CollectiveEngine:
             parcel = self.comm.recv(left, tag=tag)
             parcel[me] = segs[recv_idx]
             send_idx = recv_idx
-        return (i + 1) % p, parcel, bounds
+        return parcel
 
     def _ring_gather(
         self,
@@ -437,14 +490,15 @@ class CollectiveEngine:
     # -- recursive halving-doubling -----------------------------------------
     def _rhd(
         self,
-        seg: np.ndarray,
-        slabs: List[np.ndarray],
+        seg: Optional[np.ndarray],
+        fold: Optional[np.ndarray],
+        carried: List[np.ndarray],
         op: str,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         """Recursive halving, the owner's fold, then doubling over every
-        slab.
+        carried slab.
 
         Each doubling round ships views of this rank's own slabs to that
         round's partner, who reads nothing else of them; the partners'
@@ -452,30 +506,29 @@ class CollectiveEngine:
         """
         me = self.comm.rank
         rounds = self.comm.size.bit_length() - 1  # a power of two (planner)
-        contribs: Dict[int, np.ndarray] = {me: seg}
-        lo, hi = 0, int(seg.size)
-        for k in range(rounds):
-            partner = me ^ (1 << k)
-            mid = (lo + hi) // 2
-            cut = mid - lo
-            if me < partner:
-                ship = {s: a[cut:] for s, a in contribs.items()}
-                contribs = {s: a[:cut] for s, a in contribs.items()}
-                hi = mid
-            else:
-                ship = {s: a[:cut] for s, a in contribs.items()}
-                contribs = {s: a[cut:] for s, a in contribs.items()}
-                lo = mid
-            self.comm.send(ship, partner, tag=_TAG_RHD_HALVE - tag_shift)
-            contribs.update(self.comm.recv(partner, tag=_TAG_RHD_HALVE - tag_shift))
-        self._own(slabs, contribs, op, lo, hi, update)
+        halvings, (lo, hi) = self._rhd_halvings(carried[0].size, rounds)
+        if seg is not None:
+            contribs: Dict[int, np.ndarray] = {me: seg}
+            for partner, start, mid in halvings:
+                cut = mid - start
+                if me < partner:
+                    ship = {s: a[cut:] for s, a in contribs.items()}
+                    contribs = {s: a[:cut] for s, a in contribs.items()}
+                else:
+                    ship = {s: a[:cut] for s, a in contribs.items()}
+                    contribs = {s: a[cut:] for s, a in contribs.items()}
+                self.comm.send(ship, partner, tag=_TAG_RHD_HALVE - tag_shift)
+                contribs.update(
+                    self.comm.recv(partner, tag=_TAG_RHD_HALVE - tag_shift)
+                )
+            self._own(fold, contribs, op, lo, hi, update)
         owned: List[Tuple[int, int]] = [(lo, hi)]
-        partners = [me ^ (1 << k) for k in reversed(range(rounds))]
+        partners = [partner for partner, _, _ in reversed(halvings)]
         for partner in partners:
-            ship = [(a, b, [s[a:b] for s in slabs]) for a, b in owned]
+            ship = [(a, b, [s[a:b] for s in carried]) for a, b in owned]
             self.comm.send(ship, partner, tag=_TAG_RHD_DOUBLE - tag_shift)
             for a, b, segments in self.comm.recv(partner, tag=_TAG_RHD_DOUBLE - tag_shift):
-                for s, segment in zip(slabs, segments):
+                for s, segment in zip(carried, segments):
                     s[a:b] = segment
                 owned.append((a, b))
         for partner in partners:
@@ -483,18 +536,36 @@ class CollectiveEngine:
         for partner in partners:
             self.comm.recv(partner, tag=_TAG_ACK - tag_shift)
 
+    def _rhd_halvings(
+        self, size: int, rounds: int
+    ) -> Tuple[List[Tuple[int, int, int]], Tuple[int, int]]:
+        """Each halving round's ``(partner, start, mid)`` for a range of
+        ``size`` elements, and the ``[lo, hi)`` this rank owns after the
+        last. A round splits the rank's range ``[start, hi)`` at ``mid``;
+        the lower rank of the pair keeps the lower half."""
+        me = self.comm.rank
+        lo, hi = 0, size
+        halvings = []
+        for k in range(rounds):
+            partner = me ^ (1 << k)
+            mid = (lo + hi) // 2
+            halvings.append((partner, lo, mid))
+            lo, hi = (lo, mid) if me < partner else (mid, hi)
+        return halvings, (lo, hi)
+
     # -- two-level hierarchical ---------------------------------------------
     def _hierarchical(
         self,
-        seg: np.ndarray,
-        slabs: List[np.ndarray],
+        seg: Optional[np.ndarray],
+        fold: Optional[np.ndarray],
+        carried: List[np.ndarray],
         op: str,
         tag_shift: int = 0,
         update: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         """Intra-node reduce-scatter, inter-node ring, the owner's fold on
         every rank of a slice's rail (one per node), then the intra-node
-        gather of every slab.
+        gather of every carried slab.
 
         Each local index owns one slice of the buffer; the slices ring
         across nodes along their "rail" in parallel, so inter-node hops
@@ -505,26 +576,28 @@ class CollectiveEngine:
         """
         me = self.comm.rank
         local = self.topology.node_ranks(me)
-        rail = self.topology.rail_ranks(me)
-        owned, contribs, bounds = self._ring_reduce_scatter(
-            seg, local, _TAG_HIER_RS - tag_shift
-        )
-        collected = dict(contribs)
-        n = len(rail)
-        if n > 1:
-            i = rail.index(me)
-            right = rail[(i + 1) % n]
-            left = rail[(i - 1) % n]
-            carry = contribs
-            if np.may_share_memory(seg, slabs[0]):
-                carry = {r: c.copy() for r, c in contribs.items()}
-            for _ in range(n - 1):
-                self.comm.send(carry, right, tag=_TAG_HIER_RING - tag_shift)
-                carry = self.comm.recv(left, tag=_TAG_HIER_RING - tag_shift)
-                collected.update(carry)
-        self._own(slabs, collected, op, bounds[owned], bounds[owned + 1], update)
+        owned, bounds = self._ring_segments(carried[0].size, local)
+        if seg is not None:
+            rail = self.topology.rail_ranks(me)
+            contribs = self._ring_reduce_scatter(
+                seg, local, _TAG_HIER_RS - tag_shift
+            )
+            collected = dict(contribs)
+            n = len(rail)
+            if n > 1:
+                i = rail.index(me)
+                right = rail[(i + 1) % n]
+                left = rail[(i - 1) % n]
+                carry = contribs
+                if np.may_share_memory(seg, fold):
+                    carry = {r: c.copy() for r, c in contribs.items()}
+                for _ in range(n - 1):
+                    self.comm.send(carry, right, tag=_TAG_HIER_RING - tag_shift)
+                    carry = self.comm.recv(left, tag=_TAG_HIER_RING - tag_shift)
+                    collected.update(carry)
+            self._own(fold, collected, op, bounds[owned], bounds[owned + 1], update)
         self._ring_gather(
-            slabs, owned, bounds, local, _TAG_HIER_AG - tag_shift,
+            carried, owned, bounds, local, _TAG_HIER_AG - tag_shift,
             _TAG_ACK - tag_shift,
         )
 

@@ -26,7 +26,7 @@ broadcast as ``broadcast_hierarchical``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.comms.options import (
@@ -116,22 +116,6 @@ class CollectiveSchedule:
         """Total bytes one rank moves executing the whole schedule."""
         return self.nchunks * sum(s.wire_bytes for s in self.steps)
 
-    def carrying(self, kinds: int) -> "CollectiveSchedule":
-        """This schedule with each gather phase moving ``kinds`` slabs.
-
-        The engine's owner step (:meth:`CollectiveEngine.allreduce_update
-        <repro.comms.engine.CollectiveEngine.allreduce_update>`) gathers
-        the updated parameter and optimizer-state segments beside the
-        mean gradient, so its allgather / doubling phases carry that many
-        times the bytes; the reduce phases are unchanged.
-        """
-        steps = tuple(
-            replace(s, wire_bytes=s.wire_bytes * kinds)
-            if s.phase in _GATHER_PHASES else s
-            for s in self.steps
-        )
-        return replace(self, steps=steps)
-
     def describe(self) -> list:
         """Rows for golden tests and benchmark reports."""
         return [
@@ -143,10 +127,6 @@ class CollectiveSchedule:
             }
             for s in self.steps
         ]
-
-
-#: phases that distribute reduced segments rather than combine them
-_GATHER_PHASES = ("allgather", "doubling")
 
 
 def _allreduce_steps(

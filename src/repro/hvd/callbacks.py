@@ -87,6 +87,10 @@ class CheckpointCallback(Callback):
 
     Only rank 0 writes (the standard Horovod pattern — all ranks hold
     identical weights after each allreduced step, so one copy suffices).
+    Every rank first gathers the optimizer state the owner step leaves
+    partial (:meth:`DistributedOptimizer.gather_state
+    <repro.hvd.DistributedOptimizer.gather_state>`), so the root writes
+    the whole state.
     """
 
     def __init__(self, path: str, every_n_epochs: int = 1, root: int = 0):
@@ -103,6 +107,7 @@ class CheckpointCallback(Callback):
     def on_epoch_end(self, epoch, logs=None):
         if (epoch + 1) % self.every_n_epochs != 0:
             return
+        self.model.optimizer.gather_state(self.model.arena)
         if _rt.rank() == self.root:
             save_checkpoint(self.model, self.path, epoch=epoch)
         self.epochs_written.append(epoch)
@@ -125,7 +130,8 @@ class ManagedCheckpointCallback(Callback):
     gathered to the root and stored in the checkpoint, so a resume
     restores not just the weights but the *stochastic position* of each
     rank — the piece that makes resumed training bit-identical to an
-    uninterrupted run.
+    uninterrupted run. As with the plain callback, every rank first
+    gathers the optimizer state the owner step leaves partial.
     """
 
     def __init__(self, manager, every_n_epochs: int = 1, root: int = 0):
@@ -142,6 +148,7 @@ class ManagedCheckpointCallback(Callback):
     def on_epoch_end(self, epoch, logs=None):
         if (epoch + 1) % self.every_n_epochs != 0:
             return
+        self.model.optimizer.gather_state(self.model.arena)
         rng_state = capture_rng_state(self.model)
         if _rt.size() > 1:
             states = _rt.comm().gather(rng_state, root=self.root)

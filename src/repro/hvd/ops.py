@@ -133,15 +133,14 @@ def allreduce_update(slabs, update, *, name: Optional[str] = None, options=None)
 
     :meth:`CollectiveEngine.allreduce_update
     <repro.comms.CollectiveEngine.allreduce_update>` (the owner step)
-    on this rank's engine, recorded like :func:`allreduce`, with the
-    bytes of the gradient and of every slab the gather carries.
+    on this rank's engine over ``slabs`` = ``(grads, params)``, recorded
+    like :func:`allreduce` of the gradient: it moves the same bytes.
     """
     tag = name or "tensor"
     with _allreduce_events(tag, int(slabs[0].nbytes), options) as info:
         eng = _rt.engine()
         eng.allreduce_update(slabs, update, name=tag, options=options)
         info["algorithm"] = eng.last_info.get("algorithm", "flat")
-        info["bytes"] = eng.last_info.get("payload_bytes", info["bytes"])
 
 
 def broadcast(obj: Any, *, root: int = 0, name: Optional[str] = None) -> Any:

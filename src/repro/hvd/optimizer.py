@@ -23,8 +23,15 @@ tolerance, no emulated fabric) and the base
 optimizer has a slab kernel, each fusion group runs the engine's **owner step**
 (:meth:`repro.comms.CollectiveEngine.allreduce_update`): every element
 is updated once, by the rank that reduced it, and the gather carries
-the result. Every rank ends the step with the bytes allreduce-then-
-update leaves, so checkpoints and broadcasts see no difference.
+the updated parameters only, so a step moves an allreduce's bytes.
+Every rank ends the step with the parameters allreduce-then-update
+leaves; its optimizer state is correct on the segments it owns (ZeRO
+stage 1). :meth:`DistributedOptimizer.gather_state` makes it whole on
+every rank. It runs at the end of every ``fit``, before every
+checkpoint write (the checkpoint callbacks call it) and before any step
+that will not run the owner step, so checkpoints, and every update
+that reads the whole state, see the bytes allreduce-then-update
+leaves.
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ class DistributedOptimizer(Optimizer):
         self._world: Optional[int] = None
         #: the attached overlap scheduler, when the step is overlapped
         self._overlap = None
+        #: (engine, options) of the owner steps that left the optimizer
+        #: state partial on this rank; None while it is whole
+        self._owners = None
 
     # -- learning-rate proxying (LR scaling must reach the base) -----------
     @property
@@ -173,7 +183,8 @@ class DistributedOptimizer(Optimizer):
 
     def owner_step(self, engine, arena, options) -> bool:
         """Whether a step may run ``engine``'s owner step on ``arena``
-        under ``options``, the options its reductions will run with.
+        under ``options``, the options its reductions will run with;
+        call it once per step, on every rank, before the step updates.
 
         Needs ranks whose parameters a weight broadcast made identical
         (``arena.replicated``), a base optimizer whose update is an
@@ -181,25 +192,61 @@ class DistributedOptimizer(Optimizer):
         ``options`` (:meth:`CollectiveEngine.owner_step_ok
         <repro.comms.CollectiveEngine.owner_step_ok>`: the plain engine,
         no emulated fabric).
+
+        The answer also readies the state for the step: when earlier
+        owner steps left it partial and this step will not run the
+        owner step, or will run it under another engine or options
+        (other owners), :meth:`gather_state` makes it whole first.
         """
-        return (
+        owner = bool(
             arena.replicated
             and self.base.slab_kernel
             and engine.owner_step_ok(options)
         )
+        if self._owners is not None and (not owner or self._owners != (engine, options)):
+            self.gather_state(arena)
+        if owner:
+            self._owners = (engine, options)
+        return owner
+
+    @property
+    def state_is_whole(self) -> bool:
+        """False while owner steps leave this rank's optimizer state
+        correct only on the segments it owns."""
+        return self._owners is None
+
+    def gather_state(self, arena) -> None:
+        """Give every rank the whole optimizer state (a collective).
+
+        After owner steps each rank's state slabs hold correct bytes
+        only on the segments it owns. For each fusion group this
+        replays the gather of those steps over the state slabs
+        (:meth:`CollectiveEngine.gather_owned
+        <repro.comms.CollectiveEngine.gather_owned>`), so every rank
+        ends with the owners' bytes everywhere: the state
+        allreduce-then-update leaves. Every rank must call it at the
+        same point of training; a no-op when the state is whole.
+        """
+        if self._owners is None:
+            return
+        engine, options = self._owners
+        state = self.base.arena_state_slabs()
+        for start, stop, _ in arena.fusion_groups(self.fusion_bytes):
+            engine.gather_owned([s[start:stop] for s in state], options=options)
+        self._owners = None
 
     def bucket_update(self, arena, start: int, stop: int, lr: float, scratch=None):
         """The owner-step operands of the slab slice ``[start, stop)``.
 
         Returns ``(slabs, update)`` for
         :meth:`~repro.comms.CollectiveEngine.allreduce_update`: the
-        gradient, parameter and state slices, and the base optimizer's
-        update of a sub-range at the step's learning rate ``lr`` (from
-        :meth:`Optimizer.prepare_arena_step`). ``scratch`` is the
-        caller's work-buffer dict: concurrent callers need their own.
+        gradient and parameter slices, and the base optimizer's update
+        of a sub-range at the step's learning rate ``lr`` (from
+        :meth:`Optimizer.prepare_arena_step`), which also writes that
+        sub-range of the state slabs. ``scratch`` is the caller's
+        work-buffer dict: concurrent callers need their own.
         """
-        slabs = [arena.grads_flat[start:stop], arena.params_flat[start:stop]]
-        slabs += [s[start:stop] for s in self.base.arena_state_slabs()]
+        slabs = (arena.grads_flat[start:stop], arena.params_flat[start:stop])
 
         def update(lo: int, hi: int) -> None:
             self.base._arena_step(

@@ -470,7 +470,7 @@ class Sequential:
             )
             if self.stop_training:
                 break
-        cb_list.on_train_end({})
+        self._end_training(cb_list)
         return history
 
     def _fit_prefetched(
@@ -497,8 +497,15 @@ class Sequential:
         finally:
             prefetcher.close()
             self.last_prefetch_stats = prefetcher.stats
-        cb_list.on_train_end({})
+        self._end_training(cb_list)
         return history
+
+    def _end_training(self, cb_list) -> None:
+        """Close a fit: the optimizer state is whole again on every rank
+        (a distributed step may have left each rank only the elements it
+        owns), then the callbacks see the end of training."""
+        self.optimizer.gather_state(self._arena)
+        cb_list.on_train_end({})
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict[str, float]:
         """Compute loss and metrics on ``(x, y)`` in inference mode."""

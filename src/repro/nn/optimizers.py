@@ -124,6 +124,15 @@ class Optimizer:
         :attr:`state_slots` order."""
         return [self._arena_slabs[slot] for slot in self.state_slots]
 
+    #: False while a distributed step leaves this process's state correct
+    #: only on the elements it owns (:class:`repro.hvd.DistributedOptimizer`)
+    state_is_whole = True
+
+    def gather_state(self, arena) -> None:
+        """Make the optimizer state whole; one process always holds it
+        whole. :class:`repro.hvd.DistributedOptimizer` collects it from
+        the ranks that own it. ``fit`` calls this when it ends."""
+
     def scale_lr(self, factor: float) -> None:
         """Multiply the learning rate — the paper's linear LR scaling."""
         if factor <= 0.0:

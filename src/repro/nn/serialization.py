@@ -112,8 +112,20 @@ def save_checkpoint(
     hex digest of the written file so callers (e.g.
     :class:`repro.resilience.CheckpointManager`) can verify integrity
     on load.
+
+    Raises :class:`CheckpointError` while the optimizer holds state it
+    does not own (a distributed owner step leaves each rank correct
+    state only on its own segments): every rank must call the
+    optimizer's ``gather_state`` first, as the checkpoint callbacks do.
     """
     model._require_compiled()
+    if not model.optimizer.state_is_whole:
+        raise CheckpointError(
+            "the optimizer state is partial on this rank (owner steps "
+            "left it correct only on the segments it owns); call "
+            "model.optimizer.gather_state(model.arena) on every rank "
+            "before saving"
+        )
     opt = _optimizer_of(model)
     arrays: dict[str, np.ndarray] = {}
     for name, param in model.named_parameters().items():

@@ -30,11 +30,15 @@ Where the distributed optimizer allows the engine's owner step
 (:meth:`DistributedOptimizer.owner_step
 <repro.hvd.DistributedOptimizer.owner_step>`), a channel runs it for its
 bucket: the bucket's slice is reduced *and updated* while backward
-continues, so the fence leaves nothing to do. The step's learning rate
-and iteration count are then fixed in :meth:`begin_step`, before the
-first bucket can update, and each channel updates with its own work
-buffers. Otherwise the fence is followed by the base optimizer's fused
-update, as in the serialized step.
+continues, and its gather carries the updated parameters only, so the
+fence leaves nothing to do. The step's learning rate and iteration
+count are then fixed in :meth:`begin_step`, before the first bucket can
+update, and each channel updates with its own work buffers. The
+optimizer state a bucket's owner step writes stays with its owner;
+when a step will not run the owner step, the ``owner_step`` call in
+:meth:`begin_step` first gathers it whole on every rank. Otherwise the
+fence is followed by the base optimizer's fused update, as in the
+serialized step.
 
 A plan of one bucket cannot overlap anything: its bucket is released by
 the last backward event. The scheduler then starts no channel thread

@@ -27,7 +27,7 @@ the oracle has one model. Ranks train on their shards in order
 
 import numpy as np
 
-from repro.nn import Conv1D, Dense, Flatten, MaxPooling1D, Sequential
+from repro.nn import Conv1D, Dense, Flatten, MaxPooling1D, Sequential, save_checkpoint
 
 ROWS, BATCH = 24, 8  # 3 steps an epoch
 
@@ -89,3 +89,21 @@ def slabs(model, optimizer):
     for slot, slab in zip(optimizer.state_slots, optimizer.arena_state_slabs()):
         out[slot] = slab.tobytes()
     return out
+
+
+def checkpoint_arrays(path):
+    """``{key: bytes}`` of a checkpoint's ``param::*`` and ``state::*``
+    arrays."""
+    with np.load(path) as data:
+        return {
+            key: data[key].tobytes()
+            for key in data.files
+            if key.startswith(("param::", "state::"))
+        }
+
+
+def oracle_checkpoint(model, path):
+    """The ``checkpoint_arrays`` of ``model`` (trained by ``oracle``),
+    written to ``path``."""
+    save_checkpoint(model, path)
+    return checkpoint_arrays(path)

@@ -6,9 +6,23 @@ import numpy as np
 import pytest
 
 from repro import hvd
+from repro.candle import get_benchmark
+from repro.comms import CollectiveEngine
 from repro.hvd.callbacks import CheckpointCallback, resume_from_checkpoint
 from repro.mpi import run_spmd
-from repro.nn import SGD, Activation, Dense, Sequential
+from repro.nn import (
+    SGD,
+    Activation,
+    Adam,
+    CheckpointError,
+    Dense,
+    Dropout,
+    LambdaCallback,
+    Sequential,
+    save_checkpoint,
+)
+from repro.resilience import CheckpointManager
+from tests.hvd.step_oracle import BATCH, ROWS, checkpoint_arrays, oracle, oracle_checkpoint
 
 
 def _data():
@@ -104,3 +118,117 @@ def test_resume_missing_checkpoint_returns_none(tmp_path):
 def test_invalid_interval():
     with pytest.raises(ValueError):
         CheckpointCallback("x", every_n_epochs=0)
+
+
+# ---------------------------------------------------------------------------
+# owner-step checkpoints: the whole state, byte for byte
+# ---------------------------------------------------------------------------
+
+P1B1 = get_benchmark("p1b1", scale=0.01, sample_scale=0.05)
+
+
+def _p1b1(seed):
+    """P1B1's autoencoder with its Dropout at rate 0: the oracle trains
+    one model, and a per-rank mask would differ from it."""
+    model = P1B1.build_model(seed=seed)
+    for layer in model.layers:
+        if isinstance(layer, Dropout):
+            layer.rate = 0.0
+    return model
+
+
+def _p1b1_shards(world, rows):
+    x = np.random.default_rng(world).normal(size=(world * rows, P1B1.features))
+    return [(x[r * rows : (r + 1) * rows],) * 2 for r in range(world)]
+
+
+def _p1b1_oracle(world, rows, epochs, path):
+    """The checkpoint arrays of the serial oracle's P1B1 after ``epochs``."""
+    model = _p1b1(7)
+    oracle(model, Adam(lr=0.01), _p1b1_shards(world, rows), batch=BATCH, epochs=epochs, loss="mse")
+    return oracle_checkpoint(model, path)
+
+
+@pytest.fixture
+def owner_steps(monkeypatch):
+    ranks = []
+    real = CollectiveEngine.allreduce_update
+
+    def counting(self, *args, **kwargs):
+        ranks.append(self.comm.rank)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CollectiveEngine, "allreduce_update", counting)
+    return ranks
+
+
+@pytest.mark.parametrize("managed", [False, True], ids=["plain", "managed"])
+def test_owner_step_checkpoints_hold_the_oracles_state(tmp_path, managed, owner_steps):
+    """A world-2 P1B1/Adam fit under the owner step checkpoints every
+    epoch; each file's ``param::*`` and ``state::*`` arrays equal the
+    serial oracle's model and optimizer after the same epoch. The
+    callback gathers the owners' state first: each rank alone holds
+    correct ``m`` and ``v`` only on the segments it owns."""
+    data = _p1b1_shards(2, ROWS)
+    manager = CheckpointManager(tmp_path / "managed")
+
+    def worker(comm):
+        hvd.init(comm)
+        try:
+            model = _p1b1(7 + comm.rank)
+            model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "mse")
+            written = []
+            if managed:
+                save = hvd.ManagedCheckpointCallback(manager)
+            else:
+                path = tmp_path / "plain.npz"
+                save = CheckpointCallback(str(path), every_n_epochs=1)
+            keep = LambdaCallback(
+                on_epoch_end=lambda epoch, logs: written.append(
+                    checkpoint_arrays(manager.path_for(epoch) if managed else path)
+                )
+            )
+            model.fit(
+                *data[comm.rank], batch_size=BATCH, epochs=2, shuffle=False,
+                callbacks=[hvd.BroadcastGlobalVariablesCallback(0), save, keep],
+            )
+            return written
+        finally:
+            hvd.shutdown()
+
+    results = run_spmd(2, worker)
+    assert sorted(set(owner_steps)) == [0, 1]
+    for epoch in range(2):
+        want = _p1b1_oracle(2, ROWS, epoch + 1, tmp_path / f"oracle{epoch}.npz")
+        assert any(key.startswith("state::") for key in want)
+        for written in results:
+            assert written[epoch] == want, epoch
+
+
+def test_a_partial_state_is_never_written(tmp_path, owner_steps):
+    """After an owner step outside ``fit`` each rank's state is correct
+    only on its own segments: ``save_checkpoint`` refuses it, and writes
+    the oracle's bytes once every rank has gathered the state."""
+    data = _p1b1_shards(2, BATCH)
+
+    def worker(comm):
+        hvd.init(comm)
+        try:
+            model = _p1b1(7 + comm.rank)
+            model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "mse")
+            hvd.broadcast_weights(model)
+            model.train_on_batch(*data[comm.rank])
+            path = tmp_path / f"rank{comm.rank}.npz"
+            with pytest.raises(CheckpointError, match="gather_state"):
+                save_checkpoint(model, path)
+            assert not path.exists()
+            model.optimizer.gather_state(model.arena)
+            save_checkpoint(model, path)
+            return checkpoint_arrays(path)
+        finally:
+            hvd.shutdown()
+
+    results = run_spmd(2, worker)
+    assert sorted(set(owner_steps)) == [0, 1]
+    want = _p1b1_oracle(2, BATCH, 1, tmp_path / "oracle.npz")
+    assert results == [want, want]

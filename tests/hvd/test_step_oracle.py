@@ -10,22 +10,44 @@ every optimizer state slab and each rank's batch losses must equal
 ``tests/hvd/step_oracle.oracle``'s on ``tobytes()``. The gradient slab is
 not compared: nothing reads it after the step.
 
+The owner step leaves each rank's optimizer state correct only on the
+segments it owns, so a read of the state in the middle of a fit is
+drawn too: an epoch-end checkpoint, whose ``param::*`` and ``state::*``
+arrays must equal the oracle's after the same epoch, or a switch to
+allreduce-then-update after the first epoch, whose updates read the
+whole state. ``test_skipping_the_state_gather_fails_the_property`` is
+the negative control: without the gather the property fails.
+
 Hypothesis budget: 40 derandomized examples in tier-1, 600 with
 ``--hypothesis-profile=deep`` (registered in ``tests/conftest.py``).
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import hvd
-from repro.comms import CollectiveOptions
+from repro.comms import CollectiveEngine, CollectiveOptions
 from repro.comms.ft import FaultToleranceOptions
 from repro.mpi import run_spmd
 from repro.nn import LambdaCallback
 from repro.nn.optimizers import SGD, Adam, RMSprop
+from repro.resilience import CheckpointManager
 from repro.train import TrainOptions
-from tests.hvd.step_oracle import BATCH, ROWS, build, oracle, shards, slabs
+from tests.hvd.step_oracle import (
+    BATCH,
+    ROWS,
+    build,
+    checkpoint_arrays,
+    oracle,
+    oracle_checkpoint,
+    shards,
+    slabs,
+)
 
 if settings.default is settings.get_profile("deep"):
     FUZZ = settings()
@@ -42,9 +64,14 @@ OPTIMIZERS = {
 }
 
 
-def distributed(world, train, make_opt, *, local_size=1, epochs=1):
+def distributed(world, train, make_opt, *, local_size=1, epochs=1, mid_read=None, directory=None):
     """Every rank's ``(slabs, batch losses)`` after a broadcast and a
-    fit of ``epochs`` on its shard under ``train``."""
+    fit of ``epochs`` on its shard under ``train``.
+
+    ``mid_read="checkpoint"`` checkpoints every epoch into ``directory``
+    (``ManagedCheckpointCallback``); ``mid_read="switch"`` makes every
+    step after the first epoch run allreduce-then-update, as ranks that
+    no longer count as replicated do."""
     data = shards(world, train.dtype or np.float64)
 
     def worker(comm):
@@ -53,12 +80,22 @@ def distributed(world, train, make_opt, *, local_size=1, epochs=1):
             model = build(7 + comm.rank, train)
             model.compile(hvd.DistributedOptimizer(make_opt(), train=train), "categorical_crossentropy")
             losses = []
+            callbacks = [
+                hvd.BroadcastGlobalVariablesCallback(0),
+                LambdaCallback(on_batch_end=lambda _, logs: losses.append(logs["loss"])),
+            ]
+            if mid_read == "checkpoint":
+                callbacks.append(hvd.ManagedCheckpointCallback(CheckpointManager(directory)))
+            elif mid_read == "switch":
+
+                def switch(epoch, logs):
+                    if epoch == 0:
+                        model.arena.replicated = False
+
+                callbacks.append(LambdaCallback(on_epoch_end=switch))
             model.fit(
                 *data[comm.rank], batch_size=BATCH, epochs=epochs, shuffle=False, train=train,
-                callbacks=[
-                    hvd.BroadcastGlobalVariablesCallback(0),
-                    LambdaCallback(on_batch_end=lambda _, logs: losses.append(logs["loss"])),
-                ],
+                callbacks=callbacks,
             )
             assert model.optimizer.iterations == epochs * ROWS // BATCH
             return slabs(model, model.optimizer.base), losses
@@ -76,6 +113,32 @@ def serial(world, train, make_opt, *, epochs=1):
     return slabs(model, optimizer), losses
 
 
+def check_against_oracle(world, train, opt_name, *, local_size=1, mid_read=None):
+    """Fit two epochs on ``world`` ranks and assert every rank's slabs
+    and batch losses, and any epoch-end checkpoint, equal the oracle's."""
+    make_opt = OPTIMIZERS[opt_name]
+    want, want_losses = serial(world, train, make_opt, epochs=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        results = distributed(
+            world, train, make_opt, local_size=local_size, epochs=2,
+            mid_read=mid_read, directory=directory,
+        )
+        if mid_read == "checkpoint":
+            written = CheckpointManager(directory)
+            for epoch in range(2):
+                model, optimizer = build(7, train), make_opt()
+                oracle(model, optimizer, shards(world, train.dtype or np.float64), batch=BATCH, epochs=epoch + 1)
+                want_arrays = oracle_checkpoint(model, directory / f"oracle{epoch}.npz")
+                got = checkpoint_arrays(written.path_for(epoch))
+                assert got == want_arrays, f"checkpoint of epoch {epoch}"
+    for rank, (got, losses) in enumerate(results):
+        got_losses = np.array(losses).tobytes()
+        assert got_losses == np.array(want_losses[rank]).tobytes(), f"losses of rank {rank}"
+    for rank, (got, losses) in enumerate(results):
+        assert got == want, f"slabs of rank {rank}"
+
+
 @FUZZ
 @given(
     world=st.integers(2, 4),
@@ -88,10 +151,11 @@ def serial(world, train, make_opt, *, epochs=1):
     emulate_fabric=st.booleans(),
     dtype=st.sampled_from([np.float32, np.float64]),
     opt_name=st.sampled_from(sorted(OPTIMIZERS)),
+    mid_read=st.sampled_from([None, "checkpoint", "switch"]),
 )
 def test_distributed_step_equals_serial_oracle(
     world, two_a_node, algorithm, fusion_bytes, chunk_bytes, channels,
-    fault_tolerance, emulate_fabric, dtype, opt_name,
+    fault_tolerance, emulate_fabric, dtype, opt_name, mid_read,
 ):
     train = TrainOptions(
         dtype=dtype,
@@ -106,9 +170,21 @@ def test_distributed_step_equals_serial_oracle(
         ),
     )
     local_size = 2 if two_a_node and world % 2 == 0 else 1
-    make_opt = OPTIMIZERS[opt_name]
-    want, want_losses = serial(world, train, make_opt, epochs=2)
-    results = distributed(world, train, make_opt, local_size=local_size, epochs=2)
-    for rank, (got, losses) in enumerate(results):
-        assert got == want, rank
-        assert np.array(losses).tobytes() == np.array(want_losses[rank]).tobytes(), rank
+    check_against_oracle(world, train, opt_name, local_size=local_size, mid_read=mid_read)
+
+
+@pytest.mark.parametrize(
+    "mid_read,caught",
+    [(None, "slabs"), ("checkpoint", "checkpoint"), ("switch", "losses")],
+    ids=["fit_end", "checkpoint", "switch"],
+)
+def test_skipping_the_state_gather_fails_the_property(mid_read, caught, monkeypatch):
+    """The negative control: an owner-step run whose state gather moves
+    nothing leaves each rank correct state on its own segments only, and
+    the property fails at float64 at the read: the state slabs at the
+    end of the fit, an epoch-end checkpoint, or the losses after the
+    switch to allreduce-then-update."""
+    monkeypatch.setattr(CollectiveEngine, "gather_owned", lambda self, slabs, **kwargs: None)
+    train = TrainOptions(dtype=np.float64, collective=CollectiveOptions(algorithm="ring"))
+    with pytest.raises(AssertionError, match=caught):
+        check_against_oracle(2, train, "adam", mid_read=mid_read)
