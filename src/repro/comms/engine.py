@@ -26,10 +26,12 @@ only, so a step moves exactly an allreduce's bytes (36.9 MB per rank
 per ``p1b1_hvd_w2`` step, where a gather of the gradient, parameter and
 Adam state slabs moved 92.3 MB). Every rank ends with the parameters
 allreduce-then-update leaves, each element updated once instead of once
-per rank; its optimizer state is correct on the segments it owns
-(ZeRO stage 1). Ownership is a pure function of the range, the plan
-and the topology, so :meth:`CollectiveEngine.gather_owned` replays the
-same gathers over the state slabs when a rank needs them whole.
+per rank (ZeRO stage 1). Ownership is a pure function of the range,
+the plan and the topology, defined once by
+:meth:`CollectiveEngine.owned_ranges`: the ranges ``update`` is handed,
+the only ones a rank keeps optimizer state for, and the ones
+:meth:`CollectiveEngine.gather_owned` ships when a reader needs the
+state whole.
 """
 
 from __future__ import annotations
@@ -170,11 +172,12 @@ class CollectiveEngine:
         holds the parameters an :meth:`allreduce` of the gradient
         followed by a whole-range ``update`` leaves, while each element
         is updated by one rank (one per node for hierarchical) instead
-        of by all. The optimizer state, and the mean gradient, are
-        correct only on the segments this rank owns;
-        :meth:`gather_owned` copies the owners' state to every rank. A
-        flat schedule, or a world of one, runs exactly allreduce, then
-        update, and every rank owns everything.
+        of by all. ``update`` is handed exactly :meth:`owned_ranges`,
+        one range per chunk: the optimizer state, and the mean
+        gradient, are written there only, and :meth:`gather_owned`
+        copies the owners' state to every rank. A flat schedule, or a
+        world of one, runs exactly allreduce, then update, and every
+        rank owns everything.
 
         The in-place writes rest on one invariant: a rank receives a
         segment only after its owner has read every contribution to it.
@@ -190,14 +193,16 @@ class CollectiveEngine:
                 "fabric; the other reductions keep allreduce-then-update"
             )
         grads, params = slabs
-        run = self._owned_runner(grads.nbytes, opts)
-        if run is None:
+        algorithm = self._owner_algorithm(grads.nbytes, opts)
+        if algorithm is None:
             np.copyto(
                 grads,
                 self.allreduce(grads, op="mean", name=name, options=opts),
             )
             update(0, grads.size)
             return
+
+        run = self._runner(algorithm)
 
         def chunk(a: int, b: int) -> None:
             run(
@@ -210,6 +215,49 @@ class CollectiveEngine:
             schedule, opts, name or "tensor", grads.size, grads.itemsize, chunk
         )
 
+    def owned_ranges(
+        self,
+        size: int,
+        itemsize: int,
+        options: Optional[CollectiveOptions] = None,
+    ) -> List[Tuple[int, int]]:
+        """The ``[lo, hi)`` ranges this rank owns in an owner step of a
+        ``size``-element range of ``itemsize``-byte elements.
+
+        The one definition of ownership: one range per chunk of the
+        plan, the segment this rank's reduce phase folds (its ring
+        segment; the half its rhd halvings keep; its local index's slice
+        of the node, shared along the rail for hierarchical).
+        :meth:`allreduce_update` hands ``update`` exactly these ranges,
+        :meth:`gather_owned` ships exactly these, and a distributed
+        optimizer keeps state for these only. The ranks' ranges
+        partition the range exactly once (once per node for
+        hierarchical). A world of one, an empty range or a flat plan
+        own everything: ``[(0, size)]``.
+        """
+        opts = options if options is not None else self.options
+        nbytes = size * itemsize
+        algorithm = self._owner_algorithm(nbytes, opts)
+        if algorithm is None:
+            return [(0, size)]
+        me = self.comm.rank
+        schedule = plan_allreduce(nbytes, self.topology, opts)
+        ranges = []
+        for a, b in self._chunk_bounds(schedule, size):
+            if algorithm == "rhd":
+                rounds = self.comm.size.bit_length() - 1
+                lo, hi = self._rhd_halvings(b - a, rounds)[1]
+            else:
+                group = (
+                    self.topology.node_ranks(me)
+                    if algorithm == "hierarchical"
+                    else list(range(self.comm.size))
+                )
+                owned, bounds = self._ring_segments(b - a, group)
+                lo, hi = bounds[owned], bounds[owned + 1]
+            ranges.append((a + int(lo), a + int(hi)))
+        return ranges
+
     def gather_owned(
         self,
         slabs: Sequence[np.ndarray],
@@ -221,23 +269,24 @@ class CollectiveEngine:
 
         ``slabs`` are equal-length 1-D views of one element range, with
         the gradient's dtype, that :meth:`allreduce_update` stepped
-        under ``options``: after it, each rank's optimizer state there
-        is correct on the segments it owns. This replays that call's
-        gather phase, chunk by chunk and through the same gather code,
-        over ``slabs`` instead of the parameters, so every rank ends
-        with the owners' bytes everywhere. Ownership depends only on
-        the range, the plan and the topology, so no reduce phase runs
-        first. Every rank of the collective must call it, as for the
-        steps it replays; a flat plan or a world of one owns everything
-        and moves nothing.
+        under ``options``, each correct on this rank's
+        :meth:`owned_ranges` of it (where a distributed optimizer puts
+        the state it kept). This replays that call's gather phase,
+        chunk by chunk and through the same gather code, over ``slabs``
+        instead of the parameters, so every rank ends with the owners'
+        bytes everywhere. Ownership depends only on the range, the plan
+        and the topology, so no reduce phase runs first. Every rank of
+        the collective must call it, as for the steps it replays; a
+        flat plan or a world of one owns everything and moves nothing.
         """
         if not slabs:
             return
         opts = options if options is not None else self.options
         nbytes = slabs[0].nbytes
-        run = self._owned_runner(nbytes, opts)
-        if run is None:
+        algorithm = self._owner_algorithm(nbytes, opts)
+        if algorithm is None:
             return
+        run = self._runner(algorithm)
         schedule = plan_allreduce(nbytes, self.topology, opts)
         for a, b in self._chunk_bounds(schedule, slabs[0].size):
             run(None, None, [s[a:b] for s in slabs], "mean", tag_shift)
@@ -257,14 +306,14 @@ class CollectiveEngine:
             return self._rhd
         return self._hierarchical
 
-    def _owned_runner(self, nbytes: int, opts: CollectiveOptions):
-        """The chunk routine an owner step of ``nbytes`` runs, or None
-        when it runs allreduce-then-update (a world of one, an empty
-        range or a flat plan): then every rank owns every element."""
+    def _owner_algorithm(self, nbytes: int, opts: CollectiveOptions) -> Optional[str]:
+        """The algorithm an owner step of ``nbytes`` runs, or None when
+        it runs allreduce-then-update (a world of one, an empty range or
+        a flat plan): then every rank owns every element."""
         algorithm = select_algorithm(nbytes, self.topology, opts)
         if self.comm.size == 1 or nbytes == 0 or algorithm == "flat":
             return None
-        return self._runner(algorithm)
+        return algorithm
 
     def _run_schedule(
         self,
@@ -569,10 +618,12 @@ class CollectiveEngine:
 
         Each local index owns one slice of the buffer; the slices ring
         across nodes along their "rail" in parallel, so inter-node hops
-        drop from O(p) to O(nnodes). An owner that folds into ``seg``
-        itself (the owner step) overwrites its node's contributions
-        while rail peers may still read them, so the rail then carries
-        copies.
+        drop from O(p) to O(nnodes). The rail carries copies: no
+        acknowledgement comes back along it, so a rank may leave while
+        rail peers on other nodes are still folding what it shipped, and
+        then overwrite its contributions (the owner step folds into
+        ``seg`` itself; an allreduce's caller may write its input as
+        soon as the call returns).
         """
         me = self.comm.rank
         local = self.topology.node_ranks(me)
@@ -588,9 +639,7 @@ class CollectiveEngine:
                 i = rail.index(me)
                 right = rail[(i + 1) % n]
                 left = rail[(i - 1) % n]
-                carry = contribs
-                if np.may_share_memory(seg, fold):
-                    carry = {r: c.copy() for r, c in contribs.items()}
+                carry = {r: c.copy() for r, c in contribs.items()}
                 for _ in range(n - 1):
                     self.comm.send(carry, right, tag=_TAG_HIER_RING - tag_shift)
                     carry = self.comm.recv(left, tag=_TAG_HIER_RING - tag_shift)

@@ -25,13 +25,17 @@ optimizer has a slab kernel, each fusion group runs the engine's **owner step**
 is updated once, by the rank that reduced it, and the gather carries
 the updated parameters only, so a step moves an allreduce's bytes.
 Every rank ends the step with the parameters allreduce-then-update
-leaves; its optimizer state is correct on the segments it owns (ZeRO
-stage 1). :meth:`DistributedOptimizer.gather_state` makes it whole on
-every rank. It runs at the end of every ``fit``, before every
-checkpoint write (the checkpoint callbacks call it) and before any step
-that will not run the owner step, so checkpoints, and every update
-that reads the whole state, see the bytes allreduce-then-update
-leaves.
+leaves. Its optimizer state is **partitioned** (ZeRO stage 1): the base
+optimizer allocates state only for the element ranges the rank owns
+(:meth:`repro.comms.CollectiveEngine.owned_ranges`, 1/W of the arena
+for ring and rhd, 1/``local_size`` for hierarchical), and a ``fit``
+leaves it that way. :meth:`DistributedOptimizer.gather_state` is the
+consolidation collective: it makes the state whole on every rank, and
+runs only where a reader needs it whole — before every checkpoint
+write (the checkpoint callbacks call it), before any step that will
+not run the owner step or runs it under other owners, and when the
+caller asks. Those readers see the bytes allreduce-then-update leaves;
+the next owner step partitions the state again.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ class DistributedOptimizer(Optimizer):
         self._world: Optional[int] = None
         #: the attached overlap scheduler, when the step is overlapped
         self._overlap = None
-        #: (engine, options) of the owner steps that left the optimizer
-        #: state partial on this rank; None while it is whole
+        #: (engine, options) of the owner steps the optimizer state is
+        #: partitioned for on this rank; None while it is whole
         self._owners = None
 
     # -- learning-rate proxying (LR scaling must reach the base) -----------
@@ -193,10 +197,11 @@ class DistributedOptimizer(Optimizer):
         <repro.comms.CollectiveEngine.owner_step_ok>`: the plain engine,
         no emulated fabric).
 
-        The answer also readies the state for the step: when earlier
-        owner steps left it partial and this step will not run the
-        owner step, or will run it under another engine or options
-        (other owners), :meth:`gather_state` makes it whole first.
+        The answer also readies the state for the step: when it is
+        partitioned and this step will not run the owner step, or will
+        run it under another engine or options (other owners),
+        :meth:`gather_state` makes it whole first; an owner step then
+        partitions it to the ranges this rank owns.
         """
         owner = bool(
             arena.replicated
@@ -205,32 +210,48 @@ class DistributedOptimizer(Optimizer):
         )
         if self._owners is not None and (not owner or self._owners != (engine, options)):
             self.gather_state(arena)
-        if owner:
+        if owner and self._owners is None:
+            self.base.partition_state(arena, self._owned_ranges(engine, arena, options))
             self._owners = (engine, options)
         return owner
 
+    def _owned_ranges(self, engine, arena, options) -> list:
+        """The arena elements this rank updates in an owner step: each
+        fusion group's :meth:`CollectiveEngine.owned_ranges
+        <repro.comms.CollectiveEngine.owned_ranges>`."""
+        itemsize = arena.dtype.itemsize
+        return [
+            (start + lo, start + hi)
+            for start, stop, _ in arena.fusion_groups(self.fusion_bytes)
+            for lo, hi in engine.owned_ranges(stop - start, itemsize, options)
+        ]
+
     @property
     def state_is_whole(self) -> bool:
-        """False while owner steps leave this rank's optimizer state
-        correct only on the segments it owns."""
+        """False while owner steps keep this rank's optimizer state for
+        the segments it owns only."""
         return self._owners is None
 
     def gather_state(self, arena) -> None:
-        """Give every rank the whole optimizer state (a collective).
+        """Consolidate the optimizer state on every rank (a collective).
 
-        After owner steps each rank's state slabs hold correct bytes
-        only on the segments it owns. For each fusion group this
-        replays the gather of those steps over the state slabs
-        (:meth:`CollectiveEngine.gather_owned
+        After owner steps each rank's base optimizer holds state only
+        for the segments it owns. This lays it out whole again
+        (:meth:`Optimizer.unpartition_state
+        <repro.nn.optimizers.Optimizer.unpartition_state>`) and, for
+        each fusion group, replays the gather of those steps over the
+        whole state slabs (:meth:`CollectiveEngine.gather_owned
         <repro.comms.CollectiveEngine.gather_owned>`), so every rank
         ends with the owners' bytes everywhere: the state
-        allreduce-then-update leaves. Every rank must call it at the
+        allreduce-then-update leaves. A ``fit`` does not call it; the
+        checkpoint callbacks and :meth:`owner_step` do, and so must any
+        other reader of the whole state. Every rank must call it at the
         same point of training; a no-op when the state is whole.
         """
         if self._owners is None:
             return
         engine, options = self._owners
-        state = self.base.arena_state_slabs()
+        state = self.base.unpartition_state(arena)
         for start, stop, _ in arena.fusion_groups(self.fusion_bytes):
             engine.gather_owned([s[start:stop] for s in state], options=options)
         self._owners = None
@@ -243,7 +264,8 @@ class DistributedOptimizer(Optimizer):
         gradient and parameter slices, and the base optimizer's update
         of a sub-range at the step's learning rate ``lr`` (from
         :meth:`Optimizer.prepare_arena_step`), which also writes that
-        sub-range of the state slabs. ``scratch`` is the caller's
+        sub-range of the state, held in the base optimizer's
+        partitioned slabs. ``scratch`` is the caller's
         work-buffer dict: concurrent callers need their own.
         """
         slabs = (arena.grads_flat[start:stop], arena.params_flat[start:stop])

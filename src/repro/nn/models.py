@@ -56,6 +56,12 @@ def _forward_gemms(layer: Layer) -> list[tuple[int, int, int]]:
     return []
 
 
+def _same_geometry(y_true, y_pred: np.ndarray) -> bool:
+    """Whether a loss may work in an array of ``y_pred``'s shape and
+    dtype: numpy would neither broadcast nor promote ``y_true``."""
+    return np.shape(y_true) == y_pred.shape and getattr(y_true, "dtype", None) == y_pred.dtype
+
+
 class Sequential:
     """A linear stack of layers."""
 
@@ -280,7 +286,7 @@ class Sequential:
     def _loss_buffer(self, y_true: np.ndarray, y_pred: np.ndarray):
         """Where the loss works and leaves its gradient (the last
         layer's), or ``None`` if numpy would broadcast or promote."""
-        if np.shape(y_true) != y_pred.shape or getattr(y_true, "dtype", None) != y_pred.dtype:
+        if not _same_geometry(y_true, y_pred):
             return None
         return self.layers[-1].scratch("loss", y_pred.shape, y_pred.dtype, zero=False)
 
@@ -501,20 +507,28 @@ class Sequential:
         return history
 
     def _end_training(self, cb_list) -> None:
-        """Close a fit: the optimizer state is whole again on every rank
-        (a distributed step may have left each rank only the elements it
-        owns), then the callbacks see the end of training."""
-        self.optimizer.gather_state(self._arena)
+        """Close a fit: the callbacks see the end of training.
+
+        The optimizer state stays as the last step left it: a
+        distributed owner step leaves each rank state for the elements
+        it owns only, and a reader of the whole state (a checkpoint)
+        calls ``self.optimizer.gather_state(self.arena)`` on every rank
+        first."""
         cb_list.on_train_end({})
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> dict[str, float]:
-        """Compute loss and metrics on ``(x, y)`` in inference mode."""
+        """Compute loss and metrics on ``(x, y)`` in inference mode.
+
+        The metrics read the predictions first; the loss then works in
+        the prediction array itself when ``y`` shares its shape and
+        dtype, so no second array of that size is allocated.
+        """
         self._require_compiled()
         y_pred = self.predict(x, batch_size=batch_size)
-        out = {"loss": self.loss.value(y, y_pred) + self._regularization_penalty()}
-        for name, fn in zip(self.metric_names, self.metrics):
-            out[name] = fn(y, y_pred)
-        return out
+        metrics = {name: fn(y, y_pred) for name, fn in zip(self.metric_names, self.metrics)}
+        work = y_pred if _same_geometry(y, y_pred) else None
+        loss = self.loss.value(y, y_pred, out=work) + self._regularization_penalty()
+        return {"loss": loss, **metrics}
 
     # -- introspection ---------------------------------------------------------
     def summary(self) -> str:

@@ -15,17 +15,23 @@ parameter, which the parameter server's shards step with and which is
 the per-parameter reference the slab kernels are bit-identical to.
 
 State (momenta, moment estimates) is keyed by parameter name so
-optimizers survive weight broadcasts that replace the arrays.
+optimizers survive weight broadcasts that replace the arrays. The slab
+kernels keep it in flat state slabs laid out by a :class:`StateLayout`:
+the whole arena's elements, mirrored into the name-keyed ``_state``, or
+(:meth:`Optimizer.partition_state`) only the element ranges this
+process updates, as a distributed owner step leaves it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import warnings
 from typing import Dict
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "RMSprop", "Adam", "get"]
+__all__ = ["Optimizer", "SGD", "RMSprop", "Adam", "StateLayout", "get"]
 
 Params = Dict[str, np.ndarray]
 
@@ -35,6 +41,64 @@ Params = Dict[str, np.ndarray]
 #: 2 MiB per-core L2 when the next reads it, instead of every ufunc
 #: streaming whole slabs. Chosen by a sweep (docs/ARCHITECTURE.md)
 BLOCK_BYTES = 512 * 1024
+
+
+class StateLayout:
+    """Which elements of an arena's slab a state slab holds, and where.
+
+    ``ranges`` are disjoint ``[lo, hi)`` element ranges of the arena's
+    parameter slab (adjacent ones are merged); a state slab holds them
+    back to back, in ascending order, ``size`` elements in all. The
+    whole layout, one range over the arena, is the case of one process
+    updating every element.
+    """
+
+    def __init__(self, ranges, arena_size: int):
+        merged: list = []
+        for lo, hi in sorted(ranges):
+            if lo >= hi:
+                continue
+            if merged and merged[-1][1] == lo:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        self.ranges = tuple(merged)
+        self.arena_size = int(arena_size)
+        self._starts = [lo for lo, _ in merged]
+        self._offsets = list(itertools.accumulate((hi - lo for lo, hi in merged), initial=0))
+        #: elements held
+        self.size = self._offsets[-1]
+
+    @property
+    def whole(self) -> bool:
+        """Whether the layout holds every element of the arena."""
+        return self.size == self.arena_size
+
+    def shift(self, start: int, stop: int) -> int:
+        """How far below its slab index the elements ``[start, stop)``
+        sit in a state slab; they must lie in one of :attr:`ranges`."""
+        i = bisect.bisect_right(self._starts, start) - 1
+        if i < 0 or stop > self.ranges[i][1]:
+            raise ValueError(
+                f"elements [{start}, {stop}) are not held by this state "
+                f"layout (it holds {len(self.ranges)} ranges of "
+                f"{self.arena_size} elements)"
+            )
+        return self.ranges[i][0] - self._offsets[i]
+
+    def copy_in(self, state: np.ndarray, start: int, values: np.ndarray) -> None:
+        """Write the elements of flat ``values``, which start at slab
+        index ``start``, into ``state`` wherever the layout holds them."""
+        stop = start + values.size
+        for (lo, hi), off in zip(self.ranges, self._offsets):
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                state[off + a - lo : off + b - lo] = values[a - start : b - start]
+
+    def copy_out(self, state: np.ndarray, whole: np.ndarray) -> None:
+        """Write ``state``'s elements into the whole-slab ``whole``."""
+        for (lo, hi), off in zip(self.ranges, self._offsets):
+            whole[lo:hi] = state[off : off + hi - lo]
 
 
 class Optimizer:
@@ -68,9 +132,10 @@ class Optimizer:
         self.iterations = 0
         self._state: dict[str, dict[str, np.ndarray]] = {}
         # arena-path machinery: flat state slabs keyed by slot name, the
-        # per-parameter views mirrored into _state, and scratch buffers
+        # layout they share (None until the first arena step), and
+        # scratch buffers
         self._arena_slabs: dict[str, np.ndarray] = {}
-        self._arena_mirrors: dict[str, dict[str, np.ndarray]] = {}
+        self._arena_layout: StateLayout | None = None
         self._arena_scratch: dict[str, np.ndarray] = {}
         self._warned_orphan_grads = False
 
@@ -121,17 +186,77 @@ class Optimizer:
 
     def arena_state_slabs(self) -> list:
         """The state slabs :meth:`prepare_arena_step` readied, in
-        :attr:`state_slots` order."""
+        :attr:`state_slots` order: whole, or (after
+        :meth:`partition_state`) the elements this process keeps."""
         return [self._arena_slabs[slot] for slot in self.state_slots]
 
-    #: False while a distributed step leaves this process's state correct
-    #: only on the elements it owns (:class:`repro.hvd.DistributedOptimizer`)
-    state_is_whole = True
+    @property
+    def state_is_whole(self) -> bool:
+        """False while the state slabs hold only some of the arena's
+        elements (:meth:`partition_state`)."""
+        return self._arena_layout is None or self._arena_layout.whole
 
     def gather_state(self, arena) -> None:
         """Make the optimizer state whole; one process always holds it
-        whole. :class:`repro.hvd.DistributedOptimizer` collects it from
-        the ranks that own it. ``fit`` calls this when it ends."""
+        whole. :class:`repro.hvd.DistributedOptimizer` consolidates it
+        from the ranks that own it; every reader of the whole state
+        (a checkpoint, a step that updates every element) calls it
+        first."""
+
+    def partition_state(self, arena, ranges) -> None:
+        """Keep state for the element ranges ``ranges`` of ``arena`` only.
+
+        ``ranges`` are the ranges this process will update (a
+        distributed owner step's, :meth:`repro.comms.CollectiveEngine.owned_ranges`).
+        Each state slab shrinks to those elements, back to back, and
+        ``_state`` drops its per-parameter views of the slabs, so no
+        reader sees the elements this process no longer keeps. A no-op
+        when the state already has this layout; otherwise it must be
+        whole (:meth:`unpartition_state` makes it so).
+        """
+        layout = StateLayout(ranges, arena.size)
+        current = self._layout(arena)
+        if layout.ranges == current.ranges:
+            return
+        if not current.whole:
+            raise ValueError(
+                "the optimizer state is partitioned under other ranges; "
+                "make it whole first"
+            )
+        for slot, slab in list(self._arena_slabs.items()):
+            kept = np.empty(layout.size, dtype=slab.dtype)
+            layout.copy_in(kept, 0, slab)
+            self._arena_slabs[slot] = kept
+            for slots in self._state.values():
+                slots.pop(slot, None)
+        self._arena_layout = layout
+
+    def unpartition_state(self, arena) -> list:
+        """Return the state to the whole layout; the whole slabs, in
+        :attr:`state_slots` order.
+
+        Each holds this process's state on the elements it kept, and
+        zeros elsewhere for the caller to fill in: a distributed
+        optimizer gathers them from the ranks that kept them.
+        """
+        layout = self._layout(arena)
+        if not layout.whole:
+            for slot in self.state_slots:
+                whole = arena.zeros_slab()
+                layout.copy_out(self._arena_state(arena, slot), whole)
+                self._arena_slabs[slot] = whole
+            self._arena_layout = StateLayout([(0, arena.size)], arena.size)
+            for slot, slab in self._arena_slabs.items():
+                self._mirror(arena, slot, slab)
+        return [self._arena_state(arena, slot) for slot in self.state_slots]
+
+    def load_state(self, state: dict) -> None:
+        """Replace the per-parameter state: ``{name: {slot: array}}`` of
+        whole arrays, as a checkpoint restore reads them. The state
+        slabs are rebuilt from it at their next use, in their layout."""
+        self._state.clear()
+        self._state.update(state)
+        self._arena_slabs.clear()
 
     def scale_lr(self, factor: float) -> None:
         """Multiply the learning rate — the paper's linear LR scaling."""
@@ -165,34 +290,43 @@ class Optimizer:
         for name, p, g in arena.items():
             self._update_one(name, p, g, lr)
 
-    def _arena_state(self, arena, slot: str) -> np.ndarray:
-        """A flat state slab parallel to the arena's parameter slab.
+    def _layout(self, arena) -> StateLayout:
+        """The state slabs' layout for ``arena`` (whole for a new one)."""
+        layout = self._arena_layout
+        if layout is None or layout.arena_size != arena.size:
+            layout = self._arena_layout = StateLayout([(0, arena.size)], arena.size)
+            self._arena_slabs.clear()
+        return layout
 
-        Per-parameter views of the slab are mirrored into ``_state`` so
+    def _arena_state(self, arena, slot: str) -> np.ndarray:
+        """The flat state slab ``slot``, laid out by :meth:`_layout`.
+
+        Built on first use, and after :meth:`load_state`, from the
+        per-parameter arrays in ``_state`` (a restored checkpoint), with
+        zeros where there are none. Under the whole layout the slab's
+        per-parameter views are mirrored into ``_state``, so
         checkpointing sees fused-path state exactly like per-parameter
-        state. The mirror set is re-verified each call (cheap identity
-        checks): state loaded from a checkpoint is adopted into the
-        slab, and state cleared by a restore is re-zeroed.
+        state; a partitioned slab has no views there.
         """
+        layout = self._layout(arena)
         slab = self._arena_slabs.get(slot)
-        if slab is None or slab.size != arena.size:
-            slab = arena.zeros_slab()
-            self._arena_slabs[slot] = slab
-            self._arena_mirrors[slot] = {
-                name: slab[sl].reshape(shape) for name, sl, shape in arena.entries()
-            }
-        mirrors = self._arena_mirrors[slot]
-        for name, view in mirrors.items():
-            slots = self._state.setdefault(name, {})
-            cur = slots.get(slot)
-            if cur is view:
-                continue
-            if cur is None:
-                view[...] = 0.0  # state was reset (e.g. fresh checkpoint)
-            else:
-                view[...] = cur  # adopt externally loaded state
-            slots[slot] = view
+        if slab is not None:
+            return slab
+        slab = np.zeros(layout.size, dtype=arena.dtype)
+        for name, sl, _ in arena.entries():
+            loaded = self._state.get(name, {}).pop(slot, None)
+            if loaded is not None:
+                layout.copy_in(slab, sl.start, np.asarray(loaded).reshape(-1))
+        self._arena_slabs[slot] = slab
+        if layout.whole:
+            self._mirror(arena, slot, slab)
         return slab
+
+    def _mirror(self, arena, slot: str, slab: np.ndarray) -> None:
+        """Point ``_state``'s ``slot`` of every parameter at its view of
+        the whole slab ``slab``."""
+        for name, sl, shape in arena.entries():
+            self._state.setdefault(name, {})[slot] = slab[sl].reshape(shape)
 
     @staticmethod
     def _scratch(arena, key: str, pool: dict) -> np.ndarray:
@@ -220,15 +354,24 @@ class Optimizer:
         sequence on each block before the next, so every element sees
         the same ops in the same order as one pass per ufunc over the
         slab — the same bits, whatever the range and its block edges.
+        The state slabs are indexed through their :class:`StateLayout`,
+        so the range must lie in one of the ranges they hold.
         """
         stop = arena.size if stop is None else stop
-        slabs = (arena.params_flat, arena.grads_flat) + state
+        if start >= stop:
+            return
+        shift = self._arena_layout.shift(start, stop) if state else 0
+        slabs = (arena.params_flat, arena.grads_flat)
         pool = self._arena_scratch if scratch is None else scratch
         work = [self._scratch(arena, key, pool) for key in bufs]
         step = BLOCK_BYTES // arena.dtype.itemsize
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            yield tuple(s[lo:hi] for s in slabs) + tuple(b[: hi - lo] for b in work)
+            yield (
+                tuple(s[lo:hi] for s in slabs)
+                + tuple(s[lo - shift : hi - shift] for s in state)
+                + tuple(b[: hi - lo] for b in work)
+            )
 
     def _check_orphan_grads(self, params: Params, grads: Params) -> None:
         if self._warned_orphan_grads or len(grads) <= len(params):

@@ -113,16 +113,17 @@ def save_checkpoint(
     :class:`repro.resilience.CheckpointManager`) can verify integrity
     on load.
 
-    Raises :class:`CheckpointError` while the optimizer holds state it
-    does not own (a distributed owner step leaves each rank correct
-    state only on its own segments): every rank must call the
-    optimizer's ``gather_state`` first, as the checkpoint callbacks do.
+    Raises :class:`CheckpointError` while the optimizer state is
+    partitioned: a distributed owner step, and so a ``fit`` that ran
+    one, leaves each rank state for its own segments only. Every rank
+    must call the optimizer's ``gather_state`` first, the consolidation
+    collective the checkpoint callbacks run before the root writes.
     """
     model._require_compiled()
     if not model.optimizer.state_is_whole:
         raise CheckpointError(
-            "the optimizer state is partial on this rank (owner steps "
-            "left it correct only on the segments it owns); call "
+            "the optimizer state is partitioned on this rank (owner "
+            "steps keep state for the segments it owns only); call "
             "model.optimizer.gather_state(model.arena) on every rank "
             "before saving"
         )
@@ -235,22 +236,12 @@ def load_checkpoint(model, path, expected_sha256: Optional[str] = None) -> dict:
         arena.replicated = False
 
     opt = _optimizer_of(model)
-    # Restore state *in place* where the live slot array matches: fused
-    # arena optimizers keep their state as views into flat slabs, and a
-    # rebinding restore would silently sever that linkage.
-    old_state = opt._state
     new_state: dict[str, dict[str, np.ndarray]] = {}
     for key, arr in arrays.items():
         if key.startswith("state::"):
             _, pname, slot = key.split("::", 2)
-            cur = old_state.get(pname, {}).get(slot)
-            if cur is not None and cur.shape == arr.shape:
-                np.copyto(cur, arr)
-            else:
-                cur = arr.copy()
-            new_state.setdefault(pname, {})[slot] = cur
-    opt._state.clear()
-    opt._state.update(new_state)
+            new_state.setdefault(pname, {})[slot] = arr
+    opt.load_state(new_state)
     opt.lr = float(meta["lr"])
     opt.iterations = int(meta["iterations"])
     return meta

@@ -34,9 +34,12 @@ continues, and its gather carries the updated parameters only, so the
 fence leaves nothing to do. The step's learning rate and iteration
 count are then fixed in :meth:`begin_step`, before the first bucket can
 update, and each channel updates with its own work buffers. The
-optimizer state a bucket's owner step writes stays with its owner;
-when a step will not run the owner step, the ``owner_step`` call in
-:meth:`begin_step` first gathers it whole on every rank. Otherwise the
+optimizer state is partitioned: the base optimizer keeps it only for
+the ranges this rank owns, which is all a bucket's owner step
+(:meth:`DistributedOptimizer.bucket_update
+<repro.hvd.DistributedOptimizer.bucket_update>`) writes. When a step
+will not run the owner step, the ``owner_step`` call in
+:meth:`begin_step` first consolidates it on every rank. Otherwise the
 fence is followed by the base optimizer's fused update, as in the
 serialized step.
 

@@ -261,9 +261,9 @@ class CheckpointManager:
         state = opt._state if hvd.rank() == root else None
         state = hvd.broadcast(state, root=root, name="ckpt_opt_state")
         if hvd.rank() != root:
-            opt._state.clear()
-            for pname, slots in state.items():
-                opt._state[pname] = {k: v.copy() for k, v in slots.items()}
+            opt.load_state(
+                {pname: {k: v.copy() for k, v in slots.items()} for pname, slots in state.items()}
+            )
         opt.lr = float(meta["lr"])
         opt.iterations = int(meta["iterations"])
         _apply_rank_rng(model, meta, hvd.rank())

@@ -1,5 +1,7 @@
 """CollectiveEngine execution: bit-identity, chunking, telemetry spans."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,32 @@ class TestBitIdentity:
         for got, ref, info in _engine_vs_flat(8, opts, local_size=4):
             assert info["chunks"] > 1
             np.testing.assert_array_equal(got, ref)
+
+    def test_hierarchical_input_may_be_overwritten_on_return(self):
+        """No acknowledgement comes back along a rail, so a node may
+        leave while the other still folds what it shipped. Here node 1
+        reads its rail 50 ms late and every rank wipes its input the
+        moment the call returns: the rail must carry copies."""
+        opts = CollectiveOptions(algorithm="hierarchical")
+
+        def worker(comm):
+            data = _rank_data(comm.rank)
+            want = comm.allreduce(data.copy(), op="mean")
+            if comm.rank >= 2:
+                recv = comm.recv
+
+                def late_recv(source, tag=0):
+                    obj = recv(source, tag)
+                    if tag == -106:  # the rail ring
+                        time.sleep(0.05)
+                    return obj
+
+                comm.recv = late_recv
+            got = CollectiveEngine(comm, options=opts).allreduce(data, name="g")
+            data[...] = np.nan
+            return got.tobytes() == want.tobytes()
+
+        assert run_spmd(4, worker, local_size=2) == [True] * 4
 
     def test_auto_on_multi_node_matches_flat(self):
         for got, ref, info in _engine_vs_flat(8, None, local_size=4):

@@ -232,3 +232,35 @@ def test_a_partial_state_is_never_written(tmp_path, owner_steps):
     assert sorted(set(owner_steps)) == [0, 1]
     want = _p1b1_oracle(2, BATCH, 1, tmp_path / "oracle.npz")
     assert results == [want, want]
+
+
+def test_a_fit_leaves_the_state_partitioned_until_gathered(tmp_path, owner_steps):
+    """An owner-step fit leaves each rank state for its own segments
+    only: ``save_checkpoint`` right after it refuses, and writes the
+    oracle's bytes once every rank has consolidated the state."""
+    data = _p1b1_shards(2, ROWS)
+
+    def worker(comm):
+        hvd.init(comm)
+        try:
+            model = _p1b1(7 + comm.rank)
+            model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "mse")
+            model.fit(
+                *data[comm.rank], batch_size=BATCH, epochs=2, shuffle=False,
+                callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
+            )
+            path = tmp_path / f"rank{comm.rank}.npz"
+            with pytest.raises(CheckpointError, match="gather_state"):
+                save_checkpoint(model, path)
+            assert not path.exists()
+            model.optimizer.gather_state(model.arena)
+            save_checkpoint(model, path)
+            return checkpoint_arrays(path)
+        finally:
+            hvd.shutdown()
+
+    results = run_spmd(2, worker)
+    assert sorted(set(owner_steps)) == [0, 1]
+    want = _p1b1_oracle(2, ROWS, 2, tmp_path / "oracle.npz")
+    assert any(key.startswith("state::") for key in want)
+    assert results == [want, want]

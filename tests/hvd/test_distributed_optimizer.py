@@ -79,6 +79,7 @@ def test_multiple_fusion_groups_still_correct():
             *shards(2)[comm.rank], batch_size=BATCH, shuffle=False,
             callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
         )
+        opt.gather_state(model.arena)  # a fit leaves the state partitioned
         return slabs(model, opt.base), opt.allreduce_count, len(model.arena.names)
 
     for got, count, tensors in _with_hvd(2, fn):

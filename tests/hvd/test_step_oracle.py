@@ -10,12 +10,13 @@ every optimizer state slab and each rank's batch losses must equal
 ``tests/hvd/step_oracle.oracle``'s on ``tobytes()``. The gradient slab is
 not compared: nothing reads it after the step.
 
-The owner step leaves each rank's optimizer state correct only on the
-segments it owns, so a read of the state in the middle of a fit is
-drawn too: an epoch-end checkpoint, whose ``param::*`` and ``state::*``
-arrays must equal the oracle's after the same epoch, or a switch to
-allreduce-then-update after the first epoch, whose updates read the
-whole state. ``test_skipping_the_state_gather_fails_the_property`` is
+The owner step keeps each rank's optimizer state for the segments it
+owns only, and a fit leaves it so: every rank consolidates it with
+``gather_state`` before the slabs are read. A read of the state in the
+middle of a fit is drawn too: an epoch-end checkpoint, whose
+``param::*`` and ``state::*`` arrays must equal the oracle's after the
+same epoch, or a switch to allreduce-then-update after the first
+epoch, whose updates read the whole state. ``test_skipping_the_state_gather_fails_the_property`` is
 the negative control: without the gather the property fails.
 
 Hypothesis budget: 40 derandomized examples in tier-1, 600 with
@@ -98,6 +99,8 @@ def distributed(world, train, make_opt, *, local_size=1, epochs=1, mid_read=None
                 callbacks=callbacks,
             )
             assert model.optimizer.iterations == epochs * ROWS // BATCH
+            # a fit leaves the owner step's state partitioned: consolidate
+            model.optimizer.gather_state(model.arena)
             return slabs(model, model.optimizer.base), losses
         finally:
             hvd.shutdown()

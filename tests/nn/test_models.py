@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.candle import get_benchmark
 from repro.nn import Activation, Dense, Dropout, Sequential
+from repro.train import TrainOptions
 
 
 def _model(seed=0, units=8):
@@ -152,3 +154,27 @@ def test_initial_epoch_offsets_history(tiny_classification):
     m = _model()
     h = m.fit(x, y, epochs=2, initial_epoch=5)
     assert h.epoch == [5, 6]
+
+
+@pytest.mark.parametrize("batch_size", [8, 256], ids=["tiled", "one_tile"])
+@pytest.mark.parametrize("dtype,cast_y", [("float64", False), ("float32", True), ("float32", False)])
+@pytest.mark.parametrize("name,metrics", [("nt3", ["accuracy"]), ("p1b1", ["mae"])])
+def test_evaluate_is_loss_and_metrics_over_the_predictions(name, metrics, dtype, cast_y, batch_size):
+    """``evaluate`` reads the metrics first and then lets the loss work in
+    the prediction array (when ``y`` shares its shape and dtype); its
+    values must be the bits of the loss and metrics over a prediction
+    array of their own. NT3 and P1B1 shapes, ``y`` of the model's dtype
+    or not, one ``predict`` tile or several."""
+    bench = get_benchmark(name, scale=0.01, sample_scale=0.05)
+    data = bench.prepare(bench.synth_arrays(np.random.default_rng(3)))
+    model = bench.build_model(seed=1, train=TrainOptions(dtype=dtype))
+    model.compile("adam", bench.loss_and_metrics()[0], metrics=metrics)
+    x = data.x_test.astype(dtype)
+    y = data.y_test.astype(dtype) if cast_y else data.y_test
+    got = model.evaluate(x, y, batch_size=batch_size)
+    y_pred = model.predict(x, batch_size=batch_size)
+    want = {"loss": model.loss.value(y, y_pred) + model._regularization_penalty()}
+    for key, fn in zip(model.metric_names, model.metrics):
+        want[key] = fn(y, y_pred)
+    assert list(got) == list(want) == ["loss", *metrics]
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
