@@ -88,10 +88,6 @@ class MachineSpec:
     #: catastrophically slow while P1B2's small GEMMs hit MKL well)
     compute_multipliers: dict = field(default_factory=dict)
 
-    @property
-    def accelerated(self) -> bool:
-        return self.gpu is not None
-
     def worker_device_power(self):
         """Power model of the device one Horovod rank runs on."""
         return (self.gpu or self.cpu).power

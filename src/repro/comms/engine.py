@@ -18,20 +18,20 @@ flat path uses). Result: ring, rhd, and hierarchical allreduce are
 **bit-identical** to the flat allreduce on the same inputs, for any
 chunking — asserted in ``tests/comms``.
 
-**The owner step.** :meth:`CollectiveEngine.allreduce_update` runs the
-same schedules with the optimizer update moved to the chunk's owner:
-it folds the mean into its own gradient slab (never shipped), updates
-that segment alone, and the gather carries the parameter segments
-only, so a step moves exactly an allreduce's bytes (36.9 MB per rank
-per ``p1b1_hvd_w2`` step, where a gather of the gradient, parameter and
-Adam state slabs moved 92.3 MB). Every rank ends with the parameters
-allreduce-then-update leaves, each element updated once instead of once
-per rank (ZeRO stage 1). Ownership is a pure function of the range,
-the plan and the topology, defined once by
-:meth:`CollectiveEngine.owned_ranges`: the ranges ``update`` is handed,
-the only ones a rank keeps optimizer state for, and the ones
-:meth:`CollectiveEngine.gather_owned` ships when a reader needs the
-state whole.
+**One update order.** :meth:`CollectiveEngine.allreduce_update` is
+the whole distributed step of one gradient range: mean-allreduce it,
+then update it. Ownership decides where the update runs. When this
+rank owns every element (:meth:`CollectiveEngine.owned_ranges` is
+``[(0, size)]``) it is exactly that: :meth:`allreduce`, then one
+``update`` of the whole range. Otherwise the schedule runs the update
+at each chunk's owner (ZeRO stage 1): the owner folds the mean into its
+own gradient slab, updates that segment alone, and the gather carries
+the parameter segments only, so a step moves exactly an allreduce's
+bytes. Every rank ends with the same parameters either way. Ownership
+is a pure function of the range, the plan and the topology: the ranges
+``update`` is handed, the only ones a rank keeps optimizer state for,
+and the ones :meth:`CollectiveEngine.gather_owned` ships when a reader
+needs the state whole.
 """
 
 from __future__ import annotations
@@ -130,54 +130,38 @@ class CollectiveEngine:
         schedule = plan_allreduce(arr.nbytes, self.topology, opts)
         return self._run_schedule(arr, op, tag, opts, schedule, tag_shift)
 
-    def owner_step_ok(self, options: Optional[CollectiveOptions] = None) -> bool:
-        """Whether :meth:`allreduce_update` may run under ``options``.
-
-        Not under an emulated fabric: there each chunk sleeps its priced
-        wire time, and at the paper's operating point
-        (``benchmarks/bench_trainstep.py``'s overlap section, plain SGD)
-        the owner step was not faster than allreduce-then-update even
-        with its gather at an allreduce's bytes, so such runs keep
-        allreduce-then-update (pairs in
-        ``docs/results/benchmark-results.md``). (A fault-tolerant engine
-        answers False: a retried or restarted collective must never
-        apply an update twice.)
-        """
-        opts = options if options is not None else self.options
-        return opts.emulate_fabric is None
-
     def allreduce_update(
         self,
         slabs: Sequence[np.ndarray],
         update: Callable[[int, int], None],
         *,
+        whole: bool = False,
         name: Optional[str] = None,
         options: Optional[CollectiveOptions] = None,
         tag_shift: int = 0,
     ) -> None:
-        """Mean-allreduce a gradient range, updating each element once.
+        """Mean-allreduce a gradient range, then update it.
 
         ``slabs`` is ``(grads, params)``: equal-length contiguous 1-D
         views of one element range of this rank's gradient and parameter
         slabs. ``update(lo, hi)`` runs the optimizer over elements
         ``[lo, hi)`` of the range, writing the parameters and the
-        optimizer state there.
+        optimizer state there. ``update`` is handed exactly
+        :meth:`owned_ranges` (with the same ``whole``).
 
-        The ring, rhd and hierarchical schedules run an **owner step**
-        between their reduce and gather phases: a segment's owner folds
-        the contributions with :func:`canonical_reduce` straight into
-        its own gradient slab, runs ``update`` over that segment, and
-        the gather then carries the owner's parameter segment, which
-        each receiver copies into its own slab. Afterwards every rank
-        holds the parameters an :meth:`allreduce` of the gradient
-        followed by a whole-range ``update`` leaves, while each element
-        is updated by one rank (one per node for hierarchical) instead
-        of by all. ``update`` is handed exactly :meth:`owned_ranges`,
-        one range per chunk: the optimizer state, and the mean
-        gradient, are written there only, and :meth:`gather_owned`
-        copies the owners' state to every rank. A flat schedule, or a
-        world of one, runs exactly allreduce, then update, and every
-        rank owns everything.
+        When this rank owns everything (``whole``, or see
+        :meth:`_owner_algorithm`) the gradient is allreduced in place
+        and ``update(0, n)`` runs once after it; a world of one runs the
+        update alone. Otherwise the ring, rhd and hierarchical schedules
+        run an **owner step** between their reduce and gather phases: a
+        segment's owner folds the contributions with
+        :func:`canonical_reduce` straight into its own gradient slab,
+        runs ``update`` over that segment, and the gather carries the
+        owner's parameter segment, which each receiver copies into its
+        own slab. Each element is then updated by one rank (one per node
+        for hierarchical) instead of by all, and the optimizer state and
+        mean gradient are written on the owned ranges only;
+        :meth:`gather_owned` copies the owners' state to every rank.
 
         The in-place writes rest on one invariant: a rank receives a
         segment only after its owner has read every contribution to it.
@@ -187,18 +171,14 @@ class CollectiveEngine:
         they read.
         """
         opts = options if options is not None else self.options
-        if not self.owner_step_ok(opts):
-            raise ValueError(
-                "the owner step needs the plain engine and no emulated "
-                "fabric; the other reductions keep allreduce-then-update"
-            )
         grads, params = slabs
-        algorithm = self._owner_algorithm(grads.nbytes, opts)
+        algorithm = None if whole else self._owner_algorithm(grads.nbytes, opts)
         if algorithm is None:
-            np.copyto(
-                grads,
-                self.allreduce(grads, op="mean", name=name, options=opts),
-            )
+            if self.comm.size > 1:
+                reduced = self.allreduce(
+                    grads, op="mean", name=name, options=opts, tag_shift=tag_shift
+                )
+                np.copyto(grads, reduced)
             update(0, grads.size)
             return
 
@@ -220,9 +200,12 @@ class CollectiveEngine:
         size: int,
         itemsize: int,
         options: Optional[CollectiveOptions] = None,
+        *,
+        whole: bool = False,
     ) -> List[Tuple[int, int]]:
-        """The ``[lo, hi)`` ranges this rank owns in an owner step of a
-        ``size``-element range of ``itemsize``-byte elements.
+        """The ``[lo, hi)`` ranges this rank updates in an
+        :meth:`allreduce_update` of a ``size``-element range of
+        ``itemsize``-byte elements.
 
         The one definition of ownership: one range per chunk of the
         plan, the segment this rank's reduce phase folds (its ring
@@ -232,12 +215,12 @@ class CollectiveEngine:
         :meth:`gather_owned` ships exactly these, and a distributed
         optimizer keeps state for these only. The ranks' ranges
         partition the range exactly once (once per node for
-        hierarchical). A world of one, an empty range or a flat plan
-        own everything: ``[(0, size)]``.
+        hierarchical). ``whole``, or any case :meth:`_owner_algorithm`
+        names, owns everything: ``[(0, size)]``.
         """
         opts = options if options is not None else self.options
         nbytes = size * itemsize
-        algorithm = self._owner_algorithm(nbytes, opts)
+        algorithm = None if whole else self._owner_algorithm(nbytes, opts)
         if algorithm is None:
             return [(0, size)]
         me = self.comm.rank
@@ -308,12 +291,16 @@ class CollectiveEngine:
 
     def _owner_algorithm(self, nbytes: int, opts: CollectiveOptions) -> Optional[str]:
         """The algorithm an owner step of ``nbytes`` runs, or None when
-        it runs allreduce-then-update (a world of one, an empty range or
-        a flat plan): then every rank owns every element."""
-        algorithm = select_algorithm(nbytes, self.topology, opts)
-        if self.comm.size == 1 or nbytes == 0 or algorithm == "flat":
+        every rank owns every element: a world of one, an empty range, a
+        flat plan, or an emulated fabric. There each chunk sleeps its
+        priced wire time, and at the paper's operating point
+        (``benchmarks/bench_trainstep.py``'s overlap section, plain SGD)
+        the owner step was not faster even with its gather at an
+        allreduce's bytes (pairs in ``docs/results/benchmark-results.md``)."""
+        if self.comm.size == 1 or nbytes == 0 or opts.emulate_fabric is not None:
             return None
-        return algorithm
+        algorithm = select_algorithm(nbytes, self.topology, opts)
+        return None if algorithm == "flat" else algorithm
 
     def _run_schedule(
         self,

@@ -475,10 +475,6 @@ class FtChannel:
                 if ladder.index(payload) > ladder.index(cur["payload"]):
                     cur["payload"] = payload
 
-    def restart_pending(self) -> bool:
-        with self._restart_lock:
-            return self._pending is not None and self._pending["epoch"] > self.epoch
-
     def raise_pending(self) -> None:
         """Raise the pending :class:`CollectiveRestart`, if any."""
         with self._restart_lock:

@@ -117,10 +117,11 @@ class FaultTolerantEngine(CollectiveEngine):
         """Stop the channel's heartbeat service."""
         self.channel.close()
 
-    def owner_step_ok(self, options: Optional[CollectiveOptions] = None) -> bool:
-        """Never: a retried or restarted collective would apply an update
-        twice, so this engine keeps allreduce-then-update."""
-        return False
+    def _owner_algorithm(self, nbytes: int, opts: CollectiveOptions) -> None:
+        """Every rank owns everything: :meth:`allreduce_update` then runs
+        this engine's recovering :meth:`allreduce` before one update, so
+        a retried or restarted collective never applies an update twice."""
+        return None
 
     # -- the recovery loop ----------------------------------------------------
     def allreduce(

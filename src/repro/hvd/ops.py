@@ -128,18 +128,25 @@ def allreduce(
     return result
 
 
-def allreduce_update(slabs, update, *, name: Optional[str] = None, options=None) -> None:
-    """Mean-allreduce a gradient range fused with its optimizer update.
+def allreduce_update(
+    slabs, update, *, whole: bool = False, name: Optional[str] = None, options=None
+) -> None:
+    """Mean-allreduce a gradient range, then update it.
 
     :meth:`CollectiveEngine.allreduce_update
-    <repro.comms.CollectiveEngine.allreduce_update>` (the owner step)
-    on this rank's engine over ``slabs`` = ``(grads, params)``, recorded
-    like :func:`allreduce` of the gradient: it moves the same bytes.
+    <repro.comms.CollectiveEngine.allreduce_update>` on this rank's
+    engine over ``slabs`` = ``(grads, params)``, recorded like
+    :func:`allreduce` of the gradient: it moves the same bytes. A world
+    of one has nothing to reduce or negotiate: ``update`` runs over the
+    whole range, and nothing is recorded.
     """
+    eng = _rt.engine()
+    if eng.comm.size == 1:
+        update(0, slabs[0].size)
+        return
     tag = name or "tensor"
     with _allreduce_events(tag, int(slabs[0].nbytes), options) as info:
-        eng = _rt.engine()
-        eng.allreduce_update(slabs, update, name=tag, options=options)
+        eng.allreduce_update(slabs, update, whole=whole, name=tag, options=options)
         info["algorithm"] = eng.last_info.get("algorithm", "flat")
 
 

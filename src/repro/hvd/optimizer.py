@@ -6,36 +6,38 @@ optimizer delegates the gradient computation to the original optimizer,
 averages gradients using the Allreduce, and then applies those averaged
 gradients."
 
-The step runs on the model's :class:`repro.nn.ParameterArena`: its
-gradient slab is reduced in slices of at most ``fusion_bytes``
-(:meth:`~repro.nn.ParameterArena.fusion_groups`), so each training step
-issues one (or a few) large reductions rather than one per layer, with
-nothing to pack. The whole step is configured by one
+The step runs on the model's :class:`repro.nn.ParameterArena` in one
+order: :meth:`Optimizer.prepare_arena_step
+<repro.nn.optimizers.Optimizer.prepare_arena_step>` opens it, then each
+fusion group (:meth:`~repro.nn.ParameterArena.fusion_groups`, a slab
+slice of at most ``fusion_bytes``) runs the engine's
+:meth:`~repro.comms.CollectiveEngine.allreduce_update`: the mean of the
+slice, then its update. The whole step is configured by one
 :class:`repro.train.TrainOptions` passed as ``train=``: its
 ``collective`` governs how reductions travel, and ``overlap=True`` lets
-an attached :class:`repro.overlap.OverlapScheduler` take over the
-reduction — ``apply_arena`` then drains the scheduler's fence instead
-of issuing the serialized slab allreduces. The name-keyed
-``apply_gradients`` of the base optimizers has no distributed form.
+an attached :class:`repro.overlap.OverlapScheduler` run the groups on
+its channels while backward continues; ``apply_arena`` then drains its
+fence. The name-keyed ``apply_gradients`` of the base optimizers has no
+distributed form.
 
-Where the rank's engine allows it (no fault
-tolerance, no emulated fabric) and the base
-optimizer has a slab kernel, each fusion group runs the engine's **owner step**
-(:meth:`repro.comms.CollectiveEngine.allreduce_update`): every element
-is updated once, by the rank that reduced it, and the gather carries
-the updated parameters only, so a step moves an allreduce's bytes.
-Every rank ends the step with the parameters allreduce-then-update
-leaves. Its optimizer state is **partitioned** (ZeRO stage 1): the base
-optimizer allocates state only for the element ranges the rank owns
-(:meth:`repro.comms.CollectiveEngine.owned_ranges`, 1/W of the arena
-for ring and rhd, 1/``local_size`` for hierarchical), and a ``fit``
-leaves it that way. :meth:`DistributedOptimizer.gather_state` is the
-consolidation collective: it makes the state whole on every rank, and
-runs only where a reader needs it whole — before every checkpoint
-write (the checkpoint callbacks call it), before any step that will
-not run the owner step or runs it under other owners, and when the
-caller asks. Those readers see the bytes allreduce-then-update leaves;
-the next owner step partitions the state again.
+**Ownership is the only switch.** Each rank updates the ranges the
+engine says it owns (:meth:`repro.comms.CollectiveEngine.owned_ranges`):
+1/W of the arena for ring and rhd, 1/``local_size`` for hierarchical,
+the gather carrying the updated parameters only (ZeRO stage 1). Every
+rank owns everything — the gradient is allreduced, then updated whole —
+in a world of one, on a flat plan, under an emulated fabric or a
+fault-tolerant engine, and when this optimizer asks for it (``whole``):
+when the ranks' parameters are not known to be identical (no weight
+broadcast made ``arena.replicated``), or the base optimizer has no
+slab kernel. Every rank ends the step with the same bits either way.
+
+The optimizer state follows the ownership: the base optimizer keeps
+state only for the ranges this rank updates, and a ``fit`` leaves it
+that way. When a step's ranges differ from the state's,
+:meth:`DistributedOptimizer.gather_state`, the consolidation
+collective, makes it whole on every rank before the step partitions it
+again; the checkpoint callbacks and any other reader of the whole state
+call it too.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class DistributedOptimizer(Optimizer):
         self._world: Optional[int] = None
         #: the attached overlap scheduler, when the step is overlapped
         self._overlap = None
-        #: (engine, options) of the owner steps the optimizer state is
+        #: (engine, options, ranges) of the steps the optimizer state is
         #: partitioned for on this rank; None while it is whole
         self._owners = None
 
@@ -137,7 +139,7 @@ class DistributedOptimizer(Optimizer):
             "distributed form"
         )
 
-    def _reconcile_world(self) -> None:
+    def _reconcile_world(self, world: int) -> None:
         """Re-apply the linear LR rule when the world size changes.
 
         A fault-tolerant run that loses a rank keeps training on the
@@ -146,7 +148,6 @@ class DistributedOptimizer(Optimizer):
         linear scaling the benchmark applied at startup, applied to the
         ratio of the new world to the old.
         """
-        world = _rt.size()
         if self._world is None:
             self._world = world
         elif world != self._world:
@@ -159,126 +160,119 @@ class DistributedOptimizer(Optimizer):
 
         Gradients already live in one contiguous slab laid out in fusion
         order, so there is nothing to pack: each fusion group is a slab
-        *slice*. Under the owner step (:meth:`owner_step`) each slice is
-        reduced and updated by :func:`repro.hvd.ops.allreduce_update`;
-        otherwise it is allreduced, the mean copied back in place, and
-        the base optimizer's fused update runs over the whole slab. With
-        an attached overlap scheduler that armed this step, the buckets
-        are already in flight (and, under the owner step, updated) — the
-        drain fence replaces the serialized path, bit-identical to it:
-        same buffers, same schedules, same canonical reduction order.
+        *slice*, reduced and updated by
+        :func:`repro.hvd.ops.allreduce_update` after :meth:`begin_step`.
+        With an attached overlap scheduler that armed this step, the
+        buckets already ran on its channels — the drain fence replaces
+        the serialized loop, bit-identical to it: same buffers, same
+        schedules, same canonical reduction order.
         """
         if self._overlap is not None and self._overlap.finish_step(arena):
-            self._reconcile_world()
-            if not self._overlap.owner_step:
-                self.base.apply_arena(arena)
-        elif _rt.size() > 1 and self.owner_step(_rt.engine(), arena, self.options):
-            lr = self.base.prepare_arena_step(arena)
-            for start, stop, names in arena.fusion_groups(self.fusion_bytes):
-                slabs, update = self.bucket_update(arena, start, stop, lr)
-                _ops.allreduce_update(
-                    slabs, update, name="+".join(names), options=self.options
-                )
-                self.allreduce_count += 1
-            self._reconcile_world()
-        else:
-            self.reduce_arena(arena)
-            self.base.apply_arena(arena)
+            return
+        engine = _rt.engine()
+        world = engine.comm.size
+        whole = self.begin_step(engine, arena, self.options)
+        groups = arena.fusion_groups(self.fusion_bytes)
+        for start, stop, names in groups:
+            slabs, update = self.bucket_update(engine, arena, start, stop)
+            _ops.allreduce_update(
+                slabs, update, whole=whole, name="+".join(names), options=self.options
+            )
+        if world > 1:
+            self.allreduce_count += len(groups)
 
-    def owner_step(self, engine, arena, options) -> bool:
-        """Whether a step may run ``engine``'s owner step on ``arena``
-        under ``options``, the options its reductions will run with;
-        call it once per step, on every rank, before the step updates.
+    def begin_step(self, engine, arena, options) -> bool:
+        """Open one step of ``arena`` on ``engine`` under ``options``, the
+        options its reductions will run with; returns ``whole``.
 
-        Needs ranks whose parameters a weight broadcast made identical
-        (``arena.replicated``), a base optimizer whose update is an
-        elementwise slab kernel, and an engine that allows it under
-        ``options`` (:meth:`CollectiveEngine.owner_step_ok
-        <repro.comms.CollectiveEngine.owner_step_ok>`: the plain engine,
-        no emulated fabric).
-
-        The answer also readies the state for the step: when it is
-        partitioned and this step will not run the owner step, or will
-        run it under another engine or options (other owners),
-        :meth:`gather_state` makes it whole first; an owner step then
-        partitions it to the ranges this rank owns.
+        ``whole`` asks the engine for whole ownership: ranks whose
+        parameters no weight broadcast made identical
+        (``arena.replicated``) each update their own, and a base
+        optimizer without a slab kernel updates whole parameters only.
+        The state rule: when this step's ranges differ from the ones the
+        state is partitioned for, :meth:`gather_state` makes it whole,
+        then it is partitioned to this step's. Then
+        :meth:`Optimizer.prepare_arena_step
+        <repro.nn.optimizers.Optimizer.prepare_arena_step>` advances the
+        iteration count and readies the state slabs, before the first
+        bucket updates. Call it once per step, on every rank, before the
+        step updates.
         """
-        owner = bool(
-            arena.replicated
-            and self.base.slab_kernel
-            and engine.owner_step_ok(options)
-        )
-        if self._owners is not None and (not owner or self._owners != (engine, options)):
-            self.gather_state(arena)
-        if owner and self._owners is None:
-            self.base.partition_state(arena, self._owned_ranges(engine, arena, options))
-            self._owners = (engine, options)
-        return owner
-
-    def _owned_ranges(self, engine, arena, options) -> list:
-        """The arena elements this rank updates in an owner step: each
-        fusion group's :meth:`CollectiveEngine.owned_ranges
-        <repro.comms.CollectiveEngine.owned_ranges>`."""
+        self._reconcile_world(engine.comm.size)
+        whole = not (arena.replicated and self.base.slab_kernel)
         itemsize = arena.dtype.itemsize
-        return [
+        ranges = [
             (start + lo, start + hi)
             for start, stop, _ in arena.fusion_groups(self.fusion_bytes)
-            for lo, hi in engine.owned_ranges(stop - start, itemsize, options)
+            for lo, hi in engine.owned_ranges(stop - start, itemsize, options, whole=whole)
         ]
+        if self._owners is None or self._owners[2] != ranges:
+            self.gather_state(arena)
+            self.base.partition_state(arena, ranges)
+        self._owners = None if self.base.state_is_whole else (engine, options, ranges)
+        self.base.prepare_arena_step(arena)
+        return whole
 
     @property
     def state_is_whole(self) -> bool:
-        """False while owner steps keep this rank's optimizer state for
-        the segments it owns only."""
+        """False while this rank keeps optimizer state for the segments
+        it owns only."""
         return self._owners is None
 
     def gather_state(self, arena) -> None:
         """Consolidate the optimizer state on every rank (a collective).
 
-        After owner steps each rank's base optimizer holds state only
-        for the segments it owns. This lays it out whole again
-        (:meth:`Optimizer.unpartition_state
+        After steps under partial ownership each rank's base optimizer
+        holds state only for the segments it owns. This lays it out
+        whole again (:meth:`Optimizer.unpartition_state
         <repro.nn.optimizers.Optimizer.unpartition_state>`) and, for
         each fusion group, replays the gather of those steps over the
         whole state slabs (:meth:`CollectiveEngine.gather_owned
         <repro.comms.CollectiveEngine.gather_owned>`), so every rank
         ends with the owners' bytes everywhere: the state
         allreduce-then-update leaves. A ``fit`` does not call it; the
-        checkpoint callbacks and :meth:`owner_step` do, and so must any
+        checkpoint callbacks and :meth:`begin_step` do, and so must any
         other reader of the whole state. Every rank must call it at the
         same point of training; a no-op when the state is whole.
         """
         if self._owners is None:
             return
-        engine, options = self._owners
+        engine, options, _ = self._owners
         state = self.base.unpartition_state(arena)
         for start, stop, _ in arena.fusion_groups(self.fusion_bytes):
             engine.gather_owned([s[start:stop] for s in state], options=options)
         self._owners = None
 
-    def bucket_update(self, arena, start: int, stop: int, lr: float, scratch=None):
-        """The owner-step operands of the slab slice ``[start, stop)``.
+    def bucket_update(self, engine, arena, start: int, stop: int, scratch=None):
+        """The :meth:`~repro.comms.CollectiveEngine.allreduce_update`
+        operands of the slab slice ``[start, stop)``, in a step
+        :meth:`begin_step` opened.
 
-        Returns ``(slabs, update)`` for
-        :meth:`~repro.comms.CollectiveEngine.allreduce_update`: the
-        gradient and parameter slices, and the base optimizer's update
-        of a sub-range at the step's learning rate ``lr`` (from
-        :meth:`Optimizer.prepare_arena_step`), which also writes that
-        sub-range of the state, held in the base optimizer's
-        partitioned slabs. ``scratch`` is the caller's
-        work-buffer dict: concurrent callers need their own.
+        Returns ``(slabs, update)``: the gradient and parameter slices,
+        and the base optimizer's update of a sub-range, which also
+        writes that sub-range of the state. The update reads the world
+        and the learning rate when it runs, not when the step opened: an
+        elastic rebuild inside the slice's allreduce took the mean over
+        the survivors, so their rate applies. It may run on an overlap
+        channel's thread, so the world comes from ``engine``, not the
+        rank's runtime. ``scratch`` is the caller's work-buffer dict:
+        concurrent callers need their own.
         """
         slabs = (arena.grads_flat[start:stop], arena.params_flat[start:stop])
 
         def update(lo: int, hi: int) -> None:
+            self._reconcile_world(engine.comm.size)
             self.base._arena_step(
-                arena, lr, start=start + lo, stop=start + hi, scratch=scratch
+                arena, self.base._current_lr(), start=start + lo, stop=start + hi,
+                scratch=scratch,
             )
 
         return slabs, update
 
     def reduce_arena(self, arena) -> None:
-        """Allreduce-average the gradient slab, slice by fusion group."""
+        """Allreduce-average the gradient slab, slice by fusion group,
+        with no update (the first half of the step, for callers that
+        time or apply it separately)."""
         if _rt.size() == 1:
             return
         for start, stop, names in arena.fusion_groups(self.fusion_bytes):
@@ -288,7 +282,7 @@ class DistributedOptimizer(Optimizer):
             )
             self.allreduce_count += 1
             np.copyto(view, reduced)
-        self._reconcile_world()
+        self._reconcile_world(_rt.size())
 
     def __repr__(self):
         return f"DistributedOptimizer({self.base!r})"

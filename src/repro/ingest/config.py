@@ -118,9 +118,6 @@ class LoaderConfig(FrozenOptions):
             return self.num_workers
         return max(1, min(8, os.cpu_count() or 1))
 
-    def with_method(self, method: str) -> "LoaderConfig":
-        return replace(self, method=method)
-
     def with_shard(
         self, rank: int, world_size: int, allgather: bool = True
     ) -> "LoaderConfig":

@@ -75,10 +75,10 @@ class ParameterArena:
         #: set by a weight broadcast (:func:`repro.hvd.broadcast_weights`),
         #: after which every rank's arena holds the same parameters, and
         #: cleared by a rank's own write (``Sequential.set_weights``,
-        #: ``load_checkpoint``). Only while it is set may a distributed
-        #: step's owner step run: it leaves every rank with the owner's
+        #: ``load_checkpoint``). Only while it is set may ranks own parts
+        #: of a distributed step: an owner leaves every rank with its
         #: parameters and state, where ranks that are not synchronized
-        #: would each keep updating their own
+        #: own everything and each keep updating their own
         self.replicated = False
         self.params_flat = np.zeros(offset, dtype=self.dtype)
         self.grads_flat = np.zeros(offset, dtype=self.dtype)

@@ -199,10 +199,6 @@ class Activation(Layer):
         _, y = self._cache
         return self._backprop_activation(dy, y)
 
-    def backward_fused(self, dz: np.ndarray) -> np.ndarray:
-        """Pass through a pre-fused gradient (softmax+CE)."""
-        return dz
-
 
 class Flatten(Layer):
     """Collapse all per-example dims into one (NT3: conv stack → dense)."""

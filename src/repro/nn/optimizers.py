@@ -175,8 +175,8 @@ class Optimizer:
 
         Advances ``iterations`` (Adam's bias correction, ``decay``) and
         readies every state slab. :meth:`apply_arena` calls it before
-        its one update. The distributed owner step calls it once, before
-        the first of its range updates: those may run on several
+        its one update. A distributed step calls it once, before the
+        first of its range updates: those may run on several
         threads at once, so nothing they share may be created lazily.
         """
         self.iterations += 1
@@ -280,15 +280,18 @@ class Optimizer:
         override this and pass the range on to :meth:`_blocks`. This
         fallback keeps every custom :meth:`_update_one` optimizer working
         against arena-built models, one whole parameter at a time, so it
-        takes the whole slab only.
+        takes ranges of whole parameters only (a fusion group is one).
         """
-        if start != 0 or stop not in (None, arena.size):
-            raise ValueError(
-                f"{type(self).__name__} has no slab kernel: it updates "
-                "whole parameters only"
-            )
-        for name, p, g in arena.items():
-            self._update_one(name, p, g, lr)
+        stop = arena.size if stop is None else stop
+        for name, sl, _ in arena.entries():
+            if sl.stop <= start or sl.start >= stop:
+                continue
+            if sl.start < start or sl.stop > stop:
+                raise ValueError(
+                    f"{type(self).__name__} has no slab kernel: it updates "
+                    "whole parameters only"
+                )
+            self._update_one(name, arena.params[name], arena.grads[name], lr)
 
     def _layout(self, arena) -> StateLayout:
         """The state slabs' layout for ``arena`` (whole for a new one)."""

@@ -26,22 +26,16 @@ the arena-backed step:
    serialized step (same buffers, same schedules, same canonical
    reduction order, only earlier).
 
-Where the distributed optimizer allows the engine's owner step
-(:meth:`DistributedOptimizer.owner_step
-<repro.hvd.DistributedOptimizer.owner_step>`), a channel runs it for its
-bucket: the bucket's slice is reduced *and updated* while backward
-continues, and its gather carries the updated parameters only, so the
-fence leaves nothing to do. The step's learning rate and iteration
-count are then fixed in :meth:`begin_step`, before the first bucket can
-update, and each channel updates with its own work buffers. The
-optimizer state is partitioned: the base optimizer keeps it only for
-the ranges this rank owns, which is all a bucket's owner step
-(:meth:`DistributedOptimizer.bucket_update
-<repro.hvd.DistributedOptimizer.bucket_update>`) writes. When a step
-will not run the owner step, the ``owner_step`` call in
-:meth:`begin_step` first consolidates it on every rank. Otherwise the
-fence is followed by the base optimizer's fused update, as in the
-serialized step.
+Each channel runs the distributed step's one order for its bucket,
+:meth:`CollectiveEngine.allreduce_update
+<repro.comms.CollectiveEngine.allreduce_update>`: the bucket's slice
+is reduced *and updated* while backward continues, so the fence leaves
+nothing to do. :meth:`begin_step` opens the step with
+:meth:`DistributedOptimizer.begin_step
+<repro.hvd.DistributedOptimizer.begin_step>` before the first bucket
+can update: it advances the iteration count, readies the optimizer
+state for this step's owners and says whether every rank owns
+everything. Each channel updates with its own work buffers.
 
 A plan of one bucket cannot overlap anything: its bucket is released by
 the last backward event. The scheduler then starts no channel thread
@@ -79,8 +73,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
 
@@ -147,7 +139,7 @@ class OverlapScheduler:
     channel workers (none for a one-bucket plan). ``begin_step`` arms the step before backward,
     the model's backward hooks release buckets, ``finish_step`` is the
     drain fence the distributed optimizer calls in place of its
-    serialized ``reduce_arena``.
+    serialized loop.
     """
 
     def __init__(
@@ -188,10 +180,10 @@ class OverlapScheduler:
         self.channels = 1 if serial_only else min(
             self.train.overlap_channels, max(1, len(self._buckets))
         )
-        #: whether this step's buckets run the owner step (set per step:
-        #: it needs the weight broadcast, which follows construction)
-        self.owner_step = False
-        self._lr = 0.0
+        #: whether this step's buckets ask for whole ownership (set per
+        #: step: it depends on the weight broadcast, which follows
+        #: construction)
+        self._whole = True
         #: per-channel optimizer work buffers: channels update at once
         self._scratch: List[dict] = [{} for _ in range(self.channels)]
 
@@ -294,13 +286,11 @@ class OverlapScheduler:
             self._done = 0
             self._event = 0
             self._step += 1
-            # decided with the options the buckets run under
-            self.owner_step = self.optimizer.owner_step(
+            # with the options the buckets run under, before backward
+            # releases the first bucket to a channel
+            self._whole = self.optimizer.begin_step(
                 self._engine, self._arena, self.options
             )
-            if self.owner_step:
-                # before backward releases the first bucket to a channel
-                self._lr = self.optimizer.base.prepare_arena_step(self._arena)
             self._active = True
 
     def _on_layer_backward(self, layer) -> None:
@@ -329,8 +319,8 @@ class OverlapScheduler:
         """The drain fence: wait for every in-flight bucket, then record.
 
         Called by :meth:`DistributedOptimizer.apply_arena
-        <repro.hvd.DistributedOptimizer.apply_arena>` in place of the
-        serialized ``reduce_arena``. Returns False when the scheduler
+        <repro.hvd.DistributedOptimizer.apply_arena>` in place of its
+        serialized loop. Returns False when the scheduler
         did not own this step (overlap disarmed — single rank, or
         ``begin_step`` never ran), signalling the caller to fall back.
         """
@@ -470,43 +460,25 @@ class OverlapScheduler:
                     self._cond.notify_all()
 
     def _reduce_bucket(self, bucket: GradientBucket, slot: int = 0) -> None:
-        """Reduce one slab slice on channel ``slot``'s thread (the rank
-        thread for a one-bucket plan).
-
-        The owner step reduces and updates the live slices in place
-        (the engine's acknowledgements keep peers' reads safe).
-        Otherwise the engine reduces a *copy* of the live gradient view:
-        its zero-copy sends hand raw buffer views to peer mailboxes, and
-        the in-place ``copyto`` at completion must never overwrite data
-        a remote rank is still reading. The channel's ``tag_shift``
-        keeps its engine messages out of every other channel's
-        mailboxes.
+        """Reduce and update one slab slice on channel ``slot``'s thread
+        (the rank thread for a one-bucket plan), in place: the engine's
+        acknowledgements keep peers' reads safe. The channel's
+        ``tag_shift`` keeps its engine messages out of every other
+        channel's mailboxes.
         """
-        name = "+".join(bucket.names)
-        shift = 64 * (slot + 1)
-        view = self._arena.grads_flat[bucket.start : bucket.stop]
-        if self.owner_step:
-            slabs, update = self.optimizer.bucket_update(
-                self._arena, bucket.start, bucket.stop, self._lr,
-                self._scratch[slot],
-            )
-            t0 = time.perf_counter()
-            self._engine.allreduce_update(
-                slabs, update, name=name, options=self.options, tag_shift=shift
-            )
-            t1 = time.perf_counter()
-        else:
-            buf = view.copy()
-            t0 = time.perf_counter()
-            reduced = self._engine.allreduce(
-                buf, op="mean", name=name, options=self.options, tag_shift=shift
-            )
-            t1 = time.perf_counter()
-            np.copyto(view, reduced)
+        slabs, update = self.optimizer.bucket_update(
+            self._engine, self._arena, bucket.start, bucket.stop, self._scratch[slot]
+        )
+        t0 = time.perf_counter()
+        self._engine.allreduce_update(
+            slabs, update, whole=self._whole, name="+".join(bucket.names),
+            options=self.options, tag_shift=64 * (slot + 1),
+        )
+        t1 = time.perf_counter()
         with self._cond:
             # channels finish buckets concurrently: count under the lock
             self.optimizer.allreduce_count += 1
-            self._records[bucket.index] = (t0, t1, int(view.nbytes))
+            self._records[bucket.index] = (t0, t1, int(slabs[0].nbytes))
             self._delivery.append(bucket.index)
 
     # -- teardown -----------------------------------------------------------

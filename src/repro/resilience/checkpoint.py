@@ -112,10 +112,6 @@ class CheckpointManager:
                 )
         return sorted(found, key=lambda c: c.epoch)
 
-    def latest_epoch(self) -> Optional[int]:
-        ckpts = self.checkpoints()
-        return ckpts[-1].epoch if ckpts else None
-
     # -- writing -----------------------------------------------------------
     def save(
         self, model, epoch: int, extra_state: Optional[dict] = None

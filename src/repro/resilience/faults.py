@@ -157,9 +157,6 @@ class FaultPlan:
     def for_rank(self, rank: int) -> list[FaultSpec]:
         return [s for s in self.specs if s.rank == rank]
 
-    def crash_specs(self) -> list[FaultSpec]:
-        return [s for s in self.specs if s.kind == "crash"]
-
     def describe(self) -> str:
         if not self.specs:
             return f"<FaultPlan seed={self.seed}: no faults>"

@@ -97,10 +97,6 @@ class ResilientRunResult:
     def final_loss(self) -> float:
         return self.eval_metrics["loss"]
 
-    @property
-    def total_backoff_s(self) -> float:
-        return sum(a.backoff_s for a in self.attempts)
-
 
 def replan_for_world(
     plan: ScalingPlan, nworkers: int, original_plan: Optional[ScalingPlan] = None

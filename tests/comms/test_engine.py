@@ -69,22 +69,21 @@ class TestBitIdentity:
             assert info["chunks"] > 1
             np.testing.assert_array_equal(got, ref)
 
-    def test_hierarchical_input_may_be_overwritten_on_return(self):
-        """No acknowledgement comes back along a rail, so a node may
-        leave while the other still folds what it shipped. Here node 1
-        reads its rail 50 ms late and every rank wipes its input the
-        moment the call returns: the rail must carry copies."""
-        opts = CollectiveOptions(algorithm="hierarchical")
+    @staticmethod
+    def _wiped_on_return(opts, world, late_ranks, late_tags, local_size=1):
+        """Each rank's allreduce of its input, wiped the moment the call
+        returns, while ``late_ranks`` act 50 ms late on every message
+        tagged one of ``late_tags``: whether each rank got the mean."""
 
         def worker(comm):
             data = _rank_data(comm.rank)
             want = comm.allreduce(data.copy(), op="mean")
-            if comm.rank >= 2:
+            if comm.rank in late_ranks:
                 recv = comm.recv
 
                 def late_recv(source, tag=0):
                     obj = recv(source, tag)
-                    if tag == -106:  # the rail ring
+                    if tag in late_tags:
                         time.sleep(0.05)
                     return obj
 
@@ -93,7 +92,31 @@ class TestBitIdentity:
             data[...] = np.nan
             return got.tobytes() == want.tobytes()
 
-        assert run_spmd(4, worker, local_size=2) == [True] * 4
+        return run_spmd(world, worker, local_size=local_size)
+
+    def test_hierarchical_input_may_be_overwritten_on_return(self):
+        """No acknowledgement comes back along a rail, so a node may
+        leave while the other still folds what it shipped. Here node 1
+        reads its rail 50 ms late and every rank wipes its input the
+        moment the call returns: the rail must carry copies."""
+        opts = CollectiveOptions(algorithm="hierarchical")
+        got = self._wiped_on_return(opts, 4, {2, 3}, {-106}, local_size=2)
+        assert got == [True] * 4
+
+    @pytest.mark.parametrize(
+        "algorithm,world", [("ring", 2), ("ring", 3), ("rhd", 4)],
+        ids=["ring-w2", "ring-w3", "rhd-w4"],
+    )
+    def test_input_may_be_overwritten_on_return(self, algorithm, world):
+        """A rank returns only after every owner has folded what it
+        shipped: the gather that completes it starts at the owners. So a
+        caller may reduce its live gradient in place, with no defensive
+        copy. Odd ranks read every reduce and gather message late; every
+        rank wipes its input the moment the call returns."""
+        opts = CollectiveOptions(algorithm=algorithm)
+        late = set(range(1, world, 2))
+        got = self._wiped_on_return(opts, world, late, {-101, -102, -103, -104})
+        assert got == [True] * world
 
     def test_auto_on_multi_node_matches_flat(self):
         for got, ref, info in _engine_vs_flat(8, None, local_size=4):

@@ -21,9 +21,11 @@ exchange against the same oracle.
 The other cases hold the step's safety rules, each with a test that
 fails without it: channels update with their own work buffers, the iteration
 count advances before the first bucket updates, a sender leaves only
-after its receivers have copied, and runs whose engine may retry (fault
-tolerance), whose wire bytes cost emulated time, or whose ranks wrote
-their own weights never enter the owner step.
+after its receivers have copied, and in runs whose engine may retry
+(fault tolerance), whose wire bytes cost emulated time, or whose ranks
+wrote their own weights every rank owns everything: each ``update`` is
+handed its whole range, after the allreduce, and no parameter gather
+runs.
 """
 
 import functools
@@ -79,6 +81,39 @@ def owner_calls(monkeypatch):
 
     monkeypatch.setattr(CollectiveEngine, "allreduce_update", counting)
     return calls
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """Every ``CollectiveEngine.allreduce_update`` call as ``(rank, size,
+    ranges)``: the size of its range and the ranges its ``update`` was
+    handed. The engine gets a read-only view of the parameters, so a
+    parameter gather, which writes them, fails the call."""
+    calls = []
+    real = CollectiveEngine.allreduce_update
+
+    def spying(self, slabs, update, **kwargs):
+        grads, params = slabs
+        frozen = params.view()
+        frozen.flags.writeable = False
+        ranges = []
+
+        def recording(lo, hi):
+            ranges.append((lo, hi))
+            update(lo, hi)
+
+        real(self, (grads, frozen), recording, **kwargs)
+        calls.append((self.comm.rank, grads.size, ranges))
+
+    monkeypatch.setattr(CollectiveEngine, "allreduce_update", spying)
+    return calls
+
+
+def assert_every_rank_owns_everything(calls, world=2):
+    """Every rank stepped, and every update got its whole range."""
+    assert sorted({rank for rank, _, _ in calls}) == list(range(world))
+    for rank, size, ranges in calls:
+        assert ranges == [(0, size)], (rank, size, ranges)
 
 
 def assert_all_ranks_equal(results, want):
@@ -174,10 +209,10 @@ def test_iterations_advance_before_the_first_bucket_updates(owner_calls):
 @pytest.mark.parametrize(
     "set_weights", [False, True], ids=["no_broadcast", "set_weights_after_broadcast"]
 )
-def test_ranks_with_their_own_weights_each_update_their_own(set_weights, owner_calls):
+def test_ranks_with_their_own_weights_each_update_their_own(set_weights, updates):
     """Ranks that never synchronized their weights, or wrote their own
-    after the broadcast (``set_weights``), keep today's step: the owner
-    step would hand every rank the owner's parameters."""
+    after the broadcast (``set_weights``), each own everything: an owner
+    would hand every rank its own parameters."""
     train = TrainOptions(overlap=True, collective=CollectiveOptions(fusion_bytes=512))
 
     def worker(comm):
@@ -196,7 +231,7 @@ def test_ranks_with_their_own_weights_each_update_their_own(set_weights, owner_c
             hvd.shutdown()
 
     w0, w1 = run_spmd(2, worker)
-    assert not owner_calls
+    assert_every_rank_owns_everything(updates)
     assert not all(np.array_equal(a, b) for a, b in zip(w0, w1))
 
 
@@ -341,15 +376,15 @@ def test_a_one_bucket_plan_runs_on_the_rank_thread(owner_calls):
 
 
 # ---------------------------------------------------------------------------
-# runs that keep allreduce-then-update
+# runs where every rank owns everything
 # ---------------------------------------------------------------------------
 
 
-def test_an_emulated_fabric_fit_keeps_allreduce_then_update(owner_calls):
+def test_an_emulated_fabric_fit_keeps_allreduce_then_update(updates):
     """The overlap buckets reduce with ``fit``'s options, which may differ
     from the optimizer's: an emulated-fabric ``fit`` with a
-    default-options optimizer must train with a plain allreduce, not fail
-    in the owner step."""
+    default-options optimizer must train with every rank owning
+    everything, not fail in the owner step."""
     emulated = TrainOptions(
         overlap=True,
         collective=CollectiveOptions(
@@ -371,15 +406,16 @@ def test_an_emulated_fabric_fit_keeps_allreduce_then_update(owner_calls):
             hvd.shutdown()
 
     (buckets, got0), (_, got1) = run_spmd(2, worker)
-    assert buckets > 0 and not owner_calls
+    assert buckets > 0
+    assert_every_rank_owns_everything(updates)
     assert got0 == got1
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-def test_an_emulated_fabric_keeps_allreduce_then_update(overlap, owner_calls):
+def test_an_emulated_fabric_keeps_allreduce_then_update(overlap, updates):
     """Under an emulated fabric every chunk sleeps its priced wire time
-    and the owner step saves nothing measurable, so the step keeps
-    allreduce-then-update (same bits)."""
+    and the owner step saves nothing measurable, so every rank owns
+    everything (same bits)."""
     train = TrainOptions(
         overlap=overlap,
         collective=CollectiveOptions(
@@ -387,15 +423,15 @@ def test_an_emulated_fabric_keeps_allreduce_then_update(overlap, owner_calls):
         ),
     )
     results = fit(2, OPTIMIZERS["adam"], train)
-    assert not owner_calls
+    assert_every_rank_owns_everything(updates)
     assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"])[0])
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, owner_calls):
+def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, updates):
     """A retried or restarted collective must never apply an update
-    twice, so the FT engine reduces first and the base optimizer updates
-    once, after it."""
+    twice, so under the FT engine every rank owns everything: it reduces
+    first and the base optimizer updates once, after it."""
     train = TrainOptions(
         overlap=overlap,
         collective=CollectiveOptions(
@@ -404,5 +440,5 @@ def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, owner_calls)
         ),
     )
     results = fit(2, OPTIMIZERS["adam"], train)
-    assert not owner_calls
+    assert_every_rank_owns_everything(updates)
     assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"])[0])
