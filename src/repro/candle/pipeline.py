@@ -123,10 +123,14 @@ def run_rank(
                 )
             scale = get_scaler(scaler)
             if scale is not None:
-                flat_train = data.x_train.reshape(len(data.x_train), -1)
-                flat_test = data.x_test.reshape(len(data.x_test), -1)
-                x_train = scale.fit_transform(flat_train).reshape(data.x_train.shape)
-                x_test = scale.transform(flat_test).reshape(data.x_test.shape)
+                # the scaled copies replace the loaded arrays, which die
+                # here unless the caller passed them in
+                x_train = scale.fit_transform(
+                    data.x_train.reshape(len(data.x_train), -1)
+                ).reshape(data.x_train.shape)
+                x_test = scale.transform(
+                    data.x_test.reshape(len(data.x_test), -1)
+                ).reshape(data.x_test.shape)
                 if spec.task == "autoencoder":
                     data = LoadedData(x_train, x_train, x_test, x_test)
                 else:

@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["gemm_edges", "halves", "beside", "MIN_WORK"]
+__all__ = ["gemm_edges", "halves", "split_at", "run_split", "beside", "MIN_WORK"]
 
 #: a GEMM's rows are cut only at multiples of this
 GEMM_ROWS = 16
@@ -185,30 +185,46 @@ def beside(mine: Callable[[], None], theirs: Callable[[], None], work: int) -> N
         helper.run(mine, theirs)
 
 
+def split_at(n: int, work: int, gemm: Optional[tuple] = None) -> Optional[int]:
+    """The sample at which :func:`halves` splits ``[0, n)``, or ``None``
+    when the call runs in one pass (it then starts the helper if need be).
+
+    ``gemm = (rows per sample, N, K)`` names a GEMM whose rows the parts
+    cut with the samples; the split is then the sample nearest ``n / 2``
+    at which :func:`gemm_edges` allows the cut, and with none there is no
+    split. A caller that sizes per-half buffers asks first and hands the
+    answer to :func:`run_split`.
+    """
+    helper = _split_helper(work) if n >= 2 else None
+    if helper is None:
+        return None
+    if gemm is None:
+        return n // 2
+    per_sample, cols, depth = gemm
+    step = GEMM_ROWS // math.gcd(per_sample, GEMM_ROWS)
+    low = n // 2 // step * step
+    rows = n * per_sample
+    return next(
+        (h for h in sorted((low, low + step), key=lambda h: abs(2 * h - n))
+         if 0 < h < n and len(gemm_edges([0, h * per_sample, rows], cols, depth)) == 3),
+        None,
+    )
+
+
+def run_split(part: Callable[[int, int], None], n: int, at: Optional[int]) -> None:
+    """``part(0, at)`` here and ``part(at, n)`` on the helper, or
+    ``part(0, n)`` once when ``at`` is ``None`` (``at`` from
+    :func:`split_at`)."""
+    if at is None:
+        part(0, n)
+    else:
+        _helper.run(lambda: part(0, at), lambda: part(at, n))
+
+
 def halves(
     part: Callable[[int, int], None], n: int, work: int, gemm: Optional[tuple] = None
 ) -> None:
     """``part(lo, hi)`` over samples ``[0, n)``: ``part(0, h)`` here and
-    ``part(h, n)`` on the helper, or ``part(0, n)`` once.
-
-    ``gemm = (rows per sample, N, K)`` names a GEMM whose rows ``part``
-    cuts with the samples; ``h`` is then the sample nearest ``n / 2`` at
-    which :func:`gemm_edges` allows the cut, and with none the call is
-    not split.
-    """
-    helper = _split_helper(work) if n >= 2 else None
-    at = None if helper is None else n // 2
-    if at is not None and gemm is not None:
-        per_sample, cols, depth = gemm
-        step = GEMM_ROWS // math.gcd(per_sample, GEMM_ROWS)
-        low = n // 2 // step * step
-        rows = n * per_sample
-        at = next(
-            (h for h in sorted((low, low + step), key=lambda h: abs(2 * h - n))
-             if 0 < h < n and len(gemm_edges([0, h * per_sample, rows], cols, depth)) == 3),
-            None,
-        )
-    if at is None:
-        part(0, n)
-    else:
-        helper.run(lambda: part(0, at), lambda: part(at, n))
+    ``part(h, n)`` on the helper, or ``part(0, n)`` once (``h`` and the
+    arguments as in :func:`split_at`)."""
+    run_split(part, n, split_at(n, work, gemm))

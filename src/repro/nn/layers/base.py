@@ -25,8 +25,8 @@ A layer owns name-keyed parameter and gradient dicts. The contract:
   the step is copied by whoever keeps it (``Sequential.predict`` copies
   every tile into the array it returns).
 - ``workspace_row_bytes()`` is the layer's share of the model's memory
-  plan: bytes per example of the largest buffer one inference forward
-  fills. ``Sequential.predict`` sizes its row tile from the largest.
+  plan: the bytes per example ``Sequential.predict`` sizes its row tile
+  by, from the largest (see the method).
 
 Shapes follow Keras convention: batch first, channels last.
 """
@@ -121,10 +121,10 @@ class Layer:
         """A transient buffer from the pool shared by the model's layers.
 
         For operands that die inside the call that gathers them — the
-        Conv1D window matrices, several times the size of any
-        activation. One flat capacity-sized block per ``slot`` serves
-        every layer in turn, so the model holds one window matrix, not
-        one per gather. Contents are undefined on return.
+        Conv1D window blocks and dW gather, several times the size of
+        any activation. One flat capacity-sized block per ``slot``
+        serves every layer in turn, so the model holds one of each, not
+        one per layer. Contents are undefined on return.
         """
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
@@ -154,8 +154,17 @@ class Layer:
         return self.scratch("dz", y.shape, np.result_type(dy, y), zero=False)
 
     def workspace_row_bytes(self) -> int:
-        """Bytes per example of the largest buffer an inference forward
-        fills (default: the output row)."""
+        """Bytes per example ``Sequential.predict`` prices this layer at
+        (default: the output row, the largest buffer an inference
+        forward fills).
+
+        A windowed layer prices its window row, though ``Conv1D`` now
+        streams its forward windows through a fixed block: that is the
+        unit the ``WORKSPACE_BYTES`` sweep was taken in. Priced at its
+        output row instead, ``Conv1D`` made NT3's ``predict`` tiles 4.4×
+        larger and the ``nt3_train`` benchmark's in-process peak 220 MB,
+        against 182.5 MB at the window-row price (2-vCPU x86 VM).
+        """
         return math.prod(self.output_shape) * self.dtype.itemsize
 
     # -- execution ---------------------------------------------------------

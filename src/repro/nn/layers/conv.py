@@ -14,23 +14,31 @@ layouts, that ``np.tensordot`` over a ``sliding_window_view`` ends in,
 so every result is bit for bit what that formulation gives
 (``tests/nn/test_conv_reference.py`` keeps it as the oracle). What this
 module owns is how the window matrix is gathered: in contiguous runs
-(:func:`_windows`, :func:`_cols_t`), not by ``tensordot``'s generic
-copy of a strided 4-D view, and into the model's shared workspace
-(:meth:`Layer.workspace`) rather than a fresh array per gather. No
-layer keeps a window matrix: forward and dW want different layouts
+(:func:`_windows`, :func:`_gather_rows`, :func:`_cols_t`), not by
+``tensordot``'s generic copy of a strided 4-D view, and into the model's
+shared workspace (:meth:`Layer.workspace`) rather than a fresh array per
+gather.
+
+Forward and dx stream through the block; only dW gathers whole. The
+forward and dx window matrices are never held: their rows pass through
+one :data:`WINDOW_BLOCK_BYTES` block per thread, a row tile at a time,
+with one GEMM per tile, cut where :func:`~repro.nn.halves.gemm_edges`
+allows (so every tile sums as the whole GEMM would). The dW gather
+(:func:`_cols_t`) stays whole: its GEMM reduces over the long
+``N·L`` axis, and cutting that K changes the sums. No layer keeps a
+window matrix either: forward and dW want different layouts
 (``cols.T @ dy`` on a kept forward matrix is a transposed-operand GEMM,
-which BLAS does not sum in the same order), and one kept per layer
-would be the largest live arrays in the process — the ``cols`` block is
-as large as the largest forward or dW gather, ``Sequential.predict``
-bounds that by tiling rows, and the dx window matrix only ever passes
-through a :data:`DX_BLOCK_BYTES` block, a row tile at a time.
+which BLAS does not sum in the same order), so the largest window
+buffer in the process is one batch's dW gather, and inference holds
+none but the blocks.
 
 Two cores (:mod:`repro.nn.halves`): ``Conv1D`` and ``MaxPooling1D``
 run the first samples of a batch on the calling thread and the rest on
-the helper — gathers, the forward GEMM (cut where
-:func:`~repro.nn.halves.gemm_edges` allows), bias, activation and its
-derivative, pooling both ways — and a dW GEMM runs whole on the helper
-beside the dx GEMM (or, without dx, the bias sum).
+the helper — gathers, the forward GEMM's tiles (the halves cut where
+:func:`~repro.nn.halves.gemm_edges` allows, each through its own block),
+bias, activation and its derivative, pooling both ways — and a dW GEMM
+runs whole on the helper beside the dx GEMM (or, without dx, the bias
+sum).
 
 Outputs, padded inputs and gradients live in per-layer
 :meth:`Layer.scratch` buffers and are written with ``out=``, so a
@@ -50,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import activations as _act
 from repro.nn import initializers as _init
-from repro.nn.halves import GEMM_ROWS, beside, gemm_edges, halves
+from repro.nn.halves import GEMM_ROWS, beside, gemm_edges, halves, run_split, split_at
 from repro.nn.layers.base import Layer
 
 __all__ = [
@@ -62,9 +70,17 @@ __all__ = [
 ]
 
 
-#: bytes of the block ``Conv1D``'s dx window matrix is gathered through,
-#: a row tile at a time
-DX_BLOCK_BYTES = 2 << 20
+#: bytes of the block a ``Conv1D`` forward or dx window matrix is
+#: gathered through, a row tile at a time (tests patch it to force tiles
+#: of 16 rows). Half a core's L2 on the 2-vCPU Xeon it was measured on,
+#: so a tile, its GEMM's output and the kernel stay there: an NT3 train
+#: step ran 2-4% slower than a whole-tile gather at 2 MiB, 2-5% faster
+#: at 1 MiB.
+WINDOW_BLOCK_BYTES = 1 << 20
+
+#: the workspace slot of each thread's block: the calling thread's (which
+#: dx uses too), then the helper's
+_BLOCKS = ("block", "block_helper")
 
 
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
@@ -97,6 +113,26 @@ def _gather_rows(win: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
         out = out[whole:]
     if tail and last >= first:  # the start of the sample they end inside
         np.copyto(out, win[last, :tail])
+
+
+def _row_tiles(rows: int, n: int, depth: int, itemsize: int) -> list[int]:
+    """Row edges of an ``(rows, depth) @ (depth, n)`` GEMM streamed
+    through a :data:`WINDOW_BLOCK_BYTES` block: tiles of a multiple of 16
+    rows (16 at least) that fit it, as even as that allows — so the rule
+    has no short last tile to fold into the one before — less the cuts
+    :func:`~repro.nn.halves.gemm_edges` forbids."""
+    most = max(GEMM_ROWS, WINDOW_BLOCK_BYTES // (depth * itemsize) // GEMM_ROWS * GEMM_ROWS)
+    if rows <= most:
+        return [0, rows]
+    count = -(-rows // most)
+    tile = -(-rows // (count * GEMM_ROWS)) * GEMM_ROWS  # rows / count, up to 16s
+    return gemm_edges([*range(0, rows, tile), rows], n, depth)
+
+
+def _block(layer: Layer, slot: str, edges: list[int], depth: int, dtype) -> np.ndarray:
+    """``slot``'s workspace block, as long as the longest tile of ``edges``."""
+    longest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    return layer.workspace(slot, (longest, depth), dtype)
 
 
 def _cols_t(xp: np.ndarray, k: int, workspace):
@@ -208,24 +244,37 @@ class Conv1D(Layer):
             xp = self.scratch("xp", (n, steps + k - 1, c), x.dtype, zero=False)
         out_steps = xp.shape[1] - k + 1
         y = self.scratch("y", (n, out_steps, co), np.result_type(xp, kernel), zero=False)
-        cols = self.workspace("cols", (n * out_steps, k * c), xp.dtype)
+        y2d = y.reshape(-1, co)
         win = _windows(xp, k)
         pad = slice(self._pad_l, self._pad_l + steps)
         kernel2d = kernel.reshape(-1, co)
+        depth = k * c
+        # Each thread of the split streams its samples' window rows
+        # through a block of its own. A half is a GEMM the rule lets stand
+        # alone (split_at cut it so), and its tiles are cut as dx's are.
+        at = split_at(n, n * out_steps * depth, gemm=(out_steps, co, depth))
+        spans = [(0, n)] if at is None else [(0, at), (at, n)]
+        streams = {}  # first sample of a span -> (its row edges, its block)
+        for (lo, hi), slot in zip(spans, _BLOCKS):
+            edges = _row_tiles((hi - lo) * out_steps, co, depth, xp.itemsize)
+            block = _block(self, slot, edges, depth, xp.dtype)
+            streams[lo] = [lo * out_steps + e for e in edges], block
 
         def part(lo, hi):
             if xp is not x:
                 xp[lo:hi, pad] = x[lo:hi]
-            rows, out = cols[lo * out_steps : hi * out_steps], y[lo:hi]
-            np.copyto(rows.reshape(hi - lo, out_steps, -1), win[lo:hi])
-            # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
-            np.dot(rows, kernel2d, out=out.reshape(-1, co))
-            if bias is not None:
-                out += bias
-            if self._act_fn is not None:
-                self._act_fn(out, out=out)
+            edges, block = streams[lo]
+            for r0, r1 in zip(edges, edges[1:]):
+                rows, out = block[: r1 - r0], y2d[r0:r1]
+                _gather_rows(win, r0, r1, rows)
+                # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
+                np.dot(rows, kernel2d, out=out)
+                if bias is not None:
+                    out += bias
+                if self._act_fn is not None:
+                    self._act_fn(out, out=out)
 
-        halves(part, n, cols.size, gemm=(out_steps, co, k * c))
+        run_split(part, n, at)
         # cached: the (padded) input by reference, not its window matrix
         self._cache = (xp, y)
         return y
@@ -290,13 +339,11 @@ class Conv1D(Layer):
             w_flip = self.scratch("w_flip", (k * co, ci), kernel.dtype, zero=False)
             np.copyto(w_flip.reshape(k, co, ci), kernel[::-1].transpose(0, 2, 1))
             win = _windows(dyp, k)
-            # row tiles of the dx GEMM, gathered through one small block
-            # while the dW GEMM holds the cols block
-            rows, depth = len(out), k * co
-            tile = max(GEMM_ROWS, DX_BLOCK_BYTES // (depth * win.itemsize) // GEMM_ROWS * GEMM_ROWS)
-            edges = gemm_edges([*range(0, rows, tile), rows], ci, depth)
-            longest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
-            block = self.workspace("dx_cols", (longest, depth), win.dtype)
+            # row tiles of the dx GEMM, gathered through the calling
+            # thread's block while the dW GEMM holds the cols block
+            depth = k * co
+            edges = _row_tiles(len(out), ci, depth, win.itemsize)
+            block = _block(self, _BLOCKS[0], edges, depth, win.dtype)
 
             def dx_gemm():
                 for lo, hi in zip(edges, edges[1:]):

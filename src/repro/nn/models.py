@@ -38,10 +38,10 @@ from repro.train import DEFAULT_TRAIN_OPTIONS
 
 __all__ = ["Sequential"]
 
-#: Byte budget of the widest buffer one ``predict`` tile may fill (the
-#: model's largest ``Layer.workspace_row_bytes()`` times the tile's
-#: rows). See ``Sequential.predict``; the sweep that chose it is in
-#: docs/ARCHITECTURE.md ("The memory plan").
+#: Byte budget of one ``predict`` tile: the model's largest
+#: ``Layer.workspace_row_bytes()`` (for NT3, a Conv1D window row) times
+#: the tile's rows. See ``Sequential.predict``; the sweep that chose it is
+#: in docs/ARCHITECTURE.md ("The memory plan").
 WORKSPACE_BYTES = 24 << 20
 
 
@@ -212,9 +212,9 @@ class Sequential:
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Forward pass in inference mode, tiled to bound memory.
 
-        ``batch_size`` rows at a time, as ever — but a slice whose widest
-        per-layer buffer (``row_bytes`` a row: a Conv1D window matrix is
-        hundreds of KB, a Dense output a few) would pass
+        ``batch_size`` rows at a time, as ever — but a slice whose priced
+        bytes (``row_bytes`` a row: a Conv1D window row is hundreds of
+        KB, a Dense output a few) would pass
         ``WORKSPACE_BYTES`` goes through the stack in tiles that stay
         under it, cut so that the bytes are the unsplit slice's
         (:meth:`_tile_edges`). Each tile is copied into the array

@@ -5,13 +5,16 @@ its own phase sequence: sharded loads at world 1, prefetched epochs
 under Horovod, and training-time faults in a plain parallel run.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.candle import get_benchmark, run_benchmark
+from repro.candle import get_benchmark, pipeline, run_benchmark
 from repro.core import run_parallel_benchmark, strong_scaling_plan
 from repro.ingest import LoaderConfig
 from repro.mpi.runtime import SpmdError
+from repro.nn import Sequential
 from repro.resilience import FaultInjector, FaultPlan
 
 
@@ -42,6 +45,30 @@ def test_serial_sharded_load_matches_chunked(nt3, nt3_paths):
     ]
     assert _bits(runs[1].history) == _bits(runs[0].history)
     assert runs[1].eval_metrics == runs[0].eval_metrics
+
+
+def test_the_loaded_arrays_are_dropped_once_scaled(nt3, nt3_paths, monkeypatch):
+    """The scaler's copies replace the arrays the load returned: none of
+    the unscaled inputs (the arrays that own their memory, as views of
+    the parsed matrices) is alive when ``fit`` starts."""
+    loaded, alive_at_fit = [], []
+    load, fit = pipeline.load_benchmark_data, Sequential.fit
+
+    def spy_load(*args, **kwargs):
+        data = load(*args, **kwargs)
+        for x in (data.x_train, data.x_test):
+            loaded.append(weakref.ref(x if x.base is None else x.base))
+        return data
+
+    def spy_fit(self, *args, **kwargs):
+        alive_at_fit.extend(ref() is not None for ref in loaded)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_benchmark_data", spy_load)
+    monkeypatch.setattr(Sequential, "fit", spy_fit)
+    run_benchmark(nt3, data_paths=nt3_paths, load_method="chunked", scaler="maxabs",
+                  epochs=1, seed=1)
+    assert alive_at_fit == [False, False]
 
 
 def test_parallel_prefetch_feeds_every_rank(nt3, nt3_paths):

@@ -13,6 +13,8 @@ The second half is the model-level contract of ``input_grad=False``:
 no hook order.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +36,7 @@ from repro.nn import (
     get_optimizer,
 )
 from repro.nn import activations as _act
+from repro.nn.layers import conv
 from repro.nn.losses import CategoricalCrossentropy
 from repro.train import TrainOptions
 
@@ -96,6 +99,23 @@ def built(layer, in_shape, dtype, seed=5):
 
 STEPS = 29
 
+#: ``conv.WINDOW_BLOCK_BYTES`` each case runs at: today's, which these
+#: shapes never fill, and one byte, which leaves every window tile at the
+#: 16-row floor, so each forward and dx crosses several tile edges and
+#: ends in a remainder tile
+BLOCK_BYTES = [conv.WINDOW_BLOCK_BYTES, 1]
+
+
+@contextlib.contextmanager
+def window_block(nbytes):
+    """``conv.WINDOW_BLOCK_BYTES`` patched to ``nbytes``."""
+    saved = conv.WINDOW_BLOCK_BYTES
+    conv.WINDOW_BLOCK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        conv.WINDOW_BLOCK_BYTES = saved
+
 
 # filters 1, 2 and 5 are where a transposed-operand GEMM (cols.T @ dy)
 # stops being the tensordot's sum on OpenBLAS; 16 is NT3's
@@ -117,29 +137,31 @@ def test_conv1d_is_the_tensordot_formulation(
     kernel, bias = layer.params["kernel"], layer.params["bias"]
     # a full batch, then the short last batch of an epoch: the padded-dy
     # scratch buffer is reallocated and its margins must be zero again
-    for n in (6, 4):
-        x = rng.normal(size=(n, STEPS, channels)).astype(dtype)
-        xp, left, right = ref_pad_same(x, kernel_size) if padding == "same" else (x, 0, 0)
-        z = ref_conv_forward(xp, kernel, bias)
-        want = z if activation is None else _act.get(activation)[0](z)
+    for nbytes in BLOCK_BYTES:
+        for n in (6, 4):
+            x = rng.normal(size=(n, STEPS, channels)).astype(dtype)
+            xp, left, right = ref_pad_same(x, kernel_size) if padding == "same" else (x, 0, 0)
+            z = ref_conv_forward(xp, kernel, bias)
+            want = z if activation is None else _act.get(activation)[0](z)
+            dy = rng.normal(size=want.shape).astype(dtype)
+            dz = dy if activation is None else dy * _act.get(activation)[1](z, want)
 
-        got = layer.forward(x, training=True)
-        assert got.dtype == dtype and np.array_equal(got, want)
-        assert np.array_equal(layer.forward(x, training=False), want)
+            with window_block(nbytes):
+                got = layer.forward(x, training=True)
+                assert got.dtype == dtype and np.array_equal(got, want)
+                assert np.array_equal(layer.forward(x, training=False), want)
 
-        dy = rng.normal(size=want.shape).astype(dtype)
-        dz = dy if activation is None else dy * _act.get(activation)[1](z, want)
-        dx = layer.backward(dy)
-        assert np.array_equal(layer.grads["kernel"], ref_conv_dw(xp, dz, kernel_size))
-        assert np.array_equal(layer.grads["bias"], dz.sum(axis=(0, 1)))
-        assert dx.dtype == dtype and dx.shape == x.shape
-        assert np.array_equal(dx, ref_conv_dx(dz, kernel, left, right))
+                dx = layer.backward(dy)
+                assert np.array_equal(layer.grads["kernel"], ref_conv_dw(xp, dz, kernel_size))
+                assert np.array_equal(layer.grads["bias"], dz.sum(axis=(0, 1)))
+                assert dx.dtype == dtype and dx.shape == x.shape
+                assert np.array_equal(dx, ref_conv_dx(dz, kernel, left, right))
 
-        # the parameter-only form: same gradients, no dx
-        layer.grads.clear()
-        assert layer.backward(dy, input_grad=False) is None
-        assert np.array_equal(layer.grads["kernel"], ref_conv_dw(xp, dz, kernel_size))
-        assert np.array_equal(layer.grads["bias"], dz.sum(axis=(0, 1)))
+                # the parameter-only form: same gradients, no dx
+                layer.grads.clear()
+                assert layer.backward(dy, input_grad=False) is None
+                assert np.array_equal(layer.grads["kernel"], ref_conv_dw(xp, dz, kernel_size))
+                assert np.array_equal(layer.grads["bias"], dz.sum(axis=(0, 1)))
 
 
 # one row, one output step, both: the shapes where numpy can reshape the

@@ -39,6 +39,7 @@ from repro.nn import (
     get_optimizer,
 )
 from repro.nn import models as _models
+from repro.nn.layers import conv as _conv
 from repro.nn.layers.base import Layer
 from repro.train import TrainOptions
 from tests.nn.test_conv_reference import (
@@ -527,12 +528,27 @@ def test_what_predict_leaves_behind_is_sized_by_the_tile_not_the_input():
     fit, tile, shared = _held(model)
     # predict works in its own buffers: the training set is untouched ...
     assert fit == 0 and all(not layer._scratch for layer in model.layers)
-    # ... one window matrix is held, by the model, within the budget ...
+    # ... the window matrices stream through one block per thread of the
+    # split (two threads), held by the model ...
     rows = plan_tile(model)
-    assert model._row_bytes * rows <= shared <= _models.WORKSPACE_BYTES
+    assert 0 < shared <= 2 * _conv.WINDOW_BLOCK_BYTES
     assert all(layer._shared is model.layers[0]._shared for layer in model.layers)
     # ... and no layer's buffer is as large as its tile of windows
     assert 0 < max(buf.nbytes for buffers in model._tile_buffers for buf in buffers.values()) \
         < model._row_bytes * rows
     model.predict(x[:600])
     assert _held(model) == (fit, tile, shared)
+
+
+def test_a_fit_step_gathers_only_dw_whole():
+    """Forward and dx windows pass through one block per thread of the
+    split; the dW gather (``cols`` and the channel-first ``xt``) is the
+    only window matrix held whole."""
+    bench, _, x, y = e2e_case("nt3", np.float64)
+    model = bench.build_model(seed=1)
+    model.compile(get_optimizer("sgd", lr=0.001), "categorical_crossentropy")
+    model.train_on_batch(x[:20].copy(), y[:20].copy())
+    shared = model.layers[0]._shared
+    blocks = {"block", "block_helper"} & set(shared)
+    assert "block" in blocks and set(shared) - blocks == {"cols", "xt"}
+    assert all(shared[slot].nbytes <= _conv.WINDOW_BLOCK_BYTES for slot in blocks)

@@ -3,7 +3,9 @@
 ``repro.nn.halves`` runs the first samples of a batch on the calling
 thread and the rest on a helper thread, cuts a forward or dx GEMM's rows
 only where ``gemm_edges`` allows, and runs a dW GEMM whole beside the dx
-GEMM. None of it may show in a byte. The oracle is
+GEMM, and streams a forward or dx window matrix through a block in row
+tiles cut by the same rule (each Conv1D case runs at today's block and
+at 16-row tiles). None of it may show in a byte. The oracle is
 ``test_conv_reference``'s tensordot / argmax formulation, kept as plain
 functions (for pooling, through the one-pass layer, which owns the NaN
 and signed-zero ties argmax does not decide); the split is forced by
@@ -42,6 +44,7 @@ from repro.nn import activations as _act
 from repro.nn import models as _models
 from repro.train import TrainOptions
 from tests.nn.test_conv_reference import (
+    BLOCK_BYTES,
     built,
     ref_conv_dw,
     ref_conv_dx,
@@ -49,6 +52,7 @@ from tests.nn.test_conv_reference import (
     ref_pad_same,
     ref_pool,
     ref_pool_dx,
+    window_block,
 )
 
 if settings.default is settings.get_profile("deep"):
@@ -220,19 +224,21 @@ def test_conv1d_split_is_the_tensordot_formulation(case):
     if case["nan"]:
         x[-1, rng.integers(case["steps"]), 0] = np.nan
     y_want, dy, dw_want, db_want, dx_want = conv_oracle(layer, x, rng)
-    with forced_split() as spy:
-        assert same_bytes(layer.forward(x, training=False), y_want)
-        assert same_bytes(layer.forward(x, training=True), y_want)
-        dx = layer.backward(dy)
-        assert spy.puts >= 2  # the backward's halves, and dW beside dx
-    assert same_bytes(layer.grads["kernel"], dw_want)
-    assert same_bytes(layer.grads["bias"], db_want)
-    assert same_bytes(dx, dx_want)
-    with forced_split():
-        layer.grads.clear()
-        assert layer.backward(dy, input_grad=False) is None
-    assert same_bytes(layer.grads["kernel"], dw_want)
-    assert same_bytes(layer.grads["bias"], db_want)
+    for nbytes in BLOCK_BYTES:
+        with window_block(nbytes):
+            with forced_split() as spy:
+                assert same_bytes(layer.forward(x, training=False), y_want)
+                assert same_bytes(layer.forward(x, training=True), y_want)
+                dx = layer.backward(dy)
+                assert spy.puts >= 2  # the backward's halves, and dW beside dx
+            assert same_bytes(layer.grads["kernel"], dw_want)
+            assert same_bytes(layer.grads["bias"], db_want)
+            assert same_bytes(dx, dx_want)
+            with forced_split():
+                layer.grads.clear()
+                assert layer.backward(dy, input_grad=False) is None
+            assert same_bytes(layer.grads["kernel"], dw_want)
+            assert same_bytes(layer.grads["bias"], db_want)
 
 
 # ---------------------------------------------------------------------------
