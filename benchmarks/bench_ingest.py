@@ -255,7 +255,7 @@ def run_prefetch(tmp: str, full: bool) -> dict:
     bench, data, load, epochs = _nt3_trainer(tmp, train)
 
     t0 = time.perf_counter()
-    model = _fit_once(bench, EpochPrefetcher(load, epochs, depth=2))
+    model = _fit_once(bench, EpochPrefetcher(load, epochs))
     overlapped_s = time.perf_counter() - t0
     stats = model.last_prefetch_stats
 

@@ -106,7 +106,6 @@ def base_options() -> ServeOptions:
         deadline_ms=300.0,
         queue_depth=512,
         replicas=2,
-        worker_depth=2,
     )
 
 

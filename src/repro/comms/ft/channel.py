@@ -11,12 +11,13 @@ the wrapper adds:
   (array bytes, dtype/shape, nested containers), so a corrupted chunk is
   caught on arrival, not at convergence time.
 - **Deadlines + retransmission**: a recv that misses its chunk deadline
-  sends a NACK on the control tag; the sender's service thread re-puts
+  sends a NACK on the control tag; the sender's service re-puts
   the stored envelope. Backoff between requests is the capped
   exponential of :class:`RetryPolicy`, without jitter.
-- **Heartbeats**: a per-rank service thread beats every peer and feeds
-  arrivals to the :class:`~repro.comms.ft.detector.PhiAccrualDetector`;
-  the same thread services NACKs, death notices, and restart signals,
+- **Heartbeats**: a per-rank service — one long job on a
+  :class:`~repro.worker.Worker` — beats every peer and feeds arrivals to
+  the :class:`~repro.comms.ft.detector.PhiAccrualDetector`; the same
+  job services NACKs, death notices, and restart signals,
   so the control plane stays live while the main thread blocks in a
   collective (or sleeps inside an injected delay fault).
 - **Restart signals**: demotion and rebuild are collective decisions —
@@ -52,6 +53,7 @@ from repro.comms.ft.options import (
     DEMOTION_LADDER,
     FaultToleranceOptions,
 )
+from repro.worker import Job, Worker
 
 __all__ = [
     "FtChannel",
@@ -78,7 +80,7 @@ _STORE_DEPTH = 8
 RETRY_FACTOR = 2.0
 RETRY_MAX_DELAY_S = 0.05
 
-#: the service thread exits after this long without data-plane traffic
+#: the service job ends after this long without data-plane traffic
 IDLE_SHUTDOWN_S = 2.0
 
 
@@ -316,7 +318,10 @@ class FtChannel:
         self._dead_peers: set[int] = set()
         self._killed = False
         self._stop = threading.Event()
-        self._service: Optional[threading.Thread] = None
+        #: the heartbeat service: one long job, resubmitted after it
+        #: ends (idle exit) by the next :meth:`ensure_started`
+        self._worker = Worker(f"ft-service-r{comm.rank}")
+        self._service: Optional[Job] = None
         self._last_activity = time.monotonic()
 
     # -- delegation ----------------------------------------------------------
@@ -354,7 +359,9 @@ class FtChannel:
         """Start (or restart after idle exit) the heartbeat service."""
         if self._killed or self.comm.size == 1:
             return
-        if self._service is None or not self._service.is_alive():
+        if self._service is None or self._service.done():
+            if self._service is not None:
+                self._service.wait()  # a failed service raises here
             self._stop.clear()
             self._last_activity = time.monotonic()
             for peer in self._peers():
@@ -364,19 +371,13 @@ class FtChannel:
                     # restart its history (confirmed dead stay dead)
                     self.detector.forget([peer])
                 self.detector.watch(peer)
-            self._service = threading.Thread(
-                target=self._service_loop,
-                name=f"ft-service-r{self.comm.rank}",
-                daemon=True,
-            )
-            self._service.start()
+            self._service = self._worker.submit(self._service_loop)
 
     def close(self) -> None:
-        """Stop the heartbeat service thread."""
+        """Stop the heartbeat service and join its thread."""
         self._stop.set()
-        service, self._service = self._service, None
-        if service is not None and service.is_alive():
-            service.join(timeout=1.0)
+        self._service = None
+        self._worker.close()
 
     def _touch(self) -> None:
         self._last_activity = time.monotonic()
@@ -395,7 +396,7 @@ class FtChannel:
         if tracer is not None:
             tracer.counter(f"ft.{name}", value, rank=self.comm.rank, **attrs)
 
-    # -- service thread --------------------------------------------------------
+    # -- heartbeat service ---------------------------------------------------
     def _service_loop(self) -> None:
         """Beat peers, feed the detector, serve NACKs and signals."""
         ctx = self.comm._context

@@ -41,6 +41,7 @@ from repro.hvd.callbacks import (
     FaultInjectionCallback,
     ManagedCheckpointCallback,
     MetricAverageCallback,
+    broadcast_restored,
     resume_from_checkpoint,
 )
 from repro.hvd.data import load_sharded
@@ -81,6 +82,7 @@ __all__ = [
     "FaultInjectionCallback",
     "MetricAverageCallback",
     "resume_from_checkpoint",
+    "broadcast_restored",
     "load_sharded",
     "DEFAULT_FUSION_BYTES",
 ]

@@ -9,7 +9,9 @@ training is started with random weights."
 ``CheckpointCallback`` implements the paper's stated future work
 ("checkpoint/restart features … for fault tolerance"): rank 0 writes a
 full model+optimizer checkpoint every N epochs, and
-:func:`resume_from_checkpoint` restores it and re-broadcasts so every
+:func:`resume_from_checkpoint` restores it and re-broadcasts it
+(:func:`broadcast_restored`, also the broadcast of
+:meth:`repro.resilience.CheckpointManager.restore_distributed`) so every
 rank resumes consistently.
 """
 
@@ -24,6 +26,7 @@ from repro.nn.callbacks import Callback
 from repro.nn.serialization import (
     capture_rng_state,
     load_checkpoint,
+    restore_rank_rng,
     save_checkpoint,
 )
 
@@ -34,6 +37,7 @@ __all__ = [
     "ManagedCheckpointCallback",
     "FaultInjectionCallback",
     "resume_from_checkpoint",
+    "broadcast_restored",
 ]
 
 
@@ -83,14 +87,15 @@ class MetricAverageCallback(Callback):
 
 
 class CheckpointCallback(Callback):
-    """Rank 0 writes a model+optimizer checkpoint every N epochs.
+    """Rank 0 writes a model+optimizer checkpoint to ``path`` every N epochs.
 
-    Only rank 0 writes (the standard Horovod pattern — all ranks hold
+    Only the root writes (the standard Horovod pattern — all ranks hold
     identical weights after each allreduced step, so one copy suffices).
     Every rank first gathers the optimizer state the owner step leaves
     partial (:meth:`DistributedOptimizer.gather_state
     <repro.hvd.DistributedOptimizer.gather_state>`), so the root writes
-    the whole state.
+    the whole state, and every rank barriers on the epoch boundary so no
+    rank races ahead of a half-finished write.
     """
 
     def __init__(self, path: str, every_n_epochs: int = 1, root: int = 0):
@@ -108,47 +113,38 @@ class CheckpointCallback(Callback):
         if (epoch + 1) % self.every_n_epochs != 0:
             return
         self.model.optimizer.gather_state(self.model.arena)
-        if _rt.rank() == self.root:
-            save_checkpoint(self.model, self.path, epoch=epoch)
+        self._save(epoch)
         self.epochs_written.append(epoch)
         if _rt.size() > 1:
             # barrier so no rank races ahead of a half-written checkpoint
             _rt.comm().barrier()
 
+    def _save(self, epoch: int) -> None:
+        """Called on every rank; the root writes."""
+        if _rt.rank() == self.root:
+            save_checkpoint(self.model, self.path, epoch=epoch)
 
-class ManagedCheckpointCallback(Callback):
+
+class ManagedCheckpointCallback(CheckpointCallback):
     """Rank 0 checkpoints through a :class:`~repro.resilience.CheckpointManager`.
 
     The manager adds what the plain :class:`CheckpointCallback` lacks
     for fault tolerance: atomic writes, a checksummed manifest, and
     retention of the last N checkpoints — so an injected crash mid-write
-    or a corrupted file can never poison the restart path. As with the
-    plain callback, only the root writes and every rank barriers on the
-    epoch boundary so no rank races ahead of a half-finished write.
+    or a corrupted file can never poison the restart path.
 
     Every rank's RNG streams (shuffle order, dropout masks) are
     gathered to the root and stored in the checkpoint, so a resume
     restores not just the weights but the *stochastic position* of each
     rank — the piece that makes resumed training bit-identical to an
-    uninterrupted run. As with the plain callback, every rank first
-    gathers the optimizer state the owner step leaves partial.
+    uninterrupted run.
     """
 
     def __init__(self, manager, every_n_epochs: int = 1, root: int = 0):
-        super().__init__()
-        if every_n_epochs <= 0:
-            raise ValueError(
-                f"every_n_epochs must be positive, got {every_n_epochs}"
-            )
+        super().__init__(manager.directory, every_n_epochs, root)
         self.manager = manager
-        self.every_n_epochs = int(every_n_epochs)
-        self.root = root
-        self.epochs_written: list[int] = []
 
-    def on_epoch_end(self, epoch, logs=None):
-        if (epoch + 1) % self.every_n_epochs != 0:
-            return
-        self.model.optimizer.gather_state(self.model.arena)
+    def _save(self, epoch: int) -> None:
         rng_state = capture_rng_state(self.model)
         if _rt.size() > 1:
             states = _rt.comm().gather(rng_state, root=self.root)
@@ -158,9 +154,6 @@ class ManagedCheckpointCallback(Callback):
             self.manager.save(
                 self.model, epoch, extra_state={"rank_rng": states}
             )
-        self.epochs_written.append(epoch)
-        if _rt.size() > 1:
-            _rt.comm().barrier()
 
 
 class FaultInjectionCallback(Callback):
@@ -192,8 +185,41 @@ class FaultInjectionCallback(Callback):
         self.injector.on_epoch_end(_rt.rank(), epoch)
 
 
+def broadcast_restored(model, meta: Optional[dict], root: int = 0) -> Optional[dict]:
+    """Hand the checkpoint ``root`` restored to every rank; returns its
+    metadata everywhere (None everywhere when ``root`` restored nothing).
+
+    Call it on every rank right after ``root`` loaded a checkpoint into
+    ``model`` (``meta`` is ignored elsewhere). It broadcasts the
+    metadata, the weights, the optimizer state and its scalars, and
+    restores each rank's RNG streams where the checkpoint carries them,
+    so a resumed run continues exactly where the checkpointed one was.
+    """
+    if _rt.size() > 1:
+        meta = _ops.broadcast(meta, root=root, name="checkpoint_meta")
+        if meta is None:
+            return None
+        _ops.broadcast_weights(model, root=root)
+        opt = getattr(model.optimizer, "base", model.optimizer)
+        # a broadcast hands every rank the root's object itself, and a
+        # step rewrites the state dicts it was loaded into: the root
+        # sends copies of its arrays, each rank loads its own dicts
+        state = None
+        if _rt.rank() == root:
+            state = {p: {k: v.copy() for k, v in slots.items()} for p, slots in opt._state.items()}
+        state = _ops.broadcast(state, root=root, name="checkpoint_state")
+        if _rt.rank() != root:
+            opt.load_state({p: dict(slots) for p, slots in state.items()})
+            opt.lr = float(meta["lr"])
+            opt.iterations = int(meta["iterations"])
+    if meta is not None:
+        restore_rank_rng(model, meta, _rt.rank())
+    return meta
+
+
 def resume_from_checkpoint(model, path, root: int = 0) -> Optional[dict]:
-    """Restore a checkpoint on ``root`` and broadcast to every rank.
+    """Restore a checkpoint on ``root`` and broadcast it to every rank
+    (:func:`broadcast_restored`).
 
     Returns the checkpoint metadata (with the epoch to resume from), or
     None when the file does not exist (fresh start — callers can treat
@@ -204,14 +230,5 @@ def resume_from_checkpoint(model, path, root: int = 0) -> Optional[dict]:
         exists = _ops.broadcast(exists, root=root, name="checkpoint_exists")
     if not exists:
         return None
-    meta: Optional[dict] = None
-    if _rt.rank() == root:
-        meta = load_checkpoint(model, path)
-    if _rt.size() > 1:
-        meta = _ops.broadcast(meta, root=root, name="checkpoint_meta")
-        _ops.broadcast_weights(model, root=root)
-        # replicate optimizer scalar state so LR schedules line up
-        opt = getattr(model.optimizer, "base", model.optimizer)
-        opt.lr = float(meta["lr"])
-        opt.iterations = int(meta["iterations"])
-    return meta
+    meta = load_checkpoint(model, path) if _rt.rank() == root else None
+    return broadcast_restored(model, meta, root=root)

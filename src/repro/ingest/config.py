@@ -13,11 +13,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.options import (
-    FrozenOptions,
-    require_in_interval,
-    require_positive,
-)
+from repro.options import FrozenOptions, require_positive
 
 __all__ = ["LoaderConfig", "ShardSpec", "PAPER_CHUNK_SIZE", "DEFAULT_BLOCK_BYTES"]
 
@@ -77,8 +73,6 @@ class LoaderConfig(FrozenOptions):
     #: overlap epoch-N+1 data preparation with epoch-N compute via a
     #: background :class:`repro.ingest.prefetch.EpochPrefetcher`
     prefetch: bool = False
-    #: bounded hand-off queue depth (2 = classic double buffering)
-    prefetch_depth: int = 2
     #: seed of the per-epoch shard-granular shuffle; the same seed gives
     #: the same epoch order on every rank (bit-reproducible shuffling).
     #: None keeps the trainer's own shuffle (prefetch then disables it).
@@ -93,7 +87,6 @@ class LoaderConfig(FrozenOptions):
         require_positive("block_bytes", self.block_bytes)
         if not isinstance(self.prefetch, bool):
             raise ValueError(f"prefetch must be a bool, got {self.prefetch!r}")
-        require_in_interval("prefetch_depth", self.prefetch_depth, 1, 64)
         if self.shuffle_seed is not None:
             if not isinstance(self.shuffle_seed, int) or isinstance(
                 self.shuffle_seed, bool

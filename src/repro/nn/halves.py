@@ -36,11 +36,11 @@ two cores (``os.sched_getaffinity``), when the call touches at least
 saves), and never from inside a split (the helper itself, or the
 caller's half). Otherwise the same code runs once over ``(0, n)``.
 
-The helper is one lazily started daemon thread fed by a
-``queue.SimpleQueue``; a forked child drops it (``os.register_at_fork``)
-and starts its own. The caller waits for the helper's half even when its
-own half raises, then re-raises the helper's error, so no buffer is
-written after the layer returns. Every buffer the halves write is
+The helper is one :class:`~repro.worker.Worker`, started by the first
+split, so it keeps the Worker's contract: the caller waits for the
+helper's half even when its own half raises, then re-raises the
+helper's error, so no buffer is written after the layer returns; a
+forked child starts its own thread. Every buffer the halves write is
 obtained by the caller before they start.
 """
 
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from repro.worker import Worker
 
 __all__ = ["gemm_edges", "halves", "split_at", "run_split", "beside", "MIN_WORK"]
 
@@ -114,50 +115,23 @@ def gemm_edges(edges: Sequence[int], n: int, k: int) -> list[int]:
     return [*kept, m]
 
 
-class _Helper:
-    """The second core: one daemon thread running one job at a time."""
+class _Helper(Worker):
+    """The second core: a :class:`~repro.worker.Worker` that knows
+    whether a split is running."""
 
-    def __init__(self):
-        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self.done: queue.SimpleQueue = queue.SimpleQueue()
-        #: a split is running: calls made inside it run in one pass
-        self.busy = False
-        threading.Thread(target=self._serve, name="repro.nn.halves", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            job = self.jobs.get()
-            try:
-                job()
-            except BaseException as exc:  # handed to the waiting caller
-                self.done.put(exc)
-            else:
-                self.done.put(None)
+    #: a split is running: calls made inside it run in one pass
+    busy = False
 
     def run(self, mine: Callable[[], None], theirs: Callable[[], None]) -> None:
         self.busy = True
-        self.jobs.put(theirs)
         try:
-            mine()
+            self.beside(mine, theirs)
         finally:
-            error = self.done.get()
             self.busy = False
-            if error is not None:
-                raise error
 
 
 #: started by the first split; only the main thread touches it
 _helper: Optional[_Helper] = None
-
-
-def _forget_helper() -> None:
-    global _helper, _CORES
-    _helper = None
-    _CORES = _usable_cores()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _split_helper(work: int) -> Optional[_Helper]:
@@ -170,7 +144,7 @@ def _split_helper(work: int) -> Optional[_Helper]:
     ):
         return None
     if _helper is None:
-        _helper = _Helper()
+        _helper = _Helper("repro.nn.halves")
     return None if _helper.busy else _helper
 
 

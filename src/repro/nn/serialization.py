@@ -28,6 +28,7 @@ __all__ = [
     "checksum_file",
     "capture_rng_state",
     "restore_rng_state",
+    "restore_rank_rng",
     "CheckpointError",
 ]
 
@@ -95,6 +96,23 @@ def restore_rng_state(model, state: dict) -> None:
         key = f"layer{i}"
         if rng is not None and key in layer_states:
             rng.bit_generator.state = layer_states[key]
+
+
+def restore_rank_rng(model, meta: Optional[dict], rank: int) -> None:
+    """Restore rank ``rank``'s RNG snapshot from checkpoint metadata.
+
+    Checkpoints written by
+    :class:`repro.hvd.callbacks.ManagedCheckpointCallback` carry every
+    rank's RNG streams (gathered to the writer); restoring them is what
+    makes a resumed run bit-identical to an uninterrupted one even with
+    dropout active. Checkpoints without the snapshot (or from a larger
+    world than the snapshot covers, after an elastic shrink) restore
+    weights only.
+    """
+    extra = (meta or {}).get("extra") or {}
+    states = extra.get("rank_rng")
+    if states and rank < len(states):
+        restore_rng_state(model, states[rank])
 
 
 def save_checkpoint(

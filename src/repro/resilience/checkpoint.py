@@ -30,7 +30,7 @@ from repro.nn.serialization import (
     checksum_file,
     load_checkpoint,
     load_weights_dict,
-    restore_rng_state,
+    restore_rank_rng,
     save_checkpoint,
 )
 from repro.telemetry import runtime as telemetry
@@ -228,7 +228,7 @@ class CheckpointManager:
                 except CheckpointError:
                     telemetry.counter("checkpoint.restore.rejected")
                     continue
-                _apply_rank_rng(model, meta, 0)
+                restore_rank_rng(model, meta, 0)
                 if sp is not None:
                     sp.set_attrs(epoch=info.epoch, path=info.path)
                 telemetry.counter("checkpoint.restores")
@@ -238,46 +238,11 @@ class CheckpointManager:
     def restore_distributed(self, model, root: int = 0) -> Optional[dict]:
         """Rank-``root`` restores, then broadcasts state to every rank.
 
-        Requires an initialized :mod:`repro.hvd` rank context. The
-        broadcast covers weights, optimizer slot arrays, and the
-        optimizer scalars, so a resumed multi-rank run is bit-identical
-        to the uninterrupted one. Returns the checkpoint metadata on
-        every rank (None everywhere when there is nothing to restore).
+        Requires an initialized :mod:`repro.hvd` rank context; the
+        broadcast is :func:`repro.hvd.broadcast_restored`, so a resumed
+        multi-rank run is bit-identical to the uninterrupted one.
+        Returns the checkpoint metadata on every rank (None everywhere
+        when there is nothing to restore).
         """
-        meta: Optional[dict] = None
-        if hvd.rank() == root:
-            meta = self.restore_latest(model)
-        if hvd.size() == 1:
-            return meta
-        meta = hvd.broadcast(meta, root=root, name="ckpt_meta")
-        if meta is None:
-            return None
-        hvd.broadcast_weights(model, root=root)
-        opt = getattr(model.optimizer, "base", model.optimizer)
-        state = opt._state if hvd.rank() == root else None
-        state = hvd.broadcast(state, root=root, name="ckpt_opt_state")
-        if hvd.rank() != root:
-            opt.load_state(
-                {pname: {k: v.copy() for k, v in slots.items()} for pname, slots in state.items()}
-            )
-        opt.lr = float(meta["lr"])
-        opt.iterations = int(meta["iterations"])
-        _apply_rank_rng(model, meta, hvd.rank())
-        return meta
-
-
-def _apply_rank_rng(model, meta: Optional[dict], rank: int) -> None:
-    """Restore this rank's RNG snapshot from the checkpoint metadata.
-
-    Checkpoints written by
-    :class:`repro.hvd.callbacks.ManagedCheckpointCallback` carry every
-    rank's RNG streams (gathered to the writer); restoring them is what
-    makes a resumed run bit-identical to an uninterrupted one even with
-    dropout active. Checkpoints without the snapshot (or from a larger
-    world than the snapshot covers, after an elastic shrink) restore
-    weights only.
-    """
-    extra = (meta or {}).get("extra") or {}
-    states = extra.get("rank_rng")
-    if states and rank < len(states):
-        restore_rng_state(model, states[rank])
+        meta = self.restore_latest(model) if hvd.rank() == root else None
+        return hvd.broadcast_restored(model, meta, root=root)

@@ -62,16 +62,10 @@ class ServeOptions(FrozenOptions):
     replicas: int = 2
     #: full-queue policy; see :data:`ADMISSION_POLICIES`
     admission: str = "block"
-    #: in-flight batches each replica may hold before the dispatcher
-    #: stops feeding it (2 = classic double buffering: one computing,
-    #: one queued behind it)
-    worker_depth: int = 2
     #: fraction of ``deadline_ms`` the batcher may spend waiting for a
     #: batch to fill before flushing a partial one; the rest of the
     #: budget is left for queueing, transport, and compute
     assemble_fraction: float = 0.5
-    #: seconds a hot-swap drain waits for in-flight batches to complete
-    drain_timeout_s: float = 30.0
     #: seed of the serving run's RNG streams (load generation, shedding
     #: tie-breaks) — fixed seed, reproducible run
     seed: int = 0
@@ -82,11 +76,9 @@ class ServeOptions(FrozenOptions):
         require_positive("queue_depth", self.queue_depth)
         require_positive("replicas", self.replicas)
         require_choice("admission", self.admission, ADMISSION_POLICIES)
-        require_positive("worker_depth", self.worker_depth)
         require_in_interval(
             "assemble_fraction", self.assemble_fraction, 0, 1, open_low=True
         )
-        require_positive("drain_timeout_s", self.drain_timeout_s)
         require_non_negative("seed", self.seed)
 
     # -- derived quantities -------------------------------------------------

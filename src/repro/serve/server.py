@@ -11,7 +11,7 @@ threads) and answers ``batch`` RPCs with predictions.
 
 **Model-version hot-swap** follows the drain/swap/resume protocol:
 the front-end stops dispatching, waits for every in-flight batch to
-complete (bounded by ``drain_timeout_s``), ships the new weights to
+complete (bounded by :data:`SWAP_DRAIN_TIMEOUT_S`), ships the new weights to
 every replica, and resumes once all acks arrive. A replica installs a
 version by staging the named weights into a full parameter slab and
 committing with one vectorized copy into its
@@ -27,7 +27,11 @@ addresses to itself when an ``offer`` (or the batcher closing) moves
 the next forced flush earlier; or the timeout it asked for, which is
 what is left of the oldest queued request's assembly budget. On each
 wake it drains every result that is ready and dispatches until every
-replica holds ``worker_depth`` batches.
+replica holds :data:`WORKER_DEPTH` batches.
+
+The load generators (one open-loop schedule, or one per closed-loop
+client) each run as a job on its own :class:`~repro.worker.Worker`;
+the last to finish says so and closes the batcher.
 
 The wall-clock accounting rides on :mod:`repro.telemetry`: the run is
 a ``serve.run`` span, request/batch/swap totals are counters, and the
@@ -52,8 +56,15 @@ from repro.serve.loadgen import ClosedWorkload, OpenWorkload
 from repro.serve.options import DEFAULT_SERVE_OPTIONS, ServeOptions
 from repro.serve.slo import SloReport, SloTracker
 from repro.telemetry import runtime as telemetry
+from repro.worker import Worker
 
 __all__ = ["serve_workload", "ServeReport", "SwapPlan", "request_features"]
+
+#: in-flight batches each replica may hold before the dispatcher stops
+#: feeding it (2 = classic double buffering: one computing, one queued)
+WORKER_DEPTH = 2
+#: seconds a hot-swap drain waits for in-flight batches to complete
+SWAP_DRAIN_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -213,6 +224,11 @@ class _Frontend:
         self.batch_log: List[tuple] = []
         self.responses: Optional[Dict[int, tuple]] = {} if keep_responses else None
         self.submitters_done = threading.Event()
+        self._submitters: List[Worker] = []
+        self._submitters_left = 0
+        self._submitters_lock = threading.Lock()
+        #: a failed run: submitters stop at their next request
+        self._stopping = False
         self.swaps_done = 0
 
     # -- submission side (runs on workload threads) -------------------------
@@ -244,6 +260,8 @@ class _Frontend:
     def _run_open(self) -> None:
         start = time.monotonic()
         for i, offset in enumerate(self.workload.arrivals):
+            if self._stopping:
+                return
             delay = start + float(offset) - time.monotonic()
             if delay > 0:
                 # a schedule, not a poll: the open loop owes request i at
@@ -254,6 +272,8 @@ class _Frontend:
     def _run_closed_client(self, client: int) -> None:
         per = self.workload.requests_per_client
         for j in range(per):
+            if self._stopping:
+                return
             request = self._submit(client * per + j)
             request.future.wait(timeout=self.comm._context.timeout)
             if self.workload.think_time_s > 0:
@@ -261,29 +281,47 @@ class _Frontend:
                 # this long between its answer and its next request
                 time.sleep(self.workload.think_time_s)
 
-    def start_submitters(self) -> List[threading.Thread]:
+    def _submitter(self, run: Callable[[], None]) -> None:
+        """A load generator's job; the last one to finish ends arrivals."""
+        try:
+            run()
+        finally:
+            with self._submitters_lock:
+                self._submitters_left -= 1
+                last = self._submitters_left == 0
+            if last:
+                self.submitters_done.set()
+                self.batcher.close()
+
+    def start_submitters(self) -> None:
         if isinstance(self.workload, OpenWorkload):
-            targets = [self._run_open]
+            runs = [self._run_open]
         else:
-            targets = [
+            runs = [
                 (lambda c=c: self._run_closed_client(c))
                 for c in range(self.workload.clients)
             ]
-        threads = [
-            threading.Thread(target=t, name=f"serve-client-{i}", daemon=True)
-            for i, t in enumerate(targets)
-        ]
-        for t in threads:
-            t.start()
+        self._submitters_left = len(runs)
+        for i, run in enumerate(runs):
+            worker = Worker(f"serve-client-{i}")
+            self._submitters.append(worker)
+            worker.submit(lambda run=run: self._submitter(run))
 
-        def joiner():
-            for t in threads:
-                t.join()
-            self.submitters_done.set()
+    def stop_submitters(self, failed: bool) -> None:
+        """Join the load generators. A failed run first closes the
+        batcher and answers every request it still holds with nothing,
+        so no generator waits on one."""
+        if failed:
+            self._stopping = True
             self.batcher.close()
-
-        threading.Thread(target=joiner, name="serve-joiner", daemon=True).start()
-        return threads
+            held = [b for batches in self.inflight.values() for b in batches.values()]
+            while (batch := self.batcher.poll()) is not None:
+                held.append(batch)
+            for batch in held:
+                for request in batch.requests:
+                    request.future.set((None, None))
+        for worker in self._submitters:
+            worker.close()
 
     # -- event loop ---------------------------------------------------------
     @property
@@ -327,9 +365,9 @@ class _Frontend:
         telemetry.counter("serve.batches")
 
     def _open_replica(self) -> Optional[int]:
-        """The least-loaded replica below ``worker_depth``, if any."""
+        """The least-loaded replica below :data:`WORKER_DEPTH`, if any."""
         target = min(self.replica_ranks, key=lambda r: len(self.inflight[r]))
-        if len(self.inflight[target]) < self.options.worker_depth:
+        if len(self.inflight[target]) < WORKER_DEPTH:
             return target
         return None
 
@@ -355,7 +393,7 @@ class _Frontend:
         """Longest the loop may sleep with no event; None for "until one"."""
         if self.swap_drain_started is not None:
             # only results matter now; look again when the drain is overdue
-            overdue = self.swap_drain_started + self.options.drain_timeout_s
+            overdue = self.swap_drain_started + SWAP_DRAIN_TIMEOUT_S
             return max(0.0, overdue - time.monotonic())
         if self._open_replica() is None:
             return None  # a full batch cannot go anywhere before a result
@@ -376,12 +414,9 @@ class _Frontend:
         if self.swap_drain_started is None:
             self.swap_drain_started = time.monotonic()
         if self._inflight_total() > 0:
-            if (
-                time.monotonic() - self.swap_drain_started
-                > self.options.drain_timeout_s
-            ):
+            if time.monotonic() - self.swap_drain_started > SWAP_DRAIN_TIMEOUT_S:
                 raise RuntimeError(
-                    f"hot-swap drain exceeded {self.options.drain_timeout_s}s "
+                    f"hot-swap drain exceeded {SWAP_DRAIN_TIMEOUT_S}s "
                     f"with {self._inflight_total()} batches in flight"
                 )
             return  # keep collecting; dispatch is already paused
@@ -424,18 +459,23 @@ class _Frontend:
                     )
             start = time.monotonic()
             self.start_submitters()
-            while True:
-                self._maybe_swap()
-                self._dispatch()
-                if (
-                    self.submitters_done.is_set()
-                    and len(self.batcher) == 0
-                    and self._inflight_total() == 0
-                    and not self.pending_swaps
-                ):
-                    break
-                self._collect(self._sleep_budget())
-            wall = time.monotonic() - start
+            failed = True
+            try:
+                while True:
+                    self._maybe_swap()
+                    self._dispatch()
+                    if (
+                        self.submitters_done.is_set()
+                        and len(self.batcher) == 0
+                        and self._inflight_total() == 0
+                        and not self.pending_swaps
+                    ):
+                        break
+                    self._collect(self._sleep_budget())
+                wall = time.monotonic() - start
+                failed = False
+            finally:
+                self.stop_submitters(failed)
             # retire the replicas and gather their stats
             for r in self.replica_ranks:
                 self.rpc.post(r, "stop")

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro import worker
+
 # `--hypothesis-profile=deep`: the local budget of the differential suites
 # (tests/frame/test_parser_differential.py); tier-1 keeps each test's own
 settings.register_profile("deep", max_examples=600, deadline=None)
@@ -18,12 +20,19 @@ settings.register_profile("deep", max_examples=600, deadline=None)
 _THREAD_GRACE_S = 2.0
 
 
+def _is_worker(thread: threading.Thread) -> bool:
+    """A Worker's thread, other than the process-wide halves helper."""
+    return isinstance(thread, worker._WorkerThread) and thread.name != "repro.nn.halves"
+
+
 @pytest.fixture(autouse=True)
 def no_leftovers(request):
-    """Fail the test if it leaves a non-daemon thread alive, or a
-    ``.tmp-*`` directory (a column-store writer's scratch) under its
-    ``tmp_path``. Daemon threads are the prefetcher's business and are
-    tested there."""
+    """Fail the test if it leaves a non-daemon thread or a
+    :class:`~repro.worker.Worker`'s thread alive, or a ``.tmp-*``
+    directory (a column-store writer's scratch) under its ``tmp_path``.
+    Every worker is closed by its owner; the one exemption is
+    :mod:`repro.nn.halves`' process-wide helper, which lives as long as
+    the process."""
     before = set(threading.enumerate())
     tmp_path = (
         request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
@@ -32,12 +41,12 @@ def no_leftovers(request):
     deadline = time.monotonic() + _THREAD_GRACE_S
     leaked = []
     for thread in threading.enumerate():
-        if thread in before or thread.daemon:
+        if thread in before or (thread.daemon and not _is_worker(thread)):
             continue
         thread.join(max(0.0, deadline - time.monotonic()))
         if thread.is_alive():
             leaked.append(thread.name)
-    assert not leaked, f"non-daemon threads left running: {leaked}"
+    assert not leaked, f"non-daemon or worker threads left running: {leaked}"
     if tmp_path is not None:
         left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".tmp-*"))
         assert not left, f"temp dirs left under tmp_path: {left}"

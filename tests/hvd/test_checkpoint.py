@@ -115,6 +115,41 @@ def test_resume_missing_checkpoint_returns_none(tmp_path):
     assert run_spmd(2, worker) == [None, None]
 
 
+def _adam_fit(comm, epochs, *, path=None, save=False, resume=False):
+    """World-2 Dense 40->64->2 under Adam on this rank's shard, trained to
+    ``epochs``: from scratch, saving at the end, or resumed from ``path``."""
+    rng = np.random.default_rng(11 + comm.rank)
+    x = rng.normal(size=(32, 40))
+    y = np.eye(2)[(x[:, 0] > 0).astype(int)]
+    hvd.init(comm)
+    try:
+        m = Sequential([Dense(64, activation="tanh"), Dense(2), Activation("softmax")])
+        m.build((40,), seed=3 + comm.rank + 100 * resume)
+        m.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "categorical_crossentropy")
+        callbacks = [hvd.BroadcastGlobalVariablesCallback(0)]
+        if save:
+            callbacks.append(CheckpointCallback(path, every_n_epochs=epochs))
+        start = 0
+        if resume:
+            start = resume_from_checkpoint(m, path)["epoch"] + 1
+            callbacks = []
+        m.fit(x, y, batch_size=8, epochs=epochs - start, initial_epoch=start,
+              shuffle=False, callbacks=callbacks)
+        return [w.tobytes() for w in m.get_weights()]
+    finally:
+        hvd.shutdown()
+
+
+def test_an_adam_resume_is_the_uninterrupted_run(tmp_path):
+    """Every rank resumes with the checkpoint's Adam moments, not only the
+    root: 2 epochs, a checkpoint, a resume and 2 more equal 4 epochs."""
+    path = str(tmp_path / "adam.npz")
+    straight = run_spmd(2, lambda comm: _adam_fit(comm, 4))
+    run_spmd(2, lambda comm: _adam_fit(comm, 2, path=path, save=True))
+    resumed = run_spmd(2, lambda comm: _adam_fit(comm, 4, path=path, resume=True))
+    assert resumed == straight
+
+
 def test_invalid_interval():
     with pytest.raises(ValueError):
         CheckpointCallback("x", every_n_epochs=0)

@@ -82,15 +82,12 @@ class TestLoaderConfigKnobs:
     def test_defaults(self):
         config = LoaderConfig()
         assert config.prefetch is False
-        assert config.prefetch_depth == 2
         assert config.shuffle_seed is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(prefetch="yes"),
-            dict(prefetch_depth=0),
-            dict(prefetch_depth=65),
             dict(shuffle_seed=-1),
             dict(shuffle_seed=1.5),
             dict(shuffle_seed=True),
@@ -102,10 +99,9 @@ class TestLoaderConfigKnobs:
 
     def test_from_config_threads_knobs(self, xy):
         x, y = xy
-        config = LoaderConfig(prefetch=True, prefetch_depth=3, shuffle_seed=9)
+        config = LoaderConfig(prefetch=True, shuffle_seed=9)
         prefetcher = EpochPrefetcher.from_config(x, y, epochs=2, config=config)
         try:
-            assert prefetcher.depth == 3
             ex, ey = prefetcher.next_epoch()
             ref_x, ref_y = shard_shuffled_view(x, y, seed=9, epoch=0)
             np.testing.assert_array_equal(ex, ref_x)
@@ -157,7 +153,8 @@ class TestEpochPrefetcher:
         with pytest.raises(Boom):
             small_model().fit(prefetcher, batch_size=16, callbacks=[Bomb()])
         assert prefetcher._closed
-        assert prefetcher._thread is None
+        # close joined the loader's worker
+        assert "prefetch-loader" not in {t.name for t in threading.enumerate()}
         deadline = time.time() + 5
         while threading.active_count() > before and time.time() < deadline:
             time.sleep(0.01)
@@ -211,9 +208,9 @@ class TestEpochPrefetcher:
         hidden = [s for s in tracer.spans if s.name == "prefetch_hidden"]
         assert {s.attrs["epoch"] for s in hidden} == {0, 1}
 
-    @pytest.mark.parametrize("bad", [dict(epochs=-1), dict(depth=0), dict(depth=99)])
+    @pytest.mark.parametrize("bad", [dict(epochs=-1)])
     def test_constructor_validation(self, bad):
-        kwargs = dict(epochs=1, depth=2)
+        kwargs = dict(epochs=1)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             EpochPrefetcher(lambda epoch: None, **kwargs)

@@ -65,18 +65,15 @@ def same_bytes(got, want) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-class QueueSpy:
-    """The helper's job queue, counting what is put on it."""
+class SubmitSpy:
+    """The helper worker's ``submit``, counting the jobs put on it."""
 
     def __init__(self, inner):
         self.inner, self.puts = inner, 0
 
-    def put(self, job):
+    def __call__(self, fn):
         self.puts += 1
-        self.inner.put(job)
-
-    def get(self):
-        return self.inner.get()
+        return self.inner(fn)
 
 
 @contextlib.contextmanager
@@ -92,16 +89,16 @@ def one_pass():
 
 @contextlib.contextmanager
 def forced_split():
-    """Split every call made on the main thread; yields the queue spy."""
+    """Split every call made on the main thread; yields the submit spy."""
     saved = halves.MIN_WORK, halves._CORES
     halves.MIN_WORK, halves._CORES = 0, 2
     halves.halves(lambda lo, hi: None, 2, 0)  # the helper is running
-    spy = QueueSpy(halves._helper.jobs)
-    halves._helper.jobs = spy
+    spy = SubmitSpy(halves._helper.submit)
+    halves._helper.submit = spy
     try:
         yield spy
     finally:
-        halves._helper.jobs = spy.inner
+        del halves._helper.submit  # the class's method again
         halves.MIN_WORK, halves._CORES = saved
 
 

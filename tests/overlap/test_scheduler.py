@@ -8,6 +8,7 @@ schedules and only moves them off the critical path.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -209,18 +210,20 @@ class TestDrainFence:
                 opt = DistributedOptimizer(SGD(lr=0.05), train=train)
                 model.compile(opt, "categorical_crossentropy")
                 sched = OverlapScheduler.maybe_install(model, opt, train=train)
+                gate = threading.Event()
                 try:
-                    # wedge the workers: swallow every release so no
-                    # bucket ever reduces, then hit the fence
+                    # wedge the step: swallow every release so no bucket
+                    # ever reduces, hand the fence one job that never
+                    # finishes before it gives up, then hit the fence
                     sched._triggers.clear()
-                    sched._heaps = [[] for _ in range(sched.channels)]
                     sched.begin_step()
                     sched._pending.clear()  # leftovers stay unreleased too
-                    sched._done = -10_000
+                    sched._jobs = {-1: sched._workers[0].submit(gate.wait)}
                     with pytest.raises(RuntimeError, match="timed out"):
                         sched.finish_step(model.arena)
                     return True
                 finally:
+                    gate.set()
                     sched.close()
             finally:
                 hvd.shutdown()

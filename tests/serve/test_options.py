@@ -33,8 +33,6 @@ class TestConstruction:
             ({"deadline_ms": -5.0}, "deadline_ms must be positive, got -5.0"),
             ({"queue_depth": 0}, "queue_depth must be positive, got 0"),
             ({"replicas": 0}, "replicas must be positive, got 0"),
-            ({"worker_depth": 0}, "worker_depth must be positive, got 0"),
-            ({"drain_timeout_s": 0}, "drain_timeout_s must be positive, got 0"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
         ],
     )

@@ -256,10 +256,10 @@ class TestEventDrivenFrontend:
         assert checked == workload.total_requests
 
     def test_one_wake_fills_a_replica_to_worker_depth(self, pool):
-        # 96 queued rows, one replica, worker_depth=2: a single dispatch
+        # 96 queued rows, one replica, WORKER_DEPTH=2: a single dispatch
         # pass puts two 32-row batches in flight and leaves the third
         opts = serve_opts(max_batch=32, replicas=1, queue_depth=256)
-        assert opts.worker_depth == 2
+        assert server_module.WORKER_DEPTH == 2
         ctx = _Context(2, timeout=5.0)
         frontend = server_module._Frontend(
             Communicator(ctx, 0), OpenWorkload(arrivals=np.zeros(96)),

@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: bottom-up: each package may import only itself and the ones before it
 LAYERS = (
+    "worker",
     "mpi",
     "options",
     "frame",

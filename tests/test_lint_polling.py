@@ -1,9 +1,10 @@
-"""Grep-lint: the message path, the serving front-end and the epoch
-prefetcher do not poll.
+"""Grep-lint: the message path, the serving front-end, the epoch
+prefetcher and the background worker do not poll.
 
 ``repro.mpi`` waits on arrival conditions, ``serve.server``'s event
-loop sleeps in one ``recv_any`` and ``ingest.prefetch``'s producer
-blocks in its queue's ``put``; a ``time.sleep`` or a ``*_POLL*``
+loop sleeps in one ``recv_any``, ``ingest.prefetch`` waits on its
+epoch's job and a ``repro.worker.Worker`` blocks in its queue's
+``get``; a ``time.sleep`` or a ``*_POLL*``
 constant in these files is how a sleep-and-look-again loop comes back
 (one held ``serve_p1b2_open`` at 1 batch per 5 ms for eleven PRs). The
 suite only catches a poll a test happens to time, so this scans the
@@ -24,7 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 SCANNED = sorted([
     *(SRC / "mpi").glob("*.py"), *(SRC / "ps").glob("*.py"), SRC / "serve" / "server.py",
-    SRC / "ingest" / "prefetch.py",
+    SRC / "ingest" / "prefetch.py", SRC / "worker.py",
 ])
 
 SLEEP = re.compile(r"\btime\.sleep\(")
@@ -56,7 +57,7 @@ def sleeps():
 def test_scan_covers_the_message_path():
     names = {p.relative_to(SRC).as_posix() for p in SCANNED}
     assert {"mpi/communicator.py", "mpi/runtime.py", "ps/rpc.py", "ps/server.py",
-            "serve/server.py", "ingest/prefetch.py"} <= names
+            "serve/server.py", "ingest/prefetch.py", "worker.py"} <= names
 
 
 def test_only_the_load_generator_sleeps():
