@@ -72,7 +72,6 @@ __all__ = [
     "telemetry",
     "analysis",
     "experiments",
-    "supervisor",
     "ps",
     "serve",
 ]

@@ -31,15 +31,8 @@ from repro.candle.nt3 import NT3Benchmark
 from repro.candle.p1b1 import P1B1Benchmark
 from repro.candle.p1b2 import P1B2Benchmark
 from repro.candle.p1b3 import P1B3Benchmark
-from repro.candle.p2b1 import P2B1Benchmark
-from repro.candle.p3b1 import P3B1Benchmark
 from repro.candle.pipeline import BenchmarkRunReport, run_benchmark
-from repro.candle.registry import (
-    EXTENSION_BENCHMARKS,
-    all_benchmarks,
-    benchmark_names,
-    get_benchmark,
-)
+from repro.candle.registry import all_benchmarks, benchmark_names, get_benchmark
 
 __all__ = [
     "BenchmarkSpec",
@@ -49,11 +42,8 @@ __all__ = [
     "P1B1Benchmark",
     "P1B2Benchmark",
     "P1B3Benchmark",
-    "P2B1Benchmark",
-    "P3B1Benchmark",
     "run_benchmark",
     "BenchmarkRunReport",
-    "EXTENSION_BENCHMARKS",
     "get_benchmark",
     "all_benchmarks",
     "benchmark_names",

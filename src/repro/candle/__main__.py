@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from repro.candle.registry import BENCHMARKS, EXTENSION_BENCHMARKS, get_benchmark
+from repro.candle.registry import BENCHMARKS, get_benchmark
 from repro.telemetry.report import format_table
 
 
@@ -30,8 +30,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "benchmark",
-        choices=sorted(BENCHMARKS) + sorted(EXTENSION_BENCHMARKS) + ["all"],
-        help="which benchmark (P1 suite, P2/P3 extensions, or all of P1)"
+        choices=sorted(BENCHMARKS) + ["all"],
+        help="which benchmark (one of the P1 suite, or all of it)"
     )
     parser.add_argument("--scale", type=float, default=0.01, help="feature scale (0, 1]")
     parser.add_argument(

@@ -1,9 +1,7 @@
 """Benchmark registry.
 
-The paper's evaluation covers the four Pilot1 benchmarks
-(``BENCHMARKS``); the Pilot2/Pilot3 extensions backing the "applies to
-P2 and P3 in a similar way" claim live in ``EXTENSION_BENCHMARKS`` and
-resolve through the same :func:`get_benchmark`.
+The paper's evaluation covers the four Pilot1 benchmarks of Table 1
+(``BENCHMARKS``); :func:`get_benchmark` resolves any of them by name.
 """
 
 from __future__ import annotations
@@ -15,15 +13,12 @@ from repro.candle.nt3 import NT3Benchmark
 from repro.candle.p1b1 import P1B1Benchmark
 from repro.candle.p1b2 import P1B2Benchmark
 from repro.candle.p1b3 import P1B3Benchmark
-from repro.candle.p2b1 import P2B1Benchmark
-from repro.candle.p3b1 import P3B1Benchmark
 
 __all__ = [
     "get_benchmark",
     "all_benchmarks",
     "benchmark_names",
     "BENCHMARKS",
-    "EXTENSION_BENCHMARKS",
 ]
 
 #: the paper's P1 suite (Table 1)
@@ -34,12 +29,6 @@ BENCHMARKS: Dict[str, Type[CandleBenchmark]] = {
     "p1b3": P1B3Benchmark,
 }
 
-#: Pilot2/Pilot3 extensions (not in the paper's evaluation)
-EXTENSION_BENCHMARKS: Dict[str, Type[CandleBenchmark]] = {
-    "p2b1": P2B1Benchmark,
-    "p3b1": P3B1Benchmark,
-}
-
 
 def benchmark_names() -> List[str]:
     """Canonical (upper-case) P1 benchmark names, Table 1 order."""
@@ -47,12 +36,10 @@ def benchmark_names() -> List[str]:
 
 
 def get_benchmark(name: str, scale: float = 1.0, **kwargs) -> CandleBenchmark:
-    """Instantiate any benchmark (P1 suite or extensions) by name."""
-    key = name.lower()
-    cls = BENCHMARKS.get(key) or EXTENSION_BENCHMARKS.get(key)
+    """Instantiate a P1 benchmark by name (case-insensitive)."""
+    cls = BENCHMARKS.get(name.lower())
     if cls is None:
-        known = sorted(BENCHMARKS) + sorted(EXTENSION_BENCHMARKS)
-        raise ValueError(f"unknown benchmark {name!r}; known: {known}")
+        raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
     return cls(scale=scale, **kwargs)
 
 

@@ -157,10 +157,7 @@ _REGISTRY: Dict[str, str] = {
     "ablation_lr": "repro.experiments.ablations:run_lr_scaling",
     "ablation_nccl": "repro.experiments.ablations:run_nccl_upgrade",
     "ablation_overlap": "repro.experiments.ablations:run_overlap",
-    "p2p3_extension": "repro.experiments.p2p3_extension",
     "efficiency": "repro.experiments.efficiency",
-    "ps_baseline": "repro.experiments.ps_baseline",
-    "noise_scale": "repro.experiments.noise_scale_exp",
     "checkpoint_interval": "repro.experiments.checkpoint_interval",
     "ingest": "repro.experiments.ingest_sweep",
     "energy_search": "repro.experiments.energy_search",

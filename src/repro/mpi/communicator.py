@@ -280,7 +280,17 @@ class Communicator:
 
     # -- point-to-point -------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered send (never blocks)."""
+        """Hand ``obj`` to ``dest``'s mailbox and return at once.
+
+        Nothing is copied or buffered: the receiver gets ``obj`` itself,
+        so a send transfers it. The sender must not write to ``obj``, or
+        to any array it views, after the call unless the schedule's
+        release rule says the receiver is done with it. The collective
+        engine has three such rules: ``_ring_gather``'s closing ack each
+        way, ``_rhd``'s one ``_TAG_ACK`` per partner, and the
+        hierarchical rail in ``_hierarchical``, which ships copies
+        because no ack comes back.
+        """
         self._check_peer(dest)
         self._check_alive()
         # account before put: the hand-off is zero-copy, so the moment

@@ -392,7 +392,7 @@ class MaxPooling1D(Layer):
         self._require_built()
         # the winning tap is backward's business: inference does not
         # compute it, and keeps the input so a backward that does follow
-        # (gradcheck, the noise-scale estimate) can
+        # (gradcheck) can
         out, idx = self._pool(x, want_idx=training)
         self._cache = (x.shape, idx)
         self._input = None if training else x

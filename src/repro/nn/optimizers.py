@@ -11,8 +11,8 @@ slab over ranks before the update — exactly Horovod's structure.
 ``apply_arena`` updates a model's whole
 :class:`~repro.nn.arena.ParameterArena` with fused slab kernels.
 ``apply_gradients`` is the name-keyed form: one ``_update_one`` per
-parameter, which the parameter server's shards step with and which is
-the per-parameter reference the slab kernels are bit-identical to.
+parameter, the per-parameter reference the slab kernels are
+bit-identical to.
 
 State (momenta, moment estimates) is keyed by parameter name so
 optimizers survive weight broadcasts that replace the arrays. The slab

@@ -1,37 +1,17 @@
-"""repro.ps — the parameter-server baseline Horovod replaces.
+"""repro.ps — the request/reply envelope protocol of the serving plane.
 
-Paper §1: "TensorFlow has a native method for parallelism across nodes
-using the gRPC layer … but this is difficult to use and optimize
-[21][28]. The performance and usability issues with the distributed
-TensorFlow can be addressed, however, by adopting an MPI communication
-model." Horovod's own paper motivates the switch with the
-parameter-server architecture's central bottleneck.
-
-This package implements that baseline so the comparison is executable:
-
-- :class:`ParameterServer` — holds the global weights; workers *push*
-  gradients and *pull* fresh weights over point-to-point messages
-  (the gRPC analog), synchronously (barrier per step) or asynchronously
-  (stale-gradient updates).
-- :class:`PSWorker` loop via :func:`run_parameter_server_training` —
-  SPMD over :mod:`repro.mpi`, with rank 0 acting as the server.
-- :class:`PsCostModel` — the server's ingest/egress link is shared by
-  all workers, so per-step time scales with worker count instead of
-  staying near-constant like a ring allreduce: the scaling argument
-  for Horovod, made quantitative.
-- :class:`RpcChannel` — the typed request/reply envelope protocol the
-  push/pull traffic rides on, factored out so other client/server
-  subsystems (the :mod:`repro.serve` front-end ↔ replica plane) speak
-  the same wire format.
+Paper §1 sets Horovod's MPI model against distributed TensorFlow's gRPC
+layer, where clients and parameter servers exchange typed requests and
+replies. This package keeps that client/server wire format and nothing
+else: :class:`RpcChannel` wraps one rank's
+:class:`~repro.mpi.Communicator` and speaks :class:`RpcMessage`
+envelopes on a private tag. The :mod:`repro.serve` front-end and its
+replicas talk over it.
 """
 
-from repro.ps.costmodel import PsCostModel
 from repro.ps.rpc import RpcChannel, RpcMessage
-from repro.ps.server import run_parameter_server_training
 
 __all__ = [
-    "run_parameter_server_training",
-    "PsCostModel",
     "RpcChannel",
     "RpcMessage",
 ]

@@ -1,12 +1,11 @@
 """A small RPC substrate over the runtime's point-to-point messages.
 
-The parameter server (:mod:`repro.ps.server`) hand-rolls its push/pull
-protocol on raw ``send``/``recv`` pairs and magic tags. The serving
-subsystem (:mod:`repro.serve`) needs the same thing — typed request and
-reply envelopes between a front-end and worker replicas — so the
-pattern is factored out here: an :class:`RpcChannel` wraps one rank's
-:class:`~repro.mpi.Communicator` and speaks :class:`RpcMessage`
-envelopes (kind + sequence number + payload) on a private tag.
+The serving subsystem (:mod:`repro.serve`) needs typed request and
+reply envelopes between a front-end and worker replicas, rather than
+raw ``send``/``recv`` pairs on magic tags: an :class:`RpcChannel` wraps
+one rank's :class:`~repro.mpi.Communicator` and speaks
+:class:`RpcMessage` envelopes (kind + sequence number + payload) on a
+private tag.
 
 Two styles are supported, both built from the same envelopes:
 
@@ -34,8 +33,7 @@ from repro.mpi.communicator import Communicator
 
 __all__ = ["RpcChannel", "RpcMessage", "RPC_TAG"]
 
-#: default tag of the RPC plane — away from the collectives' negative
-#: tags and the parameter server's 101/102
+#: default tag of the RPC plane — away from the collectives' negative tags
 RPC_TAG = 110
 
 

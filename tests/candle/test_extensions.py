@@ -1,90 +1,15 @@
-"""Pilot2/Pilot3 extension benchmarks and the serial pipeline."""
+"""The serial pipeline, and the registry's rejection of unknown names."""
 
 import numpy as np
 import pytest
 
-from repro.candle import (
-    EXTENSION_BENCHMARKS,
-    all_benchmarks,
-    benchmark_names,
-    get_benchmark,
-    run_benchmark,
-)
-from repro.candle.p2b1 import molecular_frames
-from repro.candle.p3b1 import clinical_reports
+from repro.candle import get_benchmark, run_benchmark
 
 
 class TestRegistry:
-    def test_extensions_resolvable_but_not_in_p1_suite(self):
-        assert get_benchmark("p2b1").spec.name == "P2B1"
-        assert get_benchmark("P3B1").spec.name == "P3B1"
-        assert benchmark_names() == ["NT3", "P1B1", "P1B2", "P1B3"]
-        assert len(all_benchmarks(scale=0.01)) == 4  # P1 only (Table 1)
-        assert set(EXTENSION_BENCHMARKS) == {"p2b1", "p3b1"}
-
     def test_unknown_still_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             get_benchmark("p4b1")
-
-
-class TestDataGenerators:
-    def test_molecular_frames_are_temporally_correlated(self, rng):
-        x = molecular_frames(rng, 500, 64)
-        consecutive = np.mean(np.abs(np.diff(x, axis=0)))
-        shuffled = np.mean(np.abs(x[rng.permutation(500)] - x))
-        assert consecutive < shuffled  # smooth trajectory, not iid noise
-
-    def test_molecular_frames_bounded(self, rng):
-        x = molecular_frames(rng, 100, 32)
-        assert x.min() >= 0 and x.max() <= 1.0
-
-    def test_clinical_reports_are_normalized_counts(self, rng):
-        x, y = clinical_reports(rng, 130, 50, num_classes=13)
-        assert np.all(x >= 0)
-        assert np.allclose(x.sum(axis=1), 1.0)
-        assert set(np.unique(y)) == set(range(13))
-
-    def test_clinical_reports_classes_separable(self, rng):
-        x, y = clinical_reports(rng, 260, 60, num_classes=4)
-        centroids = np.stack([x[y == c].mean(axis=0) for c in range(4)])
-        # nearest-centroid accuracy well above chance
-        dists = ((x[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-        acc = np.mean(np.argmin(dists, axis=1) == y)
-        assert acc > 0.7
-
-
-class TestExtensionTraining:
-    def test_p2b1_autoencoder_compresses(self, rng):
-        b = get_benchmark("p2b1", scale=0.05, sample_scale=0.05)
-        r = run_benchmark(b, epochs=8, seed=1)
-        assert r.history["loss"][-1] < 0.8 * r.history["loss"][0]
-
-    def test_p3b1_classifier_generalizes(self):
-        b = get_benchmark("p3b1", scale=0.2, sample_scale=0.2)
-        r = run_benchmark(b, epochs=16, seed=1)
-        assert r.eval_metrics["accuracy"] > 0.8
-
-    def test_extensions_run_under_horovod_unchanged(self):
-        """The paper's claim: the same parallelization applies to P2/P3."""
-        from repro.core import run_parallel_benchmark, strong_scaling_plan
-
-        for name in ("p2b1", "p3b1"):
-            b = get_benchmark(name, scale=0.05, sample_scale=0.03)
-            plan = strong_scaling_plan(b.spec, 2, total_epochs=4)
-            res = run_parallel_benchmark(b, plan, seed=2)
-            losses = [r.eval_metrics["loss"] for r in res.ranks]
-            assert max(losses) - min(losses) < 1e-9, name
-
-    def test_extensions_simulate_at_scale(self):
-        """The simulator accepts extension specs without special cases."""
-        from repro.core.scaling import strong_scaling_plan
-        from repro.sim import simulate_run
-
-        for name in ("p2b1", "p3b1"):
-            spec = get_benchmark(name).spec
-            r = simulate_run(spec, "summit", strong_scaling_plan(spec, 12))
-            assert r.total_s > 0
-            assert r.train_comm_s > 0
 
 
 class TestPipeline:

@@ -56,8 +56,3 @@ class TestCandleCli:
         candle_main(["p1b2", "--scale", "0.005", "--out", str(tmp_path)])
         df = read_csv(str(tmp_path / "p1b2_train.csv"), header=None, low_memory=False)
         assert df.shape[0] >= 32
-
-
-def test_candle_cli_generates_extension_benchmarks(tmp_path, capsys):
-    assert candle_main(["p3b1", "--scale", "0.1", "--out", str(tmp_path)]) == 0
-    assert os.path.exists(tmp_path / "p3b1_train.csv")

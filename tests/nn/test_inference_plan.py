@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.analysis.noise_scale import estimate_noise_scale
 from repro.candle import get_benchmark
 from repro.nn import (
     Activation,
@@ -291,9 +290,9 @@ def test_a_serving_batch_is_exactly_one_forward(rows, monkeypatch):
 
 
 def test_nt3_gradients_after_an_inference_forward_are_the_parents():
-    """``nn.gradcheck`` and ``analysis.noise_scale`` run ``_forward(x,
-    training=False)`` and then ``_backward``: MaxPooling1D has to derive
-    the winning taps it did not compute."""
+    """``nn.gradcheck`` runs ``_forward(x, training=False)`` and then
+    ``_backward``: MaxPooling1D has to derive the winning taps it did not
+    compute."""
     _, model, x, y = e2e_case("nt3", np.float64)
     y_pred = model._forward(x[:24], training=False)
     assert all(layer._cache[1] is None for layer in model.layers if isinstance(layer, MaxPooling1D))
@@ -303,23 +302,6 @@ def test_nt3_gradients_after_an_inference_forward_are_the_parents():
     assert sorted(got) == sorted(want)
     for key in want:
         assert same_bytes(got[key], want[key]), key
-
-
-def test_noise_scale_estimate_is_the_parents():
-    _, model, x, y = e2e_case("nt3", np.float64)
-    got = estimate_noise_scale(model, x[:200], y[:200], 8, 40, draws=2,
-                               rng=np.random.default_rng(4))
-    rng = np.random.default_rng(4)
-    norms = {8: [], 40: []}
-    for b in (8, 40):
-        for _ in range(2):
-            idx = rng.choice(200, size=b, replace=False)
-            grads = oracle_gradients(model, x[idx], y[idx])
-            # named_gradients() order: layer by layer, kernel then bias
-            norms[b].append(float(sum(np.sum(grads[k] * grads[k]) for k in model.named_gradients())))
-    g_small, g_big = float(np.mean(norms[8])), float(np.mean(norms[40]))
-    assert got.grad_norm_sq == (40 * g_big - 8 * g_small) / (40 - 8)
-    assert got.noise_trace == (g_small - g_big) / (1.0 / 8 - 1.0 / 40)
 
 
 def _pool_input(rng, n, steps, c, dtype):

@@ -13,7 +13,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from repro.experiments import list_experiments
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+ARCHITECTURE = SRC.parent / "docs" / "ARCHITECTURE.md"
 
 #: bottom-up: each package may import only itself and the ones before it
 LAYERS = (
@@ -35,7 +38,6 @@ LAYERS = (
     "core",
     "resilience",
     "sim",
-    "supervisor",
     "analysis",
     "experiments",
 )
@@ -136,3 +138,22 @@ def test_no_module_getattr():
         )
     ]
     assert lazy == []
+
+
+def _census() -> list:
+    """(kind, unit, serves) for each row of ARCHITECTURE.md's census."""
+    section = ARCHITECTURE.read_text().split("### Census", 1)[1].split("\n#", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.strip().strip("|").split("|"))
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+    return rows[2:]  # past the header and its rule
+
+
+def test_census_names_what_every_package_and_experiment_serves():
+    rows = _census()
+    assert {kind for kind, _, _ in rows} == {"package", "experiment"}
+    assert [unit for kind, unit, _ in rows if kind == "package"] == list(LAYERS)
+    assert [unit for kind, unit, _ in rows if kind == "experiment"] == list_experiments()
+    assert [unit for _, unit, serves in rows if not serves] == []

@@ -56,7 +56,7 @@ def sleeps():
 
 def test_scan_covers_the_message_path():
     names = {p.relative_to(SRC).as_posix() for p in SCANNED}
-    assert {"mpi/communicator.py", "mpi/runtime.py", "ps/rpc.py", "ps/server.py",
+    assert {"mpi/communicator.py", "mpi/runtime.py", "ps/rpc.py",
             "serve/server.py", "ingest/prefetch.py", "worker.py"} <= names
 
 

@@ -4,12 +4,16 @@
 beside the critical path: one start, one error hand-off (``Job.wait``),
 one close that joins, one rule for a forked child. A ``threading.Thread``
 anywhere else — called, or subclassed — is how a second lifecycle, with
-its own give-up rule, comes back, so this scans the text.
+its own give-up rule, comes back, so this scans the text. A
+``concurrent.futures`` pool starts threads (or processes) too, so it
+counts the same.
 
-One other site is allowed. ``repro.mpi.runtime.run_spmd`` starts one
+Three other sites are allowed. ``repro.mpi.runtime.run_spmd`` starts one
 *non-daemon* thread per rank and joins them all before returning: a rank
 is a peer of the caller, not work beside it, and making the daemon
-Worker start non-daemon threads would need a mode flag on it.
+Worker start non-daemon threads would need a mode flag on it. The two
+pools are fan-outs scoped by a ``with`` block, so every thread or
+process they start is joined before the call that opened them returns.
 """
 
 from __future__ import annotations
@@ -19,17 +23,22 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-THREAD = re.compile(r"\bthreading\.Thread\b")
+THREAD = re.compile(r"\b(threading\.Thread|ThreadPoolExecutor|ProcessPoolExecutor)\b")
 
 #: files (relative to src/repro) that may start a thread, and why
 ALLOWED = {
     "worker.py": "the Worker itself",
     "mpi/runtime.py": "run_spmd's non-daemon rank threads, joined before it returns",
+    "frame/dask_like.py": "the partition fan-out, a with-scoped pool joined before read returns",
+    "ingest/parallel.py": (
+        "the span-parallel reader's with-scoped thread or process pool, "
+        "kept while ROADMAP weighs deleting the process-pool loader"
+    ),
 }
 
 
 def thread_sites():
-    """(file, line number) of every ``threading.Thread`` under src/repro."""
+    """(file, line number) of every thread or pool under src/repro."""
     return [
         (path.relative_to(SRC).as_posix(), number)
         for path in sorted(SRC.rglob("*.py"))
