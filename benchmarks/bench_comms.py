@@ -43,10 +43,10 @@ from repro.comms import (
     CollectiveOptions,
     Topology,
     plan_allreduce,
+    plan_broadcast,
 )
 from repro.experiments import run_experiment
 from repro.mpi import run_spmd
-from repro.mpi.network import CollectiveCostModel
 from repro.telemetry.report import format_table
 
 #: the simulated topology the acceptance gate names: 2 nodes x 6 GPUs
@@ -96,12 +96,12 @@ def simulated_allreduce(fusion_bytes: int, chunk_bytes: int) -> tuple[list[dict]
     nbytes = NT3_SPEC.gradient_bytes
     pieces = _fused_pieces(nbytes, fusion_bytes)
 
-    # the seed path: one flat binomial-tree reduction per fused piece
-    # (reduce to root + broadcast, every round moving the full piece
-    # over the bounding inter-node link) — what comm.allreduce executes
-    cm = CollectiveCostModel(fabric, ranks_per_node=PAIR.local_size)
+    # the seed path: one flat tree reduction per fused piece (reduce
+    # to root + broadcast, every round moving the full piece over the
+    # bounding inter-node link) — what comm.allreduce executes
+    tree = CollectiveOptions(algorithm="flat")
     flat_s = sum(
-        2 * cm.broadcast_tree(piece, PAIR.world)
+        2 * plan_broadcast(piece, PAIR, tree).seconds(fabric)
         + piece * fabric.reduce_gamma_s_per_b * math.ceil(math.log2(PAIR.world))
         for piece in pieces
     )

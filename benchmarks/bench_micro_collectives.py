@@ -1,13 +1,16 @@
 """Microbenchmark: the functional ring allreduce over SPMD threads.
 
-Measures the real repro.mpi collectives (thread rendezvous + NumPy data
-movement) at a few rank counts, and checks basic sanity: the reduction
-is correct and per-call time stays in the interactive range.
+Measures the ring that runs — the collective engine's, over repro.mpi's
+point-to-point messages (thread rendezvous + NumPy data movement) — and
+repro.mpi's broadcast at a few rank counts, and checks basic sanity:
+the reduction is correct and per-call time stays in the interactive
+range.
 """
 
 import numpy as np
 import pytest
 
+from repro.comms import CollectiveEngine
 from repro.mpi import run_spmd
 
 ELEMENTS = 64 * 1024  # 512 KB of float64 per rank
@@ -15,12 +18,12 @@ ELEMENTS = 64 * 1024  # 512 KB of float64 per rank
 
 def _allreduce_job(comm):
     arr = np.full(ELEMENTS, float(comm.rank + 1))
-    out = comm.allreduce(arr, op="sum")
+    out = CollectiveEngine(comm).allreduce(arr, op="sum")  # auto: the ring
     return float(out[0])
 
 
 @pytest.mark.parametrize("ranks", [2, 4, 8])
-def test_ring_allreduce(benchmark, ranks):
+def test_engine_ring(benchmark, ranks):
     def run():
         return run_spmd(ranks, _allreduce_job)
 

@@ -2,7 +2,7 @@
 
 The paper's §4 methodology in miniature:
 
-1. run an NT3 workload end-to-end with phase timing and cProfile;
+1. run an NT3 workload end-to-end with phase spans and cProfile;
 2. observe that the data-loading phase (and `read_csv`'s slow engine)
    dominates, exactly as "on 48 GPUs or more, the data-loading time
    dominates the total runtime";
@@ -13,9 +13,10 @@ Run:  python examples/find_the_bottleneck.py
 
 import numpy as np
 
-from repro.analysis import PhaseProfiler, bar_chart, profile_callable
+from repro.analysis import bar_chart, profile_callable
 from repro.candle import get_benchmark
 from repro.ingest import DataSource, LoaderConfig
+from repro.telemetry import Tracer, format_summary, summary_rows
 
 
 def main() -> None:
@@ -28,20 +29,20 @@ def main() -> None:
 
         # ---- step 1: measure the phases with the ORIGINAL loader --------
         source = DataSource(train)
-        profiler = PhaseProfiler()
-        with profiler.phase("data_loading"):
+        tracer = Tracer(run_id="phases")
+        with tracer.span("data_loading"):
             frame = source.load(LoaderConfig(method="original")).frame
-        with profiler.phase("training"):
+        with tracer.span("training"):
             data = bench.from_frames(frame, frame)
             model = bench.build_model(seed=1)
             model.compile("sgd", "categorical_crossentropy", lr=0.001)
             model.fit(data.x_train, data.y_train, batch_size=20, epochs=1)
 
-        print("phase seconds (original loader):")
-        for name, seconds in profiler.as_dict().items():
-            print(f"  {name:<14} {seconds:7.2f} s")
-        print(f"dominant phase: {profiler.dominant_phase()} "
-              f"({profiler.fraction(profiler.dominant_phase()) * 100:.0f}% of total)\n")
+        print(format_summary(tracer, title="phase seconds (original loader)"))
+        seconds = {row["name"]: row["total_s"] for row in summary_rows(tracer)}
+        dominant = max(seconds, key=seconds.get)
+        print(f"dominant phase: {dominant} "
+              f"({seconds[dominant] / sum(seconds.values()) * 100:.0f}% of total)\n")
 
         # ---- step 2: cProfile points at the parser -----------------------
         _, report = profile_callable(

@@ -46,8 +46,8 @@ al., ICPP 2019) depends on:
   of nestable spans and counters per run, power/energy attribution per
   span, Chrome-trace/JSONL/summary exporters shared by the functional
   and simulated paths, and the fixed-width report tables.
-- :mod:`repro.analysis` — phase profiling, energy accounting, timeline
-  analysis, and plots.
+- :mod:`repro.analysis` — cProfile hot spots, energy accounting,
+  timeline analysis, and plots.
 - :mod:`repro.experiments` — one module per paper table/figure.
 
 See DESIGN.md for the full inventory and EXPERIMENTS.md for the

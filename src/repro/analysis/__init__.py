@@ -2,8 +2,8 @@
 
 The measurement toolkit the paper's evaluation uses:
 
-- :mod:`repro.analysis.profiling` — phase timers and a cProfile wrapper
-  (the paper profiles with Python's cProfile, §4).
+- :mod:`repro.analysis.profiling` — a cProfile wrapper (the paper
+  profiles with Python's cProfile, §4); phases are telemetry spans.
 - :mod:`repro.analysis.timeline_analysis` — extracts broadcast/allreduce
   overheads from Horovod timelines (Figs 7b, 12, 19).
 - :mod:`repro.analysis.energy` — power-trace statistics and
@@ -16,7 +16,7 @@ from repro.analysis.energy import (
     energy_delay_product,
     pareto_front,
 )
-from repro.analysis.profiling import PhaseProfiler, profile_callable
+from repro.analysis.profiling import profile_callable
 from repro.analysis.plotting import bar_chart, line_chart, power_strip
 from repro.analysis.timeline_analysis import (
     allreduce_total_seconds,
@@ -25,7 +25,6 @@ from repro.analysis.timeline_analysis import (
 )
 
 __all__ = [
-    "PhaseProfiler",
     "profile_callable",
     "broadcast_overhead_seconds",
     "allreduce_total_seconds",

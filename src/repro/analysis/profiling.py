@@ -1,24 +1,9 @@
-"""Phase profiling (the paper uses cProfile + phase timing, §4).
-
-:class:`PhaseProfiler` times named phases with a context manager —
-exactly the data-loading / training / evaluation decomposition the
-paper's Figure 2 defines. It is now a thin compatibility shim over
-:class:`repro.telemetry.Tracer`: every phase is recorded as a span (so
-a profiler's record exports to Chrome traces, JSONL, and power-bound
-summaries like any other trace), while the historical ``seconds`` /
-``counts`` dict API keeps working.
-
-Two long-standing bugs are fixed here rather than preserved:
-
-- nested re-entry of one phase name no longer double-counts (the outer
-  entry already contains the inner time; only the outermost occurrence
-  per thread accumulates into ``seconds``);
-- the accumulator dicts are lock-protected, so concurrent rank threads
-  sharing one profiler do not lose updates.
+"""cProfile hot spots (the paper profiles with Python's cProfile, §4).
 
 :func:`profile_callable` wraps cProfile and returns the top hot spots,
 which is how the paper identified ``pandas.read_csv`` as the bottleneck
-in the first place.
+in the first place. Phases are timed with :class:`repro.telemetry.Tracer`
+spans.
 """
 
 from __future__ import annotations
@@ -26,80 +11,9 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable
 
-from repro.telemetry.tracer import Tracer
-
-__all__ = ["PhaseProfiler", "profile_callable"]
-
-
-class PhaseProfiler:
-    """Accumulates wall-clock time per named phase (span-backed)."""
-
-    def __init__(self, tracer: Optional[Tracer] = None):
-        self.tracer = tracer if tracer is not None else Tracer(run_id="phases")
-        self.seconds: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
-        self._lock = threading.Lock()
-        self._tls = threading.local()
-
-    def _depths(self) -> dict[str, int]:
-        depths = getattr(self._tls, "depths", None)
-        if depths is None:
-            depths = self._tls.depths = {}
-        return depths
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a phase; re-entering the same name accumulates.
-
-        Re-entrancy is counted once per outermost entry: an inner
-        ``phase("x")`` nested inside an open ``phase("x")`` on the same
-        thread bumps ``counts`` but not ``seconds`` — the enclosing span
-        already covers its interval.
-        """
-        depths = self._depths()
-        depths[name] = depth = depths.get(name, 0) + 1
-        try:
-            with self.tracer.span(name, category="phase") as sp:
-                yield
-        finally:
-            depths[name] -= 1
-            if depths[name] == 0:
-                del depths[name]
-            with self._lock:
-                self.counts[name] = self.counts.get(name, 0) + 1
-                if depth == 1:
-                    self.seconds[name] = self.seconds.get(name, 0.0) + sp.duration_s
-
-    def total(self) -> float:
-        with self._lock:
-            return sum(self.seconds.values())
-
-    def fraction(self, name: str) -> float:
-        """Share of total time spent in ``name`` (0 if unseen)."""
-        with self._lock:
-            total = sum(self.seconds.values())
-            if total == 0.0:
-                return 0.0
-            return self.seconds.get(name, 0.0) / total
-
-    def dominant_phase(self) -> str:
-        """The phase with the most accumulated time.
-
-        The paper's core diagnosis — "data loading dominates the total
-        runtime on 48 GPUs or more" — is this query.
-        """
-        with self._lock:
-            if not self.seconds:
-                raise ValueError("no phases recorded")
-            return max(self.seconds, key=self.seconds.get)
-
-    def as_dict(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self.seconds)
+__all__ = ["profile_callable"]
 
 
 def profile_callable(fn: Callable, *args, top: int = 10, **kwargs):

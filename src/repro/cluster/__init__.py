@@ -15,7 +15,6 @@ These specs parameterize the filesystem-contention, fabric, compute,
 and power models that :mod:`repro.sim` composes into full runs.
 """
 
-from repro.cluster.affinity import summit_gpu_pinning, theta_session_config, theta_thread_env
 from repro.cluster.devices import (
     CpuSpec,
     GpuSpec,
@@ -34,12 +33,8 @@ from repro.cluster.power import (
     PowerState,
     trapezoid_energy,
 )
-from repro.cluster.jsrun import ResourceSet, partition_node, render_layout
 
 __all__ = [
-    "summit_gpu_pinning",
-    "theta_thread_env",
-    "theta_session_config",
     "CpuSpec",
     "GpuSpec",
     "DevicePowerModel",
@@ -58,7 +53,4 @@ __all__ = [
     "KNL_DVFS",
     "EnergyAccount",
     "trapezoid_energy",
-    "ResourceSet",
-    "partition_node",
-    "render_layout",
 ]

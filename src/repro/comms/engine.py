@@ -2,10 +2,10 @@
 
 Each rank thread owns one :class:`CollectiveEngine` bound to its
 communicator. ``allreduce`` resolves the algorithm (ring, recursive
-halving-doubling, two-level hierarchical, or the flat reference path),
-splits the buffer into pipelined chunks, executes the schedule with real
-point-to-point messages, and records one telemetry span per chunk with
-its bytes and algorithm.
+halving-doubling, two-level hierarchical, or flat: the ring in one
+chunk), splits the buffer into pipelined chunks, executes the schedule
+with real point-to-point messages, and records one telemetry span per
+chunk with its bytes and algorithm.
 
 **Numerics contract.** Floating-point addition is not associative, so
 different message schedules would normally produce different low bits.
@@ -13,10 +13,11 @@ The engine avoids that by *canonicalizing the arithmetic*: every
 algorithm moves per-source contributions through its own message
 pattern but performs the reduction exactly once, at the chunk's owner,
 over contributions ordered by ascending global rank
-(:func:`repro.mpi.communicator.canonical_reduce` — the same routine the
-flat path uses). Result: ring, rhd, and hierarchical allreduce are
-**bit-identical** to the flat allreduce on the same inputs, for any
-chunking — asserted in ``tests/comms``.
+(:func:`repro.mpi.communicator.canonical_reduce` — the same routine
+:meth:`Communicator.allreduce <repro.mpi.communicator.Communicator.allreduce>`
+uses at its root). Result: every schedule is **bit-identical** to
+``comm.allreduce`` on the same inputs, for any chunking — asserted in
+``tests/comms``.
 
 **One update order.** :meth:`CollectiveEngine.allreduce_update` is
 the whole distributed step of one gradient range: mean-allreduce it,
@@ -118,15 +119,6 @@ class CollectiveEngine:
         if self.comm.size == 1 or arr.size == 0:
             self.last_info = {"algorithm": "flat", "chunks": 1, "wire_bytes": 0}
             return self.comm.allreduce(arr, op=op)
-        algorithm = select_algorithm(arr.nbytes, self.topology, opts)
-        if algorithm == "flat":
-            t0 = time.perf_counter()
-            result = self.comm.allreduce(arr, op=op)
-            self._record_chunk(t0, tag, 0, arr.nbytes, algorithm="flat")
-            self.last_info = {
-                "algorithm": "flat", "chunks": 1, "wire_bytes": arr.nbytes,
-            }
-            return result
         schedule = plan_allreduce(arr.nbytes, self.topology, opts)
         return self._run_schedule(arr, op, tag, opts, schedule, tag_shift)
 
@@ -278,10 +270,8 @@ class CollectiveEngine:
     def _runner(self, algorithm: str) -> Callable[..., None]:
         """The routine that runs one chunk of ``algorithm``'s schedule.
 
-        A schedule labelled ``flat`` (only reachable through the FT
-        demotion ladder — the base path short-circuits flat to
-        ``comm.allreduce``) runs the single-chunk ring pattern, which
-        the numerics contract makes bit-identical to the flat reference.
+        ``flat`` is the ring run as one chunk (the planner never splits
+        it), on the plain and the fault-tolerant engine alike.
         """
         if algorithm in ("ring", "flat"):
             return self._ring

@@ -710,10 +710,6 @@ class FtChannel:
             self._recv_seq[key] = expected + 1
             return payload
 
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
-
     def __repr__(self):
         return (
             f"<FtChannel rank={self.comm.rank}/{self.comm.size} "

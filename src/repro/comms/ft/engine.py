@@ -168,11 +168,6 @@ class FaultTolerantEngine(CollectiveEngine):
             try:
                 ch.raise_pending()
                 run_opts = opts.evolve(algorithm=algorithm)
-                if algorithm == "flat":
-                    # FT flat is the single-chunk ring pattern (the base
-                    # short-circuit to comm.allreduce would bypass the
-                    # channel); one chunk keeps it the minimal schedule
-                    run_opts = run_opts.evolve(chunk_bytes=None)
                 schedule = plan_allreduce(arr.nbytes, self.topology, run_opts)
                 if schedule.algorithm != base:
                     schedule = replace(

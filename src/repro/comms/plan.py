@@ -9,18 +9,19 @@ count, and its bytes on the wire. The same schedule object serves three
 consumers:
 
 - the rank-local engine (:mod:`repro.comms.engine`) executes it,
-- the simulator prices it on a :class:`~repro.mpi.network.FabricSpec`
-  via :meth:`CollectiveSchedule.seconds` (alpha-beta-gamma accounting,
+- the simulator and the ablations price it on a
+  :class:`~repro.mpi.network.FabricSpec` via
+  :meth:`CollectiveSchedule.seconds` (alpha-beta-gamma accounting,
   pipelined over chunks), so simulated Summit/Theta runs reflect the
   algorithm choice,
 - golden tests assert the exact step structure per topology.
 
-Cost identities (single chunk) are kept exactly in line
-with :class:`~repro.mpi.network.CollectiveCostModel`: a planned ring
-prices as ``allreduce_ring``, a planned hierarchical as
-``allreduce_hierarchical`` (the inter stage charges the *full* buffer —
-the per-local-index slice rings share each node's one NIC), a planned
-broadcast as ``broadcast_hierarchical``.
+This is the repo's only collective pricer: a time is the schedule the
+engine runs, priced step by step. One chunk of a ring costs the
+textbook ``2 (p-1) alpha + 2 n beta (p-1)/p + gamma n (p-1)/p``; a
+hierarchical allreduce charges its inter stage the *full* buffer (the
+per-local-index slice rings share each node's one NIC); a broadcast is
+binomial trees, across nodes and then within them.
 """
 
 from __future__ import annotations
@@ -168,11 +169,15 @@ def plan_allreduce(
     topology: Topology,
     options: CollectiveOptions = DEFAULT_OPTIONS,
 ) -> CollectiveSchedule:
-    """Plan one allreduce of ``nbytes`` on ``topology`` under ``options``."""
+    """Plan one allreduce of ``nbytes`` on ``topology`` under ``options``.
+
+    A ``flat`` allreduce is the ring in one chunk, whatever
+    ``chunk_bytes`` asks for.
+    """
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     algorithm = select_algorithm(nbytes, topology, options)
-    nchunks = options.nchunks(nbytes)
+    nchunks = 1 if algorithm == "flat" else options.nchunks(nbytes)
     chunk = nbytes / nchunks if nchunks else float(nbytes)
     steps = _allreduce_steps(chunk, topology, algorithm)
     return CollectiveSchedule(

@@ -46,10 +46,20 @@ from repro.train import TrainOptions
 NT3_LAYER_PARAMS = (2_688, 163_968, 154_752_200, 4_020, 42)
 
 
+#: the NCCL-style allreduce the fusion and NCCL ablations price
+_HIERARCHICAL = CollectiveOptions(algorithm="hierarchical")
+
+
+def _hierarchical_s(nbytes: int, nworkers: int, fabric=SUMMIT.fabric) -> float:
+    """One hierarchical allreduce of ``nbytes`` on Summit, priced on ``fabric``."""
+    topo = Topology.from_machine(SUMMIT, nworkers)
+    return plan_allreduce(nbytes, topo, _HIERARCHICAL).seconds(fabric)
+
+
 def _allreduce_time(cm: CollectiveCostModel, sizes_bytes, nworkers: int) -> float:
     total = cm.negotiate(nworkers) * 1  # one coordination round per cycle
     for nbytes in sizes_bytes:
-        total += cm.allreduce_hierarchical(nbytes, nworkers)
+        total += _hierarchical_s(nbytes, nworkers)
     return total
 
 
@@ -207,13 +217,11 @@ def run_nccl_upgrade(fast: bool = True) -> ExperimentResult:
     nbytes = NT3_SPEC.gradient_bytes
     rows = []
     for nworkers in (384, 768, 3072):
-        old_cm = CollectiveCostModel(old_fabric, SUMMIT.workers_per_node)
-        new_cm = CollectiveCostModel(new_fabric, SUMMIT.workers_per_node)
         # 64 MB fusion pieces, as the runner charges them
         pieces = [DEFAULT_FUSION_BYTES] * (nbytes // DEFAULT_FUSION_BYTES)
         pieces.append(nbytes % DEFAULT_FUSION_BYTES)
-        old_t = sum(old_cm.allreduce_hierarchical(p, nworkers) for p in pieces if p)
-        new_t = sum(new_cm.allreduce_hierarchical(p, nworkers) for p in pieces if p)
+        old_t = sum(_hierarchical_s(p, nworkers, old_fabric) for p in pieces if p)
+        new_t = sum(_hierarchical_s(p, nworkers, new_fabric) for p in pieces if p)
         rows.append(
             {
                 "gpus": nworkers,

@@ -6,15 +6,14 @@ blocking receive is an event wait: a rank sleeps on its own *arrival
 condition*, which every ``put`` into one of its mailboxes and
 :meth:`_Context.abort` notify — nothing on the message path polls.
 Collectives
-are built *on top of* send/recv with the textbook algorithms so the
-communication structure is faithful to MPI/NCCL:
+are built *on top of* send/recv with the textbook algorithms:
 
 - ``bcast`` — binomial tree (log2 p rounds).
-- ``allreduce`` — ring reduce-scatter + ring allgather for arrays
-  (bandwidth-optimal; the NCCL algorithm), with a tree fallback for
-  non-array payloads.
+- ``allreduce`` — gather to rank 0, :func:`canonical_reduce` there,
+  broadcast back: the reference the collective engine's schedules
+  (:mod:`repro.comms.engine`, which runs the ring) are bit-identical to.
 - ``allgather`` — ring (p-1 rounds).
-- ``gather``/``scatter``/``reduce`` — root-centric trees.
+- ``gather`` — every rank sends to the root.
 
 Every operation increments per-rank counters (calls, bytes) that the
 Horovod timeline and the analysis layer read.
@@ -33,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Communicator",
-    "Request",
     "DeadlockError",
     "AbortError",
     "canonical_reduce",
@@ -77,7 +75,7 @@ class _Mailbox:
 
     ``put`` appends under the destination rank's arrival condition and
     notifies it, so whoever that rank has blocked — in ``recv``,
-    ``recv_any``, a request wait, or this box's own ``get`` — wakes on
+    ``recv_any``, or this box's own ``get`` — wakes on
     arrival. Each stream has one consumer, so ``take`` needs no lock.
     The ``get``/``get_nowait`` pair keeps :class:`queue.Queue`'s
     contract (:class:`queue.Empty` on nothing) for the FT channel.
@@ -213,48 +211,6 @@ def payload_nbytes(obj: Any) -> int:
 _payload_bytes = payload_nbytes
 
 
-class Request:
-    """Handle for a nonblocking operation (mpi4py Request analog).
-
-    ``test()`` polls without blocking; ``wait()`` blocks until complete
-    and returns the received object (None for sends). Completed
-    requests are idempotent: repeated waits return the same value.
-    """
-
-    def __init__(
-        self,
-        poll: Callable[[], Any],
-        block: Optional[Callable[[Optional[float]], Any]] = None,
-    ):
-        #: ``poll()`` returns the payload or ``_NOTHING``, never blocks;
-        #: ``block(timeout)`` sleeps until the payload is there (only an
-        #: operation that can be incomplete needs one)
-        self._poll = poll
-        self._block = block
-        self._value: Any = _NOTHING
-
-    def test(self) -> bool:
-        """True once the operation has completed (non-blocking)."""
-        if self._value is _NOTHING:
-            self._value = self._poll()
-        return self._value is not _NOTHING
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until complete; returns the payload (None for sends).
-
-        ``timeout=None`` waits the run's timeout (the one ``run_spmd``
-        was given), like every other blocking receive.
-        """
-        if not self.test():
-            self._value = self._block(timeout)
-        return self._value
-
-    @staticmethod
-    def waitall(requests: "list[Request]", timeout: Optional[float] = None) -> list:
-        """Wait on every request; returns their payloads in order."""
-        return [r.wait(timeout=timeout) for r in requests]
-
-
 class Communicator:
     """One rank's handle on the SPMD run (MPI_COMM_WORLD analog)."""
 
@@ -373,38 +329,6 @@ class Communicator:
         self.stats.recvs += 1
         self.stats.bytes_received += _payload_bytes(obj)
 
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Simultaneous send+recv (ring building block)."""
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
-
-    # -- nonblocking point-to-point ------------------------------------------
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; the buffered send completes immediately."""
-        self.send(obj, dest, tag)
-        return Request(lambda: None)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive; complete via ``request.wait()``/``test()``."""
-        self._check_peer(source)
-        box = self._context.mailbox(source, self.rank, tag)
-
-        def take() -> Any:
-            obj = box.take()
-            if obj is not _NOTHING:
-                self._account_recv(obj)
-            return obj
-
-        def poll() -> Any:
-            self._check_alive()
-            return take()
-
-        def block(timeout: Optional[float]) -> Any:
-            limit = timeout if timeout is not None else self._context.timeout
-            return self._await(take, limit, "irecv wait", source, tag)
-
-        return Request(poll, block)
-
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
         """Block until every rank arrives."""
@@ -415,6 +339,9 @@ class Communicator:
         """Binomial-tree broadcast; returns the root's object everywhere."""
         self._check_peer(root)
         self.stats.bcasts += 1
+        return self._tree_bcast(obj, root)
+
+    def _tree_bcast(self, obj: Any, root: int) -> Any:
         vrank = (self.rank - root) % self.size
         mask = 1
         data = obj if self.rank == root else None
@@ -429,19 +356,23 @@ class Communicator:
         return data
 
     def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """Allreduce; ring algorithm for float arrays, tree otherwise.
+        """Allreduce: gather to rank 0, reduce there, broadcast back.
 
-        ``op`` is ``'sum'``, ``'mean'``, ``'max'``, or ``'min'``. Arrays
-        are reduced with the NCCL-style ring (reduce-scatter + allgather)
-        whenever they are large enough to chunk; scalars and small arrays
-        go through a gather-to-root + broadcast tree.
+        ``op`` is ``'sum'``, ``'mean'``, ``'max'``, or ``'min'``. Rank 0
+        combines every rank's contribution with :func:`canonical_reduce`,
+        so this is the reference the collective engine's ring, rhd and
+        hierarchical schedules are bit-identical to. An array comes back
+        as this rank's own array, in the input's dtype and shape.
         """
         if op not in ("sum", "mean", "max", "min"):
             raise ValueError(f"unsupported allreduce op {op!r}")
         self.stats.allreduces += 1
-        if isinstance(value, np.ndarray) and value.size >= self.size and self.size > 1:
-            return self._ring_allreduce(value, op)
-        return self._tree_allreduce(value, op)
+        gathered = self.gather(value, root=0)
+        result = canonical_reduce(gathered, op) if self.rank == 0 else None
+        result = self._tree_bcast(result, 0)
+        if isinstance(result, np.ndarray):
+            return result.astype(value.dtype)
+        return result
 
     def allgather(self, obj: Any) -> list:
         """Ring allgather; returns the rank-ordered list everywhere."""
@@ -473,77 +404,6 @@ class Communicator:
         self.send((self.rank, obj), root, tag=-3)
         return None
 
-    def scatter(self, values: Optional[list], root: int = 0) -> Any:
-        """Scatter a list from root; returns this rank's element."""
-        self._check_peer(root)
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise ValueError(
-                    f"scatter needs a list of exactly {self.size} items at root"
-                )
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(values[dst], dst, tag=-4)
-            return values[root]
-        return self.recv(root, tag=-4)
-
-    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Any:
-        """Reduce to root; returns the result at root, None elsewhere."""
-        gathered = self.gather(value, root=root)
-        if self.rank != root:
-            return None
-        return canonical_reduce(gathered, op)
-
-    # -- ring allreduce ---------------------------------------------------------
-    def _ring_allreduce(self, array: np.ndarray, op: str) -> np.ndarray:
-        """Bandwidth-optimal ring: reduce-scatter then allgather.
-
-        The array is split into ``size`` chunks moved right-neighbourward
-        over 2(p-1) steps — the message pattern Horovod inherited from
-        baidu-allreduce and that NCCL implements. The arithmetic is
-        *canonical*: per-source contributions travel unreduced and the
-        chunk owner combines them in ascending rank order with
-        :func:`canonical_reduce` — the same reduction the tree fallback
-        and every :mod:`repro.comms` schedule use — so the ring, the
-        tree, and the engine's ring/rhd/hierarchical algorithms all
-        produce bit-identical results despite float non-associativity.
-        """
-        p = self.size
-        flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
-        bounds = np.linspace(0, flat.size, p + 1).astype(np.int64)
-        segs = [flat[bounds[i] : bounds[i + 1]] for i in range(p)]
-        right = (self.rank + 1) % p
-        left = (self.rank - 1) % p
-
-        # reduce-scatter: after p-1 steps, rank r holds every rank's
-        # contribution to chunk (r+1) % p
-        send_idx = self.rank
-        parcel = {self.rank: segs[send_idx]}
-        for _ in range(p - 1):
-            self.send(parcel, right, tag=-5)
-            recv_idx = (send_idx - 1) % p
-            parcel = self.recv(left, tag=-5)
-            parcel[self.rank] = segs[recv_idx]
-            send_idx = recv_idx
-        owned = (self.rank + 1) % p
-        combined = canonical_reduce([parcel[r] for r in sorted(parcel)], op)
-
-        # allgather: circulate the combined chunks
-        out = np.empty(flat.size, dtype=np.float64)
-        out[bounds[owned] : bounds[owned + 1]] = combined
-        carry = (owned, combined)
-        for _ in range(p - 1):
-            self.send(carry, right, tag=-6)
-            carry = self.recv(left, tag=-6)
-            idx, segment = carry
-            out[bounds[idx] : bounds[idx + 1]] = segment
-        return out.reshape(array.shape).astype(array.dtype, copy=False)
-
-    def _tree_allreduce(self, value: Any, op: str) -> Any:
-        gathered = self.gather(value, root=0)
-        result = canonical_reduce(gathered, op) if self.rank == 0 else None
-        return self.bcast(result, root=0)
-
     # -- guards --------------------------------------------------------------------
     def _check_peer(self, rank: int) -> None:
         if not 0 <= rank < self.size:
@@ -565,8 +425,8 @@ def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     """The one reduction everything funnels through.
 
     Combines per-rank contributions (already ordered by ascending rank)
-    in float64. Every collective algorithm — the communicator's ring and
-    tree, the comms engine's ring, rhd, and hierarchical schedules —
+    in float64. Every collective algorithm — the communicator's tree,
+    the comms engine's ring, rhd, and hierarchical schedules —
     moves contributions through its own message pattern but defers the
     arithmetic to this routine, which is what makes their results
     bit-identical to each other.

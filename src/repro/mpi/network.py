@@ -1,13 +1,12 @@
-"""Alpha-beta cost models for the collectives.
+"""Alpha-beta fabric terms.
 
 The functional runtime (threads) gives *semantics*; this module gives
-*time*. Standard LogP-style alpha-beta accounting:
-
-- a point-to-point message of ``n`` bytes costs ``alpha + n * beta``;
-- ring allreduce (NCCL's algorithm) costs
-  ``2 (p-1) alpha + 2 n beta (p-1)/p + gamma n (p-1)/p``;
-- binomial broadcast costs ``ceil(log2 p) (alpha + n beta)``;
-- ring allgather costs ``(p-1) alpha + n_total beta (p-1)/p``.
+*time*. A :class:`FabricSpec` holds a machine's LogP-style alpha-beta
+terms: a point-to-point message of ``n`` bytes costs
+``alpha + n * beta``. The collectives are priced from the schedules
+that run them (:meth:`repro.comms.plan.CollectiveSchedule.seconds`);
+:class:`CollectiveCostModel` keeps the two costs that are not a
+collective schedule: one message, and Horovod's negotiation round.
 
 Fabrics are two-level (intra-node NVLink/shared-memory vs inter-node
 InfiniBand/Aries): when a collective spans nodes, the inter-node alpha
@@ -59,7 +58,7 @@ class FabricSpec:
 
 
 class CollectiveCostModel:
-    """Composable collective timings on a :class:`FabricSpec`.
+    """Point-to-point and negotiation timings on a :class:`FabricSpec`.
 
     ``ranks_per_node`` decides when an operation spans nodes. All
     methods return seconds.
@@ -78,97 +77,6 @@ class CollectiveCostModel:
         """One point-to-point message."""
         alpha, beta = self.fabric.link(spans_nodes)
         return alpha + nbytes * beta
-
-    def allreduce_ring(self, nbytes: int, p: int) -> float:
-        """Ring allreduce of an ``nbytes`` buffer over ``p`` ranks."""
-        if p <= 1:
-            return 0.0
-        alpha, beta = self.fabric.link(self._spans_nodes(p))
-        steps = 2 * (p - 1)
-        moved = 2.0 * nbytes * (p - 1) / p
-        reduced = nbytes * (p - 1) / p
-        return steps * alpha + moved * beta + reduced * self.fabric.reduce_gamma_s_per_b
-
-    def allreduce_rhd(self, nbytes: int, p: int) -> float:
-        """Recursive halving-doubling allreduce (MPICH's small-message
-        algorithm): ``2 ceil(log2 p)`` latency rounds instead of the
-        ring's ``2 (p-1)``, at the same ``2 n (p-1)/p`` bytes moved —
-        the win for latency-bound (small) messages on power-of-two
-        worlds.
-        """
-        if p <= 1:
-            return 0.0
-        alpha, beta = self.fabric.link(self._spans_nodes(p))
-        rounds = 2 * math.ceil(math.log2(p))
-        moved = 2.0 * nbytes * (p - 1) / p
-        reduced = nbytes * (p - 1) / p
-        return rounds * alpha + moved * beta + reduced * self.fabric.reduce_gamma_s_per_b
-
-    def broadcast_tree(self, nbytes: int, p: int) -> float:
-        """Binomial-tree broadcast of ``nbytes`` over ``p`` ranks."""
-        if p <= 1:
-            return 0.0
-        alpha, beta = self.fabric.link(self._spans_nodes(p))
-        rounds = math.ceil(math.log2(p))
-        return rounds * (alpha + nbytes * beta)
-
-    def allgather_ring(self, nbytes_per_rank: int, p: int) -> float:
-        """Ring allgather where each rank contributes ``nbytes_per_rank``."""
-        if p <= 1:
-            return 0.0
-        alpha, beta = self.fabric.link(self._spans_nodes(p))
-        total = nbytes_per_rank * p
-        return (p - 1) * alpha + total * beta * (p - 1) / p
-
-    def allreduce_hierarchical(self, nbytes: int, p: int) -> float:
-        """Two-level allreduce: intra-node ring + ring across nodes.
-
-        NCCL on Summit reduces within the NVLink island first, then
-        rings across node leaders over InfiniBand. At thousands of
-        ranks this cuts the latency term from O(p) to O(p/ranks_per_node)
-        — without it, 3,072-rank steps would be dominated by per-hop
-        latency far beyond what the paper measures.
-        """
-        if p <= 1:
-            return 0.0
-        local = min(p, self.ranks_per_node)
-        nodes = -(-p // self.ranks_per_node)
-        total = 0.0
-        if local > 1:
-            alpha, beta = self.fabric.link(False)
-            steps = 2 * (local - 1)
-            moved = 2.0 * nbytes * (local - 1) / local
-            total += steps * alpha + moved * beta
-            total += nbytes * (local - 1) / local * self.fabric.reduce_gamma_s_per_b
-        if nodes > 1:
-            alpha, beta = self.fabric.link(True)
-            steps = 2 * (nodes - 1)
-            moved = 2.0 * nbytes * (nodes - 1) / nodes
-            total += steps * alpha + moved * beta
-            total += nbytes * (nodes - 1) / nodes * self.fabric.reduce_gamma_s_per_b
-        return total
-
-    def broadcast_hierarchical(self, nbytes: int, p: int) -> float:
-        """Two-level broadcast: tree across nodes, then within nodes."""
-        if p <= 1:
-            return 0.0
-        local = min(p, self.ranks_per_node)
-        nodes = -(-p // self.ranks_per_node)
-        total = 0.0
-        if nodes > 1:
-            alpha, beta = self.fabric.link(True)
-            total += math.ceil(math.log2(nodes)) * (alpha + nbytes * beta)
-        if local > 1:
-            alpha, beta = self.fabric.link(False)
-            total += math.ceil(math.log2(local)) * (alpha + nbytes * beta)
-        return total
-
-    def barrier(self, p: int) -> float:
-        """Dissemination barrier: ceil(log2 p) zero-byte rounds."""
-        if p <= 1:
-            return 0.0
-        alpha, _ = self.fabric.link(self._spans_nodes(p))
-        return math.ceil(math.log2(p)) * alpha
 
     def negotiate(self, p: int) -> float:
         """Horovod's coordination round (tensor-readiness bitmap gather).

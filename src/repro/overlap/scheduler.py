@@ -148,13 +148,11 @@ class OverlapScheduler:
         for group in self._triggers.values():
             group.sort(key=lambda b: (b.priority, b.index))
         self._layer_pos = {id(layer): i for i, layer in enumerate(model.layers)}
-        # channel count: fault tolerance and the flat path are
-        # single-stream engine features — force one channel there so
-        # their (well-tested) serial semantics are preserved
+        # channel count: fault tolerance is a single-stream engine
+        # feature — force one channel there so its (well-tested) serial
+        # semantics are preserved
         opts = self.options
-        serial_only = opts is not None and (
-            opts.fault_tolerance is not None or opts.algorithm == "flat"
-        )
+        serial_only = opts is not None and opts.fault_tolerance is not None
         self.channels = 1 if serial_only else min(
             self.train.overlap_channels, max(1, len(self._buckets))
         )

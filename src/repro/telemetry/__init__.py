@@ -3,10 +3,9 @@
 The paper's analysis is *joint*: every phase decomposition (Fig 2) is
 read together with its power draw (Fig 7a) and its energy bill (Tables
 5a/5b). Before this package, the repo mirrored the paper's tooling
-fragmentation — :class:`~repro.analysis.profiling.PhaseProfiler` kept
-wall clocks, a Horovod-style timeline kept Chrome events, and
-:mod:`repro.cluster.power` kept joules — three records of the same run
-that could not be joined. This package is the join:
+fragmentation — a phase profiler kept wall clocks, a Horovod-style
+timeline kept Chrome events, and :mod:`repro.cluster.power` kept
+joules — three records of the same run that could not be joined. This package is the join:
 
 - :class:`Tracer` — one per-run event log with nestable, thread-safe
   *spans* (name, category, rank, attrs, monotonic timestamps) and

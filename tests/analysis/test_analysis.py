@@ -1,12 +1,9 @@
-"""Analysis layer: profiler, timeline analysis, energy comparisons, tables."""
-
-import time
+"""Analysis layer: cProfile wrapper, timeline analysis, energy comparisons, tables."""
 
 import pytest
 
 from repro.analysis import (
     EnergyComparison,
-    PhaseProfiler,
     broadcast_overhead_seconds,
     communication_summary,
     compare_runs,
@@ -15,34 +12,6 @@ from repro.analysis import (
 from repro.analysis.timeline_analysis import allreduce_total_seconds
 from repro.telemetry import Tracer
 from repro.telemetry.report import format_series, format_table
-
-
-class TestPhaseProfiler:
-    def test_accumulates_and_counts(self):
-        p = PhaseProfiler()
-        with p.phase("load"):
-            time.sleep(0.02)
-        with p.phase("load"):
-            time.sleep(0.02)
-        with p.phase("train"):
-            time.sleep(0.01)
-        assert p.counts["load"] == 2
-        assert p.seconds["load"] > p.seconds["train"]
-        assert p.dominant_phase() == "load"
-        assert 0 < p.fraction("train") < 0.5
-
-    def test_exception_still_records(self):
-        p = PhaseProfiler()
-        with pytest.raises(RuntimeError):
-            with p.phase("boom"):
-                raise RuntimeError
-        assert "boom" in p.seconds
-
-    def test_empty_profiler(self):
-        p = PhaseProfiler()
-        assert p.fraction("x") == 0.0
-        with pytest.raises(ValueError):
-            p.dominant_phase()
 
 
 def test_profile_callable_finds_hotspot():
@@ -134,96 +103,6 @@ class TestFormatting:
     def test_format_series_length_mismatch(self):
         with pytest.raises(ValueError):
             format_series([1, 2], {"y": [1]})
-
-
-class TestPhaseProfilerReentrancy:
-    """Satellite regression: nested same-name re-entry used to double
-    count wall time, and concurrent phases raced on the dicts."""
-
-    def _clocked_profiler(self):
-        from tests.telemetry.test_tracer import FakeClock
-
-        from repro.telemetry import Tracer
-
-        clock = FakeClock()
-        return PhaseProfiler(tracer=Tracer(clock=clock)), clock
-
-    def test_nested_same_name_counts_wall_time_once(self):
-        p, clock = self._clocked_profiler()
-        with p.phase("train"):
-            clock.advance(1.0)
-            with p.phase("train"):
-                clock.advance(2.0)
-            clock.advance(1.0)
-        assert p.seconds["train"] == pytest.approx(4.0)  # not 6.0
-        assert p.counts["train"] == 2  # entries still both counted
-
-    def test_nested_distinct_names_unchanged(self):
-        p, clock = self._clocked_profiler()
-        with p.phase("epoch"):
-            clock.advance(1.0)
-            with p.phase("allreduce"):
-                clock.advance(2.0)
-        assert p.seconds["epoch"] == pytest.approx(3.0)
-        assert p.seconds["allreduce"] == pytest.approx(2.0)
-
-    def test_reentry_depth_resets_after_exception(self):
-        p, clock = self._clocked_profiler()
-        with pytest.raises(RuntimeError):
-            with p.phase("train"):
-                clock.advance(1.0)
-                raise RuntimeError
-        with p.phase("train"):
-            clock.advance(2.0)
-        assert p.seconds["train"] == pytest.approx(3.0)
-
-    def test_concurrent_phases_thread_safe(self):
-        import threading
-
-        p = PhaseProfiler()
-        errors = []
-
-        def worker(name):
-            try:
-                for _ in range(200):
-                    with p.phase(name):
-                        pass
-                    with p.phase("shared"):
-                        pass
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(f"w{i}",)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert p.counts["shared"] == 800
-        assert all(p.counts[f"w{i}"] == 200 for i in range(4))
-        assert p.total() >= 0.0
-
-    def test_nesting_is_per_thread(self):
-        """Two threads inside the same phase name are independent
-        top-level entries, not parent/child — both accumulate."""
-        import threading
-
-        p, clock = self._clocked_profiler()
-        barrier = threading.Barrier(2)
-
-        def worker():
-            barrier.wait()
-            with p.phase("train"):
-                pass
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert p.counts["train"] == 2
 
 
 class TestEnergyHelpers:

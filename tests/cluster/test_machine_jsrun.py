@@ -1,8 +1,8 @@
-"""Machine presets and jsrun partitioning."""
+"""Machine presets."""
 
 import pytest
 
-from repro.cluster import SUMMIT, THETA, get_machine, partition_node, render_layout
+from repro.cluster import SUMMIT, THETA, get_machine
 
 
 class TestMachines:
@@ -46,37 +46,3 @@ class TestMachines:
     def test_worker_device_power_selects_gpu_or_cpu(self):
         assert SUMMIT.worker_device_power() is SUMMIT.gpu.power
         assert THETA.worker_device_power() is THETA.cpu.power
-
-
-class TestJsrun:
-    def test_paper_layout_six_sets(self):
-        sets = partition_node()  # 42 cores, 6 GPUs, 6 sets (Fig 5b)
-        assert len(sets) == 6
-        for i, rs in enumerate(sets):
-            assert rs.ngpus == 1
-            assert rs.ncores == 7
-            assert rs.gpu_ids == (i,)
-
-    def test_sets_are_disjoint(self):
-        sets = partition_node()
-        cores = [c for rs in sets for c in rs.core_ids]
-        gpus = [g for rs in sets for g in rs.gpu_ids]
-        assert len(cores) == len(set(cores))
-        assert len(gpus) == len(set(gpus))
-
-    def test_cpu_only_partition(self):
-        sets = partition_node(total_cores=64, total_gpus=0, sets_per_node=1)
-        assert sets[0].ngpus == 0
-        assert sets[0].ncores == 64
-
-    def test_uneven_gpu_split_rejected(self):
-        with pytest.raises(ValueError, match="evenly"):
-            partition_node(total_gpus=6, sets_per_node=4)
-
-    def test_too_many_sets_rejected(self):
-        with pytest.raises(ValueError, match="too few"):
-            partition_node(total_cores=3, total_gpus=6, sets_per_node=6)
-
-    def test_render_layout(self):
-        text = render_layout(partition_node())
-        assert "set 0" in text and "g5" in text

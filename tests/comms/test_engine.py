@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.comms import CollectiveEngine, CollectiveOptions
+from repro.comms.ft.engine import FaultTolerantEngine
 from repro.mpi import run_spmd
 from repro.telemetry import Tracer
+
+ENGINES = {"plain": CollectiveEngine, "ft": FaultTolerantEngine}
 
 
 def _rank_data(rank, size=4001, seed=0):
@@ -185,10 +188,26 @@ class TestTelemetryAndInfo:
         np.testing.assert_array_equal(out, np.arange(8.0))
         assert info == {"algorithm": "flat", "chunks": 1, "wire_bytes": 0}
 
-    def test_per_call_options_override_engine_default(self):
-        def worker(comm):
-            eng = CollectiveEngine(comm, options=CollectiveOptions(algorithm="ring"))
-            eng.allreduce(np.ones(256), options=CollectiveOptions(algorithm="flat"))
-            return eng.last_info["algorithm"]
+    @pytest.mark.parametrize("engine", ["plain", "ft"])
+    def test_per_call_options_override_engine_default(self, engine):
+        """A per-call ``flat`` overrides the engine's chunked ring and
+        runs the same on both engines: the ring in one chunk, with
+        ``comm.allreduce``'s bits."""
+        chunked = CollectiveOptions(algorithm="ring", chunk_bytes=512)
 
-        assert run_spmd(4, worker) == ["flat"] * 4
+        def worker(comm):
+            data = _rank_data(comm.rank, size=256)  # 2 KiB: four ring chunks
+            eng = ENGINES[engine](comm, options=chunked)
+            try:
+                got = eng.allreduce(
+                    data.copy(), name="g", options=chunked.evolve(algorithm="flat")
+                )
+            finally:
+                if isinstance(eng, FaultTolerantEngine):
+                    eng.close()
+            ref = comm.allreduce(data.copy(), op="mean")
+            return got, ref, dict(eng.last_info)
+
+        for got, ref, info in run_spmd(4, worker):
+            assert (info["algorithm"], info["chunks"]) == ("flat", 1)
+            np.testing.assert_array_equal(got, ref)

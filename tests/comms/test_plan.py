@@ -1,8 +1,8 @@
-"""Schedule plans: golden step structures and cost-model identities."""
+"""Schedule plans: golden step structures and their alpha-beta prices."""
 
 import pytest
 
-from repro.cluster.machine import SUMMIT, THETA
+from repro.cluster.machine import SUMMIT
 from repro.comms import (
     DEFAULT_OPTIONS,
     CollectiveOptions,
@@ -11,7 +11,7 @@ from repro.comms import (
     plan_allreduce,
     plan_broadcast,
 )
-from repro.mpi.network import CollectiveCostModel
+from repro.mpi.network import FabricSpec
 
 SUMMIT_PAIR = Topology(world=12, local_size=6)
 SINGLE_NODE = Topology(world=6, local_size=6)
@@ -73,56 +73,105 @@ class TestGoldenSchedules:
     def test_world_of_one_is_empty(self):
         assert plan_allreduce(1 << 20, Topology(world=1)).steps == ()
 
+    def test_flat_allreduce_is_one_ring_chunk(self):
+        opts = CollectiveOptions(algorithm="flat", chunk_bytes=8 << 10)
+        sched = plan_allreduce(64 << 10, SINGLE_NODE, opts)
+        assert (sched.algorithm, sched.nchunks) == ("flat", 1)
+        ring = plan_allreduce(64 << 10, SINGLE_NODE, opts.evolve(algorithm="ring"))
+        assert ring.nchunks == 8
+        assert sched.steps == plan_allreduce(
+            64 << 10, SINGLE_NODE, CollectiveOptions(algorithm="ring")
+        ).steps
 
-class TestCostIdentities:
-    """Planned costs reproduce the legacy CollectiveCostModel exactly."""
 
-    @pytest.mark.parametrize("machine", [SUMMIT, THETA])
-    @pytest.mark.parametrize("nworkers", [2, 6, 48, 384, 3072])
-    @pytest.mark.parametrize("nbytes", [8 << 10, 1 << 20, 64 << 20])
-    def test_default_allreduce_matches_hierarchical_model(
-        self, machine, nworkers, nbytes
-    ):
-        cm = CollectiveCostModel(
-            machine.fabric, ranks_per_node=machine.workers_per_node
-        )
-        topo = Topology.from_machine(machine, nworkers)
-        planned = plan_allreduce(nbytes, topo, DEFAULT_OPTIONS).seconds(
-            machine.fabric
-        )
-        assert planned == pytest.approx(
-            cm.allreduce_hierarchical(nbytes, nworkers), rel=1e-12
+class TestPricing:
+    """A schedule's price is the alpha-beta-gamma cost of its steps."""
+
+    @pytest.fixture
+    def fabric(self):
+        return FabricSpec(
+            name="test",
+            intra_alpha_s=1e-6,
+            intra_beta_s_per_b=1e-11,
+            inter_alpha_s=1e-5,
+            inter_beta_s_per_b=1e-10,
         )
 
-    @pytest.mark.parametrize("nworkers", [2, 6, 48, 384])
-    def test_ring_matches_ring_model(self, nworkers):
-        cm = CollectiveCostModel(SUMMIT.fabric, ranks_per_node=SUMMIT.workers_per_node)
-        topo = Topology.from_machine(SUMMIT, nworkers)
-        planned = plan_allreduce(
-            1 << 20, topo, CollectiveOptions(algorithm="ring")
-        ).seconds(SUMMIT.fabric)
-        assert planned == pytest.approx(cm.allreduce_ring(1 << 20, nworkers), rel=1e-12)
+    @staticmethod
+    def ring_s(nbytes, world, fabric, local_size=6):
+        topo = Topology(world=world, local_size=min(world, local_size))
+        return plan_allreduce(
+            nbytes, topo, CollectiveOptions(algorithm="ring")
+        ).seconds(fabric)
 
-    @pytest.mark.parametrize("nworkers", [2, 8, 128])
-    def test_rhd_matches_rhd_model(self, nworkers):
-        machine = THETA
-        cm = CollectiveCostModel(
-            machine.fabric, ranks_per_node=machine.workers_per_node
-        )
-        topo = Topology.from_machine(machine, nworkers)
-        planned = plan_allreduce(
-            4 << 10, topo, CollectiveOptions(algorithm="rhd")
-        ).seconds(machine.fabric)
-        assert planned == pytest.approx(cm.allreduce_rhd(4 << 10, nworkers), rel=1e-12)
+    def test_world_of_one_is_free(self, fabric):
+        one = Topology(world=1)
+        assert plan_allreduce(1 << 20, one).seconds(fabric) == 0.0
+        assert plan_broadcast(1 << 20, one).seconds(fabric) == 0.0
+        assert plan_allgather(1 << 20, one).seconds(fabric) == 0.0
 
-    @pytest.mark.parametrize("nworkers", [2, 6, 48, 384])
-    def test_default_broadcast_matches_hierarchical_model(self, nworkers):
-        cm = CollectiveCostModel(SUMMIT.fabric, ranks_per_node=SUMMIT.workers_per_node)
-        topo = Topology.from_machine(SUMMIT, nworkers)
-        planned = plan_broadcast(1 << 20, topo, DEFAULT_OPTIONS).seconds(SUMMIT.fabric)
-        assert planned == pytest.approx(
-            cm.broadcast_hierarchical(1 << 20, nworkers), rel=1e-12
+    def test_ring_prices_the_textbook_formula(self, fabric):
+        n, p = 1 << 20, 4  # one node: the intra link
+        expected = (
+            2 * (p - 1) * fabric.intra_alpha_s
+            + 2 * n * (p - 1) / p * fabric.intra_beta_s_per_b
+            + n * (p - 1) / p * fabric.reduce_gamma_s_per_b
         )
+        assert self.ring_s(n, p, fabric) == pytest.approx(expected, rel=1e-12)
+
+    def test_inter_node_link_bounds_a_multi_node_ring(self, fabric):
+        n, p = 1 << 20, 12  # two nodes of six
+        expected = (
+            2 * (p - 1) * fabric.inter_alpha_s
+            + 2 * n * (p - 1) / p * fabric.inter_beta_s_per_b
+            + n * (p - 1) / p * fabric.reduce_gamma_s_per_b
+        )
+        assert self.ring_s(n, p, fabric) == pytest.approx(expected, rel=1e-12)
+
+    def test_ring_bandwidth_term_saturates_with_p(self, fabric):
+        """Ring moves 2n(p-1)/p bytes — nearly constant in p; latency grows."""
+        small = self.ring_s(100 << 20, 12, fabric)
+        large = self.ring_s(100 << 20, 3072, fabric)
+        # bounded by latency growth, not x256 bandwidth growth
+        assert large < small * 30
+
+    def test_ring_monotone_in_bytes(self, fabric):
+        assert self.ring_s(2 << 20, 48, fabric) > self.ring_s(1 << 20, 48, fabric)
+
+    def test_hierarchical_beats_ring_at_3072(self, fabric):
+        topo = Topology(world=3072, local_size=6)
+        hier = plan_allreduce(
+            64 << 20, topo, CollectiveOptions(algorithm="hierarchical")
+        ).seconds(fabric)
+        assert hier < self.ring_s(64 << 20, 3072, fabric)
+
+    def test_hierarchical_equals_ring_on_one_node(self, fabric):
+        hier = plan_allreduce(
+            1 << 20, SINGLE_NODE, CollectiveOptions(algorithm="hierarchical")
+        ).seconds(fabric)
+        assert hier == self.ring_s(1 << 20, 6, fabric)
+
+    def test_broadcast_prices_two_trees(self, fabric):
+        nbytes = 1 << 20
+        got = plan_broadcast(nbytes, Topology(world=48, local_size=6)).seconds(fabric)
+        inter = 3 * (fabric.inter_alpha_s + nbytes * fabric.inter_beta_s_per_b)
+        intra = 3 * (fabric.intra_alpha_s + nbytes * fabric.intra_beta_s_per_b)
+        assert got == pytest.approx(inter + intra, rel=1e-12)
+
+    def test_flat_broadcast_prices_log_rounds(self, fabric):
+        n = 1 << 10
+        got = plan_broadcast(
+            n, Topology(world=8, local_size=1), CollectiveOptions(algorithm="flat")
+        ).seconds(fabric)
+        per_round = fabric.inter_alpha_s + n * fabric.inter_beta_s_per_b
+        assert got == pytest.approx(3 * per_round, rel=1e-12)
+
+    def test_allgather_grows_with_world(self, fabric):
+        def allgather_s(world):
+            topo = Topology(world=world, local_size=min(world, 6))
+            return plan_allgather(1 << 20, topo).seconds(fabric)
+
+        assert allgather_s(12) > allgather_s(2)
 
 
 class TestPipelining:

@@ -1,4 +1,4 @@
-"""Property-based collective correctness: the threaded ring/tree
+"""Property-based collective correctness: the threaded tree and ring
 algorithms must match the mathematical definitions for arbitrary
 payloads and rank counts.
 """
@@ -16,7 +16,7 @@ from repro.mpi import run_spmd
     seed=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=20, deadline=None)
-def test_ring_allreduce_equals_numpy_sum(size, length, seed):
+def test_allreduce_equals_numpy_sum(size, length, seed):
     base = np.random.default_rng(seed).normal(size=(size, length))
 
     def job(comm):

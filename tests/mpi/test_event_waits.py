@@ -73,12 +73,11 @@ def blocked_receiver(receive, timeout: float = 60.0):
     return ctx, spy, outcome, thread
 
 
-#: the four blocking receives, each from rank 0 on tag 3
+#: the three blocking receives, each from rank 0 on tag 3
 RECEIVES = {
     "recv": lambda comm: comm.recv(0, tag=3),
     "recv_within": lambda comm: comm.recv_within(0, tag=3, timeout=60.0),
     "recv_any": lambda comm: comm.recv_any([0], tag=3)[1],
-    "irecv_wait": lambda comm: comm.irecv(0, tag=3).wait(),
 }
 
 
@@ -145,10 +144,6 @@ EXPIRING = {
     "recv_any": (
         lambda comm: comm.recv_any([0], tag=3, timeout=0.05),
         r"recv_any from \[0\] tag 3",
-    ),
-    "irecv_wait": (
-        lambda comm: comm.irecv(0, tag=3).wait(timeout=0.05),
-        "irecv wait from 0 tag 3",
     ),
 }
 

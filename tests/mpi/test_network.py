@@ -1,4 +1,7 @@
-"""Collective cost models: formulas, monotonicity, hierarchy."""
+"""Fabric terms: point-to-point and negotiation prices.
+
+The collectives are priced from their schedules (``tests/comms/test_plan.py``).
+"""
 
 import pytest
 
@@ -22,12 +25,6 @@ def cm(fabric):
 
 
 class TestBasics:
-    def test_single_rank_collectives_free(self, cm):
-        assert cm.allreduce_ring(1 << 20, 1) == 0.0
-        assert cm.broadcast_tree(1 << 20, 1) == 0.0
-        assert cm.allgather_ring(1 << 20, 1) == 0.0
-        assert cm.barrier(1) == 0.0
-
     def test_p2p_latency_plus_bandwidth(self, cm, fabric):
         t = cm.p2p(1000, spans_nodes=True)
         assert t == pytest.approx(fabric.inter_alpha_s + 1000 * fabric.inter_beta_s_per_b)
@@ -44,62 +41,6 @@ class TestBasics:
             )
 
 
-class TestRingAllreduce:
-    def test_exact_formula(self, cm, fabric):
-        n, p = 1 << 20, 4
-        got = cm.allreduce_ring(n, p)  # p <= 6 -> intra link
-        expected = (
-            2 * (p - 1) * fabric.intra_alpha_s
-            + 2 * n * (p - 1) / p * fabric.intra_beta_s_per_b
-            + n * (p - 1) / p * fabric.reduce_gamma_s_per_b
-        )
-        assert got == pytest.approx(expected)
-
-    def test_bandwidth_term_saturates_with_p(self, cm):
-        """Ring moves 2n(p-1)/p bytes — nearly constant in p; latency grows."""
-        small = cm.allreduce_ring(100 << 20, 12)
-        large = cm.allreduce_ring(100 << 20, 3072)
-        # bounded by latency growth, not x256 bandwidth growth
-        assert large < small * 30
-
-    def test_monotone_in_bytes(self, cm):
-        assert cm.allreduce_ring(2 << 20, 48) > cm.allreduce_ring(1 << 20, 48)
-
-
-class TestHierarchical:
-    def test_hierarchical_beats_flat_at_scale(self, cm):
-        nbytes = 64 << 20
-        assert cm.allreduce_hierarchical(nbytes, 3072) < cm.allreduce_ring(nbytes, 3072)
-
-    def test_hierarchical_equals_intra_ring_on_one_node(self, cm):
-        nbytes = 1 << 20
-        assert cm.allreduce_hierarchical(nbytes, 6) == pytest.approx(
-            cm.allreduce_ring(nbytes, 6)
-        )
-
-    def test_broadcast_hierarchical_two_levels(self, cm, fabric):
-        import math
-
-        nbytes = 1 << 20
-        got = cm.broadcast_hierarchical(nbytes, 48)  # 8 nodes x 6
-        inter = math.ceil(math.log2(8)) * (
-            fabric.inter_alpha_s + nbytes * fabric.inter_beta_s_per_b
-        )
-        intra = math.ceil(math.log2(6)) * (
-            fabric.intra_alpha_s + nbytes * fabric.intra_beta_s_per_b
-        )
-        assert got == pytest.approx(inter + intra)
-
-
 class TestTreeAndMisc:
-    def test_broadcast_log_rounds(self, cm, fabric):
-        n = 1 << 10
-        t8 = cm.broadcast_tree(n, 8)
-        per_round = fabric.inter_alpha_s + n * fabric.inter_beta_s_per_b
-        assert t8 == pytest.approx(3 * per_round)
-
-    def test_allgather_total_bytes(self, cm):
-        assert cm.allgather_ring(1 << 20, 12) > cm.allgather_ring(1 << 20, 2)
-
     def test_negotiate_grows_logarithmically(self, cm):
         assert cm.negotiate(1024) == pytest.approx(2 * cm.negotiate(32), rel=0.01)
