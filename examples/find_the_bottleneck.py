@@ -2,8 +2,11 @@
 
 The paper's §4 methodology in miniature:
 
-1. run an NT3 workload end-to-end with phase spans and cProfile;
-2. observe that the data-loading phase (and `read_csv`'s slow engine)
+1. run an NT3 workload end-to-end with phase spans and cProfile: a
+   wide file (30,241 columns) and one rank's training share at 48 GPUs
+   (one batch step);
+2. observe that the data-loading phase (and `read_csv`'s slow engine,
+   whose mixed-dtype chunks raise the `DtypeWarning` pandas users know)
    dominates, exactly as "on 48 GPUs or more, the data-loading time
    dominates the total runtime";
 3. apply the §5 fix (chunked low_memory=False) and re-measure.
@@ -20,8 +23,8 @@ from repro.telemetry import Tracer, format_summary, summary_rows
 
 
 def main() -> None:
-    # a wide-row NT3-shaped file: many columns, few rows
-    bench = get_benchmark("nt3", scale=0.15, sample_scale=0.05)
+    # a wide-row NT3-shaped file: half of NT3's 60,483 columns, 67 rows
+    bench = get_benchmark("nt3", scale=0.5, sample_scale=0.06)
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -36,7 +39,9 @@ def main() -> None:
             data = bench.from_frames(frame, frame)
             model = bench.build_model(seed=1)
             model.compile("sgd", "categorical_crossentropy", lr=0.001)
-            model.fit(data.x_train, data.y_train, batch_size=20, epochs=1)
+            # one batch step: a rank's share of an NT3 epoch (56 steps)
+            # at the paper's 48 GPUs, where each rank still loads it all
+            model.fit(data.x_train[:20], data.y_train[:20], batch_size=20, epochs=1)
 
         print(format_summary(tracer, title="phase seconds (original loader)"))
         seconds = {row["name"]: row["total_s"] for row in summary_rows(tracer)}

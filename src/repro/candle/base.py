@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.candle.data import one_hot
 from repro.frame import write_csv
 from repro.nn import Sequential
 
@@ -113,6 +114,13 @@ class CandleBenchmark:
     MIN_FEATURES = 16
     MIN_SAMPLES = 32
 
+    #: file layout: target columns before the features (0: the target is
+    #: the input), an int label one-hot to ``spec.num_classes`` (else the
+    #: raw float target), and a trailing channel axis on x (Conv1D)
+    TARGET_COLUMNS = 1
+    ONE_HOT_TARGET = False
+    CHANNEL_AXIS = False
+
     def __init__(self, scale: float = 1.0, sample_scale: Optional[float] = None):
         """``scale`` shrinks the feature dimension; ``sample_scale``
         (default: same as ``scale``) shrinks the sample count.
@@ -164,14 +172,6 @@ class CandleBenchmark:
         """Model-ready inputs from loaded rows (unchanged by default)."""
         return x
 
-    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows written to CSV: [target column(s), features...]."""
-        raise NotImplementedError
-
-    def _split_matrix(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`_target_matrix`: matrix → (x, y)."""
-        raise NotImplementedError
-
     # -- the runners' phase rules ---------------------------------------------
     def loss_and_metrics(self) -> Tuple[str, list]:
         """The loss and metric names every runner compiles the model with."""
@@ -205,11 +205,31 @@ class CandleBenchmark:
         write_csv(test_path, self._target_matrix(data.x_test, data.y_test))
         return train_path, test_path
 
+    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows written to CSV: [target column, features...]."""
+        x = x[:, :, 0] if self.CHANNEL_AXIS else x
+        if not self.TARGET_COLUMNS:
+            return x
+        target = np.argmax(y, axis=1).astype(np.float64) if self.ONE_HOT_TARGET else y[:, 0]
+        return np.column_stack([target, x])
+
+    def _split_frame(self, frame) -> Tuple[np.ndarray, np.ndarray]:
+        """Inverse of :meth:`_target_matrix`: a loaded frame → float64
+        ``(x, y)``. Each is a view of the frame's block when its columns
+        are a run of one float64 block (a cache hit's mapping, read-only;
+        a chunked load's concat block), else a block-by-block copy."""
+        columns = np.arange(frame.shape[1])
+        x = frame._matrix(columns[self.TARGET_COLUMNS:], np.float64)
+        y = frame._matrix(columns[: self.TARGET_COLUMNS], np.float64) if self.TARGET_COLUMNS else x
+        if self.ONE_HOT_TARGET:
+            y = one_hot(y[:, 0].astype(np.int64), self.spec.num_classes)
+        return (x[..., None] if self.CHANNEL_AXIS else x), y
+
     def from_frames(self, train_frame, test_frame) -> LoadedData:
-        """Convert loaded DataFrames back into model-ready arrays."""
-        x_tr, y_tr = self._split_matrix(train_frame.to_numpy(dtype=np.float64))
-        x_te, y_te = self._split_matrix(test_frame.to_numpy(dtype=np.float64))
-        return LoadedData(x_tr, y_tr, x_te, y_te)
+        """Loaded DataFrames as model-ready arrays, views where the frames
+        hold float64 (:meth:`_split_frame`): a consumer that writes in
+        place copies first, as the scalers do."""
+        return LoadedData(*self._split_frame(train_frame), *self._split_frame(test_frame))
 
     # -- introspection ---------------------------------------------------------------
     def describe(self) -> dict:

@@ -51,6 +51,8 @@ class NT3Benchmark(CandleBenchmark):
     """The NT3 benchmark at a configurable scale."""
 
     spec = NT3_SPEC
+    ONE_HOT_TARGET = True  # a label column, then the features
+    CHANNEL_AXIS = True  # Conv1D wants (steps, channels)
 
     def synth_arrays(self, rng: np.random.Generator) -> LoadedData:
         # one draw for train+test so both share the generative model
@@ -58,7 +60,6 @@ class NT3Benchmark(CandleBenchmark):
         f = self.features
         n_tr, n_te = self.train_samples, self.test_samples
         x, y = expression_classification(rng, n_tr + n_te, f, num_classes=2)
-        # Conv1D wants (steps, channels)
         return LoadedData(
             x[:n_tr, :, None],
             one_hot(y[:n_tr], 2),
@@ -89,12 +90,3 @@ class NT3Benchmark(CandleBenchmark):
         )
         model.build((f, 1), seed=seed, train=train)
         return model
-
-    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        labels = np.argmax(y, axis=1).astype(np.float64)
-        return np.column_stack([labels, x[:, :, 0]])
-
-    def _split_matrix(self, matrix: np.ndarray):
-        labels = matrix[:, 0].astype(np.int64)
-        x = matrix[:, 1:]
-        return x[..., None], one_hot(labels, 2)

@@ -42,6 +42,7 @@ class P1B1Benchmark(CandleBenchmark):
     """The P1B1 autoencoder at a configurable scale."""
 
     spec = P1B1_SPEC
+    TARGET_COLUMNS = 0  # the files hold features only; the target is the input
 
     @property
     def hidden(self) -> int:
@@ -73,9 +74,3 @@ class P1B1Benchmark(CandleBenchmark):
         )
         model.build((f,), seed=seed, train=train)
         return model
-
-    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x  # autoencoder files hold features only; target is the input
-
-    def _split_matrix(self, matrix: np.ndarray):
-        return matrix, matrix

@@ -42,6 +42,7 @@ class P1B2Benchmark(CandleBenchmark):
     """The P1B2 classifier at a configurable scale."""
 
     spec = P1B2_SPEC
+    ONE_HOT_TARGET = True  # a label column, then the features
 
     def synth_arrays(self, rng: np.random.Generator) -> LoadedData:
         # one draw for train+test so both share the class marker sets
@@ -70,11 +71,3 @@ class P1B2Benchmark(CandleBenchmark):
         )
         model.build((f,), seed=seed, train=train)
         return model
-
-    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        labels = np.argmax(y, axis=1).astype(np.float64)
-        return np.column_stack([labels, x])
-
-    def _split_matrix(self, matrix: np.ndarray):
-        labels = matrix[:, 0].astype(np.int64)
-        return matrix[:, 1:], one_hot(labels, self.spec.num_classes)

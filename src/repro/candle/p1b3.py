@@ -86,9 +86,3 @@ class P1B3Benchmark(CandleBenchmark):
     def prepare_x(self, x: np.ndarray) -> np.ndarray:
         """Add the channel axis when the conv variant is active."""
         return x[..., None] if self.conv else x
-
-    def _target_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.column_stack([y[:, 0], x])
-
-    def _split_matrix(self, matrix: np.ndarray):
-        return matrix[:, 1:], matrix[:, :1]

@@ -142,12 +142,15 @@ class DataFrame:
         return DataFrame._from_blocks(names, self._blocks, blkno, blkloc, self._nrows)
 
     def _matrix(self, positions: np.ndarray, dtype) -> np.ndarray:
-        """The ``dtype`` columns at ``positions`` as one 2-D matrix: a view
-        when they are a run of one block, else a block-by-block copy."""
+        """The columns at (non-empty) ``positions`` as one 2-D ``dtype``
+        matrix: a view when they are a run of one block of that dtype,
+        else a block-by-block copy (cast as ``to_numpy(dtype)`` casts)."""
         blocks = np.unique(self._blkno[positions])
         locs = _as_slice(self._blkloc[positions])
         if len(blocks) == 1 and isinstance(locs, slice):
-            return self._blocks[blocks[0]][:, locs]
+            block = self._blocks[blocks[0]]
+            if block.dtype == dtype:
+                return block[:, locs]
         return self._take(positions).to_numpy(dtype)
 
     # -- construction helpers ---------------------------------------------

@@ -5,6 +5,12 @@ one 2-D ``.npy`` block per column dtype plus a ``meta.json`` — so later
 loads skip text parsing entirely and map the blocks (milliseconds
 instead of the paper's 81.72 s for NT3).
 
+The mapping is handed on, not copied: a cached frame's columns are
+views of its blocks, and ``CandleBenchmark.from_frames`` takes a run of
+float64 columns as one view (``DataFrame._matrix``), read-only, so an
+in-place write raises instead of changing the entry (a consumer that
+writes copies first). Other dtypes (NT3's int64 labels) are copied.
+
 Format 2's ``meta.json`` describes each block by its dtype, shape and
 data offset in the file, and by the frame-position spans of its columns
 (``[[1, 4839]]`` for NT3's features, not 4,838 entries); names are

@@ -211,7 +211,10 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     A hit maps each cached block once and copies nothing. A miss takes
     the file's fingerprint, parses it with the ``chunked`` engine in
     this process, and has the cache write the parsed chunks to the entry
-    (no concat) and hand back its memory-mapped frame. Not the
+    (no concat) and hand back its memory-mapped frame. Either way the
+    frame's columns, and the arrays ``from_frames`` takes from a run of
+    float64 columns, are read-only views of the mapping; columns of
+    another dtype are copied (see :mod:`repro.ingest.cache`). Not the
     ``parallel`` pool: on two cores it parses no faster than
     ``chunked``, and handing the parsed columns back from its workers
     was pure extra cost on the cold load.

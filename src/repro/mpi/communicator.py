@@ -22,6 +22,7 @@ Horovod timeline and the analysis layer read.
 from __future__ import annotations
 
 import collections
+import numbers
 import queue
 import threading
 import time
@@ -362,7 +363,8 @@ class Communicator:
         combines every rank's contribution with :func:`canonical_reduce`,
         so this is the reference the collective engine's ring, rhd and
         hierarchical schedules are bit-identical to. An array comes back
-        as this rank's own array, in the input's dtype and shape.
+        as this rank's own array, in the input's dtype and shape; a
+        numeric list or tuple as a float64 array, reduced elementwise.
         """
         if op not in ("sum", "mean", "max", "min"):
             raise ValueError(f"unsupported allreduce op {op!r}")
@@ -370,7 +372,7 @@ class Communicator:
         gathered = self.gather(value, root=0)
         result = canonical_reduce(gathered, op) if self.rank == 0 else None
         result = self._tree_bcast(result, 0)
-        if isinstance(result, np.ndarray):
+        if isinstance(value, np.ndarray) and isinstance(result, np.ndarray):
             return result.astype(value.dtype)
         return result
 
@@ -431,6 +433,11 @@ def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     arithmetic to this routine, which is what makes their results
     bit-identical to each other.
 
+    Real scalars combine with Python arithmetic. Anything else is an
+    array: numeric lists and tuples reduce elementwise, like the arrays
+    they convert to (so a list comes back as a float64 array), and a
+    non-numeric contribution raises ``TypeError``.
+
     Arrays are folded into one fresh float64 array in ascending rank
     order: a sum starts from +0.0 (as numpy's reduction does, so a lone
     ``-0.0`` sums to ``0.0``), max/min from the first contribution, and
@@ -452,8 +459,11 @@ def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     block is written. Either way each element sees the same operations
     in the same order, so the bits are those of the fresh result.
     """
-    if out is not None or any(isinstance(v, np.ndarray) for v in values):
+    if out is not None or not all(isinstance(v, numbers.Real) for v in values):
         arrays = [np.asarray(v) for v in values]
+        for v, a in zip(values, arrays):
+            if a.dtype.kind not in "biuf":
+                raise TypeError(f"cannot reduce a {type(v).__name__} contribution")
         shape = arrays[0].shape
         for a in arrays + ([] if out is None else [out]):
             if a.shape != shape:

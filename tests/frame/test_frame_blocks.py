@@ -266,6 +266,30 @@ def test_operations_match_the_column_dict_frame(built, data):
 
 @FUZZ
 @given(frames(), st.data())
+def test_matrix_is_to_numpy_of_the_columns_in_the_dtype_asked(built, data):
+    frame, cols = built
+    names = list(cols)
+    picked = data.draw(st.lists(st.sampled_from(range(len(names))), min_size=1, unique=True))
+    dtypes = (object, np.float64) if numeric(cols) else (object,)
+    dtype = np.dtype(data.draw(st.sampled_from(dtypes)))
+    got = frame._matrix(np.array(picked), dtype)
+    assert_array(np.ascontiguousarray(got), o_to_numpy({names[i]: cols[names[i]] for i in picked},
+                                                       dtype))
+
+
+def test_matrix_views_only_a_run_of_a_block_of_the_dtype_asked():
+    ints, floats = np.arange(12).reshape(4, 3), np.arange(12.0).reshape(4, 3)
+    frame = DataFrame._from_blocks(list(range(6)), [ints, floats], [0] * 3 + [1] * 3,
+                                   [0, 1, 2] * 2, 4)
+    run = np.array([1, 2])
+    assert np.shares_memory(frame._matrix(run + 3, np.float64), floats)
+    cast = frame._matrix(run, np.float64)
+    assert cast.dtype == np.float64 and not np.shares_memory(cast, ints)
+    assert np.array_equal(cast, ints[:, 1:])
+
+
+@FUZZ
+@given(frames(), st.data())
 def test_equals_matches_the_column_dict_frame(built, data):
     frame, cols = built
     other, other_cols = data.draw(st.sampled_from(["same", "rebuilt", "filled", "other"])), None

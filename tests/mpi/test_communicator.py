@@ -89,6 +89,24 @@ def test_allreduce_scalar_uses_tree():
     assert all(v == 6.0 for v in run_spmd(4, job))
 
 
+def test_allreduce_sums_a_list_elementwise():
+    for got in run_spmd(2, lambda comm: comm.allreduce([1.0, 2.0], op="sum")):
+        assert isinstance(got, np.ndarray) and got.tolist() == [2.0, 4.0]
+
+
+def test_allreduce_averages_a_tuple_elementwise():
+    for got in run_spmd(2, lambda comm: comm.allreduce((1.0, float(comm.rank)), op="mean")):
+        assert got.tolist() == [1.0, 0.5]
+
+
+def test_allreduce_of_a_str_raises_naming_the_type():
+    from repro.mpi.runtime import SpmdError
+
+    with pytest.raises(SpmdError) as info:
+        run_spmd(2, lambda comm: comm.allreduce("ab", op="sum"))
+    assert isinstance(info.value.cause, TypeError) and "str" in str(info.value.cause)
+
+
 def test_allreduce_bad_op():
     def job(comm):
         comm.allreduce(np.ones(4), op="xor")
