@@ -10,12 +10,7 @@ The measurement toolkit the paper's evaluation uses:
   original-vs-optimized improvement accounting (Tables 5-6, Figs 11-21).
 """
 
-from repro.analysis.energy import (
-    EnergyComparison,
-    compare_runs,
-    energy_delay_product,
-    pareto_front,
-)
+from repro.analysis.energy import EnergyComparison, compare_runs
 from repro.analysis.profiling import profile_callable
 from repro.analysis.plotting import bar_chart, line_chart, power_strip
 from repro.analysis.timeline_analysis import (
@@ -31,8 +26,6 @@ __all__ = [
     "communication_summary",
     "EnergyComparison",
     "compare_runs",
-    "energy_delay_product",
-    "pareto_front",
     "line_chart",
     "bar_chart",
     "power_strip",

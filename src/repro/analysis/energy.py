@@ -9,18 +9,13 @@ defines them ((orig - new)/orig x 100).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, TypeVar
 
 from repro.sim.report import SimRunReport, improvement_percent
 
 __all__ = [
     "EnergyComparison",
     "compare_runs",
-    "energy_delay_product",
-    "pareto_front",
 ]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -68,42 +63,6 @@ class EnergyComparison:
             "energy_saving_pct": round(self.energy_saving_pct, 2),
             "power_increase_pct": round(self.power_increase_pct, 2),
         }
-
-
-def energy_delay_product(energy_j: float, seconds: float) -> float:
-    """EDP (J·s): the standard single-number energy/performance figure.
-
-    Lower is better; unlike raw joules it cannot be gamed by running
-    arbitrarily slowly, and unlike raw seconds it charges for wattage.
-    """
-    if energy_j < 0 or seconds < 0:
-        raise ValueError("energy and time must be non-negative")
-    return energy_j * seconds
-
-
-def pareto_front(
-    points: Sequence[T],
-    x: Callable[[T], float],
-    y: Callable[[T], float],
-) -> List[T]:
-    """Non-dominated subset minimizing both ``x`` and ``y``.
-
-    A point survives unless some other point is <= on both axes and
-    strictly < on at least one — the energy-vs-time frontier the config
-    search reports. Output is sorted by ``x`` ascending; ties on both
-    axes all survive (they are mutually non-dominating).
-    """
-    pts = list(points)
-    front = []
-    for p in pts:
-        dominated = any(
-            (x(q) <= x(p) and y(q) <= y(p))
-            and (x(q) < x(p) or y(q) < y(p))
-            for q in pts
-        )
-        if not dominated:
-            front.append(p)
-    return sorted(front, key=lambda p: (x(p), y(p)))
 
 
 def compare_runs(original: SimRunReport, optimized: SimRunReport) -> EnergyComparison:

@@ -15,22 +15,14 @@ These specs parameterize the filesystem-contention, fabric, compute,
 and power models that :mod:`repro.sim` composes into full runs.
 """
 
-from repro.cluster.devices import (
-    CpuSpec,
-    GpuSpec,
-    DevicePowerModel,
-    KNL_DVFS,
-    V100_DVFS,
-)
+from repro.cluster.devices import CpuSpec, GpuSpec, DevicePowerModel
 from repro.cluster.filesystem import FilesystemSpec, IoSkewModel
 from repro.cluster.machine import MachineSpec, SUMMIT, THETA, get_machine
 from repro.cluster.power import (
     EnergyAccount,
-    FrequencyLadder,
     PhasePowerProfile,
     PowerMeter,
     PowerSample,
-    PowerState,
     trapezoid_energy,
 )
 
@@ -47,10 +39,6 @@ __all__ = [
     "PhasePowerProfile",
     "PowerMeter",
     "PowerSample",
-    "PowerState",
-    "FrequencyLadder",
-    "V100_DVFS",
-    "KNL_DVFS",
     "EnergyAccount",
     "trapezoid_energy",
 ]

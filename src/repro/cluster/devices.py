@@ -12,16 +12,11 @@ saturate a V100 (NT3 is "not compute-intensive" on Summit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.cluster.power import FrequencyLadder, PowerState
 
 __all__ = [
     "GpuSpec",
     "CpuSpec",
     "DevicePowerModel",
-    "V100_DVFS",
-    "KNL_DVFS",
 ]
 
 
@@ -65,8 +60,6 @@ class GpuSpec:
     mem_gb: float
     tdp_w: float
     power: DevicePowerModel
-    #: DVFS operating points (None = the device exposes no ladder)
-    dvfs: Optional[FrequencyLadder] = None
 
     def sustained_flops(self, efficiency: float = 0.35) -> float:
         """FLOP/s the simulator charges DL kernels against.
@@ -88,8 +81,6 @@ class CpuSpec:
     peak_fp64_gflops: float
     tdp_w: float
     power: DevicePowerModel
-    #: DVFS operating points (None = the device exposes no ladder)
-    dvfs: Optional[FrequencyLadder] = None
 
     def sustained_flops(self, efficiency: float = 0.10) -> float:
         """FLOP/s charged to DL kernels on CPU (Theta runs TF on KNL)."""
@@ -99,34 +90,6 @@ class CpuSpec:
 
 
 # -- presets (paper §3 numbers) ---------------------------------------------
-
-#: V100 SM-clock ladder (nvidia-smi -lgc steps). Compute rate tracks the
-#: clock roughly linearly on the CANDLE kernel mix; active power falls
-#: faster than the clock (dynamic ~ f·V², with voltage dropping along
-#: the curve) down to a floor set by memory and fixed logic. A wide
-#: dynamic range — this is the ladder DVFS actually wins on.
-V100_DVFS = FrequencyLadder(
-    states=(
-        PowerState("p4", frequency_ghz=0.61, compute_scale=0.45, power_scale=0.22),
-        PowerState("p3", frequency_ghz=0.82, compute_scale=0.60, power_scale=0.36),
-        PowerState("p2", frequency_ghz=1.06, compute_scale=0.75, power_scale=0.54),
-        PowerState("p1", frequency_ghz=1.31, compute_scale=0.89, power_scale=0.76),
-        PowerState("p0", frequency_ghz=1.53, compute_scale=1.0, power_scale=1.0),
-    )
-)
-
-#: KNL core-clock ladder (ACPI P-states). A narrow range on both axes:
-#: the mesh, MCDRAM, and fixed node logic dominate the 140 W idle
-#: floor, so down-clocking stretches runtime for little power return —
-#: the race-to-idle regime the energy search should discover, not hide.
-KNL_DVFS = FrequencyLadder(
-    states=(
-        PowerState("p3", frequency_ghz=1.0, compute_scale=0.77, power_scale=0.74),
-        PowerState("p2", frequency_ghz=1.1, compute_scale=0.85, power_scale=0.82),
-        PowerState("p1", frequency_ghz=1.2, compute_scale=0.92, power_scale=0.91),
-        PowerState("p0", frequency_ghz=1.3, compute_scale=1.0, power_scale=1.0),
-    )
-)
 
 V100 = GpuSpec(
     name="NVIDIA Tesla V100",
@@ -140,7 +103,6 @@ V100 = GpuSpec(
     power=DevicePowerModel(
         idle_w=36.0, io_w=42.0, compute_base_w=90.0, compute_span_w=210.0, comm_w=120.0
     ),
-    dvfs=V100_DVFS,
 )
 
 POWER9 = CpuSpec(
@@ -163,5 +125,4 @@ KNL7230 = CpuSpec(
     power=DevicePowerModel(
         idle_w=140.0, io_w=160.0, compute_base_w=175.0, compute_span_w=60.0, comm_w=150.0
     ),
-    dvfs=KNL_DVFS,
 )

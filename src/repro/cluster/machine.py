@@ -92,30 +92,6 @@ class MachineSpec:
         """Power model of the device one Horovod rank runs on."""
         return (self.gpu or self.cpu).power
 
-    def frequency_ladder(self):
-        """The worker device's DVFS ladder.
-
-        Raises if the device exposes none — callers that sweep or cap
-        frequencies should fail loudly rather than silently pin the
-        nominal state.
-        """
-        ladder = (self.gpu or self.cpu).dvfs
-        if ladder is None:
-            raise ValueError(
-                f"{self.name}'s worker device has no DVFS ladder"
-            )
-        return ladder
-
-    def resolve_power_state(self, state):
-        """A :class:`~repro.cluster.power.PowerState` from a state or name.
-
-        ``None`` resolves to None (the nominal, un-laddered operating
-        point) so callers can thread an optional knob straight through.
-        """
-        if state is None or not isinstance(state, str):
-            return state
-        return self.frequency_ladder().state(state)
-
     def worker_flops(self, benchmark: Optional[str] = None) -> float:
         """Sustained FLOP/s per worker (optionally benchmark-specific)."""
         if self.gpu is not None:

@@ -1,4 +1,4 @@
-"""Power sampling, energy accounting, and DVFS power states.
+"""Power sampling and energy accounting.
 
 The paper measures GPU power with ``nvidia-smi`` at 1 sample/s on
 Summit and node power with PoLiMEr/CapMC at ~2 samples/s on Theta, then
@@ -12,22 +12,14 @@ one would post-process real meter output.
 The paper's headline energy effect falls out of this arithmetic: data
 loading is a *low-power* phase, so shortening it raises *average* power
 (Table 5a: +68.77%) while cutting *energy* (Table 5b: −55.93%).
-
-The DVFS layer (:class:`PowerState` / :class:`FrequencyLadder`) models
-the operating points a device exposes to a power-aware runtime: each
-state scales the device's *sustained compute rate* and its *active*
-(above-idle) draw, leaving the idle floor alone — dynamic power goes
-roughly as f·V², static leakage does not move with the clock. The
-simulator's compute and power models both consume a state, so dropping
-a rung stretches compute phases *and* lowers their wattage in one
-coherent move; a power-cap scheduler walks the ladder downwards until a
-node fits its budget (:mod:`repro.sim.powercap`).
+Like the paper, every device runs at its fixed clock: power follows
+what a phase does, never a frequency or a cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +29,6 @@ __all__ = [
     "PowerMeter",
     "trapezoid_energy",
     "EnergyAccount",
-    "PowerState",
-    "FrequencyLadder",
 ]
 
 
@@ -63,122 +53,6 @@ class PowerSample:
 
     time_s: float
     power_w: float
-
-
-@dataclass(frozen=True)
-class PowerState:
-    """One DVFS operating point of a compute device.
-
-    ``compute_scale`` multiplies the device's sustained compute rate at
-    this state (1.0 = the nominal, fully-clocked calibration);
-    ``power_scale`` multiplies the *active* share of every draw — the
-    watts above the idle floor — capturing the idle/active split of
-    real DVFS: dynamic power collapses with frequency and voltage,
-    static leakage and fans do not.
-    """
-
-    name: str
-    frequency_ghz: float
-    compute_scale: float
-    power_scale: float
-
-    def __post_init__(self):
-        if self.frequency_ghz <= 0:
-            raise ValueError(
-                f"state {self.name!r}: frequency must be positive, "
-                f"got {self.frequency_ghz}"
-            )
-        for field in ("compute_scale", "power_scale"):
-            v = getattr(self, field)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(
-                    f"state {self.name!r}: {field} must be in (0, 1], got {v}"
-                )
-
-    def apply(self, model):
-        """The device's :class:`~repro.cluster.devices.DevicePowerModel`
-        rescaled to this state: idle untouched, active draw scaled.
-
-        ``comm_w``'s 0 sentinel (fall back to ``io_w``) is preserved.
-        """
-        idle = model.idle_w
-
-        def active(w: float) -> float:
-            return idle + (w - idle) * self.power_scale
-
-        return type(model)(
-            idle_w=idle,
-            io_w=active(model.io_w),
-            compute_base_w=active(model.compute_base_w),
-            compute_span_w=model.compute_span_w * self.power_scale,
-            comm_w=active(model.comm_w) if model.comm_w > 0 else 0.0,
-        )
-
-
-@dataclass(frozen=True)
-class FrequencyLadder:
-    """A device's validated DVFS ladder, lowest to highest frequency.
-
-    Monotonicity is enforced at construction: walking up the ladder,
-    frequency, compute rate, and active power must all strictly
-    increase, and the top rung must be the nominal operating point
-    (``compute_scale == power_scale == 1``) so a run pinned to the top
-    state reproduces the un-laddered calibration bit-for-bit.
-    """
-
-    states: Tuple[PowerState, ...]
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        if not states:
-            raise ValueError("a frequency ladder needs at least one state")
-        names = [s.name for s in states]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate state names in ladder: {names}")
-        for lo, hi in zip(states, states[1:]):
-            for field in ("frequency_ghz", "compute_scale", "power_scale"):
-                if not getattr(lo, field) < getattr(hi, field):
-                    raise ValueError(
-                        f"ladder not monotone: {field} does not increase "
-                        f"from {lo.name!r} to {hi.name!r}"
-                    )
-        top = states[-1]
-        if top.compute_scale != 1.0 or top.power_scale != 1.0:
-            raise ValueError(
-                f"top state {top.name!r} must be the nominal point "
-                "(compute_scale == power_scale == 1.0)"
-            )
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def names(self) -> List[str]:
-        """State names, lowest frequency first."""
-        return [s.name for s in self.states]
-
-    @property
-    def max_state(self) -> PowerState:
-        return self.states[-1]
-
-    @property
-    def min_state(self) -> PowerState:
-        return self.states[0]
-
-    def state(self, name: str) -> PowerState:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise ValueError(f"unknown power state {name!r}; known: {self.names}")
-
-    def demote(self, state: PowerState) -> Optional[PowerState]:
-        """The next rung down, or None from the ladder's floor."""
-        idx = self.states.index(state)
-        return self.states[idx - 1] if idx > 0 else None
 
 
 class PhasePowerProfile:
@@ -226,9 +100,8 @@ class PhasePowerProfile:
 
         A ``searchsorted`` lookup over precomputed phase edges —
         O((samples + phases)·log phases) where the per-tick linear scan
-        was O(samples × phases), which made metering a multi-hour DVFS
-        profile (thousands of cap-induced state-change phases)
-        quadratic. Bit-identical to the scan, including its gap and
+        was O(samples × phases), which made metering a multi-hour
+        profile with per-step phases quadratic. Bit-identical to the scan, including its gap and
         endpoint semantics: 0 in inter-phase gaps and outside the
         profile, and the final phase's wattage at exactly its end time.
         """

@@ -1,7 +1,11 @@
 """repro.experiments — one module per paper table/figure.
 
-Every experiment is a function ``run(fast=True) -> ExperimentResult``
-that regenerates the rows/series its table or figure reports:
+Every experiment is a function ``run(fast=True, ...) -> ExperimentResult``
+that regenerates the rows/series its table or figure reports, and
+declares its own further keywords (``nworkers=``, ``method=``,
+``collective=``). :func:`run_experiment` calls one by id and passes its
+keywords through as they are:
+``run_experiment("fig12", fast=True, nworkers=96)``.
 
 ========== =============================================================
 id         what it reproduces
@@ -38,14 +42,12 @@ uses to regenerate EXPERIMENTS.md.
 """
 
 from repro.experiments.base import (
-    ExperimentConfig,
     ExperimentResult,
     list_experiments,
     run_experiment,
 )
 
 __all__ = [
-    "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
     "list_experiments",

@@ -98,17 +98,15 @@ def run_fusion(fast: bool = True) -> ExperimentResult:
     )
 
 
-def run_collectives(fast: bool = True, config=None) -> ExperimentResult:
+def run_collectives(fast: bool = True, collective=None) -> ExperimentResult:
     """Allreduce algorithms on NT3's gradient, priced via the planner.
 
     Every column is a :func:`repro.comms.plan_allreduce` schedule on the
     Summit topology — the same plans the functional engine executes —
-    compared per worker count; ``config.collective`` (fusion size,
-    chunking) applies to every algorithm column.
+    compared per worker count; ``collective`` (fusion size, chunking)
+    applies to every algorithm column.
     """
-    if config is not None:
-        fast = config.fast
-    base = (config.collective if config is not None else None) or CollectiveOptions()
+    base = collective or CollectiveOptions()
     # charge the gradient in fusion pieces, as the runner does —
     # the per-piece latency terms are what hierarchy amortizes
     nbytes = NT3_SPEC.gradient_bytes

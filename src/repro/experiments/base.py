@@ -1,29 +1,21 @@
-"""Experiment result container, typed run configuration, and registry.
+"""Experiment result container and registry.
 
-Experiments are invoked by id through :func:`run_experiment`. The knobs
-every experiment understands — ``fast``, ``seed``, ``machine``,
-``nworkers``, ``method``, ``collective`` — live on one typed
-:class:`ExperimentConfig`; experiment-specific parameters ride in its
-``extra`` mapping. Experiment modules that accept ``config=`` get the
-object directly; older modules keep their flat keyword signatures and
-the dispatcher splats the config back into them, so both calling styles
-(``run_experiment("fig7", config=cfg)`` and the historical
-``run_experiment("fig7", fast=True, nworkers=384)``) reach every
-experiment.
+Experiments are invoked by id through :func:`run_experiment`, which
+passes ``fast`` and any further keywords straight to the experiment's
+``run``: ``run_experiment("fig12", fast=True, nworkers=96)``. Each
+experiment declares the keywords it takes in its own signature.
 """
 
 from __future__ import annotations
 
 import importlib
-import inspect
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 from repro.telemetry.report import format_table
 
 __all__ = [
     "ExperimentResult",
-    "ExperimentConfig",
     "run_experiment",
     "list_experiments",
 ]
@@ -72,61 +64,6 @@ class ExperimentResult:
         return "\n\n".join(parts)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Typed configuration shared by every experiment.
-
-    ``None`` means "use the experiment's own default" for that knob —
-    the dispatcher only forwards explicitly-set values, so experiments
-    keep their per-figure defaults (e.g. fig7's 384 workers).
-    """
-
-    fast: bool = True
-    seed: Optional[int] = None
-    machine: Optional[str] = None
-    nworkers: Optional[int] = None
-    method: Optional[str] = None
-    #: a :class:`repro.comms.CollectiveOptions` for runs that reduce
-    collective: Optional[Any] = None
-    #: a DVFS power-state name (e.g. "p2") on the machine's frequency
-    #: ladder, for experiments that pin or sweep the device clock
-    frequency: Optional[str] = None
-    #: experiment-specific keywords, forwarded verbatim
-    extra: Mapping[str, Any] = field(default_factory=dict)
-
-    _KNOWN = (
-        "fast",
-        "seed",
-        "machine",
-        "nworkers",
-        "method",
-        "collective",
-        "frequency",
-    )
-
-    @classmethod
-    def from_kwargs(cls, fast: bool = True, **kwargs) -> "ExperimentConfig":
-        """Build a config from a flat keyword dict (the legacy style)."""
-        known = {k: kwargs.pop(k) for k in cls._KNOWN[1:] if k in kwargs}
-        return cls(fast=fast, extra=dict(kwargs), **known)
-
-    def legacy_kwargs(self) -> Dict[str, Any]:
-        """The flat keyword form: set knobs + extras, ``fast`` excluded."""
-        out = {
-            name: getattr(self, name)
-            for name in self._KNOWN[1:]
-            if getattr(self, name) is not None
-        }
-        out.update(self.extra)
-        return out
-
-    def evolve(self, **changes) -> "ExperimentConfig":
-        """A copy with the given fields replaced."""
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return ExperimentConfig(**current)
-
-
 _REGISTRY: Dict[str, str] = {
     "table1": "repro.experiments.table1",
     "fig6": "repro.experiments.fig06",
@@ -160,7 +97,6 @@ _REGISTRY: Dict[str, str] = {
     "efficiency": "repro.experiments.efficiency",
     "checkpoint_interval": "repro.experiments.checkpoint_interval",
     "ingest": "repro.experiments.ingest_sweep",
-    "energy_search": "repro.experiments.energy_search",
 }
 
 
@@ -170,19 +106,13 @@ def list_experiments() -> List[str]:
 
 
 def run_experiment(
-    experiment_id: str,
-    fast: bool = True,
-    *,
-    config: Optional[ExperimentConfig] = None,
-    **kwargs,
+    experiment_id: str, fast: bool = True, **kwargs
 ) -> ExperimentResult:
     """Run one experiment by id (e.g. 'fig6', 'table3').
 
-    Pass either a typed ``config=`` or the historical flat keywords
-    (``nworkers=384, method="sharded"``); flat keywords are folded into
-    an :class:`ExperimentConfig` and both styles dispatch identically.
-    Experiments whose ``run`` accepts ``config`` receive the object;
-    the rest receive the equivalent flat keywords.
+    ``fast`` and every keyword (``nworkers=384``, ``collective=opts``)
+    go to the experiment's ``run`` as they are; a keyword it does not
+    declare raises ``TypeError`` there.
     """
     try:
         module_name = _REGISTRY[experiment_id]
@@ -190,18 +120,6 @@ def run_experiment(
         raise ValueError(
             f"unknown experiment {experiment_id!r}; known: {list(_REGISTRY)}"
         ) from None
-    if config is not None and kwargs:
-        raise TypeError(
-            "pass either config= or flat keyword arguments, not both"
-        )
-    if config is None:
-        config = ExperimentConfig.from_kwargs(fast=fast, **kwargs)
-    if ":" in module_name:
-        module_name, fn_name = module_name.split(":", 1)
-    else:
-        fn_name = "run"
-    module = importlib.import_module(module_name)
-    fn = getattr(module, fn_name)
-    if "config" in inspect.signature(fn).parameters:
-        return fn(config=config)
-    return fn(fast=config.fast, **config.legacy_kwargs())
+    module_name, _, fn_name = module_name.partition(":")
+    fn = getattr(importlib.import_module(module_name), fn_name or "run")
+    return fn(fast=fast, **kwargs)

@@ -10,14 +10,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.timeline_analysis import broadcast_overhead_seconds, communication_summary
 from repro.candle.nt3 import NT3_SPEC
 from repro.cluster.machine import SUMMIT
 from repro.cluster.power import PowerMeter
 from repro.core.scaling import strong_scaling_plan
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.experiments.base import ExperimentResult
 from repro.sim.runner import ScaledRunSimulator
 
 
@@ -26,13 +24,7 @@ def run(
     nworkers: int = 384,
     method: str = "original",
     collective=None,
-    config: Optional[ExperimentConfig] = None,
 ) -> ExperimentResult:
-    if config is not None:
-        fast = config.fast
-        nworkers = config.nworkers or nworkers
-        method = config.method or method
-        collective = config.collective
     sim = ScaledRunSimulator("summit", collective=collective)
     plan = strong_scaling_plan(NT3_SPEC, nworkers)
     report = sim.run(NT3_SPEC, plan, method=method)

@@ -11,12 +11,10 @@ spread); shrinking the load shrinks the skew proportionally.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.timeline_analysis import broadcast_overhead_seconds
 from repro.candle.nt3 import NT3_SPEC
 from repro.core.scaling import strong_scaling_plan
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.experiments.base import ExperimentResult
 from repro.sim.report import improvement_percent
 from repro.sim.runner import ScaledRunSimulator
 
@@ -25,12 +23,7 @@ def run(
     fast: bool = True,
     nworkers: int = 384,
     collective=None,
-    config: Optional[ExperimentConfig] = None,
 ) -> ExperimentResult:
-    if config is not None:
-        fast = config.fast
-        nworkers = config.nworkers or nworkers
-        collective = config.collective
     sim = ScaledRunSimulator("summit", collective=collective)
     plan = strong_scaling_plan(NT3_SPEC, nworkers)
     rows = []

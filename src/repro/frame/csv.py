@@ -42,6 +42,7 @@ Both paths produce identical frames; the test suite asserts so.
 from __future__ import annotations
 
 import io
+import os
 import threading
 import warnings
 from typing import Iterator, Optional, Sequence
@@ -58,6 +59,7 @@ __all__ = [
     "LOW_MEMORY_CHUNK_BYTES",
     "ParseStats",
     "LAST_PARSE_STATS",
+    "newline_spans",
 ]
 
 #: Byte budget for one internal chunk on the slow path. pandas uses
@@ -165,6 +167,33 @@ def _normalize_newlines(text: str) -> str:
     in two by a block boundary still meets in ``tail + block``: the lone
     ``\\r`` ends the tail, which is never split off as a line."""
     return text.replace("\r\n", "\n") if "\r" in text else text
+
+
+def newline_spans(path, block_bytes: int, size: Optional[int] = None) -> list[tuple[int, int]]:
+    """Byte ranges of ``~block_bytes`` each, extended to the next newline.
+
+    Every byte of the file lands in exactly one span, and no line is
+    split across spans — the invariant that makes span-parallel parsing
+    equivalent to serial parsing. The one splitter behind the Dask-like
+    partitions, the parallel reader's spans and a rank's shard.
+    """
+    if block_bytes <= 0:
+        raise ValueError(f"block_bytes must be positive, got {block_bytes}")
+    size = os.path.getsize(path) if size is None else size
+    if size == 0:
+        return []
+    spans = []
+    with open(path, "rb") as fh:
+        start = 0
+        while start < size:
+            end = min(start + block_bytes, size)
+            if end < size:
+                fh.seek(end)
+                fh.readline()  # extend to the next newline
+                end = fh.tell()
+            spans.append((start, end))
+            start = end
+    return spans
 
 
 class _LineStream:

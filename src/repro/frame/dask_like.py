@@ -11,37 +11,17 @@ final multi-partition concat, so it lands between the two pandas paths.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.frame.csv import _parse_chunk_fast, _parse_chunk_slow
+from repro.frame.csv import _parse_chunk_fast, _parse_chunk_slow, newline_spans
 from repro.frame.dataframe import DataFrame, concat
 
 __all__ = ["PartitionedCSVReader"]
 
 _DEFAULT_BLOCKSIZE = 8 << 20
-
-
-def _partition_offsets(path: str, blocksize: int) -> list[tuple[int, int]]:
-    """Byte ranges aligned to line boundaries (Dask's blocksize split)."""
-    size = os.path.getsize(path)
-    if size == 0:
-        return []
-    offsets = []
-    with open(path, "rb") as fh:
-        start = 0
-        while start < size:
-            end = min(start + blocksize, size)
-            if end < size:
-                fh.seek(end)
-                fh.readline()  # extend to the next newline
-                end = fh.tell()
-            offsets.append((start, end))
-            start = end
-    return offsets
 
 
 class PartitionedCSVReader:
@@ -85,7 +65,7 @@ class PartitionedCSVReader:
 
     def read(self) -> DataFrame:
         """Read the whole file via partition fan-out + final concat."""
-        spans = _partition_offsets(self.path, self.blocksize)
+        spans = newline_spans(self.path, self.blocksize)
         if not spans:
             raise ValueError(f"empty CSV file: {self.path}")
         if self.names is None:

@@ -142,9 +142,12 @@ class DataFrame:
         return DataFrame._from_blocks(names, self._blocks, blkno, blkloc, self._nrows)
 
     def _matrix(self, positions: np.ndarray, dtype) -> np.ndarray:
-        """The columns at (non-empty) ``positions`` as one 2-D ``dtype``
-        matrix: a view when they are a run of one block of that dtype,
-        else a block-by-block copy (cast as ``to_numpy(dtype)`` casts)."""
+        """The columns at ``positions`` as one 2-D ``dtype`` matrix: a
+        view when they are a run of one block of that dtype, else a
+        block-by-block copy (cast as ``to_numpy(dtype)`` casts). No
+        positions give an ``(nrows, 0)`` matrix."""
+        if not len(positions):
+            return np.empty((self._nrows, 0), dtype)
         blocks = np.unique(self._blkno[positions])
         locs = _as_slice(self._blkloc[positions])
         if len(blocks) == 1 and isinstance(locs, slice):

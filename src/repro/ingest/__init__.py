@@ -19,6 +19,7 @@ file formats the rest of the way:
   epoch N+1's data work hides behind epoch N's compute.
 """
 
+from repro.frame.csv import newline_spans
 from repro.ingest.benchmark import as_config, load_benchmark_data
 from repro.ingest.cache import ColumnStoreCache, DEFAULT_CACHE_DIRNAME
 from repro.ingest.config import (
@@ -27,7 +28,7 @@ from repro.ingest.config import (
     LoaderConfig,
     ShardSpec,
 )
-from repro.ingest.parallel import newline_spans, read_csv_parallel
+from repro.ingest.parallel import read_csv_parallel
 from repro.ingest.prefetch import (
     DEFAULT_SHARD_ROWS,
     EpochPrefetcher,

@@ -33,36 +33,11 @@ from repro.frame.csv import (
     _parse_chunk_fast,
     _parse_chunk_slow,
     _slow_path_rows_per_chunk,
+    newline_spans,
 )
 from repro.frame.dataframe import DataFrame
 
-__all__ = ["newline_spans", "parse_lines", "read_csv_parallel"]
-
-
-def newline_spans(path, block_bytes: int, size: Optional[int] = None) -> list[tuple[int, int]]:
-    """Byte ranges of ``~block_bytes`` each, extended to the next newline.
-
-    Every byte of the file lands in exactly one span, and no line is
-    split across spans — the invariant that makes span-parallel parsing
-    equivalent to serial parsing.
-    """
-    if block_bytes <= 0:
-        raise ValueError(f"block_bytes must be positive, got {block_bytes}")
-    size = os.path.getsize(path) if size is None else size
-    if size == 0:
-        return []
-    spans = []
-    with open(path, "rb") as fh:
-        start = 0
-        while start < size:
-            end = min(start + block_bytes, size)
-            if end < size:
-                fh.seek(end)
-                fh.readline()  # extend to the next newline
-                end = fh.tell()
-            spans.append((start, end))
-            start = end
-    return spans
+__all__ = ["parse_lines", "read_csv_parallel"]
 
 
 def _decode_lines(raw: bytes) -> list[str]:

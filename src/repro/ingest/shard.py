@@ -21,9 +21,10 @@ import os
 import time
 from typing import Optional, Sequence
 
+from repro.frame.csv import newline_spans
 from repro.frame.dataframe import DataFrame, concat
 from repro.ingest.config import LoaderConfig, ShardSpec
-from repro.ingest.parallel import _resolve_names, newline_spans, parse_span
+from repro.ingest.parallel import _resolve_names, parse_span
 from repro.telemetry import runtime as telemetry
 
 __all__ = [

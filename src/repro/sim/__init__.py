@@ -22,6 +22,10 @@ Calibration (:mod:`repro.sim.calibration`) anchors the free constants
 to the paper's published scalars (Tables 2-4 and the quoted epoch
 times); everything else — scaling curves, crossovers, improvement
 percentages — is *derived* by the mechanism.
+
+Power is read off each phase at the device's fixed clock, as the
+paper measured it: a run's joules move with how long it spends in
+each phase, never with a frequency setting or a power cap.
 """
 
 from repro.sim.calibration import Calibration, DEFAULT_CALIBRATION, calibration_report
@@ -47,14 +51,6 @@ from repro.sim.iomodel import (
     prefetch_hidden_fraction,
     prefetch_timeline_seconds,
 )
-from repro.sim.powercap import (
-    CappedSimReport,
-    PowerCapPlan,
-    PowerCapScheduler,
-    peak_rank_watts,
-    plan_power_cap,
-    simulate_capped_run,
-)
 from repro.sim.report import SimRunReport, improvement_percent
 from repro.sim.runner import ScaledRunSimulator, simulate_run
 from repro.sim.servemodel import ServeModel, ServePoint
@@ -76,12 +72,6 @@ __all__ = [
     "improvement_percent",
     "ScaledRunSimulator",
     "simulate_run",
-    "PowerCapPlan",
-    "CappedSimReport",
-    "PowerCapScheduler",
-    "peak_rank_watts",
-    "plan_power_cap",
-    "simulate_capped_run",
     "MtbfFailureProcess",
     "FailureModel",
     "young_daly_interval",

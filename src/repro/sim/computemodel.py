@@ -22,11 +22,9 @@ average power than batch 20.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.candle.base import BenchmarkSpec
 from repro.cluster.machine import MachineSpec
-from repro.cluster.power import PowerState
 
 __all__ = [
     "ComputeModel",
@@ -85,26 +83,14 @@ class ComputeModel:
     intensity_span: float = 0.70
     #: empirical batch-size power exponent (Table 2: batch 40 draws less)
     batch_power_exponent: float = 0.35
-    #: DVFS operating point; None = the nominal (top-of-ladder) clock.
-    #: A lower state divides the sustained math rate by its
-    #: ``compute_scale``, stretching the device-math share of every
-    #: step while the host-side framework overhead stays put — so the
-    #: duty cycle (and with it the power-model intensity) *rises* as
-    #: the clock falls, exactly the shape real DVFS traces show.
-    power_state: Optional[PowerState] = None
-
-    def rate_scale(self) -> float:
-        """Sustained-compute multiplier of the active power state."""
-        return self.power_state.compute_scale if self.power_state else 1.0
 
     def per_sample_seconds(self, spec: BenchmarkSpec) -> float:
         """Math seconds to push one sample through fwd+bwd."""
-        nominal = (
+        return (
             _FLOPS_PER_PARAM
             * spec.model_params_full
             / self.machine.worker_flops(spec.name)
         )
-        return nominal / self.rate_scale()
 
     def step_seconds(self, spec: BenchmarkSpec, batch_size: int) -> float:
         """One training batch step (framework overhead + math)."""

@@ -54,9 +54,6 @@ class SimRunReport:
     #: path)
     overlap_fraction: float = 0.0
 
-    #: DVFS state the run was pinned to ("" = nominal / no ladder)
-    power_state: str = ""
-
     #: the tracked ranks' phase spans in sim time (None unless kept)
     tracer: Optional[Tracer] = None
     profiles: dict = field(default_factory=dict)
@@ -108,13 +105,6 @@ class SimRunReport:
     @property
     def total_energy_j(self) -> float:
         return self.energy_per_worker_j * self.plan.nworkers
-
-    @property
-    def edp_j_s(self) -> float:
-        """Energy-delay product (all-worker joules x total seconds) —
-        the energy-aware runtime's single-number objective, penalizing
-        configs that save joules only by running much longer."""
-        return self.total_energy_j * self.total_s
 
     def as_row(self) -> dict:
         """Flat dict for table printing."""

@@ -3,7 +3,7 @@
 Composes the I/O model (per-rank skewed loading under filesystem
 contention), the fabric cost model (tree broadcast, fused ring
 allreduce per step), the compute model (framework overhead + math), and
-the device power states into a :class:`~repro.sim.report.SimRunReport`.
+the device power model into a :class:`~repro.sim.report.SimRunReport`.
 
 The phase sequence mirrors the functional runner in
 :mod:`repro.core.parallel` one-for-one, so a change to the methodology
@@ -78,17 +78,10 @@ class ScaledRunSimulator:
         overlap: bool = True,
         collective: Optional[CollectiveOptions] = None,
         train: Optional[TrainOptions] = None,
-        power_state=None,
     ):
         self.machine = get_machine(machine) if isinstance(machine, str) else machine
-        # ``power_state`` pins the worker devices to one DVFS rung (a
-        # PowerState or a ladder state name like "p2"): compute phases
-        # stretch by 1/compute_scale while every active wattage scales
-        # by power_scale. None or the ladder's top state reproduce the
-        # nominal calibration exactly.
-        self.power_state = self.machine.resolve_power_state(power_state)
         self.io = IoModel(self.machine)
-        self.compute = ComputeModel(self.machine, power_state=self.power_state)
+        self.compute = ComputeModel(self.machine)
         if train is not None:
             # one TrainOptions prices the same run the functional step
             # executes; explicit overlap=/collective= kwargs stay for the
@@ -102,11 +95,6 @@ class ScaledRunSimulator:
             self.overlap = bool(overlap)
             self.collective = collective if collective is not None else DEFAULT_OPTIONS
         self.train = train
-
-    def device_power(self):
-        """The worker device's power model at this run's DVFS state."""
-        power = self.machine.worker_device_power()
-        return self.power_state.apply(power) if self.power_state else power
 
     def effective_step_comm_seconds(
         self, spec: BenchmarkSpec, nworkers: int, batch_size: int
@@ -180,7 +168,7 @@ class ScaledRunSimulator:
             get_benchmark(benchmark).spec if isinstance(benchmark, str) else benchmark
         )
         n = plan.nworkers
-        power = self.device_power()
+        power = self.machine.worker_device_power()
 
         # ---- phase 1: data loading (skewed, contended) -------------------
         base_load = self.io.benchmark_load_seconds(spec, method, nclients=n)
@@ -252,7 +240,6 @@ class ScaledRunSimulator:
             train_comm_s=phases.get("nccl_allreduce", 0.0),
             eval_s=phases.get("evaluate", 0.0),
             overlap_fraction=self.step_overlap_fraction(spec, n, plan.batch_size),
-            power_state=self.power_state.name if self.power_state else "",
             avg_power_w=energy / total if total > 0 else 0.0,
             energy_per_worker_j=energy,
             tracer=sim.tracer if keep_profiles else None,

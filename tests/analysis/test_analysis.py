@@ -116,26 +116,3 @@ class TestEnergyHelpers:
         )
         with pytest.raises(ValueError, match="average power"):
             comp.power_increase_pct
-
-    def test_energy_delay_product(self):
-        from repro.analysis import energy_delay_product
-
-        assert energy_delay_product(100.0, 5.0) == 500.0
-        with pytest.raises(ValueError):
-            energy_delay_product(-1.0, 5.0)
-        with pytest.raises(ValueError):
-            energy_delay_product(1.0, -5.0)
-
-    def test_pareto_front(self):
-        from repro.analysis import pareto_front
-
-        pts = [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0), (4.0, 1.0), (2.0, 3.0)]
-        front = pareto_front(pts, x=lambda p: p[0], y=lambda p: p[1])
-        # (3,4) is dominated by (2,3); tied points both survive
-        assert front == [(1.0, 5.0), (2.0, 3.0), (2.0, 3.0), (4.0, 1.0)]
-
-    def test_pareto_front_single_and_empty(self):
-        from repro.analysis import pareto_front
-
-        assert pareto_front([], x=lambda p: p, y=lambda p: p) == []
-        assert pareto_front([(1, 1)], x=lambda p: p[0], y=lambda p: p[1]) == [(1, 1)]

@@ -1,111 +1,6 @@
-"""DVFS power states, frequency ladders, and the vectorized meter path."""
+"""The vectorized meter path: edge lookup against the per-tick scan."""
 
-import numpy as np
-import pytest
-
-from repro.cluster import (
-    KNL_DVFS,
-    V100_DVFS,
-    FrequencyLadder,
-    PhasePowerProfile,
-    PowerMeter,
-    PowerState,
-)
-from repro.cluster.devices import KNL7230, POWER9, V100, DevicePowerModel
-from repro.cluster.machine import SUMMIT, THETA, get_machine
-
-
-def _ladder(*rungs):
-    """Ladder from (name, ghz, compute_scale, power_scale) tuples."""
-    return FrequencyLadder(states=tuple(PowerState(*r) for r in rungs))
-
-
-class TestPowerState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerState("p0", frequency_ghz=0.0, compute_scale=1.0, power_scale=1.0)
-        with pytest.raises(ValueError):
-            PowerState("p0", frequency_ghz=1.0, compute_scale=0.0, power_scale=1.0)
-        with pytest.raises(ValueError):
-            PowerState("p0", frequency_ghz=1.0, compute_scale=1.0, power_scale=1.1)
-
-    def test_apply_keeps_idle_floor(self):
-        state = PowerState("p2", frequency_ghz=1.0, compute_scale=0.7, power_scale=0.5)
-        base = DevicePowerModel(idle_w=40, io_w=60, compute_base_w=90,
-                                compute_span_w=200, comm_w=80)
-        scaled = state.apply(base)
-        # static/leakage power does not respond to frequency
-        assert scaled.idle_w == base.idle_w
-        # active draw shrinks toward the idle floor, never below it
-        assert scaled.io_w == pytest.approx(40 + (60 - 40) * 0.5)
-        assert scaled.compute_w(0.0) == pytest.approx(40 + (90 - 40) * 0.5)
-        assert scaled.communicate_w() == pytest.approx(40 + (80 - 40) * 0.5)
-        # the dynamic span scales directly
-        assert scaled.compute_w(1.0) - scaled.compute_w(0.0) == pytest.approx(
-            200 * 0.5
-        )
-
-    def test_apply_nominal_is_identity(self):
-        base = V100.power
-        top = V100_DVFS.max_state
-        scaled = top.apply(base)
-        assert scaled.compute_w(1.0) == base.compute_w(1.0)
-        assert scaled.io_w == base.io_w
-        assert scaled.idle_w == base.idle_w
-
-    def test_apply_preserves_unset_comm(self):
-        state = V100_DVFS.min_state
-        base = DevicePowerModel(10, 20, 30, 40)  # comm defaults to io
-        assert state.apply(base).communicate_w() == state.apply(base).io_w
-
-
-class TestFrequencyLadder:
-    def test_presets_are_valid_and_attached(self):
-        assert V100.dvfs is V100_DVFS
-        assert KNL7230.dvfs is KNL_DVFS
-        assert POWER9.dvfs is None
-        for ladder in (V100_DVFS, KNL_DVFS):
-            top = ladder.max_state
-            assert top.compute_scale == 1.0 and top.power_scale == 1.0
-
-    def test_ordering_and_lookup(self):
-        assert V100_DVFS.min_state.name == "p4"
-        assert V100_DVFS.max_state.name == "p0"
-        assert V100_DVFS.state("p2").frequency_ghz == pytest.approx(1.06)
-        assert list(V100_DVFS.names) == ["p4", "p3", "p2", "p1", "p0"]
-        with pytest.raises(ValueError, match="unknown power state"):
-            V100_DVFS.state("p9")
-
-    def test_demote_walks_down_and_bottoms_out(self):
-        state = KNL_DVFS.max_state
-        seen = [state.name]
-        while (state := KNL_DVFS.demote(state)) is not None:
-            seen.append(state.name)
-        assert seen == ["p0", "p1", "p2", "p3"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            FrequencyLadder(states=())
-        with pytest.raises(ValueError, match="duplicate"):
-            _ladder(("a", 1.0, 0.5, 0.5), ("a", 2.0, 1.0, 1.0))
-        with pytest.raises(ValueError):  # frequency must strictly increase
-            _ladder(("a", 2.0, 0.5, 0.5), ("b", 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):  # top rung must be nominal
-            _ladder(("a", 1.0, 0.5, 0.5), ("b", 2.0, 0.9, 0.9))
-
-
-class TestMachinePlumbing:
-    def test_frequency_ladder_by_machine(self):
-        assert SUMMIT.frequency_ladder() is V100_DVFS
-        assert THETA.frequency_ladder() is KNL_DVFS
-
-    def test_resolve_power_state(self):
-        state = SUMMIT.resolve_power_state("p3")
-        assert state is V100_DVFS.state("p3")
-        assert SUMMIT.resolve_power_state(None) is None
-        assert SUMMIT.resolve_power_state(state) is state
-        with pytest.raises(ValueError, match="unknown power state"):
-            get_machine("summit").resolve_power_state("turbo")
+from repro.cluster import PhasePowerProfile, PowerMeter
 
 
 def _reference_power_at(profile, t):

@@ -27,7 +27,6 @@ SIM_ONLY = [
     "fig19",
     "fig20",
     "fig21",
-    "energy_search",
 ]
 
 
@@ -145,38 +144,3 @@ def test_ablation_lr_runs_real_training():
     rows = r.panels[""]
     assert {row["strategy"] for row in rows} == {"none", "sqrt", "linear"}
     assert all(0 <= row["train_accuracy"] <= 1 for row in rows)
-
-
-class TestEnergySearch:
-    def test_frontier_is_nondominated_and_edp_reported(self, results):
-        r = results["energy_search"]
-        frontier_key = next(k for k in r.panels if k.startswith("pareto"))
-        frontier = r.panels[frontier_key]
-        assert frontier
-        for p in frontier:
-            for q in frontier:
-                assert not (
-                    (q["total_s"] <= p["total_s"] and q["energy_mj"] < p["energy_mj"])
-                    or (q["total_s"] < p["total_s"] and q["energy_mj"] <= p["energy_mj"])
-                )
-        assert r.measured["EDP improvement vs max-frequency %"] >= 15.0
-
-    def test_frequency_knob_pins_the_state(self):
-        from repro.experiments import ExperimentConfig
-
-        cfg = ExperimentConfig(
-            fast=True, frequency="p3",
-            extra={"counts": (96,), "strategies": ("none",), "algorithms": ("auto",)},
-        )
-        r = run_experiment("energy_search", config=cfg)
-        assert {row["state"] for row in r.panels["sweep"]} == {"p3"}
-
-    def test_unknown_frequency_rejected(self):
-        from repro.experiments import ExperimentConfig
-
-        with pytest.raises(ValueError, match="unknown power state"):
-            run_experiment(
-                "energy_search",
-                config=ExperimentConfig(fast=True, frequency="p9",
-                                        extra={"counts": (96,)}),
-            )

@@ -288,6 +288,13 @@ def test_matrix_views_only_a_run_of_a_block_of_the_dtype_asked():
     assert np.array_equal(cast, ints[:, 1:])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_matrix_of_no_positions_is_nrows_by_zero(dtype):
+    frame = DataFrame({"a": np.arange(3.0), "b": np.arange(3)})
+    got = frame._matrix(np.array([], np.intp), dtype)
+    assert got.shape == (3, 0) and got.dtype == np.dtype(dtype)
+
+
 @FUZZ
 @given(frames(), st.data())
 def test_equals_matches_the_column_dict_frame(built, data):

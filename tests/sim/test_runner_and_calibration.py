@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.energy import compare_runs
 from repro.candle.nt3 import NT3_SPEC
 from repro.candle.p1b1 import P1B1_SPEC
 from repro.core.scaling import strong_scaling_plan, weak_scaling_plan
@@ -101,6 +102,19 @@ class TestPaperShapes:
             c = summit.run(spec, plan, "chunked")
             imps[spec.name] = improvement_percent(o.total_s, c.total_s)
         assert imps["P1B1"] > imps["NT3"]
+
+    def test_theta_cached_loading_energy_saving_in_paper_band(self):
+        """NT3 on Theta, original vs cached loading, strong scaling up
+        to 3,072 ranks: the largest energy saving lands in the paper's
+        70-85% band (its ~78% headline)."""
+        theta = ScaledRunSimulator("theta")
+        savings = []
+        for n in (384, 1536, 3072):
+            plan = strong_scaling_plan(NT3_SPEC, n)
+            orig = theta.run(NT3_SPEC, plan, "original", keep_profiles=False)
+            opt = theta.run(NT3_SPEC, plan, "cached", keep_profiles=False)
+            savings.append(compare_runs(orig, opt).energy_saving_pct)
+        assert 70.0 <= max(savings) <= 85.0, savings
 
 
 class TestCalibration:

@@ -55,7 +55,6 @@ def test_every_experiment_has_a_bench_file():
         "fig7": "bench_fig07.py",
         "fig8": "bench_fig08.py",
         "fig9": "bench_fig09.py",
-        "energy_search": "bench_energy.py",
     }
     missing = []
     for eid in list_experiments():

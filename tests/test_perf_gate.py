@@ -73,8 +73,7 @@ class TestLoadGates:
         # every gated artifact is one CI actually produces
         produced = {"BENCH_ingest.json", "BENCH_trainstep.json",
                     "BENCH_telemetry.json", "BENCH_comms.json",
-                    "BENCH_ft_comms.json", "BENCH_energy.json",
-                    "BENCH_serve.json"}
+                    "BENCH_ft_comms.json", "BENCH_serve.json"}
         assert {r["file"] for r in rules} <= produced
 
 
