@@ -217,10 +217,12 @@ class CandleBenchmark:
         """Inverse of :meth:`_target_matrix`: a loaded frame → float64
         ``(x, y)``. Each is a view of the frame's block when its columns
         are a run of one float64 block (a cache hit's mapping, read-only;
-        a chunked load's concat block), else a block-by-block copy."""
-        columns = np.arange(frame.shape[1])
-        x = frame._matrix(columns[self.TARGET_COLUMNS:], np.float64)
-        y = frame._matrix(columns[: self.TARGET_COLUMNS], np.float64) if self.TARGET_COLUMNS else x
+        a chunked load's concat block), a cast of the run when they are a
+        run of a block of another dtype (NT3's int64 labels), else a
+        block-by-block copy."""
+        n = self.TARGET_COLUMNS
+        x = frame._matrix(slice(n, None), np.float64)
+        y = frame._matrix(slice(0, n), np.float64) if n else x
         if self.ONE_HOT_TARGET:
             y = one_hot(y[:, 0].astype(np.int64), self.spec.num_classes)
         return (x[..., None] if self.CHANNEL_AXIS else x), y

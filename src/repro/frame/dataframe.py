@@ -94,11 +94,13 @@ class DataFrame:
         return frame
 
     def _set(self, names, blocks, blkno, blkloc, nrows: int) -> None:
-        names, blkno, blkloc = list(names), np.intp(blkno), np.intp(blkloc)
-        if len(set(names)) != len(names):  # first position, last column: a dict's rule
-            index = dict(zip(names, range(len(names))))
-            names, keep = list(index), list(index.values())
-            blkno, blkloc = blkno[keep], blkloc[keep]
+        blkno, blkloc = np.intp(blkno), np.intp(blkloc)
+        if not isinstance(names, range):  # a range (a cache hit's names) is unique already
+            names = list(names)
+            if len(set(names)) != len(names):  # first position, last column: a dict's rule
+                index = dict(zip(names, range(len(names))))
+                names, keep = list(index), list(index.values())
+                blkno, blkloc = blkno[keep], blkloc[keep]
         used = np.bincount(blkno, minlength=len(blocks)) > 0
         if not used.all():  # drop the blocks no column is placed in
             blocks = [b for b, u in zip(blocks, used) if u]
@@ -141,19 +143,22 @@ class DataFrame:
         blkno, blkloc = self._blkno[positions], self._blkloc[positions]
         return DataFrame._from_blocks(names, self._blocks, blkno, blkloc, self._nrows)
 
-    def _matrix(self, positions: np.ndarray, dtype) -> np.ndarray:
-        """The columns at ``positions`` as one 2-D ``dtype`` matrix: a
-        view when they are a run of one block of that dtype, else a
-        block-by-block copy (cast as ``to_numpy(dtype)`` casts). No
-        positions give an ``(nrows, 0)`` matrix."""
-        if not len(positions):
+    def _matrix(self, positions, dtype) -> np.ndarray:
+        """The columns at ``positions`` (a slice, or an array of frame
+        positions) as one 2-D ``dtype`` matrix. When they are a run of one
+        block, it is a view of that block if the dtype is the one asked,
+        else one cast of the run; otherwise a block-by-block copy. Either
+        way the bits are ``to_numpy(dtype)``'s. No positions give an
+        ``(nrows, 0)`` matrix."""
+        blkno, blkloc = self._blkno[positions], self._blkloc[positions]
+        if not len(blkno):
             return np.empty((self._nrows, 0), dtype)
-        blocks = np.unique(self._blkno[positions])
-        locs = _as_slice(self._blkloc[positions])
-        if len(blocks) == 1 and isinstance(locs, slice):
-            block = self._blocks[blocks[0]]
-            if block.dtype == dtype:
-                return block[:, locs]
+        if (blkno == blkno[0]).all() and (blkloc[1:] - blkloc[:-1] == 1).all():
+            start = int(blkloc[0])
+            run = self._blocks[blkno[0]][:, start : start + len(blkloc)]
+            return run if run.dtype == dtype else run.astype(dtype, order="C")
+        if isinstance(positions, slice):
+            positions = np.arange(len(self._names))[positions]
         return self._take(positions).to_numpy(dtype)
 
     # -- construction helpers ---------------------------------------------
@@ -421,7 +426,7 @@ def concat(frames: Sequence[DataFrame], axis: int = 0, ignore_index: bool = True
     if len(frames) == 1:
         return frames[0]
     first = frames[0]
-    if any(f._names != first._names for f in frames[1:]):
+    if any(f.columns != first.columns for f in frames[1:]):  # by value: a range or a list
         raise ValueError("all frames must share the same columns, in order")
     _conform(frames)
     blocks = [np.concatenate(parts) for parts in zip(*(f._blocks for f in frames))]

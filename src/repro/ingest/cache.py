@@ -19,6 +19,12 @@ recorded offset, with no ``.npy`` header parse; an object block is
 unpickled by ``np.load``. A version-1 entry reads as stale and is
 rewritten by the next load.
 
+A hit therefore costs the ``meta.json`` parse, the fingerprint (its
+first-line hash is O(line bytes)) and one mapping per block, and
+creates no Python object per column: one int run of names (a
+``header=None`` file's) decodes to a ``range``, the frame keeps it, and
+placement is filled span by span in NumPy.
+
 An entry is keyed by the source path and validated against three
 fingerprints recorded at store time:
 
@@ -105,7 +111,11 @@ def _encode_names(names) -> list:
     return runs
 
 
-def _decode_names(runs) -> list:
+def _decode_names(runs):
+    """The names ``_encode_names`` wrote: a ``range`` for one int run (a
+    ``header=None`` file's), so a hit makes no object per column."""
+    if len(runs) == 1 and runs[0][0] == "r":
+        return range(runs[0][1], runs[0][2])
     names: list = []
     for run in runs:
         if run[0] == "r":
