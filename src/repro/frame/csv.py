@@ -67,6 +67,10 @@ __all__ = [
 #: degeneration on wide files happens at the same place.
 LOW_MEMORY_CHUNK_BYTES = 1 << 20
 
+#: Text bytes in one chunk on the fast path: the paper's 16 MB chunks,
+#: Spectrum Scale's largest I/O block (tests patch it to cut small files)
+FAST_CHUNK_BYTES = 16 << 20
+
 #: Read granularity for streaming lines off disk.
 _READ_BLOCK_BYTES = 4 << 20
 
@@ -640,6 +644,12 @@ def _slow_path_rows_per_chunk(sample_line: str) -> int:
     return max(1, LOW_MEMORY_CHUNK_BYTES // row_bytes)
 
 
+def _fast_path_rows_per_chunk(sample_line: str) -> int:
+    """Rows per chunk on the fast path: :data:`FAST_CHUNK_BYTES` of text
+    at the first line's width."""
+    return max(1, FAST_CHUNK_BYTES // max(1, len(sample_line) + 1))
+
+
 def _read_chunks(
     stream: _LineStream,
     names: Sequence,
@@ -657,8 +667,7 @@ def _read_chunks(
         per_chunk = _slow_path_rows_per_chunk(first)
         parser = lambda lines, names: _parse_chunk_slow(lines, names, sep)  # noqa: E731
     else:
-        # One large chunk sized like the paper's fix (16 MB I/O blocks).
-        per_chunk = max(1, (16 << 20) // max(1, len(first) + 1))
+        per_chunk = _fast_path_rows_per_chunk(first)
         parser = lambda lines, names: _parse_chunk_fast(lines, names, sep)  # noqa: E731
 
     pending = [first]

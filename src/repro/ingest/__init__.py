@@ -11,6 +11,9 @@ file formats the rest of the way:
   across a process pool, bit-identical to the serial engines.
 - :mod:`repro.ingest.cache` — a memmap-able ``.npy`` column store keyed
   by (path, size, mtime, header sha256); reloads skip text entirely.
+- :mod:`repro.ingest.split` — a cold cache miss parsed on two cores: a
+  forked child casts half the file into a shared mapping, and the
+  pieces are the serial parse's.
 - :mod:`repro.ingest.shard` — per-rank row shards with an optional
   allgather, so N SPMD ranks parse 1/N of the text each instead of N
   full copies (the mechanism behind the paper's broadcast skew).

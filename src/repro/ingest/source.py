@@ -33,6 +33,7 @@ from repro.ingest.cache import ColumnStoreCache
 from repro.ingest.config import LoaderConfig, ShardSpec
 from repro.ingest.parallel import read_csv_parallel
 from repro.ingest.shard import load_sharded, shard_frame
+from repro.ingest.split import parse_pieces_split
 from repro.telemetry import runtime as telemetry
 
 __all__ = [
@@ -206,18 +207,25 @@ def _load_parallel(path, config: LoaderConfig, comm=None) -> DataFrame:
 
 @register_method("cached")
 def _load_cached(path, config: LoaderConfig, comm=None):
-    """Column-store cache wrapper; parses only on a miss, in-process.
+    """Column-store cache wrapper; parses only on a miss, on two cores.
 
     A hit maps each cached block once and copies nothing. A miss takes
-    the file's fingerprint, parses it with the ``chunked`` engine in
-    this process, and has the cache write the parsed chunks to the entry
-    (no concat) and hand back its memory-mapped frame. Either way the
-    frame's columns, and the arrays ``from_frames`` takes from a run of
-    float64 columns, are read-only views of the mapping; columns of
-    another dtype are copied (see :mod:`repro.ingest.cache`). Not the
-    ``parallel`` pool: on two cores it parses no faster than
-    ``chunked``, and handing the parsed columns back from its workers
-    was pure extra cost on the cold load.
+    the file's fingerprint, parses it with the ``chunked`` engine, and
+    has the cache write the parsed chunks to the entry (no concat) and
+    hand back its memory-mapped frame. Either way the frame's columns,
+    and the arrays ``from_frames`` takes from a run of float64 columns,
+    are read-only views of the mapping; columns of another dtype are
+    copied (see :mod:`repro.ingest.cache`).
+
+    The miss's parse is :func:`~repro.ingest.split.parse_pieces_split`
+    where it may run (a file of at least ``split.MIN_BYTES``, two cores,
+    one OS thread): one forked child casts the second half of the file
+    into a shared mapping while this process casts the first, and the
+    pieces, warning and stats are the serial parse's. Anything it cannot
+    reproduce, and every other miss, parses serially in this process
+    (:func:`_parse_pieces`). Not the ``parallel`` pool: handing the
+    parsed columns back from its workers cost more than the second core
+    saved on the cold load.
 
     With ``config.shard`` set, the rank's contiguous row shard is
     returned as a zero-copy slice of the memory-mapped cache blocks —
@@ -234,7 +242,8 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     hit = frame is not None
     if not hit:
         fingerprint = cache.fingerprint(path)  # before the text is read
-        pieces, stats = _parse_pieces(path, config)
+        parsed = parse_pieces_split(path, config)
+        pieces, stats = parsed if parsed is not None else _parse_pieces(path, config)
         frame = cache.store(path, pieces, fingerprint)
         frame.parse_stats = stats
     if config.shard is not None:

@@ -47,13 +47,12 @@ obtained by the caller before they start.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.worker import Worker
+from repro.worker import Worker, usable_cores
 
 __all__ = ["gemm_edges", "halves", "split_at", "run_split", "beside", "MIN_WORK"]
 
@@ -78,14 +77,8 @@ def _reports_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 _OPENBLAS = _reports_openblas()
-_CORES = _usable_cores()
+_CORES = usable_cores()
 
 
 def gemm_edges(edges: Sequence[int], n: int, k: int) -> list[int]:

@@ -1,5 +1,6 @@
-"""One lifecycle for background work: :class:`Worker`, and
-:func:`split_hidden`, the one rule for how much of it the caller saw.
+"""One lifecycle for background work: :class:`Worker`,
+:func:`split_hidden`, the one rule for how much of it the caller saw,
+and :func:`usable_cores`, whether a second core is there to run it.
 
 Everything in ``repro`` that runs beside the critical path (the second
 half of a conv split, a gradient bucket's allreduce, the next epoch's
@@ -19,7 +20,15 @@ import threading
 import time
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-__all__ = ["Job", "Worker", "split_hidden"]
+__all__ = ["Job", "Worker", "split_hidden", "usable_cores"]
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (``os.sched_getaffinity``), else the
+    CPU count: what a second thread or process can actually use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Job:

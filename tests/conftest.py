@@ -1,10 +1,14 @@
 """Shared fixtures for the repro test suite, and a guard that fails any
-test leaving a thread or a temp dir behind."""
+test leaving a thread, a child process or a temp dir behind."""
 
 from __future__ import annotations
 
+import glob
+import os
 import threading
 import time
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -25,15 +29,43 @@ def _is_worker(thread: threading.Thread) -> bool:
     return isinstance(thread, worker._WorkerThread) and thread.name != "repro.nn.halves"
 
 
+def child_pids() -> Optional[set]:
+    """This process's children, running or not yet reaped: their pids,
+    an empty set when there are none, None when there are some that
+    this platform cannot list (no ``/proc/self/task/*/children``) or
+    when it cannot tell (no ``os.waitid``)."""
+    if not hasattr(os, "waitid"):
+        return None
+    try:  # WNOWAIT: a finished child stays unreaped for its owner
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return set()
+    files = glob.glob("/proc/self/task/*/children")
+    if not files:
+        return None
+    return {int(pid) for name in files for pid in Path(name).read_text().split()}
+
+
+def children_left(before: Optional[set]) -> list:
+    """Children present now that were not in ``before`` (a
+    :func:`child_pids` taken earlier); ``["?"]`` for some that cannot be
+    listed when there were none before."""
+    now = child_pids()
+    if now is None:
+        return ["?"] if before == set() else []
+    return [] if before is None else sorted(now - before)
+
+
 @pytest.fixture(autouse=True)
 def no_leftovers(request):
     """Fail the test if it leaves a non-daemon thread or a
-    :class:`~repro.worker.Worker`'s thread alive, or a ``.tmp-*``
-    directory (a column-store writer's scratch) under its ``tmp_path``.
-    Every worker is closed by its owner; the one exemption is
-    :mod:`repro.nn.halves`' process-wide helper, which lives as long as
-    the process."""
+    :class:`~repro.worker.Worker`'s thread alive, a child process running
+    or unreaped, or a ``.tmp-*`` directory (a column-store writer's
+    scratch) under its ``tmp_path``. Every worker is closed by its owner;
+    the one exemption is :mod:`repro.nn.halves`' process-wide helper,
+    which lives as long as the process."""
     before = set(threading.enumerate())
+    children = child_pids()
     tmp_path = (
         request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
     )
@@ -47,6 +79,9 @@ def no_leftovers(request):
         if thread.is_alive():
             leaked.append(thread.name)
     assert not leaked, f"non-daemon or worker threads left running: {leaked}"
+    while (orphans := children_left(children)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not orphans, f"child processes left running or unreaped: {orphans}"
     if tmp_path is not None:
         left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".tmp-*"))
         assert not left, f"temp dirs left under tmp_path: {left}"

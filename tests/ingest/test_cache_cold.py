@@ -1,10 +1,13 @@
-"""The cold ``cached`` load: one in-process parse, one write, no re-read.
+"""The cold ``cached`` load: one parse, one write, no re-read.
 
 A miss fingerprints the source before its text is read, parses it with
-the ``chunked`` engine in this process (no pool), and gets the entry's
-memory-mapped frame back from ``store`` — read with the meta it just
-wrote. Writers racing on one file (SPMD ranks cold-loading it at once)
-all end with a frame equal to ``chunked``'s.
+the ``chunked`` engine and no pool (serially in this process, or, for a
+file of at least ``split.MIN_BYTES``, on two cores with one forked
+child: ``test_split_parse.py``), and gets the entry's memory-mapped
+frame back from ``store`` — read with the meta it just wrote. The files
+here are below that size, so these loads parse serially. Writers racing
+on one file (SPMD ranks cold-loading it at once) all end with a frame
+equal to ``chunked``'s.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ def assert_columns_equal(got, want):
 # -- the cold path -----------------------------------------------------------
 
 def test_cold_load_starts_no_pool(tmp_path, mixed_csv, monkeypatch):
+    """The miss parses with the ``chunked`` engine, not the ``parallel``
+    pool; its one helper, where the file is large enough, is a forked
+    child that hands nothing back (``test_split_parse.py``)."""
+
     def no_pool(*args, **kwargs):
         raise AssertionError("a cold cached load started a worker pool")
 
