@@ -5,8 +5,8 @@ artifact must respect::
 
     {
       "gates": [
-        {"file": "BENCH_ft_comms.json",
-         "metric": "overhead_fraction", "max": 0.60},
+        {"file": "BENCH_serve.json",
+         "metric": "batching.batched_p99_ms", "max": 300.0},
         {"file": "BENCH_comms.json",
          "metric": "allreduce.speedup_hierarchical_fused_vs_flat",
          "min": 2.0},

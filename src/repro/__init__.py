@@ -15,8 +15,7 @@ al., ICPP 2019) depends on:
 - :mod:`repro.comms` — the collective engine: ring, recursive
   halving-doubling, and two-level hierarchical allreduce schedules,
   planned once and shared by the functional runtime and the simulator,
-  configured by one ``CollectiveOptions`` object (whose
-  ``fault_tolerance`` arms the fault-tolerant engine).
+  configured by one ``CollectiveOptions`` object.
 - :mod:`repro.train` — the unified ``TrainOptions`` configuration of a
   training step (arena, precision, collectives, overlap), threaded from
   benchmark entry points to the simulator.

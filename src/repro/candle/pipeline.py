@@ -136,6 +136,8 @@ def run_rank(
                 else:
                     data = LoadedData(x_train, data.y_train, x_test, data.y_test)
             if load_delay_s > 0:
+                # a schedule, not a poll: the injected I/O skew is this
+                # rank's extra load time
                 time.sleep(load_delay_s)
             sp_load.set_attrs(
                 rows_train=len(data.x_train), rows_test=len(data.x_test)

@@ -10,13 +10,6 @@ every schedule is bit-identical to the flat reference allreduce (see
 :mod:`repro.comms.engine` for the contract).
 """
 
-# comms.ft before comms.engine: the engine's options import
-# comms.ft.options, and the FT engine extends the engine
-from repro.comms.ft import (
-    DEFAULT_FT_OPTIONS,
-    FaultToleranceOptions,
-    FaultTolerantEngine,
-)
 from repro.comms.engine import CollectiveEngine
 from repro.comms.options import (
     ALGORITHMS,
@@ -35,13 +28,10 @@ from repro.comms.topology import Topology
 
 __all__ = [
     "ALGORITHMS",
-    "DEFAULT_FT_OPTIONS",
     "DEFAULT_OPTIONS",
     "CollectiveEngine",
     "CollectiveOptions",
     "CollectiveSchedule",
-    "FaultToleranceOptions",
-    "FaultTolerantEngine",
     "PlanStep",
     "Topology",
     "plan_allgather",

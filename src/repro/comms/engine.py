@@ -271,7 +271,7 @@ class CollectiveEngine:
         """The routine that runs one chunk of ``algorithm``'s schedule.
 
         ``flat`` is the ring run as one chunk (the planner never splits
-        it), on the plain and the fault-tolerant engine alike.
+        it).
         """
         if algorithm in ("ring", "flat"):
             return self._ring
@@ -301,15 +301,7 @@ class CollectiveEngine:
         schedule,
         tag_shift: int = 0,
     ) -> np.ndarray:
-        """Execute a planned chunked schedule over this rank's messages.
-
-        A chunk that fails with a context-carrying error (a
-        :class:`~repro.comms.ft.channel.TransientCollectiveError` from the
-        injector or the FT channel) gets the failing chunk index,
-        resolved algorithm, and tensor name attached before the
-        exception propagates — so it surfaces in ``SpmdError`` as a
-        targetable location, not a generic collective failure.
-        """
+        """Execute a planned chunked schedule over this rank's messages."""
         flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
         out = np.empty_like(flat)
         run = self._runner(schedule.algorithm)
@@ -353,26 +345,17 @@ class CollectiveEngine:
             )
         for ci, (a, b) in enumerate(self._chunk_bounds(schedule, size)):
             t0 = time.perf_counter()
-            try:
-                run_chunk(a, b)
-            except Exception as exc:
-                attach = getattr(exc, "attach_context", None)
-                if attach is not None:
-                    attach(chunk=ci, algorithm=algorithm, tensor=tag)
-                raise
+            run_chunk(a, b)
             if delay_s > 0:
+                # a schedule, not a poll: the chunk's emulated wire time
                 time.sleep(delay_s)
             self._record_chunk(t0, tag, ci, (b - a) * itemsize, algorithm=algorithm)
-        info: Dict[str, object] = {
+        self.last_info = {
             "algorithm": algorithm,
             "chunks": schedule.nchunks,
             "wire_bytes": int(schedule.wire_bytes()),
             "payload_bytes": size * itemsize,
         }
-        if schedule.demoted_from is not None:
-            info["demoted_from"] = schedule.demoted_from
-            info["demotion_reason"] = schedule.demotion_reason
-        self.last_info = info
 
     # -- telemetry ----------------------------------------------------------
     def _record_chunk(

@@ -32,13 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.comms.ft.options import FaultToleranceOptions
-from repro.options import (
-    FrozenOptions,
-    require_choice,
-    require_instance,
-    require_positive,
-)
+from repro.options import FrozenOptions, require_choice, require_positive
 
 __all__ = [
     "CollectiveOptions",
@@ -79,9 +73,6 @@ class CollectiveOptions(FrozenOptions):
     fusion_bytes: int = DEFAULT_FUSION_BYTES
     #: pipelined chunk size for one fused reduction; None = single chunk
     chunk_bytes: Optional[int] = None
-    #: fault-tolerant execution (heartbeat detection, retransmission,
-    #: demotion, elastic rebuild); None = the plain PR 5 engine
-    fault_tolerance: Optional[FaultToleranceOptions] = None
     #: machine name ("summit", "theta") whose fabric model prices each
     #: executed chunk; the engine then *sleeps* the priced wire time, so
     #: the in-process threaded runtime — whose real messages are shared
@@ -104,9 +95,6 @@ class CollectiveOptions(FrozenOptions):
             raise ValueError(
                 f"chunk_bytes must be positive or None, got {self.chunk_bytes}"
             )
-        require_instance(
-            "fault_tolerance", self.fault_tolerance, FaultToleranceOptions
-        )
         if self.emulate_fabric is not None and not isinstance(
             self.emulate_fabric, str
         ):

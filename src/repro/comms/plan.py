@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.comms.options import (
     DEFAULT_OPTIONS,
@@ -79,15 +79,7 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class CollectiveSchedule:
-    """A planned collective: per-chunk steps plus chunking metadata.
-
-    ``demoted_from``/``demotion_reason`` record a fault-tolerance
-    demotion (:mod:`repro.comms.ft`): when a degraded rail or peer
-    forces the schedule down the ladder (hierarchical → ring → flat),
-    the executed plan carries the algorithm it was demoted from and
-    why, so reports and tests can audit the decision. ``None`` on every
-    normally-planned schedule.
-    """
+    """A planned collective: per-chunk steps plus chunking metadata."""
 
     collective: str  #: "allreduce" | "broadcast" | "allgather"
     algorithm: str  #: resolved algorithm (never "auto")
@@ -96,8 +88,6 @@ class CollectiveSchedule:
     nchunks: int
     chunk_bytes: int  #: bytes of one chunk (last may be short)
     steps: Tuple[PlanStep, ...]
-    demoted_from: Optional[str] = None
-    demotion_reason: Optional[str] = None
 
     def seconds(self, fabric) -> float:
         """Schedule time on a fabric, pipelined across chunks.

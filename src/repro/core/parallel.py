@@ -49,8 +49,9 @@ class ParallelRunResult:
     ranks: list[BenchmarkRunReport]
     wall_s: float
     tracer: Tracer
-    #: ranks that died mid-run (fault injection) and were routed around
-    #: by the elastic rebuild; their reports are absent from ``ranks``
+    #: always empty: a rank that fails aborts the run with an
+    #: ``SpmdError``, so a result has a report from every rank. Kept for
+    #: callers that check for dead ranks.
     dead_ranks: tuple = ()
 
     @property
@@ -122,13 +123,7 @@ def run_parallel_benchmark(
     ``fault_injector`` (a :class:`repro.resilience.FaultInjector`) fires
     its epoch and step faults on every rank: a crash fails the run with
     an :class:`~repro.mpi.runtime.SpmdError` naming the rank (retrying
-    is :func:`repro.resilience.run_resilient_benchmark`'s job). When
-    ``train.collective`` sets ``fault_tolerance``, gradient reductions
-    run over the fault-tolerant engine (:mod:`repro.comms.ft`): its
-    message faults are retried or demoted, and a rank killed
-    mid-collective is routed around by an elastic communicator rebuild —
-    the survivors finish the run and the dead rank is listed on
-    ``ParallelRunResult.dead_ranks``.
+    is :func:`repro.resilience.run_resilient_benchmark`'s job).
     """
     if data is None and data_paths is None:
         data = benchmark.synth_arrays(np.random.default_rng(seed))
@@ -160,8 +155,7 @@ def run_parallel_benchmark(
     wall = time.perf_counter() - t_start
     return ParallelRunResult(
         plan=plan,
-        ranks=[r for r in reports if r is not None],
+        ranks=reports,
         wall_s=wall,
         tracer=tracer,
-        dead_ranks=tuple(i for i, r in enumerate(reports) if r is None),
     )

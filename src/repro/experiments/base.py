@@ -95,7 +95,6 @@ _REGISTRY: Dict[str, str] = {
     "ablation_nccl": "repro.experiments.ablations:run_nccl_upgrade",
     "ablation_overlap": "repro.experiments.ablations:run_overlap",
     "efficiency": "repro.experiments.efficiency",
-    "checkpoint_interval": "repro.experiments.checkpoint_interval",
     "ingest": "repro.experiments.ingest_sweep",
 }
 

@@ -76,7 +76,7 @@ def _record(family, rank, t_enter, t_ready, t_done, tensor: str, **attrs) -> Non
 
 
 @contextmanager
-def _allreduce_events(tag: str, nbytes: int, options):
+def _allreduce_events(tag: str, nbytes: int):
     """Negotiate, then record one allreduce's event family.
 
     Yields a dict whose ``"algorithm"`` the body sets to the resolved
@@ -84,21 +84,15 @@ def _allreduce_events(tag: str, nbytes: int, options):
     changes it) the ``allreduce`` span records.
     """
     comm = _rt.comm()
-    run_opts = options if options is not None else _rt.options()
-    ft = getattr(run_opts, "fault_tolerance", None)
     t_enter = time.perf_counter()
-    if ft is None or comm.size == 1:
-        # rendezvous: every rank ready to reduce. Under fault tolerance
-        # the engine's completion fence provides the synchronization, and
-        # a raw barrier would hang forever on a rank that died.
-        comm.barrier()
+    comm.barrier()  # rendezvous: every rank ready to reduce
     t_ready = time.perf_counter()
     info = {"algorithm": "flat", "bytes": nbytes}
     yield info
     t_done = time.perf_counter()
     _record(
-        ALLREDUCE_EVENTS, _rt.comm().rank,  # an elastic rebuild may have swapped it
-        t_enter, t_ready, t_done, tag, bytes=info["bytes"], algorithm=info["algorithm"],
+        ALLREDUCE_EVENTS, comm.rank, t_enter, t_ready, t_done, tag,
+        bytes=info["bytes"], algorithm=info["algorithm"],
     )
 
 
@@ -117,7 +111,7 @@ def allreduce(
     :class:`~repro.comms.CollectiveOptions` for this one call.
     """
     tag = name or "tensor"
-    with _allreduce_events(tag, _nbytes(tensor), options) as info:
+    with _allreduce_events(tag, _nbytes(tensor)) as info:
         if isinstance(tensor, np.ndarray) and tensor.size >= _rt.comm().size:
             eng = _rt.engine()
             result = eng.allreduce(tensor, op=op, name=tag, options=options)
@@ -145,7 +139,7 @@ def allreduce_update(
         update(0, slabs[0].size)
         return
     tag = name or "tensor"
-    with _allreduce_events(tag, int(slabs[0].nbytes), options) as info:
+    with _allreduce_events(tag, int(slabs[0].nbytes)) as info:
         eng.allreduce_update(slabs, update, whole=whole, name=tag, options=options)
         info["algorithm"] = eng.last_info.get("algorithm", "flat")
 

@@ -25,8 +25,8 @@ engine says it owns (:meth:`repro.comms.CollectiveEngine.owned_ranges`):
 1/W of the arena for ring and rhd, 1/``local_size`` for hierarchical,
 the gather carrying the updated parameters only (ZeRO stage 1). Every
 rank owns everything — the gradient is allreduced, then updated whole —
-in a world of one, on a flat plan, under an emulated fabric or a
-fault-tolerant engine, and when this optimizer asks for it (``whole``):
+in a world of one, on a flat plan, under an emulated fabric, and when
+this optimizer asks for it (``whole``):
 when the ranks' parameters are not known to be identical (no weight
 broadcast made ``arena.replicated``), or the base optimizer has no
 slab kernel. Every rank ends the step with the same bits either way.
@@ -72,9 +72,6 @@ class DistributedOptimizer(Optimizer):
             DEFAULT_FUSION_BYTES if self.options is None else self.options.fusion_bytes
         )
         self.allreduce_count = 0
-        #: (old_world, new_world) pairs for every elastic world change
-        self.world_rescales: list = []
-        self._world: Optional[int] = None
         #: the attached overlap scheduler, when the step is overlapped
         self._overlap = None
         #: (engine, options, ranges) of the steps the optimizer state is
@@ -139,22 +136,6 @@ class DistributedOptimizer(Optimizer):
             "distributed form"
         )
 
-    def _reconcile_world(self, world: int) -> None:
-        """Re-apply the linear LR rule when the world size changes.
-
-        A fault-tolerant run that loses a rank keeps training on the
-        survivors (elastic rebuild); the effective global batch shrinks
-        with the world, so the learning rate follows it — the same
-        linear scaling the benchmark applied at startup, applied to the
-        ratio of the new world to the old.
-        """
-        if self._world is None:
-            self._world = world
-        elif world != self._world:
-            self.scale_lr(world / self._world)
-            self.world_rescales.append((self._world, world))
-            self._world = world
-
     def apply_arena(self, arena) -> None:
         """Zero-copy Horovod step for arena-built models.
 
@@ -174,7 +155,7 @@ class DistributedOptimizer(Optimizer):
         whole = self.begin_step(engine, arena, self.options)
         groups = arena.fusion_groups(self.fusion_bytes)
         for start, stop, names in groups:
-            slabs, update = self.bucket_update(engine, arena, start, stop)
+            slabs, update = self.bucket_update(arena, start, stop)
             _ops.allreduce_update(
                 slabs, update, whole=whole, name="+".join(names), options=self.options
             )
@@ -198,7 +179,6 @@ class DistributedOptimizer(Optimizer):
         bucket updates. Call it once per step, on every rank, before the
         step updates.
         """
-        self._reconcile_world(engine.comm.size)
         whole = not (arena.replicated and self.base.slab_kernel)
         itemsize = arena.dtype.itemsize
         ranges = [
@@ -243,25 +223,21 @@ class DistributedOptimizer(Optimizer):
             engine.gather_owned([s[start:stop] for s in state], options=options)
         self._owners = None
 
-    def bucket_update(self, engine, arena, start: int, stop: int, scratch=None):
+    def bucket_update(self, arena, start: int, stop: int, scratch=None):
         """The :meth:`~repro.comms.CollectiveEngine.allreduce_update`
         operands of the slab slice ``[start, stop)``, in a step
         :meth:`begin_step` opened.
 
         Returns ``(slabs, update)``: the gradient and parameter slices,
         and the base optimizer's update of a sub-range, which also
-        writes that sub-range of the state. The update reads the world
-        and the learning rate when it runs, not when the step opened: an
-        elastic rebuild inside the slice's allreduce took the mean over
-        the survivors, so their rate applies. It may run on an overlap
-        channel's thread, so the world comes from ``engine``, not the
-        rank's runtime. ``scratch`` is the caller's work-buffer dict:
+        writes that sub-range of the state. The update reads the
+        learning rate when it runs, and it may run on an overlap
+        channel's thread. ``scratch`` is the caller's work-buffer dict:
         concurrent callers need their own.
         """
         slabs = (arena.grads_flat[start:stop], arena.params_flat[start:stop])
 
         def update(lo: int, hi: int) -> None:
-            self._reconcile_world(engine.comm.size)
             self.base._arena_step(
                 arena, self.base._current_lr(), start=start + lo, stop=start + hi,
                 scratch=scratch,
@@ -282,7 +258,6 @@ class DistributedOptimizer(Optimizer):
             )
             self.allreduce_count += 1
             np.copyto(view, reduced)
-        self._reconcile_world(_rt.size())
 
     def __repr__(self):
         return f"DistributedOptimizer({self.base!r})"

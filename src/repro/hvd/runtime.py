@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.comms import CollectiveEngine, FaultTolerantEngine
+from repro.comms import CollectiveEngine
 from repro.mpi.communicator import Communicator, _Context
 from repro.telemetry import runtime as telemetry
 
@@ -69,11 +69,6 @@ def init(
 
 def shutdown() -> None:
     """Tear down this rank's Horovod state."""
-    state = getattr(_tls, "state", None)
-    if state is not None and state.engine is not None:
-        close = getattr(state.engine, "close", None)
-        if close is not None:
-            close()  # stop the FT channel's heartbeat service, if any
     _tls.state = None
     telemetry.unbind_rank()
 
@@ -127,29 +122,11 @@ def engine():
     """
     state = _state()
     if state.engine is None:
-        if getattr(state.options, "fault_tolerance", None) is not None:
-            eng = FaultTolerantEngine(
-                state.comm,
-                options=state.options,
-                tracer=lambda: state.tracer,
-            )
-
-            def _adopt_rebuilt(record, _state_ref=state, _eng=eng):
-                # runs in this rank's own thread right after an elastic
-                # rebuild: the hvd-level view (size(), rank(), comm())
-                # and the rank its spans carry follow the shrunken
-                # communicator
-                _state_ref.comm = _eng.channel.comm
-                telemetry.bind_rank(_state_ref.comm.rank, _state_ref.tracer)
-
-            eng.on_rebuild(_adopt_rebuilt)
-            state.engine = eng
-        else:
-            state.engine = CollectiveEngine(
-                state.comm,
-                options=state.options,
-                tracer=lambda: state.tracer,
-            )
+        state.engine = CollectiveEngine(
+            state.comm,
+            options=state.options,
+            tracer=lambda: state.tracer,
+        )
     return state.engine
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import collections
 import numbers
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -75,11 +74,9 @@ class _Mailbox:
     """FIFO of one ``(src, dst, tag)`` stream.
 
     ``put`` appends under the destination rank's arrival condition and
-    notifies it, so whoever that rank has blocked — in ``recv``,
-    ``recv_any``, or this box's own ``get`` — wakes on
-    arrival. Each stream has one consumer, so ``take`` needs no lock.
-    The ``get``/``get_nowait`` pair keeps :class:`queue.Queue`'s
-    contract (:class:`queue.Empty` on nothing) for the FT channel.
+    notifies it, so whoever that rank has blocked — in ``recv`` or
+    ``recv_any`` — wakes on arrival. Each stream has one consumer, so
+    ``take`` needs no lock.
     """
 
     __slots__ = ("_items", "_arrival")
@@ -96,22 +93,6 @@ class _Mailbox:
     def take(self) -> Any:
         """The oldest message, or ``_NOTHING`` (never blocks)."""
         return self._items.popleft() if self._items else _NOTHING
-
-    def get_nowait(self) -> Any:
-        obj = self.take()
-        if obj is _NOTHING:
-            raise queue.Empty
-        return obj
-
-    def get(self, timeout: float) -> Any:
-        deadline = time.monotonic() + timeout
-        with self._arrival:
-            while not self._items:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise queue.Empty
-                self._arrival.wait(remaining)
-            return self._items.popleft()
 
 
 class _Context:
@@ -267,8 +248,9 @@ class Communicator:
 
         Identical to :meth:`recv` except the deadline is ``timeout``
         instead of the context-wide default — for protocols that must
-        decide quickly that a peer is not answering (the FT rebuild
-        consensus) rather than wait out the full deadlock window.
+        decide quickly that a peer is not answering (an RPC with its own
+        deadline, :meth:`repro.ps.RpcChannel.recv`) rather than wait out
+        the full deadlock window.
         Raises :class:`DeadlockError` on expiry.
         """
         return self._recv("recv_within", source, tag, timeout)

@@ -51,24 +51,6 @@ class SpmdError(RuntimeError):
     def failed_ranks(self) -> list[int]:
         return [r for r, _ in self.failures]
 
-    def collective_failures(self) -> list[tuple[int, BaseException]]:
-        """Failures that carry collective context (chunk/peer/algorithm).
-
-        Duck-typed (the MPI layer stays dependency-free): an exception
-        qualifies when any of the
-        :class:`repro.comms.ft.TransientCollectiveError` location
-        attributes is present and set, so recovery code can target the
-        failing chunk instead of treating the error as opaque.
-        """
-        return [
-            (rank, exc)
-            for rank, exc in self.failures
-            if any(
-                getattr(exc, attr, None) is not None
-                for attr in ("chunk", "peer", "algorithm")
-            )
-        ]
-
 
 def run_spmd(
     nprocs: int,
@@ -93,18 +75,9 @@ def run_spmd(
     ``fn`` and may sleep (I/O stall, straggler) or raise (start-up
     crash); a raise takes the normal failure path: the run aborts and
     the exception surfaces in :class:`SpmdError`. The injector is also
-    stashed on each rank's communicator (``comm.fault_injector``) so
-    message-level layers — the FT collective channel — can consult it
-    without new plumbing.
-
-    **Survivable rank death.** An exception whose class carries a
-    truthy ``rank_death`` attribute (e.g.
-    :class:`repro.comms.ft.channel.RankKilledError`) marks the rank as
-    *dead but the run as salvageable*: the worker is recorded dead, its
-    result slot stays ``None``, and — unlike any other failure — the
-    run is **not** aborted, so surviving ranks can rebuild their
-    communicator around the hole and finish. The death is still raised
-    as an :class:`SpmdError` only when every rank died.
+    stashed on each rank's communicator (``comm.fault_injector``), where
+    the rank's training loop finds it to fire its epoch and step faults
+    (:func:`repro.candle.pipeline.run_rank`).
     """
     if nprocs <= 0:
         raise ValueError(f"nprocs must be positive, got {nprocs}")
@@ -116,7 +89,6 @@ def run_spmd(
     context = _Context(nprocs, timeout)
     results: list = [None] * nprocs
     failures: list[tuple[int, BaseException]] = []
-    deaths: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
 
     def worker(rank: int) -> None:
@@ -130,10 +102,6 @@ def run_spmd(
         except AbortError:
             pass  # victim of another rank's failure
         except BaseException as exc:  # noqa: BLE001 — must propagate anything
-            if getattr(exc, "rank_death", False):
-                with lock:
-                    deaths.append((rank, exc))
-                return  # survivable: peers rebuild around this rank
             with lock:
                 failures.append((rank, exc))
             context.abort(exc)
@@ -154,10 +122,4 @@ def run_spmd(
         failures.sort(key=lambda f: f[0])
         rank, cause = failures[0]
         raise SpmdError(rank, cause, failures=failures) from cause
-    if deaths and len(deaths) == nprocs:
-        # every rank died: nothing survived to rebuild, so this is a
-        # plain failure after all
-        deaths.sort(key=lambda f: f[0])
-        rank, cause = deaths[0]
-        raise SpmdError(rank, cause, failures=deaths) from cause
     return results

@@ -3,7 +3,6 @@
 Every subsystem exposes exactly one keyword-only frozen dataclass as
 its public knob — :class:`repro.train.TrainOptions`,
 :class:`repro.comms.CollectiveOptions`,
-:class:`repro.comms.ft.FaultToleranceOptions`,
 :class:`repro.serve.ServeOptions` — plus the frozen (positional-
 friendly) :class:`repro.ingest.LoaderConfig`. Before this module each
 of them carried its own copy of the same two pieces:

@@ -148,14 +148,7 @@ class OverlapScheduler:
         for group in self._triggers.values():
             group.sort(key=lambda b: (b.priority, b.index))
         self._layer_pos = {id(layer): i for i, layer in enumerate(model.layers)}
-        # channel count: fault tolerance is a single-stream engine
-        # feature — force one channel there so its (well-tested) serial
-        # semantics are preserved
-        opts = self.options
-        serial_only = opts is not None and opts.fault_tolerance is not None
-        self.channels = 1 if serial_only else min(
-            self.train.overlap_channels, max(1, len(self._buckets))
-        )
+        self.channels = min(self.train.overlap_channels, max(1, len(self._buckets)))
         #: whether this step's buckets ask for whole ownership (set per
         #: step: it depends on the weight broadcast, which follows
         #: construction)
@@ -339,7 +332,7 @@ class OverlapScheduler:
             return None
         try:
             slabs, update = self.optimizer.bucket_update(
-                self._engine, self._arena, bucket.start, bucket.stop, self._scratch[slot]
+                self._arena, bucket.start, bucket.stop, self._scratch[slot]
             )
             self._engine.allreduce_update(
                 slabs, update, whole=self._whole, name="+".join(bucket.names),

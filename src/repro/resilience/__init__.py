@@ -7,8 +7,7 @@ future work; this package is that work, grown into a subsystem:
   schedule (:class:`FaultPlan`) and its runtime (:class:`FaultInjector`)
   that plugs into :func:`repro.mpi.run_spmd` (per-rank start hooks) and
   :class:`repro.hvd.FaultInjectionCallback` (epoch/step faults during
-  real training). The simulator side — an MTBF failure process for
-  paper-scale runs — lives in :mod:`repro.sim.faultmodel`.
+  real training).
 - :mod:`repro.resilience.checkpoint` — :class:`CheckpointManager`:
   atomic writes, SHA-256-verified loads, last-N retention, and the
   rank-0-writes / broadcast-restore distributed protocol.
@@ -17,14 +16,10 @@ future work; this package is that work, grown into a subsystem:
   resume from the newest valid checkpoint (bit-exact: RNG streams are
   restored), and graceful degradation to a smaller world when a
   rank is permanently dead, with the learning rate and epoch partition
-  re-derived from the paper's scaling rules.
-
-:class:`RetryPolicy`, :class:`TransientCollectiveError` and its base
-:class:`InjectedFault` live in :mod:`repro.comms.ft.channel`, the lowest
-layer that uses them; they are re-exported here.
+  re-derived from the paper's scaling rules; :class:`RetryPolicy` is
+  its backoff.
 """
 
-from repro.comms.ft.channel import InjectedFault, RetryPolicy, TransientCollectiveError
 from repro.resilience.checkpoint import CheckpointInfo, CheckpointManager
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -32,10 +27,13 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedCrash,
+    InjectedFault,
+    TransientCollectiveError,
 )
 from repro.resilience.recovery import (
     AttemptRecord,
     ResilientRunResult,
+    RetryPolicy,
     replan_for_world,
     run_resilient_benchmark,
 )

@@ -26,21 +26,19 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.comms.ft.channel import InjectedFault, TransientCollectiveError
-
 __all__ = [
     "FAULT_KINDS",
-    "MESSAGE_FAULT_KINDS",
-    "ALL_FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
+    "InjectedFault",
     "InjectedCrash",
+    "TransientCollectiveError",
 ]
 
 #: the process-level fault taxonomy: process death, slow rank, stalled
@@ -48,17 +46,13 @@ __all__ = [
 #: error" class)
 FAULT_KINDS = ("crash", "straggler", "io_stall", "collective")
 
-#: message-level faults, applied by the FT channel
-#: (:mod:`repro.comms.ft.channel`) to its own wire traffic: a message
-#: lost in flight, corrupted in flight, delayed in flight, or the
-#: sending rank dying mid-collective. These are *scheduled* by position
-#: (the sender's Nth data message) instead of epoch/step, and the
-#: injector never raises for them — it returns the due specs from
-#: :meth:`FaultInjector.on_ft_message` and the channel owns the
-#: semantics (drop vs corrupt vs sleep vs kill).
-MESSAGE_FAULT_KINDS = ("msg_drop", "msg_corrupt", "msg_delay", "rank_kill")
 
-ALL_FAULT_KINDS = FAULT_KINDS + MESSAGE_FAULT_KINDS
+class InjectedFault(RuntimeError):
+    """Base class for every injector-raised error."""
+
+
+class TransientCollectiveError(InjectedFault):
+    """A collective operation failed transiently (injected)."""
 
 
 class InjectedCrash(InjectedFault):
@@ -72,15 +66,9 @@ class FaultSpec:
     ``epoch=None`` means the fault fires at rank start (before the SPMD
     function body); ``step`` additionally narrows an epoch-level fault
     to one training batch. ``delay_s`` is the injected sleep for
-    ``straggler``/``io_stall``/``msg_delay`` faults. ``permanent`` marks
-    a crash as a dead-for-good rank: it re-fires on every retry until
-    the rank is removed from the world.
-
-    Message-level faults (:data:`MESSAGE_FAULT_KINDS`) are scheduled by
-    ``message`` — the zero-based index of the sending rank's data
-    message on the FT channel — instead of epoch/step, which pins the
-    fault to an exact position inside a collective's message pattern
-    regardless of the algorithm.
+    ``straggler``/``io_stall`` faults. ``permanent`` marks a crash as
+    a dead-for-good rank: it re-fires on every retry until the rank is
+    removed from the world.
     """
 
     kind: str
@@ -89,12 +77,11 @@ class FaultSpec:
     step: Optional[int] = None
     delay_s: float = 0.0
     permanent: bool = False
-    message: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; known: {ALL_FAULT_KINDS}"
+                f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
             )
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
@@ -104,24 +91,8 @@ class FaultSpec:
             raise ValueError(f"delay_s must be non-negative, got {self.delay_s}")
         if self.permanent and self.kind != "crash":
             raise ValueError("only crash faults can be permanent")
-        if self.kind in MESSAGE_FAULT_KINDS:
-            if self.message is None:
-                raise ValueError(f"a {self.kind} fault needs a message index")
-            if self.message < 0:
-                raise ValueError(
-                    f"message index must be non-negative, got {self.message}"
-                )
-            if self.epoch is not None or self.step is not None:
-                raise ValueError(
-                    "message-level faults are scheduled by message index, "
-                    "not epoch/step"
-                )
-        elif self.message is not None:
-            raise ValueError(f"a {self.kind} fault cannot carry a message index")
 
     def describe(self) -> str:
-        if self.kind in MESSAGE_FAULT_KINDS:
-            return f"{self.kind}@rank{self.rank}/message {self.message}"
         where = (
             "rank start"
             if self.epoch is None
@@ -174,18 +145,6 @@ class FaultPlan:
         )
 
     @classmethod
-    def single_message_fault(
-        cls, kind: str, rank: int, message: int, delay_s: float = 0.0, seed: int = 0
-    ) -> "FaultPlan":
-        """One message-level fault on the sender's Nth FT data message."""
-        return cls(
-            specs=(
-                FaultSpec(kind, rank=rank, message=message, delay_s=delay_s),
-            ),
-            seed=seed,
-        )
-
-    @classmethod
     def random(
         cls,
         nranks: int,
@@ -218,6 +177,13 @@ class FaultPlan:
         return cls(specs=tuple(specs), seed=seed)
 
 
+def _stall(spec: FaultSpec) -> None:
+    """Hold the calling rank for a straggler's or an I/O stall's delay."""
+    if spec.delay_s > 0:
+        # a schedule, not a poll: the injected fault is this delay
+        time.sleep(spec.delay_s)
+
+
 @dataclass
 class FiredFault:
     """One injector firing, for the reproducibility record."""
@@ -228,7 +194,7 @@ class FiredFault:
     def key(self) -> tuple:
         return (
             self.attempt, self.spec.kind, self.spec.rank,
-            self.spec.epoch, self.spec.step, self.spec.message,
+            self.spec.epoch, self.spec.step,
         )
 
 
@@ -279,8 +245,6 @@ class FaultInjector:
     def _due(self, rank: int, epoch: Optional[int], step: Optional[int]) -> list[tuple[int, FaultSpec]]:
         due = []
         for i, spec in enumerate(self.plan.specs):
-            if spec.kind in MESSAGE_FAULT_KINDS:
-                continue  # scheduled by message index, via on_ft_message
             if spec.rank != rank or spec.epoch != epoch or spec.step != step:
                 continue
             if i in self._fired and not spec.permanent:
@@ -299,8 +263,7 @@ class FaultInjector:
         # sleeps and raises happen outside the lock
         for _, spec in due:
             if spec.kind in ("straggler", "io_stall"):
-                if spec.delay_s > 0:
-                    time.sleep(spec.delay_s)
+                _stall(spec)
             elif spec.kind == "collective":
                 raise TransientCollectiveError(
                     f"injected collective failure: {spec.describe()}"
@@ -324,8 +287,7 @@ class FaultInjector:
                 self._fired.add(i)
                 self.history.append(FiredFault(self.attempt, spec))
         for _, spec in due:
-            if spec.delay_s > 0:
-                time.sleep(spec.delay_s)
+            _stall(spec)
 
     def on_epoch_end(self, rank: int, epoch: int) -> None:
         """Epoch-level crashes/collective failures fire after the epoch."""
@@ -350,33 +312,6 @@ class FaultInjector:
     def on_step(self, rank: int, epoch: int, step: int) -> None:
         """Batch-level faults fire at the start of that batch."""
         self._fire(rank, epoch, step)
-
-    def on_ft_message(self, rank: int, message_index: int) -> list[FaultSpec]:
-        """Hook for the FT channel: message faults due at this send.
-
-        Called by :class:`repro.comms.ft.channel.FtChannel` before
-        transmitting the sender's ``message_index``-th data message.
-        Returns the due :data:`MESSAGE_FAULT_KINDS` specs *without
-        raising* — the channel interprets them (skip the put, corrupt
-        the copy, sleep, or die); the injector just records the firing
-        and, for ``rank_kill``, marks the rank dead. Each message fault
-        fires exactly once across all attempts.
-        """
-        with self._lock:
-            due = [
-                (i, spec)
-                for i, spec in enumerate(self.plan.specs)
-                if spec.kind in MESSAGE_FAULT_KINDS
-                and spec.rank == rank
-                and spec.message == message_index
-                and i not in self._fired
-            ]
-            for i, spec in due:
-                self._fired.add(i)
-                self.history.append(FiredFault(self.attempt, spec))
-                if spec.kind == "rank_kill":
-                    self.dead_ranks.add(rank)
-        return [spec for _, spec in due]
 
     # -- record ------------------------------------------------------------
     def fired_keys(self) -> list[tuple]:

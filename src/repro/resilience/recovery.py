@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.candle.base import CandleBenchmark, LoadedData
 from repro.candle.pipeline import run_rank
-from repro.comms.ft.channel import RetryPolicy
 from repro.core.epochs import comp_epochs_balanced
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.scaling import ScalingPlan
@@ -44,9 +43,56 @@ from repro.telemetry import active_tracer
 __all__ = [
     "AttemptRecord",
     "ResilientRunResult",
+    "RetryPolicy",
     "run_resilient_benchmark",
     "replan_for_world",
 ]
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Capped exponential backoff for failed attempts.
+
+    ``jitter`` spreads retries by up to that fraction of the capped
+    delay — but only from an *injected* RNG: the policy never touches
+    global ``random``/``np.random`` state, so a retried run backs off
+    bit-reproducibly (:func:`run_resilient_benchmark` derives its
+    generator from the run seed).
+    """
+
+    max_retries: int = 3
+    base_delay_s: float = 0.05
+    factor: float = 2.0
+    max_delay_s: float = 2.0
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
+        if self.base_delay_s < 0 or self.max_delay_s < 0:
+            raise ValueError("delays must be non-negative")
+        if self.factor < 1.0:
+            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+
+    def delay_s(
+        self, attempt: int, rng: Optional[np.random.Generator] = None
+    ) -> float:
+        """Backoff before retrying after failed attempt ``attempt``.
+
+        With ``jitter > 0`` an RNG must be supplied — refusing to fall
+        back to global random state is what makes the jitter seedable.
+        """
+        delay = min(self.base_delay_s * self.factor**attempt, self.max_delay_s)
+        if self.jitter > 0.0:
+            if rng is None:
+                raise ValueError(
+                    "jittered backoff needs an injected rng "
+                    "(np.random.Generator) for reproducibility"
+                )
+            delay *= 1.0 + self.jitter * float(rng.random())
+        return delay
 
 
 @dataclass

@@ -31,17 +31,6 @@ each phase, never with a frequency setting or a power cap.
 from repro.sim.calibration import Calibration, DEFAULT_CALIBRATION, calibration_report
 from repro.sim.computemodel import ComputeModel
 from repro.sim.engine import PhaseSimulator
-from repro.sim.faultmodel import (
-    FailureModel,
-    MtbfFailureProcess,
-    ResilientRunSimulator,
-    ResilientSimReport,
-    checkpoint_write_seconds,
-    daly_interval,
-    expected_makespan,
-    simulate_resilient_run,
-    young_daly_interval,
-)
 from repro.sim.iomodel import (
     FileShape,
     IoModel,
@@ -72,15 +61,6 @@ __all__ = [
     "improvement_percent",
     "ScaledRunSimulator",
     "simulate_run",
-    "MtbfFailureProcess",
-    "FailureModel",
-    "young_daly_interval",
-    "daly_interval",
-    "expected_makespan",
-    "checkpoint_write_seconds",
-    "ResilientSimReport",
-    "ResilientRunSimulator",
-    "simulate_resilient_run",
     "ServeModel",
     "ServePoint",
 ]

@@ -20,7 +20,7 @@ of Figs 7b/12/19.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -44,14 +44,6 @@ def span_category(name: str) -> str:
 class PhaseSimulator:
     """Per-rank clock/energy/profile accounting for phase-structured runs.
 
-    An optional ``failure_process`` (anything exposing
-    ``next_failure_after(t_s)`` and ``expected_failures(duration_s)``,
-    e.g. :class:`repro.sim.faultmodel.MtbfFailureProcess`) arms the
-    simulator for resilience runs: :meth:`next_failure` reads the first
-    failure after the current clock and :meth:`expected_failures` the
-    mean count over the elapsed run — at paper scale (3,072 Theta
-    ranks) that expectation is what makes checkpointing non-optional.
-
     The tracked ranks' phases are recorded as spans on ``tracer`` (the
     caller's, or a fresh one with origin 0: sim time starts at 0).
     """
@@ -60,13 +52,11 @@ class PhaseSimulator:
         self,
         nranks: int,
         track_ranks: Optional[Iterable[int]] = None,
-        failure_process=None,
         tracer=None,
     ):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
-        self.failure_process = failure_process
         self.clock = np.zeros(nranks)
         self.energy_j = np.zeros(nranks)
         if track_ranks is None:
@@ -141,22 +131,6 @@ class PhaseSimulator:
         if duration < 0 or repeats < 0:
             raise ValueError("duration and repeats must be non-negative")
         self.advance(duration * repeats, name, power_w)
-
-    # -- failures --------------------------------------------------------
-    def next_failure(self) -> Optional[float]:
-        """Absolute time of the next failure after the current clock.
-
-        None when no failure process is attached (a fault-free run).
-        """
-        if self.failure_process is None:
-            return None
-        return float(self.failure_process.next_failure_after(self.elapsed_s))
-
-    def expected_failures(self) -> float:
-        """Mean failure count over the elapsed run (0 when fault-free)."""
-        if self.failure_process is None:
-            return 0.0
-        return float(self.failure_process.expected_failures(self.elapsed_s))
 
     # -- results -----------------------------------------------------------------
     @property

@@ -14,9 +14,8 @@ Nested activations restore the previous tracer on exit
 (:func:`tracing` is re-entrant).
 
 Each rank thread also has a *binding*: its rank and the tracer its
-collectives record into. :func:`repro.hvd.init` binds them, an elastic
-rebuild rebinds the renumbered rank, and :func:`repro.hvd.shutdown`
-clears them. A span opened without an explicit rank takes
+collectives record into. :func:`repro.hvd.init` binds them and
+:func:`repro.hvd.shutdown` clears them. A span opened without an explicit rank takes
 :func:`thread_rank`.
 """
 

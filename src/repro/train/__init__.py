@@ -1,8 +1,8 @@
 """repro.train — the unified training-step configuration surface.
 
 One frozen, keyword-only :class:`TrainOptions` object carries every
-knob of a training step (precision, collective transport and its
-fault tolerance, compute/communication overlap) from
+knob of a training step (precision, collective transport,
+compute/communication overlap) from
 the benchmark entry point down through ``Sequential.build``/``fit``,
 ``hvd.DistributedOptimizer``, the overlap scheduler, and the simulator
 — replacing the scattered ``dtype=``/``options=`` keywords.

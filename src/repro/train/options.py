@@ -44,14 +44,14 @@ class TrainOptions(FrozenOptions):
     """Keyword-only configuration for every training step in a run.
 
     The defaults reproduce the pre-existing behaviour exactly: the
-    model's default precision, engine-automatic collectives, no fault
-    tolerance, and the serialized (non-overlapped) gradient exchange.
+    model's default precision, engine-automatic collectives, and the
+    serialized (non-overlapped) gradient exchange.
     """
 
     #: parameter/compute precision; None keeps the model default (float64)
     dtype: Optional[np.dtype] = None
     #: how gradient/metric collectives travel (algorithm, fusion,
-    #: chunking, fault tolerance); None = the engine's automatic defaults
+    #: chunking); None = the engine's automatic defaults
     collective: Optional[CollectiveOptions] = None
     #: overlap gradient allreduce with the backward pass (wait-free
     #: backprop) via :class:`repro.overlap.OverlapScheduler`
@@ -59,8 +59,7 @@ class TrainOptions(FrozenOptions):
     #: concurrent gradient-exchange channels (worker threads, each with a
     #: private engine tag namespace) the scheduler drains buckets on; >1
     #: lets a small late bucket travel beside a large in-flight one.
-    #: Forced to 1 under fault tolerance or a flat algorithm, whose
-    #: engine paths are single-stream.
+    #: Capped at the plan's bucket count.
     overlap_channels: int = 2
 
     def __post_init__(self):
@@ -73,6 +72,6 @@ class TrainOptions(FrozenOptions):
         require_in_interval("overlap_channels", self.overlap_channels, 1, 16)
 
 
-#: the step's defaults — model precision, serialized exchange, no FT
+#: the step's defaults — model precision, serialized exchange
 DEFAULT_TRAIN_OPTIONS = TrainOptions()
 

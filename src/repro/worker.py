@@ -4,7 +4,7 @@ and :func:`usable_cores`, whether a second core is there to run it.
 
 Everything in ``repro`` that runs beside the critical path (the second
 half of a conv split, a gradient bucket's allreduce, the next epoch's
-load, the FT heartbeat service, a serving load generator) is a job on a
+load, a serving load generator) is a job on a
 :class:`Worker`: one daemon thread, started by the first ``submit``,
 running jobs in submission order. ``Job.wait`` re-raises a job's error;
 ``close`` drops the jobs not yet started and joins the running one; a

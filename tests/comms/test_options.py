@@ -16,7 +16,7 @@ class TestValidation:
     def test_defaults_are_valid_and_frozen(self):
         opts = CollectiveOptions()
         assert opts.algorithm == "auto"
-        assert opts.fault_tolerance is None and opts.emulate_fabric is None
+        assert opts.emulate_fabric is None
         with pytest.raises(Exception):
             opts.algorithm = "ring"
 
@@ -28,7 +28,6 @@ class TestValidation:
         "kwargs",
         [
             {"algorithm": "butterfly"},
-            {"fault_tolerance": object()},
             {"chunk_bytes": 0},
             {"emulate_fabric": 3},
             {"fusion_bytes": 0},

@@ -7,10 +7,8 @@ import pytest
 from repro import hvd
 from repro.mpi import run_spmd
 from repro.comms import CollectiveOptions
-from repro.comms.ft import FaultToleranceOptions
 from repro.nn import SGD, Adam, ParameterArena
 from repro.nn.optimizers import Optimizer
-from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.train import TrainOptions
 from tests.hvd.step_oracle import BATCH, ROWS, build, shards, slabs
 from tests.hvd.test_step_oracle import distributed, serial
@@ -137,69 +135,3 @@ def test_an_optimizer_without_a_slab_kernel_steps_each_fusion_group():
     for rank, (got, losses) in enumerate(distributed(2, train, make, epochs=2)):
         assert got == want
         assert np.array(losses).tobytes() == np.array(want_losses[rank]).tobytes()
-
-
-class LrSpySGD(SGD):
-    """SGD recording the learning rate of every slab update."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.rates = []
-
-    def _arena_step(self, arena, lr, **span):
-        self.rates.append(lr)
-        super()._arena_step(arena, lr, **span)
-
-
-class WorldSpyOptimizer(hvd.DistributedOptimizer):
-    """Records the world size before and after every step."""
-
-    def __init__(self, base, **kwargs):
-        super().__init__(base, **kwargs)
-        self.worlds = []
-
-    def apply_arena(self, arena):
-        before = hvd.size()
-        super().apply_arena(arena)
-        self.worlds.append((before, hvd.size()))
-
-
-@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-def test_the_step_a_rebuild_lands_on_updates_at_the_survivors_rate(overlap):
-    """A rank dies in the middle of a step's allreduce (world 3, one
-    fusion group): the survivors' mean is taken over two ranks, so that
-    step's update already runs at ``lr0 * 2/3``, like every later one."""
-    lr0 = 0.05
-    fto = FaultToleranceOptions(
-        heartbeat_interval_s=0.005, chunk_deadline_s=0.1, retry_base_delay_s=0.001
-    )
-    train = TrainOptions(overlap=overlap, collective=CollectiveOptions(fault_tolerance=fto))
-    world, victim = 3, 2
-    data = shards(world)
-
-    def worker(comm):
-        hvd.init(comm, options=train.collective)
-        try:
-            model = build(7 + comm.rank, train)
-            opt = WorldSpyOptimizer(LrSpySGD(lr=lr0), train=train)
-            model.compile(opt, "categorical_crossentropy")
-            assert len(model.arena.fusion_groups(opt.fusion_bytes)) == 1
-            model.fit(
-                *data[comm.rank], batch_size=BATCH, epochs=2, shuffle=False, train=train,
-                callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
-            )
-            return opt.worlds, opt.base.rates
-        finally:
-            hvd.shutdown()
-
-    # a ring step of world 3 sends 5 FT data messages a rank: the 7th is
-    # in the second step's reduce-scatter
-    plan = FaultPlan.single_message_fault("rank_kill", rank=victim, message=7)
-    results = run_spmd(world, worker, fault_injector=FaultInjector(plan))
-    assert results[victim] is None
-    for rank in (0, 1):
-        worlds, rates = results[rank]
-        assert len(rates) == len(worlds) == 2 * ROWS // BATCH
-        assert worlds.count((3, 2)) == 1
-        for (before, after), lr in zip(worlds, rates):
-            assert lr == (lr0 if after == 3 else lr0 * (2 / 3)), (before, after)

@@ -21,9 +21,9 @@ exchange against the same oracle.
 The other cases hold the step's safety rules, each with a test that
 fails without it: channels update with their own work buffers, the iteration
 count advances before the first bucket updates, a sender leaves only
-after its receivers have copied, and in runs whose engine may retry
-(fault tolerance), whose wire bytes cost emulated time, or whose ranks
-wrote their own weights every rank owns everything: each ``update`` is
+after its receivers have copied, and in runs whose wire bytes cost
+emulated time, or whose ranks wrote their own weights, every rank owns
+everything: each ``update`` is
 handed its whole range, after the allreduce, and no parameter gather
 runs.
 """
@@ -38,7 +38,6 @@ import pytest
 
 from repro import hvd
 from repro.comms import CollectiveEngine, CollectiveOptions
-from repro.comms.ft import FaultToleranceOptions
 from repro.mpi import run_spmd
 from repro.nn.optimizers import Adam
 from repro.train import TrainOptions
@@ -420,23 +419,6 @@ def test_an_emulated_fabric_keeps_allreduce_then_update(overlap, updates):
         overlap=overlap,
         collective=CollectiveOptions(
             fusion_bytes=512, emulate_fabric="summit", emulate_fabric_scale=1.0
-        ),
-    )
-    results = fit(2, OPTIMIZERS["adam"], train)
-    assert_every_rank_owns_everything(updates)
-    assert_all_ranks_equal(results, serial(2, TrainOptions(), OPTIMIZERS["adam"])[0])
-
-
-@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-def test_fault_tolerant_engine_keeps_allreduce_then_update(overlap, updates):
-    """A retried or restarted collective must never apply an update
-    twice, so under the FT engine every rank owns everything: it reduces
-    first and the base optimizer updates once, after it."""
-    train = TrainOptions(
-        overlap=overlap,
-        collective=CollectiveOptions(
-            fusion_bytes=512,
-            fault_tolerance=FaultToleranceOptions(heartbeat_interval_s=0.01),
         ),
     )
     results = fit(2, OPTIMIZERS["adam"], train)

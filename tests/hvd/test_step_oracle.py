@@ -3,9 +3,8 @@
 Every axis of the gradient exchange is drawn at once: world 2–4, one or
 two ranks a node, the algorithm (flat, ring, rhd, hierarchical; an
 infeasible choice demotes to ring), the fusion capacity, chunking,
-overlap with 1, 2 or 4 channels, fault tolerance with no fault
-injected, an emulated Summit fabric, float32 or float64, and the
-optimizer. Two epochs of three steps later, every rank's parameter slab,
+overlap with 1, 2 or 4 channels, an emulated Summit fabric, float32
+or float64, and the optimizer. Two epochs of three steps later, every rank's parameter slab,
 every optimizer state slab and each rank's batch losses must equal
 ``tests/hvd/step_oracle.oracle``'s on ``tobytes()``. The gradient slab is
 not compared: nothing reads it after the step.
@@ -33,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro import hvd
 from repro.comms import CollectiveEngine, CollectiveOptions
-from repro.comms.ft import FaultToleranceOptions
 from repro.mpi import run_spmd
 from repro.nn import LambdaCallback
 from repro.nn.optimizers import SGD, Adam, RMSprop
@@ -150,7 +148,6 @@ def check_against_oracle(world, train, opt_name, *, local_size=1, mid_read=None)
     fusion_bytes=st.sampled_from([512, CollectiveOptions().fusion_bytes]),
     chunk_bytes=st.sampled_from([None, 1024]),
     channels=st.sampled_from([0, 1, 2, 4]),  # 0: overlap off
-    fault_tolerance=st.booleans(),
     emulate_fabric=st.booleans(),
     dtype=st.sampled_from([np.float32, np.float64]),
     opt_name=st.sampled_from(sorted(OPTIMIZERS)),
@@ -158,7 +155,7 @@ def check_against_oracle(world, train, opt_name, *, local_size=1, mid_read=None)
 )
 def test_distributed_step_equals_serial_oracle(
     world, two_a_node, algorithm, fusion_bytes, chunk_bytes, channels,
-    fault_tolerance, emulate_fabric, dtype, opt_name, mid_read,
+    emulate_fabric, dtype, opt_name, mid_read,
 ):
     train = TrainOptions(
         dtype=dtype,
@@ -168,7 +165,6 @@ def test_distributed_step_equals_serial_oracle(
             algorithm=algorithm,
             fusion_bytes=fusion_bytes,
             chunk_bytes=chunk_bytes,
-            fault_tolerance=FaultToleranceOptions() if fault_tolerance else None,
             emulate_fabric="summit" if emulate_fabric else None,
         ),
     )

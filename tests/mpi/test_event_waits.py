@@ -102,7 +102,7 @@ def test_abort_raises_in_a_blocked_rank_without_a_timeout(name):
 
 
 def test_direct_mailbox_put_wakes_recv_any():
-    # the FtChannel form: no Communicator.send, straight into the box
+    # a put that bypasses Communicator.send still notifies the receiver
     ctx, _, outcome, thread = blocked_receiver(
         lambda comm: comm.recv_any([0], tag=3)
     )

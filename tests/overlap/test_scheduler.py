@@ -229,62 +229,3 @@ class TestDrainFence:
                 hvd.shutdown()
 
         assert all(run_spmd(2, worker))
-
-    def test_ft_rank_kill_drains_and_survivors_agree(self):
-        """A rank death mid-step: the FT engine rebuilds under the
-        fence, survivors finish the fit and stay bit-identical."""
-        from repro.comms.ft import FaultToleranceOptions
-        from repro.resilience.faults import FaultInjector, FaultPlan
-
-        fto = FaultToleranceOptions(
-            heartbeat_interval_s=0.005,
-            chunk_deadline_s=0.1,
-            retry_base_delay_s=0.001,
-            checksum=True,
-        )
-        train = TrainOptions(
-            overlap=True,
-            collective=CollectiveOptions(fusion_bytes=512, fault_tolerance=fto),
-        )
-        world, victim = 3, 2
-        x, y = class_data(n=world * 8)
-
-        def worker(comm):
-            hvd.init(comm, options=train.collective)
-            try:
-                model = nt3_shaped(seed=3 + comm.rank, train=train)
-                model.compile(
-                    hvd.DistributedOptimizer(SGD(lr=0.05), train=train),
-                    "categorical_crossentropy",
-                )
-                if model.arena is not None and hvd.size() > 1:
-                    # FT forces the scheduler serial: one channel only
-                    from repro.overlap import OverlapScheduler
-
-                    probe = OverlapScheduler(
-                        model, model.optimizer, train=train
-                    )
-                    try:
-                        assert probe.channels == 1
-                    finally:
-                        probe.close()
-                shard = slice(comm.rank * 8, (comm.rank + 1) * 8)
-                model.fit(
-                    x[shard], y[shard], batch_size=8, epochs=3,
-                    shuffle=False, train=train,
-                    callbacks=[hvd.BroadcastGlobalVariablesCallback(0)],
-                )
-                return model.get_weights()
-            finally:
-                hvd.shutdown()
-
-        plan = FaultPlan.single_message_fault(
-            "rank_kill", rank=victim, message=4
-        )
-        results = run_spmd(world, worker, fault_injector=FaultInjector(plan))
-        assert results[victim] is None  # the death was survivable
-        survivors = [results[r] for r in range(world) if r != victim]
-        assert all(w is not None for w in survivors)
-        for weights in survivors[1:]:
-            for a, b in zip(survivors[0], weights):
-                assert np.array_equal(a, b)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.comms import CollectiveOptions
-from repro.comms.ft import FaultToleranceOptions
 from repro.nn import Dense, Sequential
 from repro.nn.optimizers import SGD
 from repro.train import DEFAULT_TRAIN_OPTIONS, TrainOptions
@@ -47,13 +46,6 @@ class TestValidation:
             TrainOptions(overlap_channels=0)
         with pytest.raises(ValueError, match="overlap_channels"):
             TrainOptions(overlap_channels=17)
-
-    def test_fault_tolerance_rides_on_the_collective(self):
-        fto = FaultToleranceOptions()
-        t = TrainOptions(collective=CollectiveOptions(fault_tolerance=fto))
-        assert t.collective.fault_tolerance is fto
-        with pytest.raises(TypeError, match="fault_tolerance"):
-            TrainOptions(fault_tolerance=fto)
 
     def test_evolve(self):
         t = TrainOptions().evolve(overlap=True, overlap_channels=3)

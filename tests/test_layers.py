@@ -151,9 +151,22 @@ def _census() -> list:
     return rows[2:]  # past the header and its rule
 
 
+#: the packages the census also lists module by module
+CENSUS_BY_MODULE = ("comms", "resilience")
+
+
 def test_census_names_what_every_package_and_experiment_serves():
     rows = _census()
-    assert {kind for kind, _, _ in rows} == {"package", "experiment"}
+    assert {kind for kind, _, _ in rows} == {"package", "module", "experiment"}
     assert [unit for kind, unit, _ in rows if kind == "package"] == list(LAYERS)
     assert [unit for kind, unit, _ in rows if kind == "experiment"] == list_experiments()
     assert [unit for _, unit, serves in rows if not serves] == []
+
+
+def test_census_names_every_module_of_comms_and_resilience():
+    modules = [
+        module.split(".", 1)[1]
+        for module, (_, is_package) in MODULES.items()
+        if not is_package and _package(module) in CENSUS_BY_MODULE
+    ]
+    assert [unit for kind, unit, _ in _census() if kind == "module"] == modules

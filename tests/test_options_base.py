@@ -1,9 +1,9 @@
 """The shared options-family machinery in :mod:`repro.options`.
 
 Every frozen options class in the tree (TrainOptions, CollectiveOptions,
-FaultToleranceOptions, LoaderConfig, ServeOptions) is rebased on these
-helpers, so their message formats are contract: a change here would
-silently alter five public APIs' error text at once.
+LoaderConfig, ServeOptions) is rebased on these helpers, so their
+message formats are contract: a change here would silently alter four
+public APIs' error text at once.
 """
 
 from __future__ import annotations
