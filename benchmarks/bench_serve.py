@@ -1,6 +1,6 @@
-"""Serving benchmark: dynamic batching, SLO frontier, hot-swap identity.
+"""Serving benchmark: dynamic batching and the open-load frontier.
 
-Four sections, one JSON artifact:
+Two sections, one JSON artifact:
 
 - **batching** — the tentpole claim: dynamic batching vs single-request
   dispatch (``max_batch=1``) at the *same* latency deadline. Both arms
@@ -14,16 +14,7 @@ Four sections, one JSON artifact:
   requests and both arms read lower. The batched config must also hold
   its p99 within the deadline.
 - **frontier** — throughput vs latency under open (Poisson) load at
-  increasing offered qps, the curve capacity planning reads, plus the
-  :class:`repro.sim.ServeModel` analytic frontier for the same options
-  on modeled Summit.
-- **traces** — the admission policies under hostile arrival shapes: a
-  flash-crowd burst against ``reject`` and ``shed_oldest``, a diurnal
-  trace against ``block`` — shed/rejected counts per policy.
-- **hot_swap** — a model-version swap mid-run under open load, with
-  every response retained: the batch dispatch log is replayed offline
-  against reference models of each version and every served prediction
-  must be *bitwise identical* to its version's reference output.
+  increasing offered qps, the curve capacity planning reads.
 
 Run standalone::
 
@@ -32,10 +23,9 @@ Run standalone::
     python benchmarks/bench_serve.py --smoke --json OUT.json  # artifact
 
 ``--full`` additionally asserts the acceptance thresholds: batched
-throughput >= 3x single-request at fixed p99 deadline, batched p99
-within the deadline, hot-swap bit-identity, and a >= 3x modeled
-batching speedup on Summit NT3. Under pytest the smoke path runs as a
-test; the full path is opt-in via ``SERVE_BENCH_FULL=1``.
+throughput >= 3x single-request at fixed p99 deadline and batched p99
+within the deadline. Under pytest the smoke path runs as a test; the
+full path is opt-in via ``SERVE_BENCH_FULL=1``.
 """
 
 from __future__ import annotations
@@ -44,29 +34,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 import pytest
 
-from repro.candle import get_benchmark
-from repro.cluster.machine import SUMMIT
-from repro.nn import Sequential, get_optimizer
+from repro.nn import Sequential
 from repro.nn.layers import Dense
-from repro.nn.serialization import load_weights_dict
-from repro.resilience import CheckpointManager
-from repro.serve import (
-    OpenWorkload,
-    ServeOptions,
-    SwapPlan,
-    burst_arrivals,
-    diurnal_arrivals,
-    install_weights,
-    poisson_arrivals,
-    request_features,
-    serve_workload,
-)
-from repro.sim import ServeModel
+from repro.serve import OpenWorkload, ServeOptions, poisson_arrivals, serve_workload
 from repro.telemetry.report import format_table
 
 #: serving model geometry: small enough that per-dispatch fixed cost
@@ -78,13 +52,11 @@ FEATURES = 32
 SMOKE = {
     "batching_qps": 40000.0, "batching_duration_s": 1.0,
     "frontier_qps": (50.0, 150.0, 400.0), "frontier_duration_s": 0.8,
-    "swap_qps": 120.0, "swap_duration_s": 1.2,
 }
 FULL = {
     "batching_qps": 40000.0, "batching_duration_s": 1.5,
     "frontier_qps": (25.0, 75.0, 150.0, 300.0, 600.0),
     "frontier_duration_s": 1.5,
-    "swap_qps": 150.0, "swap_duration_s": 2.5,
 }
 
 
@@ -152,7 +124,7 @@ def run_batching(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section 2: throughput-vs-latency frontier (functional + modeled)
+# section 2: throughput-vs-latency frontier
 # ---------------------------------------------------------------------------
 
 def run_frontier(cfg: dict) -> dict:
@@ -175,136 +147,7 @@ def run_frontier(cfg: dict) -> dict:
             "p99_ms": slo.p99_ms,
             "mean_batch_rows": report.mean_batch_rows,
         })
-    spec = get_benchmark("nt3").spec
-    model = ServeModel(SUMMIT)
-    sim_opts = ServeOptions(max_batch=64, deadline_ms=1000.0, replicas=2,
-                            assemble_fraction=0.2)
-    sim_rows = [p.as_dict() for p in model.frontier(spec, sim_opts)]
-    return {
-        "rows": rows,
-        "sim": {
-            "machine": "summit",
-            "benchmark": spec.name,
-            "rows": sim_rows,
-            "max_qps_within_deadline": model.max_qps_within(spec, sim_opts),
-            "speedup_modeled": model.batching_speedup(spec, sim_opts),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# section 3: admission policies under burst / diurnal traces
-# ---------------------------------------------------------------------------
-
-def run_traces(cfg: dict) -> dict:
-    pool = feature_pool()
-    ref = build_model()
-    weights = {k: v.copy() for k, v in ref.named_parameters().items()}
-    duration = cfg["frontier_duration_s"]
-    burst = burst_arrivals(
-        base_qps=60.0, duration_s=duration, burst_qps=600.0,
-        burst_start_s=duration * 0.3, burst_len_s=duration * 0.2, seed=7,
-    )
-    diurnal = diurnal_arrivals(
-        base_qps=80.0, duration_s=duration, amplitude=0.6, seed=9
-    )
-    # a deliberately shallow queue so the burst actually hits the policy
-    tight = base_options().evolve(queue_depth=16)
-    out = {}
-    for label, admission, arrivals in (
-        ("burst_reject", "reject", burst),
-        ("burst_shed", "shed_oldest", burst),
-        ("diurnal_block", "block", diurnal),
-    ):
-        workload = OpenWorkload(arrivals=arrivals, rows_per_request=1)
-        report = serve_workload(
-            build_model, workload, pool, tight.evolve(admission=admission),
-            initial_weights=weights,
-        )
-        slo = report.slo
-        out[label] = {
-            "arrivals": int(len(arrivals)),
-            "completed": slo.requests,
-            "rejected": slo.rejected,
-            "shed": slo.shed,
-            "p99_ms": slo.p99_ms,
-        }
-    # conservation: every arrival is answered exactly once
-    for label, row in out.items():
-        assert row["completed"] + row["rejected"] + row["shed"] == row["arrivals"], (
-            label, row,
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# section 4: hot-swap under load, bitwise identity per version
-# ---------------------------------------------------------------------------
-
-def run_hot_swap(cfg: dict) -> dict:
-    pool = feature_pool()
-    ref = build_model()
-    ref.compile(get_optimizer("sgd", lr=0.01), "mse")
-    w0 = {k: v.copy() for k, v in ref.named_parameters().items()}
-    rng = np.random.default_rng(17)
-    perturbed = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in w0.items()}
-
-    # the v1 weights travel the real resilience path: checkpointed to
-    # disk, resolved by epoch with digest verification, read back
-    # model-free — exactly what a production swap would ship
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        manager = CheckpointManager(ckpt_dir, keep_last=2)
-        install_weights(ref, perturbed)
-        manager.save(ref, epoch=1)
-        info = manager.resolve(epoch=1)
-        w1, meta = load_weights_dict(info.path, expected_sha256=info.sha256)
-    assert meta["epoch"] == 1
-    assert all(np.array_equal(w1[k], perturbed[k]) for k in perturbed)
-
-    arrivals = poisson_arrivals(cfg["swap_qps"], cfg["swap_duration_s"], seed=31)
-    workload = OpenWorkload(arrivals=arrivals, rows_per_request=2)
-    report = serve_workload(
-        build_model,
-        workload,
-        pool,
-        base_options(),
-        initial_weights=w0,
-        swaps=[SwapPlan(version="v1", weights=w1, after_requests=len(arrivals) // 3)],
-        keep_responses=True,
-    )
-    # offline replay: rebuild every dispatched batch bit-for-bit and
-    # compare each served prediction against its version's reference
-    versions = {"v0": w0, "v1": w1}
-    identical = True
-    checked = 0
-    for version, req_ids in report.batch_log:
-        install_weights(ref, versions[version])
-        feats = np.concatenate(
-            [request_features(pool, rid, 2) for rid in req_ids], axis=0
-        )
-        expected = ref._forward(feats, training=False)
-        start = 0
-        for rid in req_ids:
-            got_version, got = report.responses[rid]
-            if got_version != version or not np.array_equal(
-                got, expected[start : start + 2]
-            ):
-                identical = False
-            checked += 1
-            start += 2
-    per_version = {
-        v: sum(1 for ver, _ in report.responses.values() if ver == v)
-        for v in versions
-    }
-    return {
-        "bit_identical": identical,
-        "swaps": report.swaps,
-        "versions": report.versions,
-        "responses_checked": checked,
-        "responses_per_version": per_version,
-        "p99_ms": report.slo.p99_ms,
-        "served_during_both_versions": all(n > 0 for n in per_version.values()),
-    }
+    return {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +163,6 @@ def assert_full_criteria(report: dict) -> None:
         f"batched p99 {b['batched_p99_ms']:.1f}ms blows the "
         f"{b['deadline_ms']}ms deadline"
     )
-    assert report["hot_swap"]["bit_identical"]
-    assert report["hot_swap"]["served_during_both_versions"]
-    assert report["frontier"]["sim"]["speedup_modeled"] >= 3.0
 
 
 def run_bench(full: bool = False, json_path: str | None = None) -> dict:
@@ -331,8 +171,6 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
         "mode": "full" if full else "smoke",
         "batching": run_batching(cfg),
         "frontier": run_frontier(cfg),
-        "traces": run_traces(cfg),
-        "hot_swap": run_hot_swap(cfg),
     }
     report["slo"] = {
         "p50_ms": report["frontier"]["rows"][0]["p50_ms"],
@@ -342,10 +180,6 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
 
     b = report["batching"]
     print(format_table(report["frontier"]["rows"], title="frontier: open load sweep"))
-    print(format_table(
-        [{"policy": k, **v} for k, v in report["traces"].items()],
-        title="traces: admission under burst/diurnal",
-    ))
     print(
         f"batching headline: {b['speedup_vs_single']:.2f}x rows/s vs "
         f"single-request ({b['batched_rows_per_s']:.0f} vs "
@@ -354,20 +188,6 @@ def run_bench(full: bool = False, json_path: str | None = None) -> dict:
         f"(batched p99 {b['batched_p99_ms']:.1f}ms, "
         f"mean batch {b['mean_batch_rows']:.1f} rows)"
     )
-    hs = report["hot_swap"]
-    print(
-        f"hot-swap headline: {hs['swaps']} swap(s), "
-        f"{hs['responses_checked']} responses replayed, "
-        f"bit_identical={hs['bit_identical']}, "
-        f"per-version={hs['responses_per_version']}"
-    )
-    sim = report["frontier"]["sim"]
-    print(
-        f"modeled (summit/nt3): max {sim['max_qps_within_deadline']:.0f} qps "
-        f"within deadline, batching speedup {sim['speedup_modeled']:.1f}x"
-    )
-
-    assert report["hot_swap"]["bit_identical"], report["hot_swap"]
     assert b["speedup_vs_single"] >= 1.5, b
     if full:
         assert_full_criteria(report)

@@ -36,11 +36,10 @@ al., ICPP 2019) depends on:
 - :mod:`repro.resilience` — the paper's §7 future work, built out:
   seeded fault injection, checksummed checkpoint/restart, and elastic
   recovery with retries and world-shrinking.
-- :mod:`repro.serve` — inference serving over the SPMD runtime:
-  deadline-aware dynamic batching, replicated workers fed over the
-  :mod:`repro.ps` RPC plane, checkpoint-backed model-version hot-swap,
-  and SLO (p50/p99/throughput) tracking, configured by one
-  ``ServeOptions`` object.
+- :mod:`repro.serve` — open-loop inference serving over the SPMD
+  runtime: deadline-aware dynamic batching, replicated workers fed over
+  the :mod:`repro.ps` RPC plane, and SLO (p50/p99/throughput) tracking,
+  configured by one ``ServeOptions`` object.
 - :mod:`repro.telemetry` — the unified observability layer: one tracer
   of nestable spans and counters per run, power/energy attribution per
   span, Chrome-trace/JSONL/summary exporters shared by the functional

@@ -30,7 +30,6 @@ from repro.ingest.prefetch import EpochPrefetcher
 from repro.mpi import run_spmd
 from repro.mpi.runtime import SpmdError
 from repro.nn import Sequential, get_optimizer
-from repro.serve import ClosedWorkload, serve_workload
 from repro.telemetry import Tracer, tracing
 from repro.train import DEFAULT_TRAIN_OPTIONS
 
@@ -39,32 +38,23 @@ __all__ = ["run_benchmark", "run_rank", "BenchmarkRunReport"]
 
 @dataclass
 class BenchmarkRunReport:
-    """One benchmark run (or one rank of it): phase seconds + metrics +
-    history.
-
-    The three Figure 2 phases are always present; ``serve_s`` /
-    ``serve_report`` are filled only when the run was asked to serve
-    the trained model afterwards (``serve=`` on :func:`run_benchmark`).
-    """
+    """One benchmark run (or one rank of it): the three Figure 2 phases'
+    seconds + metrics + history."""
 
     benchmark: str
     load_s: float
     train_s: float
     eval_s: float
-    serve_s: float = 0.0
     history: dict[str, list[float]] = field(default_factory=dict)
     eval_metrics: dict[str, float] = field(default_factory=dict)
-    serve_report: Optional[object] = None
     tracer: Optional[Tracer] = None
 
     @property
     def total_s(self) -> float:
-        return self.load_s + self.train_s + self.eval_s + self.serve_s
+        return self.load_s + self.train_s + self.eval_s
 
     def dominant_phase(self) -> str:
         phases = {"load": self.load_s, "train": self.train_s, "eval": self.eval_s}
-        if self.serve_s > 0:
-            phases["serve"] = self.serve_s
         return max(phases, key=phases.get)
 
 
@@ -222,7 +212,6 @@ def run_benchmark(
     validation: bool = True,
     tracer: Optional[Tracer] = None,
     train=None,
-    serve=None,
 ) -> BenchmarkRunReport:
     """Execute the benchmark's three phases serially: :func:`run_rank`
     at world 1, on the calling thread.
@@ -230,14 +219,6 @@ def run_benchmark(
     ``train`` is an optional :class:`repro.train.TrainOptions` forwarded
     to ``build_model`` and ``fit`` — the single switchboard for arena
     storage, precision and collective transport.
-
-    ``serve`` is an optional :class:`repro.serve.ServeOptions`: when
-    given, a fourth phase follows evaluation — the trained weights are
-    installed on ``serve.replicas`` inference workers and a short
-    closed-loop workload drawn from the test rows is served through
-    the dynamic batcher (:func:`repro.serve.serve_workload`). The
-    resulting :class:`~repro.serve.ServeReport` lands on
-    ``report.serve_report``.
 
     With ``data_paths=(train_csv, test_csv)`` the loading phase really
     parses files via ``load_method`` — an ingest registry name or a
@@ -260,7 +241,7 @@ def run_benchmark(
         data = benchmark.synth_arrays(np.random.default_rng(seed))
     with tracing(tracer):
         try:
-            ((report, model, data),) = run_spmd(1, lambda comm: run_rank(
+            ((report, _, _),) = run_spmd(1, lambda comm: run_rank(
                 comm, benchmark, tracer=tracer,
                 epochs=epochs if epochs is not None else min(spec.epochs, 8),
                 batch_size=batch_size or spec.batch_size,
@@ -270,26 +251,4 @@ def run_benchmark(
             ))
         except SpmdError as exc:
             raise exc.cause from None
-
-        # ---- phase 4 (optional): serve the trained model -----------------
-        if serve is not None:
-            with tracer.span("serve", replicas=serve.replicas) as sp_serve:
-                weights = {
-                    name: p.copy() for name, p in model.named_parameters().items()
-                }
-                workload = ClosedWorkload(
-                    clients=2, requests_per_client=8, rows_per_request=1
-                )
-                report.serve_report = serve_workload(
-                    lambda: benchmark.build_model(seed=seed, train=train),
-                    workload,
-                    data.x_test,
-                    serve,
-                    initial_weights=weights,
-                )
-                sp_serve.set_attrs(
-                    requests=report.serve_report.slo.requests,
-                    p99_ms=report.serve_report.slo.p99_ms,
-                )
-            report.serve_s = sp_serve.duration_s
     return report

@@ -52,7 +52,6 @@ from repro.hvd.runtime import (
     init,
     is_initialized,
     local_rank,
-    options,
     rank,
     shutdown,
     size,
@@ -68,7 +67,6 @@ __all__ = [
     "local_rank",
     "tracer",
     "engine",
-    "options",
     "CollectiveOptions",
     "TrainOptions",
     "allreduce",

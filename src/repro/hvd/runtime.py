@@ -26,7 +26,6 @@ __all__ = [
     "comm",
     "tracer",
     "engine",
-    "options",
 ]
 
 _tls = threading.local()
@@ -128,8 +127,3 @@ def engine():
             tracer=lambda: state.tracer,
         )
     return state.engine
-
-
-def options():
-    """The run-level CollectiveOptions, or None for engine defaults."""
-    return _state().options

@@ -31,6 +31,7 @@ from repro.frame.csv import (
     _combine,
     _normalize_newlines,
     _parse_chunk_fast,
+    _fast_path_rows_per_chunk,
     _parse_chunk_slow,
     _slow_path_rows_per_chunk,
     newline_spans,
@@ -51,9 +52,10 @@ def parse_lines(
 ) -> DataFrame:
     """Parse a batch of lines with the serial engines' internal chunking.
 
-    Mirrors ``read_csv``: the slow engine re-chunks under its byte
-    budget (so transient memory stays bounded even inside a big span),
-    the fast engine takes 16 MB bites.
+    Mirrors ``read_csv`` by calling its chunk rules: the slow engine
+    re-chunks under its byte budget (so transient memory stays bounded
+    even inside a big span), the fast engine takes
+    ``FAST_CHUNK_BYTES`` bites.
     """
     if not lines:
         return DataFrame({name: [] for name in names})
@@ -61,7 +63,7 @@ def parse_lines(
         per_chunk = _slow_path_rows_per_chunk(lines[0])
         parser = _parse_chunk_slow
     else:
-        per_chunk = max(1, (16 << 20) // max(1, len(lines[0]) + 1))
+        per_chunk = _fast_path_rows_per_chunk(lines[0])
         parser = _parse_chunk_fast
     chunks = [
         parser(lines[i : i + per_chunk], names, sep)

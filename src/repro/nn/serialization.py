@@ -205,11 +205,11 @@ def load_weights_dict(path, expected_sha256: Optional[str] = None) -> tuple[dict
     """Read a checkpoint's parameters without touching any model.
 
     Returns ``(weights, meta)`` where ``weights`` maps parameter name to
-    array. This is the model-free half of :func:`load_checkpoint`: the
-    serving hot-swap stages a checkpoint's weights into a fresh slab
-    *next to* the live model and swaps atomically, so it must be able to
-    read (and checksum-verify) a version without an instance to restore
-    into. Optimizer state is ignored — inference has none.
+    array. This is the model-free half of :func:`load_checkpoint`: it
+    reads (and checksum-verifies) a checkpoint without an instance to
+    restore into, which is how
+    :meth:`repro.resilience.CheckpointManager.latest_restorable` tests a
+    file. Optimizer state is ignored.
     """
     arrays, meta = _read_arrays(path, expected_sha256)
     weights = {

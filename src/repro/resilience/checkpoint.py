@@ -180,35 +180,6 @@ class CheckpointManager:
             return info
         return None
 
-    def resolve(self, epoch: Optional[int] = None) -> CheckpointInfo:
-        """The verified checkpoint for ``epoch`` (latest when ``None``).
-
-        This is the version-resolution step of a serving hot-swap: a
-        swap ships one *specific*, integrity-verified model version to
-        every replica, so "epoch 7" must resolve to a file whose bytes
-        still match the recorded digest — a missing or corrupted version
-        raises :class:`~repro.nn.CheckpointError` instead of being
-        silently substituted.
-        """
-        if epoch is None:
-            info = self.latest_valid()
-            if info is None:
-                raise CheckpointError(
-                    f"no verifiable checkpoint in {self.directory!r}"
-                )
-            return info
-        for info in self.checkpoints():
-            if info.epoch == epoch:
-                if not self.verify(info):
-                    raise CheckpointError(
-                        f"checkpoint for epoch {epoch} fails verification: "
-                        f"{info.path!r}"
-                    )
-                return info
-        raise CheckpointError(
-            f"no checkpoint for epoch {epoch} in {self.directory!r}"
-        )
-
     # -- restoring ---------------------------------------------------------
     def restore_latest(self, model) -> Optional[dict]:
         """Restore the newest *loadable* checkpoint into the model.

@@ -1,39 +1,28 @@
-"""repro.serve — inference serving with dynamic batching and hot-swap.
+"""repro.serve — open-loop inference serving with dynamic batching.
 
-The paper trains CANDLE models at scale; this package is the other
-half of that lifecycle — serving the trained model to callers under a
-latency deadline. The north-star deployment serves millions of users,
-and the serving-side levers are the same ones the training study
-measures: batching amortizes fixed per-step cost (the paper's
-batch-size sweep, §5), replicas add throughput the way data-parallel
-ranks do, and the checkpoint format written for fault tolerance
-doubles as the model-version artifact that hot-swaps ship.
+The paper trains CANDLE models at scale; this package serves a trained
+model to callers under a latency deadline, for the
+``serve_p1b2_open`` workload of ``BENCHMARK.json``. Its levers are the
+ones the training study measures: batching amortizes fixed per-step
+cost (the paper's batch-size sweep, §5), and replicas add throughput
+the way data-parallel ranks do.
 
 Layout:
 
 - :class:`ServeOptions` — the one frozen keyword-only knob object, in
   the family of :class:`~repro.train.TrainOptions` and
   :class:`~repro.comms.CollectiveOptions` (see :mod:`repro.options`).
-- :class:`DynamicBatcher` — bounded admission (block / reject /
-  shed-oldest) + deadline-budgeted batch assembly.
+- :class:`DynamicBatcher` — bounded admission (block / reject) +
+  deadline-budgeted batch assembly.
 - :func:`serve_workload` — the SPMD serving plane: rank-0 front-end,
   N inference replicas, RPC over :class:`repro.ps.RpcChannel`,
-  drain-and-swap model updates, p50/p99/throughput SLO tracking.
-- :mod:`~repro.serve.loadgen` — open (Poisson / diurnal / burst) and
-  closed arrival models for driving it.
-
-The analytical twin is :class:`repro.sim.ServeModel`, which prices the
-same :class:`ServeOptions` on a machine's fabric/compute models.
+  p50/p99/throughput SLO tracking.
+- :mod:`~repro.serve.loadgen` — the seeded Poisson arrival trace of an
+  open-loop workload.
 """
 
-from repro.serve.batcher import Batch, DynamicBatcher, Request, ResponseFuture
-from repro.serve.loadgen import (
-    ClosedWorkload,
-    OpenWorkload,
-    burst_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.serve.batcher import Batch, DynamicBatcher, Request
+from repro.serve.loadgen import OpenWorkload, poisson_arrivals
 from repro.serve.options import (
     ADMISSION_POLICIES,
     DEFAULT_SERVE_OPTIONS,
@@ -41,7 +30,6 @@ from repro.serve.options import (
 )
 from repro.serve.server import (
     ServeReport,
-    SwapPlan,
     install_weights,
     request_features,
     serve_workload,
@@ -55,17 +43,12 @@ __all__ = [
     "DynamicBatcher",
     "Request",
     "Batch",
-    "ResponseFuture",
     "OpenWorkload",
-    "ClosedWorkload",
     "poisson_arrivals",
-    "diurnal_arrivals",
-    "burst_arrivals",
     "SloTracker",
     "SloReport",
     "serve_workload",
     "ServeReport",
-    "SwapPlan",
     "install_weights",
     "request_features",
 ]

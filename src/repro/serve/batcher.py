@@ -25,37 +25,14 @@ from __future__ import annotations
 import collections
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.serve.options import ServeOptions
 
-__all__ = ["Request", "Batch", "ResponseFuture", "DynamicBatcher"]
-
-
-class ResponseFuture:
-    """Completion handle for one request (set once by the collector)."""
-
-    __slots__ = ("_event", "_value")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._value = None
-
-    def set(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None):
-        """Block for the response; None when the timeout expires."""
-        if not self._event.wait(timeout):
-            return None
-        return self._value
+__all__ = ["Request", "Batch", "DynamicBatcher"]
 
 
 @dataclass
@@ -66,7 +43,6 @@ class Request:
     features: np.ndarray
     arrival_s: float
     deadline_s: float
-    future: ResponseFuture = field(default_factory=ResponseFuture)
 
     @property
     def rows(self) -> int:
@@ -96,8 +72,8 @@ class Batch:
 class DynamicBatcher:
     """Bounded admission queue + deadline-aware batch assembly.
 
-    ``offer`` is called by submitter threads; ``poll``/``next_batch``
-    by the dispatcher. All state is guarded by one condition variable.
+    ``offer`` is called by the load generator's thread; ``poll`` by the
+    dispatcher. All state is guarded by one condition variable.
 
     A dispatcher that sleeps somewhere else (the serving front-end
     sleeps on its rank's message arrivals) passes ``wake``: it is
@@ -124,14 +100,13 @@ class DynamicBatcher:
         #: admission outcome counters (read under the lock or after close)
         self.accepted = 0
         self.rejected = 0
-        self.shed = 0
 
     def __len__(self) -> int:
         with self._cond:
             return len(self._queue)
 
     def close(self) -> None:
-        """No further arrivals; wakes any blocked submitter/dispatcher."""
+        """No further arrivals; wakes a blocked submitter and the dispatcher."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
@@ -139,55 +114,42 @@ class DynamicBatcher:
             self._wake()
 
     # -- admission ----------------------------------------------------------
-    def offer(
-        self, request: Request, timeout: Optional[float] = None
-    ) -> tuple[str, List[Request]]:
+    def offer(self, request: Request, timeout: Optional[float] = None) -> str:
         """Admit one request under the configured policy.
 
-        Returns ``(outcome, displaced)`` where outcome is "accepted",
-        "rejected", or "shed" (accepted by displacing the oldest queued
-        request, returned in ``displaced`` so the caller can answer it).
-        Under "block" a full queue makes this call wait for space —
-        backpressure all the way to the submitter.
+        Returns "accepted" or "rejected". Under "block" a full queue
+        makes this call wait for space — backpressure all the way to the
+        submitter; under "reject" it refuses the request at once.
         """
-        outcome, displaced = "accepted", []
         with self._cond:
             if self._closed:
                 self.rejected += 1
-                return "rejected", []
+                return "rejected"
             if len(self._queue) >= self.options.queue_depth:
-                policy = self.options.admission
-                if policy == "reject":
+                if self.options.admission == "reject":
                     self.rejected += 1
-                    return "rejected", []
-                if policy == "shed_oldest":
-                    victim = self._queue.popleft()
-                    self._rows -= victim.rows
-                    self.shed += 1
-                    outcome, displaced = "shed", [victim]
-                else:
-                    # block: wait for the dispatcher to make room
-                    deadline = None if timeout is None else self.clock() + timeout
-                    while len(self._queue) >= self.options.queue_depth:
-                        if self._closed:
+                    return "rejected"
+                # block: wait for the dispatcher to make room
+                deadline = None if timeout is None else self.clock() + timeout
+                while len(self._queue) >= self.options.queue_depth:
+                    if self._closed:
+                        self.rejected += 1
+                        return "rejected"
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - self.clock()
+                        if remaining <= 0:
                             self.rejected += 1
-                            return "rejected", []
-                        remaining = None
-                        if deadline is not None:
-                            remaining = deadline - self.clock()
-                            if remaining <= 0:
-                                self.rejected += 1
-                                return "rejected", []
-                        self._cond.wait(remaining)
+                            return "rejected"
+                    self._cond.wait(remaining)
             before = self._rows
             self._queue.append(request)
             self._rows = before + request.rows
             self.accepted += 1
-            self._cond.notify_all()
             moved_earlier = before == 0 or before < self.options.max_batch <= self._rows
         if moved_earlier and self._wake is not None:
             self._wake()
-        return outcome, displaced
+        return "accepted"
 
     # -- assembly -----------------------------------------------------------
     def _flush_in(self) -> Optional[float]:
@@ -244,25 +206,3 @@ class DynamicBatcher:
             if self._flush_in() != 0.0:
                 return None
             return self._assemble()
-
-    def next_batch(self, timeout: Optional[float] = None) -> Optional[Batch]:
-        """Block until a batch is flush-worthy; None on timeout/empty close.
-
-        Waking points: new arrivals (may complete the batch early) and
-        the oldest request's budget expiry (forces a partial flush).
-        """
-        deadline = None if timeout is None else self.clock() + timeout
-        with self._cond:
-            while True:
-                flush_in = self._flush_in()
-                if flush_in == 0.0:
-                    return self._assemble()
-                if self._closed:
-                    return None  # closed and empty
-                waits = [] if flush_in is None else [flush_in]
-                if deadline is not None:
-                    remaining = deadline - self.clock()
-                    if remaining <= 0:
-                        return None
-                    waits.append(remaining)
-                self._cond.wait(min(waits) if waits else None)

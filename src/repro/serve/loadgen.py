@@ -1,37 +1,20 @@
-"""Load generation for the serving subsystem: arrival traces + workloads.
+"""Load generation for the serving subsystem: Poisson arrival traces.
 
-Two arrival models, the standard pair in serving studies:
-
-- **open** — requests arrive on a schedule regardless of completions
-  (a Poisson process, optionally modulated). The right model for
-  internet-facing traffic: overload shows up as queue growth and
-  deadline violations, not as a polite slowdown of the generator.
-- **closed** — a fixed population of clients, each submitting, waiting
-  for the response, thinking, and repeating. The right model for
-  measuring *sustainable* throughput (the generator self-limits).
-
-Trace shapes beyond constant-rate Poisson: ``diurnal`` (a sinusoidal
-day/night rate — capacity planning's staple) and ``burst`` (a flash
-crowd multiplying the base rate for a window — what admission policies
-exist for). Traces are arrays of absolute arrival offsets so the same
-trace can replay against a functional run and the analytical
-:class:`repro.sim.ServeModel`.
+The serving plane is driven **open-loop**: requests arrive on a
+schedule regardless of completions, the right model for
+internet-facing traffic — overload shows up as queue growth and
+deadline violations, not as a polite slowdown of the generator. The
+schedule is a constant-rate Poisson process, seeded, held as an array
+of absolute arrival offsets so the same trace can be replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "poisson_arrivals",
-    "diurnal_arrivals",
-    "burst_arrivals",
-    "OpenWorkload",
-    "ClosedWorkload",
-]
+__all__ = ["poisson_arrivals", "OpenWorkload"]
 
 
 def poisson_arrivals(qps: float, duration_s: float, seed: int = 0) -> np.ndarray:
@@ -53,61 +36,6 @@ def poisson_arrivals(qps: float, duration_s: float, seed: int = 0) -> np.ndarray
             [times, times[-1] + np.cumsum(rng.exponential(1.0 / qps, size=n))]
         )
     return times[times < duration_s]
-
-
-def _thin(times: np.ndarray, keep_prob: np.ndarray, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed + 1)
-    return times[rng.random(len(times)) < keep_prob]
-
-
-def diurnal_arrivals(
-    base_qps: float,
-    duration_s: float,
-    period_s: Optional[float] = None,
-    amplitude: float = 0.5,
-    seed: int = 0,
-) -> np.ndarray:
-    """Sinusoidally-modulated Poisson arrivals (day/night cycle).
-
-    The instantaneous rate is
-    ``base_qps * (1 + amplitude * sin(2*pi*t/period_s))`` realized by
-    thinning a peak-rate Poisson stream (the standard inhomogeneous-
-    Poisson construction). ``period_s`` defaults to the whole window
-    (one "day" per trace).
-    """
-    if not 0 <= amplitude < 1:
-        raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-    period = period_s if period_s is not None else duration_s
-    peak = base_qps * (1 + amplitude)
-    times = poisson_arrivals(peak, duration_s, seed=seed)
-    rate = base_qps * (1 + amplitude * np.sin(2 * np.pi * times / period))
-    return _thin(times, rate / peak, seed)
-
-
-def burst_arrivals(
-    base_qps: float,
-    duration_s: float,
-    burst_qps: float,
-    burst_start_s: float,
-    burst_len_s: float,
-    seed: int = 0,
-) -> np.ndarray:
-    """Flash-crowd trace: base-rate Poisson with a rate spike window.
-
-    During ``[burst_start_s, burst_start_s + burst_len_s)`` the rate is
-    ``burst_qps`` (typically several times the base); outside it,
-    ``base_qps``. Realized by thinning at the peak rate, so arrival
-    statistics inside and outside the burst are each properly Poisson.
-    """
-    if burst_qps < base_qps:
-        raise ValueError(
-            f"burst_qps must be >= base_qps, got {burst_qps} < {base_qps}"
-        )
-    peak = burst_qps
-    times = poisson_arrivals(peak, duration_s, seed=seed)
-    in_burst = (times >= burst_start_s) & (times < burst_start_s + burst_len_s)
-    rate = np.where(in_burst, burst_qps, base_qps)
-    return _thin(times, rate / peak, seed)
 
 
 @dataclass(frozen=True)
@@ -137,32 +65,3 @@ class OpenWorkload:
     def duration_s(self) -> float:
         return float(self.arrivals[-1])
 
-
-@dataclass(frozen=True)
-class ClosedWorkload:
-    """Fixed-population load: N clients in submit/wait/think loops."""
-
-    clients: int = 4
-    requests_per_client: int = 16
-    rows_per_request: int = 1
-    think_time_s: float = 0.0
-
-    def __post_init__(self):
-        if self.clients <= 0:
-            raise ValueError(f"clients must be positive, got {self.clients}")
-        if self.requests_per_client <= 0:
-            raise ValueError(
-                f"requests_per_client must be positive, got {self.requests_per_client}"
-            )
-        if self.rows_per_request <= 0:
-            raise ValueError(
-                f"rows_per_request must be positive, got {self.rows_per_request}"
-            )
-        if self.think_time_s < 0:
-            raise ValueError(
-                f"think_time_s must be non-negative, got {self.think_time_s}"
-            )
-
-    @property
-    def total_requests(self) -> int:
-        return int(self.clients * self.requests_per_client)

@@ -5,11 +5,8 @@ Same contract as the rest of the options family
 :class:`repro.comms.CollectiveOptions`, ...): every serving knob lives
 in one keyword-only frozen dataclass, validated at construction, copied
 with :meth:`~repro.options.FrozenOptions.evolve`, and threaded
-*unchanged* from the entry point (:func:`repro.serve.serve_workload`,
-the ``serve=`` phase of :func:`repro.candle.run_benchmark`) through the
-front-end, the dynamic batcher, and the replica plane — and across to
-the analytical cost model (:class:`repro.sim.ServeModel`), so a
-functional serving run and its projection price the same configuration.
+*unchanged* from the entry point (:func:`repro.serve.serve_workload`)
+through the front-end, the dynamic batcher, and the replica plane.
 
 The central tension the knobs express is **latency vs throughput**:
 a larger ``max_batch`` amortizes per-batch overhead (more rows/s), but
@@ -35,9 +32,8 @@ __all__ = ["ServeOptions", "DEFAULT_SERVE_OPTIONS", "ADMISSION_POLICIES"]
 #: what the front-end does with an arrival when the queue is full:
 #: "block" applies backpressure (the submitter waits for space),
 #: "reject" refuses the new request immediately (load shedding at the
-#: door), "shed_oldest" drops the stalest queued request to admit the
-#: new one (freshest-first under overload)
-ADMISSION_POLICIES = ("block", "reject", "shed_oldest")
+#: door)
+ADMISSION_POLICIES = ("block", "reject")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,8 +62,8 @@ class ServeOptions(FrozenOptions):
     #: batch to fill before flushing a partial one; the rest of the
     #: budget is left for queueing, transport, and compute
     assemble_fraction: float = 0.5
-    #: seed of the serving run's RNG streams (load generation, shedding
-    #: tie-breaks) — fixed seed, reproducible run
+    #: the run's seed, carried with its configuration; the serving plane
+    #: draws nothing from it (an arrival trace takes its own seed)
     seed: int = 0
 
     def __post_init__(self):

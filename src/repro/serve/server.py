@@ -1,24 +1,15 @@
-"""The serving plane: front-end, replica workers, and hot-swap.
+"""The serving plane: front-end and replica workers.
 
 Topology (over the :mod:`repro.mpi` SPMD runtime): rank 0 is the
 **front-end** — it admits requests into the
 :class:`~repro.serve.DynamicBatcher`, dispatches assembled batches to
 the least-loaded replica over the :class:`repro.ps.RpcChannel` RPC
-plane, collects results, and scatters them back to per-request
-futures. Ranks 1..replicas are **inference workers**: each builds its
-*own* model instance (layer forward caches are not shareable across
-threads) and answers ``batch`` RPCs with predictions.
-
-**Model-version hot-swap** follows the drain/swap/resume protocol:
-the front-end stops dispatching, waits for every in-flight batch to
-complete (bounded by :data:`SWAP_DRAIN_TIMEOUT_S`), ships the new weights to
-every replica, and resumes once all acks arrive. A replica installs a
-version by staging the named weights into a full parameter slab and
-committing with one vectorized copy into its
-:class:`~repro.nn.arena.ParameterArena` — the swap is a single
-assignment, never a half-updated model. Every batch is tagged with the
-version it was computed under, so in-flight work completed during the
-drain is attributable (and verifiable bit-for-bit) to the old version.
+plane, collects results, and records each request's latency. Ranks
+1..replicas are **inference workers**: each builds its *own* model
+instance (layer forward caches are not shareable across threads),
+installs the served weights, and answers ``batch`` RPCs with
+predictions. Every batch is logged with the version label it was
+computed under, so a verifier can replay it bit for bit.
 
 **The front-end never polls.** Between events it sleeps in one
 ``recv_any`` on rank 0's message arrivals, and three things end that
@@ -29,12 +20,12 @@ what is left of the oldest queued request's assembly budget. On each
 wake it drains every result that is ready and dispatches until every
 replica holds :data:`WORKER_DEPTH` batches.
 
-The load generators (one open-loop schedule, or one per closed-loop
-client) each run as a job on its own :class:`~repro.worker.Worker`;
-the last to finish says so and closes the batcher.
+The open-loop load generator runs as a job on its own
+:class:`~repro.worker.Worker` and closes the batcher when its schedule
+is done.
 
 The wall-clock accounting rides on :mod:`repro.telemetry`: the run is
-a ``serve.run`` span, request/batch/swap totals are counters, and the
+a ``serve.run`` span, request/batch totals are counters, and the
 per-request latency distribution reduces to an
 :class:`~repro.serve.SloReport`.
 """
@@ -44,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -52,42 +43,17 @@ from repro.mpi import run_spmd
 from repro.mpi.communicator import AbortError, DeadlockError
 from repro.ps.rpc import RpcChannel
 from repro.serve.batcher import Batch, DynamicBatcher, Request
-from repro.serve.loadgen import ClosedWorkload, OpenWorkload
+from repro.serve.loadgen import OpenWorkload
 from repro.serve.options import DEFAULT_SERVE_OPTIONS, ServeOptions
 from repro.serve.slo import SloReport, SloTracker
 from repro.telemetry import runtime as telemetry
 from repro.worker import Worker
 
-__all__ = ["serve_workload", "ServeReport", "SwapPlan", "request_features"]
+__all__ = ["serve_workload", "ServeReport", "request_features"]
 
 #: in-flight batches each replica may hold before the dispatcher stops
 #: feeding it (2 = classic double buffering: one computing, one queued)
 WORKER_DEPTH = 2
-#: seconds a hot-swap drain waits for in-flight batches to complete
-SWAP_DRAIN_TIMEOUT_S = 30.0
-
-
-@dataclass(frozen=True)
-class SwapPlan:
-    """One scheduled hot-swap: new weights, its label, and its trigger.
-
-    The swap initiates once ``after_requests`` requests have completed.
-    ``weights`` maps parameter name to array — typically read from a
-    :class:`repro.resilience.CheckpointManager`-resolved checkpoint via
-    :func:`repro.nn.serialization.load_weights_dict`.
-    """
-
-    version: str
-    weights: Dict[str, np.ndarray]
-    after_requests: int
-
-    def __post_init__(self):
-        if self.after_requests < 0:
-            raise ValueError(
-                f"after_requests must be non-negative, got {self.after_requests}"
-            )
-        if not self.weights:
-            raise ValueError("swap weights must be non-empty")
 
 
 @dataclass
@@ -96,9 +62,6 @@ class ServeReport:
 
     options: ServeOptions
     slo: SloReport
-    #: version labels in the order they were made live
-    versions: List[str] = field(default_factory=list)
-    swaps: int = 0
     batches: int = 0
     mean_batch_rows: float = 0.0
     #: replica rank → batches it computed
@@ -151,7 +114,7 @@ def install_weights(model, weights: Dict[str, np.ndarray]) -> None:
 
 
 # -- replica ----------------------------------------------------------------
-def _replica(comm, build_model, initial_weights, initial_version) -> dict:
+def _replica(comm, build_model, initial_weights) -> dict:
     model = build_model()
     if initial_weights is not None:
         install_weights(model, initial_weights)
@@ -160,25 +123,13 @@ def _replica(comm, build_model, initial_weights, initial_version) -> dict:
     # arrivals while replicas are still building models — that would
     # charge cold-start seconds to the first requests' latency
     rpc.post(0, "ready")
-    version = initial_version
     batches = 0
     rows = 0
-    swaps = 0
     while True:
         msg = rpc.recv(0)
         if msg.kind == "stop":
-            rpc.reply(0, msg, "stats", {
-                "batches": batches, "rows": rows, "swaps": swaps,
-            })
-            return {"batches": batches, "rows": rows, "swaps": swaps}
-        if msg.kind == "swap":
-            payload = msg.payload
-            install_weights(model, payload["weights"])
-            version = payload["version"]
-            swaps += 1
-            telemetry.counter("serve.replica.swaps", rank=comm.rank)
-            rpc.reply(0, msg, "swapped", {"version": version})
-            continue
+            rpc.reply(0, msg, "stats", {"batches": batches, "rows": rows})
+            return {"batches": batches, "rows": rows}
         if msg.kind == "batch":
             feats = msg.payload["features"]
             # predict, not _forward: the reply is handed off by reference,
@@ -186,25 +137,22 @@ def _replica(comm, build_model, initial_weights, initial_version) -> dict:
             y = model.predict(feats, batch_size=len(feats))
             batches += 1
             rows += len(feats)
-            rpc.reply(0, msg, "result", {
-                "batch_seq": msg.seq,
-                "version": version,
-                "predictions": y,
-            })
+            rpc.reply(0, msg, "result", {"predictions": y})
             continue
         raise RuntimeError(f"replica {comm.rank}: unknown rpc kind {msg.kind!r}")
 
 
 # -- front-end --------------------------------------------------------------
 class _Frontend:
-    """Rank-0 state machine: admit, batch, dispatch, collect, swap."""
+    """Rank-0 state machine: admit, batch, dispatch, collect."""
 
-    def __init__(self, comm, workload, pool, options, swaps, keep_responses):
-        self.comm = comm
+    def __init__(self, comm, workload, pool, options, version, keep_responses):
         self.rpc = RpcChannel(comm)
         self.workload = workload
         self.pool = pool
         self.options = options
+        #: the label every batch and response is logged under
+        self.version = version
         self.batcher = DynamicBatcher(options, wake=self._wake)
         self.tracker = SloTracker(options.deadline_ms)
         self.replica_ranks = list(range(1, comm.size))
@@ -214,24 +162,17 @@ class _Frontend:
         self.inflight: Dict[int, Dict[int, Batch]] = {
             r: {} for r in self.replica_ranks
         }
-        self.pending_swaps = sorted(swaps, key=lambda s: s.after_requests)
-        self.versions: List[str] = []
-        self.swap_drain_started: Optional[float] = None
-        self.completed = 0
         self.batches = 0
         self.batch_rows = 0
         self.per_replica_batches = {r: 0 for r in self.replica_ranks}
         self.batch_log: List[tuple] = []
         self.responses: Optional[Dict[int, tuple]] = {} if keep_responses else None
-        self.submitters_done = threading.Event()
-        self._submitters: List[Worker] = []
-        self._submitters_left = 0
-        self._submitters_lock = threading.Lock()
-        #: a failed run: submitters stop at their next request
+        self.arrivals_done = threading.Event()
+        self._generator = Worker("serve-client-0")
+        #: a failed run: the generator stops at its next request
         self._stopping = False
-        self.swaps_done = 0
 
-    # -- submission side (runs on workload threads) -------------------------
+    # -- submission side (runs on the generator's thread) -------------------
     def _wake(self) -> None:
         """End the event loop's sleep: the batcher has news for it."""
         try:
@@ -239,7 +180,7 @@ class _Frontend:
         except AbortError:
             pass  # the run is being torn down; nobody is left to wake
 
-    def _submit(self, req_id: int) -> Request:
+    def _submit(self, req_id: int) -> None:
         rows = self.workload.rows_per_request
         now = time.monotonic()
         request = Request(
@@ -248,86 +189,35 @@ class _Frontend:
             arrival_s=now,
             deadline_s=now + self.options.deadline_s,
         )
-        outcome, displaced = self.batcher.offer(request)
-        if outcome == "rejected":
+        if self.batcher.offer(request) == "rejected":
             self.tracker.record_rejected()
-            request.future.set((None, None))
-        for victim in displaced:
-            self.tracker.record_shed()
-            victim.future.set((None, None))
-        return request
 
     def _run_open(self) -> None:
-        start = time.monotonic()
-        for i, offset in enumerate(self.workload.arrivals):
-            if self._stopping:
-                return
-            delay = start + float(offset) - time.monotonic()
-            if delay > 0:
-                # a schedule, not a poll: the open loop owes request i at
-                # its arrival offset whatever the server is doing
-                time.sleep(delay)
-            self._submit(i)
-
-    def _run_closed_client(self, client: int) -> None:
-        per = self.workload.requests_per_client
-        for j in range(per):
-            if self._stopping:
-                return
-            request = self._submit(client * per + j)
-            request.future.wait(timeout=self.comm._context.timeout)
-            if self.workload.think_time_s > 0:
-                # a schedule, not a poll: the modelled client thinks
-                # this long between its answer and its next request
-                time.sleep(self.workload.think_time_s)
-
-    def _submitter(self, run: Callable[[], None]) -> None:
-        """A load generator's job; the last one to finish ends arrivals."""
+        """The generator's job; closes the batcher when arrivals end."""
         try:
-            run()
+            start = time.monotonic()
+            for i, offset in enumerate(self.workload.arrivals):
+                if self._stopping:
+                    return
+                delay = start + float(offset) - time.monotonic()
+                if delay > 0:
+                    # a schedule, not a poll: the open loop owes request i
+                    # at its arrival offset whatever the server is doing
+                    time.sleep(delay)
+                self._submit(i)
         finally:
-            with self._submitters_lock:
-                self._submitters_left -= 1
-                last = self._submitters_left == 0
-            if last:
-                self.submitters_done.set()
-                self.batcher.close()
+            self.arrivals_done.set()
+            self.batcher.close()
 
-    def start_submitters(self) -> None:
-        if isinstance(self.workload, OpenWorkload):
-            runs = [self._run_open]
-        else:
-            runs = [
-                (lambda c=c: self._run_closed_client(c))
-                for c in range(self.workload.clients)
-            ]
-        self._submitters_left = len(runs)
-        for i, run in enumerate(runs):
-            worker = Worker(f"serve-client-{i}")
-            self._submitters.append(worker)
-            worker.submit(lambda run=run: self._submitter(run))
-
-    def stop_submitters(self, failed: bool) -> None:
-        """Join the load generators. A failed run first closes the
-        batcher and answers every request it still holds with nothing,
-        so no generator waits on one."""
+    def stop_generator(self, failed: bool) -> None:
+        """Join the load generator; a failed run first tells it to stop
+        and closes the batcher, so a blocked ``offer`` returns."""
         if failed:
             self._stopping = True
             self.batcher.close()
-            held = [b for batches in self.inflight.values() for b in batches.values()]
-            while (batch := self.batcher.poll()) is not None:
-                held.append(batch)
-            for batch in held:
-                for request in batch.requests:
-                    request.future.set((None, None))
-        for worker in self._submitters:
-            worker.close()
+        self._generator.close()
 
     # -- event loop ---------------------------------------------------------
-    @property
-    def current_version(self) -> str:
-        return self.versions[-1]
-
     def _inflight_total(self) -> int:
         return sum(len(v) for v in self.inflight.values())
 
@@ -350,18 +240,15 @@ class _Frontend:
         if msg.kind != "result":
             raise RuntimeError(f"front-end: unexpected rpc kind {msg.kind!r}")
         batch = self.inflight[src].pop(msg.seq)
-        payload = msg.payload
+        predictions = msg.payload["predictions"]
         now = time.monotonic()
         for request, row_slice in batch.slices():
-            prediction = payload["predictions"][row_slice]
             self.tracker.record(now - request.arrival_s, rows=request.rows)
             if self.responses is not None:
                 self.responses[request.req_id] = (
-                    payload["version"],
-                    np.array(prediction, copy=True),
+                    self.version,
+                    np.array(predictions[row_slice], copy=True),
                 )
-            request.future.set((payload["version"], prediction))
-            self.completed += 1
         telemetry.counter("serve.batches")
 
     def _open_replica(self) -> Optional[int]:
@@ -373,7 +260,7 @@ class _Frontend:
 
     def _dispatch(self) -> None:
         """Send flush-worthy batches until every replica is at depth."""
-        while self.swap_drain_started is None:  # a draining swap sends nothing
+        while True:
             target = self._open_replica()
             if target is None:
                 return  # every replica at depth; a result will free a slot
@@ -386,64 +273,16 @@ class _Frontend:
             self.batch_rows += batch.rows
             self.per_replica_batches[target] += 1
             self.batch_log.append(
-                (self.current_version, tuple(r.req_id for r in batch.requests))
+                (self.version, tuple(r.req_id for r in batch.requests))
             )
 
     def _sleep_budget(self) -> Optional[float]:
         """Longest the loop may sleep with no event; None for "until one"."""
-        if self.swap_drain_started is not None:
-            # only results matter now; look again when the drain is overdue
-            overdue = self.swap_drain_started + SWAP_DRAIN_TIMEOUT_S
-            return max(0.0, overdue - time.monotonic())
         if self._open_replica() is None:
             return None  # a full batch cannot go anywhere before a result
         return self.batcher.seconds_until_flush()
 
-    def _maybe_swap(self) -> None:
-        if not self.pending_swaps:
-            return
-        plan = self.pending_swaps[0]
-        due = self.completed >= plan.after_requests or (
-            # end of workload: a not-yet-triggered swap still executes,
-            # so a run never exits with versions silently unshipped
-            self.submitters_done.is_set()
-            and len(self.batcher) == 0
-        )
-        if not due:
-            return
-        if self.swap_drain_started is None:
-            self.swap_drain_started = time.monotonic()
-        if self._inflight_total() > 0:
-            if time.monotonic() - self.swap_drain_started > SWAP_DRAIN_TIMEOUT_S:
-                raise RuntimeError(
-                    f"hot-swap drain exceeded {SWAP_DRAIN_TIMEOUT_S}s "
-                    f"with {self._inflight_total()} batches in flight"
-                )
-            return  # keep collecting; dispatch is already paused
-        # drained: ship the new version and wait for every ack
-        with telemetry.span(
-            "serve.swap", category="serve", version=plan.version
-        ):
-            for r in self.replica_ranks:
-                self.rpc.post(
-                    r, "swap", {"version": plan.version, "weights": plan.weights}
-                )
-            acked = 0
-            while acked < len(self.replica_ranks):
-                _, msg = self.rpc.recv_any(self.replica_ranks)
-                if msg.kind != "swapped":
-                    raise RuntimeError(
-                        f"expected swap ack, got {msg.kind!r}"
-                    )
-                acked += 1
-        self.versions.append(plan.version)
-        self.pending_swaps.pop(0)
-        self.swap_drain_started = None
-        self.swaps_done += 1
-        telemetry.counter("serve.swaps")
-
-    def run(self, initial_version: str) -> ServeReport:
-        self.versions.append(initial_version)
+    def run(self) -> ServeReport:
         with telemetry.span(
             "serve.run",
             category="serve",
@@ -458,24 +297,22 @@ class _Frontend:
                         f"replica {r}: expected ready, got {msg.kind!r}"
                     )
             start = time.monotonic()
-            self.start_submitters()
+            self._generator.submit(self._run_open)
             failed = True
             try:
                 while True:
-                    self._maybe_swap()
                     self._dispatch()
                     if (
-                        self.submitters_done.is_set()
+                        self.arrivals_done.is_set()
                         and len(self.batcher) == 0
                         and self._inflight_total() == 0
-                        and not self.pending_swaps
                     ):
                         break
                     self._collect(self._sleep_budget())
                 wall = time.monotonic() - start
                 failed = False
             finally:
-                self.stop_submitters(failed)
+                self.stop_generator(failed)
             # retire the replicas and gather their stats
             for r in self.replica_ranks:
                 self.rpc.post(r, "stop")
@@ -487,14 +324,11 @@ class _Frontend:
                     requests=slo.requests,
                     p99_ms=slo.p99_ms,
                     throughput_rps=slo.throughput_rps,
-                    swaps=self.swaps_done,
                 )
         telemetry.counter("serve.requests", slo.requests)
         return ServeReport(
             options=self.options,
             slo=slo,
-            versions=self.versions,
-            swaps=self.swaps_done,
             batches=self.batches,
             mean_batch_rows=(self.batch_rows / self.batches) if self.batches else 0.0,
             per_replica_batches=dict(self.per_replica_batches),
@@ -505,33 +339,31 @@ class _Frontend:
 
 def serve_workload(
     build_model: Callable[[], object],
-    workload,
+    workload: OpenWorkload,
     feature_pool: np.ndarray,
     options: Optional[ServeOptions] = None,
     *,
     initial_weights: Optional[Dict[str, np.ndarray]] = None,
     initial_version: str = "v0",
-    swaps: Sequence[SwapPlan] = (),
     keep_responses: bool = False,
 ) -> ServeReport:
-    """Serve one workload over ``replicas`` inference workers.
+    """Serve one open-loop workload over ``replicas`` inference workers.
 
     ``build_model`` is called once *per replica* (each SPMD rank thread
     needs a private model instance — layer forward caches are not
     shareable) and must return a built :class:`repro.nn.Sequential`.
-    ``initial_weights`` (e.g. a trained model's
-    ``named_parameters()``, or a checkpoint read via
+    ``initial_weights`` (e.g. a trained model's ``named_parameters()``,
+    or a checkpoint read via
     :func:`repro.nn.serialization.load_weights_dict`) is installed on
     every replica before serving begins, so replicas answer with one
     consistent version regardless of their build seeds. ``workload`` is
-    an :class:`~repro.serve.OpenWorkload` or
-    :class:`~repro.serve.ClosedWorkload`; requests draw feature rows
+    an :class:`~repro.serve.OpenWorkload`; requests draw feature rows
     from ``feature_pool`` via :func:`request_features`.
 
-    ``swaps`` schedules hot-swaps; ``keep_responses=True`` retains
-    every prediction (tagged with its serving version) plus the batch
-    dispatch log, which is what lets a verifier replay each served
-    batch offline and assert bitwise identity across a swap.
+    ``keep_responses=True`` retains every prediction (tagged with
+    ``initial_version``) beside the batch dispatch log, which is what
+    lets a verifier replay each served batch offline and assert bitwise
+    identity.
 
     Returns the front-end's :class:`ServeReport`.
     """
@@ -545,10 +377,10 @@ def serve_workload(
     def node(comm):
         if comm.rank == 0:
             frontend = _Frontend(
-                comm, workload, feature_pool, opts, list(swaps), keep_responses
+                comm, workload, feature_pool, opts, initial_version, keep_responses
             )
-            return frontend.run(initial_version)
-        return _replica(comm, build_model, initial_weights, initial_version)
+            return frontend.run()
+        return _replica(comm, build_model, initial_weights)
 
     results = run_spmd(opts.replicas + 1, node)
     return results[0]

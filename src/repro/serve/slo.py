@@ -2,7 +2,7 @@
 
 A serving run's contract is a *distribution*, not a mean: "p99 under
 the deadline" is the promise interactive callers get, and the tail is
-exactly where batching, queueing, and hot-swaps show up. The tracker
+exactly where batching and queueing show up. The tracker
 records one sample per completed request and reduces to an
 :class:`SloReport` at the end; the report is what the benchmark gates
 (:mod:`benchmarks.perf_gate`) and the results table consume.
@@ -26,6 +26,8 @@ class SloReport:
     requests: int
     rows: int
     rejected: int
+    #: always 0: the plane drops no admitted request (kept for the
+    #: readers of a report)
     shed: int
     wall_s: float
     p50_ms: float
@@ -78,7 +80,6 @@ class SloTracker:
         self._latencies_ms: list[float] = []
         self._rows = 0
         self._rejected = 0
-        self._shed = 0
 
     def record(self, latency_s: float, rows: int = 1) -> None:
         """One completed request: its end-to-end latency and row count."""
@@ -90,10 +91,6 @@ class SloTracker:
         with self._lock:
             self._rejected += n
 
-    def record_shed(self, n: int = 1) -> None:
-        with self._lock:
-            self._shed += n
-
     @property
     def completed(self) -> int:
         with self._lock:
@@ -104,10 +101,10 @@ class SloTracker:
         limit = self.deadline_ms if deadline_ms is None else float(deadline_ms)
         with self._lock:
             lat = np.asarray(self._latencies_ms, dtype=np.float64)
-            rows, rejected, shed = self._rows, self._rejected, self._shed
+            rows, rejected = self._rows, self._rejected
         if len(lat) == 0:
             return SloReport(
-                requests=0, rows=0, rejected=rejected, shed=shed,
+                requests=0, rows=0, rejected=rejected, shed=0,
                 wall_s=float(wall_s), p50_ms=0.0, p99_ms=0.0, mean_ms=0.0,
                 max_ms=0.0, deadline_ms=limit, deadline_violations=0,
             )
@@ -115,7 +112,7 @@ class SloTracker:
             requests=int(len(lat)),
             rows=rows,
             rejected=rejected,
-            shed=shed,
+            shed=0,
             wall_s=float(wall_s),
             p50_ms=float(np.percentile(lat, 50)),
             p99_ms=float(np.percentile(lat, 99)),

@@ -42,7 +42,6 @@ from repro.sim.iomodel import (
 )
 from repro.sim.report import SimRunReport, improvement_percent
 from repro.sim.runner import ScaledRunSimulator, simulate_run
-from repro.sim.servemodel import ServeModel, ServePoint
 
 __all__ = [
     "Calibration",
@@ -61,6 +60,4 @@ __all__ = [
     "improvement_percent",
     "ScaledRunSimulator",
     "simulate_run",
-    "ServeModel",
-    "ServePoint",
 ]

@@ -45,18 +45,3 @@ def test_pipeline_handles_p1b3_conv_variant():
     assert r.train_s > 0
     assert "mae" in r.eval_metrics
 
-
-def test_pipeline_serve_phase():
-    from repro.serve import ServeOptions
-
-    b = get_benchmark("p1b2", scale=0.01, sample_scale=0.05)
-    r = run_benchmark(
-        b, epochs=1, serve=ServeOptions(replicas=2, deadline_ms=1000.0)
-    )
-    assert r.serve_s > 0
-    assert r.serve_report is not None
-    assert r.serve_report.slo.requests == 16  # 2 clients x 8 requests
-    assert r.dominant_phase() in ("load", "train", "eval", "serve")
-    assert r.total_s >= r.load_s + r.train_s + r.eval_s
-    serve_spans = [s for s in r.tracer.spans if s.name == "serve"]
-    assert len(serve_spans) == 1 and serve_spans[0].attrs["requests"] == 16

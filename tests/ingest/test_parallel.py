@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.frame import csv as csv_mod
 from repro.frame import read_csv
 from repro.frame.csv import LAST_PARSE_STATS, ParseStats
 from repro.ingest import newline_spans, read_csv_parallel
 from repro.ingest.parallel import parse_span
+from repro.ingest.shard import read_csv_shard
 
 
 def test_newline_spans_partition_the_file(mixed_csv):
@@ -64,6 +67,21 @@ def test_single_span_degrades_to_serial(mixed_csv):
     serial = read_csv(mixed_csv, header=None, low_memory=False)
     par = read_csv_parallel(mixed_csv, num_workers=4)  # default 16 MB spans: 1 span
     assert par.equals(serial)
+
+
+def test_one_span_parses_the_chunks_read_csv_parses(mixed_csv, monkeypatch):
+    # FAST_CHUNK_BYTES patched to ~40 rows of this file: the serial
+    # chunked parse, the parallel reader's one span and a one-rank shard
+    # cut the same internal chunks, so their ParseStats agree
+    width = len(Path(mixed_csv).read_text().splitlines()[0])
+    monkeypatch.setattr(csv_mod, "FAST_CHUNK_BYTES", 40 * width)
+    serial = read_csv(mixed_csv, header=None, low_memory=False)
+    assert serial.parse_stats.chunks_parsed > 1
+    par = read_csv_parallel(mixed_csv, num_workers=1)
+    shard = read_csv_shard(mixed_csv, 0, 1)
+    assert par.parse_stats.chunks_parsed == serial.parse_stats.chunks_parsed
+    assert shard.parse_stats.chunks_parsed == serial.parse_stats.chunks_parsed
+    assert par.equals(serial) and shard.equals(serial)
 
 
 def test_merged_stats_cover_every_span(mixed_csv, tmp_path):

@@ -120,26 +120,13 @@ class TestFlushTriggers:
 class TestAdmission:
     def fill(self, batcher, clock, n):
         for i in range(n):
-            outcome, displaced = batcher.offer(make_request(i, rows=1, clock=clock))
-            assert outcome == "accepted" and displaced == []
+            assert batcher.offer(make_request(i, rows=1, clock=clock)) == "accepted"
 
     def test_reject_policy(self, clock):
         batcher = make_batcher(clock, admission="reject", queue_depth=2)
         self.fill(batcher, clock, 2)
-        outcome, displaced = batcher.offer(make_request(9, rows=1, clock=clock))
-        assert (outcome, displaced) == ("rejected", [])
-        assert (batcher.accepted, batcher.rejected, batcher.shed) == (2, 1, 0)
-
-    def test_shed_oldest_policy(self, clock):
-        batcher = make_batcher(clock, admission="shed_oldest", queue_depth=2)
-        self.fill(batcher, clock, 2)
-        outcome, displaced = batcher.offer(make_request(9, rows=1, clock=clock))
-        assert outcome == "shed"
-        assert [r.req_id for r in displaced] == [0]  # stalest goes first
-        assert (batcher.accepted, batcher.shed) == (3, 1)
-        clock.advance(1.0)
-        batch = batcher.poll()
-        assert [r.req_id for r in batch.requests] == [1, 9]
+        assert batcher.offer(make_request(9, rows=1, clock=clock)) == "rejected"
+        assert (batcher.accepted, batcher.rejected) == (2, 1)
 
     def test_block_policy_times_out(self):
         # block needs the real clock: the wait is a condition timeout
@@ -147,7 +134,7 @@ class TestAdmission:
             ServeOptions(admission="block", queue_depth=1, max_batch=8)
         )
         batcher.offer(make_request(0, rows=1, clock=FakeClock()))
-        outcome, _ = batcher.offer(
+        outcome = batcher.offer(
             make_request(1, rows=1, clock=FakeClock()), timeout=0.05
         )
         assert outcome == "rejected"
@@ -162,7 +149,7 @@ class TestAdmission:
 
         t = threading.Timer(0.02, drain)
         t.start()
-        outcome, _ = batcher.offer(
+        outcome = batcher.offer(
             make_request(1, rows=1, clock=FakeClock()), timeout=5.0
         )
         t.join()
@@ -173,8 +160,7 @@ class TestCloseAndDrain:
     def test_offer_after_close_rejected(self, clock):
         batcher = make_batcher(clock)
         batcher.close()
-        outcome, _ = batcher.offer(make_request(0, rows=1, clock=clock))
-        assert outcome == "rejected"
+        assert batcher.offer(make_request(0, rows=1, clock=clock)) == "rejected"
 
     def test_close_makes_partial_flush_worthy(self, clock):
         batcher = make_batcher(clock)
@@ -183,22 +169,6 @@ class TestCloseAndDrain:
         batcher.close()
         batch = batcher.poll()
         assert batch is not None and batch.rows == 1
-
-    def test_next_batch_returns_none_on_closed_empty(self, clock):
-        batcher = make_batcher(clock)
-        batcher.close()
-        assert batcher.next_batch(timeout=0.01) is None
-
-    def test_next_batch_blocking_delivers(self):
-        batcher = DynamicBatcher(ServeOptions(max_batch=2, deadline_ms=50.0))
-        def submit():
-            fake = FakeClock()
-            batcher.offer(make_request(0, rows=1, clock=fake))
-            batcher.offer(make_request(1, rows=1, clock=fake))
-
-        threading.Timer(0.02, submit).start()
-        batch = batcher.next_batch(timeout=5.0)
-        assert batch is not None and batch.rows == 2
 
 
 class TestSecondsUntilFlush:
@@ -289,7 +259,7 @@ class TestWake:
     def test_refused_offers_do_not_wake(self, clock):
         batcher, wakes = self.make(clock, admission="reject", queue_depth=1)
         batcher.offer(make_request(0, rows=1, clock=clock))
-        assert batcher.offer(make_request(1, rows=1, clock=clock))[0] == "rejected"
+        assert batcher.offer(make_request(1, rows=1, clock=clock)) == "rejected"
         assert len(wakes) == 1
 
     def test_close_wakes(self, clock):

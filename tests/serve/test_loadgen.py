@@ -1,17 +1,11 @@
-"""Load-generator traces: statistics, shapes, and validation."""
+"""Load-generator traces: statistics and validation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serve import (
-    ClosedWorkload,
-    OpenWorkload,
-    burst_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.serve import OpenWorkload, poisson_arrivals
 
 
 class TestPoisson:
@@ -37,43 +31,6 @@ class TestPoisson:
             poisson_arrivals(qps, duration)
 
 
-class TestDiurnal:
-    def test_first_half_busier_than_second(self):
-        # sin is positive over the first half-period, negative over the
-        # second: with one period per window the "day" outdraws the "night"
-        times = diurnal_arrivals(
-            base_qps=400.0, duration_s=4.0, amplitude=0.8, seed=5
-        )
-        day = (times < 2.0).sum()
-        night = (times >= 2.0).sum()
-        assert day > 1.5 * night
-
-    def test_amplitude_validation(self):
-        for bad in (-0.1, 1.0, 2.0):
-            with pytest.raises(ValueError, match=r"amplitude must be in \[0, 1\)"):
-                diurnal_arrivals(10.0, 1.0, amplitude=bad)
-
-    def test_zero_amplitude_is_plain_poisson_rate(self):
-        times = diurnal_arrivals(base_qps=300.0, duration_s=4.0, amplitude=0.0)
-        assert 1000 <= len(times) <= 1400  # ~1200 expected
-
-
-class TestBurst:
-    def test_burst_window_is_denser(self):
-        times = burst_arrivals(
-            base_qps=50.0, duration_s=4.0, burst_qps=500.0,
-            burst_start_s=1.0, burst_len_s=1.0, seed=6,
-        )
-        in_burst = ((times >= 1.0) & (times < 2.0)).sum()
-        outside_per_s = ((times < 1.0) | (times >= 2.0)).sum() / 3.0
-        assert in_burst > 4 * outside_per_s
-
-    def test_burst_must_exceed_base(self):
-        with pytest.raises(ValueError, match="burst_qps must be >= base_qps"):
-            burst_arrivals(100.0, 1.0, burst_qps=50.0, burst_start_s=0.2,
-                           burst_len_s=0.2)
-
-
 class TestWorkloads:
     def test_open_workload_properties(self):
         w = OpenWorkload(arrivals=np.array([0.0, 0.5, 2.0]), rows_per_request=3)
@@ -86,19 +43,3 @@ class TestWorkloads:
         with pytest.raises(ValueError, match="at least one arrival"):
             OpenWorkload(arrivals=np.array([]))
 
-    def test_closed_workload_properties(self):
-        w = ClosedWorkload(clients=3, requests_per_client=5)
-        assert w.total_requests == 15
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"clients": 0},
-            {"requests_per_client": 0},
-            {"rows_per_request": 0},
-            {"think_time_s": -0.1},
-        ],
-    )
-    def test_closed_workload_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ClosedWorkload(**kwargs)

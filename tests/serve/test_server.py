@@ -1,4 +1,4 @@
-"""End-to-end serving runs: dispatch, SLO accounting, hot-swap identity."""
+"""End-to-end serving runs: dispatch, SLO accounting, replay identity."""
 
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from repro.nn.layers import Dense
 from repro.ps.rpc import RpcChannel
 from repro.serve import server as server_module
 from repro.serve import (
-    ClosedWorkload,
     OpenWorkload,
     ServeOptions,
-    SwapPlan,
     install_weights,
     request_features,
     serve_workload,
@@ -52,16 +50,16 @@ def serve_opts(**overrides) -> ServeOptions:
     return ServeOptions(**defaults)
 
 
-def assert_replays(report, pool, versions: dict, rows: int) -> int:
+def assert_replays(report, pool, weights: dict, rows: int) -> int:
     """Replay each dispatched batch exactly as the replica saw it.
 
     Asserts every served prediction bit for bit against a reference
-    model holding the batch's logged version; returns requests checked.
+    model holding the served weights; returns requests checked.
     """
     ref = build_model()
+    install_weights(ref, weights)
     checked = 0
     for version, req_ids in report.batch_log:
-        install_weights(ref, versions[version])
         feats = np.concatenate(
             [request_features(pool, rid, rows) for rid in req_ids], axis=0
         )
@@ -113,17 +111,9 @@ class TestInstallWeights:
             install_weights(model, bad)
 
 
-class TestSwapPlan:
-    def test_validation(self, weights):
-        with pytest.raises(ValueError, match="after_requests must be non-negative"):
-            SwapPlan(version="v1", weights=weights, after_requests=-1)
-        with pytest.raises(ValueError, match="weights must be non-empty"):
-            SwapPlan(version="v1", weights={}, after_requests=0)
-
-
-class TestClosedWorkloadServing:
+class TestOpenWorkloadServing:
     def test_all_requests_answered(self, pool, weights):
-        workload = ClosedWorkload(clients=3, requests_per_client=4)
+        workload = OpenWorkload(arrivals=np.linspace(0.0, 0.05, 12))
         report = serve_workload(
             build_model, workload, pool, serve_opts(), initial_weights=weights
         )
@@ -133,23 +123,19 @@ class TestClosedWorkloadServing:
         assert slo.rows == workload.total_requests  # 1 row each
         assert report.batches >= 1
         assert sum(report.per_replica_batches.values()) == report.batches
-        assert report.versions == ["v0"]
-        assert report.swaps == 0
         assert slo.p50_ms <= slo.p99_ms <= slo.max_ms + 1e-9
 
     def test_predictions_match_reference(self, pool, weights):
-        workload = ClosedWorkload(clients=2, requests_per_client=3,
-                                  rows_per_request=2)
+        workload = OpenWorkload(arrivals=np.linspace(0.0, 0.02, 6),
+                                rows_per_request=2)
         report = serve_workload(
             build_model, workload, pool, serve_opts(),
             initial_weights=weights, keep_responses=True,
         )
-        assert report.versions == ["v0"]
-        checked = assert_replays(report, pool, {"v0": weights}, rows=2)
+        assert {version for version, _ in report.batch_log} == {"v0"}
+        checked = assert_replays(report, pool, weights, rows=2)
         assert checked == workload.total_requests
 
-
-class TestOpenWorkloadServing:
     def test_arrivals_conserved_under_reject(self, pool, weights):
         arrivals = np.linspace(0.0, 0.2, 60)
         workload = OpenWorkload(arrivals=arrivals)
@@ -162,53 +148,10 @@ class TestOpenWorkloadServing:
         assert slo.requests + slo.rejected + slo.shed == len(arrivals)
         assert slo.requests >= 1
 
-    def test_shed_oldest_counts(self, pool, weights):
-        arrivals = np.zeros(40)  # everything at once: queue must overflow
-        workload = OpenWorkload(arrivals=arrivals)
-        report = serve_workload(
-            build_model, workload, pool,
-            serve_opts(queue_depth=4, admission="shed_oldest",
-                       deadline_ms=2000.0),
-            initial_weights=weights,
-        )
-        slo = report.slo
-        assert slo.requests + slo.rejected + slo.shed == len(arrivals)
-        assert slo.shed >= 1
-
-
-class TestHotSwap:
-    def test_swap_is_bitwise_attributable(self, pool, weights):
-        w1 = {k: v + 0.25 for k, v in weights.items()}
-        arrivals = np.linspace(0.0, 0.4, 30)
-        report = serve_workload(
-            build_model,
-            OpenWorkload(arrivals=arrivals, rows_per_request=2),
-            pool,
-            serve_opts(),
-            initial_weights=weights,
-            swaps=[SwapPlan(version="v1", weights=w1, after_requests=10)],
-            keep_responses=True,
-        )
-        assert report.swaps == 1
-        assert report.versions == ["v0", "v1"]
-        checked = assert_replays(report, pool, {"v0": weights, "v1": w1}, rows=2)
-        assert checked == len(arrivals)
-
-    def test_unreached_swap_still_ships_at_end(self, pool, weights):
-        w1 = {k: v * 2.0 for k, v in weights.items()}
-        workload = ClosedWorkload(clients=1, requests_per_client=3)
-        report = serve_workload(
-            build_model, workload, pool, serve_opts(),
-            initial_weights=weights,
-            swaps=[SwapPlan(version="v1", weights=w1, after_requests=10**6)],
-        )
-        assert report.swaps == 1
-        assert report.versions == ["v0", "v1"]
-
 
 class TestEventDrivenFrontend:
     """The front-end sleeps on arrivals; only the load generator's
-    schedule (arrival pacing, think time) may call ``time.sleep``."""
+    arrival schedule may call ``time.sleep``."""
 
     @pytest.fixture(autouse=True)
     def only_schedules_sleep(self, monkeypatch):
@@ -217,7 +160,7 @@ class TestEventDrivenFrontend:
 
         def schedule_only(seconds):
             caller = sys._getframe(1).f_code.co_name
-            if caller not in ("_run_open", "_run_closed_client"):
+            if caller != "_run_open":
                 raise AssertionError(f"serve.server.{caller} called time.sleep")
             time.sleep(seconds)
 
@@ -242,18 +185,7 @@ class TestEventDrivenFrontend:
         )
         assert report.slo.requests == len(arrivals)
         assert report.slo.rejected == 0 and report.slo.shed == 0
-        assert assert_replays(report, pool, {"v0": weights}, rows=2) == len(arrivals)
-
-    def test_closed_workload_answers_all_and_replays(self, pool, weights):
-        workload = ClosedWorkload(clients=3, requests_per_client=5,
-                                  think_time_s=0.002)
-        report = serve_workload(
-            build_model, workload, pool, serve_opts(deadline_ms=40.0),
-            initial_weights=weights, keep_responses=True,
-        )
-        assert report.slo.requests == workload.total_requests
-        checked = assert_replays(report, pool, {"v0": weights}, rows=1)
-        assert checked == workload.total_requests
+        assert assert_replays(report, pool, weights, rows=2) == len(arrivals)
 
     def test_one_wake_fills_a_replica_to_worker_depth(self, pool):
         # 96 queued rows, one replica, WORKER_DEPTH=2: a single dispatch
@@ -263,9 +195,8 @@ class TestEventDrivenFrontend:
         ctx = _Context(2, timeout=5.0)
         frontend = server_module._Frontend(
             Communicator(ctx, 0), OpenWorkload(arrivals=np.zeros(96)),
-            pool, opts, swaps=[], keep_responses=False,
+            pool, opts, version="v0", keep_responses=False,
         )
-        frontend.versions.append("v0")
         for i in range(96):
             frontend._submit(i)
         frontend._dispatch()
@@ -279,12 +210,9 @@ class TestEventDrivenFrontend:
         assert (first.kind, second.kind) == ("batch", "batch")
         assert len(first.payload["features"]) == 32
         # one result frees one slot; the wake that delivers it refills it
-        replica.reply(0, first, "result", {
-            "batch_seq": first.seq, "version": "v0",
-            "predictions": np.zeros((32, 3)),
-        })
+        replica.reply(0, first, "result", {"predictions": np.zeros((32, 3))})
         frontend._collect(frontend._sleep_budget())
-        assert frontend.completed == 32
+        assert frontend.tracker.completed == 32
         frontend._dispatch()
         assert sorted(frontend.inflight[1]) == [second.seq, replica.recv(0).seq]
         assert len(frontend.batcher) == 0
@@ -295,7 +223,7 @@ class TestEntryPointValidation:
         with pytest.raises(ValueError, match="at least 2-D"):
             serve_workload(
                 build_model,
-                ClosedWorkload(clients=1, requests_per_client=1),
+                OpenWorkload(arrivals=np.zeros(1)),
                 np.zeros(8),
                 serve_opts(),
                 initial_weights=weights,

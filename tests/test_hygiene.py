@@ -1,11 +1,14 @@
 """Repository hygiene: API surface, docstrings, registry/bench parity."""
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,22 @@ def test_a_failing_property_reports_its_counter_example(tmp_path):
     out = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in out, out
     assert "FAILED" in out and "Falsifying example" in out, out
+
+
+def test_dependencies_are_the_third_party_packages_src_imports():
+    """``pyproject.toml``'s ``dependencies`` name exactly the top-level
+    non-stdlib packages that some module of ``src/repro`` imports."""
+    imported = set()
+    for path in Path(REPO_ROOT, "src", "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    text = Path(REPO_ROOT, "pyproject.toml").read_text()
+    listed = ast.literal_eval(re.search(r"^dependencies = (\[.*\])$", text, re.M).group(1))
+    assert {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in listed} == third_party
 
 
 def test_documentation_files_exist_and_are_substantial():

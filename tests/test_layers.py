@@ -152,7 +152,7 @@ def _census() -> list:
 
 
 #: the packages the census also lists module by module
-CENSUS_BY_MODULE = ("comms", "resilience")
+CENSUS_BY_MODULE = ("comms", "resilience", "serve")
 
 
 def test_census_names_what_every_package_and_experiment_serves():
@@ -163,10 +163,19 @@ def test_census_names_what_every_package_and_experiment_serves():
     assert [unit for _, unit, serves in rows if not serves] == []
 
 
-def test_census_names_every_module_of_comms_and_resilience():
-    modules = [
-        module.split(".", 1)[1]
-        for module, (_, is_package) in MODULES.items()
-        if not is_package and _package(module) in CENSUS_BY_MODULE
-    ]
-    assert [unit for kind, unit, _ in _census() if kind == "module"] == modules
+def test_census_names_every_module_of_the_packages_it_lists_by_module():
+    # each module row sits under its package's row: packages in LAYERS
+    # order, modules in path order within one
+    modules = sorted(
+        (
+            module.split(".", 1)[1]
+            for module, (_, is_package) in MODULES.items()
+            if not is_package and _package(module) in CENSUS_BY_MODULE
+        ),
+        key=lambda unit: LAYERS.index(unit.split(".")[0]),
+    )
+    rows = _census()
+    assert [unit for kind, unit, _ in rows if kind == "module"] == modules
+    for (_, above, _), (kind, unit, _) in zip(rows, rows[1:]):
+        if kind == "module":
+            assert above.split(".")[0] == unit.split(".")[0], unit

@@ -10,10 +10,9 @@ happens to time, so this scans the text of every module.
 
 A sleep is allowed only where the sleep *is* the behaviour, a
 schedule, and each must say so in a comment right above it: the load
-generator's two (an open loop owes a request at its arrival offset, a
-closed-loop client thinks between requests), the engine's emulated
-wire time per chunk, a rank's injected load skew, and an injected
-straggler or I/O stall.
+generator's (an open loop owes a request at its arrival offset), the
+engine's emulated wire time per chunk, a rank's injected load skew, and
+an injected straggler or I/O stall.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ ALLOWED_SLEEPS = [
     ("comms/engine.py", "_execute"),
     ("resilience/faults.py", "_stall"),
     ("serve/server.py", "_run_open"),
-    ("serve/server.py", "_run_closed_client"),
 ]
 WHY = "a schedule, not a poll"
 
