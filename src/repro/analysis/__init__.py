@@ -14,7 +14,6 @@ from repro.analysis.energy import EnergyComparison, compare_runs
 from repro.analysis.profiling import profile_callable
 from repro.analysis.plotting import bar_chart, line_chart, power_strip
 from repro.analysis.timeline_analysis import (
-    allreduce_total_seconds,
     broadcast_overhead_seconds,
     communication_summary,
 )
@@ -22,7 +21,6 @@ from repro.analysis.timeline_analysis import (
 __all__ = [
     "profile_callable",
     "broadcast_overhead_seconds",
-    "allreduce_total_seconds",
     "communication_summary",
     "EnergyComparison",
     "compare_runs",

@@ -17,7 +17,6 @@ from repro.telemetry import Tracer
 
 __all__ = [
     "broadcast_overhead_seconds",
-    "allreduce_total_seconds",
     "communication_summary",
 ]
 
@@ -33,13 +32,6 @@ def broadcast_overhead_seconds(tracer: Tracer) -> float:
     if not spans:
         return 0.0
     return max(s.end_s for s in spans) - min(s.start_s for s in spans)
-
-
-def allreduce_total_seconds(tracer: Tracer, rank: int = 0) -> float:
-    """Total time one rank spent inside allreduce data movement."""
-    return sum(
-        s.duration_s for s in tracer.spans_named("nccl_allreduce") if s.rank == rank
-    )
 
 
 def communication_summary(tracer: Tracer) -> Dict[str, float]:

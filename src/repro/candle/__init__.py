@@ -32,7 +32,7 @@ from repro.candle.p1b1 import P1B1Benchmark
 from repro.candle.p1b2 import P1B2Benchmark
 from repro.candle.p1b3 import P1B3Benchmark
 from repro.candle.pipeline import BenchmarkRunReport, run_benchmark
-from repro.candle.registry import all_benchmarks, benchmark_names, get_benchmark
+from repro.candle.registry import all_benchmarks, get_benchmark
 
 __all__ = [
     "BenchmarkSpec",
@@ -46,5 +46,4 @@ __all__ = [
     "BenchmarkRunReport",
     "get_benchmark",
     "all_benchmarks",
-    "benchmark_names",
 ]

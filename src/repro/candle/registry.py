@@ -17,7 +17,6 @@ from repro.candle.p1b3 import P1B3Benchmark
 __all__ = [
     "get_benchmark",
     "all_benchmarks",
-    "benchmark_names",
     "BENCHMARKS",
 ]
 
@@ -28,11 +27,6 @@ BENCHMARKS: Dict[str, Type[CandleBenchmark]] = {
     "p1b2": P1B2Benchmark,
     "p1b3": P1B3Benchmark,
 }
-
-
-def benchmark_names() -> List[str]:
-    """Canonical (upper-case) P1 benchmark names, Table 1 order."""
-    return [cls.spec.name for cls in BENCHMARKS.values()]
 
 
 def get_benchmark(name: str, scale: float = 1.0, **kwargs) -> CandleBenchmark:

@@ -19,7 +19,6 @@ from repro.cluster.devices import CpuSpec, GpuSpec, DevicePowerModel
 from repro.cluster.filesystem import FilesystemSpec, IoSkewModel
 from repro.cluster.machine import MachineSpec, SUMMIT, THETA, get_machine
 from repro.cluster.power import (
-    EnergyAccount,
     PhasePowerProfile,
     PowerMeter,
     PowerSample,
@@ -39,6 +38,5 @@ __all__ = [
     "PhasePowerProfile",
     "PowerMeter",
     "PowerSample",
-    "EnergyAccount",
     "trapezoid_energy",
 ]

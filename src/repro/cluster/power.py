@@ -28,7 +28,6 @@ __all__ = [
     "PowerSample",
     "PowerMeter",
     "trapezoid_energy",
-    "EnergyAccount",
 ]
 
 
@@ -199,27 +198,3 @@ def trapezoid_energy(samples: Sequence[PowerSample]) -> float:
     if np.any(np.diff(t) < 0):
         raise ValueError("samples must be time-ordered")
     return float(_trapezoid(w, t))
-
-
-@dataclass
-class EnergyAccount:
-    """Aggregate of one run's power/energy numbers for a device group."""
-
-    device_count: int
-    duration_s: float
-    energy_per_device_j: float
-
-    def __post_init__(self):
-        if self.device_count <= 0:
-            raise ValueError("device_count must be positive")
-        if self.duration_s < 0 or self.energy_per_device_j < 0:
-            raise ValueError("duration and energy must be non-negative")
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.energy_per_device_j * self.device_count
-
-    @property
-    def average_power_w(self) -> float:
-        """Average per-device power over the run."""
-        return self.energy_per_device_j / self.duration_s if self.duration_s else 0.0

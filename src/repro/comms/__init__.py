@@ -20,7 +20,6 @@ from repro.comms.options import (
 from repro.comms.plan import (
     CollectiveSchedule,
     PlanStep,
-    plan_allgather,
     plan_allreduce,
     plan_broadcast,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "CollectiveSchedule",
     "PlanStep",
     "Topology",
-    "plan_allgather",
     "plan_allreduce",
     "plan_broadcast",
     "select_algorithm",

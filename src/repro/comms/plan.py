@@ -42,7 +42,6 @@ __all__ = [
     "CollectiveSchedule",
     "plan_allreduce",
     "plan_broadcast",
-    "plan_allgather",
 ]
 
 
@@ -81,7 +80,7 @@ class PlanStep:
 class CollectiveSchedule:
     """A planned collective: per-chunk steps plus chunking metadata."""
 
-    collective: str  #: "allreduce" | "broadcast" | "allgather"
+    collective: str  #: "allreduce" | "broadcast"
     algorithm: str  #: resolved algorithm (never "auto")
     nbytes: int  #: total payload bytes
     topology: Topology
@@ -211,28 +210,4 @@ def plan_broadcast(
         algorithm = "flat"
     return CollectiveSchedule(
         "broadcast", algorithm, nbytes, topology, 1, nbytes, steps
-    )
-
-
-def plan_allgather(
-    nbytes_per_rank: int,
-    topology: Topology,
-    options: CollectiveOptions = DEFAULT_OPTIONS,
-) -> CollectiveSchedule:
-    """Plan one ring allgather (each rank contributes ``nbytes_per_rank``)."""
-    if nbytes_per_rank < 0:
-        raise ValueError(
-            f"nbytes_per_rank must be non-negative, got {nbytes_per_rank}"
-        )
-    p = topology.world
-    steps: Tuple[PlanStep, ...] = ()
-    if p > 1:
-        spans = "inter" if topology.nnodes > 1 else "intra"
-        total = nbytes_per_rank * p
-        steps = (
-            PlanStep("allgather", spans, p - 1, total * (p - 1) / p),
-        )
-    return CollectiveSchedule(
-        "allgather", "ring", nbytes_per_rank, topology, 1,
-        nbytes_per_rank, steps,
     )

@@ -22,7 +22,7 @@ from repro.core.batch_scaling import (
     memory_limited_batch,
     scale_batch_size,
 )
-from repro.core.epochs import comp_epochs, comp_epochs_balanced, epochs_schedule
+from repro.core.epochs import comp_epochs, comp_epochs_balanced
 from repro.core.lr_scaling import scale_learning_rate
 from repro.core.parallel import ParallelRunResult, run_parallel_benchmark
 from repro.core.scaling import ScalingPlan, strong_scaling_plan, weak_scaling_plan
@@ -30,7 +30,6 @@ from repro.core.scaling import ScalingPlan, strong_scaling_plan, weak_scaling_pl
 __all__ = [
     "comp_epochs",
     "comp_epochs_balanced",
-    "epochs_schedule",
     "scale_batch_size",
     "memory_limited_batch",
     "BATCH_STRATEGIES",

@@ -20,7 +20,7 @@ epochs / 384 GPUs = exactly 1 each, etc.).
 
 from __future__ import annotations
 
-__all__ = ["comp_epochs", "comp_epochs_balanced", "epochs_schedule"]
+__all__ = ["comp_epochs", "comp_epochs_balanced"]
 
 
 def comp_epochs(n: int, myrank: int = 0, nprocs: int = 1) -> int:
@@ -49,8 +49,3 @@ def comp_epochs_balanced(n: int, nprocs: int = 1) -> int:
     if n <= 0:
         raise ValueError(f"epoch count must be positive, got {n}")
     return max(1, n // nprocs)
-
-
-def epochs_schedule(total_epochs: int, nprocs: int) -> list[int]:
-    """Per-rank epoch counts from the paper's ``comp_epochs``."""
-    return [comp_epochs(total_epochs, r, nprocs) for r in range(nprocs)]

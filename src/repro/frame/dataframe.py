@@ -381,7 +381,9 @@ def _conform(frames: list) -> list:
     in the dtype the per-column rule gives it (promote the frames'
     dtypes on the lattice, cast, concatenate), one block per dtype.
     Returns the names of the columns whose dtype class differs across the
-    frames, in column order (the list pandas's DtypeWarning gives)."""
+    frames and whose concat is therefore ``object``, in column order: the
+    list pandas's DtypeWarning gives (an int64 chunk beside a float64 one
+    promotes to float64 without a warning)."""
     if all(_same_layout(frames[0], f) for f in frames[1:]):
         return []
     codes, dtypes = _dtype_codes(frames)
@@ -392,7 +394,7 @@ def _conform(frames: list) -> list:
         kinds = [dtype_of_array(p) for p in parts]
         common = reduce(promote, kinds, "int64")
         sig_dtypes.append(np.concatenate([cast_to(p, common) for p in parts]).dtype)
-        sig_mixed.append(len(set(kinds)) > 1)
+        sig_mixed.append(len(set(kinds)) > 1 and common == "object")
     out_dtypes = list(dict.fromkeys(sig_dtypes))
     column_sig = column_sig.reshape(-1)
     blkno = np.intp([out_dtypes.index(d) for d in sig_dtypes])[column_sig]
@@ -416,7 +418,8 @@ def concat(frames: Sequence[DataFrame], axis: int = 0, ignore_index: bool = True
     axis=0, ignore_index=True)``: one ``np.concatenate`` per block.
     Frames laid out differently are first recast to one layout
     (:func:`_conform`), where a column whose dtypes differ is promoted on
-    the int64 < float64 < object lattice (pandas's DtypeWarning case).
+    the int64 < float64 < object lattice (pandas's DtypeWarning case when
+    it ends ``object``).
     """
     if axis != 0:
         raise NotImplementedError("only axis=0 concatenation is supported")

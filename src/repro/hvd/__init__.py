@@ -2,8 +2,7 @@
 
 Horovod's public surface, as the paper's methodology (§2.3.2) uses it:
 
-- ``init`` / ``size`` / ``rank`` / ``local_rank`` — rank identity, with
-  ``local_rank`` available for GPU pinning (one GPU per process).
+- ``init`` / ``size`` / ``rank`` — rank identity.
 - ``DistributedOptimizer(opt)`` — "delegates the gradient computation to
   the original optimizer, averages gradients using the Allreduce, and
   then applies those averaged gradients."
@@ -37,21 +36,16 @@ from repro.comms.options import DEFAULT_FUSION_BYTES
 from repro.train import TrainOptions
 from repro.hvd.callbacks import (
     BroadcastGlobalVariablesCallback,
-    CheckpointCallback,
     FaultInjectionCallback,
     ManagedCheckpointCallback,
-    MetricAverageCallback,
     broadcast_restored,
-    resume_from_checkpoint,
 )
-from repro.hvd.data import load_sharded
 from repro.hvd.optimizer import DistributedOptimizer
-from repro.hvd.ops import allgather, allreduce, broadcast, broadcast_weights
+from repro.hvd.ops import allreduce, broadcast, broadcast_weights
 from repro.hvd.runtime import (
     engine,
     init,
     is_initialized,
-    local_rank,
     rank,
     shutdown,
     size,
@@ -64,23 +58,17 @@ __all__ = [
     "is_initialized",
     "size",
     "rank",
-    "local_rank",
     "tracer",
     "engine",
     "CollectiveOptions",
     "TrainOptions",
     "allreduce",
-    "allgather",
     "broadcast",
     "broadcast_weights",
     "DistributedOptimizer",
     "BroadcastGlobalVariablesCallback",
-    "CheckpointCallback",
     "ManagedCheckpointCallback",
     "FaultInjectionCallback",
-    "MetricAverageCallback",
-    "resume_from_checkpoint",
     "broadcast_restored",
-    "load_sharded",
     "DEFAULT_FUSION_BYTES",
 ]

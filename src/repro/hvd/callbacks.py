@@ -6,37 +6,28 @@ list, it broadcasts rank 0's weights to every rank at the start of
 training, "ensuring consistent initialization of all workers when
 training is started with random weights."
 
-``CheckpointCallback`` implements the paper's stated future work
-("checkpoint/restart features … for fault tolerance"): rank 0 writes a
-full model+optimizer checkpoint every N epochs, and
-:func:`resume_from_checkpoint` restores it and re-broadcasts it
-(:func:`broadcast_restored`, also the broadcast of
-:meth:`repro.resilience.CheckpointManager.restore_distributed`) so every
+``ManagedCheckpointCallback`` implements the paper's stated future
+work ("checkpoint/restart features … for fault tolerance"): rank 0
+writes a full model+optimizer checkpoint every N epochs through a
+:class:`repro.resilience.CheckpointManager`, and
+:meth:`~repro.resilience.CheckpointManager.restore_distributed` restores
+it on rank 0 and re-broadcasts it (:func:`broadcast_restored`) so every
 rank resumes consistently.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.hvd import ops as _ops
 from repro.hvd import runtime as _rt
 from repro.nn.callbacks import Callback
-from repro.nn.serialization import (
-    capture_rng_state,
-    load_checkpoint,
-    restore_rank_rng,
-    save_checkpoint,
-)
+from repro.nn.serialization import capture_rng_state, restore_rank_rng
 
 __all__ = [
     "BroadcastGlobalVariablesCallback",
-    "MetricAverageCallback",
-    "CheckpointCallback",
     "ManagedCheckpointCallback",
     "FaultInjectionCallback",
-    "resume_from_checkpoint",
     "broadcast_restored",
 ]
 
@@ -57,37 +48,9 @@ class BroadcastGlobalVariablesCallback(Callback):
         self.broadcast_done = True
 
 
-class MetricAverageCallback(Callback):
-    """Average epoch metrics across ranks (hvd.callbacks analog).
-
-    Rewrites each epoch's logs in place with the allreduce mean, so
-    every rank reports the same global metric — used when ranks train
-    on different shards and a single curve is wanted. ``options``
-    overrides the run-level :class:`~repro.comms.CollectiveOptions` for
-    the metric reduction (metrics are tiny: a latency-bound algorithm
-    may suit them better than the gradients' schedule).
-    """
-
-    def __init__(self, options=None):
-        super().__init__()
-        self.options = options
-
-    def on_epoch_end(self, epoch, logs=None):
-        if logs is None or _rt.size() == 1:
-            return
-        keys = sorted(k for k, v in logs.items() if isinstance(v, (int, float)))
-        import numpy as np
-
-        vec = np.array([float(logs[k]) for k in keys])
-        avg = _ops.allreduce(
-            vec, op="mean", name="epoch_metrics", options=self.options
-        )
-        for key, value in zip(keys, avg):
-            logs[key] = float(value)
-
-
-class CheckpointCallback(Callback):
-    """Rank 0 writes a model+optimizer checkpoint to ``path`` every N epochs.
+class ManagedCheckpointCallback(Callback):
+    """Rank 0 checkpoints through a :class:`~repro.resilience.CheckpointManager`
+    every N epochs.
 
     Only the root writes (the standard Horovod pattern — all ranks hold
     identical weights after each allreduced step, so one copy suffices).
@@ -95,43 +58,10 @@ class CheckpointCallback(Callback):
     partial (:meth:`DistributedOptimizer.gather_state
     <repro.hvd.DistributedOptimizer.gather_state>`), so the root writes
     the whole state, and every rank barriers on the epoch boundary so no
-    rank races ahead of a half-finished write.
-    """
-
-    def __init__(self, path: str, every_n_epochs: int = 1, root: int = 0):
-        super().__init__()
-        if every_n_epochs <= 0:
-            raise ValueError(
-                f"every_n_epochs must be positive, got {every_n_epochs}"
-            )
-        self.path = str(path)
-        self.every_n_epochs = int(every_n_epochs)
-        self.root = root
-        self.epochs_written: list[int] = []
-
-    def on_epoch_end(self, epoch, logs=None):
-        if (epoch + 1) % self.every_n_epochs != 0:
-            return
-        self.model.optimizer.gather_state(self.model.arena)
-        self._save(epoch)
-        self.epochs_written.append(epoch)
-        if _rt.size() > 1:
-            # barrier so no rank races ahead of a half-written checkpoint
-            _rt.comm().barrier()
-
-    def _save(self, epoch: int) -> None:
-        """Called on every rank; the root writes."""
-        if _rt.rank() == self.root:
-            save_checkpoint(self.model, self.path, epoch=epoch)
-
-
-class ManagedCheckpointCallback(CheckpointCallback):
-    """Rank 0 checkpoints through a :class:`~repro.resilience.CheckpointManager`.
-
-    The manager adds what the plain :class:`CheckpointCallback` lacks
-    for fault tolerance: atomic writes, a checksummed manifest, and
-    retention of the last N checkpoints — so an injected crash mid-write
-    or a corrupted file can never poison the restart path.
+    rank races ahead of a half-finished write. The manager makes the
+    write atomic, records its checksum in a manifest and retains the
+    last N checkpoints, so an injected crash mid-write or a corrupted
+    file can never poison the restart path.
 
     Every rank's RNG streams (shuffle order, dropout masks) are
     gathered to the root and stored in the checkpoint, so a resume
@@ -141,10 +71,19 @@ class ManagedCheckpointCallback(CheckpointCallback):
     """
 
     def __init__(self, manager, every_n_epochs: int = 1, root: int = 0):
-        super().__init__(manager.directory, every_n_epochs, root)
+        super().__init__()
+        if every_n_epochs <= 0:
+            raise ValueError(
+                f"every_n_epochs must be positive, got {every_n_epochs}"
+            )
         self.manager = manager
+        self.every_n_epochs = int(every_n_epochs)
+        self.root = root
 
-    def _save(self, epoch: int) -> None:
+    def on_epoch_end(self, epoch, logs=None):
+        if (epoch + 1) % self.every_n_epochs != 0:
+            return
+        self.model.optimizer.gather_state(self.model.arena)
         rng_state = capture_rng_state(self.model)
         if _rt.size() > 1:
             states = _rt.comm().gather(rng_state, root=self.root)
@@ -154,6 +93,9 @@ class ManagedCheckpointCallback(CheckpointCallback):
             self.manager.save(
                 self.model, epoch, extra_state={"rank_rng": states}
             )
+        if _rt.size() > 1:
+            # barrier so no rank races ahead of a half-written checkpoint
+            _rt.comm().barrier()
 
 
 class FaultInjectionCallback(Callback):
@@ -215,20 +157,3 @@ def broadcast_restored(model, meta: Optional[dict], root: int = 0) -> Optional[d
     if meta is not None:
         restore_rank_rng(model, meta, _rt.rank())
     return meta
-
-
-def resume_from_checkpoint(model, path, root: int = 0) -> Optional[dict]:
-    """Restore a checkpoint on ``root`` and broadcast it to every rank
-    (:func:`broadcast_restored`).
-
-    Returns the checkpoint metadata (with the epoch to resume from), or
-    None when the file does not exist (fresh start — callers can treat
-    a missing checkpoint as epoch 0).
-    """
-    exists = os.path.exists(path) if _rt.rank() == root else None
-    if _rt.size() > 1:
-        exists = _ops.broadcast(exists, root=root, name="checkpoint_exists")
-    if not exists:
-        return None
-    meta = load_checkpoint(model, path) if _rt.rank() == root else None
-    return broadcast_restored(model, meta, root=root)

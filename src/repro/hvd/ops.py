@@ -41,7 +41,6 @@ __all__ = [
     "allreduce",
     "allreduce_update",
     "broadcast",
-    "allgather",
     "broadcast_weights",
     "BROADCAST_EVENTS",
     "ALLREDUCE_EVENTS",
@@ -159,21 +158,6 @@ def broadcast(obj: Any, *, root: int = 0, name: Optional[str] = None) -> Any:
     result = comm.bcast(obj, root=root)
     t_done = time.perf_counter()
     _record(BROADCAST_EVENTS, comm.rank, t_enter, t_ready, t_done, tag, bytes=_nbytes(obj))
-    return result
-
-
-def allgather(obj: Any, *, name: Optional[str] = None) -> list:
-    """Gather one object per rank, everywhere (rank-ordered)."""
-    comm = _rt.comm()
-    t_enter = time.perf_counter()
-    result = comm.allgather(obj)
-    duration = time.perf_counter() - t_enter
-    tr = _rt.tracer()
-    if tr is not None:
-        tr.record_span(
-            "allgather", t_enter, duration, category="allgather", rank=comm.rank,
-            absolute=True, tensor=name or "object", bytes=_nbytes(obj),
-        )
     return result
 
 

@@ -36,7 +36,7 @@ state only for the ranges this rank updates, and a ``fit`` leaves it
 that way. When a step's ranges differ from the state's,
 :meth:`DistributedOptimizer.gather_state`, the consolidation
 collective, makes it whole on every rank before the step partitions it
-again; the checkpoint callbacks and any other reader of the whole state
+again; the checkpoint callback and any other reader of the whole state
 call it too.
 """
 
@@ -211,7 +211,7 @@ class DistributedOptimizer(Optimizer):
         <repro.comms.CollectiveEngine.gather_owned>`), so every rank
         ends with the owners' bytes everywhere: the state
         allreduce-then-update leaves. A ``fit`` does not call it; the
-        checkpoint callbacks and :meth:`begin_step` do, and so must any
+        checkpoint callback and :meth:`begin_step` do, and so must any
         other reader of the whole state. Every rank must call it at the
         same point of training; a no-op when the state is whole.
         """

@@ -22,7 +22,6 @@ __all__ = [
     "is_initialized",
     "size",
     "rank",
-    "local_rank",
     "comm",
     "tracer",
     "engine",
@@ -91,15 +90,6 @@ def size() -> int:
 def rank() -> int:
     """This rank's global index (hvd.rank())."""
     return _state().comm.rank
-
-
-def local_rank() -> int:
-    """This rank's index within its node (hvd.local_rank()).
-
-    The paper pins ``visible_device_list = str(hvd.local_rank())`` — one
-    GPU per process, 0-5 on a 6-GPU Summit node.
-    """
-    return _state().comm.local_rank
 
 
 def comm() -> Communicator:

@@ -202,8 +202,8 @@ class Communicator:
         self._context = context
         self.rank = rank
         self.size = context.size
-        #: ranks per node — local_rank mirrors hvd.local_rank(), which the
-        #: paper uses to pin one GPU per process (6 per Summit node).
+        #: ranks per node — local_rank is Horovod's hvd.local_rank(), which
+        #: the paper uses to pin one GPU per process (6 per Summit node).
         self.local_size = max(1, local_size)
         self.stats = OpStats()
 

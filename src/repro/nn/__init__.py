@@ -11,9 +11,11 @@ Public API mirrors Keras naming:
 - layers: ``Dense``, ``Conv1D``, ``MaxPooling1D``, ``Flatten``,
   ``Dropout``, ``Activation``, ``LocallyConnected1D``
 - optimizers: ``SGD``, ``Adam``, ``RMSprop``
-- losses: ``categorical_crossentropy``, ``mse``, ``mae``
-- callbacks: ``Callback``, ``History``, ``EarlyStopping``,
-  ``LearningRateScheduler``
+- losses: ``categorical_crossentropy``, ``mse``; metrics: ``accuracy``,
+  ``mae``
+- the L2 kernel regularizer (P1B2) and the ``glorot_uniform`` initializer
+- callbacks: ``Callback``, ``History``, ``LambdaCallback``
+- checkpoints: ``save_checkpoint``, ``load_checkpoint``
 """
 
 from repro.nn import activations, initializers, losses, metrics, regularizers
@@ -21,17 +23,12 @@ from repro.nn.arena import ParameterArena
 from repro.nn.callbacks import (
     Callback,
     CallbackList,
-    EarlyStopping,
     History,
     LambdaCallback,
-    LearningRateScheduler,
 )
 from repro.nn.layers import (
     Activation,
-    AveragePooling1D,
-    BatchNormalization,
     Conv1D,
-    GlobalMaxPooling1D,
     Dense,
     Dropout,
     Flatten,
@@ -51,15 +48,10 @@ __all__ = [
     "regularizers",
     "Callback",
     "CallbackList",
-    "EarlyStopping",
     "History",
     "LambdaCallback",
-    "LearningRateScheduler",
     "Activation",
-    "AveragePooling1D",
-    "BatchNormalization",
     "Conv1D",
-    "GlobalMaxPooling1D",
     "Dense",
     "Dropout",
     "Flatten",

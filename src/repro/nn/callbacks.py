@@ -8,14 +8,12 @@ what :class:`repro.hvd.BroadcastGlobalVariablesCallback` plugs into.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "Callback",
     "CallbackList",
     "History",
-    "EarlyStopping",
-    "LearningRateScheduler",
     "LambdaCallback",
 ]
 
@@ -96,67 +94,6 @@ class History(Callback):
         self.epoch.append(epoch)
         for key, value in (logs or {}).items():
             self.history.setdefault(key, []).append(value)
-
-
-class EarlyStopping(Callback):
-    """Stop training when a monitored quantity stops improving."""
-
-    def __init__(
-        self,
-        monitor: str = "loss",
-        min_delta: float = 0.0,
-        patience: int = 0,
-        mode: str = "min",
-    ):
-        super().__init__()
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.monitor = monitor
-        self.min_delta = abs(float(min_delta))
-        self.patience = int(patience)
-        self.mode = mode
-        self.best: float | None = None
-        self.wait = 0
-        self.stopped_epoch: int | None = None
-
-    def _improved(self, current: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "min":
-            return current < self.best - self.min_delta
-        return current > self.best + self.min_delta
-
-    def on_train_begin(self, logs=None):
-        self.best = None
-        self.wait = 0
-        self.stopped_epoch = None
-
-    def on_epoch_end(self, epoch, logs=None):
-        current = (logs or {}).get(self.monitor)
-        if current is None:
-            return
-        if self._improved(current):
-            self.best = current
-            self.wait = 0
-        else:
-            self.wait += 1
-            if self.wait > self.patience:
-                self.stopped_epoch = epoch
-                self.model.stop_training = True
-
-
-class LearningRateScheduler(Callback):
-    """Set the optimizer LR each epoch from ``schedule(epoch, lr)``."""
-
-    def __init__(self, schedule: Callable[[int, float], float]):
-        super().__init__()
-        self.schedule = schedule
-
-    def on_epoch_begin(self, epoch, logs=None):
-        new_lr = float(self.schedule(epoch, self.model.optimizer.lr))
-        if new_lr <= 0.0:
-            raise ValueError(f"schedule produced non-positive LR {new_lr}")
-        self.model.optimizer.lr = new_lr
 
 
 class LambdaCallback(Callback):

@@ -1,28 +1,20 @@
-"""Weight initializers (Keras-compatible names).
+"""The weight initializer every kernel is built with: Keras's default,
+``glorot_uniform``.
 
-All initializers take an explicit ``rng`` so every model build is
-reproducible; the SPMD ranks in :mod:`repro.hvd` rely on this to start
-from *different* weights and verify that the initial broadcast makes them
-consistent, exactly as the paper's
-``hvd.BroadcastGlobalVariablesHook(0)`` does.
+It takes an explicit ``rng`` so every model build is reproducible; the
+SPMD ranks in :mod:`repro.hvd` rely on this to start from *different*
+weights and verify that the initial broadcast makes them consistent,
+exactly as the paper's ``hvd.BroadcastGlobalVariablesHook(0)`` does.
+Biases start at zero.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "get",
-    "glorot_uniform",
-    "glorot_normal",
-    "he_normal",
-    "he_uniform",
-    "lecun_uniform",
-    "zeros",
-    "ones",
-]
+__all__ = ["glorot_uniform"]
 
 
 def _fans(shape: Sequence[int]) -> tuple[int, int]:
@@ -47,60 +39,3 @@ def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray
     fi, fo = _fans(shape)
     limit = np.sqrt(6.0 / (fi + fo))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Xavier/Glorot normal: N(0, sqrt(2/(fi+fo)))."""
-    fi, fo = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / (fi + fo)), size=shape)
-
-
-def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He normal: N(0, sqrt(2/fan_in)); the right choice before relu."""
-    fi, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fi), size=shape)
-
-
-def he_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He uniform: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
-    fi, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fi)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def lecun_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """LeCun uniform: U(-sqrt(3/fan_in), +sqrt(3/fan_in))."""
-    fi, _ = _fans(shape)
-    limit = np.sqrt(3.0 / fi)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def zeros(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-zero initializer (the default for biases)."""
-    return np.zeros(shape)
-
-
-def ones(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-one initializer."""
-    return np.ones(shape)
-
-
-_INITIALIZERS: dict[str, Callable] = {
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_normal": he_normal,
-    "he_uniform": he_uniform,
-    "lecun_uniform": lecun_uniform,
-    "zeros": zeros,
-    "ones": ones,
-}
-
-
-def get(name: str) -> Callable:
-    """Look up an initializer by Keras-style name."""
-    try:
-        return _INITIALIZERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown initializer {name!r}; known: {sorted(_INITIALIZERS)}"
-        ) from None

@@ -1,14 +1,7 @@
-"""Neural-network layers (Keras-compatible subset used by CANDLE P1)."""
+"""Neural-network layers: the Keras subset Table 1's four models use."""
 
 from repro.nn.layers.base import Layer
-from repro.nn.layers.conv import (
-    AveragePooling1D,
-    Conv1D,
-    GlobalMaxPooling1D,
-    LocallyConnected1D,
-    MaxPooling1D,
-)
-from repro.nn.layers.normalization import BatchNormalization
+from repro.nn.layers.conv import Conv1D, LocallyConnected1D, MaxPooling1D
 from repro.nn.layers.core import Activation, Dense, Dropout, Flatten
 
 __all__ = [
@@ -18,9 +11,6 @@ __all__ = [
     "Activation",
     "Flatten",
     "Conv1D",
-    "AveragePooling1D",
-    "GlobalMaxPooling1D",
-    "BatchNormalization",
     "MaxPooling1D",
     "LocallyConnected1D",
 ]

@@ -57,15 +57,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import activations as _act
-from repro.nn import initializers as _init
+from repro.nn.initializers import glorot_uniform
 from repro.nn.halves import GEMM_ROWS, beside, gemm_edges, halves, run_split, split_at
 from repro.nn.layers.base import Layer
 
 __all__ = [
     "Conv1D",
     "MaxPooling1D",
-    "AveragePooling1D",
-    "GlobalMaxPooling1D",
     "LocallyConnected1D",
 ]
 
@@ -186,7 +184,6 @@ class Conv1D(Layer):
         kernel_size: int,
         activation: Optional[str] = None,
         padding: str = "valid",
-        kernel_initializer: str = "glorot_uniform",
         use_bias: bool = True,
         name: Optional[str] = None,
     ):
@@ -202,7 +199,6 @@ class Conv1D(Layer):
         self._act_fn, self._act_grad = (
             _act.get(activation) if activation else (None, None)
         )
-        self.kernel_initializer = kernel_initializer
         self.use_bias = bool(use_bias)
         self._cache: tuple | None = None
 
@@ -216,9 +212,8 @@ class Conv1D(Layer):
             raise ValueError(
                 f"input length {steps} shorter than kernel {self.kernel_size}"
             )
-        init = _init.get(self.kernel_initializer)
         self.add_param(
-            "kernel", init((self.kernel_size, channels, self.filters), rng)
+            "kernel", glorot_uniform((self.kernel_size, channels, self.filters), rng)
         )
         if self.use_bias:
             self.add_param("bias", np.zeros(self.filters))
@@ -464,7 +459,6 @@ class LocallyConnected1D(Layer):
         filters: int,
         kernel_size: int,
         activation: Optional[str] = None,
-        kernel_initializer: str = "glorot_uniform",
         use_bias: bool = True,
         name: Optional[str] = None,
     ):
@@ -477,7 +471,6 @@ class LocallyConnected1D(Layer):
         self._act_fn, self._act_grad = (
             _act.get(activation) if activation else (None, None)
         )
-        self.kernel_initializer = kernel_initializer
         self.use_bias = bool(use_bias)
         self._cache: tuple | None = None
 
@@ -492,10 +485,9 @@ class LocallyConnected1D(Layer):
             raise ValueError(
                 f"input length {steps} shorter than kernel {self.kernel_size}"
             )
-        init = _init.get(self.kernel_initializer)
         self.add_param(
             "kernel",
-            init((out_steps, self.kernel_size * channels, self.filters), rng),
+            glorot_uniform((out_steps, self.kernel_size * channels, self.filters), rng),
         )
         if self.use_bias:
             self.add_param("bias", np.zeros((out_steps, self.filters)))
@@ -546,85 +538,4 @@ class LocallyConnected1D(Layer):
         dx = self.scratch("dx", in_shape, dy.dtype)
         for tap in range(k):  # overlap-add of the k shifted slices
             dx[:, tap : tap + out_steps, :] += dwin[:, :, tap, :]
-        return dx
-
-
-class AveragePooling1D(Layer):
-    """Non-overlapping average pooling (``strides == pool_size``)."""
-
-    def __init__(self, pool_size: int = 2, name: Optional[str] = None):
-        super().__init__(name=name)
-        if pool_size <= 0:
-            raise ValueError(f"pool_size must be positive, got {pool_size}")
-        self.pool_size = int(pool_size)
-        self._in_shape: tuple | None = None
-
-    def build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise ValueError(
-                f"AveragePooling1D expects (steps, channels), got {input_shape}"
-            )
-        steps, channels = input_shape
-        out_steps = steps // self.pool_size
-        if out_steps == 0:
-            raise ValueError(
-                f"input length {steps} shorter than pool size {self.pool_size}"
-            )
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (out_steps, channels)
-        self.built = True
-
-    def forward(self, x, training=False):
-        self._require_built()
-        p = self.pool_size
-        n, steps, c = x.shape
-        out_steps = steps // p
-        self._in_shape = x.shape
-        return x[:, : out_steps * p, :].reshape(n, out_steps, p, c).mean(axis=2)
-
-    def backward(self, dy):
-        p = self.pool_size
-        n, out_steps, c = dy.shape
-        # pooled region fully overwritten below; tail stays zero
-        dx = self.scratch("dx", self._in_shape, dy.dtype, zero=False)
-        pooled = dx[:, : out_steps * p, :]
-        try:
-            # in-place shape change: guaranteed view (raises rather than copy)
-            pooled.shape = (n, out_steps, p, c)
-        except AttributeError:
-            dx[:, : out_steps * p, :] = np.repeat(dy / p, p, axis=1)
-            return dx
-        pooled[...] = (dy / p)[:, :, None, :]
-        return dx
-
-
-class GlobalMaxPooling1D(Layer):
-    """Max over the whole steps axis: (N, L, C) -> (N, C)."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._cache: tuple | None = None
-
-    def build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise ValueError(
-                f"GlobalMaxPooling1D expects (steps, channels), got {input_shape}"
-            )
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (input_shape[1],)
-        self.built = True
-
-    def forward(self, x, training=False):
-        self._require_built()
-        idx = np.argmax(x, axis=1)  # (N, C)
-        self._cache = (x.shape, idx)
-        return np.max(x, axis=1)
-
-    def backward(self, dy):
-        shape, idx = self._cache
-        # scatter target: re-zero on reuse (argmax positions move)
-        dx = self.scratch("dx", shape, dy.dtype)
-        n, _, c = shape
-        ni, ci = np.ogrid[:n, :c]
-        dx[ni, idx, ci] = dy
         return dx

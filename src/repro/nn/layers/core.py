@@ -12,8 +12,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn import activations as _act
-from repro.nn import initializers as _init
-from repro.nn import regularizers as _reg
+from repro.nn.initializers import glorot_uniform
 from repro.nn.layers.base import Layer
 
 __all__ = ["Dense", "Dropout", "Activation", "Flatten"]
@@ -30,7 +29,6 @@ class Dense(Layer):
         self,
         units: int,
         activation: Optional[str] = None,
-        kernel_initializer: str = "glorot_uniform",
         kernel_regularizer=None,
         use_bias: bool = True,
         name: Optional[str] = None,
@@ -43,8 +41,7 @@ class Dense(Layer):
         self._act_fn, self._act_grad = (
             _act.get(activation) if activation else (None, None)
         )
-        self.kernel_initializer = kernel_initializer
-        self.kernel_regularizer = _reg.get(kernel_regularizer)
+        self.kernel_regularizer = kernel_regularizer
         self.use_bias = bool(use_bias)
         self._cache: tuple | None = None
 
@@ -54,8 +51,7 @@ class Dense(Layer):
                 f"Dense expects flat input, got shape {input_shape}; "
                 "add a Flatten layer first"
             )
-        init = _init.get(self.kernel_initializer)
-        self.add_param("kernel", init((input_shape[0], self.units), rng))
+        self.add_param("kernel", glorot_uniform((input_shape[0], self.units), rng))
         if self.use_bias:
             self.add_param("bias", np.zeros(self.units))
         self.input_shape = tuple(input_shape)

@@ -24,9 +24,7 @@ import numpy as np
 __all__ = [
     "Loss",
     "MeanSquaredError",
-    "MeanAbsoluteError",
     "CategoricalCrossentropy",
-    "BinaryCrossentropy",
     "get",
 ]
 
@@ -63,21 +61,6 @@ class MeanSquaredError(Loss):
         return np.divide(out, y_pred.size, out=out)
 
 
-class MeanAbsoluteError(Loss):
-    """MAE averaged over every element in the batch."""
-
-    name = "mae"
-
-    def value(self, y_true, y_pred, out=None):
-        diff = np.subtract(y_pred, y_true, out=out)
-        return float(np.mean(np.abs(diff, out=diff)))
-
-    def grad(self, y_true, y_pred, out=None):
-        out = np.subtract(y_pred, y_true, out=out)
-        np.sign(out, out=out)
-        return np.divide(out, y_pred.size, out=out)
-
-
 class CategoricalCrossentropy(Loss):
     """Cross-entropy against one-hot (or soft) targets.
 
@@ -106,31 +89,9 @@ class CategoricalCrossentropy(Loss):
         return np.divide(out, y_true.shape[0], out=out)
 
 
-class BinaryCrossentropy(Loss):
-    """Elementwise binary cross-entropy (sigmoid outputs)."""
-
-    name = "binary_crossentropy"
-
-    def value(self, y_true, y_pred, out=None):
-        p = np.clip(y_pred, _EPS, 1.0 - _EPS, out=out)
-        return float(
-            -np.mean(y_true * np.log(p) + (1.0 - y_true) * np.log(1.0 - p))
-        )
-
-    def grad(self, y_true, y_pred, out=None):
-        p = np.clip(y_pred, _EPS, 1.0 - _EPS)
-        out = np.subtract(p, y_true, out=out)
-        np.divide(out, p * (1.0 - p), out=out)
-        return np.divide(out, y_true.size, out=out)
-
-
 _LOSSES = {
     "mse": MeanSquaredError,
-    "mean_squared_error": MeanSquaredError,
-    "mae": MeanAbsoluteError,
-    "mean_absolute_error": MeanAbsoluteError,
     "categorical_crossentropy": CategoricalCrossentropy,
-    "binary_crossentropy": BinaryCrossentropy,
 }
 
 

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "categorical_accuracy",
-    "binary_accuracy",
-    "mae",
-    "mse",
-    "r2_score",
-    "get",
-]
+__all__ = ["categorical_accuracy", "mae", "get"]
 
 
 def categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -27,37 +20,14 @@ def categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     )
 
 
-def binary_accuracy(y_true: np.ndarray, y_pred: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of elements on the correct side of ``threshold``."""
-    return float(np.mean((y_pred >= threshold) == (y_true >= threshold)))
-
-
 def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean absolute error."""
     return float(np.mean(np.abs(y_pred - y_true)))
 
 
-def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean squared error."""
-    return float(np.mean((y_pred - y_true) ** 2))
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; 1.0 is perfect, 0.0 is the mean model."""
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
 _METRICS = {
     "accuracy": categorical_accuracy,
-    "categorical_accuracy": categorical_accuracy,
-    "binary_accuracy": binary_accuracy,
     "mae": mae,
-    "mse": mse,
-    "r2": r2_score,
 }
 
 
@@ -74,5 +44,5 @@ def get(name):
 def metric_name(m) -> str:
     """Human-readable name for a metric passed to ``compile``."""
     if isinstance(m, str):
-        return "accuracy" if m == "categorical_accuracy" else m
+        return m
     return getattr(m, "__name__", str(m))

@@ -73,7 +73,6 @@ class Sequential:
         self.metrics: list = []
         self.metric_names: list[str] = []
         self.built = False
-        self.stop_training = False
         self.dtype = np.dtype(np.float64)
         self._arena: ParameterArena | None = None
         #: the memory plan, fixed by build(): bytes per example of the
@@ -409,7 +408,6 @@ class Sequential:
         history = History()
         cb_list = CallbackList(list(callbacks or []) + [history])
         cb_list.set_model(self)
-        self.stop_training = False
 
         overlap = None
         if train is not None and train.overlap and self._overlap is None:
@@ -474,8 +472,6 @@ class Sequential:
                 epoch, epoch_logs, t0, batch_size, validation_data,
                 cb_list, verbose, initial_epoch + epochs,
             )
-            if self.stop_training:
-                break
         self._end_training(cb_list)
         return history
 
@@ -498,8 +494,6 @@ class Sequential:
                     epoch, epoch_logs, t0, batch_size, validation_data,
                     cb_list, verbose, initial_epoch + epochs,
                 )
-                if self.stop_training:
-                    break
         finally:
             prefetcher.close()
             self.last_prefetch_stats = prefetcher.stats

@@ -3,8 +3,8 @@
 Table 1 of the paper: NT3 and P1B3 train with ``sgd``, P1B1 with
 ``adam``, P1B2 with ``rmsprop``. All optimizers expose a mutable ``lr``
 attribute so the paper's *linear learning-rate scaling*
-(``lr × nprocs``, §2.3.2) and ``LearningRateScheduler`` callbacks can
-adjust it, and an ``apply_arena`` entry point that
+(``lr × nprocs``, §2.3.2) can adjust it, and an ``apply_arena`` entry
+point that
 :class:`repro.hvd.DistributedOptimizer` wraps to average the gradient
 slab over ranks before the update — exactly Horovod's structure.
 

@@ -1,91 +1,37 @@
-"""Weight regularizers (L1/L2 penalties), Keras-style.
+"""The L2 kernel penalty, Keras-style.
 
 A regularizer contributes ``penalty(w)`` to the loss and ``grad(w)`` to
 the kernel gradient. P1B2 in the paper uses L2 regularization on its MLP
-("multilayer perceptron network with regularization").
+("multilayer perceptron network with regularization"); it is the only
+model that sets one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Regularizer", "L1", "L2", "L1L2", "l1", "l2", "l1_l2", "get"]
+__all__ = ["L2", "l2"]
 
 
-class Regularizer:
-    """Base class; subclasses define penalty and its gradient."""
+class L2:
+    """Ridge (weight decay) penalty ``l2 * sum(w^2)``."""
 
-    def penalty(self, w: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class L1L2(Regularizer):
-    """Combined penalty ``l1*sum|w| + l2*sum(w^2)``."""
-
-    def __init__(self, l1: float = 0.0, l2: float = 0.0):
-        self.l1 = float(l1)
+    def __init__(self, l2: float = 0.01):
         self.l2 = float(l2)
 
     def penalty(self, w):
-        p = 0.0
-        if self.l1:
-            p += self.l1 * float(np.sum(np.abs(w)))
-        if self.l2:
-            p += self.l2 * float(np.sum(w * w))
-        return p
+        return self.l2 * float(np.sum(w * w)) if self.l2 else 0.0
 
     def grad(self, w):
         g = np.zeros_like(w)
-        if self.l1:
-            g += self.l1 * np.sign(w)
         if self.l2:
             g += 2.0 * self.l2 * w
         return g
 
     def __repr__(self):
-        return f"L1L2(l1={self.l1}, l2={self.l2})"
-
-
-class L1(L1L2):
-    """Pure L1 (lasso) penalty."""
-
-    def __init__(self, l1: float = 0.01):
-        super().__init__(l1=l1, l2=0.0)
-
-
-class L2(L1L2):
-    """Pure L2 (ridge / weight decay) penalty."""
-
-    def __init__(self, l2: float = 0.01):
-        super().__init__(l1=0.0, l2=l2)
-
-
-def l1(l1: float = 0.01) -> L1:
-    """Keras-style factory for an L1 regularizer."""
-    return L1(l1)
+        return f"L2(l2={self.l2})"
 
 
 def l2(l2: float = 0.01) -> L2:
     """Keras-style factory for an L2 regularizer."""
     return L2(l2)
-
-
-def l1_l2(l1: float = 0.01, l2: float = 0.01) -> L1L2:
-    """Keras-style factory for a combined L1+L2 regularizer."""
-    return L1L2(l1=l1, l2=l2)
-
-
-def get(spec):
-    """Resolve a regularizer from ``None``, an instance, or a name."""
-    if spec is None or isinstance(spec, Regularizer):
-        return spec
-    factories = {"l1": l1, "l2": l2, "l1_l2": l1_l2}
-    try:
-        return factories[spec]()
-    except KeyError:
-        raise ValueError(
-            f"unknown regularizer {spec!r}; known: {sorted(factories)}"
-        ) from None

@@ -135,7 +135,7 @@ def save_checkpoint(
     partitioned: a distributed owner step, and so a ``fit`` that ran
     one, leaves each rank state for its own segments only. Every rank
     must call the optimizer's ``gather_state`` first, the consolidation
-    collective the checkpoint callbacks run before the root writes.
+    collective the checkpoint callback runs before the root writes.
     """
     model._require_compiled()
     if not model.optimizer.state_is_whole:

@@ -37,11 +37,10 @@ from repro.sim.iomodel import (
     PREFETCH_EFFICIENCY,
     benchmark_files,
     exposed_load_seconds,
-    prefetch_hidden_fraction,
     prefetch_timeline_seconds,
 )
 from repro.sim.report import SimRunReport, improvement_percent
-from repro.sim.runner import ScaledRunSimulator, simulate_run
+from repro.sim.runner import ScaledRunSimulator
 
 __all__ = [
     "Calibration",
@@ -54,10 +53,8 @@ __all__ = [
     "benchmark_files",
     "PREFETCH_EFFICIENCY",
     "exposed_load_seconds",
-    "prefetch_hidden_fraction",
     "prefetch_timeline_seconds",
     "SimRunReport",
     "improvement_percent",
     "ScaledRunSimulator",
-    "simulate_run",
 ]

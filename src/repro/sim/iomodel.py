@@ -45,7 +45,6 @@ __all__ = [
     "PAPER_METHODS",
     "PREFETCH_EFFICIENCY",
     "exposed_load_seconds",
-    "prefetch_hidden_fraction",
     "prefetch_timeline_seconds",
 ]
 
@@ -102,27 +101,6 @@ def prefetch_timeline_seconds(
     exposed = exposed_load_seconds(load_s, compute_s, efficiency)
     return load_s + epochs * compute_s + (epochs - 1) * exposed
 
-
-def prefetch_hidden_fraction(
-    load_s: float,
-    compute_s: float,
-    epochs: int,
-    efficiency: float = PREFETCH_EFFICIENCY,
-) -> float:
-    """Share of total epoch-load time hidden behind compute.
-
-    Bounded above by ``(epochs - 1) / epochs`` — the first epoch is
-    always exposed — which is why the benchmark's ≥0.8 gate needs a
-    multi-epoch run even when every later load hides completely.
-    """
-    if epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
-    total = epochs * load_s
-    if total <= 0:
-        return 0.0
-    exposed = exposed_load_seconds(load_s, compute_s, efficiency)
-    hidden = (epochs - 1) * (load_s - exposed)
-    return hidden / total
 
 #: every modeled ingest method (the paper's three plus repro.ingest's
 #: parallel span decode, binary column-store cache, and row sharding)

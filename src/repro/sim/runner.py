@@ -13,7 +13,6 @@ execution modes identically.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Union
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.sim.iomodel import IoModel
 from repro.sim.report import SimRunReport
 from repro.train.options import TrainOptions
 
-__all__ = ["ScaledRunSimulator", "simulate_run"]
+__all__ = ["ScaledRunSimulator"]
 
 
 class ScaledRunSimulator:
@@ -245,17 +244,3 @@ class ScaledRunSimulator:
             tracer=sim.tracer if keep_profiles else None,
             profiles=sim.profiles if keep_profiles else {},
         )
-
-
-def simulate_run(
-    benchmark: Union[BenchmarkSpec, str],
-    machine: Union[MachineSpec, str],
-    plan: ScalingPlan,
-    method: str = "original",
-    seed: int = 0,
-    collective: Optional[CollectiveOptions] = None,
-) -> SimRunReport:
-    """One-shot convenience wrapper around :class:`ScaledRunSimulator`."""
-    return ScaledRunSimulator(machine, collective=collective).run(
-        benchmark, plan, method=method, seed=seed
-    )

@@ -44,14 +44,7 @@ from repro.telemetry.exporters import (
     summary_rows,
     to_chrome_trace,
 )
-from repro.telemetry.runtime import (
-    activate,
-    active_tracer,
-    counter,
-    deactivate,
-    span,
-    tracing,
-)
+from repro.telemetry.runtime import active_tracer, counter, span, tracing
 
 __all__ = [
     "Tracer",
@@ -67,8 +60,6 @@ __all__ = [
     "format_summary",
     "export_run",
     "TraceArtifacts",
-    "activate",
-    "deactivate",
     "active_tracer",
     "tracing",
     "span",

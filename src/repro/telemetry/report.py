@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _fmt(value) -> str:
@@ -46,19 +46,3 @@ def format_table(rows: Sequence[Mapping], title: str = "") -> str:
     for c in cells:
         lines.append("  ".join(v.rjust(w) for v, w in zip(c, widths)))
     return "\n".join(lines)
-
-
-def format_series(x: Sequence, ys: Mapping[str, Sequence], x_name: str = "x", title: str = "") -> str:
-    """Render one or more y-series against a shared x axis."""
-    for name, y in ys.items():
-        if len(y) != len(x):
-            raise ValueError(
-                f"series {name!r} has {len(y)} points for {len(x)} x values"
-            )
-    rows = []
-    for i, xv in enumerate(x):
-        row = {x_name: xv}
-        for name, y in ys.items():
-            row[name] = y[i]
-        rows.append(row)
-    return format_table(rows, title=title)

@@ -3,9 +3,9 @@
 Deep call sites — an ingest method five frames below the pipeline, a
 checkpoint write inside a Horovod callback — should not force a
 ``tracer=`` parameter through every intermediate signature. Instead the
-run's entry point *activates* its tracer here and the leaves record
-through the module-level :func:`span` / :func:`counter` helpers, which
-collapse to near-zero-cost no-ops when nothing is active.
+run's entry point activates its tracer here (:func:`tracing`) and the
+leaves record through the module-level :func:`span` / :func:`counter`
+helpers, which collapse to near-zero-cost no-ops when nothing is active.
 
 One process, one active tracer: the SPMD runtime executes ranks as
 threads of a single run, and the tracer itself is thread-safe with
@@ -29,8 +29,6 @@ if TYPE_CHECKING:
     from repro.telemetry.tracer import Tracer
 
 __all__ = [
-    "activate",
-    "deactivate",
     "active_tracer",
     "tracing",
     "span",
@@ -45,20 +43,6 @@ _lock = threading.Lock()
 _active: Optional[Tracer] = None
 #: per rank thread: ``binding`` is (rank, tracer) while the rank is bound
 _thread = threading.local()
-
-
-def activate(tracer: Tracer) -> None:
-    """Make ``tracer`` the process-wide default."""
-    global _active
-    with _lock:
-        _active = tracer
-
-
-def deactivate() -> None:
-    """Clear the process-wide default tracer."""
-    global _active
-    with _lock:
-        _active = None
 
 
 def active_tracer() -> Optional[Tracer]:

@@ -9,9 +9,8 @@ from repro.analysis import (
     compare_runs,
     profile_callable,
 )
-from repro.analysis.timeline_analysis import allreduce_total_seconds
 from repro.telemetry import Tracer
-from repro.telemetry.report import format_series, format_table
+from repro.telemetry.report import format_table
 
 
 def test_profile_callable_finds_hotspot():
@@ -42,8 +41,9 @@ class TestTimelineAnalysis:
         assert broadcast_overhead_seconds(Tracer()) == 0.0
 
     def test_allreduce_total_per_rank(self):
-        assert allreduce_total_seconds(self._timeline(), rank=0) == pytest.approx(0.5)
-        assert allreduce_total_seconds(self._timeline(), rank=1) == 0.0
+        tl = self._timeline()
+        assert communication_summary(tl)["nccl_allreduce_s"] == pytest.approx(0.5)
+        assert [s.rank for s in tl.spans_named("nccl_allreduce")] == [0, 0]
 
     def test_communication_summary(self):
         s = communication_summary(self._timeline())
@@ -56,11 +56,12 @@ class TestEnergyComparison:
     def test_compare_runs(self):
         from repro.candle.nt3 import NT3_SPEC
         from repro.core.scaling import strong_scaling_plan
-        from repro.sim import simulate_run
+        from repro.sim import ScaledRunSimulator
 
         plan = strong_scaling_plan(NT3_SPEC, 48)
-        orig = simulate_run(NT3_SPEC, "summit", plan, method="original")
-        opt = simulate_run(NT3_SPEC, "summit", plan, method="chunked")
+        sim = ScaledRunSimulator("summit")
+        orig = sim.run(NT3_SPEC, plan, method="original")
+        opt = sim.run(NT3_SPEC, plan, method="chunked")
         comp = compare_runs(orig, opt)
         assert comp.performance_improvement_pct > 0
         assert comp.energy_saving_pct > 0
@@ -71,10 +72,11 @@ class TestEnergyComparison:
     def test_mismatched_runs_rejected(self):
         from repro.candle.nt3 import NT3_SPEC
         from repro.core.scaling import strong_scaling_plan
-        from repro.sim import simulate_run
+        from repro.sim import ScaledRunSimulator
 
-        a = simulate_run(NT3_SPEC, "summit", strong_scaling_plan(NT3_SPEC, 6))
-        b = simulate_run(NT3_SPEC, "summit", strong_scaling_plan(NT3_SPEC, 12))
+        sim = ScaledRunSimulator("summit")
+        a = sim.run(NT3_SPEC, strong_scaling_plan(NT3_SPEC, 6))
+        b = sim.run(NT3_SPEC, strong_scaling_plan(NT3_SPEC, 12))
         with pytest.raises(ValueError, match="worker count"):
             compare_runs(a, b)
 
@@ -97,12 +99,9 @@ class TestFormatting:
         assert "(no rows)" in format_table([])
 
     def test_format_series(self):
-        text = format_series([1, 2], {"y": [10, 20]}, x_name="n")
+        # a series is a table whose rows share the x column
+        text = format_table([{"n": x, "y": y} for x, y in zip([1, 2], [10, 20])])
         assert "n" in text and "10" in text
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series([1, 2], {"y": [1]})
 
 
 class TestEnergyHelpers:

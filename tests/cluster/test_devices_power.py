@@ -1,10 +1,8 @@
 """Device power models, power profiles, meters, energy integration."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
-    EnergyAccount,
     PhasePowerProfile,
     PowerMeter,
     trapezoid_energy,
@@ -107,17 +105,6 @@ class TestMeterAndIntegration:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             PowerMeter(0)
-
-
-class TestEnergyAccount:
-    def test_totals(self):
-        acc = EnergyAccount(device_count=6, duration_s=100, energy_per_device_j=5000)
-        assert acc.total_energy_j == 30000
-        assert acc.average_power_w == 50.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnergyAccount(device_count=0, duration_s=1, energy_per_device_j=1)
 
 
 class TestTrapezoidResolver:

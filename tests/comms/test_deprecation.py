@@ -30,6 +30,3 @@ class TestKeywordFormsAreSilent:
 
     def test_broadcast(self, single_rank_hvd):
         assert hvd.broadcast([1, 2], root=0, name="payload") == [1, 2]
-
-    def test_allgather(self, single_rank_hvd):
-        assert hvd.allgather("x", name="xs") == ["x"]

@@ -7,7 +7,6 @@ from repro.comms import (
     DEFAULT_OPTIONS,
     CollectiveOptions,
     Topology,
-    plan_allgather,
     plan_allreduce,
     plan_broadcast,
 )
@@ -67,8 +66,9 @@ class TestGoldenSchedules:
         assert [(s.phase, s.rounds) for s in sched.steps] == [("tree", 4)]
 
     def test_allgather_ring(self):
-        sched = plan_allgather(1 << 10, SINGLE_NODE)
-        assert [(s.phase, s.rounds) for s in sched.steps] == [("allgather", 5)]
+        # a ring allreduce ends in an allgather of p - 1 rounds
+        sched = plan_allreduce(1 << 10, SINGLE_NODE, CollectiveOptions(algorithm="ring"))
+        assert [(s.phase, s.rounds) for s in sched.steps][-1] == ("allgather", 5)
 
     def test_world_of_one_is_empty(self):
         assert plan_allreduce(1 << 20, Topology(world=1)).steps == ()
@@ -108,7 +108,6 @@ class TestPricing:
         one = Topology(world=1)
         assert plan_allreduce(1 << 20, one).seconds(fabric) == 0.0
         assert plan_broadcast(1 << 20, one).seconds(fabric) == 0.0
-        assert plan_allgather(1 << 20, one).seconds(fabric) == 0.0
 
     def test_ring_prices_the_textbook_formula(self, fabric):
         n, p = 1 << 20, 4  # one node: the intra link
@@ -169,7 +168,9 @@ class TestPricing:
     def test_allgather_grows_with_world(self, fabric):
         def allgather_s(world):
             topo = Topology(world=world, local_size=min(world, 6))
-            return plan_allgather(1 << 20, topo).seconds(fabric)
+            sched = plan_allreduce(1 << 20, topo, CollectiveOptions(algorithm="ring"))
+            (step,) = [s for s in sched.steps if s.phase == "allgather"]
+            return step.seconds(fabric)
 
         assert allgather_s(12) > allgather_s(2)
 
@@ -203,5 +204,3 @@ class TestPipelining:
             plan_allreduce(-1, SUMMIT_PAIR)
         with pytest.raises(ValueError):
             plan_broadcast(-1, SUMMIT_PAIR)
-        with pytest.raises(ValueError):
-            plan_allgather(-1, SUMMIT_PAIR)

@@ -102,7 +102,9 @@ def o_concat(parts):
 
 
 def o_mixed(parts):
-    return [n for n in parts[0] if len({dtype_of_array(p[n]) for p in parts}) > 1]
+    """The columns pandas warns about: mixed kinds whose concat is object."""
+    kinds = {n: {dtype_of_array(p[n]) for p in parts} for n in parts[0]}
+    return [n for n in parts[0] if len(kinds[n]) > 1 and "object" in kinds[n]]
 
 
 def o_equals(a, b):
@@ -346,15 +348,21 @@ def test_concat_matches_the_column_dict_frame(parts):
 
 
 def test_concat_warns_for_exactly_the_mixed_columns():
+    # pandas warns only for a column whose chunks concatenate to object:
+    # "a" (int64 then float64) promotes to float64 silently, "b" (int64
+    # then object) warns
     ints = DataFrame({"a": np.arange(3), "b": np.arange(3), "c": np.zeros(3)})
+    mixed = DataFrame({"a": np.arange(3.0), "b": np.array(["x", "y", "z"], dtype=object),
+                       "c": np.ones(3)})
+    with pytest.warns(DtypeWarning, match=r"\['b'\]"):
+        _warn_mixed_dtypes(_conform([ints, mixed]))
     floats = DataFrame({"a": np.arange(3.0), "b": np.arange(3), "c": np.ones(3)})
-    with pytest.warns(DtypeWarning, match=r"\['a'\]"):
-        _warn_mixed_dtypes(_conform([ints, floats]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _warn_mixed_dtypes(_conform([ints, ints.iloc(slice(1, None))]))
-    got = concat([ints, floats])
-    assert [got[n].dtype for n in got.columns] == [np.float64, np.int64, np.float64]
+    for other in (floats, ints.iloc(slice(1, None))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _warn_mixed_dtypes(_conform([ints, other]))
+    got = concat([ints, mixed])
+    assert [got[n].dtype for n in got.columns] == [np.float64, object, np.float64]
 
 
 # ---------------------------------------------------------------------------

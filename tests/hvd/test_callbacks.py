@@ -57,22 +57,6 @@ def test_without_broadcast_ranks_diverge():
     )
 
 
-def test_metric_average_callback():
-    def worker(comm):
-        hvd.init(comm)
-        try:
-            logs = {"loss": float(comm.rank)}
-            cb = hvd.callbacks.MetricAverageCallback()
-            cb.on_epoch_end(0, logs)
-            return logs["loss"]
-        finally:
-            hvd.shutdown()
-
-    from repro.hvd import callbacks  # noqa: F401 — used via attribute
-
-    assert run_spmd(4, worker) == [1.5, 1.5, 1.5, 1.5]
-
-
 def test_invalid_root_rejected():
     with pytest.raises(ValueError):
         hvd.BroadcastGlobalVariablesCallback(-1)

@@ -1,4 +1,5 @@
-"""Distributed checkpoint/restart: rank-0 writes, everyone resumes."""
+"""Distributed checkpoint/restart: rank 0 writes through a
+``CheckpointManager``, and ``restore_distributed`` resumes every rank."""
 
 import os
 
@@ -8,7 +9,6 @@ import pytest
 from repro import hvd
 from repro.candle import get_benchmark
 from repro.comms import CollectiveEngine
-from repro.hvd.callbacks import CheckpointCallback, resume_from_checkpoint
 from repro.mpi import run_spmd
 from repro.nn import (
     SGD,
@@ -40,30 +40,40 @@ def _model(seed):
 
 
 def test_only_root_writes_and_all_ranks_wait(tmp_path):
-    path = str(tmp_path / "ckpt.npz")
+    manager = CheckpointManager(tmp_path)
 
     def worker(comm):
         hvd.init(comm)
         try:
             x, y = _data()
             m = _model(seed=comm.rank)
-            cb = CheckpointCallback(path, every_n_epochs=2)
+            # every rank leaves the epoch only once the root's file is there
+            seen = []
+            after = LambdaCallback(
+                on_epoch_end=lambda epoch, logs: seen.append(
+                    (epoch, os.path.exists(manager.path_for(epoch)))
+                )
+            )
             m.fit(
                 x, y, epochs=4,
-                callbacks=[hvd.BroadcastGlobalVariablesCallback(0), cb],
+                callbacks=[
+                    hvd.BroadcastGlobalVariablesCallback(0),
+                    hvd.ManagedCheckpointCallback(manager, every_n_epochs=2),
+                    after,
+                ],
                 shuffle=False,
             )
-            return cb.epochs_written
+            return seen
         finally:
             hvd.shutdown()
 
-    written = run_spmd(3, worker)
-    assert all(w == [1, 3] for w in written)
-    assert os.path.exists(path)
+    seen = run_spmd(3, worker)
+    assert all(s == [(0, False), (1, True), (2, False), (3, True)] for s in seen)
+    assert [info.epoch for info in manager.checkpoints()] == [1, 3]
 
 
 def test_resume_broadcasts_to_all_ranks(tmp_path):
-    path = str(tmp_path / "ckpt.npz")
+    manager = CheckpointManager(tmp_path)
 
     # phase 1: train 2 epochs and checkpoint
     def train_phase(comm):
@@ -75,7 +85,7 @@ def test_resume_broadcasts_to_all_ranks(tmp_path):
                 x, y, epochs=2,
                 callbacks=[
                     hvd.BroadcastGlobalVariablesCallback(0),
-                    CheckpointCallback(path, every_n_epochs=2),
+                    hvd.ManagedCheckpointCallback(manager, every_n_epochs=2),
                 ],
                 shuffle=False,
             )
@@ -90,7 +100,7 @@ def test_resume_broadcasts_to_all_ranks(tmp_path):
         hvd.init(comm)
         try:
             m = _model(seed=777 + comm.rank)  # arbitrary fresh init
-            meta = resume_from_checkpoint(m, path)
+            meta = manager.restore_distributed(m)
             assert meta is not None
             return meta["epoch"], m.get_weights()
         finally:
@@ -104,20 +114,21 @@ def test_resume_broadcasts_to_all_ranks(tmp_path):
 
 
 def test_resume_missing_checkpoint_returns_none(tmp_path):
+    manager = CheckpointManager(tmp_path / "empty")
+
     def worker(comm):
         hvd.init(comm)
         try:
-            m = _model(seed=0)
-            return resume_from_checkpoint(m, str(tmp_path / "nope.npz"))
+            return manager.restore_distributed(_model(seed=0))
         finally:
             hvd.shutdown()
 
     assert run_spmd(2, worker) == [None, None]
 
 
-def _adam_fit(comm, epochs, *, path=None, save=False, resume=False):
+def _adam_fit(comm, epochs, *, manager=None, save=False, resume=False):
     """World-2 Dense 40->64->2 under Adam on this rank's shard, trained to
-    ``epochs``: from scratch, saving at the end, or resumed from ``path``."""
+    ``epochs``: from scratch, saving at the end, or resumed from ``manager``."""
     rng = np.random.default_rng(11 + comm.rank)
     x = rng.normal(size=(32, 40))
     y = np.eye(2)[(x[:, 0] > 0).astype(int)]
@@ -128,10 +139,10 @@ def _adam_fit(comm, epochs, *, path=None, save=False, resume=False):
         m.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "categorical_crossentropy")
         callbacks = [hvd.BroadcastGlobalVariablesCallback(0)]
         if save:
-            callbacks.append(CheckpointCallback(path, every_n_epochs=epochs))
+            callbacks.append(hvd.ManagedCheckpointCallback(manager, every_n_epochs=epochs))
         start = 0
         if resume:
-            start = resume_from_checkpoint(m, path)["epoch"] + 1
+            start = manager.restore_distributed(m)["epoch"] + 1
             callbacks = []
         m.fit(x, y, batch_size=8, epochs=epochs - start, initial_epoch=start,
               shuffle=False, callbacks=callbacks)
@@ -143,16 +154,16 @@ def _adam_fit(comm, epochs, *, path=None, save=False, resume=False):
 def test_an_adam_resume_is_the_uninterrupted_run(tmp_path):
     """Every rank resumes with the checkpoint's Adam moments, not only the
     root: 2 epochs, a checkpoint, a resume and 2 more equal 4 epochs."""
-    path = str(tmp_path / "adam.npz")
+    manager = CheckpointManager(tmp_path / "adam")
     straight = run_spmd(2, lambda comm: _adam_fit(comm, 4))
-    run_spmd(2, lambda comm: _adam_fit(comm, 2, path=path, save=True))
-    resumed = run_spmd(2, lambda comm: _adam_fit(comm, 4, path=path, resume=True))
+    run_spmd(2, lambda comm: _adam_fit(comm, 2, manager=manager, save=True))
+    resumed = run_spmd(2, lambda comm: _adam_fit(comm, 4, manager=manager, resume=True))
     assert resumed == straight
 
 
-def test_invalid_interval():
+def test_invalid_interval(tmp_path):
     with pytest.raises(ValueError):
-        CheckpointCallback("x", every_n_epochs=0)
+        hvd.ManagedCheckpointCallback(CheckpointManager(tmp_path), every_n_epochs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +208,7 @@ def owner_steps(monkeypatch):
     return ranks
 
 
-@pytest.mark.parametrize("managed", [False, True], ids=["plain", "managed"])
-def test_owner_step_checkpoints_hold_the_oracles_state(tmp_path, managed, owner_steps):
+def test_owner_step_checkpoints_hold_the_oracles_state(tmp_path, owner_steps):
     """A world-2 P1B1/Adam fit under the owner step checkpoints every
     epoch; each file's ``param::*`` and ``state::*`` arrays equal the
     serial oracle's model and optimizer after the same epoch. The
@@ -213,14 +223,10 @@ def test_owner_step_checkpoints_hold_the_oracles_state(tmp_path, managed, owner_
             model = _p1b1(7 + comm.rank)
             model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "mse")
             written = []
-            if managed:
-                save = hvd.ManagedCheckpointCallback(manager)
-            else:
-                path = tmp_path / "plain.npz"
-                save = CheckpointCallback(str(path), every_n_epochs=1)
+            save = hvd.ManagedCheckpointCallback(manager)
             keep = LambdaCallback(
                 on_epoch_end=lambda epoch, logs: written.append(
-                    checkpoint_arrays(manager.path_for(epoch) if managed else path)
+                    checkpoint_arrays(manager.path_for(epoch))
                 )
             )
             model.fit(

@@ -104,7 +104,7 @@ def test_hvd_load_sharded_records_timeline_events(mixed_csv):
     def rank_fn(comm):
         hvd.init(comm, tracer=tracer)
         try:
-            return hvd.load_sharded(mixed_csv)
+            return load_sharded(mixed_csv, LoaderConfig(method="sharded"), comm=comm)
         finally:
             hvd.shutdown()
 

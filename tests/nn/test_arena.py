@@ -254,7 +254,6 @@ def test_checkpoint_roundtrip_preserves_arena(tmp_path, rng):
 
 
 def test_managed_checkpoint_resume_with_arena(tmp_path, rng):
-    from repro.hvd.callbacks import ManagedCheckpointCallback
     from repro.resilience import CheckpointManager
 
     x, y = class_data(rng, n=24)
@@ -268,7 +267,7 @@ def test_managed_checkpoint_resume_with_arena(tmp_path, rng):
                 hvd.DistributedOptimizer(SGD(lr=0.05, momentum=0.9)),
                 "categorical_crossentropy",
             )
-            cb = ManagedCheckpointCallback(manager, every_n_epochs=1)
+            cb = hvd.ManagedCheckpointCallback(manager, every_n_epochs=1)
             model.fit(x, y, batch_size=8, epochs=2, shuffle=False, callbacks=[cb])
 
             resumed = nt3_shaped(seed=99)
@@ -276,7 +275,7 @@ def test_managed_checkpoint_resume_with_arena(tmp_path, rng):
                 hvd.DistributedOptimizer(SGD(lr=0.05, momentum=0.9)),
                 "categorical_crossentropy",
             )
-            meta = manager.restore_latest(resumed)
+            meta = manager.restore_distributed(resumed)
             assert meta is not None
             # same step from the same state: must stay bit-identical
             model.fit(x, y, batch_size=8, epochs=1, shuffle=False)

@@ -1,16 +1,6 @@
-"""Callbacks: lifecycle order, early stopping, LR scheduling."""
+"""Callbacks: lifecycle order and the History a fit returns."""
 
-import numpy as np
-import pytest
-
-from repro.nn import (
-    Activation,
-    Dense,
-    EarlyStopping,
-    LambdaCallback,
-    LearningRateScheduler,
-    Sequential,
-)
+from repro.nn import Activation, Dense, LambdaCallback, Sequential
 
 
 def _model(x):
@@ -37,57 +27,6 @@ def test_lifecycle_event_order(tiny_classification):
     assert events.count("epoch_begin:0") == 1
     assert events.count("batch_begin") == 4  # 2 batches x 2 epochs
     assert events.index("epoch_begin:0") < events.index("batch_begin")
-
-
-def test_early_stopping_stops_on_plateau(tiny_classification):
-    x, y = tiny_classification
-    m = _model(x)
-    # monitor something that never improves: a constant metric
-    es = EarlyStopping(monitor="constant", patience=1)
-    inject = LambdaCallback(on_epoch_end=lambda e, logs: logs.update(constant=1.0))
-    h = m.fit(x, y, epochs=20, callbacks=[inject, es])
-    assert len(h.history["loss"]) <= 4
-    assert es.stopped_epoch is not None
-
-
-def test_early_stopping_continues_while_improving(tiny_classification):
-    x, y = tiny_classification
-    m = _model(x)
-    es = EarlyStopping(monitor="loss", patience=2)
-    h = m.fit(x, y, epochs=8, callbacks=[es])
-    # converging loss should not stop in 8 epochs with patience 2
-    assert len(h.history["loss"]) >= 4
-
-
-def test_early_stopping_max_mode():
-    es = EarlyStopping(monitor="acc", mode="max")
-    assert es._improved(0.5)
-    es.best = 0.5
-    assert es._improved(0.6)
-    assert not es._improved(0.4)
-
-
-def test_early_stopping_invalid_mode():
-    with pytest.raises(ValueError):
-        EarlyStopping(mode="sideways")
-
-
-def test_lr_scheduler_sets_lr(tiny_classification):
-    x, y = tiny_classification
-    m = _model(x)
-    seen = []
-    sched = LearningRateScheduler(lambda epoch, lr: 0.1 / (epoch + 1))
-    spy = LambdaCallback(on_epoch_begin=lambda e, logs: seen.append(m.optimizer.lr))
-    m.fit(x, y, epochs=3, callbacks=[sched, spy])
-    assert seen == pytest.approx([0.1, 0.05, 0.1 / 3])
-
-
-def test_lr_scheduler_rejects_nonpositive(tiny_classification):
-    x, y = tiny_classification
-    m = _model(x)
-    sched = LearningRateScheduler(lambda epoch, lr: 0.0)
-    with pytest.raises(Exception):  # propagated through fit
-        m.fit(x, y, epochs=1, callbacks=[sched])
 
 
 def test_history_accumulates_epochs(tiny_classification):

@@ -30,7 +30,6 @@ from repro.nn import (
     Conv1D,
     Dense,
     Flatten,
-    GlobalMaxPooling1D,
     MaxPooling1D,
     Sequential,
     get_optimizer,
@@ -243,15 +242,6 @@ def test_maxpooling_pool2_surfaces_nan():
     layer = built(MaxPooling1D(2), (4, 1), np.float64)
     x = np.array([[[np.nan], [1.0], [2.0], [np.nan]]])
     assert np.isnan(layer.forward(x)).all()
-
-
-def test_global_maxpooling_surfaces_nan():
-    layer = built(GlobalMaxPooling1D(), (5, 2), np.float64)
-    x = np.random.default_rng(2).normal(size=(3, 5, 2))
-    x[1, 3, 0] = np.nan
-    got = layer.forward(x)
-    assert np.array_equal(got, np.max(x, axis=1), equal_nan=True)
-    assert np.isnan(got[1, 0]) and np.isnan(got).sum() == 1
 
 
 # ---------------------------------------------------------------------------

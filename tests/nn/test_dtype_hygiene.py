@@ -11,13 +11,10 @@ import pytest
 
 from repro.nn import (
     Activation,
-    AveragePooling1D,
-    BatchNormalization,
     Conv1D,
     Dense,
     Dropout,
     Flatten,
-    GlobalMaxPooling1D,
     LocallyConnected1D,
     MaxPooling1D,
     Sequential,
@@ -39,14 +36,11 @@ def _build(layers, input_shape):
 SEQ_STACKS = {
     "conv": ([Conv1D(4, 3, activation="relu")], (16, 1)),
     "maxpool": ([MaxPooling1D(2)], (16, 2)),
-    "avgpool": ([AveragePooling1D(2)], (16, 2)),
-    "globalmax": ([GlobalMaxPooling1D()], (16, 2)),
     "local": ([LocallyConnected1D(3, 3)], (16, 2)),
     "dense": ([Dense(8, activation="relu")], (12,)),
     "dense_sigmoid": ([Dense(8, activation="sigmoid")], (12,)),
     "dense_tanh": ([Dense(8, activation="tanh")], (12,)),
     "dropout": ([Dropout(0.4)], (12,)),
-    "batchnorm": ([BatchNormalization()], (12,)),
     "softmax": ([Activation("softmax")], (6,)),
     "flatten": ([Flatten()], (4, 3)),
 }

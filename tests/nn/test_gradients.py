@@ -56,10 +56,6 @@ def test_dense_tanh_mse(yreg):
     _check_params([Dense(5, activation="tanh"), Dense(1)], (7,), "mse", yreg)
 
 
-def test_dense_relu_mae(yreg):
-    _check_params([Dense(6, activation="sigmoid"), Dense(1)], (5,), "mae", yreg)
-
-
 def test_softmax_activation_layer_fused(y3):
     _check_params(
         [Dense(8, activation="tanh"), Dense(3), Activation("softmax")],
@@ -115,15 +111,6 @@ def test_locally_connected(yreg):
 def test_l2_regularizer_in_gradient(yreg):
     _check_params(
         [Dense(4, activation="tanh", kernel_regularizer=regularizers.l2(0.05)), Dense(1)],
-        (5,),
-        "mse",
-        yreg,
-    )
-
-
-def test_l1_regularizer_in_gradient(yreg):
-    _check_params(
-        [Dense(4, activation="sigmoid", kernel_regularizer=regularizers.l1(0.03)), Dense(1)],
         (5,),
         "mse",
         yreg,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import metrics
+from repro.nn import losses, metrics
 
 
 def test_categorical_accuracy_perfect_and_zero():
@@ -19,33 +19,12 @@ def test_categorical_accuracy_partial():
     assert metrics.categorical_accuracy(y, pred) == 0.5
 
 
-def test_binary_accuracy_threshold():
-    y = np.array([0.0, 1.0, 1.0, 0.0])
-    p = np.array([0.2, 0.9, 0.4, 0.6])
-    assert metrics.binary_accuracy(y, p) == 0.5
-
-
 def test_mae_mse():
     y = np.zeros(4)
     p = np.array([1.0, -1.0, 2.0, -2.0])
     assert metrics.mae(y, p) == pytest.approx(1.5)
-    assert metrics.mse(y, p) == pytest.approx(2.5)
-
-
-def test_r2_perfect_is_one(rng):
-    y = rng.normal(size=50)
-    assert metrics.r2_score(y, y) == pytest.approx(1.0)
-
-
-def test_r2_mean_model_is_zero(rng):
-    y = rng.normal(size=50)
-    assert metrics.r2_score(y, np.full_like(y, y.mean())) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_r2_constant_target_edge_case():
-    y = np.ones(5)
-    assert metrics.r2_score(y, y) == 1.0
-    assert metrics.r2_score(y, y + 1) == 0.0
+    # an MSE is the model's loss, not a metric of its own
+    assert losses.get("mse").value(y, p) == pytest.approx(2.5)
 
 
 def test_get_resolves_names_and_callables():

@@ -151,30 +151,33 @@ class TestPrefetchTimeline:
         assert prefetch_timeline_seconds(3.0, 10.0, 1, efficiency=1.0) == pytest.approx(13.0)
         assert prefetch_timeline_seconds(3.0, 10.0, 0) == 0.0
 
-    def test_hidden_fraction_bounded_by_first_epoch(self):
-        from repro.sim.iomodel import prefetch_hidden_fraction
+    @staticmethod
+    def _hidden_fraction(load_s, compute_s, epochs, **kw):
+        """Share of the ``epochs`` loads the timeline hides behind compute."""
+        from repro.sim.iomodel import prefetch_timeline_seconds
 
+        total = epochs * load_s
+        if total <= 0:
+            return 0.0
+        timeline = prefetch_timeline_seconds(load_s, compute_s, epochs, **kw)
+        return (total - (timeline - epochs * compute_s)) / total
+
+    def test_hidden_fraction_bounded_by_first_epoch(self):
         # even with the load fully hidden in steady state, epoch 0 caps
         # the fraction at (E-1)/E — the benchmark's >= 0.8 gate needs
         # at least six epochs
         for epochs in (2, 5, 6, 10):
-            frac = prefetch_hidden_fraction(1.0, 100.0, epochs, efficiency=1.0)
+            frac = self._hidden_fraction(1.0, 100.0, epochs, efficiency=1.0)
             assert frac == pytest.approx((epochs - 1) / epochs)
-        assert prefetch_hidden_fraction(1.0, 100.0, 6, efficiency=1.0) >= 0.8
-        assert prefetch_hidden_fraction(1.0, 100.0, 4, efficiency=1.0) < 0.8
+        assert self._hidden_fraction(1.0, 100.0, 6, efficiency=1.0) >= 0.8
+        assert self._hidden_fraction(1.0, 100.0, 4, efficiency=1.0) < 0.8
 
     def test_hidden_fraction_degenerate(self):
-        from repro.sim.iomodel import prefetch_hidden_fraction
-
-        assert prefetch_hidden_fraction(0.0, 1.0, 4) == 0.0
-        assert prefetch_hidden_fraction(1.0, 1.0, 0) == 0.0
+        assert self._hidden_fraction(0.0, 1.0, 4) == 0.0
+        assert self._hidden_fraction(1.0, 1.0, 0) == 0.0
 
     def test_validation(self):
-        from repro.sim.iomodel import (
-            exposed_load_seconds,
-            prefetch_hidden_fraction,
-            prefetch_timeline_seconds,
-        )
+        from repro.sim.iomodel import exposed_load_seconds, prefetch_timeline_seconds
 
         with pytest.raises(ValueError):
             exposed_load_seconds(-1.0, 1.0)
@@ -182,8 +185,6 @@ class TestPrefetchTimeline:
             exposed_load_seconds(1.0, 1.0, efficiency=0.0)
         with pytest.raises(ValueError):
             prefetch_timeline_seconds(1.0, 1.0, -1)
-        with pytest.raises(ValueError):
-            prefetch_hidden_fraction(1.0, 1.0, -2)
 
     def test_iomodel_prices_nt3_prefetched_epochs(self, io_summit):
         from repro.sim.iomodel import prefetch_timeline_seconds

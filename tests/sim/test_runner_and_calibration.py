@@ -10,7 +10,6 @@ from repro.sim import (
     ScaledRunSimulator,
     calibration_report,
     improvement_percent,
-    simulate_run,
 )
 
 
@@ -132,12 +131,6 @@ def test_improvement_percent():
     assert improvement_percent(100, 100) == 0.0
     with pytest.raises(ValueError):
         improvement_percent(0, 1)
-
-
-def test_simulate_run_wrapper():
-    plan = strong_scaling_plan(NT3_SPEC, 6)
-    r = simulate_run(NT3_SPEC, "summit", plan)
-    assert r.plan is plan
 
 
 class TestOverlap:

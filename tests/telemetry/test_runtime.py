@@ -2,23 +2,21 @@
 
 import pytest
 
-from repro.telemetry import Tracer, activate, active_tracer, deactivate, tracing
+from repro.telemetry import Tracer, active_tracer, tracing
 from repro.telemetry import runtime as telemetry_rt
 
 
 @pytest.fixture(autouse=True)
 def clean_runtime():
-    deactivate()
+    assert active_tracer() is None
     yield
-    deactivate()
+    assert active_tracer() is None
 
 
 def test_activate_deactivate():
-    assert active_tracer() is None
     tracer = Tracer()
-    activate(tracer)
-    assert active_tracer() is tracer
-    deactivate()
+    with tracing(tracer):
+        assert active_tracer() is tracer
     assert active_tracer() is None
 
 

@@ -152,7 +152,7 @@ def _census() -> list:
 
 
 #: the packages the census also lists module by module
-CENSUS_BY_MODULE = ("comms", "resilience", "serve")
+CENSUS_BY_MODULE = ("comms", "nn", "hvd", "resilience", "serve")
 
 
 def test_census_names_what_every_package_and_experiment_serves():
