@@ -24,21 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["get", "ACTIVATIONS", "relu", "sigmoid", "tanh", "softmax", "linear"]
-
-
-def linear(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Identity activation."""
-    if out is None or out is x:
-        return x
-    np.copyto(out, x)
-    return out
-
-
-def _linear_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(y) if out is None else out
-    out.fill(1.0)
-    return out
+__all__ = ["get", "ACTIVATIONS", "relu", "sigmoid", "tanh", "softmax"]
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -101,7 +87,6 @@ def _softmax_grad(x, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "linear": (linear, _linear_grad),
     "relu": (relu, _relu_grad),
     "sigmoid": (sigmoid, _sigmoid_grad),
     "tanh": (tanh, _tanh_grad),

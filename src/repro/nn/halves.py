@@ -1,13 +1,15 @@
-"""Two halves on two cores: the sample split of NT3's conv stack, and the
-one rule for where a GEMM's rows may be cut without changing a bit.
+"""Two cores, one task list: how NT3's conv stack shares a call between
+the calling thread and a helper, and the one rule for where a GEMM's
+rows may be cut without changing a bit.
 
 A training process runs one compute thread and pins BLAS to one thread,
-so on a two-core node one core idles through the step. Everything a
-``Conv1D`` or ``MaxPooling1D`` call does is independent per sample except
-a layer's dW GEMM, which reduces over the batch. So :func:`halves` runs
-the first samples of a batch on the calling thread and the rest on one
-process-wide helper thread, and :func:`beside` runs a dW GEMM, whole, on
-the helper while the caller computes ``dx``.
+so on a two-core node one core idles through the step. A ``Conv1D`` or
+``MaxPooling1D`` pass is a list of independent tasks (Shi, Wang & Chu
+model a step the same way): the row tiles of a forward or dx GEMM, the
+sample ranges of an elementwise or gather pass, a dW GEMM and a bias
+sum. :func:`share` runs such a list on two threads, each claiming the
+next task until none is left, so the one that finishes its task first
+takes the next, and neither waits on a fixed half of the other's.
 
 Bits. Splitting elementwise work, copies and gathers changes nothing.
 Splitting a GEMM's rows changes nothing *only* where OpenBLAS runs each
@@ -27,34 +29,37 @@ numpy 2.4 / OpenBLAS 0.3.31 (Haswell kernels), f32 and f64:
   matrix product.
 
 If numpy reports another BLAS, or (before 1.26) cannot say which, no
-GEMM is cut.
+GEMM is cut. A task list does not depend on whether it is shared, so a
+call's bytes are the same on one thread or two.
 
-When it runs. Only on the process's main thread: SPMD rank threads and
-serving replicas already own a core each. Only when the process may use
-two cores (``os.sched_getaffinity``), when the call touches at least
-:data:`MIN_WORK` scalars (below that the handoff costs more than it
-saves), and never from inside a split (the helper itself, or the
-caller's half). Otherwise the same code runs once over ``(0, n)``.
+When it is shared. Only on the process's main thread: SPMD rank threads
+and serving replicas already own a core each. Only when the process may
+use two cores (``os.sched_getaffinity``), when the list has two tasks or
+more, when the call touches at least :data:`MIN_WORK` scalars (below
+that the handoff costs more than it saves), and never from inside a
+shared call (the helper itself, or a task on the caller). Otherwise the
+same tasks run here, in order.
 
 The helper is one :class:`~repro.worker.Worker`, started by the first
-split, so it keeps the Worker's contract: the caller waits for the
-helper's half even when its own half raises, then re-raises the
-helper's error, so no buffer is written after the layer returns; a
-forked child starts its own thread. Every buffer the halves write is
-obtained by the caller before they start.
+shared call, so it keeps the Worker's contract: the caller waits for the
+helper even when a task of its own raises, then re-raises the helper's
+error, so no buffer is written after the layer returns; a forked child
+starts its own thread. A task that raises stops its thread from
+claiming more. Every buffer a task writes is obtained by the caller
+before the list starts; :func:`lanes` says how many threads' worth.
 """
 
 from __future__ import annotations
 
-import math
 import threading
+from collections import deque
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.worker import Worker, usable_cores
 
-__all__ = ["gemm_edges", "halves", "split_at", "run_split", "beside", "MIN_WORK"]
+__all__ = ["gemm_edges", "lanes", "samples", "share", "MIN_WORK"]
 
 #: a GEMM's rows are cut only at multiples of this
 GEMM_ROWS = 16
@@ -64,8 +69,12 @@ SMALL_GEMM = 100**3
 #: threads it from M·K = 460,800 and sgemv changes blocking past 2¹⁴ rows
 GEMV_THREADED = 460_800
 GEMV_ROWS = 1 << 14
-#: scalars a call must touch before it is split (tests patch it to 0)
+#: scalars a call must touch before it is shared (tests patch it to 0)
 MIN_WORK = 1 << 17
+
+#: a task of a list: called with its lane, 0 on the calling thread and 1
+#: on the helper (what it indexes per-thread buffers by)
+Task = Callable[[int], None]
 
 
 def _reports_openblas() -> bool:
@@ -110,28 +119,23 @@ def gemm_edges(edges: Sequence[int], n: int, k: int) -> list[int]:
 
 class _Helper(Worker):
     """The second core: a :class:`~repro.worker.Worker` that knows
-    whether a split is running."""
+    whether a shared call is running."""
 
-    #: a split is running: calls made inside it run in one pass
+    #: a shared call is running: calls made inside it run here
     busy = False
 
-    def run(self, mine: Callable[[], None], theirs: Callable[[], None]) -> None:
-        self.busy = True
-        try:
-            self.beside(mine, theirs)
-        finally:
-            self.busy = False
 
-
-#: started by the first split; only the main thread touches it
+#: started by the first shared call; only the main thread touches it
 _helper: Optional[_Helper] = None
 
 
-def _split_helper(work: int) -> Optional[_Helper]:
-    """The helper, if a call touching ``work`` scalars is split here."""
+def _shared_helper(count: int, work: int) -> Optional[_Helper]:
+    """The helper, if a list of ``count`` tasks touching ``work`` scalars
+    is shared here."""
     global _helper
     if (
-        work < MIN_WORK
+        count < 2
+        or work < MIN_WORK
         or _CORES < 2
         or threading.current_thread() is not threading.main_thread()
     ):
@@ -141,57 +145,46 @@ def _split_helper(work: int) -> Optional[_Helper]:
     return None if _helper.busy else _helper
 
 
-def beside(mine: Callable[[], None], theirs: Callable[[], None], work: int) -> None:
-    """``theirs()`` on the helper while ``mine()`` runs here — or both
-    here, in turn, when the call is not split."""
-    helper = _split_helper(work)
-    if helper is None:
-        mine()
-        theirs()
-    else:
-        helper.run(mine, theirs)
+def lanes(count: int, work: int) -> int:
+    """Threads a :func:`share` of ``count`` tasks touching ``work``
+    scalars runs on, here and now: 2, or 1 when it runs in one pass (so
+    a caller obtains one per-thread buffer per lane before it starts)."""
+    return 1 if _shared_helper(count, work) is None else 2
 
 
-def split_at(n: int, work: int, gemm: Optional[tuple] = None) -> Optional[int]:
-    """The sample at which :func:`halves` splits ``[0, n)``, or ``None``
-    when the call runs in one pass (it then starts the helper if need be).
+def share(tasks: Sequence[Task], work: int) -> None:
+    """Run every task once: this thread (lane 0) and the helper (lane 1)
+    each claim the next task of ``tasks`` until none is left — or this
+    thread runs them all, in order, when the call is not shared.
 
-    ``gemm = (rows per sample, N, K)`` names a GEMM whose rows the parts
-    cut with the samples; the split is then the sample nearest ``n / 2``
-    at which :func:`gemm_edges` allows the cut, and with none there is no
-    split. A caller that sizes per-half buffers asks first and hands the
-    answer to :func:`run_split`.
+    Returns once the helper has stopped. A task that raises stops its
+    own thread from claiming more; the caller's error is raised, or the
+    helper's, chained to the caller's own when both raised.
     """
-    helper = _split_helper(work) if n >= 2 else None
+    helper = _shared_helper(len(tasks), work)
     if helper is None:
-        return None
-    if gemm is None:
-        return n // 2
-    per_sample, cols, depth = gemm
-    step = GEMM_ROWS // math.gcd(per_sample, GEMM_ROWS)
-    low = n // 2 // step * step
-    rows = n * per_sample
-    return next(
-        (h for h in sorted((low, low + step), key=lambda h: abs(2 * h - n))
-         if 0 < h < n and len(gemm_edges([0, h * per_sample, rows], cols, depth)) == 3),
-        None,
-    )
+        for task in tasks:
+            task(0)
+        return
+    pending = deque(tasks)  # popleft is thread-safe: one claim per task
+
+    def drain(lane: int) -> None:
+        while True:
+            try:
+                task = pending.popleft()
+            except IndexError:  # none left
+                return
+            task(lane)
+
+    helper.busy = True
+    try:
+        helper.beside(lambda: drain(0), lambda: drain(1))
+    finally:
+        helper.busy = False
 
 
-def run_split(part: Callable[[int, int], None], n: int, at: Optional[int]) -> None:
-    """``part(0, at)`` here and ``part(at, n)`` on the helper, or
-    ``part(0, n)`` once when ``at`` is ``None`` (``at`` from
-    :func:`split_at`)."""
-    if at is None:
-        part(0, n)
-    else:
-        _helper.run(lambda: part(0, at), lambda: part(at, n))
-
-
-def halves(
-    part: Callable[[int, int], None], n: int, work: int, gemm: Optional[tuple] = None
-) -> None:
-    """``part(lo, hi)`` over samples ``[0, n)``: ``part(0, h)`` here and
-    ``part(h, n)`` on the helper, or ``part(0, n)`` once (``h`` and the
-    arguments as in :func:`split_at`)."""
-    run_split(part, n, split_at(n, work, gemm))
+def samples(part: Callable[[int, int], None], n: int) -> list[Task]:
+    """Tasks running ``part(lo, hi)`` over two halves of samples
+    ``[0, n)`` (one task when ``n < 2``)."""
+    edges = sorted({0, n // 2, n})
+    return [lambda lane, lo=lo, hi=hi: part(lo, hi) for lo, hi in zip(edges, edges[1:])]

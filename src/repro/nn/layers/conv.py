@@ -32,13 +32,14 @@ which BLAS does not sum in the same order), so the largest window
 buffer in the process is one batch's dW gather, and inference holds
 none but the blocks.
 
-Two cores (:mod:`repro.nn.halves`): ``Conv1D`` and ``MaxPooling1D``
-run the first samples of a batch on the calling thread and the rest on
-the helper — gathers, the forward GEMM's tiles (the halves cut where
-:func:`~repro.nn.halves.gemm_edges` allows, each through its own block),
-bias, activation and its derivative, pooling both ways — and a dW GEMM
-runs whole on the helper beside the dx GEMM (or, without dx, the bias
-sum).
+Two cores (:mod:`repro.nn.halves`): every ``Conv1D`` and
+``MaxPooling1D`` pass is a list of tasks that the calling thread and
+the helper claim one at a time — the forward GEMM's row tiles (each
+through the claiming thread's block, bias and activation applied in
+place), the backward's dW GEMM and bias sum followed by dx's row tiles,
+and the sample ranges of the gathers, the activation derivative and
+pooling both ways. The tiles are cut over the whole GEMM, shared or
+not, so a shared call computes the very tiles a one-pass call does.
 
 Outputs, padded inputs and gradients live in per-layer
 :meth:`Layer.scratch` buffers and are written with ``out=``, so a
@@ -51,6 +52,7 @@ Layout is Keras channels-last: ``(batch, steps, channels)``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -58,7 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import activations as _act
 from repro.nn.initializers import glorot_uniform
-from repro.nn.halves import GEMM_ROWS, beside, gemm_edges, halves, run_split, split_at
+from repro.nn.halves import GEMM_ROWS, gemm_edges, lanes, samples, share
 from repro.nn.layers.base import Layer
 
 __all__ = [
@@ -76,9 +78,19 @@ __all__ = [
 #: at 1 MiB.
 WINDOW_BLOCK_BYTES = 1 << 20
 
-#: the workspace slot of each thread's block: the calling thread's (which
-#: dx uses too), then the helper's
+#: rows of the bias block a ``Conv1D`` forward adds to its output: an add
+#: broadcasting one bias row runs an inner loop as long as the row (16
+#: for NT3), one over a block of rows a contiguous one. On a 5,968-row
+#: tile of 16 filters: 0.06 ms broadcast, 0.03 ms by 1,024-row blocks
+#: (2-vCPU x86 VM).
+BIAS_ROWS = 1024
+
+#: the workspace slot of each lane's block: the calling thread's, then
+#: the helper's
 _BLOCKS = ("block", "block_helper")
+#: the slot ``MaxPooling1D.backward`` builds its scatter index in: the dW
+#: gather's, which no layer holds between two ``Conv1D.backward`` calls
+_SCATTER = "cols"
 
 
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
@@ -115,16 +127,25 @@ def _gather_rows(win: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
 
 def _row_tiles(rows: int, n: int, depth: int, itemsize: int) -> list[int]:
     """Row edges of an ``(rows, depth) @ (depth, n)`` GEMM streamed
-    through a :data:`WINDOW_BLOCK_BYTES` block: tiles of a multiple of 16
-    rows (16 at least) that fit it, as even as that allows — so the rule
-    has no short last tile to fold into the one before — less the cuts
+    through a :data:`WINDOW_BLOCK_BYTES` block: an even count of tiles
+    (two threads claim them) of a multiple of 16 rows (16 at least) that
+    fit it, as even as that allows — so the rule has no short last tile
+    to fold into the one before — less the cuts
     :func:`~repro.nn.halves.gemm_edges` forbids."""
     most = max(GEMM_ROWS, WINDOW_BLOCK_BYTES // (depth * itemsize) // GEMM_ROWS * GEMM_ROWS)
-    if rows <= most:
-        return [0, rows]
     count = -(-rows // most)
+    count += count % 2
     tile = -(-rows // (count * GEMM_ROWS)) * GEMM_ROWS  # rows / count, up to 16s
     return gemm_edges([*range(0, rows, tile), rows], n, depth)
+
+
+def _add_rows(out: np.ndarray, rows: np.ndarray) -> None:
+    """``out += rows`` repeated down ``out``'s rows: whole blocks of
+    ``len(rows)`` rows as one contiguous add, then the rows left over."""
+    whole = len(out) // len(rows) * len(rows)
+    blocks = out[:whole].reshape(-1, rows.size)
+    blocks += rows.reshape(-1)
+    out[whole:] += rows[: len(out) - whole]
 
 
 def _block(layer: Layer, slot: str, edges: list[int], depth: int, dtype) -> np.ndarray:
@@ -244,32 +265,31 @@ class Conv1D(Layer):
         pad = slice(self._pad_l, self._pad_l + steps)
         kernel2d = kernel.reshape(-1, co)
         depth = k * c
-        # Each thread of the split streams its samples' window rows
-        # through a block of its own. A half is a GEMM the rule lets stand
-        # alone (split_at cut it so), and its tiles are cut as dx's are.
-        at = split_at(n, n * out_steps * depth, gemm=(out_steps, co, depth))
-        spans = [(0, n)] if at is None else [(0, at), (at, n)]
-        streams = {}  # first sample of a span -> (its row edges, its block)
-        for (lo, hi), slot in zip(spans, _BLOCKS):
-            edges = _row_tiles((hi - lo) * out_steps, co, depth, xp.itemsize)
-            block = _block(self, slot, edges, depth, xp.dtype)
-            streams[lo] = [lo * out_steps + e for e in edges], block
+        if xp is not x:
+            share(samples(lambda lo, hi: np.copyto(xp[lo:hi, pad], x[lo:hi]), n), x.size)
+        # One tiling of the whole GEMM, shared or not: each thread streams
+        # the window rows of the tiles it claims through a block of its own.
+        edges = _row_tiles(len(y2d), co, depth, xp.itemsize)
+        work = n * out_steps * depth
+        blocks = [_block(self, slot, edges, depth, xp.dtype)
+                  for slot in _BLOCKS[: lanes(len(edges) - 1, work)]]
+        if bias is not None:
+            bias_rows = self.scratch(
+                "bias_rows", (min(BIAS_ROWS, len(blocks[0])) or 1, co), bias.dtype, zero=False
+            )
+            np.copyto(bias_rows, bias)
 
-        def part(lo, hi):
-            if xp is not x:
-                xp[lo:hi, pad] = x[lo:hi]
-            edges, block = streams[lo]
-            for r0, r1 in zip(edges, edges[1:]):
-                rows, out = block[: r1 - r0], y2d[r0:r1]
-                _gather_rows(win, r0, r1, rows)
-                # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
-                np.dot(rows, kernel2d, out=out)
-                if bias is not None:
-                    out += bias
-                if self._act_fn is not None:
-                    self._act_fn(out, out=out)
+        def tile(r0, r1, lane):
+            rows, out = blocks[lane][: r1 - r0], y2d[r0:r1]
+            _gather_rows(win, r0, r1, rows)
+            # y[(n, l), co] = sum_{k, ci} xp[n, l + k, ci] * kernel[k, ci, co]
+            np.dot(rows, kernel2d, out=out)
+            if bias is not None:
+                _add_rows(out, bias_rows)
+            if self._act_fn is not None:
+                self._act_fn(out, out=out)
 
-        run_split(part, n, at)
+        share([partial(tile, r0, r1) for r0, r1 in zip(edges, edges[1:])], work)
         # cached: the (padded) input by reference, not its window matrix
         self._cache = (xp, y)
         return y
@@ -280,7 +300,7 @@ class Conv1D(Layer):
         n, steps, co = dy.shape
         kernel = self.params["kernel"]
         ci = kernel.shape[1]
-        # dy through the activation's derivative, filled in halves below
+        # dy through the activation's derivative, filled below
         dz = dy if self._act_grad is None else self._dz_buffer(dy, y)
         # dW[ci, k, co] = sum_{n, l} xp[n, l + k, ci] * dz[n, l, co]
         # (its own buffer only when set_grad copies out of it)
@@ -305,18 +325,19 @@ class Conv1D(Layer):
                 dyp[lo:hi, k - 1 : k - 1 + steps] = dz[lo:hi]
 
         passes = (dz is not dy) + (dyp is not None)
-        halves(prepare, n, passes * dz.size + (gather is not None) * cols_t.size)
+        share(samples(prepare, n), passes * dz.size + (gather is not None) * cols_t.size)
 
-        def weights():
+        def weights(lane):
             grad = np.dot(cols_t, dz.reshape(n * steps, co), out=dw)
             self.set_grad("kernel", grad.reshape(-1, k, co).transpose(1, 0, 2))
 
-        def bias_grad():
-            if self.use_bias:
-                self.set_grad("bias", dz.sum(axis=(0, 1)))
+        def bias_grad(lane):
+            self.set_grad("bias", dz.sum(axis=(0, 1)))
 
+        # the indivisible tasks first: the dW GEMM and the bias sum
+        tasks = [weights, bias_grad] if self.use_bias else [weights]
         if not input_grad:
-            beside(bias_grad, weights, cols_t.size)
+            share(tasks, cols_t.size)
             return None
         dxp = self.scratch(
             "dxp", (n, steps + k - 1, ci), np.result_type(dz, kernel), zero=False
@@ -327,29 +348,27 @@ class Conv1D(Layer):
             # the oracle's tap-reversed kernel is numpy's in-place reshape
             # of it, kernel[0].T: a transposed operand, which BLAS sums in
             # its own order, and in row pieces not as it sums the whole.
-            def dx_gemm():
-                np.dot(dz.reshape(-1, co), kernel[0].T, out=out)
+            tasks.append(lambda lane: np.dot(dz.reshape(-1, co), kernel[0].T, out=out))
         else:
             # taps reversed, (k, co) flattened to match _windows' columns
             w_flip = self.scratch("w_flip", (k * co, ci), kernel.dtype, zero=False)
             np.copyto(w_flip.reshape(k, co, ci), kernel[::-1].transpose(0, 2, 1))
             win = _windows(dyp, k)
-            # row tiles of the dx GEMM, gathered through the calling
-            # thread's block while the dW GEMM holds the cols block
+            # dx's row tiles, each gathered through the block of the
+            # thread that claims it (the dW GEMM reads the cols block)
             depth = k * co
             edges = _row_tiles(len(out), ci, depth, win.itemsize)
-            block = _block(self, _BLOCKS[0], edges, depth, win.dtype)
+            count = len(tasks) + len(edges) - 1
+            blocks = [_block(self, slot, edges, depth, win.dtype)
+                      for slot in _BLOCKS[: lanes(count, cols_t.size)]]
 
-            def dx_gemm():
-                for lo, hi in zip(edges, edges[1:]):
-                    _gather_rows(win, lo, hi, block[: hi - lo])
-                    np.dot(block[: hi - lo], w_flip, out=out[lo:hi])
+            def dx_tile(lo, hi, lane):
+                rows = blocks[lane][: hi - lo]
+                _gather_rows(win, lo, hi, rows)
+                np.dot(rows, w_flip, out=out[lo:hi])
 
-        def inputs():
-            bias_grad()
-            dx_gemm()
-
-        beside(inputs, weights, cols_t.size)
+            tasks += [partial(dx_tile, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        share(tasks, cols_t.size)
         return dxp[:, self._pad_l : dxp.shape[1] - self._pad_r, :]
 
 
@@ -421,7 +440,7 @@ class MaxPooling1D(Layer):
                               where=np.greater(win[:, :, tap, :], top, out=beats[lo:hi]))
                 np.maximum(top, win[:, :, tap, :], out=top)
 
-        halves(part, n, x.size)
+        share(samples(part, n), x.size)
         return out, idx
 
     def backward(self, dy):
@@ -431,17 +450,25 @@ class MaxPooling1D(Layer):
         p = self.pool_size
         n, out_steps, c = dy.shape
         dx = self.scratch("dx", in_shape, dy.dtype, zero=False)
-        # the windows' view of dx: each gets its winning tap's gradient
-        pooled = dx[:, : out_steps * p, :].reshape(n, out_steps, p, c)
+        # each window's gradient goes to its winner's offset in the flat dx:
+        # tap·C plus the window's base (sample·steps·C + window·p·C +
+        # channel). One index array into a 1-D view is a scatter numpy runs
+        # without holding the GIL; the 4-index ogrid scatter held it.
+        window = np.add.outer(np.arange(out_steps) * (p * c), np.arange(c))
+        sample = (np.arange(n) * (in_shape[1] * c))[:, None, None]
+        at = self.workspace(_SCATTER, (n, out_steps, c), np.intp)
+        flat = dx.reshape(-1)
 
         def part(lo, hi):
             # zero the rest (winners move per batch, and the dropped tail
             # takes no gradient)
             dx[lo:hi].fill(0)
-            ni, li, ci = np.ogrid[: hi - lo, :out_steps, :c]
-            pooled[lo:hi][ni, li, idx[lo:hi], ci] = dy[lo:hi]
+            offsets = np.multiply(idx[lo:hi], c, out=at[lo:hi])
+            offsets += window
+            offsets += sample[lo:hi]
+            flat[offsets] = dy[lo:hi]
 
-        halves(part, n, dx.size)
+        share(samples(part, n), dx.size)
         return dx
 
 

@@ -31,18 +31,9 @@ _METRICS = {
 }
 
 
-def get(name):
-    """Resolve a metric function from a Keras-style name (or callable)."""
-    if callable(name):
-        return name
+def get(name: str):
+    """Resolve a metric function from a Keras-style name."""
     try:
         return _METRICS[name]
     except KeyError:
         raise ValueError(f"unknown metric {name!r}; known: {sorted(_METRICS)}") from None
-
-
-def metric_name(m) -> str:
-    """Human-readable name for a metric passed to ``compile``."""
-    if isinstance(m, str):
-        return m
-    return getattr(m, "__name__", str(m))

@@ -153,12 +153,12 @@ class Sequential:
         """The parameter arena, or ``None`` for a model with no parameters."""
         return self._arena
 
-    def compile(self, optimizer="sgd", loss="mse", metrics: Sequence = (), lr: float | None = None) -> None:
+    def compile(self, optimizer="sgd", loss="mse", metrics: Sequence[str] = (), lr: float | None = None) -> None:
         """Attach optimizer, loss, and metrics (Keras signature subset)."""
         self.optimizer = _optimizers.get(optimizer, lr=lr)
         self.loss = _losses.get(loss)
         self.metrics = [_metrics.get(m) for m in metrics]
-        self.metric_names = [_metrics.metric_name(m) for m in metrics]
+        self.metric_names = list(metrics)
 
     # -- parameter access ----------------------------------------------------
     def named_parameters(self) -> dict[str, np.ndarray]:

@@ -82,14 +82,12 @@ def _old_softmax(x):
 
 OLD_ACT = {
     None: lambda x: x,
-    "linear": lambda x: x,
     "relu": lambda x: np.maximum(x, 0.0),
     "sigmoid": _old_sigmoid,
     "tanh": np.tanh,
     "softmax": _old_softmax,
 }
 OLD_ACT_GRAD = {
-    "linear": lambda z, y: np.ones_like(z),
     "relu": lambda z, y: (z > 0.0).astype(z.dtype),
     "sigmoid": lambda z, y: y * (1.0 - y),
     "tanh": lambda z, y: 1.0 - y * y,

@@ -1,11 +1,11 @@
 """``Conv1D`` / ``MaxPooling1D`` on two cores against the one-pass oracle.
 
-``repro.nn.halves`` runs the first samples of a batch on the calling
-thread and the rest on a helper thread, cuts a forward or dx GEMM's rows
-only where ``gemm_edges`` allows, and runs a dW GEMM whole beside the dx
-GEMM, and streams a forward or dx window matrix through a block in row
-tiles cut by the same rule (each Conv1D case runs at today's block and
-at 16-row tiles). None of it may show in a byte. The oracle is
+``repro.nn.halves.share`` runs each pass as a task list that the calling
+thread and a helper thread claim from: a forward or dx GEMM's row tiles,
+cut only where ``gemm_edges`` allows and each streamed through the
+claiming thread's block (each Conv1D case runs at today's block and at
+16-row tiles), a dW GEMM whole, and the sample ranges of the gathers and
+elementwise passes. None of it may show in a byte. The oracle is
 ``test_conv_reference``'s tensordot / argmax formulation, kept as plain
 functions (for pooling, through the one-pass layer, which owns the NaN
 and signed-zero ties argmax does not decide); the split is forced by
@@ -92,7 +92,7 @@ def forced_split():
     """Split every call made on the main thread; yields the submit spy."""
     saved = halves.MIN_WORK, halves._CORES
     halves.MIN_WORK, halves._CORES = 0, 2
-    halves.halves(lambda lo, hi: None, 2, 0)  # the helper is running
+    halves.share([lambda lane: None] * 2, 0)  # the helper is running
     spy = SubmitSpy(halves._helper.submit)
     halves._helper.submit = spy
     try:
@@ -227,7 +227,7 @@ def test_conv1d_split_is_the_tensordot_formulation(case):
                 assert same_bytes(layer.forward(x, training=False), y_want)
                 assert same_bytes(layer.forward(x, training=True), y_want)
                 dx = layer.backward(dy)
-                assert spy.puts >= 2  # the backward's halves, and dW beside dx
+                assert spy.puts >= 2  # the backward's two lists
             assert same_bytes(layer.grads["kernel"], dw_want)
             assert same_bytes(layer.grads["bias"], db_want)
             assert same_bytes(dx, dx_want)
@@ -386,42 +386,50 @@ def test_one_usable_core_runs_in_one_pass(monkeypatch):
 
 
 def test_an_error_in_the_helpers_half_reaches_the_caller():
+    """A task that raises on the helper: the caller raises its error, and
+    the helper runs the next list."""
+    helper_ran = threading.Event()
+
+    def task(lane):
+        if lane == 1:
+            helper_ran.set()
+            raise KeyError("helper task")
+        assert helper_ran.wait(timeout=60)  # hold the caller until the helper claims
+
     seen = []
-
-    def part(lo, hi):
-        if lo > 0:
-            raise KeyError("helper half")
-        seen.append((lo, hi))
-
     with forced_split():
-        with pytest.raises(KeyError, match="helper half"):
-            halves.halves(part, 10, 0)
-        assert seen == [(0, 5)]
+        with pytest.raises(KeyError, match="helper task"):
+            halves.share([task, task], 0)
         # the helper survives it
-        halves.halves(lambda lo, hi: seen.append((lo, hi)), 10, 0)
-    assert sorted(seen[1:]) == [(0, 5), (5, 10)]
+        halves.share([lambda lane, i=i: seen.append((i, lane)) for i in range(10)], 0)
+    assert sorted(i for i, _ in seen) == list(range(10))
 
 
 def test_the_caller_waits_for_the_helper_even_when_its_own_half_raises():
-    go, finished = threading.Event(), threading.Event()
+    started, go, finished = threading.Event(), threading.Event(), threading.Event()
 
-    def part(lo, hi):
-        if lo == 0:
+    def task(lane):
+        if lane == 0:
+            assert started.wait(timeout=60)  # the helper holds the other task
             go.set()
-            raise ValueError("caller half")
+            raise ValueError("caller task")
+        started.set()
         if go.wait(timeout=60):
             finished.set()
 
     with forced_split():
-        with pytest.raises(ValueError, match="caller half"):
-            halves.halves(part, 4, 0)
+        with pytest.raises(ValueError, match="caller task"):
+            halves.share([task, task], 0)
         assert finished.is_set()
 
-        def both_raise(lo, hi):
-            raise (ValueError if lo == 0 else KeyError)(lo)
+        barrier = threading.Barrier(2, timeout=60)
+
+        def both_raise(lane):
+            barrier.wait()  # one task on each thread
+            raise (ValueError if lane == 0 else KeyError)(lane)
 
         with pytest.raises(KeyError) as info:
-            halves.halves(both_raise, 4, 0)
+            halves.share([both_raise, both_raise], 0)
         assert isinstance(info.value.__context__, ValueError)
 
 
