@@ -8,9 +8,6 @@ supervisor loop retries with backoff, resuming every rank from the
 newest valid checkpoint. The recovered run's final test loss is
 bit-identical to an uninterrupted run of the same total epochs (the
 checkpoint restores every rank's RNG streams, shuffle order included).
-A second scenario makes the crash *permanent*: the supervisor shrinks
-the world to the survivors and re-derives the epoch partition and
-learning rate from the paper's scaling rules.
 
 Run:  python examples/checkpoint_restart.py
 """
@@ -32,7 +29,7 @@ def main() -> None:
         bench.spec, nworkers=WORKERS, total_epochs=TOTAL_EPOCHS, batch_size=20
     )
 
-    print(f"scenario 1: transient crash at epoch {CRASH_EPOCH}, "
+    print(f"transient crash at epoch {CRASH_EPOCH}, "
           f"checkpoints every 2 epochs")
     result = run_resilient_benchmark(
         bench,
@@ -55,22 +52,6 @@ def main() -> None:
     )
     print(f"  clean loss {clean.final_loss:.6f} -> bit-exact recovery: "
           f"{clean.final_loss == result.final_loss}")
-
-    print("scenario 2: rank 1 dies permanently -> elastic shrink")
-    shrunk = run_resilient_benchmark(
-        bench,
-        plan,
-        tempfile.mkdtemp(),
-        seed=0,
-        every_n_epochs=2,
-        fault_plan=FaultPlan.single_crash(rank=1, epoch=1, permanent=True),
-        retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
-    )
-    fp = shrunk.final_plan
-    print(f"  dead ranks {shrunk.dead_ranks}; world {shrunk.initial_plan.nworkers} "
-          f"-> {shrunk.final_world}, replanned to {fp.epochs_per_worker} "
-          f"epochs/worker at lr {fp.learning_rate}")
-    print(f"  completed with final loss {shrunk.final_loss:.6f}")
 
 
 if __name__ == "__main__":

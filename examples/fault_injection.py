@@ -10,7 +10,7 @@ machinery:
    ``on_rank_start`` hooks, and when several ranks die the raised
    :class:`~repro.mpi.runtime.SpmdError` aggregates *all* failures
    (not just the first), which is what a post-mortem needs.
-3. **Training-time faults** — a straggler and a transient collective
+3. **Training-time faults** — a stall and a transient collective
    failure injected into a real 2-rank P1B2 training run through
    :class:`repro.hvd.FaultInjectionCallback`, recovered by the
    resilient runner.
@@ -64,13 +64,13 @@ def demo_spmd_aggregation() -> None:
 
 
 def demo_training_faults() -> None:
-    print("3. training-time faults: straggler + transient collective failure")
+    print("3. training-time faults: stall + transient collective failure")
     bench = get_benchmark("p1b2", scale=0.05, sample_scale=0.2)
     # 8 total epochs over 2 workers -> each runs global epochs 0..3
     plan = strong_scaling_plan(bench.spec, nworkers=2, total_epochs=8)
     faults = FaultPlan(
         specs=(
-            FaultSpec("straggler", rank=1, epoch=1, delay_s=0.05),
+            FaultSpec("stall", rank=1, epoch=1, delay_s=0.05),
             FaultSpec("collective", rank=0, epoch=2),
         )
     )

@@ -16,10 +16,11 @@ Run:  python examples/find_the_bottleneck.py
 
 import numpy as np
 
-from repro.analysis import bar_chart, profile_callable
+from repro.analysis import profile_callable
 from repro.candle import get_benchmark
 from repro.ingest import DataSource, LoaderConfig
 from repro.telemetry import Tracer, format_summary, summary_rows
+from repro.telemetry.report import format_table
 
 
 def main() -> None:
@@ -60,11 +61,12 @@ def main() -> None:
         # ---- step 3: apply the paper's fix and compare --------------------
         t_orig = source.load(LoaderConfig(method="original")).seconds
         t_opt = source.load(LoaderConfig(method="chunked")).seconds
-        print(bar_chart(
-            ["original (low_memory=True)", "optimized (chunked)"],
-            [t_orig, t_opt],
+        print(format_table(
+            [
+                {"loader": "original (low_memory=True)", "seconds": round(t_orig, 3)},
+                {"loader": "optimized (chunked)", "seconds": round(t_opt, 3)},
+            ],
             title="data-loading seconds, before vs after the fix",
-            unit="s",
         ))
         print(f"\nspeedup: {t_orig / t_opt:.1f}x "
               "(paper: ~5.7x for the NT3 training file)")

@@ -33,9 +33,9 @@ al., ICPP 2019) depends on:
   optimized data-loading method.
 - :mod:`repro.sim` — a discrete-event simulator that reruns the paper's
   scaling experiments at 1-3,072 workers on the machine models.
-- :mod:`repro.resilience` — the paper's §7 future work, built out:
-  seeded fault injection, checksummed checkpoint/restart, and elastic
-  recovery with retries and world-shrinking.
+- :mod:`repro.resilience` — the paper's §7 future work, checkpoint/restart:
+  seeded fault injection, checksummed checkpoints, and retries that
+  resume bit-exactly.
 - :mod:`repro.serve` — open-loop inference serving over the SPMD
   runtime: deadline-aware dynamic batching, replicated workers fed over
   the :mod:`repro.ps` RPC plane, and SLO (p50/p99/throughput) tracking,

@@ -1,4 +1,4 @@
-"""repro.analysis — profiling, energy accounting, timeline analysis, plots.
+"""repro.analysis — profiling, energy accounting, timeline analysis.
 
 The measurement toolkit the paper's evaluation uses:
 
@@ -12,7 +12,6 @@ The measurement toolkit the paper's evaluation uses:
 
 from repro.analysis.energy import EnergyComparison, compare_runs
 from repro.analysis.profiling import profile_callable
-from repro.analysis.plotting import bar_chart, line_chart, power_strip
 from repro.analysis.timeline_analysis import (
     broadcast_overhead_seconds,
     communication_summary,
@@ -24,7 +23,4 @@ __all__ = [
     "communication_summary",
     "EnergyComparison",
     "compare_runs",
-    "line_chart",
-    "bar_chart",
-    "power_strip",
 ]

@@ -1,8 +1,10 @@
-"""repro.experiments — one module per paper table/figure.
+"""repro.experiments — the paper's tables and figures, regenerated.
 
 Every experiment is a function ``run(fast=True, ...) -> ExperimentResult``
-that regenerates the rows/series its table or figure reports, and
-declares its own further keywords (``nworkers=``, ``method=``,
+that regenerates the rows/series its table or figure reports, one module
+each, but for the nine original-vs-optimized figures (11, 13-18, 20,
+21): those are rows of one table in :mod:`repro.experiments.improvement`.
+Each declares its own further keywords (``nworkers=``, ``method=``,
 ``collective=``). :func:`run_experiment` calls one by id and passes its
 keywords through as they are:
 ``run_experiment("fig12", fast=True, nworkers=96)``.

@@ -3,7 +3,10 @@
 Experiments are invoked by id through :func:`run_experiment`, which
 passes ``fast`` and any further keywords straight to the experiment's
 ``run``: ``run_experiment("fig12", fast=True, nworkers=96)``. Each
-experiment declares the keywords it takes in its own signature.
+experiment declares the keywords it takes in its own signature. The
+original-vs-optimized figures are rows of one table,
+:data:`repro.experiments.improvement.FIGURES`; their ``run`` also takes
+the id.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ class ExperimentResult:
         return "\n\n".join(parts)
 
 
+#: the runner of every row of ``improvement.FIGURES``
+_IMPROVEMENT = "repro.experiments.improvement:run"
+
 _REGISTRY: Dict[str, str] = {
     "table1": "repro.experiments.table1",
     "fig6": "repro.experiments.fig06",
@@ -74,20 +80,20 @@ _REGISTRY: Dict[str, str] = {
     "fig10": "repro.experiments.fig10",
     "table3": "repro.experiments.table3",
     "table4": "repro.experiments.table4",
-    "fig11": "repro.experiments.fig11",
+    "fig11": _IMPROVEMENT,
     "table5": "repro.experiments.table5",
     "fig12": "repro.experiments.fig12",
-    "fig13": "repro.experiments.fig13",
-    "fig14": "repro.experiments.fig14",
-    "fig15": "repro.experiments.fig15",
-    "fig16": "repro.experiments.fig16",
-    "fig17": "repro.experiments.fig17",
+    "fig13": _IMPROVEMENT,
+    "fig14": _IMPROVEMENT,
+    "fig15": _IMPROVEMENT,
+    "fig16": _IMPROVEMENT,
+    "fig17": _IMPROVEMENT,
     "p1b3_opt": "repro.experiments.p1b3_opt",
-    "fig18": "repro.experiments.fig18",
+    "fig18": _IMPROVEMENT,
     "fig19": "repro.experiments.fig19",
     "table6": "repro.experiments.table6",
-    "fig20": "repro.experiments.fig20",
-    "fig21": "repro.experiments.fig21",
+    "fig20": _IMPROVEMENT,
+    "fig21": _IMPROVEMENT,
     "calibration": "repro.experiments.calibration_exp",
     "ablation_fusion": "repro.experiments.ablations:run_fusion",
     "ablation_collectives": "repro.experiments.ablations:run_collectives",
@@ -114,11 +120,13 @@ def run_experiment(
     declare raises ``TypeError`` there.
     """
     try:
-        module_name = _REGISTRY[experiment_id]
+        target = _REGISTRY[experiment_id]
     except KeyError:
         raise ValueError(
             f"unknown experiment {experiment_id!r}; known: {list(_REGISTRY)}"
         ) from None
-    module_name, _, fn_name = module_name.partition(":")
+    module_name, _, fn_name = target.partition(":")
     fn = getattr(importlib.import_module(module_name), fn_name or "run")
+    if target == _IMPROVEMENT:
+        return fn(experiment_id, fast=fast, **kwargs)
     return fn(fast=fast, **kwargs)

@@ -15,18 +15,38 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Sequence
 
 import numpy as np
 
+from repro.candle.base import BenchmarkSpec
 from repro.candle.registry import get_benchmark
 from repro.experiments import common
 from repro.experiments.base import ExperimentResult
-from repro.experiments.improvement import ingest_method_rows
 from repro.ingest import DataSource, LoaderConfig
 from repro.sim.iomodel import LOAD_METHODS
 
 #: every modeled method, original first (the speedup baseline)
 SWEEP_METHODS = LOAD_METHODS
+
+
+def ingest_method_rows(spec: BenchmarkSpec, counts: Sequence[int]) -> list[dict]:
+    """Per-GPU-count load/total seconds on Summit for each swept method."""
+    rows = []
+    for n in counts:
+        runs = {
+            m: common.sim_sweep(spec, "summit", [n], method=m)[0]
+            for m in SWEEP_METHODS
+        }
+        base = runs[SWEEP_METHODS[0]]
+        row: dict = {"gpus": n}
+        for m, rep in runs.items():
+            row[f"{m}_load_s"] = round(rep.load_s, 2)
+            row[f"{m}_total_s"] = round(rep.total_s, 2)
+        row["best_method"] = min(SWEEP_METHODS, key=lambda m: runs[m].total_s)
+        row["best_speedup"] = round(base.total_s / runs[row["best_method"]].total_s, 2)
+        rows.append(row)
+    return rows
 
 
 def skew_rows(counts=(48, 96, 192, 384)) -> list[dict]:
@@ -85,9 +105,7 @@ def run(fast: bool = True) -> ExperimentResult:
     spec = get_benchmark("nt3").spec
     counts = (1, 6, 48, 384) if fast else (1, 6, 12, 24, 48, 96, 192, 384)
     panels = {
-        "load/total seconds by method (model, Summit)": ingest_method_rows(
-            spec, "summit", counts, SWEEP_METHODS
-        ),
+        "load/total seconds by method (model, Summit)": ingest_method_rows(spec, counts),
         "broadcast overhead by method": skew_rows(
             counts=(48, 384) if fast else (48, 96, 192, 384)
         ),

@@ -102,7 +102,7 @@ class FaultInjectionCallback(Callback):
     """Fire a :class:`repro.resilience.FaultInjector`'s training-time faults.
 
     Bridges the Keras-style callback lifecycle to the injector's hook
-    points: epoch begin (stragglers, I/O stalls), batch begin
+    points: epoch begin (stalls), batch begin
     (step-level faults), epoch end (crashes, collective failures). The
     injector is duck-typed — anything exposing ``on_epoch_begin(rank,
     epoch)``, ``on_step(rank, epoch, step)`` and ``on_epoch_end(rank,

@@ -399,16 +399,3 @@ class ColumnStoreCache:
         if (blkno < 0).any():
             raise ValueError("the meta places some column in no block")
         return DataFrame._from_blocks(names, blocks, blkno, blkloc, nrows)
-
-    # -- maintenance -------------------------------------------------------
-    def evict(self, path) -> bool:
-        """Drop one file's entry; True if something was removed."""
-        entry = self.entry_dir(path)
-        if os.path.isdir(entry):
-            shutil.rmtree(entry)
-            return True
-        return False
-
-    def clear(self) -> None:
-        """Remove the whole cache directory."""
-        shutil.rmtree(self.cache_dir, ignore_errors=True)

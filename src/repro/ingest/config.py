@@ -9,13 +9,19 @@ can be shared across SPMD rank threads and hashed into cache keys.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.options import FrozenOptions, require_positive
+from repro.worker import usable_cores
 
-__all__ = ["LoaderConfig", "ShardSpec", "PAPER_CHUNK_SIZE", "DEFAULT_BLOCK_BYTES"]
+__all__ = [
+    "LoaderConfig",
+    "ShardSpec",
+    "PAPER_CHUNK_SIZE",
+    "DEFAULT_BLOCK_BYTES",
+    "resolve_workers",
+]
 
 #: the paper's csize (§5): effectively "one big chunk" for the wide files
 PAPER_CHUNK_SIZE = 2_000_000
@@ -24,6 +30,17 @@ PAPER_CHUNK_SIZE = 2_000_000
 #: 16 MB matches Spectrum Scale's largest I/O block (the paper's chunk
 #: sizing argument) while still giving a worker pool enough spans
 DEFAULT_BLOCK_BYTES = 16 << 20
+
+#: the most decode workers ``num_workers=0`` resolves to
+MAX_AUTO_WORKERS = 8
+
+
+def resolve_workers(num_workers: int) -> int:
+    """``num_workers``, or for ``0`` the cores this process may run on
+    (:func:`repro.worker.usable_cores`), capped at :data:`MAX_AUTO_WORKERS`."""
+    if num_workers > 0:
+        return num_workers
+    return min(MAX_AUTO_WORKERS, usable_cores())
 
 
 @dataclass(frozen=True)
@@ -56,8 +73,9 @@ class LoaderConfig(FrozenOptions):
 
     ``method`` names an entry in the ingest method registry (see
     :data:`repro.ingest.INGEST_METHODS`). ``num_workers=0`` means "pick
-    from the CPU count". ``low_memory=None`` defers to the method's
-    natural engine (True for ``original``, False otherwise).
+    from the usable cores" (:func:`resolve_workers`). ``low_memory=None``
+    defers to the method's natural engine (True for ``original``, False
+    otherwise).
     ``cache_dir=None`` puts the column store next to the source file in
     an ``.ingest-cache`` directory.
     """
@@ -68,7 +86,6 @@ class LoaderConfig(FrozenOptions):
     block_bytes: int = DEFAULT_BLOCK_BYTES
     low_memory: Optional[bool] = None
     cache_dir: Optional[str] = None
-    refresh_cache: bool = False
     shard: Optional[ShardSpec] = None
     #: overlap epoch-N+1 data preparation with epoch-N compute via a
     #: background :class:`repro.ingest.prefetch.EpochPrefetcher`
@@ -106,10 +123,8 @@ class LoaderConfig(FrozenOptions):
 
     @property
     def effective_workers(self) -> int:
-        """Resolved worker count (``0`` → CPU count, capped at 8)."""
-        if self.num_workers > 0:
-            return self.num_workers
-        return max(1, min(8, os.cpu_count() or 1))
+        """Resolved worker count (:func:`resolve_workers`)."""
+        return resolve_workers(self.num_workers)
 
     def with_shard(
         self, rank: int, world_size: int, allgather: bool = True

@@ -13,15 +13,13 @@ reader pulling lines from a Python list, or ``str.split`` plus
 ``np.asarray(tokens, float64)`` on the token path) holds the GIL, so
 threads cannot scale it. Span results travel back as pickled column
 arrays — a binary copy, which is cheap next to text decoding. A thread
-pool remains as a fallback for environments where fork/spawn is
-unavailable, and both pools degrade to in-process parsing for a single
-span or worker.
+pool takes over where a process pool cannot start, and a single span
+or worker parses in-process.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
@@ -37,6 +35,7 @@ from repro.frame.csv import (
     newline_spans,
 )
 from repro.frame.dataframe import DataFrame
+from repro.ingest.config import DEFAULT_BLOCK_BYTES, resolve_workers
 
 __all__ = ["parse_lines", "read_csv_parallel"]
 
@@ -103,61 +102,40 @@ def _resolve_names(path: str, sep: str) -> list[int]:
     return list(range(first.rstrip("\r\n").count(sep) + 1))
 
 
-def _make_pool(kind: str, workers: int) -> Executor:
-    if kind == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def read_csv_parallel(
     path,
     num_workers: int = 0,
-    block_bytes: int = 16 << 20,
+    block_bytes: int = DEFAULT_BLOCK_BYTES,
     low_memory: bool = False,
     sep: str = ",",
     names: Optional[Sequence] = None,
-    executor: str = "auto",
 ) -> DataFrame:
     """Parse a headerless CSV with a span-parallel worker pool.
 
     Bit-identical to ``read_csv(path, header=None, low_memory=...)``;
     the returned frame carries the merged ``parse_stats`` of every span.
-    ``executor`` is ``'process'`` (default via ``'auto'``), ``'thread'``,
-    or ``'serial'``; ``'auto'`` falls back to threads if a process pool
-    cannot start in this environment.
+    ``num_workers`` resolves through :func:`~repro.ingest.config.resolve_workers`;
+    one worker or one span parses in this process. The pool is a process
+    pool, or a thread pool where a process pool cannot start.
     """
     path = str(path)
-    if executor not in ("auto", "process", "thread", "serial"):
-        raise ValueError(f"executor must be auto|process|thread|serial, got {executor!r}")
-    workers = num_workers if num_workers > 0 else max(1, min(8, os.cpu_count() or 1))
+    workers = resolve_workers(num_workers)
     resolved = list(names) if names is not None else _resolve_names(path, sep)
     spans = newline_spans(path, block_bytes)
     if not spans:
         raise ValueError(f"empty CSV file: {path}")
 
-    if len(spans) == 1 or workers == 1 or executor == "serial":
+    if len(spans) == 1 or workers == 1:
         results = [parse_span(path, s, resolved, low_memory, sep) for s in spans]
     else:
-        kinds = ("process", "thread") if executor == "auto" else (executor,)
-        results = None
-        for i, kind in enumerate(kinds):
-            try:
-                with _make_pool(kind, min(workers, len(spans))) as pool:
-                    results = list(
-                        pool.map(
-                            parse_span,
-                            [path] * len(spans),
-                            spans,
-                            [resolved] * len(spans),
-                            [low_memory] * len(spans),
-                            [sep] * len(spans),
-                        )
-                    )
-                break
-            except (OSError, BrokenProcessPool, ImportError):
-                if i == len(kinds) - 1:
-                    raise
-        assert results is not None
+        n = len(spans)
+        jobs = ([path] * n, spans, [resolved] * n, [low_memory] * n, [sep] * n)
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+                results = list(pool.map(parse_span, *jobs))
+        except (OSError, BrokenProcessPool, ImportError):
+            with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
+                results = list(pool.map(parse_span, *jobs))
 
     frames = [f for f, _ in results]
     stats = ParseStats()

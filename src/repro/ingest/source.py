@@ -236,8 +236,6 @@ def _load_cached(path, config: LoaderConfig, comm=None):
     mapped frame the store hands back, so the shard is view-backed too.
     """
     cache = ColumnStoreCache.for_source(path, config.cache_dir)
-    if config.refresh_cache:
-        cache.evict(path)
     frame = cache.lookup(path)
     hit = frame is not None
     if not hit:

@@ -58,21 +58,18 @@ def run_spmd(
     *args: Any,
     local_size: int = 1,
     timeout: float = DEFAULT_TIMEOUT,
-    rank_args: Optional[Sequence[tuple]] = None,
     fault_injector: Optional[Any] = None,
 ) -> list:
     """Run ``fn(comm, *args)`` on ``nprocs`` ranks; return per-rank results.
 
     ``local_size`` sets ranks-per-node (``comm.local_rank`` follows the
-    paper's one-GPU-per-process pinning). ``rank_args`` optionally gives
-    each rank its own extra argument tuple instead of the shared
-    ``args``. Results come back rank-ordered.
+    paper's one-GPU-per-process pinning). Results come back rank-ordered.
 
     ``fault_injector`` is the per-rank fault hook (any object with an
     ``on_rank_start(rank)`` method — canonically a
     :class:`repro.resilience.FaultInjector`, duck-typed here to keep
     the MPI layer dependency-free). It runs on each rank *before*
-    ``fn`` and may sleep (I/O stall, straggler) or raise (start-up
+    ``fn`` and may sleep (a stall) or raise (start-up
     crash); a raise takes the normal failure path: the run aborts and
     the exception surfaces in :class:`SpmdError`. The injector is also
     stashed on each rank's communicator (``comm.fault_injector``), where
@@ -81,10 +78,6 @@ def run_spmd(
     """
     if nprocs <= 0:
         raise ValueError(f"nprocs must be positive, got {nprocs}")
-    if rank_args is not None and len(rank_args) != nprocs:
-        raise ValueError(
-            f"rank_args has {len(rank_args)} entries for {nprocs} ranks"
-        )
 
     context = _Context(nprocs, timeout)
     results: list = [None] * nprocs
@@ -94,11 +87,10 @@ def run_spmd(
     def worker(rank: int) -> None:
         comm = Communicator(context, rank, local_size=local_size)
         comm.fault_injector = fault_injector
-        extra = rank_args[rank] if rank_args is not None else args
         try:
             if fault_injector is not None:
                 fault_injector.on_rank_start(rank)
-            results[rank] = fn(comm, *extra)
+            results[rank] = fn(comm, *args)
         except AbortError:
             pass  # victim of another rank's failure
         except BaseException as exc:  # noqa: BLE001 — must propagate anything

@@ -105,9 +105,8 @@ def restore_rank_rng(model, meta: Optional[dict], rank: int) -> None:
     :class:`repro.hvd.callbacks.ManagedCheckpointCallback` carry every
     rank's RNG streams (gathered to the writer); restoring them is what
     makes a resumed run bit-identical to an uninterrupted one even with
-    dropout active. Checkpoints without the snapshot (or from a larger
-    world than the snapshot covers, after an elastic shrink) restore
-    weights only.
+    dropout active. A checkpoint without the snapshot, or without one
+    for ``rank``, restores weights only.
     """
     extra = (meta or {}).get("extra") or {}
     states = extra.get("rank_rng")

@@ -1,4 +1,4 @@
-"""repro.resilience — fault injection, checkpoint/restart, elastic recovery.
+"""repro.resilience — fault injection, checkpoint/restart, retry and resume.
 
 The paper's §7 names checkpoint/restart for the Horovod benchmarks as
 future work; this package is that work, grown into a subsystem:
@@ -12,12 +12,9 @@ future work; this package is that work, grown into a subsystem:
   atomic writes, SHA-256-verified loads, last-N retention, and the
   rank-0-writes / broadcast-restore distributed protocol.
 - :mod:`repro.resilience.recovery` —
-  :func:`run_resilient_benchmark`: capped-exponential-backoff retries,
-  resume from the newest valid checkpoint (bit-exact: RNG streams are
-  restored), and graceful degradation to a smaller world when a
-  rank is permanently dead, with the learning rate and epoch partition
-  re-derived from the paper's scaling rules; :class:`RetryPolicy` is
-  its backoff.
+  :func:`run_resilient_benchmark`: capped-exponential-backoff retries
+  and resume from the newest valid checkpoint (bit-exact: RNG streams
+  are restored); :class:`RetryPolicy` is its backoff.
 """
 
 from repro.resilience.checkpoint import CheckpointInfo, CheckpointManager
@@ -34,7 +31,6 @@ from repro.resilience.recovery import (
     AttemptRecord,
     ResilientRunResult,
     RetryPolicy,
-    replan_for_world,
     run_resilient_benchmark,
 )
 
@@ -51,6 +47,5 @@ __all__ = [
     "RetryPolicy",
     "AttemptRecord",
     "ResilientRunResult",
-    "replan_for_world",
     "run_resilient_benchmark",
 ]

@@ -4,30 +4,27 @@ The paper's §7 leaves fault tolerance as future work; at 3,072 Theta
 ranks a multi-hour job *will* see failures, so the recovery machinery
 needs a way to rehearse them. A :class:`FaultPlan` is a seedable,
 fully-reproducible schedule of faults — rank crashes at a given epoch
-or step, straggler slowdowns, I/O stalls, transient collective
-failures — and a :class:`FaultInjector` is the runtime object that
-fires them at well-defined hook points:
+or step, stalls (a slow rank or a stalled filesystem), transient
+collective failures — and a :class:`FaultInjector` is the runtime
+object that fires them at well-defined hook points:
 
 - ``on_rank_start`` — called by :func:`repro.mpi.run_spmd` for every
-  rank before the SPMD function runs (start-up crashes, I/O stalls);
+  rank before the SPMD function runs (start-up crashes and stalls);
 - ``on_epoch_begin`` / ``on_epoch_end`` / ``on_step`` — called by
   :class:`repro.hvd.callbacks.FaultInjectionCallback` during real
   training.
 
 Determinism contract: the same plan applied to the same run fires the
-same faults in the same places. Transient faults fire exactly once
-(the retried attempt sails past them); ``permanent=True`` crashes fire
-on *every* attempt that still schedules the dead rank, which is what
-forces :func:`repro.resilience.recovery.run_resilient_benchmark` to
-shrink the world.
+same faults in the same places. Every fault fires exactly once: the
+retried attempt sails past it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +38,13 @@ __all__ = [
     "TransientCollectiveError",
 ]
 
-#: the process-level fault taxonomy: process death, slow rank, stalled
-#: filesystem, and a failed collective (the NCCL/MPI "unhandled system
-#: error" class)
-FAULT_KINDS = ("crash", "straggler", "io_stall", "collective")
+#: the process-level fault taxonomy: process death, a stall (a slow rank
+#: or a stalled filesystem: the rank sleeps), and a failed collective
+#: (the NCCL/MPI "unhandled system error" class)
+FAULT_KINDS = ("crash", "stall", "collective")
+
+#: the longest stall :meth:`FaultPlan.random` draws
+MAX_RANDOM_STALL_S = 0.05
 
 
 class InjectedFault(RuntimeError):
@@ -65,10 +65,8 @@ class FaultSpec:
 
     ``epoch=None`` means the fault fires at rank start (before the SPMD
     function body); ``step`` additionally narrows an epoch-level fault
-    to one training batch. ``delay_s`` is the injected sleep for
-    ``straggler``/``io_stall`` faults. ``permanent`` marks a crash as
-    a dead-for-good rank: it re-fires on every retry until the rank is
-    removed from the world.
+    to one training batch. ``delay_s`` is the injected sleep of a
+    ``stall``.
     """
 
     kind: str
@@ -76,7 +74,6 @@ class FaultSpec:
     epoch: Optional[int] = None
     step: Optional[int] = None
     delay_s: float = 0.0
-    permanent: bool = False
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -89,8 +86,6 @@ class FaultSpec:
             raise ValueError("a step-level fault needs an epoch")
         if self.delay_s < 0:
             raise ValueError(f"delay_s must be non-negative, got {self.delay_s}")
-        if self.permanent and self.kind != "crash":
-            raise ValueError("only crash faults can be permanent")
 
     def describe(self) -> str:
         where = (
@@ -98,8 +93,7 @@ class FaultSpec:
             if self.epoch is None
             else f"epoch {self.epoch}" + (f" step {self.step}" if self.step is not None else "")
         )
-        extra = " (permanent)" if self.permanent else ""
-        return f"{self.kind}@rank{self.rank}/{where}{extra}"
+        return f"{self.kind}@rank{self.rank}/{where}"
 
 
 @dataclass(frozen=True)
@@ -135,50 +129,32 @@ class FaultPlan:
         return f"<FaultPlan seed={self.seed}: {body}>"
 
     @classmethod
-    def single_crash(
-        cls, rank: int, epoch: int, permanent: bool = False, seed: int = 0
-    ) -> "FaultPlan":
+    def single_crash(cls, rank: int, epoch: int, seed: int = 0) -> "FaultPlan":
         """The canonical test plan: one rank dies at one epoch."""
-        return cls(
-            specs=(FaultSpec("crash", rank=rank, epoch=epoch, permanent=permanent),),
-            seed=seed,
-        )
+        return cls(specs=(FaultSpec("crash", rank=rank, epoch=epoch),), seed=seed)
 
     @classmethod
     def random(
-        cls,
-        nranks: int,
-        epochs: int,
-        n_faults: int,
-        seed: int = 0,
-        kinds: Sequence[str] = FAULT_KINDS,
-        max_delay_s: float = 0.05,
-        permanent_fraction: float = 0.0,
+        cls, nranks: int, epochs: int, n_faults: int, seed: int = 0
     ) -> "FaultPlan":
         """Draw a reproducible schedule: same arguments ⇒ same plan."""
         if nranks <= 0 or epochs <= 0:
             raise ValueError("nranks and epochs must be positive")
         if n_faults < 0:
             raise ValueError(f"n_faults must be non-negative, got {n_faults}")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
         rng = np.random.default_rng(seed)
         specs = []
         for _ in range(n_faults):
-            kind = str(rng.choice(list(kinds)))
+            kind = str(rng.choice(list(FAULT_KINDS)))
             rank = int(rng.integers(0, nranks))
             epoch = int(rng.integers(0, epochs))
-            delay = float(rng.uniform(0.0, max_delay_s)) if kind in ("straggler", "io_stall") else 0.0
-            permanent = bool(kind == "crash" and rng.random() < permanent_fraction)
-            specs.append(
-                FaultSpec(kind, rank=rank, epoch=epoch, delay_s=delay, permanent=permanent)
-            )
+            delay = float(rng.uniform(0.0, MAX_RANDOM_STALL_S)) if kind == "stall" else 0.0
+            specs.append(FaultSpec(kind, rank=rank, epoch=epoch, delay_s=delay))
         return cls(specs=tuple(specs), seed=seed)
 
 
 def _stall(spec: FaultSpec) -> None:
-    """Hold the calling rank for a straggler's or an I/O stall's delay."""
+    """Hold the calling rank for a stall's delay."""
     if spec.delay_s > 0:
         # a schedule, not a poll: the injected fault is this delay
         time.sleep(spec.delay_s)
@@ -203,66 +179,42 @@ class FaultInjector:
 
     Thread-safe: SPMD ranks are threads, and several can hit their
     hooks concurrently. One injector spans every retry attempt of a
-    job — call :meth:`next_attempt` between attempts so transient
-    faults stay consumed and permanent ones keep firing.
+    job — call :meth:`next_attempt` between attempts so fired faults
+    stay consumed.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.attempt = 0
         self._lock = threading.Lock()
-        self._fired: set[int] = set()  # indices of consumed transient specs
+        self._fired: set[int] = set()  # indices of consumed specs
         self.history: list[FiredFault] = []
-        self.dead_ranks: set[int] = set()
 
-    # -- lifecycle ---------------------------------------------------------
     def next_attempt(self) -> int:
         """Advance the attempt counter (recovery calls this per retry)."""
         with self._lock:
             self.attempt += 1
             return self.attempt
 
-    def remap_dead_ranks(self, survivors: Sequence[int]) -> None:
-        """After an elastic shrink, old ranks are renumbered 0..n-1.
-
-        ``survivors`` lists the *old* rank ids that remain, in new-rank
-        order; pending faults addressed to a surviving old rank follow
-        it to its new id, and faults on dead ranks are dropped.
-        """
-        mapping = {old: new for new, old in enumerate(survivors)}
+    def _fire(
+        self, rank: int, epoch: Optional[int], step: Optional[int],
+        kinds: tuple = FAULT_KINDS,
+    ) -> None:
+        """Consume and fire the not-yet-fired specs of ``kinds`` due here."""
         with self._lock:
-            remapped = []
-            kept_indices = []
-            for i, spec in enumerate(self.plan.specs):
-                if spec.rank in mapping:
-                    remapped.append(replace(spec, rank=mapping[spec.rank]))
-                    kept_indices.append(i)
-            self._fired = {kept_indices.index(i) for i in self._fired if i in kept_indices}
-            self.plan = FaultPlan(specs=tuple(remapped), seed=self.plan.seed)
-            self.dead_ranks = set()
-
-    # -- firing ------------------------------------------------------------
-    def _due(self, rank: int, epoch: Optional[int], step: Optional[int]) -> list[tuple[int, FaultSpec]]:
-        due = []
-        for i, spec in enumerate(self.plan.specs):
-            if spec.rank != rank or spec.epoch != epoch or spec.step != step:
-                continue
-            if i in self._fired and not spec.permanent:
-                continue
-            due.append((i, spec))
-        return due
-
-    def _fire(self, rank: int, epoch: Optional[int], step: Optional[int]) -> None:
-        with self._lock:
-            due = self._due(rank, epoch, step)
+            due = [
+                (i, spec)
+                for i, spec in enumerate(self.plan.specs)
+                if (spec.rank, spec.epoch, spec.step) == (rank, epoch, step)
+                and spec.kind in kinds
+                and i not in self._fired
+            ]
             for i, spec in due:
                 self._fired.add(i)
                 self.history.append(FiredFault(self.attempt, spec))
-                if spec.kind == "crash" and spec.permanent:
-                    self.dead_ranks.add(rank)
         # sleeps and raises happen outside the lock
         for _, spec in due:
-            if spec.kind in ("straggler", "io_stall"):
+            if spec.kind == "stall":
                 _stall(spec)
             elif spec.kind == "collective":
                 raise TransientCollectiveError(
@@ -276,44 +228,17 @@ class FaultInjector:
         self._fire(rank, None, None)
 
     def on_epoch_begin(self, rank: int, epoch: int) -> None:
-        """Epoch-level stalls/stragglers fire before the epoch's batches."""
-        with self._lock:
-            due = [
-                (i, s)
-                for i, s in self._due(rank, epoch, None)
-                if s.kind in ("straggler", "io_stall")
-            ]
-            for i, spec in due:
-                self._fired.add(i)
-                self.history.append(FiredFault(self.attempt, spec))
-        for _, spec in due:
-            _stall(spec)
+        """Epoch-level stalls fire before the epoch's batches."""
+        self._fire(rank, epoch, None, ("stall",))
 
     def on_epoch_end(self, rank: int, epoch: int) -> None:
         """Epoch-level crashes/collective failures fire after the epoch."""
-        with self._lock:
-            due = [
-                (i, s)
-                for i, s in self._due(rank, epoch, None)
-                if s.kind in ("crash", "collective")
-            ]
-            for i, spec in due:
-                self._fired.add(i)
-                self.history.append(FiredFault(self.attempt, spec))
-                if spec.kind == "crash" and spec.permanent:
-                    self.dead_ranks.add(rank)
-        for _, spec in due:
-            if spec.kind == "collective":
-                raise TransientCollectiveError(
-                    f"injected collective failure: {spec.describe()}"
-                )
-            raise InjectedCrash(f"injected crash: {spec.describe()}")
+        self._fire(rank, epoch, None, ("crash", "collective"))
 
     def on_step(self, rank: int, epoch: int, step: int) -> None:
         """Batch-level faults fire at the start of that batch."""
         self._fire(rank, epoch, step)
 
-    # -- record ------------------------------------------------------------
     def fired_keys(self) -> list[tuple]:
         """Deterministic record of what fired (for reproducibility tests)."""
         with self._lock:
@@ -322,5 +247,5 @@ class FaultInjector:
     def __repr__(self):
         return (
             f"<FaultInjector attempt={self.attempt} plan={len(self.plan)} faults "
-            f"fired={len(self.history)} dead={sorted(self.dead_ranks)}>"
+            f"fired={len(self.history)}>"
         )

@@ -6,7 +6,7 @@ the batcher drains them into batches that flush when either
 
 - the assembled batch reaches ``max_batch`` rows, or
 - the *oldest* queued request has spent its assembly budget
-  (``deadline_ms * assemble_fraction``) waiting — whichever comes
+  (``deadline_ms * ASSEMBLE_FRACTION``) waiting — whichever comes
   first.
 
 This is the classic server-side batching trade: a bigger batch

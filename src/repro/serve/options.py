@@ -11,8 +11,8 @@ through the front-end, the dynamic batcher, and the replica plane.
 The central tension the knobs express is **latency vs throughput**:
 a larger ``max_batch`` amortizes per-batch overhead (more rows/s), but
 rows wait longer for the batch to fill; ``deadline_ms`` caps that wait
-per request, and ``assemble_fraction`` says how much of the deadline
-the batcher may spend assembling before it must flush what it has.
+per request, and the batcher may spend :data:`ASSEMBLE_FRACTION` of it
+assembling before it must flush what it has.
 """
 
 from __future__ import annotations
@@ -22,18 +22,27 @@ from dataclasses import dataclass
 from repro.options import (
     FrozenOptions,
     require_choice,
-    require_in_interval,
     require_non_negative,
     require_positive,
 )
 
-__all__ = ["ServeOptions", "DEFAULT_SERVE_OPTIONS", "ADMISSION_POLICIES"]
+__all__ = [
+    "ServeOptions",
+    "DEFAULT_SERVE_OPTIONS",
+    "ADMISSION_POLICIES",
+    "ASSEMBLE_FRACTION",
+]
 
 #: what the front-end does with an arrival when the queue is full:
 #: "block" applies backpressure (the submitter waits for space),
 #: "reject" refuses the new request immediately (load shedding at the
 #: door)
 ADMISSION_POLICIES = ("block", "reject")
+
+#: fraction of ``deadline_ms`` the batcher may spend waiting for a batch
+#: to fill before flushing a partial one; the rest of the budget is left
+#: for queueing, transport, and compute
+ASSEMBLE_FRACTION = 0.5
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -58,10 +67,6 @@ class ServeOptions(FrozenOptions):
     replicas: int = 2
     #: full-queue policy; see :data:`ADMISSION_POLICIES`
     admission: str = "block"
-    #: fraction of ``deadline_ms`` the batcher may spend waiting for a
-    #: batch to fill before flushing a partial one; the rest of the
-    #: budget is left for queueing, transport, and compute
-    assemble_fraction: float = 0.5
     #: the run's seed, carried with its configuration; the serving plane
     #: draws nothing from it (an arrival trace takes its own seed)
     seed: int = 0
@@ -72,9 +77,6 @@ class ServeOptions(FrozenOptions):
         require_positive("queue_depth", self.queue_depth)
         require_positive("replicas", self.replicas)
         require_choice("admission", self.admission, ADMISSION_POLICIES)
-        require_in_interval(
-            "assemble_fraction", self.assemble_fraction, 0, 1, open_low=True
-        )
         require_non_negative("seed", self.seed)
 
     # -- derived quantities -------------------------------------------------
@@ -86,7 +88,7 @@ class ServeOptions(FrozenOptions):
     @property
     def assemble_budget_s(self) -> float:
         """Seconds the batcher may hold a request while assembling."""
-        return self.deadline_s * self.assemble_fraction
+        return self.deadline_s * ASSEMBLE_FRACTION
 
 
 #: interactive defaults — 32-row batches, 50 ms deadline, two replicas

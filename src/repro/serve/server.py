@@ -55,6 +55,10 @@ __all__ = ["serve_workload", "ServeReport", "request_features"]
 #: feeding it (2 = classic double buffering: one computing, one queued)
 WORKER_DEPTH = 2
 
+#: the label every batch and response of a run is logged under: a run
+#: serves one model version
+VERSION = "v0"
+
 
 @dataclass
 class ServeReport:
@@ -146,13 +150,13 @@ def _replica(comm, build_model, initial_weights) -> dict:
 class _Frontend:
     """Rank-0 state machine: admit, batch, dispatch, collect."""
 
-    def __init__(self, comm, workload, pool, options, version, keep_responses):
+    def __init__(self, comm, workload, pool, options, keep_responses):
         self.rpc = RpcChannel(comm)
         self.workload = workload
         self.pool = pool
         self.options = options
         #: the label every batch and response is logged under
-        self.version = version
+        self.version = VERSION
         self.batcher = DynamicBatcher(options, wake=self._wake)
         self.tracker = SloTracker(options.deadline_ms)
         self.replica_ranks = list(range(1, comm.size))
@@ -344,7 +348,6 @@ def serve_workload(
     options: Optional[ServeOptions] = None,
     *,
     initial_weights: Optional[Dict[str, np.ndarray]] = None,
-    initial_version: str = "v0",
     keep_responses: bool = False,
 ) -> ServeReport:
     """Serve one open-loop workload over ``replicas`` inference workers.
@@ -361,7 +364,7 @@ def serve_workload(
     from ``feature_pool`` via :func:`request_features`.
 
     ``keep_responses=True`` retains every prediction (tagged with
-    ``initial_version``) beside the batch dispatch log, which is what
+    :data:`VERSION`) beside the batch dispatch log, which is what
     lets a verifier replay each served batch offline and assert bitwise
     identity.
 
@@ -377,7 +380,7 @@ def serve_workload(
     def node(comm):
         if comm.rank == 0:
             frontend = _Frontend(
-                comm, workload, feature_pool, opts, initial_version, keep_responses
+                comm, workload, feature_pool, opts, keep_responses
             )
             return frontend.run()
         return _replica(comm, build_model, initial_weights)

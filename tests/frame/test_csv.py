@@ -162,7 +162,7 @@ class TestEdgeCases:
             lambda p: read_csv(p, header=None, low_memory=False),
             lambda p: list(read_csv(p, header=None, chunksize=10, low_memory=False)),
             lambda p: list(read_csv(p, header=None, chunksize=10, low_memory=True)),
-            lambda p: read_csv_parallel(p, executor="serial"),
+            lambda p: read_csv_parallel(p, num_workers=1),
         ],
         ids=["slow", "fast", "chunksize-fast", "chunksize-slow", "parallel-serial"],
     )

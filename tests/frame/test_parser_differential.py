@@ -101,7 +101,7 @@ def _chunks(path, sep, **kw):
 
 
 def _parallel(path, sep):
-    return read_csv_parallel(path, block_bytes=24, sep=sep, executor="serial")
+    return read_csv_parallel(path, block_bytes=24, sep=sep, num_workers=1)
 
 
 def _partitioned(path, sep):

@@ -1,4 +1,4 @@
-"""Column-store cache: hit/miss, mtime and checksum invalidation, eviction."""
+"""Column-store cache: hit/miss, mtime and checksum invalidation."""
 
 from __future__ import annotations
 
@@ -92,15 +92,6 @@ def test_missing_block_invalidates(cache, mixed_csv, stored):
     assert cache.stats.invalidations == 1
 
 
-def test_evict_and_clear(cache, mixed_csv, stored):
-    assert cache.evict(mixed_csv) is True
-    assert cache.evict(mixed_csv) is False
-    assert cache.lookup(mixed_csv) is None
-    cache.store(mixed_csv, stored)
-    cache.clear()
-    assert not os.path.isdir(cache.cache_dir)
-
-
 def test_for_source_defaults_to_sibling_dir(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n")
@@ -118,13 +109,3 @@ def test_datasource_cached_miss_then_hit(tmp_path, mixed_csv):
     assert hit.frame.equals(miss.frame)
     serial = read_csv(mixed_csv, header=None, low_memory=False)
     assert hit.frame.equals(serial)
-
-
-def test_refresh_cache_forces_reparse(tmp_path, mixed_csv):
-    cache_dir = str(tmp_path / "c")
-    source = DataSource(mixed_csv)
-    source.load(LoaderConfig(method="cached", cache_dir=cache_dir))
-    forced = source.load(
-        LoaderConfig(method="cached", cache_dir=cache_dir, refresh_cache=True)
-    )
-    assert forced.cache_hit is False

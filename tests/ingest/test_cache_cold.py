@@ -69,7 +69,8 @@ def test_cold_load_starts_no_pool(tmp_path, mixed_csv, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a cold cached load started a worker pool")
 
-    monkeypatch.setattr(parallel_mod, "_make_pool", no_pool)
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", no_pool)
     # small blocks and two workers: a pool-backed parse would split the
     # file into several spans and start one
     config = LoaderConfig(

@@ -12,6 +12,7 @@ from repro.frame import csv as csv_mod
 from repro.frame import read_csv
 from repro.frame.csv import LAST_PARSE_STATS, ParseStats
 from repro.ingest import newline_spans, read_csv_parallel
+from repro.ingest import parallel as parallel_mod
 from repro.ingest.parallel import parse_span
 from repro.ingest.shard import read_csv_shard
 
@@ -39,14 +40,20 @@ def test_newline_spans_rejects_bad_block_bytes(mixed_csv):
 
 @pytest.mark.parametrize("low_memory", [False, True])
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_parallel_bit_identical_to_serial(mixed_csv, low_memory, executor):
+def test_parallel_bit_identical_to_serial(mixed_csv, low_memory, executor, monkeypatch):
+    # "serial": one worker parses in-process; "thread": a process pool
+    # cannot start, so threads take over; "process": the default pool
+    if executor == "thread":
+        def refuse(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
     serial = read_csv(mixed_csv, header=None, low_memory=low_memory)
     par = read_csv_parallel(
         mixed_csv,
-        num_workers=3,
+        num_workers=1 if executor == "serial" else 3,
         block_bytes=1024,  # force many spans even on a small file
         low_memory=low_memory,
-        executor=executor,
     )
     assert par.equals(serial)
     assert [par[c].dtype for c in par.columns] == [
@@ -89,8 +96,7 @@ def test_merged_stats_cover_every_span(mixed_csv, tmp_path):
 
     def stats(path, low_memory=False):
         par = read_csv_parallel(
-            path, num_workers=2, block_bytes=1024, low_memory=low_memory,
-            executor="serial",
+            path, num_workers=1, block_bytes=1024, low_memory=low_memory
         )
         assert isinstance(par.parse_stats, ParseStats)
         assert par.parse_stats.chunks_parsed >= nspans
@@ -112,9 +118,7 @@ def test_merged_stats_cover_every_span(mixed_csv, tmp_path):
     assert stats(with_na).peak_chunk_tokens == 27 * first_span_rows
 
 
-def test_rejects_unknown_executor_and_empty_file(tmp_path, mixed_csv):
-    with pytest.raises(ValueError, match="executor"):
-        read_csv_parallel(mixed_csv, executor="fibers")
+def test_rejects_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):

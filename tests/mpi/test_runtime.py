@@ -15,16 +15,6 @@ def test_shared_args():
     assert run_spmd(2, lambda comm, a, b: a + b, 1, 2) == [3, 3]
 
 
-def test_rank_args():
-    out = run_spmd(3, lambda comm, v: v * comm.rank, rank_args=[(1,), (2,), (3,)])
-    assert out == [0, 2, 6]
-
-
-def test_rank_args_length_validated():
-    with pytest.raises(ValueError, match="rank_args"):
-        run_spmd(3, lambda comm: None, rank_args=[()])
-
-
 def test_nprocs_must_be_positive():
     with pytest.raises(ValueError):
         run_spmd(0, lambda comm: None)

@@ -1,4 +1,4 @@
-"""Resilient runs: bit-exact resume, backoff, elastic shrink, give-up."""
+"""Resilient runs: bit-exact resume, backoff, give-up."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.mpi.runtime import SpmdError
 from repro.resilience import (
     FaultPlan,
     RetryPolicy,
-    replan_for_world,
     run_resilient_benchmark,
 )
 from repro.telemetry import Tracer, tracing
@@ -30,30 +29,12 @@ def _plan(bench, nworkers=2, total_epochs=8):
 
 # -- RetryPolicy -------------------------------------------------------------
 def test_retry_policy_caps_exponential_backoff():
-    policy = RetryPolicy(max_retries=5, base_delay_s=0.1, factor=2.0, max_delay_s=0.5)
-    assert [policy.delay_s(a) for a in range(5)] == [0.1, 0.2, 0.4, 0.5, 0.5]
+    policy = RetryPolicy(max_retries=5, base_delay_s=0.5)
+    assert [policy.delay_s(a) for a in range(5)] == [0.5, 1.0, 2.0, 2.0, 2.0]
     with pytest.raises(ValueError):
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
-        RetryPolicy(factor=0.5)
-
-
-# -- replanning --------------------------------------------------------------
-def test_replan_strong_repartitions_and_rescales_lr(bench):
-    plan = _plan(bench, nworkers=4, total_epochs=8)
-    shrunk = replan_for_world(plan, 3, original_plan=plan)
-    assert shrunk.nworkers == 3
-    # the original 8-epoch budget balanced over 3 survivors; the
-    # balancing rule floors the remainder (8 // 3 == 2)
-    assert shrunk.epochs_per_worker == 2
-    # linear LR rule from the per-worker base rate
-    base_lr = plan.learning_rate / plan.nworkers
-    assert shrunk.learning_rate == pytest.approx(base_lr * 3)
-
-
-def test_replan_rejects_empty_world(bench):
-    with pytest.raises(ValueError):
-        replan_for_world(_plan(bench), 0)
+        RetryPolicy(base_delay_s=-0.1)
 
 
 # -- the supervised run ------------------------------------------------------
@@ -115,31 +96,10 @@ def test_backoff_sequence_follows_policy(tmp_path, bench):
                 FaultPlan.single_crash(rank=1, epoch=1).specs[0],
             )
         ),
-        retry=RetryPolicy(max_retries=3, base_delay_s=0.125, factor=2.0),
+        retry=RetryPolicy(max_retries=3, base_delay_s=0.125),
         sleep=delays.append,
     )
     assert delays == [0.125, 0.25]
-
-
-def test_permanent_death_shrinks_world(tmp_path, bench):
-    plan = _plan(bench, nworkers=2, total_epochs=8)
-    result = run_resilient_benchmark(
-        bench,
-        plan,
-        tmp_path,
-        seed=0,
-        every_n_epochs=2,
-        fault_plan=FaultPlan.single_crash(rank=1, epoch=1, permanent=True),
-        retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
-    )
-    assert result.dead_ranks == [1]
-    assert result.shrunk and result.final_world == 1
-    # the survivor inherits the full original epoch budget
-    assert result.final_plan.epochs_per_worker == 8
-    assert result.final_plan.learning_rate == pytest.approx(
-        plan.learning_rate / 2
-    )
-    assert result.attempts[-1].status == "completed"
 
 
 def test_retry_budget_exhaustion_reraises(tmp_path, bench):
@@ -158,19 +118,6 @@ def test_retry_budget_exhaustion_reraises(tmp_path, bench):
             retry=RetryPolicy(max_retries=1, base_delay_s=0.0),
         )
     assert exc.value.failed_ranks == [0]
-
-
-def test_no_shrink_when_disallowed(tmp_path, bench):
-    with pytest.raises(SpmdError):
-        run_resilient_benchmark(
-            bench,
-            _plan(bench),
-            tmp_path,
-            seed=0,
-            fault_plan=FaultPlan.single_crash(rank=1, epoch=1, permanent=True),
-            retry=RetryPolicy(max_retries=3, base_delay_s=0.0),
-            allow_shrink=False,
-        )
 
 
 def test_failed_attempts_record_the_epoch_they_resumed_from(tmp_path, bench):

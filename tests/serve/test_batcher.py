@@ -42,8 +42,7 @@ def clock() -> FakeClock:
 
 
 def make_batcher(clock, **overrides) -> DynamicBatcher:
-    defaults = dict(max_batch=8, deadline_ms=100.0, assemble_fraction=0.5,
-                    queue_depth=4)
+    defaults = dict(max_batch=8, deadline_ms=100.0, queue_depth=4)
     defaults.update(overrides)
     return DynamicBatcher(ServeOptions(**defaults), clock=clock)
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.options import FrozenOptions
 from repro.serve import ADMISSION_POLICIES, DEFAULT_SERVE_OPTIONS, ServeOptions
+from repro.serve.options import ASSEMBLE_FRACTION
 
 
 class TestConstruction:
@@ -46,14 +47,6 @@ class TestConstruction:
         for policy in ADMISSION_POLICIES:
             assert ServeOptions(admission=policy).admission == policy
 
-    @pytest.mark.parametrize("bad", [0, 0.0, 1.5, -0.1])
-    def test_assemble_fraction_interval(self, bad):
-        with pytest.raises(
-            ValueError, match=r"assemble_fraction must be in \(0, 1\]"
-        ):
-            ServeOptions(assemble_fraction=bad)
-        assert ServeOptions(assemble_fraction=1.0).assemble_fraction == 1.0
-
 
 class TestEvolveAndDerived:
     def test_evolve(self):
@@ -67,6 +60,6 @@ class TestEvolveAndDerived:
             ServeOptions().evolve(max_batch=-1)
 
     def test_derived_budgets(self):
-        opts = ServeOptions(deadline_ms=200.0, assemble_fraction=0.25)
+        opts = ServeOptions(deadline_ms=200.0)
         assert opts.deadline_s == pytest.approx(0.2)
-        assert opts.assemble_budget_s == pytest.approx(0.05)
+        assert opts.assemble_budget_s == pytest.approx(0.2 * ASSEMBLE_FRACTION)

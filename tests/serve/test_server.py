@@ -195,7 +195,7 @@ class TestEventDrivenFrontend:
         ctx = _Context(2, timeout=5.0)
         frontend = server_module._Frontend(
             Communicator(ctx, 0), OpenWorkload(arrivals=np.zeros(96)),
-            pool, opts, version="v0", keep_responses=False,
+            pool, opts, keep_responses=False,
         )
         for i in range(96):
             frontend._submit(i)

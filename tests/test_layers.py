@@ -151,8 +151,11 @@ def _census() -> list:
     return rows[2:]  # past the header and its rule
 
 
-#: the packages the census also lists module by module
-CENSUS_BY_MODULE = ("comms", "nn", "hvd", "resilience", "serve")
+#: the packages the census also lists module by module: every package
+#: with modules (``worker`` and ``options`` are single modules)
+CENSUS_BY_MODULE = tuple(
+    name for name in LAYERS if MODULES.get(f"repro.{name}", (None, False))[1]
+)
 
 
 def test_census_names_what_every_package_and_experiment_serves():

@@ -12,7 +12,7 @@ A sleep is allowed only where the sleep *is* the behaviour, a
 schedule, and each must say so in a comment right above it: the load
 generator's (an open loop owes a request at its arrival offset), the
 engine's emulated wire time per chunk, a rank's injected load skew, and
-an injected straggler or I/O stall.
+an injected stall.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class TestValidators:
             require_in_interval("depth", 0, 1, 64)
 
     def test_interval_open_low_bracket(self):
-        # the "(0, 1]" shape ServeOptions.assemble_fraction uses
+        # the "(0, 1]" shape
         with pytest.raises(ValueError, match=r"ratio must be in \(0, 1\], got 0"):
             require_in_interval("ratio", 0, 0, 1, open_low=True)
         require_in_interval("ratio", 1, 0, 1, open_low=True)
