@@ -59,8 +59,10 @@ FULL_SHAPE = dict(scale=0.05, sample_scale=0.05)    # 3024 features
 
 BATCH = 20  # NT3's Table-1 batch size
 
+#: both precisions by name: the default (float32) must not turn the f64
+#: row into a second f32 row
 CONFIGS = [
-    ("arena f64 (fused)", TrainOptions()),
+    ("arena f64 (fused)", TrainOptions(dtype="float64")),
     ("arena f32 (fused)", TrainOptions(dtype="float32")),
 ]
 

@@ -41,7 +41,7 @@ def main() -> None:
         retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
     )
     for a in result.attempts:
-        print(f"  attempt {a.attempt}: {a.status:9s} world={a.nworkers} "
+        print(f"  attempt {a.attempt}: {a.status:9s} world={result.plan.nworkers} "
               f"resumed from epoch {a.start_epoch}"
               + (f" (failed ranks {a.failed_ranks})" if a.failed_ranks else ""))
     print(f"  recovered: {result.recovered}, final loss {result.final_loss:.6f}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.candle.data import one_hot
 from repro.frame import write_csv
-from repro.nn import Sequential
+from repro.nn import DEFAULT_DTYPE, Sequential
 
 __all__ = ["BenchmarkSpec", "CandleBenchmark", "LoadedData"]
 
@@ -45,8 +45,6 @@ class BenchmarkSpec:
     num_classes: int = 0
     #: trainable parameters of the full-scale model (for allreduce bytes)
     model_params_full: int = 0
-    #: bytes per gradient element on the wire (fp32 training)
-    grad_elem_bytes: int = 4
     #: columns of the on-disk CSV, when it differs from the model's
     #: feature count. P1B3's 318 MB file physically cannot hold
     #: 900,100 x 1,000 values — its response file is narrow and the
@@ -76,8 +74,10 @@ class BenchmarkSpec:
 
     @property
     def gradient_bytes(self) -> int:
-        """Bytes allreduced per training step at full scale."""
-        return self.model_params_full * self.grad_elem_bytes
+        """Bytes allreduced per training step at full scale: one element
+        of the training dtype (``repro.nn.DEFAULT_DTYPE``, float32, as
+        a real run ships) per parameter."""
+        return self.model_params_full * DEFAULT_DTYPE.itemsize
 
     @property
     def train_bytes(self) -> int:
@@ -162,9 +162,8 @@ class CandleBenchmark:
         """Build (but not compile) the benchmark's model at this scale.
 
         ``train`` (a :class:`repro.train.TrainOptions`) forwards to
-        :meth:`repro.nn.Sequential.build`;
-        ``TrainOptions(dtype="float32")`` halves memory traffic per
-        step.
+        :meth:`repro.nn.Sequential.build`; the model trains in
+        ``repro.nn.DEFAULT_DTYPE`` (float32) unless it names a dtype.
         """
         raise NotImplementedError
 

@@ -404,6 +404,10 @@ class Communicator:
 #: place (512 KiB, the optimizers' block size)
 _FOLD_BLOCK = 1 << 16
 
+#: each thread's float64 block for such folds, kept between calls: a
+#: float32 owner step folds into its gradient slab every step
+_fold_scratch = threading.local()
+
 
 def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     """The one reduction everything funnels through.
@@ -439,7 +443,8 @@ def canonical_reduce(values: list, op: str, out: Optional[np.ndarray] = None):
     in place; any other ``out`` is folded one block at a time through a
     float64 scratch, every contribution's block read before ``out``'s
     block is written. Either way each element sees the same operations
-    in the same order, so the bits are those of the fresh result.
+    in the same order, so the bits are those of the fresh result. The
+    scratch is the calling thread's, allocated once.
     """
     if out is not None or not all(isinstance(v, numbers.Real) for v in values):
         arrays = [np.asarray(v) for v in values]
@@ -497,7 +502,9 @@ def _fold_into(arrays: list, op: str, out: np.ndarray) -> np.ndarray:
         return out
     target = out.reshape(-1)
     flats = [a.reshape(-1) for a in arrays]
-    scratch = np.empty(min(target.size, _FOLD_BLOCK))
+    scratch = getattr(_fold_scratch, "block", None)
+    if scratch is None:
+        scratch = _fold_scratch.block = np.empty(_FOLD_BLOCK)
     for start in range(0, target.size, _FOLD_BLOCK):
         stop = min(start + _FOLD_BLOCK, target.size)
         block = scratch[: stop - start]

@@ -19,7 +19,7 @@ Public API mirrors Keras naming:
 """
 
 from repro.nn import activations, initializers, losses, metrics, regularizers
-from repro.nn.arena import ParameterArena
+from repro.nn.arena import DEFAULT_DTYPE, ParameterArena
 from repro.nn.callbacks import (
     Callback,
     CallbackList,
@@ -41,6 +41,7 @@ from repro.nn.serialization import CheckpointError, load_checkpoint, save_checkp
 from repro.nn.optimizers import SGD, Adam, Optimizer, RMSprop, get as get_optimizer
 
 __all__ = [
+    "DEFAULT_DTYPE",
     "activations",
     "initializers",
     "losses",

@@ -27,7 +27,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ParameterArena", "fusion_plan"]
+__all__ = ["DEFAULT_DTYPE", "ParameterArena", "fusion_plan"]
+
+#: The precision a model stores, trains and serves in unless
+#: ``TrainOptions(dtype=...)`` names another: float32, Keras's default
+#: ``floatx`` and the width ``repro.sim`` prices each gradient element
+#: at. ``Sequential`` casts its input and target batches into it.
+DEFAULT_DTYPE = np.dtype(np.float32)
 
 
 def fusion_plan(sizes: Sequence[int], capacity_bytes: int) -> List[range]:
@@ -56,7 +62,7 @@ def fusion_plan(sizes: Sequence[int], capacity_bytes: int) -> List[range]:
 class ParameterArena:
     """Contiguous storage for every parameter and gradient of a model."""
 
-    def __init__(self, named: Dict[str, np.ndarray], dtype=np.float64):
+    def __init__(self, named: Dict[str, np.ndarray], dtype=DEFAULT_DTYPE):
         if not named:
             raise ValueError("cannot build an arena with no parameters")
         self.dtype = np.dtype(dtype)
@@ -101,7 +107,7 @@ class ParameterArena:
         gradient views in ``layer.grads``, so backward passes write
         straight into the gradient slab via ``Layer.set_grad``.
         """
-        dtype = dtype if dtype is not None else getattr(model, "dtype", np.float64)
+        dtype = dtype if dtype is not None else getattr(model, "dtype", DEFAULT_DTYPE)
         arena = cls(model.named_parameters(), dtype=dtype)
         for layer in model.layers:
             for key in list(layer.params):

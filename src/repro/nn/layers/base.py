@@ -39,6 +39,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.nn.arena import DEFAULT_DTYPE
+
 __all__ = ["Layer"]
 
 _layer_counter = itertools.count()
@@ -55,7 +57,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         #: parameter storage dtype; Sequential.build overrides per-model
-        self.dtype: np.dtype = np.dtype(np.float64)
+        self.dtype: np.dtype = DEFAULT_DTYPE
         #: True once ParameterArena.adopt installed gradient views —
         #: set_grad then writes through instead of rebinding the dict
         self._arena_grads = False

@@ -9,9 +9,13 @@ passes can accumulate per-example gradients with plain matmuls.
 model's last activation is softmax, the combined gradient is simply
 ``(y_pred - y_true)/N``, which is both faster and numerically exact.
 
-``value``, ``grad`` and ``fused_softmax_grad`` take an optional ``out``:
-an array of the shape and dtype that ``y_true`` and ``y_pred`` share,
-which the same ufuncs write into instead of allocating.
+Every loss computes in ``y_pred``'s dtype, the model's: a ``y_true`` of
+another dtype (``evaluate``'s float64 targets) is cast element by
+element inside each ufunc (``dtype=``), never copied whole, and gives
+the bits it would give cast first. ``value``, ``grad`` and
+``fused_softmax_grad`` take an optional ``out``: an array of
+``y_pred``'s shape and dtype, which the same ufuncs write into instead
+of allocating.
 ``grad`` returns it; ``value`` only works in it (an autoencoder's
 ``y_pred - y_true`` is as large as the input batch). ``Sequential``
 passes one buffer to both, value first.
@@ -52,11 +56,11 @@ class MeanSquaredError(Loss):
     name = "mse"
 
     def value(self, y_true, y_pred, out=None):
-        diff = np.subtract(y_pred, y_true, out=out)
+        diff = np.subtract(y_pred, y_true, out=out, dtype=y_pred.dtype)
         return float(np.mean(np.multiply(diff, diff, out=diff)))
 
     def grad(self, y_true, y_pred, out=None):
-        out = np.subtract(y_pred, y_true, out=out)
+        out = np.subtract(y_pred, y_true, out=out, dtype=y_pred.dtype)
         np.multiply(2.0, out, out=out)
         return np.divide(out, y_pred.size, out=out)
 
@@ -74,18 +78,18 @@ class CategoricalCrossentropy(Loss):
     def value(self, y_true, y_pred, out=None):
         p = np.clip(y_pred, _EPS, 1.0, out=out)
         np.log(p, out=p)
-        return float(-np.sum(np.multiply(y_true, p, out=p)) / y_true.shape[0])
+        return float(-np.sum(np.multiply(y_true, p, out=p, dtype=p.dtype)) / y_true.shape[0])
 
     def grad(self, y_true, y_pred, out=None):
         out = np.clip(y_pred, _EPS, 1.0, out=out)
-        np.divide(y_true, out, out=out)
+        np.divide(y_true, out, out=out, dtype=out.dtype)
         np.negative(out, out=out)
         return np.divide(out, y_true.shape[0], out=out)
 
     @staticmethod
     def fused_softmax_grad(y_true, y_pred, out=None):
         """Gradient of CE∘softmax w.r.t. the softmax *input* logits."""
-        out = np.subtract(y_pred, y_true, out=out)
+        out = np.subtract(y_pred, y_true, out=out, dtype=y_pred.dtype)
         return np.divide(out, y_true.shape[0], out=out)
 
 

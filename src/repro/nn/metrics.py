@@ -21,8 +21,9 @@ def categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    return float(np.mean(np.abs(y_pred - y_true)))
+    """Mean absolute error, in ``y_pred``'s dtype (as the losses)."""
+    diff = np.subtract(y_pred, y_true, dtype=y_pred.dtype)
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 _METRICS = {

@@ -158,6 +158,9 @@ def save_checkpoint(
         "lr": opt.lr,
         "iterations": opt.iterations,
         "param_names": sorted(model.named_parameters()),
+        # the precision every array was written in; load_checkpoint
+        # restores into a model of the same dtype only
+        "dtype": model.dtype.name,
         # caller-provided JSON state (e.g. per-rank RNG snapshots)
         "extra": extra_state,
     }
@@ -223,7 +226,11 @@ def load_checkpoint(model, path, expected_sha256: Optional[str] = None) -> dict:
     """Restore weights + optimizer state in place; returns the metadata.
 
     Validates that the checkpoint's parameter set matches the model —
-    resuming into a different architecture fails loudly. When
+    resuming into a different architecture fails loudly — and that it
+    was written in the model's dtype (a checkpoint without the ``dtype``
+    key is float64): a copy across precisions would round the weights
+    and the optimizer state, and the resume would no longer be the
+    uninterrupted run, so it raises instead. When
     ``expected_sha256`` is given, the file's bytes are checksummed
     *before* parsing and a mismatch (corruption, truncation, a foreign
     file under the right name) raises :class:`CheckpointError` without
@@ -231,6 +238,11 @@ def load_checkpoint(model, path, expected_sha256: Optional[str] = None) -> dict:
     """
     model._require_compiled()
     arrays, meta = _read_arrays(path, expected_sha256)
+    saved_dtype = np.dtype(meta.get("dtype", "float64"))
+    if saved_dtype != model.dtype:
+        raise CheckpointError(
+            f"checkpoint dtype {saved_dtype.name} != model dtype {model.dtype.name}"
+        )
 
     params = model.named_parameters()
     saved_names = {k[len("param::"):] for k in arrays if k.startswith("param::")}

@@ -53,26 +53,11 @@ def require_non_negative(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def require_in_interval(
-    name: str,
-    value,
-    low,
-    high,
-    *,
-    open_low: bool = False,
-    open_high: bool = False,
-) -> None:
-    """Raise unless ``value`` lies in the interval; brackets follow
-    openness, e.g. ``(0, 1]`` or ``[1, 16]`` — the exact message shape
-    the options family has always used."""
-    low_ok = value > low if open_low else value >= low
-    high_ok = value < high if open_high else value <= high
-    if not (low_ok and high_ok):
-        lo = "(" if open_low else "["
-        hi = ")" if open_high else "]"
-        raise ValueError(
-            f"{name} must be in {lo}{low}, {high}{hi}, got {value}"
-        )
+def require_in_interval(name: str, value, low, high) -> None:
+    """Raise unless ``low <= value <= high``; the message names the
+    closed interval, e.g. ``[1, 16]``."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 def require_choice(name: str, value, choices: Sequence) -> None:

@@ -119,9 +119,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.specs)
 
-    def for_rank(self, rank: int) -> list[FaultSpec]:
-        return [s for s in self.specs if s.rank == rank]
-
     def describe(self) -> str:
         if not self.specs:
             return f"<FaultPlan seed={self.seed}: no faults>"
@@ -166,12 +163,6 @@ class FiredFault:
 
     attempt: int
     spec: FaultSpec
-
-    def key(self) -> tuple:
-        return (
-            self.attempt, self.spec.kind, self.spec.rank,
-            self.spec.epoch, self.spec.step,
-        )
 
 
 class FaultInjector:
@@ -238,11 +229,6 @@ class FaultInjector:
     def on_step(self, rank: int, epoch: int, step: int) -> None:
         """Batch-level faults fire at the start of that batch."""
         self._fire(rank, epoch, step)
-
-    def fired_keys(self) -> list[tuple]:
-        """Deterministic record of what fired (for reproducibility tests)."""
-        with self._lock:
-            return sorted(f.key() for f in self.history)
 
     def __repr__(self):
         return (

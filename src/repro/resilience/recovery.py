@@ -68,10 +68,10 @@ class RetryPolicy:
 
 @dataclass
 class AttemptRecord:
-    """One attempt of the supervised run."""
+    """One attempt of the supervised run (every attempt runs the plan's
+    world, ``ResilientRunResult.plan.nworkers``)."""
 
     attempt: int
-    nworkers: int
     start_epoch: int
     status: str  # 'completed' | 'failed'
     failed_ranks: list[int] = field(default_factory=list)
@@ -143,7 +143,6 @@ def run_resilient_benchmark(
         latest = manager.latest_restorable()
         record = AttemptRecord(
             attempt=attempt,
-            nworkers=plan.nworkers,
             start_epoch=latest.epoch + 1 if latest is not None else 0,
             status="failed",
         )

@@ -43,12 +43,13 @@ __all__ = [
 class TrainOptions(FrozenOptions):
     """Keyword-only configuration for every training step in a run.
 
-    The defaults reproduce the pre-existing behaviour exactly: the
-    model's default precision, engine-automatic collectives, and the
-    serialized (non-overlapped) gradient exchange.
+    The defaults: the model's default precision
+    (``repro.nn.DEFAULT_DTYPE``, float32), engine-automatic collectives,
+    and the serialized (non-overlapped) gradient exchange.
     """
 
-    #: parameter/compute precision; None keeps the model default (float64)
+    #: parameter/compute precision; None keeps the model default
+    #: (``repro.nn.DEFAULT_DTYPE``, float32). Oracles name float64.
     dtype: Optional[np.dtype] = None
     #: how gradient/metric collectives travel (algorithm, fusion,
     #: chunking); None = the engine's automatic defaults

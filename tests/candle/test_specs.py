@@ -1,13 +1,20 @@
 """Benchmark specs: Table 1 fidelity and derived quantities."""
 
+import numpy as np
 import pytest
 
+from repro import hvd
 from repro.candle import all_benchmarks, get_benchmark
 from repro.candle.base import BenchmarkSpec
 from repro.candle.nt3 import NT3_SPEC
 from repro.candle.p1b1 import P1B1_SPEC
 from repro.candle.p1b2 import P1B2_SPEC
 from repro.candle.p1b3 import P1B3_SPEC
+from repro.comms import CollectiveOptions
+from repro.comms.plan import plan_allreduce
+from repro.comms.topology import Topology
+from repro.mpi import Communicator, run_spmd
+from repro.nn import DEFAULT_DTYPE, Adam
 
 TABLE1 = {
     "NT3": dict(train_mb=597, test_mb=150, epochs=384, batch_size=20,
@@ -50,8 +57,63 @@ def test_get_benchmark_case_insensitive():
         get_benchmark("p9")
 
 
+def _array_bytes(payload) -> int:
+    """Bytes of the arrays in a message (not its control words)."""
+    if isinstance(payload, np.ndarray):
+        return payload.nbytes
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, (list, tuple)):
+        return sum(_array_bytes(part) for part in payload)
+    return 0
+
+
+def test_a_world_2_p1b1_step_ships_the_bytes_the_simulator_prices(monkeypatch):
+    """One world-2 P1B1 step at smoke scale: each rank sends
+    ``arena.size × itemsize`` bytes of arrays (its reduce-scatter half
+    of the gradient, its gathered half of the parameters), which is
+    what ``repro.sim`` plans for an allreduce of the model's parameters
+    at ``gradient_bytes``' element width."""
+    bench = get_benchmark("p1b1", scale=0.01, sample_scale=0.05)
+    x = np.random.default_rng(0).normal(size=(8, bench.features))
+    sent: dict = {}
+    send = Communicator.send
+
+    def counting_send(self, obj, dest, tag=0):
+        if self.rank in sent:
+            sent[self.rank] += _array_bytes(obj)
+        send(self, obj, dest, tag)
+
+    monkeypatch.setattr(Communicator, "send", counting_send)
+
+    def worker(comm):
+        hvd.init(comm)
+        try:
+            model = bench.build_model(seed=comm.rank)
+            model.compile(hvd.DistributedOptimizer(Adam(lr=0.01)), "mse")
+            hvd.broadcast_weights(model)
+            batch = x[comm.rank * 4 : (comm.rank + 1) * 4]
+            model.train_on_batch(batch, batch)
+            sent[comm.rank] = 0
+            model.train_on_batch(batch, batch)
+            return model.arena
+        finally:
+            hvd.shutdown()
+
+    arenas = run_spmd(2, worker)
+    priced = P1B1_SPEC.gradient_bytes // P1B1_SPEC.model_params_full
+    assert DEFAULT_DTYPE.itemsize == priced == 4
+    schedule = plan_allreduce(arenas[0].size * priced, Topology(world=2), CollectiveOptions())
+    for rank, arena in enumerate(arenas):
+        assert arena.dtype.itemsize == priced
+        assert sent[rank] == arena.size * priced == schedule.wire_bytes()
+
+
 def test_gradient_bytes_fp32():
-    assert NT3_SPEC.gradient_bytes == NT3_SPEC.model_params_full * 4
+    """Priced at the training dtype's width (``repro.nn.DEFAULT_DTYPE``),
+    still 4 bytes, so no simulated row moves."""
+    for spec in (NT3_SPEC, P1B1_SPEC, P1B2_SPEC, P1B3_SPEC):
+        assert spec.gradient_bytes == spec.model_params_full * 4
     # NT3's dense bottleneck dominates: ~155M params (~620 MB fp32)
     assert 150e6 < NT3_SPEC.model_params_full < 160e6
     assert 240e6 < P1B1_SPEC.model_params_full < 250e6

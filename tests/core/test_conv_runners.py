@@ -31,6 +31,6 @@ def test_parallel_runner_evaluates_the_conv_variant():
 def test_resilient_runner_evaluates_the_conv_variant(tmp_path):
     bench, plan = _bench_and_plan()
     res = run_resilient_benchmark(bench, plan, tmp_path / "ckpt", seed=3)
-    assert res.nattempts == 1 and res.attempts[0].nworkers == 2
+    assert res.nattempts == 1 and res.plan.nworkers == 2
     assert np.isfinite(res.final_loss)
     assert set(res.eval_metrics) == {"loss", "mae"}

@@ -1,7 +1,8 @@
 """Analytic gradients vs central finite differences, per architecture.
 
 The correctness gate for the autodiff stack: every layer type, fused
-and unfused loss paths, and regularizers.
+and unfused loss paths, and regularizers. Central differences at
+``eps = 1e-6`` need float64, so every model here names it.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.nn import (
     Sequential,
     regularizers,
 )
+from repro.train import TrainOptions
 from repro.nn.gradcheck import (
     max_relative_error,
     numeric_input_grad,
@@ -28,7 +30,7 @@ TOL = 1e-5
 
 def _check_params(layers, in_shape, loss, y, seed=3):
     model = Sequential(layers)
-    model.build(in_shape, seed=seed)
+    model.build(in_shape, seed=seed, train=TrainOptions(dtype="float64"))
     model.compile("sgd", loss, lr=0.01)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4,) + in_shape)

@@ -13,9 +13,13 @@ mask generator) must match, byte for byte.
 
 Tier-1 runs every model × optimizer × world once; the property draws
 the rows, batch size and seeds as well (``--hypothesis-profile=deep``).
+Both run in the default dtype (float32); a checkpoint restores into a
+model of its own dtype only.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -25,9 +29,10 @@ from hypothesis import strategies as st
 from repro import hvd
 from repro.candle import get_benchmark
 from repro.mpi import run_spmd
-from repro.nn import get_optimizer
+from repro.nn import CheckpointError, get_optimizer, load_checkpoint, save_checkpoint
 from repro.nn.serialization import capture_rng_state
 from repro.resilience import CheckpointManager
+from repro.train import TrainOptions
 
 #: Table 1's models at test scale
 BENCHMARKS = {
@@ -133,3 +138,45 @@ def test_restore_is_identity(tmp_path, name, optimizer, world):
 def test_restore_is_identity_property(tmp_path_factory, name, optimizer, world, rows, batch, seed):
     tmp_path = tmp_path_factory.mktemp("ckpt")
     assert_restore_is_identity(tmp_path, name, optimizer, world, rows, batch, seed)
+
+
+def _drop_meta_key(path, key: str) -> None:
+    """Rewrite checkpoint ``path`` without ``meta[key]``, as a file
+    written before the key existed."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(arrays["meta::json"].tobytes().decode())
+    del meta[key]
+    arrays["meta::json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_a_checkpoint_restores_into_its_own_dtype_only(tmp_path):
+    """A checkpoint records its dtype. Restored into a model of another
+    precision it raises, the model untouched, where a copy would round
+    the weights and the Adam slots; one without the key reads as
+    float64."""
+    bench = BENCHMARKS["p1b2"]
+    f64 = TrainOptions(dtype="float64")
+    data = bench.prepare(bench.synth_arrays(np.random.default_rng(0)))
+    model = bench.build_model(seed=0, train=f64)
+    model.compile(get_optimizer("adam", lr=0.01), *bench.loss_and_metrics())
+    model.fit(data.x_train[:8], data.y_train[:8], batch_size=4, epochs=1)
+    path = tmp_path / "f64.npz"
+    save_checkpoint(model, path)
+
+    fresh = bench.build_model(seed=1)
+    fresh.compile(get_optimizer("adam", lr=0.01), *bench.loss_and_metrics())
+    before = fresh.arena.params_flat.tobytes()
+    with pytest.raises(CheckpointError, match="dtype float64 != model dtype float32"):
+        load_checkpoint(fresh, path)
+    assert fresh.arena.params_flat.tobytes() == before
+
+    _drop_meta_key(path, "dtype")
+    with pytest.raises(CheckpointError, match="dtype float64"):
+        load_checkpoint(fresh, path)
+    twin = bench.build_model(seed=1, train=f64)
+    twin.compile(get_optimizer("adam", lr=0.01), *bench.loss_and_metrics())
+    assert load_checkpoint(twin, path)["iterations"] == 2
+    assert twin.arena.params_flat.tobytes() == model.arena.params_flat.tobytes()

@@ -60,16 +60,6 @@ class TestValidators:
         with pytest.raises(ValueError, match=r"depth must be in \[1, 64\], got 0"):
             require_in_interval("depth", 0, 1, 64)
 
-    def test_interval_open_low_bracket(self):
-        # the "(0, 1]" shape
-        with pytest.raises(ValueError, match=r"ratio must be in \(0, 1\], got 0"):
-            require_in_interval("ratio", 0, 0, 1, open_low=True)
-        require_in_interval("ratio", 1, 0, 1, open_low=True)
-
-    def test_interval_open_high_bracket(self):
-        with pytest.raises(ValueError, match=r"f must be in \[0, 1\), got 1"):
-            require_in_interval("f", 1, 0, 1, open_high=True)
-
     def test_require_choice(self):
         require_choice("mode", "a", ("a", "b"))
         with pytest.raises(ValueError, match=r"unknown mode 'c'; known: \('a', 'b'\)"):
