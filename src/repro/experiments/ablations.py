@@ -254,7 +254,10 @@ def _measure_overlap_row(world: int, local: int, epochs: int) -> dict:
     """
     bench = get_benchmark("nt3", scale=0.01, sample_scale=0.05)
     batch = 20
+    # float64 by name: the emulated operating point (the fabric scale)
+    # was tuned for float64's gradient bytes
     train = TrainOptions(
+        dtype="float64",
         overlap=True,
         overlap_channels=4,
         collective=CollectiveOptions(
